@@ -1,15 +1,14 @@
 /// Event-engine microbenchmark: the raw cost of the simulator hot path
 /// that paper-scale (--full) runs are bound by. Three workloads
 /// (schedule+fire churn, schedule+cancel churn, and an end-to-end
-/// dumbbell packet run) each measured on both EventQueue backends —
-/// the default binary heap and the calendar queue — plus a
-/// std::function baseline quantifying what the inline-callback /
-/// packet-pool rewrite removed.
+/// dumbbell packet run) on the binary-heap pending set, the sharded
+/// engine on a pod-local fat-tree, plus a std::function baseline
+/// quantifying what the inline-callback / packet-pool rewrite removed.
 ///
 /// This bench is the calibrated perf gate: CI compares its JSON against
 /// bench/baselines/perf.json via scripts/check_perf_baseline.py. The
 /// events and allocs/event columns are deterministic and gated exactly
-/// (the bench also aborts on cross-backend event-count divergence);
+/// (the bench also aborts on cross-thread-count event divergence);
 /// the Mev/s throughput columns are wall-clock dependent and gated
 /// only loosely, with tolerance learned from repeat runs.
 
@@ -23,7 +22,7 @@
 #include <utility>
 #include <vector>
 
-#include "cc/factory.hpp"
+#include "cc/registry.hpp"
 #include "harness/bench_opts.hpp"
 #include "harness/shard_setup.hpp"
 #include "harness/sweep.hpp"
@@ -102,9 +101,8 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
 
 /// Self-scheduling timer wheels: `wheels` concurrent chains each
 /// re-arming `spacing` ahead — the shape of pacing/RTO timers at scale.
-std::uint64_t run_timer_churn(sim::QueueKind kind, int wheels,
-                              std::uint64_t events) {
-  sim::Simulator s(kind);
+std::uint64_t run_timer_churn(int wheels, std::uint64_t events) {
+  sim::Simulator s;
   std::uint64_t remaining = events;
   std::function<void()> tick = [&] {
     if (remaining == 0) return;
@@ -120,8 +118,8 @@ std::uint64_t run_timer_churn(sim::QueueKind kind, int wheels,
 
 /// Schedule-then-cancel churn: the deduplicated-wakeup pattern of
 /// egress ports (arm a retry, cancel it when work arrives).
-std::uint64_t run_cancel_churn(sim::QueueKind kind, std::uint64_t rounds) {
-  sim::Simulator s(kind);
+std::uint64_t run_cancel_churn(std::uint64_t rounds) {
+  sim::Simulator s;
   std::uint64_t remaining = rounds;
   std::function<void()> tick = [&] {
     if (remaining == 0) return;
@@ -137,8 +135,8 @@ std::uint64_t run_cancel_churn(sim::QueueKind kind, std::uint64_t rounds) {
 }
 
 /// End-to-end packet events: two long PowerTCP flows over a dumbbell.
-std::uint64_t run_packet_sim(sim::QueueKind kind, sim::TimePs horizon) {
-  sim::Simulator simulator(kind);
+std::uint64_t run_packet_sim(sim::TimePs horizon) {
+  sim::Simulator simulator;
   net::Network network(simulator);
   topo::DumbbellConfig cfg;
   cfg.n_senders = 2;
@@ -154,149 +152,6 @@ std::uint64_t run_packet_sim(sim::QueueKind kind, sim::TimePs horizon) {
                             factory(params), params, 0);
   simulator.run_until(horizon);
   return simulator.events_executed();
-}
-
-// ---- burst-shaped workloads (sim_burst off vs on) ------------------
-// Each runs the same logical event sequence twice: budget 1 (the
-// per-event engine) and budget 64 (burst-granular). events_executed()
-// counts LOGICAL events in both modes — the bench aborts if the modes
-// disagree — so the Mev/s ratio is the real per-event win. Callbacks
-// capture one 8-byte state pointer, keeping both modes allocation-free
-// per event (pinned by the allocs/ev columns).
-
-/// Ack-train shape: a receiver NIC's 64-packet ack train. Off pays 64
-/// schedule/pop cycles per train; on pays one burst entry of count 64
-/// (the EgressPort dequeue-N finish-event collapse, at engine level).
-struct AckTrainState {
-  sim::Simulator* s;
-  std::uint64_t trains_left;
-  std::uint64_t pending;  ///< logical acks outstanding in this train
-  std::uint64_t acked;
-  std::uint32_t train;
-  bool burst;
-};
-
-void ack_train_next(AckTrainState* st);
-
-void ack_train_on_ack(AckTrainState* st) {
-  const std::uint32_t n = st->s->burst_count();
-  st->acked += n;
-  st->pending -= n;
-  if (st->pending == 0) ack_train_next(st);
-}
-
-void ack_train_next(AckTrainState* st) {
-  if (st->trains_left == 0) return;
-  --st->trains_left;
-  st->pending = st->train;
-  const sim::TimePs t = st->s->now() + sim::nanoseconds(100);
-  if (st->burst) {
-    st->s->schedule_burst_at(t, st->train,
-                             [st] { ack_train_on_ack(st); });
-  } else {
-    for (std::uint32_t i = 0; i < st->train; ++i) {
-      st->s->schedule_at(t, [st] { ack_train_on_ack(st); });
-    }
-  }
-}
-
-std::uint64_t run_ack_train(sim::QueueKind kind, bool burst,
-                            std::uint64_t events) {
-  sim::Simulator s(kind);
-  s.set_burst_budget(burst ? 64 : 1);
-  constexpr std::uint32_t kTrain = 64;
-  AckTrainState st{&s, events / kTrain, 0, 0, kTrain, burst};
-  ack_train_next(&st);
-  s.run();
-  return s.events_executed();
-}
-
-/// Incast-drain shape: 32 same-time arrivals sharing a merge key. Off
-/// pops and dispatches each; on pop-merges the wave into ONE callback
-/// carrying count 32 (schedule cost is identical by construction, so
-/// this row isolates the pop-side win).
-struct IncastState {
-  sim::Simulator* s;
-  std::uint64_t waves_left;
-  std::uint64_t pending;
-  std::uint32_t fan;
-};
-
-void incast_next(IncastState* st);
-
-void incast_on_pkt(IncastState* st) {
-  st->pending -= st->s->burst_count();
-  if (st->pending == 0) incast_next(st);
-}
-
-void incast_next(IncastState* st) {
-  if (st->waves_left == 0) return;
-  --st->waves_left;
-  st->pending = st->fan;
-  const sim::TimePs t = st->s->now() + sim::nanoseconds(100);
-  for (std::uint32_t i = 0; i < st->fan; ++i) {
-    st->s->schedule_burst_at(t, 1, [st] { incast_on_pkt(st); },
-                             /*merge_key=*/1);
-  }
-}
-
-std::uint64_t run_incast_drain(sim::QueueKind kind, bool burst,
-                               std::uint64_t events) {
-  sim::Simulator s(kind);
-  s.set_burst_budget(burst ? 64 : 1);
-  constexpr std::uint32_t kFan = 32;
-  IncastState st{&s, events / kFan, 0, kFan};
-  incast_next(&st);
-  s.run();
-  return s.events_executed();
-}
-
-/// Paced-stream shape: a sender releasing packets every 100 ns. Off
-/// arms one timer per packet; on arms one timer per 8-packet quantum
-/// (host::FlowSenderConfig::pacing_quantum, at engine level).
-struct PacedState {
-  sim::Simulator* s;
-  std::uint64_t quanta_left;
-  std::uint64_t pending;
-  std::uint64_t sent;
-  std::uint32_t quantum;
-  bool burst;
-};
-
-void paced_next(PacedState* st);
-
-void paced_on_tick(PacedState* st) {
-  const std::uint32_t n = st->s->burst_count();
-  st->sent += n;
-  st->pending -= n;
-  if (st->pending == 0) paced_next(st);
-}
-
-void paced_next(PacedState* st) {
-  if (st->quanta_left == 0) return;
-  --st->quanta_left;
-  st->pending = st->quantum;
-  const sim::TimePs tick = sim::nanoseconds(100);
-  if (st->burst) {
-    st->s->schedule_burst_at(st->s->now() + tick * st->quantum, st->quantum,
-                             [st] { paced_on_tick(st); });
-  } else {
-    for (std::uint32_t i = 1; i <= st->quantum; ++i) {
-      st->s->schedule_at(st->s->now() + tick * i,
-                         [st] { paced_on_tick(st); });
-    }
-  }
-}
-
-std::uint64_t run_paced_stream(sim::QueueKind kind, bool burst,
-                               std::uint64_t events) {
-  sim::Simulator s(kind);
-  s.set_burst_budget(burst ? 64 : 1);
-  constexpr std::uint32_t kQuantum = 8;
-  PacedState st{&s, events / kQuantum, 0, 0, kQuantum, burst};
-  paced_next(&st);
-  s.run();
-  return s.events_executed();
 }
 
 /// Sharded engine workload: the paper's fat-tree (quick preset), cut
@@ -316,8 +171,7 @@ struct ShardRun {
 
 ShardRun run_shard_fat_tree(int sim_threads, sim::TimePs horizon) {
   const topo::FatTreeConfig cfg = topo::FatTreeConfig::quick();
-  harness::ShardedPoint point(topo::fat_tree_shard_plan(cfg, sim_threads),
-                              sim::QueueKind::kBinaryHeap);
+  harness::ShardedPoint point(topo::fat_tree_shard_plan(cfg, sim_threads));
   topo::FatTree fabric(point.network, cfg);
   cc::FlowParams params;
   params.host_bw = cfg.host_bw;
@@ -420,107 +274,25 @@ int main(int argc, char** argv) {
             "bench/baselines/perf.json; events and allocs/ev exactly)";
   t.slug = "event_engine";
   t.key_columns = {"workload"};
-  t.value_columns = {"heap Mev/s", "calendar Mev/s", "events",
-                     "heap allocs/ev", "calendar allocs/ev"};
+  t.value_columns = {"Mev/s", "events", "allocs/ev"};
 
-  const struct {
-    const char* name;
-    std::uint64_t (*fn)(sim::QueueKind, std::uint64_t);
-  } churns[] = {
-      {"timer-churn x64",
-       [](sim::QueueKind k, std::uint64_t n) {
-         return run_timer_churn(k, 64, n);
-       }},
-      {"timer-churn x4096",
-       [](sim::QueueKind k, std::uint64_t n) {
-         return run_timer_churn(k, 4096, n);
-       }},
-      {"schedule+cancel",
-       [](sim::QueueKind k, std::uint64_t n) {
-         return run_cancel_churn(k, n / 2);
-       }},
+  const auto add_row = [&t](const char* name, const Measurement& m) {
+    harness::ResultTable::Row row;
+    row.keys = {Cell(std::string(name))};
+    row.values = {Cell(m.mops, 2),
+                  Cell::integer(static_cast<std::int64_t>(m.events)),
+                  Cell(m.allocs_per_event, 2)};
+    t.rows.push_back(std::move(row));
   };
-  for (const auto& c : churns) {
-    const Measurement heap =
-        measure([&] { return c.fn(sim::QueueKind::kBinaryHeap, scale); });
-    const Measurement cal =
-        measure([&] { return c.fn(sim::QueueKind::kCalendar, scale); });
-    if (heap.events != cal.events) {
-      std::fprintf(stderr, "FATAL: %s executed %llu (heap) vs %llu "
-                   "(calendar) events — backends diverged\n",
-                   c.name, static_cast<unsigned long long>(heap.events),
-                   static_cast<unsigned long long>(cal.events));
-      return 1;
-    }
-    harness::ResultTable::Row row;
-    row.keys = {Cell(std::string(c.name))};
-    row.values = {Cell(heap.mops, 2), Cell(cal.mops, 2),
-                  Cell::integer(static_cast<std::int64_t>(heap.events)),
-                  Cell(heap.allocs_per_event, 2),
-                  Cell(cal.allocs_per_event, 2)};
-    t.rows.push_back(std::move(row));
-  }
-
-  {
-    const Measurement heap = measure(
-        [&] { return run_packet_sim(sim::QueueKind::kBinaryHeap, horizon); });
-    const Measurement cal = measure(
-        [&] { return run_packet_sim(sim::QueueKind::kCalendar, horizon); });
-    if (heap.events != cal.events) {
-      std::fprintf(stderr, "FATAL: packet-sim event counts diverged\n");
-      return 1;
-    }
-    harness::ResultTable::Row row;
-    row.keys = {Cell(std::string("dumbbell packet sim"))};
-    row.values = {Cell(heap.mops, 2), Cell(cal.mops, 2),
-                  Cell::integer(static_cast<std::int64_t>(heap.events)),
-                  Cell(heap.allocs_per_event, 2),
-                  Cell(cal.allocs_per_event, 2)};
-    t.rows.push_back(std::move(row));
-  }
+  add_row("timer-churn x64",
+          measure([&] { return run_timer_churn(64, scale); }));
+  add_row("timer-churn x4096",
+          measure([&] { return run_timer_churn(4096, scale); }));
+  add_row("schedule+cancel",
+          measure([&] { return run_cancel_churn(scale / 2); }));
+  add_row("dumbbell packet sim",
+          measure([&] { return run_packet_sim(horizon); }));
   reporter.add(std::move(t));
-
-  // Burst-granular engine: the same logical event sequence with
-  // sim_burst off (budget 1) vs on (budget 64), on the default heap
-  // backend (bursting is backend-orthogonal). The ack-train speedup
-  // carries a calibrated floor in bench/baselines/perf.json.
-  harness::ResultTable bt;
-  bt.title = "burst-granular event engine: sim_burst=off vs on (same "
-             "logical events both modes; ack-train speedup floor-gated)";
-  bt.slug = "event_engine_burst";
-  bt.key_columns = {"workload"};
-  bt.value_columns = {"off Mev/s", "on Mev/s", "speedup", "events",
-                      "off allocs/ev", "on allocs/ev"};
-  const struct {
-    const char* name;
-    std::uint64_t (*fn)(sim::QueueKind, bool, std::uint64_t);
-  } burst_loads[] = {
-      {"ack-train x64", run_ack_train},
-      {"incast drain x32", run_incast_drain},
-      {"paced stream q8", run_paced_stream},
-  };
-  for (const auto& b : burst_loads) {
-    const Measurement off = measure(
-        [&] { return b.fn(sim::QueueKind::kBinaryHeap, false, scale); });
-    const Measurement on = measure(
-        [&] { return b.fn(sim::QueueKind::kBinaryHeap, true, scale); });
-    if (off.events != on.events) {
-      std::fprintf(stderr, "FATAL: %s executed %llu (off) vs %llu (on) "
-                   "logical events — burst modes diverged\n",
-                   b.name, static_cast<unsigned long long>(off.events),
-                   static_cast<unsigned long long>(on.events));
-      return 1;
-    }
-    harness::ResultTable::Row row;
-    row.keys = {Cell(std::string(b.name))};
-    row.values = {Cell(off.mops, 2), Cell(on.mops, 2),
-                  Cell(off.mops > 0 ? on.mops / off.mops : 0, 2),
-                  Cell::integer(static_cast<std::int64_t>(off.events)),
-                  Cell(off.allocs_per_event, 2),
-                  Cell(on.allocs_per_event, 2)};
-    bt.rows.push_back(std::move(row));
-  }
-  reporter.add(std::move(bt));
 
   // Sharded engine: the paper's fat-tree (quick preset) cut per pod,
   // pod-local traffic so the partitions stay causally independent.

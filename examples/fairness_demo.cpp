@@ -6,7 +6,7 @@
 #include <array>
 #include <cstdio>
 
-#include "cc/factory.hpp"
+#include "cc/registry.hpp"
 #include "net/network.hpp"
 #include "sim/simulator.hpp"
 #include "stats/timeseries.hpp"

@@ -4,7 +4,7 @@
 
 #include <cstdio>
 
-#include "cc/factory.hpp"
+#include "cc/registry.hpp"
 #include "host/flow.hpp"
 #include "net/network.hpp"
 #include "sim/simulator.hpp"

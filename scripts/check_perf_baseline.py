@@ -27,16 +27,16 @@ scripts/check_sweep_baseline.py.
 The baseline may additionally carry a top-level `floors` list of
 absolute per-workload bars, each carrying `min` or `max`:
 
-    "floors": [{"table": "event_engine_burst",
-                "row": {"workload": "ack-train x64"},
-                "metric": "speedup", "min": 3.0},
+    "floors": [{"table": "event_engine_shard",
+                "row": {"sim_threads": 4},
+                "metric": "speedup", "min": 1.5},
                {"table": "event_engine_shard",
                 "row": {"sim_threads": 4},
                 "metric": "windows", "max": 1999}]
 
 A `min` floor requires the BEST (largest) repeat of that cell to stay
->= the bar — an absolute minimum (e.g. "burst mode must keep ack
-trains at least 3x faster"); a `max` floor requires the SMALLEST
+>= the bar — an absolute minimum (e.g. "four shards must stay at
+least 1.5x faster than one"); a `max` floor requires the SMALLEST
 repeat to stay <= the bar — an absolute ceiling (e.g. "batched
 lookahead must keep barrier-window counts at least 2x below the
 pre-batching engine"). Both are unlike the relative drift band above.

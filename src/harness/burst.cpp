@@ -2,8 +2,6 @@
 
 #include "host/host.hpp"
 #include "net/network.hpp"
-#include "sim/shard.hpp"
-#include "sim/simulator.hpp"
 
 namespace powertcp::harness {
 
@@ -12,12 +10,6 @@ BurstConfig load_burst_config(const ConfigFile& file) {
   const ConfigFile::Section* sec = file.find("burst");
   if (sec == nullptr) return cfg;
   SectionView v(file, sec);
-  cfg.budget = static_cast<std::uint32_t>(
-      v.get_int("budget", static_cast<std::int64_t>(cfg.budget)));
-  if (cfg.budget < 1 || cfg.budget > 1'000'000) {
-    throw ConfigError(file.origin() +
-                      ": [burst] budget must be in [1, 1000000]");
-  }
   if (v.has("ack_agg_us")) {
     const double us = v.get_double("ack_agg_us", 0);
     if (us < 0) {
@@ -28,8 +20,7 @@ BurstConfig load_burst_config(const ConfigFile& file) {
   } else {
     v.get_double("ack_agg_us", 0);  // mark consumed when absent
   }
-  cfg.pacing_quantum = static_cast<std::int32_t>(
-      v.get_int("pacing_quantum", cfg.pacing_quantum));
+  cfg.pacing_quantum = v.get_int32("pacing_quantum", cfg.pacing_quantum);
   if (cfg.pacing_quantum < 1 || cfg.pacing_quantum > 1'000'000) {
     throw ConfigError(file.origin() +
                       ": [burst] pacing_quantum must be in [1, 1000000]");
@@ -38,9 +29,7 @@ BurstConfig load_burst_config(const ConfigFile& file) {
   return cfg;
 }
 
-namespace {
-
-void apply_burst_hosts(const BurstConfig& cfg, net::Network& network) {
+void apply_burst(const BurstConfig& cfg, net::Network& network) {
   if (cfg.ack_agg <= 0 && cfg.pacing_quantum <= 1) return;
   for (net::NodeId id = 0; id < network.next_node_id(); ++id) {
     auto* h = dynamic_cast<host::Host*>(&network.node(id));
@@ -52,24 +41,6 @@ void apply_burst_hosts(const BurstConfig& cfg, net::Network& network) {
       h->set_sender_config(scfg);
     }
   }
-}
-
-}  // namespace
-
-void apply_burst(const BurstConfig& cfg, sim::Simulator& sim,
-                 net::Network& network) {
-  if (cfg.enabled) sim.set_burst_budget(cfg.budget);
-  apply_burst_hosts(cfg, network);
-}
-
-void apply_burst(const BurstConfig& cfg, sim::ShardedSimulator& engine,
-                 net::Network& network) {
-  if (cfg.enabled) {
-    for (int s = 0; s < engine.shard_count(); ++s) {
-      engine.shard(s).set_burst_budget(cfg.budget);
-    }
-  }
-  apply_burst_hosts(cfg, network);
 }
 
 }  // namespace powertcp::harness

@@ -6,43 +6,23 @@
 #include "sim/time.hpp"
 
 /// \file burst.hpp
-/// Burst-granular event processing for the scenario harness.
+/// Host NIC batching for the scenario harness.
 ///
-/// `[experiment] sim_burst = on|off` (or `powertcp_run --sim-burst=`)
-/// switches the engine-level coalescing on: the Simulator's burst
-/// budget rises above 1 so host NIC ports drain whole transmission
-/// trains per event (net::EgressPort burst drain) and same-key events
-/// pop-merge (sim::Simulator::schedule_burst_at). These mechanisms are
-/// exactness-preserving — deliveries land at the same picosecond they
-/// would per-packet — so every shipped config's tables are pinned
-/// identical with the knob on and byte-identical with it off.
-///
-/// The optional `[burst]` section additionally tunes the budget and
-/// exposes two *behavior-changing* batching knobs that apply whenever
-/// explicitly set (independent of sim_burst): `ack_agg_us` (receiver
-/// ack aggregation window, host::Host) and `pacing_quantum` (packets
-/// per pacing-timer tick, host::FlowSenderConfig). Their defaults are
-/// the legacy per-packet values. See docs/performance.md.
+/// The optional `[burst]` section sets two *behavior-changing* knobs
+/// that model NIC features: `ack_agg_us` (receiver ack aggregation
+/// window, host::Host) and `pacing_quantum` (packets per pacing-timer
+/// tick, host::FlowSenderConfig). Their defaults are the per-packet
+/// values, so an absent section leaves every run byte-identical. See
+/// docs/performance.md.
 
-namespace powertcp::sim {
-class Simulator;
-class ShardedSimulator;
-}
 namespace powertcp::net {
 class Network;
 }
 
 namespace powertcp::harness {
 
-/// Parsed `[experiment] sim_burst` + `[burst]` section; defaults are
-/// all off/legacy.
+/// Parsed `[burst]` section; defaults are the per-packet NIC.
 struct BurstConfig {
-  /// `sim_burst = on`: engage the exactness-preserving coalescing
-  /// (engine burst budget + NIC burst drain).
-  bool enabled = false;
-  /// Max logical events per burst callback / packets per NIC drain
-  /// train. Only applied while `enabled`.
-  std::uint32_t budget = 64;
   /// Receiver-side ack aggregation window (0 = ack every packet).
   /// Behavior-changing: applies whenever nonzero, pinned by its own
   /// tests rather than the byte-identity goldens.
@@ -52,22 +32,14 @@ struct BurstConfig {
   std::int32_t pacing_quantum = 1;
 };
 
-/// Parses the optional `[burst]` section (absent = all defaults; the
-/// `enabled` flag comes from `[experiment] sim_burst`, not from here).
+/// Parses the optional `[burst]` section (absent = all defaults).
 /// Throws ConfigError on out-of-range values or unknown keys, with
 /// file:line context.
 BurstConfig load_burst_config(const ConfigFile& file);
 
-/// Applies the config to a freshly built simulation point: sets the
-/// Simulator's burst budget (when enabled) and pushes ack_agg /
-/// pacing_quantum to every host in the network (when non-default).
-/// Call after the topology exists and before flows start.
-void apply_burst(const BurstConfig& cfg, sim::Simulator& sim,
-                 net::Network& network);
-
-/// Partitioned-engine variant: the burst budget applies to every shard
-/// (each drains its own queue); the host knobs are set once as above.
-void apply_burst(const BurstConfig& cfg, sim::ShardedSimulator& engine,
-                 net::Network& network);
+/// Pushes ack_agg / pacing_quantum to every host in a freshly built
+/// simulation point (when non-default). Call after the topology exists
+/// and before flows start.
+void apply_burst(const BurstConfig& cfg, net::Network& network);
 
 }  // namespace powertcp::harness

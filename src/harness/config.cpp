@@ -1,6 +1,7 @@
 #include "harness/config.hpp"
 
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "cc/params.hpp"
@@ -199,6 +200,17 @@ std::int64_t SectionView::get_int(const std::string& key,
   const auto v = cc::parse_int_value(e->value);
   if (!v) fail(*e, "integer");
   return *v;
+}
+
+int SectionView::get_int32(const std::string& key, int fallback) {
+  const auto* e = take(key);
+  if (e == nullptr) return fallback;
+  const auto v = cc::parse_int_value(e->value);
+  if (!v || *v < std::numeric_limits<int>::min() ||
+      *v > std::numeric_limits<int>::max()) {
+    fail(*e, "32-bit integer");
+  }
+  return static_cast<int>(*v);
 }
 
 bool SectionView::get_bool(const std::string& key, bool fallback) {

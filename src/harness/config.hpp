@@ -76,6 +76,9 @@ class SectionView {
   std::string get_string(const std::string& key, const std::string& fallback);
   double get_double(const std::string& key, double fallback);
   std::int64_t get_int(const std::string& key, std::int64_t fallback);
+  /// get_int narrowed to `int`: a value outside int's range throws
+  /// ConfigError (file:line) instead of wrapping.
+  int get_int32(const std::string& key, int fallback);
   bool get_bool(const std::string& key, bool fallback);
   /// Comma-separated (or bracketed) list of strings; empty fallback
   /// stays empty.

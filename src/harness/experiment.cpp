@@ -66,8 +66,7 @@ std::pair<ExperimentResult, std::uint64_t> run_fat_tree_point(
 
   // Partitioned engine: the fat-tree is cut per pod; one shard drives
   // the whole thing when sim_threads is 1 (or the plan falls back).
-  ShardedPoint point(topo::fat_tree_shard_plan(cfg.topo, threads),
-                     cfg.sim_queue);
+  ShardedPoint point(topo::fat_tree_shard_plan(cfg.topo, threads));
   sim::Simulator& simulator = point.sim();
   net::Network& network = point.network;
 
@@ -87,7 +86,7 @@ std::pair<ExperimentResult, std::uint64_t> run_fat_tree_point(
   }
   topo_cfg.int_enabled = true;
   topo::FatTree fabric(network, topo_cfg);
-  apply_burst(cfg.burst, point.engine, network);
+  apply_burst(cfg.burst, network);
 
   ExperimentResult result;
   result.tau = fabric.max_base_rtt();

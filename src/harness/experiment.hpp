@@ -8,7 +8,6 @@
 #include "cc/params.hpp"
 #include "harness/burst.hpp"
 #include "harness/telemetry.hpp"
-#include "sim/event_queue.hpp"
 #include "sim/time.hpp"
 #include "stats/fct_recorder.hpp"
 #include "stats/percentiles.hpp"
@@ -68,11 +67,6 @@ struct FatTreeExperiment {
   /// Fabric queue sampling period for the occupancy CDF (Fig. 7g/7h).
   sim::TimePs queue_sample_every = sim::microseconds(20);
 
-  /// Event-queue backend for the run. Results are backend-independent
-  /// (pinned by tests); the calendar queue pays off on dense paper-scale
-  /// timer workloads.
-  sim::QueueKind sim_queue = sim::QueueKind::kBinaryHeap;
-
   /// Shards for the parallel engine (sim/shard.hpp): the fat-tree is
   /// cut per pod (topo::fat_tree_shard_plan) and run on this many
   /// threads. 1 = the sequential engine, verbatim; results are
@@ -85,7 +79,7 @@ struct FatTreeExperiment {
   /// arrival's sender. Read-only probes — enabling it never changes
   /// the simulation's results (pinned by golden tests).
   TelemetryConfig telemetry;
-  /// Burst-granular event processing (off = legacy per-packet engine).
+  /// NIC batching knobs (`[burst]`); defaults are per-packet.
   BurstConfig burst;
 };
 

@@ -74,14 +74,12 @@ void load_fat_tree_topology(SectionView& topo, topo::FatTreeConfig* cfg,
     throw ConfigError(file.origin() + ": [topology] preset = '" + preset +
                       "' is not one of quick, paper");
   }
-  cfg->pods = static_cast<int>(topo.get_int("pods", cfg->pods));
-  cfg->tors_per_pod =
-      static_cast<int>(topo.get_int("tors_per_pod", cfg->tors_per_pod));
-  cfg->aggs_per_pod =
-      static_cast<int>(topo.get_int("aggs_per_pod", cfg->aggs_per_pod));
-  cfg->cores = static_cast<int>(topo.get_int("cores", cfg->cores));
+  cfg->pods = topo.get_int32("pods", cfg->pods);
+  cfg->tors_per_pod = topo.get_int32("tors_per_pod", cfg->tors_per_pod);
+  cfg->aggs_per_pod = topo.get_int32("aggs_per_pod", cfg->aggs_per_pod);
+  cfg->cores = topo.get_int32("cores", cfg->cores);
   cfg->servers_per_tor =
-      static_cast<int>(topo.get_int("servers_per_tor", cfg->servers_per_tor));
+      topo.get_int32("servers_per_tor", cfg->servers_per_tor);
   if (topo.has("host_gbps")) {
     cfg->host_bw = sim::Bandwidth::gbps(topo.get_double("host_gbps", 0));
   }
@@ -144,7 +142,6 @@ std::unique_ptr<ScenarioConfig> load_fat_tree_kind(const ConfigFile& file,
   sc->schemes = ctx.schemes;
   sc->slug_prefix = ctx.slug_prefix;
   sc->percentile = ctx.percentile;
-  sc->fat_tree.sim_queue = ctx.sim_queue;
   sc->fat_tree.sim_threads = ctx.sim_threads;
   sc->fat_tree.seed = ctx.seed;
   sc->fat_tree.telemetry = ctx.telemetry;
@@ -159,8 +156,8 @@ std::unique_ptr<ScenarioConfig> load_fat_tree_kind(const ConfigFile& file,
   sc->fat_tree.duration = get_ms(work, "duration_ms", sc->fat_tree.duration);
   sc->fat_tree.size_scale =
       work.get_double("size_scale", sc->fat_tree.size_scale);
-  sc->fat_tree.expected_flows = static_cast<int>(
-      work.get_int("expected_flows", sc->fat_tree.expected_flows));
+  sc->fat_tree.expected_flows =
+      work.get_int32("expected_flows", sc->fat_tree.expected_flows);
   sc->fat_tree.incast = work.get_bool("incast", sc->fat_tree.incast);
   sc->fat_tree.incast_requests_per_sec = work.get_double(
       "incast_requests_per_sec", sc->fat_tree.incast_requests_per_sec);
@@ -169,8 +166,8 @@ std::unique_ptr<ScenarioConfig> load_fat_tree_kind(const ConfigFile& file,
           "incast_request_kb",
           static_cast<double>(sc->fat_tree.incast_request_bytes) / 1e3) *
       1e3);
-  sc->fat_tree.incast_fan_in = static_cast<int>(
-      work.get_int("incast_fan_in", sc->fat_tree.incast_fan_in));
+  sc->fat_tree.incast_fan_in =
+      work.get_int32("incast_fan_in", sc->fat_tree.incast_fan_in);
   return sc;
 }
 
@@ -181,7 +178,6 @@ std::unique_ptr<ScenarioConfig> load_incast_kind(const ConfigFile& file,
   auto sc = std::make_unique<IncastKindConfig>();
   sc->schemes = ctx.schemes;
   sc->slug_prefix = ctx.slug_prefix;
-  sc->incast.sim_queue = ctx.sim_queue;
   sc->incast.sim_threads = ctx.sim_threads;
   sc->incast.telemetry = ctx.telemetry;
   sc->incast.burst = ctx.burst;
@@ -219,13 +215,13 @@ std::unique_ptr<ScenarioConfig> load_incast_kind(const ConfigFile& file,
       work.get_double("long_flow_mb",
                       static_cast<double>(sc->incast.long_flow_bytes) / 1e6) *
       1e6);
-  sc->incast.long_companions = static_cast<int>(
-      work.get_int("long_companions", sc->incast.long_companions));
+  sc->incast.long_companions =
+      work.get_int32("long_companions", sc->incast.long_companions);
   sc->incast.burst_at = get_us(work, "burst_at_us", sc->incast.burst_at);
   sc->incast.horizon = get_ms(work, "horizon_ms", sc->incast.horizon);
   sc->incast.bin = get_us(work, "bin_us", sc->incast.bin);
-  sc->incast.expected_flows = static_cast<int>(
-      work.get_int("expected_flows", sc->incast.expected_flows));
+  sc->incast.expected_flows =
+      work.get_int32("expected_flows", sc->incast.expected_flows);
   return sc;
 }
 
@@ -236,7 +232,6 @@ std::unique_ptr<ScenarioConfig> load_rdcn_kind(const ConfigFile& file,
   auto sc = std::make_unique<RdcnKindConfig>();
   sc->schemes = ctx.schemes;
   sc->slug_prefix = ctx.slug_prefix;
-  sc->rdcn.sim_queue = ctx.sim_queue;
   sc->rdcn.sim_threads = ctx.sim_threads;
   sc->rdcn.telemetry = ctx.telemetry;
   sc->rdcn.burst = ctx.burst;
@@ -249,10 +244,9 @@ std::unique_ptr<ScenarioConfig> load_rdcn_kind(const ConfigFile& file,
     throw ConfigError(file.origin() + ": [topology] preset = '" + preset +
                       "' is not one of small, paper");
   }
-  sc->rdcn.topo.n_tors =
-      static_cast<int>(topo.get_int("n_tors", sc->rdcn.topo.n_tors));
-  sc->rdcn.topo.servers_per_tor = static_cast<int>(
-      topo.get_int("servers_per_tor", sc->rdcn.topo.servers_per_tor));
+  sc->rdcn.topo.n_tors = topo.get_int32("n_tors", sc->rdcn.topo.n_tors);
+  sc->rdcn.topo.servers_per_tor =
+      topo.get_int32("servers_per_tor", sc->rdcn.topo.servers_per_tor);
   if (topo.has("host_gbps")) {
     sc->rdcn.topo.host_bw =
         sim::Bandwidth::gbps(topo.get_double("host_gbps", 0));
@@ -274,8 +268,8 @@ std::unique_ptr<ScenarioConfig> load_rdcn_kind(const ConfigFile& file,
       1e6);
   sc->rdcn.horizon = get_ms(work, "horizon_ms", sc->rdcn.horizon);
   sc->rdcn.bin = get_us(work, "bin_us", sc->rdcn.bin);
-  sc->rdcn.expected_flows = static_cast<int>(
-      work.get_int("expected_flows", sc->rdcn.expected_flows));
+  sc->rdcn.expected_flows =
+      work.get_int32("expected_flows", sc->rdcn.expected_flows);
   return sc;
 }
 
@@ -312,7 +306,6 @@ std::unique_ptr<ScenarioConfig> load_dumbbell_kind(const ConfigFile& file,
   sc->schemes = ctx.schemes;
   sc->slug_prefix = ctx.slug_prefix;
   DumbbellScenario& d = sc->dumbbell;
-  d.sim_queue = ctx.sim_queue;
   d.sim_threads = ctx.sim_threads;
   d.telemetry = ctx.telemetry;
   d.burst = ctx.burst;
@@ -334,7 +327,7 @@ std::unique_ptr<ScenarioConfig> load_dumbbell_kind(const ConfigFile& file,
   d.stagger = get_us(work, "stagger_us", d.stagger);
   d.horizon = get_ms(work, "horizon_ms", d.horizon);
   d.bin = get_us(work, "bin_us", d.bin);
-  d.row_stride = static_cast<int>(work.get_int("row_every", d.row_stride));
+  d.row_stride = work.get_int32("row_every", d.row_stride);
   if (d.row_stride < 1) {
     throw ConfigError(file.origin() + ": [workload] row_every must be >= 1");
   }
@@ -349,7 +342,6 @@ std::unique_ptr<ScenarioConfig> load_homa_oc_kind(const ConfigFile& file,
   sc->schemes = ctx.schemes;
   sc->slug_prefix = ctx.slug_prefix;
   HomaOcScenario& h = sc->homa_oc;
-  h.sim_queue = ctx.sim_queue;
   h.sim_threads = ctx.sim_threads;
   h.telemetry = ctx.telemetry;
   h.burst = ctx.burst;
@@ -363,8 +355,8 @@ std::unique_ptr<ScenarioConfig> load_homa_oc_kind(const ConfigFile& file,
   h.fairness.horizon =
       get_ms(work, "fairness_horizon_ms", h.fairness.horizon);
   h.fairness.bin = get_us(work, "fairness_bin_us", h.fairness.bin);
-  h.fairness.row_stride = static_cast<int>(
-      work.get_int("fairness_row_every", h.fairness.row_stride));
+  h.fairness.row_stride =
+      work.get_int32("fairness_row_every", h.fairness.row_stride);
   if (h.fairness.row_stride < 1) {
     throw ConfigError(file.origin() +
                       ": [workload] fairness_row_every must be >= 1");
@@ -421,7 +413,6 @@ std::unique_ptr<ScenarioConfig> load_mixed_cc_kind(const ConfigFile& file,
   auto sc = std::make_unique<MixedCcKindConfig>();
   sc->slug_prefix = ctx.slug_prefix;
   MixedCcScenario& m = sc->mixed;
-  m.sim_queue = ctx.sim_queue;
   m.sim_threads = ctx.sim_threads;
   m.burst = ctx.burst;
   m.seed = ctx.seed;
@@ -517,7 +508,7 @@ std::unique_ptr<ScenarioConfig> load_mixed_cc_kind(const ConfigFile& file,
     m.buffer_bytes.push_back(
         kb == 0 ? 0 : size_to_bytes(kb, 1e3, "buffer_kb", file));
   }
-  m.senders = static_cast<int>(work.get_int("senders", m.senders));
+  m.senders = work.get_int32("senders", m.senders);
   if (m.senders < 1) {
     throw ConfigError(file.origin() + ": [workload] senders must be >= 1");
   }
@@ -665,26 +656,6 @@ RunnerConfig load_runner_config(const ConfigFile& file,
   }
   ctx.seed = static_cast<std::uint64_t>(exp.get_int("seed", 1));
   ctx.percentile = exp.get_double("percentile", ctx.percentile);
-  const std::string queue = exp.get_string("sim_queue", "heap");
-  if (queue == "heap") {
-    ctx.sim_queue = sim::QueueKind::kBinaryHeap;
-  } else if (queue == "calendar") {
-    ctx.sim_queue = sim::QueueKind::kCalendar;
-  } else {
-    throw ConfigError(file.origin() + ": [experiment] sim_queue = '" + queue +
-                      "' is not one of heap, calendar");
-  }
-  // Burst-granular event processing. Off is byte-identical to the
-  // per-packet engine (pinned by the golden tests); on is pinned
-  // table-identical for every shipped config.
-  const std::string burst_knob = exp.get_string("sim_burst", "off");
-  bool burst_on = false;
-  if (burst_knob == "on") {
-    burst_on = true;
-  } else if (burst_knob != "off") {
-    throw ConfigError(file.origin() + ": [experiment] sim_burst = '" +
-                      burst_knob + "' is not one of on, off");
-  }
   // Partitioned event engine. Every value is byte-identical to
   // sim_threads = 1 (pinned by the sharded golden tests); 1 runs the
   // exact sequential engine with no threads spawned.
@@ -706,8 +677,6 @@ RunnerConfig load_runner_config(const ConfigFile& file,
   if (options.force_telemetry) ctx.telemetry.enabled = true;
 
   ctx.burst = load_burst_config(file);
-  ctx.burst.enabled = burst_on;
-  if (options.force_burst != 0) ctx.burst.enabled = options.force_burst > 0;
 
   // Optional [aqm] section: the switch marking/drop policy. The
   // default ("red") keeps every pre-AQM-layer config byte-identical

@@ -36,11 +36,6 @@
 ///                              # workloads / percentile metrics (the
 ///                              # deterministic time-series shapes)
 ///                              # ignore them
-///   sim_queue = heap           # heap | calendar (backend-identical)
-///   sim_burst = off            # on | off; burst-granular event engine
-///                              # (off is byte-identical to the
-///                              # per-packet engine, on is pinned
-///                              # table-identical for shipped configs)
 ///   sim_threads = 1            # event-engine shards per simulation
 ///                              # point (conservative-lookahead
 ///                              # partitioned DES; byte-identical to
@@ -61,8 +56,7 @@
 ///   tupdate_us = 20            # PI controllers: update period
 ///   interval_us = 100          # CoDel: above-target window / law base
 ///
-///   [burst]                    # optional; burst tunables (burst.hpp)
-///   budget = 64                # max events coalesced per callback
+///   [burst]                    # optional; NIC batching (burst.hpp)
 ///   ack_agg_us = 0             # receiver ack aggregation window
 ///   pacing_quantum = 1         # packets per pacing-timer tick
 ///
@@ -138,10 +132,9 @@ struct HomaOcKindConfig final : ScenarioConfig {
 /// length), current- (RTT gradient) and power-based laws on one
 /// bottleneck, from analysis::feedback_ratio. Deterministic closed
 /// forms: no simulation runs, so `[experiment] schemes/seed/
-/// percentile/sim_queue` and `[telemetry]` are carried by the file
-/// format but ignored (the documented pattern for deterministic
-/// kinds). Defaults are exactly the paper's illustrative setting
-/// (25G, BDP = 22.32 pkts of 1 KB) so the printed factors
+/// percentile` and `[telemetry]` are carried by the file format but
+/// ignored (the documented pattern for deterministic kinds). Defaults
+/// are exactly the paper's illustrative setting (25G, BDP = 22.32 pkts of 1 KB) so the printed factors
 /// (3.24 / 2.12 / 9 / 1) come out exactly.
 struct SingleFlowKindConfig final : ScenarioConfig {
   double bandwidth_gbps = 25.0;  ///< bottleneck b
@@ -172,9 +165,9 @@ struct MixedCcKindConfig final : ScenarioConfig {
 /// four control laws integrated from a grid of initial (window, queue)
 /// states, plus the Theorem 1/2 stability summary. Deterministic
 /// closed-form integration: no simulation runs, so `[experiment]
-/// schemes/seed/percentile/sim_queue` and `[telemetry]` are carried by
-/// the file format but ignored (the documented pattern for
-/// deterministic kinds). Defaults are the paper's setting (100G,
+/// schemes/seed/percentile` and `[telemetry]` are carried by the file
+/// format but ignored (the documented pattern for deterministic
+/// kinds). Defaults are the paper's setting (100G,
 /// 20us RTT, beta = 0.01 BDP).
 struct FluidPhaseKindConfig final : ScenarioConfig {
   double bandwidth_gbps = 100.0;     ///< bottleneck b
@@ -198,10 +191,6 @@ struct RunnerLoadOptions {
   /// the file has no `[telemetry] enabled = true` (file-set capacity/
   /// period/flow keys still apply).
   bool force_telemetry = false;
-  /// `powertcp_run --sim-burst=on|off`: override `[experiment]
-  /// sim_burst` (0 = no override, 1 = force on, -1 = force off).
-  /// File-set `[burst]` tunables still apply.
-  int force_burst = 0;
   /// `powertcp_run --sim-threads=N`: override `[experiment]
   /// sim_threads` (0 = no override). Values > 1 shard each simulation
   /// point across cores with conservative lookahead.

@@ -9,7 +9,6 @@
 #include "harness/config.hpp"
 #include "harness/scenarios.hpp"
 #include "harness/sweep.hpp"
-#include "sim/event_queue.hpp"
 
 /// \file scenario_registry.hpp
 /// The scenario registry: one entry per experiment *shape* (topology +
@@ -36,13 +35,12 @@ namespace powertcp::harness {
 
 /// The kind-independent `[experiment]` context handed to every
 /// scenario loader: resolved schemes, slug prefix, seed, percentile,
-/// and the event-queue backend.
+/// and the engine and host knobs.
 struct ScenarioContext {
   std::string slug_prefix = "run";
   std::vector<SchemeRun> schemes;
   std::uint64_t seed = 1;
   double percentile = 99.0;
-  sim::QueueKind sim_queue = sim::QueueKind::kBinaryHeap;
   /// Parsed `[experiment] sim_threads` (possibly overridden by the
   /// CLI): event-engine shards per simulation point. 1 is the exact
   /// sequential engine; N > 1 partitions the topology with
@@ -51,9 +49,8 @@ struct ScenarioContext {
   /// Parsed `[telemetry]` section (possibly forced on by the CLI);
   /// loaders copy it into their kind's scenario config.
   TelemetryConfig telemetry;
-  /// Parsed `[experiment] sim_burst` + `[burst]` section (possibly
-  /// forced by the CLI); loaders copy it into their kind's scenario
-  /// config. Off is byte-identical to the per-packet engine.
+  /// Parsed `[burst]` section; loaders copy it into their kind's
+  /// scenario config. Absent is byte-identical to the per-packet NIC.
   BurstConfig burst;
   /// Parsed `[aqm]` section (kind validated against net::AqmRegistry).
   /// Loaders with switches copy it into their topology config; the

@@ -64,15 +64,14 @@ std::pair<IncastSeries, std::uint64_t> run_incast_point(
     const IncastScenario& cfg, const SchemeRun& scheme_run, int threads) {
   const cc::Scheme& scheme = resolve(scheme_run);
   // Partitioned engine (per-pod cut); monitors live on pod 0 = shard 0.
-  ShardedPoint point(topo::fat_tree_shard_plan(cfg.topo, threads),
-                     cfg.sim_queue);
+  ShardedPoint point(topo::fat_tree_shard_plan(cfg.topo, threads));
   sim::Simulator& simulator = point.sim();
   net::Network& network = point.network;
   topo::FatTreeConfig topo_cfg = cfg.topo;
   topo_cfg.ecn = scheme.needs.ecn;
   topo_cfg.priority_bands = scheme.needs.priority_bands;
   topo::FatTree fabric(network, topo_cfg);
-  apply_burst(cfg.burst, point.engine, network);
+  apply_burst(cfg.burst, network);
 
   cc::FlowParams params;
   params.host_bw = topo_cfg.host_bw;
@@ -248,11 +247,11 @@ std::pair<RdcnResult, std::uint64_t> run_rdcn_point(
   // Partitioned engine: switching stays on shard 0, hosts spread by
   // rack. Monitors tap ToR 0 (shard 0); the rack-1 goodput callback
   // fires only on rack 1's shard thread (single writer).
-  ShardedPoint point(topo::rdcn_shard_plan(cfg.topo, threads), cfg.sim_queue);
+  ShardedPoint point(topo::rdcn_shard_plan(cfg.topo, threads));
   sim::Simulator& simulator = point.sim();
   net::Network& network = point.network;
   topo::Rdcn rdcn(network, cfg.topo);
-  apply_burst(cfg.burst, point.engine, network);
+  apply_burst(cfg.burst, network);
 
   cc::FlowParams params;
   params.host_bw = cfg.topo.host_bw;
@@ -396,12 +395,11 @@ std::pair<DumbbellSeries, std::uint64_t> run_dumbbell_point(
   topo_cfg.priority_bands = scheme.needs.priority_bands;
   // Partitioned engine: senders spread across shards, switch and
   // receiver (every monitor) on shard 0.
-  ShardedPoint point(topo::dumbbell_shard_plan(topo_cfg, threads),
-                     cfg.sim_queue);
+  ShardedPoint point(topo::dumbbell_shard_plan(topo_cfg, threads));
   sim::Simulator& simulator = point.sim();
   net::Network& network = point.network;
   topo::Dumbbell topo(network, topo_cfg);
-  apply_burst(cfg.burst, point.engine, network);
+  apply_burst(cfg.burst, network);
 
   cc::FlowParams params;
   params.host_bw = topo_cfg.host_bw;
@@ -541,15 +539,14 @@ std::pair<HomaOcIncastResult, std::uint64_t> run_homa_oc_incast_point(
   const cc::Scheme& scheme = resolve(scheme_run);
 
   // Partitioned engine (per-pod cut); monitors live on pod 0 = shard 0.
-  ShardedPoint point(topo::fat_tree_shard_plan(cfg.incast_topo, threads),
-                     cfg.sim_queue);
+  ShardedPoint point(topo::fat_tree_shard_plan(cfg.incast_topo, threads));
   sim::Simulator& simulator = point.sim();
   net::Network& network = point.network;
   topo::FatTreeConfig topo_cfg = cfg.incast_topo;
   topo_cfg.ecn = scheme.needs.ecn;
   topo_cfg.priority_bands = scheme.needs.priority_bands;
   topo::FatTree fabric(network, topo_cfg);
-  apply_burst(cfg.burst, point.engine, network);
+  apply_burst(cfg.burst, network);
 
   cc::FlowParams params;
   params.host_bw = topo_cfg.host_bw;
@@ -643,7 +640,6 @@ std::vector<ResultTable> homa_oc_tables(const SweepRunner& runner,
   };
 
   DumbbellScenario fairness = cfg.fairness;
-  fairness.sim_queue = cfg.sim_queue;
   fairness.sim_threads = cfg.sim_threads;
   fairness.telemetry = cfg.telemetry;
   fairness.burst = cfg.burst;
@@ -787,11 +783,10 @@ std::pair<MixedCcCellResult, std::uint64_t> run_mixed_cc_point(
   // Partitioned engine: senders spread across shards; the receiver's
   // byte counters and the per-sender finish slots are each written by
   // exactly one shard thread.
-  ShardedPoint point(topo::dumbbell_shard_plan(topo_cfg, threads),
-                     cfg.sim_queue);
+  ShardedPoint point(topo::dumbbell_shard_plan(topo_cfg, threads));
   net::Network& network = point.network;
   topo::Dumbbell topo(network, topo_cfg);
-  apply_burst(cfg.burst, point.engine, network);
+  apply_burst(cfg.burst, network);
 
   cc::FlowParams params;
   params.host_bw = topo_cfg.host_bw;

@@ -8,7 +8,6 @@
 #include "harness/sweep.hpp"
 #include "harness/burst.hpp"
 #include "harness/telemetry.hpp"
-#include "sim/event_queue.hpp"
 #include "sim/time.hpp"
 #include "topo/dumbbell.hpp"
 #include "topo/fat_tree.hpp"
@@ -49,15 +48,13 @@ struct IncastScenario {
   sim::TimePs burst_at = sim::microseconds(500);
   sim::TimePs horizon = sim::milliseconds(3);
   sim::TimePs bin = sim::microseconds(50);
-  /// Event-queue backend; results are backend-independent.
-  sim::QueueKind sim_queue = sim::QueueKind::kBinaryHeap;
   /// Parallel-engine shards (1 = sequential verbatim); results are
   /// thread-count-independent. Telemetry forces 1.
   int sim_threads = 1;
   /// Optional flight recorder on the receiver's ToR downlink + the
   /// long foreground flow.
   TelemetryConfig telemetry;
-  /// Burst-granular event processing (off = legacy per-packet engine).
+  /// NIC batching knobs (`[burst]`); defaults are per-packet.
   BurstConfig burst;
 };
 
@@ -87,15 +84,13 @@ struct RdcnScenario {
   std::int64_t flow_bytes = 2'000'000'000;
   sim::TimePs horizon = sim::milliseconds(4);
   sim::TimePs bin = sim::microseconds(50);
-  /// Event-queue backend; results are backend-independent.
-  sim::QueueKind sim_queue = sim::QueueKind::kBinaryHeap;
   /// Parallel-engine shards (1 = sequential verbatim); results are
   /// thread-count-independent. Telemetry forces 1.
   int sim_threads = 1;
   /// Optional flight recorder on ToR-0's circuit port + the
   /// `telemetry.flow`-th rack-0 flow.
   TelemetryConfig telemetry;
-  /// Burst-granular event processing (off = legacy per-packet engine).
+  /// NIC batching knobs (`[burst]`); defaults are per-packet.
   BurstConfig burst;
 };
 
@@ -142,15 +137,13 @@ struct DumbbellScenario {
   sim::TimePs bin = sim::microseconds(100);
   /// Table rows sample every `row_stride`-th bin.
   int row_stride = 4;
-  /// Event-queue backend; results are backend-independent.
-  sim::QueueKind sim_queue = sim::QueueKind::kBinaryHeap;
   /// Parallel-engine shards (1 = sequential verbatim); results are
   /// thread-count-independent. Telemetry forces 1.
   int sim_threads = 1;
   /// Optional flight recorder on the bottleneck port + the
   /// `telemetry.flow`-th flow (sender flow-1).
   TelemetryConfig telemetry;
-  /// Burst-granular event processing (off = legacy per-packet engine).
+  /// NIC batching knobs (`[burst]`); defaults are per-packet.
   BurstConfig burst;
 };
 
@@ -201,15 +194,13 @@ struct HomaOcScenario {
   sim::TimePs burst_at = sim::microseconds(500);
   sim::TimePs incast_horizon = sim::milliseconds(3);
   sim::TimePs incast_bin = sim::microseconds(100);
-  /// Event-queue backend, applied to both panels.
-  sim::QueueKind sim_queue = sim::QueueKind::kBinaryHeap;
   /// Parallel-engine shards, applied to both panels (1 = sequential).
   int sim_threads = 1;
   /// Optional flight recorder, applied to both panels (the incast
   /// panel taps the receiver's ToR downlink; message transports have
   /// no sender window, so cwnd/pace read 0 there).
   TelemetryConfig telemetry;
-  /// Burst-granular event processing, applied to both panels.
+  /// NIC batching knobs (`[burst]`); defaults are per-packet.
   BurstConfig burst;
 };
 
@@ -259,12 +250,10 @@ struct MixedCcScenario {
   std::uint64_t seed = 1;  ///< pins the host->member assignment
   /// AQM tunables shared by every cell; the swept axis picks `kind`.
   net::AqmSpec aqm;
-  /// Event-queue backend; results are backend-independent.
-  sim::QueueKind sim_queue = sim::QueueKind::kBinaryHeap;
   /// Parallel-engine shards (1 = sequential verbatim); results are
   /// thread-count-independent.
   int sim_threads = 1;
-  /// Burst-granular event processing (off = legacy per-packet engine).
+  /// NIC batching knobs (`[burst]`); defaults are per-packet.
   BurstConfig burst;
 
   // Cell axes (outer product, mix-major):

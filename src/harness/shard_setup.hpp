@@ -26,9 +26,9 @@ struct ShardedPoint {
   sim::ShardedSimulator engine;
   net::Network network;
 
-  ShardedPoint(topo::ShardPlan p, sim::QueueKind queue)
+  explicit ShardedPoint(topo::ShardPlan p)
       : plan(std::move(p)),
-        engine(plan.shards, queue),
+        engine(plan.shards),
         network(prepared_engine(), plan.node_shard) {}
 
   /// Shard 0's event queue — the "main" simulator every monitor and

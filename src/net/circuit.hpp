@@ -119,7 +119,6 @@ class CircuitSwitchNode final : public Node {
                   sim::TimePs out_propagation);
 
   void receive(Packet pkt, int in_port) override;
-  bool forwards() const override { return true; }
 
  private:
   struct TorLink {

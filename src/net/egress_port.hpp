@@ -120,12 +120,6 @@ class EgressPort {
   /// Chooses the next packet to serialize, or a retry time.
   virtual SelectResult try_select() = 0;
 
-  /// True iff this port's selection is strict-FIFO so a whole
-  /// transmission train can be pre-selected without changing which
-  /// packets go on the wire (see QueueDiscipline::strict_fifo). Ports
-  /// with preemptable or externally-gated selection keep the default.
-  virtual bool supports_burst_drain() const { return false; }
-
   sim::Simulator& simulator() { return sim_; }
   const sim::Simulator& simulator() const { return sim_; }
 
@@ -138,13 +132,6 @@ class EgressPort {
   /// content are final there), so the finish event only frees the wire
   /// and settles byte accounting.
   void finish_remote_tx(std::int64_t wire_bytes);
-  /// Per-packet observers or policies would fire at intermediate times
-  /// inside a burst, so the drain only engages when none is installed.
-  bool burst_eligible() const;
-  /// Serializes up to `budget` packets as one train: per-packet
-  /// serialization-time accounting and exact per-packet delivery times,
-  /// but a single burst-granular finish event for the whole train.
-  void start_tx_burst(Packet first, std::uint32_t budget);
   void sample_queue();
 
   sim::Simulator& sim_;
@@ -191,7 +178,6 @@ class BasicPort final : public EgressPort {
  protected:
   void push_to_queue(Packet pkt) override { queue_->push(std::move(pkt)); }
   SelectResult try_select() override;
-  bool supports_burst_drain() const override { return queue_->strict_fifo(); }
 
  private:
   std::unique_ptr<QueueDiscipline> queue_;

@@ -29,13 +29,6 @@ class Node {
   /// ingress `in_port` (the index of the local port whose peer sent it).
   virtual void receive(Packet pkt, int in_port) = 0;
 
-  /// True for nodes that forward received packets onto further links
-  /// (switches). Egress ports consult this: burst-draining a train
-  /// toward a forwarding node could reorder same-picosecond arrivals
-  /// from different upstream ports and thereby change downstream queue
-  /// evolution, so dequeue-N only engages toward endpoints.
-  virtual bool forwards() const { return false; }
-
   /// Takes ownership of an egress port; returns its index.
   int attach_port(std::unique_ptr<EgressPort> port);
 

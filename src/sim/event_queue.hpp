@@ -1,31 +1,17 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <queue>
 #include <vector>
 
 #include "sim/time.hpp"
 
 /// \file event_queue.hpp
-/// Pending-event storage behind the Simulator: POD (time, sched, tie,
-/// seq, slot) entries ordered by (time, sched, tie, seq). Two
-/// interchangeable
-/// backends share one interface so a run can pick its structure without
-/// changing event semantics:
-///
-///  - BinaryHeapEventQueue: std::priority_queue, the default. O(log n)
-///    everywhere, unbeatable for small/medium event counts.
-///  - CalendarEventQueue: a classic calendar queue (Brown 1988) for
-///    dense timer workloads — amortized O(1) push/pop when event times
-///    are spread evenly, as in paper-scale runs where hundreds of
-///    thousands of pacing/RTO timers and packet events tick in a narrow
-///    moving window.
-///
-/// Both backends pop in exactly (time, sched, tie, seq) order, so a run's
-/// event trace — and therefore every golden output — is
-/// backend-independent; tests pin heap/calendar equivalence on
-/// randomized schedules.
+/// Pending-event storage behind the Simulator: a binary heap of POD
+/// (time, sched, tie, seq, slot) entries popped in (time, sched, tie,
+/// seq) order. O(log n) push and pop; the callbacks themselves live in
+/// the Simulator's slot table, so the heap only ever moves 32-byte
+/// entries.
 ///
 /// The `sched` key is the CAUSAL timestamp: the simulation time at
 /// which the event was scheduled. In a purely sequential run it is
@@ -43,13 +29,7 @@ namespace powertcp::sim {
 
 /// One pending event. `slot` indexes the Simulator's slot table, which
 /// holds the callback; `sched` is the causal timestamp (see above) and
-/// `seq` disambiguates remaining ties and stale slots. `burst_key`
-/// rides in what used to be struct padding: a nonzero key marks the
-/// event as burst-mergeable — when the Simulator's burst budget allows,
-/// contiguous same-(time, key) entries are delivered as ONE callback
-/// invocation carrying their summed count (see
-/// Simulator::schedule_burst_at). Key 0 (the default) never merges, so
-/// the per-event path is untouched.
+/// `seq` disambiguates remaining ties and stale slots.
 ///
 /// `tie` is the TIE TOKEN, ordered between `sched` and `seq`: a
 /// topology-derived identifier of the producing egress port (see
@@ -66,37 +46,22 @@ struct EventEntry {
   TimePs sched;
   std::uint64_t seq;
   std::uint32_t slot;
-  std::uint32_t burst_key = 0;
   std::uint32_t tie = 0;
 };
+static_assert(sizeof(EventEntry) == 32, "EventEntry is four words");
 
-class EventQueue {
+class BinaryHeapEventQueue {
  public:
-  virtual ~EventQueue() = default;
-
-  virtual void push(const EventEntry& e) = 0;
-  /// Minimum entry by (time, sched, seq), or nullptr when empty. The pointer
-  /// is valid until the next push/pop.
-  virtual const EventEntry* peek() = 0;
-  /// Removes the entry peek() reported. Precondition: not empty.
-  virtual void pop() = 0;
-  virtual std::size_t size() const = 0;
-  bool empty() const { return size() == 0; }
-};
-
-/// Which EventQueue backend a Simulator run uses.
-enum class QueueKind : std::uint8_t { kBinaryHeap, kCalendar };
-
-std::unique_ptr<EventQueue> make_event_queue(QueueKind kind);
-
-class BinaryHeapEventQueue final : public EventQueue {
- public:
-  void push(const EventEntry& e) override { heap_.push(e); }
-  const EventEntry* peek() override {
+  void push(const EventEntry& e) { heap_.push(e); }
+  /// Minimum entry by (time, sched, tie, seq), or nullptr when empty.
+  /// The pointer is valid until the next push/pop.
+  const EventEntry* peek() const {
     return heap_.empty() ? nullptr : &heap_.top();
   }
-  void pop() override { heap_.pop(); }
-  std::size_t size() const override { return heap_.size(); }
+  /// Removes the entry peek() reported. Precondition: not empty.
+  void pop() { heap_.pop(); }
+  std::size_t size() const { return heap_.size(); }
+  bool empty() const { return heap_.empty(); }
 
  private:
   struct Later {
@@ -108,45 +73,6 @@ class BinaryHeapEventQueue final : public EventQueue {
     }
   };
   std::priority_queue<EventEntry, std::vector<EventEntry>, Later> heap_;
-};
-
-class CalendarEventQueue final : public EventQueue {
- public:
-  CalendarEventQueue();
-
-  void push(const EventEntry& e) override;
-  const EventEntry* peek() override;
-  void pop() override;
-  std::size_t size() const override { return size_; }
-
-  /// Introspection for tests/benches.
-  std::size_t bucket_count() const { return buckets_.size(); }
-  TimePs bucket_width() const { return width_; }
-
- private:
-  std::size_t bucket_of(TimePs t) const {
-    return static_cast<std::size_t>(t / width_) & (buckets_.size() - 1);
-  }
-  bool find_min();
-  void rebuild(std::size_t n_buckets);
-  void maybe_resize();
-
-  std::vector<std::vector<EventEntry>> buckets_;
-  TimePs width_ = 1;
-  std::size_t size_ = 0;
-  /// Lower bound on every stored entry's time (the find-min year walk
-  /// starts here). Raised to the popped time on pop — the popped entry
-  /// is the minimum, so the rest sit at or above it — and lowered on
-  /// any push beneath it (possible after a far-future tombstone pop
-  /// raised it past the simulator clock).
-  TimePs floor_ = 0;
-  /// Cached location of the current minimum (valid_ => min_bucket_/
-  /// min_index_ point at it).
-  bool valid_ = false;
-  std::size_t min_bucket_ = 0;
-  std::size_t min_index_ = 0;
-  /// Size at the last rebuild; triggers geometric grow/shrink.
-  std::size_t rebuilt_at_ = 0;
 };
 
 }  // namespace powertcp::sim

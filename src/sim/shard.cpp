@@ -6,13 +6,13 @@
 
 namespace powertcp::sim {
 
-ShardedSimulator::ShardedSimulator(int shards, QueueKind queue_kind) {
+ShardedSimulator::ShardedSimulator(int shards) {
   if (shards < 1) {
     throw std::invalid_argument("ShardedSimulator: shard count must be >= 1");
   }
   shards_.reserve(static_cast<std::size_t>(shards));
   for (int i = 0; i < shards; ++i) {
-    shards_.push_back(std::make_unique<Simulator>(queue_kind));
+    shards_.push_back(std::make_unique<Simulator>());
   }
   ingest_.resize(static_cast<std::size_t>(shards));
 }

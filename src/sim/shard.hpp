@@ -8,7 +8,6 @@
 #include <mutex>
 #include <vector>
 
-#include "sim/event_queue.hpp"
 #include "sim/simulator.hpp"
 #include "sim/time.hpp"
 
@@ -47,8 +46,7 @@ namespace powertcp::sim {
 
 class ShardedSimulator {
  public:
-  explicit ShardedSimulator(int shards = 1,
-                            QueueKind queue_kind = QueueKind::kBinaryHeap);
+  explicit ShardedSimulator(int shards = 1);
   ShardedSimulator(const ShardedSimulator&) = delete;
   ShardedSimulator& operator=(const ShardedSimulator&) = delete;
 

@@ -3,7 +3,12 @@
 namespace powertcp::sim {
 
 EventId Simulator::schedule_at(TimePs t, Callback cb) {
-  return schedule_burst_at(t, 1, std::move(cb), 0);
+  if (t < now_) {
+    throw std::invalid_argument("Simulator::schedule_at: time " +
+                                format_time(t) + " is before now " +
+                                format_time(now_));
+  }
+  return enqueue(t, now_, 0, 0, std::move(cb));
 }
 
 EventId Simulator::schedule_tied_at(TimePs t, std::uint32_t tie, Callback cb) {
@@ -12,22 +17,7 @@ EventId Simulator::schedule_tied_at(TimePs t, std::uint32_t tie, Callback cb) {
                                 format_time(t) + " is before now " +
                                 format_time(now_));
   }
-  const std::uint64_t seq = next_seq_++;
-  std::uint32_t slot;
-  if (!free_slots_.empty()) {
-    slot = free_slots_.back();
-    free_slots_.pop_back();
-  } else {
-    slot = static_cast<std::uint32_t>(slots_.size());
-    slots_.emplace_back();
-  }
-  slots_[slot].seq = seq;
-  slots_[slot].burst_count = 1;
-  slots_[slot].origin = 0;
-  slots_[slot].cb = std::move(cb);
-  queue_push(EventEntry{t, now_, seq, slot, 0, tie});
-  ++live_events_;
-  return EventId{seq, slot};
+  return enqueue(t, now_, tie, 0, std::move(cb));
 }
 
 EventId Simulator::schedule_from(TimePs sched_time, TimePs t, Callback cb,
@@ -41,34 +31,11 @@ EventId Simulator::schedule_from(TimePs sched_time, TimePs t, Callback cb,
     throw std::invalid_argument(
         "Simulator::schedule_from: origin 0 is reserved for local events");
   }
-  const std::uint64_t seq = next_seq_++;
-  std::uint32_t slot;
-  if (!free_slots_.empty()) {
-    slot = free_slots_.back();
-    free_slots_.pop_back();
-  } else {
-    slot = static_cast<std::uint32_t>(slots_.size());
-    slots_.emplace_back();
-  }
-  slots_[slot].seq = seq;
-  slots_[slot].burst_count = 1;
-  slots_[slot].origin = origin;
-  slots_[slot].cb = std::move(cb);
-  queue_push(EventEntry{t, sched_time, seq, slot, 0, tie});
-  ++live_events_;
-  return EventId{seq, slot};
+  return enqueue(t, sched_time, tie, origin, std::move(cb));
 }
 
-EventId Simulator::schedule_burst_at(TimePs t, std::uint32_t count,
-                                     Callback cb, std::uint32_t merge_key) {
-  if (t < now_) {
-    throw std::invalid_argument("Simulator::schedule_at: time " +
-                                format_time(t) + " is before now " +
-                                format_time(now_));
-  }
-  if (count == 0) {
-    throw std::invalid_argument("Simulator::schedule_burst_at: count 0");
-  }
+EventId Simulator::enqueue(TimePs t, TimePs sched, std::uint32_t tie,
+                           std::uint32_t origin, Callback cb) {
   const std::uint64_t seq = next_seq_++;
   std::uint32_t slot;
   if (!free_slots_.empty()) {
@@ -79,25 +46,24 @@ EventId Simulator::schedule_burst_at(TimePs t, std::uint32_t count,
     slots_.emplace_back();
   }
   slots_[slot].seq = seq;
-  slots_[slot].burst_count = count;
-  slots_[slot].origin = 0;
+  slots_[slot].origin = origin;
   slots_[slot].cb = std::move(cb);
-  queue_push(EventEntry{t, now_, seq, slot, merge_key});
+  queue_.push(EventEntry{t, sched, seq, slot, tie});
   ++live_events_;
   return EventId{seq, slot};
 }
 
 bool Simulator::pop_and_run_next(TimePs limit) {
-  while (const EventEntry* top_ptr = queue_peek()) {
+  while (const EventEntry* top_ptr = queue_.peek()) {
     const EventEntry top = *top_ptr;
     // Tombstone: the slot was freed at cancel time (and possibly reused
     // for a newer event, whose seq then differs).
     if (slots_[top.slot].seq != top.seq) {
-      queue_pop();
+      queue_.pop();
       continue;
     }
     if (top.time > limit) return false;
-    queue_pop();
+    queue_.pop();
     // Boundary ambiguity detection: equal-(time, sched, tie) events pop
     // contiguously, so comparing each live pop against the previous one
     // catches every such run that mixes causal origins — the only ties
@@ -119,38 +85,12 @@ bool Simulator::pop_and_run_next(TimePs limit) {
     prev_sched_ = top.sched;
     prev_tie_ = top.tie;
     prev_origin_ = origin;
-    std::uint32_t count = slots_[top.slot].burst_count;
     Callback cb = std::move(slots_[top.slot].cb);
     release_slot(top.slot);
     --live_events_;
-    if (top.burst_key != 0 && burst_budget_ > 1) {
-      // Pop-merge: coalesce the contiguous run of pending entries that
-      // share (time, merge_key), summing their logical counts into one
-      // invocation. Later callbacks in the run are interchangeable with
-      // the first by the schedule_burst_at contract and are released
-      // uninvoked. Tombstones inside the run are discarded in passing;
-      // the first live entry with a different time or key ends the run.
-      while (count < burst_budget_) {
-        const EventEntry* next_ptr = queue_peek();
-        if (next_ptr == nullptr || next_ptr->time != top.time) break;
-        // Copy before popping: the peeked pointer is invalidated by pop.
-        const EventEntry nx = *next_ptr;
-        if (slots_[nx.slot].seq != nx.seq) {
-          queue_pop();
-          continue;
-        }
-        if (nx.burst_key != top.burst_key) break;
-        count += slots_[nx.slot].burst_count;
-        queue_pop();
-        release_slot(nx.slot);
-        --live_events_;
-      }
-    }
     now_ = top.time;
-    executed_ += count;
-    burst_count_ = count;
+    ++executed_;
     cb();
-    burst_count_ = 1;
     return true;
   }
   return false;
@@ -179,9 +119,9 @@ void Simulator::run_events_before(TimePs end) {
 }
 
 TimePs Simulator::next_event_time() {
-  while (const EventEntry* top = queue_peek()) {
+  while (const EventEntry* top = queue_.peek()) {
     if (slots_[top->slot].seq != top->seq) {
-      queue_pop();  // tombstone of a cancelled event
+      queue_.pop();  // tombstone of a cancelled event
       continue;
     }
     return top->time;

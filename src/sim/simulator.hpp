@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <stdexcept>
 #include <vector>
 
@@ -18,24 +17,15 @@
 /// relied on by the regression tests, which compare whole packet traces
 /// across runs.
 ///
-/// Storage is split between an EventQueue of small POD entries
-/// (time, sched, seq, slot) — a binary heap by default, a calendar queue
-/// for
-/// dense timer workloads (QueueKind, chosen per run) — and a slot table
-/// holding the callbacks. Callbacks are sim::Callback, which embeds the
+/// Storage is split between a binary heap of small POD entries
+/// (time, sched, tie, seq, slot) and a slot table holding the
+/// callbacks. Callbacks are sim::Callback, which embeds the
 /// closure in the slot (no per-event heap allocation; oversized captures
 /// fail to compile). Cancelling frees the slot immediately — an O(1)
 /// generation check against the EventId's seq, with no lookaside set
 /// that could grow when stale ids are cancelled — and leaves only the
 /// POD queue entry behind as a tombstone that is discarded when it
 /// reaches the top.
-///
-/// Events can be BURST-GRANULAR: one queue entry may stand for `count`
-/// logical events (schedule_burst_at), and entries tagged with a merge
-/// key coalesce at pop time up to the burst budget. Both mechanisms
-/// preserve the logical event sequence — events_executed() advances by
-/// the summed count, and a budget of 1 (the default) is byte-identical
-/// to the per-event engine. See docs/performance.md.
 
 namespace powertcp::sim {
 
@@ -49,11 +39,7 @@ struct EventId {
 
 class Simulator {
  public:
-  explicit Simulator(QueueKind queue_kind = QueueKind::kBinaryHeap)
-      : queue_(make_event_queue(queue_kind)),
-        heap_(queue_kind == QueueKind::kBinaryHeap
-                  ? static_cast<BinaryHeapEventQueue*>(queue_.get())
-                  : nullptr) {}
+  Simulator() = default;
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
@@ -119,42 +105,6 @@ class Simulator {
   /// (see docs/performance.md).
   std::uint64_t boundary_ambiguities() const { return ambiguities_; }
 
-  /// Schedules ONE queue entry that stands for `count` (>= 1) logical
-  /// events: when it fires, events_executed() advances by `count` and
-  /// burst_count() reports it inside the callback. This is how a
-  /// producer that already knows k back-to-back same-time outcomes
-  /// (an egress port draining k queued packets in one transmission
-  /// train) pays one schedule/pop cycle instead of k.
-  ///
-  /// A nonzero `merge_key` additionally marks the entry POP-MERGEABLE:
-  /// while the burst budget (set_burst_budget) exceeds 1, contiguous
-  /// pending entries with the same (time, merge_key) are coalesced at
-  /// pop time — their counts sum, and only the FIRST entry's callback
-  /// runs; the later callbacks are released uninvoked. Callers must
-  /// therefore use one key only for events whose callbacks are
-  /// interchangeable (same receiver, count-driven body). Key 0 never
-  /// merges. Keys are a cooperative namespace; pick per-object keys
-  /// (e.g. from a counter) to avoid accidental aliasing.
-  EventId schedule_burst_at(TimePs t, std::uint32_t count, Callback cb,
-                            std::uint32_t merge_key = 0);
-
-  /// Upper bound on logical events delivered per callback invocation by
-  /// pop-time merging (see schedule_burst_at). 1 — the default — turns
-  /// merging off entirely and is byte-identical to the historical
-  /// per-event engine; the randomized burst-equivalence tests pin that
-  /// any budget produces the same logical event sequence.
-  void set_burst_budget(std::uint32_t budget) {
-    if (budget == 0) {
-      throw std::invalid_argument("Simulator::set_burst_budget: budget 0");
-    }
-    burst_budget_ = budget;
-  }
-  std::uint32_t burst_budget() const { return burst_budget_; }
-
-  /// Number of logical events the currently-running callback stands
-  /// for (>= 1). Valid during callback invocation; 1 outside.
-  std::uint32_t burst_count() const { return burst_count_; }
-
   /// Cancels a pending event and releases its callback immediately.
   /// Cancelling an already-fired, already-cancelled, or default
   /// EventId is a harmless no-op and allocates nothing.
@@ -196,7 +146,7 @@ class Simulator {
   /// the number of currently scheduled events ever in flight; regression
   /// tests assert it never grows from cancelling stale ids.
   std::size_t tombstones() const {
-    return queue_->size() - static_cast<std::size_t>(live_events_);
+    return queue_.size() - static_cast<std::size_t>(live_events_);
   }
 
   /// Slot-table introspection for leak regression tests: the table's
@@ -207,14 +157,10 @@ class Simulator {
  private:
   struct Slot {
     std::uint64_t seq = 0;  ///< 0 = free; else seq of the event it holds
-    /// Logical events this slot's callback stands for (>= 1). Rides in
-    /// what used to be padding before the 16-byte-aligned Callback, so
-    /// the slot stays one cache line.
-    std::uint32_t burst_count = 1;
     /// Causal domain of the scheduling action: 0 for local events,
     /// 1 + source shard for cross-shard deliveries (schedule_from).
-    /// Rides in the remaining padding word — the slot is still one
-    /// cache line. Feeds the boundary ambiguity detector.
+    /// Rides in padding before the 16-byte-aligned Callback, so the
+    /// slot stays one cache line. Feeds the boundary ambiguity detector.
     std::uint32_t origin = 0;
     Callback cb;
   };
@@ -226,39 +172,20 @@ class Simulator {
     free_slots_.push_back(idx);
   }
 
+  /// Stores `cb` in a free slot and pushes its queue entry; the
+  /// schedule_* entry points validate their arguments first.
+  EventId enqueue(TimePs t, TimePs sched, std::uint32_t tie,
+                  std::uint32_t origin, Callback cb);
+
   bool pop_and_run_next(TimePs limit);
 
-  // Devirtualized fast path for the default backend: the branch on
-  // `heap_` predicts perfectly and lets the final class's inline
-  // methods inline, where the virtual call cannot.
-  void queue_push(const EventEntry& e) {
-    if (heap_ != nullptr) {
-      heap_->push(e);
-    } else {
-      queue_->push(e);
-    }
-  }
-  const EventEntry* queue_peek() {
-    return heap_ != nullptr ? heap_->peek() : queue_->peek();
-  }
-  void queue_pop() {
-    if (heap_ != nullptr) {
-      heap_->pop();
-    } else {
-      queue_->pop();
-    }
-  }
-
-  std::unique_ptr<EventQueue> queue_;
-  BinaryHeapEventQueue* const heap_;
+  BinaryHeapEventQueue queue_;
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_slots_;
   TimePs now_ = 0;
   std::uint64_t next_seq_ = 1;
   std::uint64_t executed_ = 0;
   std::uint64_t live_events_ = 0;
-  std::uint32_t burst_budget_ = 1;
-  std::uint32_t burst_count_ = 1;
   bool stopped_ = false;
 
   // Boundary ambiguity detector (see boundary_ambiguities()): key and

@@ -45,7 +45,6 @@ class RdcnTor final : public net::Node {
           int tor_index, std::int64_t buffer_bytes, double dt_alpha);
 
   void receive(net::Packet pkt, int in_port) override;
-  bool forwards() const override { return true; }
 
   /// Registers a directly attached host and its down-port index.
   void add_local_host(net::NodeId host, int down_port);

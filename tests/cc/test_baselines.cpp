@@ -5,7 +5,7 @@
 
 #include "cc/dcqcn.hpp"
 #include "cc/dctcp.hpp"
-#include "cc/factory.hpp"
+#include "cc/registry.hpp"
 #include "cc/retcp.hpp"
 #include "cc/swift.hpp"
 #include "cc/timely.hpp"

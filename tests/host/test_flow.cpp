@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "cc/factory.hpp"
+#include "cc/registry.hpp"
 #include "host/host.hpp"
 #include "net/network.hpp"
 #include "topo/dumbbell.hpp"

@@ -7,7 +7,7 @@
 
 #include <memory>
 
-#include "cc/factory.hpp"
+#include "cc/registry.hpp"
 #include "host/flow.hpp"
 #include "host/host.hpp"
 #include "net/network.hpp"

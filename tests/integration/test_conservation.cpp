@@ -5,7 +5,7 @@
 
 #include <gtest/gtest.h>
 
-#include "cc/factory.hpp"
+#include "cc/registry.hpp"
 #include "net/network.hpp"
 #include "sim/rng.hpp"
 #include "topo/dumbbell.hpp"

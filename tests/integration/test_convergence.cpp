@@ -4,7 +4,7 @@
 
 #include <gtest/gtest.h>
 
-#include "cc/factory.hpp"
+#include "cc/registry.hpp"
 #include "harness/experiment.hpp"
 #include "net/network.hpp"
 #include "stats/timeseries.hpp"

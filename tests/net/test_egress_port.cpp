@@ -200,85 +200,6 @@ TEST_F(PortFixture, QueueMonitorSeesPeaks) {
   EXPECT_EQ(series.max_bytes(), 2000);  // two packets behind the in-flight one
 }
 
-/// A forwarding peer (switch-like): burst drain must not engage
-/// toward it — a train's deliveries would get their FIFO tie-break
-/// seq at drain time and could reorder same-picosecond arrivals from
-/// different upstream ports.
-class ForwardingSink final : public SinkNode {
- public:
-  using SinkNode::SinkNode;
-  bool forwards() const override { return true; }
-};
-
-/// Runs `n_back_to_back` queued packets plus one that arrives while
-/// the wire is busy, and returns the arrival times.
-template <typename Sink>
-std::vector<sim::TimePs> drain_times(std::uint32_t budget,
-                                     int n_back_to_back) {
-  sim::Simulator simulator;
-  simulator.set_burst_budget(budget);
-  Sink sink(simulator, 0);
-  BasicPort port(simulator, sim::Bandwidth::gbps(10), sim::nanoseconds(50),
-                 std::make_unique<FifoQueue>());
-  port.set_peer(&sink, 0);
-  for (int i = 0; i < n_back_to_back; ++i) {
-    port.enqueue(data_pkt(static_cast<FlowId>(i), 952));  // 1000 B wire
-  }
-  // Lands mid-serialization of the first train: must wait for the
-  // wire, not for some coarser burst boundary.
-  simulator.schedule_at(sim::nanoseconds(1200), [&port] {
-    port.enqueue(data_pkt(99, 952));
-  });
-  simulator.run();
-  std::vector<sim::TimePs> times;
-  for (const auto& a : sink.arrivals) times.push_back(a.t);
-  return times;
-}
-
-TEST_F(PortFixture, BurstDrainDeliveryTimingIsExact) {
-  // Budget 64 toward a non-forwarding endpoint engages dequeue-N; the
-  // per-packet delivery times must match the per-event engine exactly
-  // (packet i leaves the wire i serializations after drain start).
-  const auto legacy = drain_times<SinkNode>(1, 4);
-  const auto burst = drain_times<SinkNode>(64, 4);
-  EXPECT_EQ(burst, legacy);
-  ASSERT_EQ(burst.size(), 5u);
-  const sim::TimePs ser = sim::Bandwidth::gbps(10).tx_time(1000);
-  for (int i = 0; i < 4; ++i) {
-    EXPECT_EQ(burst[static_cast<std::size_t>(i)],
-              ser * (i + 1) + sim::nanoseconds(50));
-  }
-  // The straggler found the wire busy until 4 serializations in.
-  EXPECT_EQ(burst[4], ser * 5 + sim::nanoseconds(50));
-}
-
-TEST_F(PortFixture, BurstBudgetCapsTheTrainWithoutChangingTiming) {
-  const auto legacy = drain_times<SinkNode>(1, 8);
-  const auto capped = drain_times<SinkNode>(3, 8);
-  EXPECT_EQ(capped, legacy);
-}
-
-TEST_F(PortFixture, ForwardingPeerFallsBackToPerPacketPath) {
-  // Toward a forwarding node the port must take the legacy path; the
-  // observable schedule is identical either way — this pins that the
-  // gate itself doesn't perturb timing.
-  const auto legacy = drain_times<ForwardingSink>(1, 4);
-  const auto burst = drain_times<ForwardingSink>(64, 4);
-  EXPECT_EQ(burst, legacy);
-}
-
-TEST_F(PortFixture, BurstDrainKeepsTxCountersExact) {
-  simulator.set_burst_budget(64);
-  auto port = make_port(sim::Bandwidth::gbps(10), 0);
-  for (int i = 0; i < 6; ++i) {
-    port->enqueue(data_pkt(static_cast<FlowId>(i), 952));
-  }
-  simulator.run();
-  EXPECT_EQ(sink.arrivals.size(), 6u);
-  EXPECT_EQ(port->tx_packets(), 6u);
-  EXPECT_EQ(port->tx_bytes(), 6'000);
-}
-
 TEST_F(PortFixture, TxCountersAccumulate) {
   auto port = make_port(sim::Bandwidth::gbps(10), 0);
   port->enqueue(data_pkt(1, 952));

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <tuple>
 #include <vector>
 
 #include "sim/rng.hpp"
@@ -10,7 +12,7 @@
 namespace powertcp::sim {
 namespace {
 
-std::vector<EventEntry> drain(EventQueue& q) {
+std::vector<EventEntry> drain(BinaryHeapEventQueue& q) {
   std::vector<EventEntry> out;
   while (const EventEntry* top = q.peek()) {
     out.push_back(*top);
@@ -19,19 +21,14 @@ std::vector<EventEntry> drain(EventQueue& q) {
   return out;
 }
 
-void expect_same_drain(const std::vector<EventEntry>& a,
-                       const std::vector<EventEntry>& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].time, b[i].time) << "at " << i;
-    EXPECT_EQ(a[i].sched, b[i].sched) << "at " << i;
-    EXPECT_EQ(a[i].seq, b[i].seq) << "at " << i;
-    EXPECT_EQ(a[i].slot, b[i].slot) << "at " << i;
-  }
+/// The pop-order contract spelled out independently of the heap.
+bool earlier(const EventEntry& a, const EventEntry& b) {
+  return std::tie(a.time, a.sched, a.tie, a.seq) <
+         std::tie(b.time, b.sched, b.tie, b.seq);
 }
 
-TEST(CalendarEventQueue, PopsInTimeThenSeqOrder) {
-  CalendarEventQueue q;
+TEST(BinaryHeapEventQueue, PopsInTimeThenSeqOrder) {
+  BinaryHeapEventQueue q;
   q.push({nanoseconds(30), 0, 1, 0});
   q.push({nanoseconds(10), 0, 2, 1});
   q.push({nanoseconds(10), 0, 3, 2});
@@ -43,102 +40,48 @@ TEST(CalendarEventQueue, PopsInTimeThenSeqOrder) {
   EXPECT_EQ(order[2].seq, 4u);
   EXPECT_EQ(order[3].seq, 1u);
   EXPECT_EQ(q.size(), 0u);
+  EXPECT_TRUE(q.empty());
 }
 
-TEST(CalendarEventQueue, CausalTimestampBreaksSameTimeTies) {
+TEST(BinaryHeapEventQueue, CausalTimestampBreaksSameTimeTies) {
   // Same delivery instant, different causal (schedule-time) stamps: the
   // earlier-scheduled event pops first even when its seq is larger —
   // the cross-shard merge relies on this middle key. Equal stamps fall
   // back to seq (FIFO).
-  for (const QueueKind kind : {QueueKind::kBinaryHeap, QueueKind::kCalendar}) {
-    auto q = make_event_queue(kind);
-    q->push({nanoseconds(50), nanoseconds(40), 1, 0});
-    q->push({nanoseconds(50), nanoseconds(10), 2, 1});
-    q->push({nanoseconds(50), nanoseconds(40), 3, 2});
-    q->push({nanoseconds(50), nanoseconds(25), 4, 3});
-    const auto order = drain(*q);
-    ASSERT_EQ(order.size(), 4u) << "kind " << static_cast<int>(kind);
-    EXPECT_EQ(order[0].seq, 2u);
-    EXPECT_EQ(order[1].seq, 4u);
-    EXPECT_EQ(order[2].seq, 1u);  // sched tie with 3: lower seq first
-    EXPECT_EQ(order[3].seq, 3u);
-  }
+  BinaryHeapEventQueue q;
+  q.push({nanoseconds(50), nanoseconds(40), 1, 0});
+  q.push({nanoseconds(50), nanoseconds(10), 2, 1});
+  q.push({nanoseconds(50), nanoseconds(40), 3, 2});
+  q.push({nanoseconds(50), nanoseconds(25), 4, 3});
+  const auto order = drain(q);
+  ASSERT_EQ(order.size(), 4u);
+  EXPECT_EQ(order[0].seq, 2u);
+  EXPECT_EQ(order[1].seq, 4u);
+  EXPECT_EQ(order[2].seq, 1u);  // sched tie with 3: lower seq first
+  EXPECT_EQ(order[3].seq, 3u);
 }
 
-TEST(CalendarEventQueue, MatchesHeapOnRandomizedWorkload) {
-  // Dense bursts, sparse gaps, heavy same-time ties, and interleaved
-  // pops — the pop sequence must be identical to the binary heap's.
-  BinaryHeapEventQueue heap;
-  CalendarEventQueue cal;
-  Rng rng(0xC0FFEEull);
-  TimePs clock = 0;
-  std::uint64_t seq = 1;
-  std::vector<EventEntry> heap_order, cal_order;
-  for (int round = 0; round < 200; ++round) {
-    const int pushes = 1 + static_cast<int>(rng.uniform() * 40);
-    for (int i = 0; i < pushes; ++i) {
-      const double r = rng.uniform();
-      TimePs delta;
-      if (r < 0.4) {
-        delta = 0;  // tie storm
-      } else if (r < 0.9) {
-        delta = static_cast<TimePs>(rng.uniform() * 1e6);  // dense ~us
-      } else {
-        delta = static_cast<TimePs>(rng.uniform() * 1e11);  // sparse ~100ms
-      }
-      // sched = the push-time clock, as the engine stamps it; heavy
-      // time ties make the (sched, seq) tail of the key do real work.
-      const EventEntry e{clock + delta, clock, seq,
-                         static_cast<std::uint32_t>(seq)};
-      ++seq;
-      heap.push(e);
-      cal.push(e);
-    }
-    const int pops = static_cast<int>(rng.uniform() * pushes * 1.2);
-    for (int i = 0; i < pops && heap.size() > 0; ++i) {
-      const EventEntry* a = heap.peek();
-      const EventEntry* b = cal.peek();
-      ASSERT_NE(a, nullptr);
-      ASSERT_NE(b, nullptr);
-      clock = a->time;  // future pushes never go below the pop floor
-      heap_order.push_back(*a);
-      cal_order.push_back(*b);
-      heap.pop();
-      cal.pop();
-    }
-    ASSERT_EQ(heap.size(), cal.size());
-  }
-  // Drain the rest.
-  auto rest_a = drain(heap);
-  auto rest_b = drain(cal);
-  heap_order.insert(heap_order.end(), rest_a.begin(), rest_a.end());
-  cal_order.insert(cal_order.end(), rest_b.begin(), rest_b.end());
-  expect_same_drain(heap_order, cal_order);
+TEST(BinaryHeapEventQueue, TieTokenOrdersBetweenSchedAndSeq) {
+  // Equal (time, sched): the tie token decides before seq, so a
+  // delivery's port token beats scheduling chronology. A smaller
+  // sched still wins over any token.
+  BinaryHeapEventQueue q;
+  q.push({nanoseconds(50), nanoseconds(40), 1, 0, /*tie=*/7});
+  q.push({nanoseconds(50), nanoseconds(40), 2, 1, /*tie=*/3});
+  q.push({nanoseconds(50), nanoseconds(40), 3, 2, /*tie=*/0});
+  q.push({nanoseconds(50), nanoseconds(30), 4, 3, /*tie=*/9});
+  q.push({nanoseconds(50), nanoseconds(40), 5, 4, /*tie=*/3});
+  const auto order = drain(q);
+  ASSERT_EQ(order.size(), 5u);
+  EXPECT_EQ(order[0].seq, 4u);  // earliest sched, despite the big token
+  EXPECT_EQ(order[1].seq, 3u);  // token 0
+  EXPECT_EQ(order[2].seq, 2u);  // token 3, lower seq
+  EXPECT_EQ(order[3].seq, 5u);  // token 3
+  EXPECT_EQ(order[4].seq, 1u);  // token 7, despite the lowest seq
 }
 
-TEST(CalendarEventQueue, ResizesUnderGrowthAndShrink) {
-  CalendarEventQueue q;
-  const std::size_t initial_buckets = q.bucket_count();
-  for (std::uint64_t i = 0; i < 10'000; ++i) {
-    q.push({static_cast<TimePs>(i) * 1000, 0, i + 1,
-            static_cast<std::uint32_t>(i)});
-  }
-  EXPECT_GT(q.bucket_count(), initial_buckets);
-  TimePs last = -1;
-  std::size_t n = 0;
-  while (const EventEntry* top = q.peek()) {
-    EXPECT_GE(top->time, last);
-    last = top->time;
-    q.pop();
-    ++n;
-  }
-  EXPECT_EQ(n, 10'000u);
-  // Shrink pressure: the table contracts once nearly empty.
-  EXPECT_LT(q.bucket_count(), 4096u);
-}
-
-TEST(CalendarEventQueue, AllEventsAtOneInstant) {
-  CalendarEventQueue q;
+TEST(BinaryHeapEventQueue, AllEventsAtOneInstant) {
+  BinaryHeapEventQueue q;
   for (std::uint64_t i = 0; i < 1000; ++i) {
     q.push({microseconds(5), 0, i + 1, static_cast<std::uint32_t>(i)});
   }
@@ -151,65 +94,66 @@ TEST(CalendarEventQueue, AllEventsAtOneInstant) {
   EXPECT_EQ(q.size(), 0u);
 }
 
-TEST(SimulatorQueueKind, CalendarRunMatchesHeapRun) {
-  // The same self-scheduling workload on both backends: identical
-  // execution traces (event count, per-event now(), final clock).
-  const auto trace = [](QueueKind kind) {
-    Simulator s(kind);
-    std::vector<TimePs> times;
-    Rng rng(42);
-    std::function<void()> tick = [&] {
-      times.push_back(s.now());
-      if (times.size() >= 5000) return;
-      // A little burst plus a far timer, some cancelled.
-      const EventId doomed =
-          s.schedule_in(microseconds(3), [&times] { times.push_back(-1); });
-      s.schedule_in(static_cast<TimePs>(rng.uniform() * 1e6) + 1, tick);
-      if (rng.uniform() < 0.7) s.cancel(doomed);
-    };
-    s.schedule_at(0, tick);
-    s.run();
-    return times;
+TEST(BinaryHeapEventQueue, MatchesSortedOrderOnRandomizedWorkload) {
+  // Dense bursts, sparse gaps, heavy same-time ties, random tie tokens
+  // and interleaved pops: every pop must be the minimum of the pending
+  // set by the (time, sched, tie, seq) contract.
+  BinaryHeapEventQueue heap;
+  std::vector<EventEntry> pending;
+  Rng rng(0xC0FFEEull);
+  TimePs clock = 0;
+  std::uint64_t seq = 1;
+  const auto pop_and_check = [&] {
+    const EventEntry* top = heap.peek();
+    ASSERT_NE(top, nullptr);
+    const auto want = std::min_element(pending.begin(), pending.end(), earlier);
+    ASSERT_EQ(top->seq, want->seq);
+    clock = top->time;  // future pushes never go below the pop floor
+    pending.erase(want);
+    heap.pop();
   };
-  const auto heap_trace = trace(QueueKind::kBinaryHeap);
-  const auto cal_trace = trace(QueueKind::kCalendar);
-  EXPECT_EQ(heap_trace, cal_trace);
-  EXPECT_GE(heap_trace.size(), 5000u);
-}
-
-TEST(SimulatorQueueKind, FarFutureTombstoneDoesNotCorruptTheFloor) {
-  // Regression: discarding a cancelled far-future event's tombstone
-  // raised the calendar's search floor to the tombstone's time; events
-  // scheduled afterwards (legal: the clock is far below it) sat under
-  // the floor and the year-walk returned a non-minimum — time went
-  // backwards relative to the heap backend.
-  for (const QueueKind kind : {QueueKind::kBinaryHeap, QueueKind::kCalendar}) {
-    Simulator s(kind);
-    const EventId far =
-        s.schedule_at(microseconds(1'000'033), [] { FAIL(); });
-    s.cancel(far);
-    s.run_until(microseconds(1'000'010));  // discards the tombstone
-    std::vector<TimePs> fired;
-    s.schedule_at(microseconds(1'000'033), [&] { fired.push_back(s.now()); });
-    s.schedule_at(microseconds(1'000'018), [&] { fired.push_back(s.now()); });
-    s.run();
-    ASSERT_EQ(fired.size(), 2u) << "kind " << static_cast<int>(kind);
-    EXPECT_EQ(fired[0], microseconds(1'000'018));
-    EXPECT_EQ(fired[1], microseconds(1'000'033));
+  for (int round = 0; round < 200; ++round) {
+    const int pushes = 1 + static_cast<int>(rng.uniform() * 40);
+    for (int i = 0; i < pushes; ++i) {
+      const double r = rng.uniform();
+      TimePs delta;
+      if (r < 0.4) {
+        delta = 0;  // tie storm
+      } else if (r < 0.9) {
+        delta = static_cast<TimePs>(rng.uniform() * 1e6);  // dense ~us
+      } else {
+        delta = static_cast<TimePs>(rng.uniform() * 1e11);  // sparse ~100ms
+      }
+      const auto tie = static_cast<std::uint32_t>(rng.uniform() * 4);
+      const EventEntry e{clock + delta, clock, seq,
+                         static_cast<std::uint32_t>(seq), tie};
+      ++seq;
+      heap.push(e);
+      pending.push_back(e);
+    }
+    const int pops = static_cast<int>(rng.uniform() * pushes * 1.2);
+    for (int i = 0; i < pops && !pending.empty(); ++i) pop_and_check();
+    ASSERT_EQ(heap.size(), pending.size());
   }
+  while (!pending.empty()) pop_and_check();
+  EXPECT_TRUE(heap.empty());
 }
 
-TEST(SimulatorQueueKind, CancelAndTombstonesWorkOnCalendar) {
-  Simulator s(QueueKind::kCalendar);
-  int fired = 0;
-  const EventId a = s.schedule_at(nanoseconds(10), [&] { ++fired; });
-  s.schedule_at(nanoseconds(20), [&] { ++fired; });
-  s.cancel(a);
-  EXPECT_EQ(s.tombstones(), 1u);
+TEST(Simulator, FarFutureTombstoneDoesNotReorderLaterEvents) {
+  // Discarding a cancelled far-future event's tombstone must not
+  // disturb events scheduled afterwards below its time (legal: the
+  // clock is far below it).
+  Simulator s;
+  const EventId far = s.schedule_at(microseconds(1'000'033), [] { FAIL(); });
+  s.cancel(far);
+  s.run_until(microseconds(1'000'010));  // discards the tombstone
+  std::vector<TimePs> fired;
+  s.schedule_at(microseconds(1'000'033), [&] { fired.push_back(s.now()); });
+  s.schedule_at(microseconds(1'000'018), [&] { fired.push_back(s.now()); });
   s.run();
-  EXPECT_EQ(fired, 1);
-  EXPECT_EQ(s.tombstones(), 0u);
-  EXPECT_FALSE(s.pending());
+  ASSERT_EQ(fired.size(), 2u);
+  EXPECT_EQ(fired[0], microseconds(1'000'018));
+  EXPECT_EQ(fired[1], microseconds(1'000'033));
 }
 
 }  // namespace
