@@ -33,7 +33,7 @@ sim::Bandwidth Host::nic_bandwidth() const {
   return port(0).bandwidth();
 }
 
-void Host::send_packet(net::Packet pkt) {
+void Host::send_packet(net::Packet&& pkt) {
   pkt.src = id();
   // Acks echo the acked data packet's sent_time (the RTT measurement);
   // only fresh transmissions get stamped here.
@@ -41,7 +41,7 @@ void Host::send_packet(net::Packet pkt) {
   nic().enqueue(std::move(pkt));
 }
 
-void Host::receive(net::Packet pkt, int /*in_port*/) {
+void Host::receive(net::Packet&& pkt, int /*in_port*/) {
   switch (pkt.type) {
     case net::PacketType::kData:
       handle_data(std::move(pkt));
@@ -60,7 +60,7 @@ void Host::receive(net::Packet pkt, int /*in_port*/) {
   }
 }
 
-void Host::handle_data(net::Packet pkt) {
+void Host::handle_data(net::Packet&& pkt) {
   auto it = receivers_.find(pkt.flow);
   if (it == receivers_.end()) {
     // Data packets echo the sender's cumulative received-ack edge in

@@ -34,7 +34,7 @@ class Host final : public net::Node {
   net::EgressPort& nic();
   sim::Bandwidth nic_bandwidth() const;
 
-  void receive(net::Packet pkt, int in_port) override;
+  void receive(net::Packet&& pkt, int in_port) override;
 
   /// Creates a sender flow; transmission begins at `start_time`.
   FlowSender& start_flow(net::FlowId flow, net::NodeId dst,
@@ -69,7 +69,7 @@ class Host final : public net::Node {
   std::size_t active_receivers() const { return receivers_.size(); }
 
   /// Enqueues a packet on the NIC, stamping src/sent_time.
-  void send_packet(net::Packet pkt);
+  void send_packet(net::Packet&& pkt);
 
   /// Receiver-side ack aggregation window. 0 (the default) acks every
   /// data packet — the historical, byte-identical behavior. A positive
@@ -111,7 +111,7 @@ class Host final : public net::Node {
     net::Packet agg_pkt;
   };
 
-  void handle_data(net::Packet pkt);
+  void handle_data(net::Packet&& pkt);
   void handle_ack(const net::Packet& pkt);
   void retire_receiver(net::FlowId flow);
   void flush_ack(net::FlowId flow);

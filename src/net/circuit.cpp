@@ -88,8 +88,7 @@ EgressPort::SelectResult CircuitPort::try_select() {
     out.retry_at = schedule_->next_day_start(now);
     return out;
   }
-  out.pkt = voqs_->pop_from(peer);
-  return out;
+  return SelectResult{voqs_->pop_from(peer)};
 }
 
 VoqUplinkPort::VoqUplinkPort(sim::Simulator& simulator, sim::Bandwidth bw,
@@ -101,7 +100,6 @@ VoqUplinkPort::VoqUplinkPort(sim::Simulator& simulator, sim::Bandwidth bw,
       my_tor_(my_tor) {}
 
 EgressPort::SelectResult VoqUplinkPort::try_select() {
-  SelectResult out;
   const sim::TimePs now = simulator().now();
   const int active = schedule_->active_peer(my_tor_, now);
   const int n = voqs_->size();
@@ -110,12 +108,12 @@ EgressPort::SelectResult VoqUplinkPort::try_select() {
     if (i == active) continue;
     if (voqs_->peek(i) != nullptr) {
       rr_cursor_ = i;
-      out.pkt = voqs_->pop_from(i);
-      return out;
+      return SelectResult{voqs_->pop_from(i)};
     }
   }
   // Only the circuit-served VOQ has traffic: it becomes ours when the
   // day ends.
+  SelectResult out;
   if (active >= 0 && voqs_->peek(active) != nullptr) {
     out.retry_at = schedule_->day_end(now);
   }
@@ -139,7 +137,7 @@ void CircuitSwitchNode::attach_tor(int tor_index, Node* tor, int tor_in_port,
       TorLink{tor, tor_in_port, out_propagation};
 }
 
-void CircuitSwitchNode::receive(Packet pkt, int /*in_port*/) {
+void CircuitSwitchNode::receive(Packet&& pkt, int /*in_port*/) {
   const int dst_tor = tor_of_dst_(pkt.dst);
   const TorLink& link = tors_.at(static_cast<std::size_t>(dst_tor));
   if (link.tor == nullptr) {

@@ -73,7 +73,7 @@ class CircuitPort final : public EgressPort {
   std::int64_t int_qlen_bytes() const override;
 
  protected:
-  void push_to_queue(Packet pkt) override { voqs_->push(std::move(pkt)); }
+  void push_to_queue(Packet&& pkt) override { voqs_->push(std::move(pkt)); }
   SelectResult try_select() override;
 
  private:
@@ -94,7 +94,7 @@ class VoqUplinkPort final : public EgressPort {
   std::int64_t queue_bytes() const override { return voqs_->total_bytes(); }
 
  protected:
-  void push_to_queue(Packet pkt) override { voqs_->push(std::move(pkt)); }
+  void push_to_queue(Packet&& pkt) override { voqs_->push(std::move(pkt)); }
   SelectResult try_select() override;
 
  private:
@@ -118,7 +118,7 @@ class CircuitSwitchNode final : public Node {
   void attach_tor(int tor_index, Node* tor, int tor_in_port,
                   sim::TimePs out_propagation);
 
-  void receive(Packet pkt, int in_port) override;
+  void receive(Packet&& pkt, int in_port) override;
 
  private:
   struct TorLink {

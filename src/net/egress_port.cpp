@@ -21,7 +21,7 @@ EgressPort::~EgressPort() {
   if (busy_) sim_.cancel(tx_event_);
 }
 
-bool EgressPort::enqueue(Packet pkt) {
+bool EgressPort::enqueue(Packet&& pkt) {
   const std::int64_t sz = pkt.wire_bytes();
   if (shared_buffer_ != nullptr &&
       !shared_buffer_->admits(queue_bytes(), sz)) {
@@ -79,7 +79,7 @@ void EgressPort::kick() {
   });
 }
 
-void EgressPort::start_tx(Packet pkt) {
+void EgressPort::start_tx(Packet&& pkt) {
   busy_ = true;
   // INT is stamped "when the packet is scheduled for transmission"
   // (paper §3.3): queue length is the backlog left behind, txBytes the
@@ -112,31 +112,29 @@ void EgressPort::start_tx(Packet pkt) {
     const std::int64_t wire = pkt.wire_bytes();
     remote_->send(sim_.now() + tx_time + propagation_, sim_.now() + tx_time,
                   tie_token_, std::move(pkt));
-    tx_event_ = sim_.schedule_in(tx_time,
-                                 [this, wire] { finish_remote_tx(wire); });
+    tx_event_ = sim_.schedule_in(tx_time, [this, wire] { free_wire(wire); });
     return;
   }
   // The packet rides in the pool, not the closure: capturing it by
-  // value would heap-allocate ~350 bytes per transmission.
+  // value would heap-allocate ~350 bytes per transmission. It stays
+  // parked under this one handle until the peer receives it.
   const PacketPool::Handle h = pool_.put(std::move(pkt));
-  tx_event_ =
-      sim_.schedule_in(tx_time, [this, h] { finish_tx(pool_.take(h)); });
+  tx_event_ = sim_.schedule_in(tx_time, [this, h] { finish_tx(h); });
 }
 
-void EgressPort::finish_tx(Packet pkt) {
-  busy_ = false;
-  if (shared_buffer_ != nullptr) shared_buffer_->on_dequeue(pkt.wire_bytes());
-  if (tx_monitor_ != nullptr) tx_monitor_->add_bytes(sim_.now(), pkt.wire_bytes());
+void EgressPort::finish_tx(PacketPool::Handle h) {
+  const std::int64_t wire = pool_.get(h).wire_bytes();
   if (peer_ != nullptr) {
-    const PacketPool::Handle h = pool_.put(std::move(pkt));
     sim_.schedule_tied_at(sim_.now() + propagation_, tie_token_, [this, h] {
       peer_->receive(pool_.take(h), peer_in_port_);
     });
+  } else {
+    pool_.take(h);  // nobody to deliver to: free the slot now
   }
-  kick();
+  free_wire(wire);
 }
 
-void EgressPort::finish_remote_tx(std::int64_t wire_bytes) {
+void EgressPort::free_wire(std::int64_t wire_bytes) {
   busy_ = false;
   if (shared_buffer_ != nullptr) shared_buffer_->on_dequeue(wire_bytes);
   if (tx_monitor_ != nullptr) tx_monitor_->add_bytes(sim_.now(), wire_bytes);
@@ -155,9 +153,7 @@ BasicPort::BasicPort(sim::Simulator& simulator, sim::Bandwidth bw,
     : EgressPort(simulator, bw, propagation_delay), queue_(std::move(queue)) {}
 
 EgressPort::SelectResult BasicPort::try_select() {
-  SelectResult out;
-  out.pkt = queue_->pop();
-  return out;
+  return SelectResult{queue_->pop()};
 }
 
 }  // namespace powertcp::net

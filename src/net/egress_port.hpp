@@ -72,7 +72,7 @@ class EgressPort {
 
   /// Admits (or drops) a packet and starts the transmitter if idle.
   /// Returns false iff the packet was dropped by buffer admission.
-  bool enqueue(Packet pkt);
+  bool enqueue(Packet&& pkt);
 
   sim::Bandwidth bandwidth() const { return bandwidth_; }
   void set_bandwidth(sim::Bandwidth bw) { bandwidth_ = bw; }
@@ -94,6 +94,9 @@ class EgressPort {
   /// flight-recorder tap point.
   std::uint64_t ecn_marks() const { return ecn_marks_; }
   bool busy() const { return busy_; }
+  /// Packets parked in this port's pool: the one being serialized plus
+  /// those propagating to the peer. Zero once the network drains.
+  std::size_t parked_packets() const { return pool_.live(); }
 
   /// Optional monitoring hooks (not owned).
   void set_queue_monitor(stats::QueueSeries* m) { queue_monitor_ = m; }
@@ -116,7 +119,7 @@ class EgressPort {
   };
 
   /// Stores the packet in the discipline-specific backlog.
-  virtual void push_to_queue(Packet pkt) = 0;
+  virtual void push_to_queue(Packet&& pkt) = 0;
   /// Chooses the next packet to serialize, or a retry time.
   virtual SelectResult try_select() = 0;
 
@@ -124,14 +127,16 @@ class EgressPort {
   const sim::Simulator& simulator() const { return sim_; }
 
  private:
-  void start_tx(Packet pkt);
-  void finish_tx(Packet pkt);
-  /// Serialization-complete bookkeeping for the cross-shard path: the
-  /// packet itself was already published to the remote channel at
-  /// start_tx (early publication — its delivery time, causal stamp and
-  /// content are final there), so the finish event only frees the wire
-  /// and settles byte accounting.
-  void finish_remote_tx(std::int64_t wire_bytes);
+  void start_tx(Packet&& pkt);
+  /// Serialization complete for the packet parked at `h`: hands the
+  /// same handle to the delivery event (or frees it if there is no
+  /// peer), then frees the wire.
+  void finish_tx(PacketPool::Handle h);
+  /// Frees the wire and settles byte accounting. The cross-shard path
+  /// calls it directly: its packet was already published to the remote
+  /// channel at start_tx (early publication — its delivery time,
+  /// causal stamp and content are final there).
+  void free_wire(std::int64_t wire_bytes);
   void sample_queue();
 
   sim::Simulator& sim_;
@@ -156,8 +161,9 @@ class EgressPort {
   sim::EventId pending_kick_id_{};
   sim::EventId tx_event_{};  ///< pending finish_tx; valid while busy_
 
-  /// Parks packets between start_tx -> finish_tx and finish_tx ->
-  /// delivery so those events capture an 8-byte handle, not the packet.
+  /// Parks each packet from start_tx until its delivery event, so the
+  /// finish and delivery events capture an 8-byte handle, not the
+  /// packet, and the packet is not moved in between.
   PacketPool pool_;
 
   stats::QueueSeries* queue_monitor_ = nullptr;
@@ -176,7 +182,7 @@ class BasicPort final : public EgressPort {
   const QueueDiscipline& queue() const { return *queue_; }
 
  protected:
-  void push_to_queue(Packet pkt) override { queue_->push(std::move(pkt)); }
+  void push_to_queue(Packet&& pkt) override { queue_->push(std::move(pkt)); }
   SelectResult try_select() override;
 
  private:

@@ -27,7 +27,7 @@ class Node {
 
   /// Called when a packet has fully arrived (store-and-forward) on
   /// ingress `in_port` (the index of the local port whose peer sent it).
-  virtual void receive(Packet pkt, int in_port) = 0;
+  virtual void receive(Packet&& pkt, int in_port) = 0;
 
   /// Takes ownership of an egress port; returns its index.
   int attach_port(std::unique_ptr<EgressPort> port);

@@ -77,9 +77,11 @@ class IntHeader {
   int n_hops_ = 0;
 };
 
-/// A simulated packet. Copied by value along the path; fields below the
-/// "simulator metadata" marker never exist on a real wire and carry no
-/// modeled size.
+/// A simulated packet. It is ~360 bytes, so the per-hop path hands it
+/// off by `Packet&&` and parks it in a PacketPool between serialization
+/// and delivery instead of copying it; fields below the "simulator
+/// metadata" marker never exist on a real wire and carry no modeled
+/// size.
 struct Packet {
   FlowId flow = 0;
   NodeId src = kInvalidNode;

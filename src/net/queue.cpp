@@ -4,7 +4,7 @@
 
 namespace powertcp::net {
 
-void FifoQueue::push(Packet pkt) {
+void FifoQueue::push(Packet&& pkt) {
   std::uint32_t idx;
   if (free_head_ != kNil) {
     idx = free_head_;
@@ -12,7 +12,7 @@ void FifoQueue::push(Packet pkt) {
     arena_[idx].pkt = std::move(pkt);
   } else {
     idx = static_cast<std::uint32_t>(arena_.size());
-    arena_.push_back(Node{std::move(pkt), kNil});
+    arena_.emplace_back(std::move(pkt), kNil);
   }
   arena_[idx].next = kNil;
   if (tail_ == kNil) {
@@ -29,14 +29,15 @@ std::optional<Packet> FifoQueue::pop() {
   if (count_ == 0) return std::nullopt;
   const std::uint32_t idx = head_;
   Node& n = arena_[idx];
-  Packet pkt = std::move(n.pkt);
   head_ = n.next;
   if (head_ == kNil) tail_ = kNil;
   n.next = free_head_;
   free_head_ = idx;
   --count_;
-  bytes_ -= pkt.wire_bytes();
-  return pkt;
+  bytes_ -= n.pkt.wire_bytes();
+  // Built straight from the arena node into the caller's optional: the
+  // freed slot is not reused before the next push.
+  return std::optional<Packet>(std::in_place, std::move(n.pkt));
 }
 
 const Packet* FifoQueue::peek_next() const {
@@ -49,7 +50,7 @@ PriorityQueue::PriorityQueue(int bands) {
   band_bytes_.assign(static_cast<std::size_t>(bands), 0);
 }
 
-void PriorityQueue::push(Packet pkt) {
+void PriorityQueue::push(Packet&& pkt) {
   const auto band =
       static_cast<std::size_t>(pkt.priority) < bands_.size()
           ? static_cast<std::size_t>(pkt.priority)
@@ -64,12 +65,12 @@ std::optional<Packet> PriorityQueue::pop() {
   for (std::size_t b = 0; b < bands_.size(); ++b) {
     auto& band = bands_[b];
     if (!band.empty()) {
-      Packet pkt = std::move(band.front());
+      std::optional<Packet> out(std::in_place, std::move(band.front()));
       band.pop_front();
-      bytes_ -= pkt.wire_bytes();
-      band_bytes_[b] -= pkt.wire_bytes();
+      bytes_ -= out->wire_bytes();
+      band_bytes_[b] -= out->wire_bytes();
       --packets_;
-      return pkt;
+      return out;
     }
   }
   return std::nullopt;
@@ -89,7 +90,7 @@ VoqSet::VoqSet(int n_queues, std::function<int(NodeId)> classify)
   voq_bytes_.assign(static_cast<std::size_t>(n_queues), 0);
 }
 
-void VoqSet::push(Packet pkt) {
+void VoqSet::push(Packet&& pkt) {
   const int voq = classify_(pkt.dst);
   if (voq < 0 || voq >= size()) {
     throw std::out_of_range("VoqSet::push: classify returned bad index");
@@ -103,12 +104,12 @@ void VoqSet::push(Packet pkt) {
 std::optional<Packet> VoqSet::pop_from(int voq) {
   auto& q = queues_.at(static_cast<std::size_t>(voq));
   if (q.empty()) return std::nullopt;
-  Packet pkt = std::move(q.front());
+  std::optional<Packet> out(std::in_place, std::move(q.front()));
   q.pop_front();
-  voq_bytes_[static_cast<std::size_t>(voq)] -= pkt.wire_bytes();
-  total_bytes_ -= pkt.wire_bytes();
+  voq_bytes_[static_cast<std::size_t>(voq)] -= out->wire_bytes();
+  total_bytes_ -= out->wire_bytes();
   --total_packets_;
-  return pkt;
+  return out;
 }
 
 const Packet* VoqSet::peek(int voq) const {

@@ -14,14 +14,15 @@
 
 namespace powertcp::net {
 
-/// Interface for an egress buffer. `pop` surrenders ownership of the
-/// selected packet; `peek_next` must agree with the packet `pop` would
-/// return (used to compute serialization time before committing).
+/// Interface for an egress buffer. `push` takes the packet by rvalue
+/// reference and `pop` surrenders it, one move each; `peek_next` must
+/// agree with the packet `pop` would return (used to compute
+/// serialization time before committing).
 class QueueDiscipline {
  public:
   virtual ~QueueDiscipline() = default;
 
-  virtual void push(Packet pkt) = 0;
+  virtual void push(Packet&& pkt) = 0;
   virtual std::optional<Packet> pop() = 0;
   virtual const Packet* peek_next() const = 0;
   virtual std::int64_t bytes() const = 0;
@@ -38,7 +39,7 @@ class QueueDiscipline {
 /// deque) instead of cycling through cold storage.
 class FifoQueue final : public QueueDiscipline {
  public:
-  void push(Packet pkt) override;
+  void push(Packet&& pkt) override;
   std::optional<Packet> pop() override;
   const Packet* peek_next() const override;
   std::int64_t bytes() const override { return bytes_; }
@@ -65,7 +66,7 @@ class PriorityQueue final : public QueueDiscipline {
  public:
   explicit PriorityQueue(int bands = 8);
 
-  void push(Packet pkt) override;
+  void push(Packet&& pkt) override;
   std::optional<Packet> pop() override;
   const Packet* peek_next() const override;
   std::int64_t bytes() const override { return bytes_; }
@@ -93,7 +94,7 @@ class VoqSet {
   /// (destination ToR).
   VoqSet(int n_queues, std::function<int(NodeId)> classify);
 
-  void push(Packet pkt);
+  void push(Packet&& pkt);
   std::optional<Packet> pop_from(int voq);
   const Packet* peek(int voq) const;
 

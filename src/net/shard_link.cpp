@@ -30,7 +30,8 @@ void ShardRouter::ingest(int shard) {
     ch->drain_into(in.scratch);
   }
   if (in.scratch.empty()) return;
-  // Sort on (deliver_at, sent_at, tie, src_shard, src_seq): messages
+  // Sort the merge keys on (deliver_at, sent_at, tie, src_shard,
+  // src_seq), not the ~400-byte messages themselves: messages
   // from one source shard merge in that shard's execution order
   // (src_seq), which for equal (deliver_at, sent_at, tie) is exactly
   // the sequential engine's relative order — equal keys INCLUDING the
@@ -41,8 +42,16 @@ void ShardRouter::ingest(int shard) {
   // the sequential engine's (time, sched, tie, seq) order. Scheduling
   // via schedule_from then slots each delivery into the destination
   // queue at its sender-side causal timestamp and token.
-  std::sort(in.scratch.begin(), in.scratch.end(),
-            [](const ShardMessage& a, const ShardMessage& b) {
+  // (src_shard, src_seq) is unique per message, so the key order is
+  // total and sorting keys yields the one order sorting messages would.
+  in.order.clear();
+  for (std::size_t i = 0; i < in.scratch.size(); ++i) {
+    const ShardMessage& m = in.scratch[i];
+    in.order.push_back(MergeKey{m.deliver_at, m.sent_at, m.src_seq, m.tie,
+                                m.src_shard, static_cast<std::uint32_t>(i)});
+  }
+  std::sort(in.order.begin(), in.order.end(),
+            [](const MergeKey& a, const MergeKey& b) {
               if (a.deliver_at != b.deliver_at) {
                 return a.deliver_at < b.deliver_at;
               }
@@ -53,7 +62,8 @@ void ShardRouter::ingest(int shard) {
             });
   sim::Simulator& sim = engine_.shard(shard);
   PacketPool* pool = &in.pool;
-  for (ShardMessage& m : in.scratch) {
+  for (const MergeKey& k : in.order) {
+    ShardMessage& m = in.scratch[k.index];
     const PacketPool::Handle h = pool->put(std::move(m.pkt));
     Node* dst = m.dst;
     const int port = m.dst_in_port;

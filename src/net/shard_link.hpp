@@ -25,7 +25,7 @@
 /// Determinism: channels are drained in their REGISTRATION order (the
 /// network's construction order — a pure function of the topology),
 /// each channel's messages already in send order, and the combined
-/// batch is sorted by (deliver_at, sent_at, src_shard, src_seq) —
+/// batch is sorted by (deliver_at, sent_at, tie, src_shard, src_seq) —
 /// src_seq is a per-SOURCE-shard monotone send stamp, so messages from
 /// one source shard merge in that shard's execution order, which for
 /// equal (deliver_at, sent_at) is exactly the sequential engine's
@@ -88,7 +88,7 @@ class SpscRing {
   }
 
   /// Producer thread only.
-  void push(ShardMessage m) {
+  void push(ShardMessage&& m) {
     if (!overflowing_) {
       const std::uint64_t t = tail_.load(std::memory_order_relaxed);
       if (t - head_.load(std::memory_order_acquire) < slots_.size()) {
@@ -129,7 +129,7 @@ class SpscRing {
 };
 
 /// The producer-side endpoint of one cross-shard directed link: knows
-/// the destination node/port and owns the ring. EgressPort::finish_tx
+/// the destination node/port and owns the ring. EgressPort::start_tx
 /// calls send() instead of scheduling the delivery locally.
 class ShardChannel {
  public:
@@ -144,7 +144,7 @@ class ShardChannel {
         send_stamp_(send_stamp) {}
 
   void send(sim::TimePs deliver_at, sim::TimePs sent_at, std::uint32_t tie,
-            Packet pkt) {
+            Packet&& pkt) {
     ring_.push(ShardMessage{deliver_at, sent_at, (*send_stamp_)++, dst_,
                             dst_in_port_, src_shard_, tie, std::move(pkt)});
   }
@@ -183,13 +183,26 @@ class ShardRouter {
  private:
   void ingest(int shard);
 
+  /// A drained message's merge key plus its position in the drain
+  /// buffer: sorting these instead of whole ShardMessages moves 40
+  /// bytes per swap, not a ~400-byte packet.
+  struct MergeKey {
+    sim::TimePs deliver_at;
+    sim::TimePs sent_at;
+    std::uint64_t src_seq;
+    std::uint32_t tie;
+    std::int32_t src_shard;
+    std::uint32_t index;
+  };
+
   struct Ingress {
     /// Registration order = deterministic merge rank.
     std::vector<std::unique_ptr<ShardChannel>> channels;
     /// Parks packets between ingest and delivery callback.
     PacketPool pool;
-    /// Reused drain buffer (allocation-free once warm).
+    /// Reused drain and merge buffers (allocation-free once warm).
     std::vector<ShardMessage> scratch;
+    std::vector<MergeKey> order;
   };
 
   /// One per-source-shard send counter on its own cache line; written

@@ -92,7 +92,7 @@ std::size_t Switch::ecmp_index(FlowId flow, std::size_t n) const {
          n;
 }
 
-void Switch::receive(Packet pkt, int /*in_port*/) {
+void Switch::receive(Packet&& pkt, int /*in_port*/) {
   const auto* choices = routes_to(pkt.dst);
   if (choices == nullptr) {
     throw std::logic_error("Switch '" + name() + "': no route to node " +

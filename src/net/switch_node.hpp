@@ -51,7 +51,7 @@ class Switch : public Node {
   void set_routes(NodeId dst, std::vector<int> ports);
   const std::vector<int>* routes_to(NodeId dst) const;
 
-  void receive(Packet pkt, int in_port) override;
+  void receive(Packet&& pkt, int in_port) override;
 
   DtSharedBuffer& shared_buffer() { return buffer_; }
   const SwitchConfig& config() const { return cfg_; }

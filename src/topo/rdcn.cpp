@@ -27,7 +27,7 @@ void RdcnTor::init_voqs(int n_tors, std::function<int(net::NodeId)> classify) {
   voqs_ = std::make_unique<net::VoqSet>(n_tors, std::move(classify));
 }
 
-void RdcnTor::receive(net::Packet pkt, int /*in_port*/) {
+void RdcnTor::receive(net::Packet&& pkt, int /*in_port*/) {
   const auto it = local_hosts_.find(pkt.dst);
   if (it != local_hosts_.end()) {
     port(it->second).enqueue(std::move(pkt));

@@ -44,7 +44,7 @@ class RdcnTor final : public net::Node {
   RdcnTor(sim::Simulator& simulator, net::NodeId id, std::string name,
           int tor_index, std::int64_t buffer_bytes, double dt_alpha);
 
-  void receive(net::Packet pkt, int in_port) override;
+  void receive(net::Packet&& pkt, int in_port) override;
 
   /// Registers a directly attached host and its down-port index.
   void add_local_host(net::NodeId host, int down_port);

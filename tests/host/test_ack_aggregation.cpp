@@ -23,7 +23,7 @@ class AckSink final : public net::Node {
   AckSink(sim::Simulator& simulator, net::NodeId id)
       : net::Node(id, "ack-sink"), sim_(simulator) {}
 
-  void receive(net::Packet pkt, int /*in_port*/) override {
+  void receive(net::Packet&& pkt, int /*in_port*/) override {
     acks.push_back({sim_.now(), std::move(pkt)});
   }
 

@@ -1,11 +1,13 @@
 /// Conservation and accounting invariants under randomized traffic:
 /// every payload byte a receiver counts was sent exactly once (no
 /// duplication of *new* data), switch byte counters balance, and the
-/// shared buffer returns to empty when the network drains.
+/// shared buffer, every egress queue and every port's packet pool
+/// return to empty when the network drains.
 
 #include <gtest/gtest.h>
 
 #include "cc/registry.hpp"
+#include "net/egress_port.hpp"
 #include "net/network.hpp"
 #include "sim/rng.hpp"
 #include "topo/dumbbell.hpp"
@@ -13,6 +15,20 @@
 
 namespace powertcp {
 namespace {
+
+/// Every port of a drained network is idle: nothing queued, nothing on
+/// the wire or propagating (no packet parked in its pool).
+void expect_ports_drained(const net::Network& network) {
+  for (std::size_t id = 0; id < network.node_count(); ++id) {
+    const net::Node& node = network.node(static_cast<net::NodeId>(id));
+    for (int p = 0; p < node.port_count(); ++p) {
+      const net::EgressPort& port = node.port(p);
+      EXPECT_EQ(port.parked_packets(), 0u) << node.name() << " port " << p;
+      EXPECT_EQ(port.queue_bytes(), 0) << node.name() << " port " << p;
+      EXPECT_FALSE(port.busy()) << node.name() << " port " << p;
+    }
+  }
+}
 
 TEST(Conservation, ReceiverCountsExactlyTheFlowBytes) {
   // Random flow sizes, all algorithms mixed on one bottleneck.
@@ -45,6 +61,7 @@ TEST(Conservation, ReceiverCountsExactlyTheFlowBytes) {
   for (const auto& [id, size] : sent) {
     EXPECT_EQ(received[id], size) << "flow " << id;
   }
+  expect_ports_drained(network);
 }
 
 TEST(Conservation, SharedBufferDrainsToZero) {
@@ -75,6 +92,27 @@ TEST(Conservation, SharedBufferDrainsToZero) {
   for (int a = 0; a < fabric.agg_count(); ++a) {
     EXPECT_EQ(fabric.agg(a).shared_buffer().used_bytes(), 0);
   }
+  expect_ports_drained(network);
+}
+
+TEST(Conservation, PortWithoutPeerFreesItsSlotAtSerializationEnd) {
+  // A packet stays parked in its port's pool from serialization start
+  // until delivery; with no peer to deliver to, the slot must be freed
+  // when serialization ends instead of leaking.
+  sim::Simulator simulator;
+  net::BasicPort port(simulator, sim::Bandwidth::gbps(10),
+                      sim::microseconds(1),
+                      std::make_unique<net::FifoQueue>());
+  net::Packet pkt;
+  pkt.payload_bytes = 952;
+  port.enqueue(std::move(pkt));
+  EXPECT_TRUE(port.busy());
+  EXPECT_EQ(port.parked_packets(), 1u);
+  simulator.run();
+  EXPECT_FALSE(port.busy());
+  EXPECT_EQ(port.parked_packets(), 0u);
+  EXPECT_EQ(port.tx_packets(), 1u);
+  EXPECT_EQ(port.queue_bytes(), 0);
 }
 
 TEST(Conservation, PortTxBytesMatchArrivalsPlusBacklog) {

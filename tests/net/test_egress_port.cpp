@@ -16,7 +16,7 @@ class SinkNode : public Node {
   SinkNode(sim::Simulator& simulator, NodeId id)
       : Node(id, "sink"), sim_(simulator) {}
 
-  void receive(Packet pkt, int in_port) override {
+  void receive(Packet&& pkt, int in_port) override {
     arrivals.push_back({sim_.now(), std::move(pkt), in_port});
   }
 

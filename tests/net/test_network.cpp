@@ -11,7 +11,7 @@ class LeafNode final : public Node {
  public:
   LeafNode(sim::Simulator&, NodeId id, std::string name)
       : Node(id, std::move(name)) {}
-  void receive(Packet pkt, int) override {
+  void receive(Packet&& pkt, int) override {
     ++count;
     last = std::move(pkt);
   }

@@ -14,7 +14,7 @@ class CounterNode final : public Node {
  public:
   CounterNode(sim::Simulator&, NodeId id, std::string name)
       : Node(id, std::move(name)) {}
-  void receive(Packet pkt, int) override {
+  void receive(Packet&& pkt, int) override {
     ++count;
     last = std::move(pkt);
   }

@@ -19,6 +19,7 @@
 #include "harness/telemetry.hpp"
 #include "host/host.hpp"
 #include "net/network.hpp"
+#include "net/switch_node.hpp"
 #include "sim/simulator.hpp"
 #include "topo/dumbbell.hpp"
 
@@ -153,6 +154,46 @@ TEST(Allocations, SteadyStatePacketEventsAreAllocationFree) {
   const std::uint64_t allocs = allocations() - before;
   const std::uint64_t events = simulator.events_executed() - events_before;
   EXPECT_GT(events, 20'000u) << "expected a busy steady state";
+  EXPECT_EQ(allocs, 0u) << "heap allocations per steady-state event: "
+                        << static_cast<double>(allocs) /
+                               static_cast<double>(events);
+}
+
+TEST(Allocations, SteadyStateMultiHopForwardingIsAllocationFree) {
+  // Two flows across a two-switch chain: every data packet is received,
+  // routed and re-queued by two switches (and every ack by both on the
+  // way back), so each packet is parked and redeemed in three ports'
+  // pools and crosses two shared-buffer FIFOs. Once warm, none of that
+  // may touch the heap.
+  sim::Simulator simulator;
+  net::Network network(simulator);
+  auto* sw1 = network.add_node<net::Switch>("sw1", net::SwitchConfig{});
+  auto* sw2 = network.add_node<net::Switch>("sw2", net::SwitchConfig{});
+  auto* snd = network.add_node<host::Host>("snd");
+  auto* rcv = network.add_node<host::Host>("rcv");
+  const sim::Bandwidth bw = sim::Bandwidth::gbps(25);
+  network.connect(*snd, *sw1, bw, sim::microseconds(1));
+  const auto mid = network.connect(*sw1, *sw2, bw, sim::microseconds(1));
+  network.connect(*sw2, *rcv, sim::Bandwidth::gbps(10),
+                  sim::microseconds(1));
+  network.compute_routes();
+
+  cc::FlowParams params;
+  params.host_bw = bw;
+  params.base_rtt = sim::microseconds(12);
+  params.expected_flows = 2;
+  const cc::CcFactory factory = cc::make_factory("powertcp");
+  snd->start_flow(1, rcv->id(), 1'000'000'000, factory(params), params, 0);
+  snd->start_flow(2, rcv->id(), 1'000'000'000, factory(params), params, 0);
+
+  simulator.run_until(sim::milliseconds(2));
+  const std::uint64_t events_before = simulator.events_executed();
+  const std::uint64_t before = allocations();
+  simulator.run_until(sim::milliseconds(4));
+  const std::uint64_t allocs = allocations() - before;
+  const std::uint64_t events = simulator.events_executed() - events_before;
+  EXPECT_GT(events, 10'000u) << "expected a busy steady state";
+  EXPECT_GT(sw1->port(mid.a_port).tx_packets(), 0u);
   EXPECT_EQ(allocs, 0u) << "heap allocations per steady-state event: "
                         << static_cast<double>(allocs) /
                                static_cast<double>(events);
