@@ -1,7 +1,8 @@
 /// Event-engine microbenchmark: the raw cost of the simulator hot path
-/// that paper-scale (--full) runs are bound by. Three workloads
-/// (schedule+fire churn, schedule+cancel churn, and an end-to-end
-/// dumbbell packet run) on the binary-heap pending set, the sharded
+/// that paper-scale (--full) runs are bound by. Four workloads
+/// (schedule+fire churn, a replay of the per-hop pop-one-schedule-one
+/// pattern, schedule+cancel churn, and an end-to-end dumbbell packet
+/// run) on the binary-heap pending set, the sharded
 /// engine on a pod-local fat-tree, plus a std::function baseline
 /// quantifying what the inline-callback / packet-pool rewrite removed.
 ///
@@ -27,6 +28,7 @@
 #include "harness/shard_setup.hpp"
 #include "harness/sweep.hpp"
 #include "net/network.hpp"
+#include "sim/rng.hpp"
 #include "sim/simulator.hpp"
 #include "topo/dumbbell.hpp"
 #include "topo/fat_tree.hpp"
@@ -111,6 +113,35 @@ std::uint64_t run_timer_churn(int wheels, std::uint64_t events) {
   };
   for (int w = 0; w < wheels; ++w) {
     s.schedule_at(sim::nanoseconds(w), tick);
+  }
+  s.run();
+  return s.events_executed();
+}
+
+/// The per-hop pattern of packet runs: every event pops and schedules
+/// exactly one successor at now + δ, δ either a packet's serialization
+/// time or a link's propagation delay (a fixed-seed coin picks), so the
+/// pending set holds `pending` events throughout. perfbench peaks at
+/// ~50 pending on its dumbbell and ~600 on its fat-tree.
+std::uint64_t run_hop_replay(int pending, std::uint64_t events) {
+  struct Hop {
+    sim::Simulator* s;
+    sim::Rng* rng;
+    std::uint64_t* remaining;
+    void operator()() const {
+      if (*remaining == 0) return;
+      --*remaining;
+      const sim::TimePs delta = rng->uniform() < 0.5
+                                    ? sim::picoseconds(83'840)
+                                    : sim::microseconds(1);
+      s->schedule_in(delta, *this);
+    }
+  };
+  sim::Simulator s;
+  sim::Rng rng(1);
+  std::uint64_t remaining = events;
+  for (int i = 0; i < pending; ++i) {
+    s.schedule_at(sim::nanoseconds(i), Hop{&s, &rng, &remaining});
   }
   s.run();
   return s.events_executed();
@@ -288,6 +319,10 @@ int main(int argc, char** argv) {
           measure([&] { return run_timer_churn(64, scale); }));
   add_row("timer-churn x4096",
           measure([&] { return run_timer_churn(4096, scale); }));
+  add_row("hop replay x50",
+          measure([&] { return run_hop_replay(50, scale); }));
+  add_row("hop replay x600",
+          measure([&] { return run_hop_replay(600, scale); }));
   add_row("schedule+cancel",
           measure([&] { return run_cancel_churn(scale / 2); }));
   add_row("dumbbell packet sim",

@@ -118,8 +118,11 @@ void FlowSender::arm_pacing_timer(sim::TimePs when) {
 }
 
 void FlowSender::arm_rto() {
+  sim::Simulator& sim = host_.simulator();
+  // A timeout past the end of the clock can never fire: leave it unarmed.
+  if (current_rto_ > sim::kTimeInfinity - sim.now()) return;
   rto_armed_ = true;
-  rto_timer_ = host_.simulator().schedule_in(current_rto_, [this] {
+  rto_timer_ = sim.schedule_in(current_rto_, [this] {
     rto_armed_ = false;
     on_rto();
   });
@@ -138,8 +141,13 @@ void FlowSender::on_rto() {
   // Go-back-N: rewind to the cumulative edge.
   snd_nxt_ = snd_una_;
   cc_->on_timeout();
-  current_rto_ = static_cast<sim::TimePs>(
-      static_cast<double>(current_rto_) * cfg_.rto_backoff);
+  // Saturating backoff: a product at or past the int64 clock's range
+  // (reached after ~36 doublings) would make the cast back UB.
+  const double backed_off =
+      static_cast<double>(current_rto_) * cfg_.rto_backoff;
+  current_rto_ = backed_off >= static_cast<double>(sim::kTimeInfinity)
+                     ? sim::kTimeInfinity
+                     : static_cast<sim::TimePs>(backed_off);
   arm_rto();
   try_send();
 }

@@ -49,8 +49,15 @@ class Simulator {
   /// Schedules `cb` at absolute time `t`. `t` must not be in the past.
   EventId schedule_at(TimePs t, Callback cb);
 
-  /// Schedules `cb` after `delay` (>= 0) from now.
+  /// Schedules `cb` after `delay` (>= 0) from now. A delay that would
+  /// carry the time past kTimeInfinity throws std::invalid_argument.
   EventId schedule_in(TimePs delay, Callback cb) {
+    if (delay > kTimeInfinity - now_) {
+      throw std::invalid_argument("Simulator::schedule_in: delay " +
+                                  format_time(delay) + " from now " +
+                                  format_time(now_) +
+                                  " overflows the clock");
+    }
     return schedule_at(now_ + delay, std::move(cb));
   }
 

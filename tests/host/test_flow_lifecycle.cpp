@@ -168,5 +168,26 @@ TEST_F(LifecycleFixture, DestroyingAMidFlowSenderCancelsItsTimers) {
   EXPECT_FALSE(simulator.pending());
 }
 
+TEST_F(LifecycleFixture, RtoBackoffSaturatesAtTheEndOfTheClock) {
+  build(1);
+  // A sender outside the host's table never sees its acks, so it backs
+  // off timeout after timeout. At x1e6 per timeout the second backoff
+  // (~100 s x 1e6) leaves the int64 picosecond range: the RTO saturates
+  // and, lying past the end of the clock, is never armed, so the run
+  // drains instead of scheduling at an overflowed time.
+  FlowSenderConfig sender_cfg;
+  sender_cfg.rto_backoff = 1e6;
+  auto rogue = std::make_unique<FlowSender>(topo->sender(0), 99,
+                                            topo->receiver().id(), 1'000'000,
+                                            factory(params), params,
+                                            sender_cfg);
+  rogue->start();
+  simulator.run();
+  EXPECT_EQ(rogue->timeouts(), 2u);
+  EXPECT_FALSE(rogue->complete());
+  EXPECT_GE(simulator.now(), sim::seconds(100));
+  EXPECT_FALSE(simulator.pending());
+}
+
 }  // namespace
 }  // namespace powertcp::host

@@ -27,6 +27,38 @@ bool earlier(const EventEntry& a, const EventEntry& b) {
          std::tie(b.time, b.sched, b.tie, b.seq);
 }
 
+/// Checks that `q` pops dry in oracle order: `pending` sorted by the
+/// key contract.
+void expect_drains_in_order(BinaryHeapEventQueue& q,
+                            std::vector<EventEntry> pending) {
+  std::sort(pending.begin(), pending.end(), earlier);
+  const auto order = drain(q);
+  ASSERT_EQ(order.size(), pending.size());
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    EXPECT_EQ(order[i].seq, pending[i].seq) << "pop " << i;
+  }
+  EXPECT_TRUE(q.empty());
+}
+
+/// Removes the oracle minimum from `pending` and returns it.
+EventEntry take_min(std::vector<EventEntry>& pending) {
+  const auto it = std::min_element(pending.begin(), pending.end(), earlier);
+  const EventEntry e = *it;
+  pending.erase(it);
+  return e;
+}
+
+/// Seven entries 10..70 ns apart; odd seqs carry tie token 5.
+std::vector<EventEntry> seven_entries() {
+  std::vector<EventEntry> v;
+  for (std::uint64_t i = 1; i <= 7; ++i) {
+    v.push_back({nanoseconds(10 * static_cast<std::int64_t>(i)), 0, i,
+                 static_cast<std::uint32_t>(i),
+                 static_cast<std::uint32_t>(i % 2 == 1 ? 5 : 0)});
+  }
+  return v;
+}
+
 TEST(BinaryHeapEventQueue, PopsInTimeThenSeqOrder) {
   BinaryHeapEventQueue q;
   q.push({nanoseconds(30), 0, 1, 0});
@@ -137,6 +169,140 @@ TEST(BinaryHeapEventQueue, MatchesSortedOrderOnRandomizedWorkload) {
   }
   while (!pending.empty()) pop_and_check();
   EXPECT_TRUE(heap.empty());
+}
+
+TEST(BinaryHeapEventQueue, PushAfterPopFillsTheVacatedRoot) {
+  // pop() leaves the root vacated and the next push() fills it with one
+  // sift-down. The new entry may sort before everything, after
+  // everything, or tie an entry on (time, sched) and be ordered by its
+  // token alone (entry 3 sits at 30 ns with token 5).
+  const EventEntry cases[] = {
+      {nanoseconds(5), 0, 100, 100, 0},     // before all
+      {nanoseconds(999), 0, 100, 100, 0},   // after all
+      {nanoseconds(30), 0, 100, 100, 4},    // tie, lower token: first
+      {nanoseconds(30), 0, 100, 100, 6},    // tie, higher token: second
+      {nanoseconds(30), 0, 100, 100, 5},    // full tie: seq decides
+      {nanoseconds(30), 0, 0, 100, 5},      // ... in both directions
+  };
+  for (const EventEntry& fresh : cases) {
+    SCOPED_TRACE(testing::Message() << "time " << fresh.time << " tie "
+                                    << fresh.tie << " seq " << fresh.seq);
+    BinaryHeapEventQueue q;
+    std::vector<EventEntry> pending = seven_entries();
+    for (const EventEntry& e : pending) q.push(e);
+    ASSERT_EQ(q.peek()->seq, take_min(pending).seq);
+    q.pop();
+    q.push(fresh);
+    pending.push_back(fresh);
+    EXPECT_EQ(q.size(), pending.size());
+    expect_drains_in_order(q, pending);
+  }
+}
+
+TEST(BinaryHeapEventQueue, PopAfterPopAndPeekBeforePush) {
+  BinaryHeapEventQueue q;
+  std::vector<EventEntry> pending = seven_entries();
+  for (const EventEntry& e : pending) q.push(e);
+
+  // pop -> pop: the second pop settles the first pop's hole.
+  q.pop();
+  take_min(pending);
+  q.pop();
+  take_min(pending);
+  EXPECT_EQ(q.size(), pending.size());
+  ASSERT_NE(q.peek(), nullptr);
+  EXPECT_EQ(q.peek()->seq, 3u);
+
+  // pop -> peek -> push: the peek settles the hole, the push sifts up.
+  q.pop();
+  take_min(pending);
+  ASSERT_NE(q.peek(), nullptr);
+  EXPECT_EQ(q.peek()->seq, 4u);
+  const EventEntry fresh{nanoseconds(35), 0, 100, 100, 0};
+  q.push(fresh);
+  pending.push_back(fresh);
+  EXPECT_EQ(q.peek()->seq, 100u);
+  expect_drains_in_order(q, pending);
+}
+
+TEST(BinaryHeapEventQueue, SizeAndEmptyExcludeTheVacatedRoot) {
+  BinaryHeapEventQueue q;
+  q.push({nanoseconds(1), 0, 1, 0});
+  q.pop();
+  EXPECT_EQ(q.size(), 0u);
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.peek(), nullptr);
+
+  q.push({nanoseconds(2), 0, 2, 0});
+  q.pop();
+  q.push({nanoseconds(3), 0, 3, 0});  // refills the root
+  EXPECT_EQ(q.size(), 1u);
+  EXPECT_FALSE(q.empty());
+  ASSERT_NE(q.peek(), nullptr);
+  EXPECT_EQ(q.peek()->seq, 3u);
+
+  q.push({nanoseconds(4), 0, 4, 0});
+  q.push({nanoseconds(5), 0, 5, 0});
+  q.pop();
+  EXPECT_EQ(q.size(), 2u);
+  EXPECT_FALSE(q.empty());
+  q.pop();
+  q.pop();
+  EXPECT_EQ(q.size(), 0u);
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.peek(), nullptr);
+}
+
+TEST(BinaryHeapEventQueue, MatchesSortedOrderInTheEnginePattern) {
+  // The engine's own pattern, differential against the oracle: pop the
+  // minimum, then push 0-3 entries at or after the popped time, as a
+  // callback scheduling its successors does. Delays mix same-instant
+  // ties, two fixed hop delays and random gaps; the pending set swings
+  // between a few dozen and a few hundred entries.
+  BinaryHeapEventQueue heap;
+  std::vector<EventEntry> pending;
+  Rng rng(0x5EEDull);
+  std::uint64_t seq = 1;
+  const auto push = [&](TimePs now, TimePs delta) {
+    const auto tie = static_cast<std::uint32_t>(rng.uniform() * 3);
+    const EventEntry e{now + delta, now, seq,
+                       static_cast<std::uint32_t>(seq), tie};
+    ++seq;
+    heap.push(e);
+    pending.push_back(e);
+  };
+  for (int i = 0; i < 50; ++i) {
+    push(0, static_cast<TimePs>(rng.uniform() * 1e6));
+  }
+  std::uint64_t ops = 0;
+  while (ops < 120'000) {
+    const EventEntry* top = heap.peek();
+    ASSERT_NE(top, nullptr);
+    const EventEntry want = take_min(pending);
+    ASSERT_EQ(top->seq, want.seq) << "op " << ops;
+    heap.pop();
+    ++ops;
+    ASSERT_EQ(heap.size(), pending.size());
+    int pushes = static_cast<int>(rng.uniform() * 4);
+    if (pending.size() > 400) pushes = std::min(pushes, 1);
+    if (pending.size() < 30) pushes = std::max(pushes, 1);
+    for (int i = 0; i < pushes; ++i, ++ops) {
+      const double r = rng.uniform();
+      TimePs delta;
+      if (r < 0.2) {
+        delta = 0;
+      } else if (r < 0.55) {
+        delta = nanoseconds(84);  // a serialization time
+      } else if (r < 0.9) {
+        delta = microseconds(1);  // a propagation delay
+      } else {
+        delta = static_cast<TimePs>(rng.uniform() * 1e8);
+      }
+      push(want.time, delta);
+    }
+  }
+  ASSERT_EQ(heap.size(), pending.size());
+  expect_drains_in_order(heap, pending);
 }
 
 TEST(Simulator, FarFutureTombstoneDoesNotReorderLaterEvents) {

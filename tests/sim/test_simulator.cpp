@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 namespace powertcp::sim {
@@ -232,6 +234,99 @@ TEST(Simulator, RecursiveSchedulingChains) {
   s.run();
   EXPECT_EQ(count, 100);
   EXPECT_EQ(s.now(), nanoseconds(990));
+}
+
+TEST(Simulator, RunningEventIsNotCountedInsideItsCallback) {
+  // The executing event has left the pending set before its callback
+  // runs: pending(), tombstones() and next_event_time() see only the
+  // events still to come, before and after the callback schedules more.
+  Simulator s;
+  const EventId doomed = s.schedule_at(nanoseconds(30), [] { FAIL(); });
+  s.schedule_at(nanoseconds(20), [] {});
+  bool checked = false;
+  s.schedule_at(nanoseconds(10), [&] {
+    EXPECT_EQ(s.tombstones(), 0u);
+    EXPECT_TRUE(s.pending());
+    EXPECT_EQ(s.next_event_time(), nanoseconds(20));
+    s.cancel(doomed);
+    EXPECT_EQ(s.tombstones(), 1u);
+    s.schedule_in(nanoseconds(5), [] {});
+    EXPECT_EQ(s.tombstones(), 1u);
+    EXPECT_EQ(s.next_event_time(), nanoseconds(15));
+    checked = true;
+  });
+  s.run_until(nanoseconds(10));
+  EXPECT_TRUE(checked);
+  EXPECT_EQ(s.events_executed(), 1u);
+  s.run();
+  EXPECT_EQ(s.events_executed(), 3u);
+  EXPECT_EQ(s.tombstones(), 0u);
+  EXPECT_FALSE(s.pending());
+
+  // The last pending event: nothing is left while it runs.
+  Simulator last;
+  last.schedule_at(nanoseconds(1), [&] {
+    EXPECT_FALSE(last.pending());
+    EXPECT_EQ(last.tombstones(), 0u);
+    EXPECT_EQ(last.next_event_time(), kTimeInfinity);
+  });
+  last.run();
+  EXPECT_EQ(last.events_executed(), 1u);
+}
+
+TEST(Simulator, ThrowingCallbackLeavesEngineConsistent) {
+  // A callback that throws unwinds out of run() with its event already
+  // removed; a later run() drains the rest in key order, including the
+  // events the thrower scheduled before throwing.
+  Simulator s;
+  std::vector<int> order;
+  s.schedule_at(nanoseconds(40), [&] { order.push_back(4); });
+  s.schedule_at(nanoseconds(20), [&] { order.push_back(2); });
+  s.schedule_at(nanoseconds(10), [&] {
+    order.push_back(1);
+    s.schedule_at(nanoseconds(30), [&] { order.push_back(3); });
+    throw std::runtime_error("callback failed");
+  });
+  s.schedule_at(nanoseconds(10), [&] {
+    order.push_back(0);
+    throw std::runtime_error("callback failed before scheduling");
+  });
+  EXPECT_THROW(s.run(), std::runtime_error);
+  EXPECT_EQ(s.now(), nanoseconds(10));
+  EXPECT_EQ(s.tombstones(), 0u);
+  EXPECT_EQ(s.next_event_time(), nanoseconds(10));
+  EXPECT_THROW(s.run(), std::runtime_error);
+  EXPECT_EQ(s.events_executed(), 2u);
+  EXPECT_EQ(s.tombstones(), 0u);
+  EXPECT_EQ(s.next_event_time(), nanoseconds(20));
+  s.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 0, 2, 3, 4}));
+  EXPECT_EQ(s.events_executed(), 5u);
+  EXPECT_FALSE(s.pending());
+}
+
+TEST(Simulator, ScheduleInPastTheClockRangeThrows) {
+  // The range check runs before now + delay is formed: the error names
+  // the overflow, not a wrapped time that happens to lie in the past.
+  Simulator s;
+  s.schedule_at(microseconds(1), [] {});
+  s.run();
+  const TimePs too_far = kTimeInfinity - s.now() + 1;
+  for (const TimePs delay : {kTimeInfinity, too_far}) {
+    try {
+      s.schedule_in(delay, [] {});
+      ADD_FAILURE() << "schedule_in(" << delay << ") did not throw";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("overflows the clock"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_FALSE(s.pending());
+  // The last representable instant is still schedulable.
+  s.schedule_in(kTimeInfinity - microseconds(1), [] {});
+  EXPECT_EQ(s.next_event_time(), kTimeInfinity);
+  EXPECT_TRUE(s.pending());
 }
 
 TEST(TimeHelpers, UnitConversionsAreExact) {
