@@ -121,11 +121,31 @@ void FlowSender::arm_rto() {
   sim::Simulator& sim = host_.simulator();
   // A timeout past the end of the clock can never fire: leave it unarmed.
   if (current_rto_ > sim::kTimeInfinity - sim.now()) return;
+  rto_deadline_ = sim.reserve_in(current_rto_);
+  schedule_rto_entry();
+}
+
+void FlowSender::restart_rto() {
+  sim::Simulator& sim = host_.simulator();
+  if (current_rto_ > sim::kTimeInfinity - sim.now()) {
+    cancel_rto();
+    return;
+  }
+  // The deadline takes its key here, where re-scheduling the timer
+  // would. An armed entry due no later than it stays in the heap and
+  // re-arms itself on the key when it comes due; only a deadline that
+  // moved earlier (the first progress after a backoff) replaces it.
+  rto_deadline_ = sim.reserve_in(current_rto_);
+  if (rto_armed_ && rto_deadline_.time >= rto_entry_at_) return;
+  cancel_rto();
+  schedule_rto_entry();
+}
+
+void FlowSender::schedule_rto_entry() {
   rto_armed_ = true;
-  rto_timer_ = sim.schedule_in(current_rto_, [this] {
-    rto_armed_ = false;
-    on_rto();
-  });
+  rto_entry_at_ = rto_deadline_.time;
+  rto_timer_ = host_.simulator().schedule_reserved(rto_deadline_,
+                                                   [this] { on_rto_due(); });
 }
 
 void FlowSender::cancel_rto() {
@@ -133,6 +153,18 @@ void FlowSender::cancel_rto() {
     host_.simulator().cancel(rto_timer_);
     rto_armed_ = false;
   }
+}
+
+void FlowSender::on_rto_due() {
+  if (rto_timer_.seq != rto_deadline_.seq) {
+    // Progress moved the deadline after this entry was armed: wake up
+    // and wait for the deadline's own key. Not a logical event.
+    host_.simulator().note_wakeup();
+    schedule_rto_entry();
+    return;
+  }
+  rto_armed_ = false;
+  on_rto();
 }
 
 void FlowSender::on_rto() {
@@ -189,14 +221,13 @@ void FlowSender::on_ack(const net::Packet& ack) {
   }
   if (newly_acked > 0) {
     // Fresh progress: restart the retransmission clock.
-    cancel_rto();
     current_rto_ = std::max(
         cfg_.min_rto,
         std::max(static_cast<sim::TimePs>(
                      static_cast<double>(params_.base_rtt) *
                      cfg_.rto_base_rtt_factor),
                  2 * srtt_));
-    arm_rto();
+    restart_rto();
   }
   try_send();
 }

@@ -88,7 +88,10 @@ class FlowSender {
   void send_one();
   void arm_pacing_timer(sim::TimePs when);
   void arm_rto();
+  void restart_rto();
+  void schedule_rto_entry();
   void cancel_rto();
+  void on_rto_due();
   void on_rto();
   std::int32_t next_payload() const;
 
@@ -109,8 +112,13 @@ class FlowSender {
   std::int32_t quantum_left_ = 0;
   bool pacing_timer_armed_ = false;
   sim::EventId pacing_timer_{};
+  /// The RTO keeps at most one heap entry. A progress ack only reserves
+  /// the new deadline's key; the armed entry, due no later, re-arms
+  /// itself on that key when it comes due (on_rto_due).
   bool rto_armed_ = false;
   sim::EventId rto_timer_{};
+  sim::TimePs rto_entry_at_ = 0;    ///< time of the armed entry
+  sim::Reservation rto_deadline_{};  ///< key the timeout fires at
   sim::EventId start_event_{};
   sim::TimePs current_rto_ = 0;
   sim::TimePs srtt_ = 0;

@@ -7,18 +7,25 @@ namespace powertcp::net {
 
 EgressPort::EgressPort(sim::Simulator& simulator, sim::Bandwidth bw,
                        sim::TimePs propagation_delay)
-    : sim_(simulator), bandwidth_(bw), propagation_(propagation_delay) {}
+    : sim_(simulator),
+      bandwidth_(bw),
+      propagation_(propagation_delay),
+      finish_(simulator) {}
 
 EgressPort::~EgressPort() {
-  // The pending wakeup and the in-flight serialization both capture
-  // `this`; cancel them so destroying a port mid-run (e.g. tearing a
-  // topology down) cannot leave a dangling callback in the engine.
-  // Packets already on the wire (propagation events) still reference
-  // this port and its peer: as in the pre-pool engine, nodes must
-  // outlive deliveries in flight — don't run the simulator after
-  // destroying parts of a network that still has packets airborne.
+  // The pending wakeup, the finish and the delivery of a packet still
+  // being serialized all capture `this`; cancel them so destroying a
+  // port mid-run (e.g. tearing a topology down) cannot leave a dangling
+  // callback in the engine. Packets whose serialization has finished
+  // (propagation events) still reference this port and its peer: as in
+  // the pre-pool engine, nodes must outlive deliveries in flight —
+  // don't run the simulator after destroying parts of a network that
+  // still has packets airborne.
   if (pending_kick_at_ != sim::kTimeInfinity) sim_.cancel(pending_kick_id_);
-  if (busy_) sim_.cancel(tx_event_);
+  if (busy()) {
+    if (!finish_.held()) sim_.cancel(tx_event_);
+    sim_.cancel(tx_delivery_);
+  }
 }
 
 bool EgressPort::enqueue(Packet&& pkt) {
@@ -55,7 +62,18 @@ bool EgressPort::enqueue(Packet&& pkt) {
 }
 
 void EgressPort::kick() {
-  if (busy_) return;
+  if (busy_) {
+    // An elided finish: if its key is still ahead, the backlog it will
+    // serve just grew, so it runs as an event at that key after all;
+    // once the key has passed, the wire is idle.
+    if (!finish_.held()) return;
+    if (!finish_.passed()) {
+      tx_event_ = finish_.schedule([this] { finish_tx(); });
+      return;
+    }
+    finish_.settle();
+    busy_ = false;
+  }
   SelectResult sel = try_select();
   if (sel.pkt.has_value()) {
     if (pending_kick_at_ != sim::kTimeInfinity) {
@@ -95,49 +113,55 @@ void EgressPort::start_tx(Packet&& pkt) {
   }
   if (sojourn_cb_) sojourn_cb_(sim_.now() - pkt.enqueue_time);
   sample_queue();
-  tx_bytes_ += pkt.wire_bytes();
+  const std::int64_t wire = pkt.wire_bytes();
+  tx_bytes_ += wire;
   ++tx_packets_;
-  const sim::TimePs tx_time = bandwidth_.tx_time(pkt.wire_bytes());
+  // The finish takes its key exactly where scheduling it would. It gets
+  // a heap entry below only if it will have something to do; an idle
+  // finish stays a reservation (see kick() and busy()). The shared
+  // buffer frees the packet's bytes at that key either way.
+  finish_.reserve_in(bandwidth_.tx_time(wire));
+  const sim::TimePs finish = finish_.key().time;
+  if (shared_buffer_ != nullptr) {
+    shared_buffer_->release_at(finish_.key(), wire);
+  }
   if (remote_ != nullptr) {
     // EARLY PUBLICATION (lookahead batching): the packet's content is
     // final here — ECN was decided at enqueue, INT stamped above — and
-    // so are its serialization finish (now + tx_time, the causal stamp
-    // the sequential engine's finish_tx would use) and delivery time.
-    // Publishing at start_tx instead of finish_tx guarantees every
-    // cross-shard delivery lands at least tx_time(min packet) beyond
-    // the event that produced it, which is what lets the cut-link
-    // weight — and therefore the engine's lookahead windows — include
-    // the flit serialization delay on top of propagation (see
+    // so are its serialization finish (the causal stamp) and delivery
+    // time. Publishing at start_tx guarantees every cross-shard
+    // delivery lands at least tx_time(min packet) beyond the event
+    // that produced it, which is what lets the cut-link weight — and
+    // therefore the engine's lookahead windows — include the flit
+    // serialization delay on top of propagation (see
     // ShardedSimulator::add_cut_edge and docs/performance.md §6).
-    const std::int64_t wire = pkt.wire_bytes();
-    remote_->send(sim_.now() + tx_time + propagation_, sim_.now() + tx_time,
-                  tie_token_, std::move(pkt));
-    tx_event_ = sim_.schedule_in(tx_time, [this, wire] { free_wire(wire); });
+    remote_->send(finish + propagation_, finish, tie_token_, std::move(pkt));
+  } else if (peer_ != nullptr) {
+    // The local delivery takes the same shape: scheduled now, stamped
+    // with the finish as its causal time and carrying the port's tie
+    // token, so its key is the one scheduling it at the finish gave.
+    // The packet rides in the pool, not the closure: capturing it by
+    // value would heap-allocate ~350 bytes per transmission. It stays
+    // parked under this one handle until the peer receives it.
+    const PacketPool::Handle h = pool_.put(std::move(pkt));
+    tx_delivery_ = sim_.schedule_stamped(
+        finish, finish + propagation_, tie_token_,
+        [this, h] { peer_->receive(pool_.take(h), peer_in_port_); });
+  } else {
+    // Nobody to deliver to: the packet stays parked for its
+    // serialization, so the finish must run to free it.
+    const PacketPool::Handle h = pool_.put(std::move(pkt));
+    tx_event_ = finish_.schedule([this, h] {
+      pool_.take(h);
+      finish_tx();
+    });
     return;
   }
-  // The packet rides in the pool, not the closure: capturing it by
-  // value would heap-allocate ~350 bytes per transmission. It stays
-  // parked under this one handle until the peer receives it.
-  const PacketPool::Handle h = pool_.put(std::move(pkt));
-  tx_event_ = sim_.schedule_in(tx_time, [this, h] { finish_tx(h); });
+  if (!finish_is_idle()) tx_event_ = finish_.schedule([this] { finish_tx(); });
 }
 
-void EgressPort::finish_tx(PacketPool::Handle h) {
-  const std::int64_t wire = pool_.get(h).wire_bytes();
-  if (peer_ != nullptr) {
-    sim_.schedule_tied_at(sim_.now() + propagation_, tie_token_, [this, h] {
-      peer_->receive(pool_.take(h), peer_in_port_);
-    });
-  } else {
-    pool_.take(h);  // nobody to deliver to: free the slot now
-  }
-  free_wire(wire);
-}
-
-void EgressPort::free_wire(std::int64_t wire_bytes) {
+void EgressPort::finish_tx() {
   busy_ = false;
-  if (shared_buffer_ != nullptr) shared_buffer_->on_dequeue(wire_bytes);
-  if (tx_monitor_ != nullptr) tx_monitor_->add_bytes(sim_.now(), wire_bytes);
   kick();
 }
 

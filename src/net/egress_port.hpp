@@ -68,7 +68,10 @@ class EgressPort {
   /// The installed policy, or nullptr (hosts, disabled-ECN fabrics).
   const Aqm* aqm() const { return aqm_.get(); }
   void set_int_enabled(bool on) { int_enabled_ = on; }
-  void set_shared_buffer(DtSharedBuffer* buf) { shared_buffer_ = buf; }
+  void set_shared_buffer(DtSharedBuffer* buf) {
+    shared_buffer_ = buf;
+    if (buf != nullptr) buf->attach(sim_);
+  }
 
   /// Admits (or drops) a packet and starts the transmitter if idle.
   /// Returns false iff the packet was dropped by buffer admission.
@@ -93,14 +96,15 @@ class EgressPort {
   /// Cumulative packets ECN-marked by this port's AQM — a
   /// flight-recorder tap point.
   std::uint64_t ecn_marks() const { return ecn_marks_; }
-  bool busy() const { return busy_; }
+  /// True while a packet is being serialized. An elided finish (see
+  /// start_tx) flips this exactly at its key.
+  bool busy() const { return busy_ && !(finish_.held() && finish_.passed()); }
   /// Packets parked in this port's pool: the one being serialized plus
   /// those propagating to the peer. Zero once the network drains.
   std::size_t parked_packets() const { return pool_.live(); }
 
   /// Optional monitoring hooks (not owned).
   void set_queue_monitor(stats::QueueSeries* m) { queue_monitor_ = m; }
-  void set_tx_monitor(stats::ThroughputSeries* m) { tx_monitor_ = m; }
   void set_sojourn_callback(std::function<void(sim::TimePs)> cb) {
     sojourn_cb_ = std::move(cb);
   }
@@ -122,21 +126,20 @@ class EgressPort {
   virtual void push_to_queue(Packet&& pkt) = 0;
   /// Chooses the next packet to serialize, or a retry time.
   virtual SelectResult try_select() = 0;
+  /// True if a serialization finishing now would leave nothing to do but
+  /// mark the wire idle: nothing to select, and no retry to arm. The
+  /// finish is then elided (see start_tx). Only ports whose empty-backlog
+  /// kick() is a no-op may say so.
+  virtual bool finish_is_idle() const { return false; }
 
   sim::Simulator& simulator() { return sim_; }
   const sim::Simulator& simulator() const { return sim_; }
 
  private:
   void start_tx(Packet&& pkt);
-  /// Serialization complete for the packet parked at `h`: hands the
-  /// same handle to the delivery event (or frees it if there is no
-  /// peer), then frees the wire.
-  void finish_tx(PacketPool::Handle h);
-  /// Frees the wire and settles byte accounting. The cross-shard path
-  /// calls it directly: its packet was already published to the remote
-  /// channel at start_tx (early publication — its delivery time,
-  /// causal stamp and content are final there).
-  void free_wire(std::int64_t wire_bytes);
+  /// The serialization finish, when it runs as an event: frees the wire
+  /// and serves the backlog.
+  void finish_tx();
   void sample_queue();
 
   sim::Simulator& sim_;
@@ -159,15 +162,21 @@ class EgressPort {
 
   sim::TimePs pending_kick_at_ = sim::kTimeInfinity;
   sim::EventId pending_kick_id_{};
-  sim::EventId tx_event_{};  ///< pending finish_tx; valid while busy_
+  /// The running serialization's finish. While busy_ it either holds the
+  /// finish's reserved key (elided) or the finish is the heap event
+  /// tx_event_.
+  sim::ElidableEvent finish_;
+  sim::EventId tx_event_{};
+  /// The running serialization's local delivery, scheduled at start_tx;
+  /// cancelled if the port dies before the serialization finishes.
+  sim::EventId tx_delivery_{};
 
   /// Parks each packet from start_tx until its delivery event, so the
-  /// finish and delivery events capture an 8-byte handle, not the
-  /// packet, and the packet is not moved in between.
+  /// delivery event captures an 8-byte handle, not the packet, and the
+  /// packet is not moved in between.
   PacketPool pool_;
 
   stats::QueueSeries* queue_monitor_ = nullptr;
-  stats::ThroughputSeries* tx_monitor_ = nullptr;
   std::function<void(sim::TimePs)> sojourn_cb_;
 };
 
@@ -184,6 +193,7 @@ class BasicPort final : public EgressPort {
  protected:
   void push_to_queue(Packet&& pkt) override { queue_->push(std::move(pkt)); }
   SelectResult try_select() override;
+  bool finish_is_idle() const override { return queue_->empty(); }
 
  private:
   std::unique_ptr<QueueDiscipline> queue_;

@@ -8,20 +8,44 @@ EventId Simulator::schedule_at(TimePs t, Callback cb) {
                                 format_time(t) + " is before now " +
                                 format_time(now_));
   }
-  return enqueue(t, now_, 0, 0, std::move(cb));
+  return enqueue(t, now_, 0, next_seq_++, 0, std::move(cb));
 }
 
-EventId Simulator::schedule_tied_at(TimePs t, std::uint32_t tie, Callback cb) {
+EventId Simulator::schedule_stamped(TimePs sched, TimePs t, std::uint32_t tie,
+                                    Callback cb) {
   if (t < now_) {
-    throw std::invalid_argument("Simulator::schedule_tied_at: time " +
+    throw std::invalid_argument("Simulator::schedule_stamped: time " +
                                 format_time(t) + " is before now " +
                                 format_time(now_));
   }
-  return enqueue(t, now_, tie, 0, std::move(cb));
+  if (sched > t) {
+    throw std::invalid_argument("Simulator::schedule_stamped: sched " +
+                                format_time(sched) + " is after time " +
+                                format_time(t));
+  }
+  return enqueue(t, sched, tie, next_seq_++, 0, std::move(cb));
+}
+
+EventId Simulator::schedule_reserved(const Reservation& r, Callback cb) {
+  if (!r.held()) {
+    throw std::invalid_argument(
+        "Simulator::schedule_reserved: the reservation holds no key");
+  }
+  if (passed(r)) {
+    throw std::logic_error("Simulator::schedule_reserved: key at " +
+                           format_time(r.time) +
+                           " has passed; it can no longer run in order");
+  }
+  return enqueue(r.time, r.sched, 0, r.seq, 0, std::move(cb));
 }
 
 EventId Simulator::schedule_from(TimePs sched_time, TimePs t, Callback cb,
                                  std::uint32_t origin, std::uint32_t tie) {
+  if (t < now_) {
+    throw std::invalid_argument("Simulator::schedule_from: time " +
+                                format_time(t) + " is before now " +
+                                format_time(now_));
+  }
   if (sched_time > t) {
     throw std::invalid_argument("Simulator::schedule_from: sched_time " +
                                 format_time(sched_time) + " is after time " +
@@ -31,12 +55,12 @@ EventId Simulator::schedule_from(TimePs sched_time, TimePs t, Callback cb,
     throw std::invalid_argument(
         "Simulator::schedule_from: origin 0 is reserved for local events");
   }
-  return enqueue(t, sched_time, tie, origin, std::move(cb));
+  return enqueue(t, sched_time, tie, next_seq_++, origin, std::move(cb));
 }
 
 EventId Simulator::enqueue(TimePs t, TimePs sched, std::uint32_t tie,
-                           std::uint32_t origin, Callback cb) {
-  const std::uint64_t seq = next_seq_++;
+                           std::uint64_t seq, std::uint32_t origin,
+                           Callback cb) {
   std::uint32_t slot;
   if (!free_slots_.empty()) {
     slot = free_slots_.back();
@@ -76,14 +100,11 @@ bool Simulator::pop_and_run_next(TimePs limit) {
     // structurally impossible; the counter stays as the safety net the
     // harness polices.
     const std::uint32_t origin = slots_[top.slot].origin;
-    if (have_prev_ && prev_time_ == top.time && prev_sched_ == top.sched &&
-        prev_tie_ == top.tie && prev_origin_ != origin) {
+    if (cur_.time == top.time && cur_.sched == top.sched &&
+        cur_.tie == top.tie && prev_origin_ != origin) {
       ++ambiguities_;
     }
-    have_prev_ = true;
-    prev_time_ = top.time;
-    prev_sched_ = top.sched;
-    prev_tie_ = top.tie;
+    cur_ = top;
     prev_origin_ = origin;
     Callback cb = std::move(slots_[top.slot].cb);
     release_slot(top.slot);
@@ -100,13 +121,24 @@ void Simulator::run() {
   stopped_ = false;
   while (!stopped_ && pop_and_run_next(kTimeInfinity)) {
   }
+  if (stopped_) return;
+  // Drained. Elided events still held lie after the last executed one
+  // (a passed key is settled or counted already); the last of them is
+  // the last logical event.
+  for (const ElidableEvent* e : elidable_) {
+    if (e->held() && e->key().time > now_) now_ = e->key().time;
+  }
+  settle_to_now();
 }
 
 void Simulator::run_until(TimePs t) {
   stopped_ = false;
   while (!stopped_ && pop_and_run_next(t)) {
   }
-  if (!stopped_ && now_ < t) now_ = t;
+  if (!stopped_ && now_ <= t) {
+    now_ = t;
+    settle_to_now();
+  }
 }
 
 void Simulator::run_events_before(TimePs end) {
@@ -116,6 +148,23 @@ void Simulator::run_events_before(TimePs end) {
   stopped_ = false;
   while (!stopped_ && pop_and_run_next(end - 1)) {
   }
+}
+
+std::uint64_t Simulator::events_elided() const {
+  std::uint64_t n = elided_;
+  for (const ElidableEvent* e : elidable_) {
+    if (e->held() && passed(e->key())) ++n;
+  }
+  return n;
+}
+
+ElidableEvent::~ElidableEvent() {
+  if (held() && passed()) ++sim_.elided_;
+  // Swap-remove from the engine's registry, keeping indices exact.
+  ElidableEvent* last = sim_.elidable_.back();
+  sim_.elidable_[index_] = last;
+  last->index_ = index_;
+  sim_.elidable_.pop_back();
 }
 
 TimePs Simulator::next_event_time() {

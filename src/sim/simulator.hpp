@@ -1,5 +1,6 @@
 #pragma once
 
+#include <compare>
 #include <cstdint>
 #include <stdexcept>
 #include <vector>
@@ -26,6 +27,15 @@
 /// that could grow when stale ids are cancelled — and leaves only the
 /// POD queue entry behind as a tombstone that is discarded when it
 /// reaches the top.
+///
+/// Some events only matter if something reads their effect before a
+/// later event would have undone it. For those the engine hands out a
+/// RESERVED key (reserve_in): the full (time, sched, tie, seq) key the
+/// event would have had, taken at the exact point schedule_in would
+/// take it, but with no heap entry behind it. The owner pushes the
+/// entry later (schedule_reserved) only if the event turns out to
+/// matter while its key is still ahead of the running event (passed()),
+/// and otherwise applies the event's effects lazily, in key order.
 
 namespace powertcp::sim {
 
@@ -36,6 +46,20 @@ struct EventId {
   std::uint32_t slot = 0;
   constexpr bool operator==(const EventId&) const = default;
 };
+
+/// An event key taken without scheduling (Simulator::reserve_in). Its
+/// `tie` is always 0: reservations stand for ordinary local events, so
+/// the member-wise order is the engine's key order. `seq` 0 means
+/// nothing is reserved.
+struct Reservation {
+  TimePs time = 0;
+  TimePs sched = 0;
+  std::uint64_t seq = 0;
+  bool held() const { return seq != 0; }
+  auto operator<=>(const Reservation&) const = default;
+};
+
+class ElidableEvent;
 
 class Simulator {
  public:
@@ -61,16 +85,54 @@ class Simulator {
     return schedule_at(now_ + delay, std::move(cb));
   }
 
-  /// Schedules `cb` at absolute time `t` carrying tie token `tie`
-  /// (0 degenerates to schedule_at): the event sorts among
-  /// same-(time, sched) peers by the token BEFORE falling back to
-  /// scheduling order. Packet deliveries
-  /// use this with their egress port's topology-derived token (see
-  /// net::Node::attach_port) so that same-picosecond delivery ties
-  /// resolve by a key that is identical in sequential and sharded runs
-  /// — the exact-ordering half of the tie-token scheme; schedule_from
-  /// carries the same token across a shard boundary.
-  EventId schedule_tied_at(TimePs t, std::uint32_t tie, Callback cb);
+  /// Schedules `cb` at absolute time `t` (>= now()) with causal
+  /// timestamp `sched` (<= t) and tie token `tie`: the event sorts among
+  /// same-time peers as if it had been scheduled at `sched`, and among
+  /// same-(time, sched) peers by the token before scheduling order.
+  /// `sched` may lie ahead of now(). A packet delivery is scheduled this
+  /// way when its serialization STARTS, stamped with the serialization
+  /// finish as its causal time and carrying its egress port's
+  /// topology-derived token (see net::Node::attach_port), so that
+  /// same-picosecond delivery ties resolve by a key that is identical in
+  /// sequential and sharded runs; schedule_from carries the same token
+  /// across a shard boundary.
+  EventId schedule_stamped(TimePs sched, TimePs t, std::uint32_t tie,
+                           Callback cb);
+
+  /// Takes the key schedule_in(delay, ...) would take here, and the same
+  /// validation, without pushing an event. The key counts as passed()
+  /// once the engine has run past the point it would have run at.
+  Reservation reserve_in(TimePs delay) {
+    if (delay < 0 || delay > kTimeInfinity - now_) {
+      throw std::invalid_argument("Simulator::reserve_in: delay " +
+                                  format_time(delay) + " from now " +
+                                  format_time(now_) + " is out of range");
+    }
+    return Reservation{now_ + delay, now_, next_seq_++};
+  }
+
+  /// True iff `r` sorts at or before the running event's key, i.e. an
+  /// event scheduled on `r` would already have run. Between runs, after
+  /// run_until(t) or a drained run(), every key at or before now()
+  /// counts as passed (so a zero-delay reservation taken between runs
+  /// is passed at once).
+  bool passed(const Reservation& r) const {
+    if (r.time != cur_.time) return r.time < cur_.time;
+    if (r.sched != cur_.sched) return r.sched < cur_.sched;
+    return cur_.tie != 0 || r.seq <= cur_.seq;
+  }
+
+  /// Pushes the event for reservation `r`, which then runs exactly where
+  /// an event scheduled when `r` was taken would have run. Throws
+  /// std::logic_error if `r` has passed (it could no longer run in key
+  /// order) and std::invalid_argument if `r` holds no key.
+  EventId schedule_reserved(const Reservation& r, Callback cb);
+
+  /// Marks the running event as a wake-up: a deferred timer whose
+  /// heap entry came due only to re-arm itself on its reserved key (see
+  /// host::FlowSender). A wake-up is not a logical event, so
+  /// events_executed() does not count it.
+  void note_wakeup() { ++wakeups_; }
 
   /// Schedules `cb` at absolute time `t` with an EXPLICIT causal
   /// timestamp `sched_time` (<= t): the event sorts among
@@ -90,7 +152,7 @@ class Simulator {
   /// (time, sched_time, tie) but different origins are a tie whose
   /// sequential order is not locally decidable — see
   /// boundary_ambiguities(). `tie` is the producing port's tie token
-  /// (see schedule_tied_at); deliveries stamped with a nonzero token
+  /// (see schedule_stamped); deliveries stamped with a nonzero token
   /// are exactly ordered against every differently-keyed event, so
   /// with tokens flowing the detector is structurally silent.
   EventId schedule_from(TimePs sched_time, TimePs t, Callback cb,
@@ -123,7 +185,9 @@ class Simulator {
     --live_events_;
   }
 
-  /// Runs until the event queue drains or stop() is called.
+  /// Runs until the event queue drains or stop() is called. A drained
+  /// run leaves now() at the last LOGICAL event, which may be an elided
+  /// one (see ElidableEvent) later than the last executed event.
   void run();
 
   /// Runs events with time <= `t`; afterwards now() == t unless stopped
@@ -147,7 +211,18 @@ class Simulator {
 
   /// True while at least one *live* (not cancelled) event is scheduled.
   bool pending() const { return live_events_ > 0; }
-  std::uint64_t events_executed() const { return executed_; }
+
+  /// Logical events executed: heap events run, plus elided events whose
+  /// key has passed, minus wake-ups. The count is the one an engine that
+  /// scheduled every event would report, at any cut.
+  std::uint64_t events_executed() const {
+    return executed_ + events_elided() - wakeups_;
+  }
+  /// Events that never had a heap entry but whose key has passed (see
+  /// ElidableEvent): settled ones plus passed keys still held.
+  std::uint64_t events_elided() const;
+  /// Heap events that were wake-ups (note_wakeup), not logical events.
+  std::uint64_t wakeups() const { return wakeups_; }
 
   /// Queue entries for cancelled events awaiting lazy removal. Bounded by
   /// the number of currently scheduled events ever in flight; regression
@@ -179,10 +254,17 @@ class Simulator {
     free_slots_.push_back(idx);
   }
 
-  /// Stores `cb` in a free slot and pushes its queue entry; the
-  /// schedule_* entry points validate their arguments first.
+  /// Stores `cb` in a free slot and pushes its queue entry with key
+  /// (t, sched, tie, seq); the schedule_* entry points validate their
+  /// arguments first.
   EventId enqueue(TimePs t, TimePs sched, std::uint32_t tie,
-                  std::uint32_t origin, Callback cb);
+                  std::uint64_t seq, std::uint32_t origin, Callback cb);
+
+  /// Marks every key at or before now() as passed: the state after
+  /// run_until() or a drained run(), with no event running.
+  void settle_to_now() {
+    cur_ = EventEntry{now_, kTimeInfinity, UINT64_MAX, 0, UINT32_MAX};
+  }
 
   bool pop_and_run_next(TimePs limit);
 
@@ -195,16 +277,76 @@ class Simulator {
   std::uint64_t live_events_ = 0;
   bool stopped_ = false;
 
-  // Boundary ambiguity detector (see boundary_ambiguities()): key and
-  // origin of the previously executed event, carried across tombstone
-  // discards. Equal-(time, sched, tie) events pop contiguously, so
-  // checking each adjacent pair catches every run that mixes origins.
-  bool have_prev_ = false;
-  TimePs prev_time_ = 0;
-  TimePs prev_sched_ = 0;
-  std::uint32_t prev_tie_ = 0;
+  /// Key of the running event (the last executed one between events;
+  /// see settle_to_now). passed() compares against it. Time -1 before
+  /// the first event: nothing has passed.
+  EventEntry cur_{-1, -1, 0, 0, 0};
+
+  // Elision accounting (see ElidableEvent): every live ElidableEvent,
+  // the elided events already settled, and the wake-ups executed.
+  friend class ElidableEvent;
+  std::vector<ElidableEvent*> elidable_;
+  std::uint64_t elided_ = 0;
+  std::uint64_t wakeups_ = 0;
+
+  // Boundary ambiguity detector (see boundary_ambiguities()): origin of
+  // the previously executed event, whose key is cur_, carried across
+  // tombstone discards. Equal-(time, sched, tie) events pop
+  // contiguously, so checking each adjacent pair catches every run that
+  // mixes origins.
   std::uint32_t prev_origin_ = 0;
   std::uint64_t ambiguities_ = 0;
+};
+
+/// An event that runs only if something needs it to. A serialization
+/// finish that finds an empty backlog only marks its wire idle, so the
+/// port reserves the finish's key instead of scheduling it (see
+/// net::EgressPort::start_tx). The owner then either schedule()s the
+/// event while its key is still ahead, or, once the key has passed,
+/// applies the event's effects itself and settle()s it.
+///
+/// Each ElidableEvent is registered with its Simulator for its whole
+/// lifetime, so that events_executed() counts a passed key that is still
+/// held as the event it stands for: the count is exact at any cut, not
+/// only once the owner settles. Destroying one whose key has passed
+/// settles it; destroying one whose key is still ahead drops it, as
+/// cancelling its event would.
+class ElidableEvent {
+ public:
+  explicit ElidableEvent(Simulator& sim) : sim_(sim) {
+    index_ = sim_.elidable_.size();
+    sim_.elidable_.push_back(this);
+  }
+  ~ElidableEvent();
+  ElidableEvent(const ElidableEvent&) = delete;
+  ElidableEvent& operator=(const ElidableEvent&) = delete;
+
+  /// Reserves the key schedule_in(delay) would take. Precondition:
+  /// !held().
+  void reserve_in(TimePs delay) { key_ = sim_.reserve_in(delay); }
+  bool held() const { return key_.held(); }
+  const Reservation& key() const { return key_; }
+  bool passed() const { return sim_.passed(key_); }
+
+  /// Turns the held key into a heap event (see
+  /// Simulator::schedule_reserved) and lets go of it.
+  EventId schedule(Callback cb) {
+    const EventId id = sim_.schedule_reserved(key_, std::move(cb));
+    key_ = Reservation{};
+    return id;
+  }
+
+  /// Counts the held, passed key as an executed event and lets go of
+  /// it. The caller applies the event's effects.
+  void settle() {
+    ++sim_.elided_;
+    key_ = Reservation{};
+  }
+
+ private:
+  Simulator& sim_;
+  Reservation key_;
+  std::size_t index_;
 };
 
 }  // namespace powertcp::sim

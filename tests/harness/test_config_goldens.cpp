@@ -137,7 +137,9 @@ TEST(ShardedConfigGolden, Fig6QuickByteIdenticalAtFourSimThreads) {
 /// sequentially. With deliveries keyed by (time, sched, tie) the
 /// cross-shard order is exact, so the sharded run must now render the
 /// sequential goldens byte for byte WITHOUT the fallback — which
-/// run_config_no_fallback asserts.
+/// run_config_no_fallback asserts. Unlike fig6 it is in the tsan filter:
+/// a real sharded config, with elided serialization finishes on both
+/// sides of every cut, under the race detector.
 TEST(ShardedConfigGolden, Fig5QuickByteIdenticalAtFourSimThreads) {
   const std::string root = POWERTCP_SOURCE_DIR;
   RunnerLoadOptions options;

@@ -9,12 +9,53 @@
 
 #include "cc/registry.hpp"
 #include "host/flow.hpp"
+#include "net/aqm.hpp"
 #include "host/host.hpp"
 #include "net/network.hpp"
 #include "topo/dumbbell.hpp"
 
 namespace powertcp::host {
 namespace {
+
+/// Wraps a law and records what the sender did with it: acks seen, the
+/// last ack that made progress, and when the first timeout fired.
+class ProbeCc final : public cc::CcAlgorithm {
+ public:
+  struct Record {
+    std::uint64_t acks = 0;
+    sim::TimePs last_progress = -1;
+    sim::TimePs first_timeout = -1;
+  };
+  ProbeCc(std::unique_ptr<cc::CcAlgorithm> inner, const sim::Simulator& sim,
+          Record& rec)
+      : inner_(std::move(inner)), sim_(sim), rec_(rec) {}
+
+  cc::CcDecision initial() const override { return inner_->initial(); }
+  cc::CcDecision on_ack(const cc::AckContext& ctx) override {
+    ++rec_.acks;
+    if (ctx.acked_bytes > 0) rec_.last_progress = ctx.now;
+    return inner_->on_ack(ctx);
+  }
+  void on_timeout() override {
+    if (rec_.first_timeout < 0) rec_.first_timeout = sim_.now();
+    inner_->on_timeout();
+  }
+  std::string_view name() const override { return inner_->name(); }
+
+ private:
+  std::unique_ptr<cc::CcAlgorithm> inner_;
+  const sim::Simulator& sim_;
+  Record& rec_;
+};
+
+/// Drops every packet offered to its port: a blackholed link.
+class BlackholeAqm final : public net::Aqm {
+ public:
+  net::AqmVerdict on_enqueue(std::int64_t, bool, sim::TimePs) override {
+    return net::AqmVerdict{false, true};
+  }
+  const char* kind() const override { return "blackhole"; }
+};
 
 struct LifecycleFixture : ::testing::Test {
   sim::Simulator simulator;
@@ -187,6 +228,45 @@ TEST_F(LifecycleFixture, RtoBackoffSaturatesAtTheEndOfTheClock) {
   EXPECT_FALSE(rogue->complete());
   EXPECT_GE(simulator.now(), sim::seconds(100));
   EXPECT_FALSE(simulator.pending());
+}
+
+TEST_F(LifecycleFixture, LongFlowKeepsAtMostOneRtoEntryInTheHeap) {
+  // Every ack that makes progress moves the RTO deadline. It only
+  // reserves the new deadline's key; the one armed entry re-arms itself
+  // when it comes due, so no ack leaves a cancelled entry behind.
+  build(1);
+  ProbeCc::Record rec;
+  bool done = false;
+  topo->sender(0).start_flow(
+      1, topo->receiver().id(), 10'000LL * params.mss,
+      std::make_unique<ProbeCc>(factory(params), simulator, rec), params, 0,
+      [&done](const FlowCompletion&) { done = true; });
+  std::size_t worst = 0;
+  while (!done) {
+    simulator.run_until(simulator.now() + sim::microseconds(1));
+    if (!done) worst = std::max(worst, simulator.tombstones());
+  }
+  EXPECT_GE(rec.acks, 10'000u);
+  EXPECT_LE(worst, 1u);
+  EXPECT_GT(simulator.wakeups(), 0u) << "the deadline never outran its entry";
+  EXPECT_LT(simulator.wakeups(), rec.acks / 10);
+}
+
+TEST_F(LifecycleFixture, BlackholedFlowTimesOutAtTheSamePicosecond) {
+  // Deferring the RTO re-arm must not move the timeout: it fires one
+  // RTO after the last ack that made progress, at the picosecond an
+  // engine that re-scheduled the timer on every ack gives.
+  build(1);
+  ProbeCc::Record rec;
+  topo->sender(0).start_flow(
+      1, topo->receiver().id(), 1'000'000'000,
+      std::make_unique<ProbeCc>(factory(params), simulator, rec), params, 0);
+  simulator.run_until(sim::microseconds(200));
+  ASSERT_GT(rec.last_progress, 0);
+  topo->bottleneck_port().set_aqm(std::make_unique<BlackholeAqm>());
+  simulator.run_until(sim::milliseconds(2));
+  EXPECT_EQ(rec.first_timeout, 303'168'000);
+  EXPECT_GE(rec.first_timeout - rec.last_progress, sim::microseconds(100));
 }
 
 }  // namespace

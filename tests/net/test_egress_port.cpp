@@ -209,5 +209,141 @@ TEST_F(PortFixture, TxCountersAccumulate) {
   EXPECT_EQ(port->tx_bytes(), 1000 + 500);
 }
 
+// ---------------------------------------------------------------------
+// Elided serialization finishes: a finish that would find an empty
+// backlog only reserves its key. Every reader of the state it would
+// have changed must see that change exactly at the key.
+// ---------------------------------------------------------------------
+
+/// Live events in the engine (heap entries other than tombstones).
+std::size_t live_events(const sim::Simulator& s) {
+  return s.slot_count() - s.free_slot_count();
+}
+
+TEST_F(PortFixture, IdlePortLeavesOneEngineEntryPerPacket) {
+  auto a = make_port(sim::Bandwidth::gbps(10), sim::microseconds(1));
+  auto b = make_port(sim::Bandwidth::gbps(10), sim::microseconds(1));
+  a->enqueue(data_pkt(1, 952));
+  EXPECT_EQ(live_events(simulator), 1u);  // the delivery; no finish
+  b->enqueue(data_pkt(2, 952));
+  EXPECT_EQ(live_events(simulator), 2u);
+  EXPECT_EQ(simulator.tombstones(), 0u);
+  simulator.run();
+  ASSERT_EQ(sink.arrivals.size(), 2u);
+  // Two deliveries ran; both finishes were elided but still count.
+  EXPECT_EQ(simulator.events_elided(), 2u);
+  EXPECT_EQ(simulator.events_executed(), 4u);
+  EXPECT_FALSE(a->busy());
+  EXPECT_FALSE(b->busy());
+}
+
+/// Runs packet 1 onto an idle 10G port at time 0, then packets 2 and 3
+/// from one event at packet 1's finish instant, keyed before or after
+/// the finish's reserved key. Returns packet 2's INT queue length.
+std::int64_t second_packet_backlog(bool before_finish) {
+  sim::Simulator simulator;
+  SinkNode sink(simulator, 0);
+  BasicPort port(simulator, sim::Bandwidth::gbps(10), 0,
+                 std::make_unique<FifoQueue>());
+  port.set_peer(&sink, 0);
+  port.set_int_enabled(true);
+  const sim::TimePs finish = sim::Bandwidth::gbps(10).tx_time(1000);
+  const auto burst = [&] {
+    port.enqueue(data_pkt(2, 952));
+    port.enqueue(data_pkt(3, 952));
+  };
+  // Same (time, sched): the scheduling order against packet 1's
+  // start_tx decides which side of the finish's key the burst lands.
+  if (before_finish) simulator.schedule_at(finish, burst);
+  port.enqueue(data_pkt(1, 952));
+  if (!before_finish) simulator.schedule_at(finish, burst);
+  simulator.run();
+  EXPECT_EQ(sink.arrivals.size(), 3u);
+  // Packet 2 leaves at the finish instant either way.
+  EXPECT_EQ(sink.arrivals.at(1).pkt.int_hdr.hop(0).ts, finish);
+  // Before its key the finish becomes a real event; after it, elided.
+  EXPECT_EQ(simulator.events_elided(), before_finish ? 1u : 2u);
+  // The burst, three deliveries and three finishes.
+  EXPECT_EQ(simulator.events_executed(), 7u);
+  return sink.arrivals.at(1).pkt.int_hdr.hop(0).qlen_bytes;
+}
+
+TEST(ElidedFinish, SamePicosecondEnqueuesSortAroundTheReservedKey) {
+  // Before the finish: both packets queue, and the finish starts packet
+  // 2 with packet 3 behind it. After: the wire is already idle, so
+  // packet 2 starts at its own enqueue, before packet 3 arrives.
+  EXPECT_EQ(second_packet_backlog(true), 1000);
+  EXPECT_EQ(second_packet_backlog(false), 0);
+}
+
+/// Fills a 1500-byte shared buffer with packet 1 on port A, then offers
+/// a sibling port B a 1000-byte packet at A's finish instant, keyed
+/// before or after A's elided finish. Returns whether B admitted it.
+bool sibling_admitted(bool before_release) {
+  sim::Simulator simulator;
+  SinkNode sink(simulator, 0);
+  DtSharedBuffer buf(1'500, 10.0);
+  BasicPort a(simulator, sim::Bandwidth::gbps(10), 0,
+              std::make_unique<FifoQueue>());
+  BasicPort b(simulator, sim::Bandwidth::gbps(10), 0,
+              std::make_unique<FifoQueue>());
+  a.set_peer(&sink, 0);
+  b.set_peer(&sink, 1);
+  a.set_shared_buffer(&buf);
+  b.set_shared_buffer(&buf);
+  const sim::TimePs finish = sim::Bandwidth::gbps(10).tx_time(1000);
+  bool admitted = false;
+  const auto offer = [&] { admitted = b.enqueue(data_pkt(2, 952)); };
+  if (before_release) simulator.schedule_at(finish, offer);
+  EXPECT_TRUE(a.enqueue(data_pkt(1, 952)));
+  EXPECT_EQ(buf.used_bytes(), 1000);
+  if (!before_release) simulator.schedule_at(finish, offer);
+  simulator.run();
+  EXPECT_EQ(buf.used_bytes(), 0);
+  EXPECT_GE(simulator.events_elided(), 1u);  // A's finish never ran
+  return admitted;
+}
+
+TEST(ElidedFinish, SiblingAdmissionSeesTheReleaseExactlyAtItsKey) {
+  EXPECT_FALSE(sibling_admitted(true));  // 500 B free: dropped
+  EXPECT_TRUE(sibling_admitted(false));  // released first: admitted
+}
+
+TEST_F(PortFixture, BusyFlipsExactlyAtTheReservedKey) {
+  auto port = make_port(sim::Bandwidth::gbps(10), sim::microseconds(1));
+  const sim::TimePs finish = sim::Bandwidth::gbps(10).tx_time(1000);
+  std::vector<bool> seen;
+  const auto probe = [&] { seen.push_back(port->busy()); };
+  simulator.schedule_at(finish, probe);
+  port->enqueue(data_pkt(1, 952));
+  simulator.schedule_at(finish, probe);
+  EXPECT_TRUE(port->busy());
+  simulator.run_until(finish - 1);
+  EXPECT_TRUE(port->busy());
+  simulator.run_until(finish);
+  EXPECT_FALSE(port->busy());
+  EXPECT_EQ(seen, (std::vector<bool>{true, false}));
+  simulator.run();
+  EXPECT_EQ(sink.arrivals.size(), 1u);
+}
+
+TEST_F(PortFixture, PortDestroyedMidSerializationLeavesNothingInTheEngine) {
+  // Elided finish: the delivery scheduled at start_tx goes with it.
+  auto idle = make_port(sim::Bandwidth::gbps(10), sim::microseconds(1));
+  idle->enqueue(data_pkt(1, 952));
+  // Scheduled finish: a backlog made the finish a real event.
+  auto backlogged = make_port(sim::Bandwidth::gbps(10), sim::microseconds(1));
+  backlogged->enqueue(data_pkt(2, 952));
+  backlogged->enqueue(data_pkt(3, 952));
+  EXPECT_EQ(live_events(simulator), 3u);
+  idle.reset();
+  backlogged.reset();
+  EXPECT_FALSE(simulator.pending());
+  simulator.run();
+  EXPECT_TRUE(sink.arrivals.empty());
+  EXPECT_EQ(simulator.events_executed(), 0u);
+  EXPECT_EQ(simulator.events_elided(), 0u);
+}
+
 }  // namespace
 }  // namespace powertcp::net

@@ -163,8 +163,9 @@ TEST(Allocations, SteadyStateMultiHopForwardingIsAllocationFree) {
   // Two flows across a two-switch chain: every data packet is received,
   // routed and re-queued by two switches (and every ack by both on the
   // way back), so each packet is parked and redeemed in three ports'
-  // pools and crosses two shared-buffer FIFOs. Once warm, none of that
-  // may touch the heap.
+  // pools and crosses two shared-buffer FIFOs, whose release heaps take
+  // every finish's key, elided or not. Once warm, none of that may touch
+  // the heap.
   sim::Simulator simulator;
   net::Network network(simulator);
   auto* sw1 = network.add_node<net::Switch>("sw1", net::SwitchConfig{});
@@ -194,9 +195,29 @@ TEST(Allocations, SteadyStateMultiHopForwardingIsAllocationFree) {
   const std::uint64_t events = simulator.events_executed() - events_before;
   EXPECT_GT(events, 10'000u) << "expected a busy steady state";
   EXPECT_GT(sw1->port(mid.a_port).tx_packets(), 0u);
+  EXPECT_GT(simulator.events_elided(), 0u) << "no finish took the elided path";
   EXPECT_EQ(allocs, 0u) << "heap allocations per steady-state event: "
                         << static_cast<double>(allocs) /
                                static_cast<double>(events);
+}
+
+TEST(Allocations, SharedBufferReleaseHeapIsReservedWhenPortsAttach) {
+  // A port has at most one serialization in flight, so attaching it
+  // grows the buffer's release heap by one slot: releases never
+  // allocate, not even the first ones.
+  sim::Simulator simulator;
+  net::DtSharedBuffer buf(1'000'000);
+  for (int port = 0; port < 8; ++port) buf.attach(simulator);
+  const std::uint64_t before = allocations();
+  for (int port = 0; port < 8; ++port) {
+    buf.on_enqueue(1'000);
+    buf.release_at(simulator.reserve_in(sim::nanoseconds(80 * (8 - port))),
+                   1'000);
+  }
+  EXPECT_EQ(allocations() - before, 0u);
+  simulator.run_until(sim::nanoseconds(320));
+  EXPECT_EQ(buf.used_bytes(), 4'000);
+  EXPECT_TRUE(buf.admits(0, 1'000));
 }
 
 TEST(Allocations, FlightRecorderSamplingIsAllocationFree) {

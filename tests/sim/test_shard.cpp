@@ -81,6 +81,33 @@ TEST(ShardedEngine, ScheduleFromValidatesOriginAndCausality) {
                std::invalid_argument);
   EXPECT_THROW(s.schedule_from(nanoseconds(2), nanoseconds(1), [] {}, 2),
                std::invalid_argument);
+  // An ingest time behind this shard's clock would break monotonicity.
+  s.run_until(nanoseconds(10));
+  EXPECT_THROW(s.schedule_from(0, nanoseconds(9), [] {}, 2),
+               std::invalid_argument);
+  EXPECT_NO_THROW(s.schedule_from(0, nanoseconds(10), [] {}, 2));
+}
+
+TEST(ShardedEngine, StampedAndReservedSchedulingValidateTheirKeys) {
+  Simulator s;
+  s.run_until(nanoseconds(10));
+  // A causal stamp may lie ahead of now(), but never after the event.
+  EXPECT_THROW(s.schedule_stamped(nanoseconds(12), nanoseconds(11), 1, [] {}),
+               std::invalid_argument);
+  EXPECT_THROW(s.schedule_stamped(0, nanoseconds(9), 1, [] {}),
+               std::invalid_argument);
+  EXPECT_NO_THROW(s.schedule_stamped(nanoseconds(11), nanoseconds(11), 1,
+                                     [] {}));
+  EXPECT_THROW(s.reserve_in(-1), std::invalid_argument);
+  EXPECT_THROW(s.reserve_in(kTimeInfinity), std::invalid_argument);
+  EXPECT_THROW(s.schedule_reserved(Reservation{}, [] {}),
+               std::invalid_argument);
+  // A reservation whose key has passed can no longer run in key order.
+  const Reservation r = s.reserve_in(nanoseconds(5));
+  s.run_until(nanoseconds(15));
+  EXPECT_THROW(s.schedule_reserved(r, [] {}), std::logic_error);
+  const Reservation ahead = s.reserve_in(nanoseconds(5));
+  EXPECT_NO_THROW(s.schedule_reserved(ahead, [] {}));
 }
 
 // ---------------------------------------------------------------------

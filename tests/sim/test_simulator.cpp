@@ -329,6 +329,114 @@ TEST(Simulator, ScheduleInPastTheClockRangeThrows) {
   EXPECT_TRUE(s.pending());
 }
 
+TEST(Simulator, ReservedKeyRunsWhereScheduleInWouldHavePutIt) {
+  // The reservation takes its seq between A's and B's, so the event
+  // scheduled on it later still runs between them.
+  Simulator s;
+  std::vector<char> order;
+  Reservation r;
+  s.schedule_at(0, [&] {
+    s.schedule_in(nanoseconds(10), [&] { order.push_back('A'); });
+    r = s.reserve_in(nanoseconds(10));
+    s.schedule_in(nanoseconds(10), [&] { order.push_back('B'); });
+  });
+  s.schedule_at(nanoseconds(5), [&] {
+    EXPECT_FALSE(s.passed(r));
+    s.schedule_reserved(r, [&] { order.push_back('R'); });
+  });
+  s.run();
+  EXPECT_EQ(order, (std::vector<char>{'A', 'R', 'B'}));
+  EXPECT_EQ(s.events_executed(), 5u);
+}
+
+TEST(Simulator, PassedComparesAgainstTheRunningEventsKey) {
+  Simulator s;
+  Reservation r;
+  std::vector<bool> seen;
+  const auto probe = [&] { seen.push_back(s.passed(r)); };
+  // Same picosecond, same causal time: scheduling order decides. The
+  // first probe is scheduled before r is taken, the second after.
+  s.schedule_at(nanoseconds(10), probe);
+  s.schedule_at(0, [&] {
+    r = s.reserve_in(nanoseconds(10));
+    s.schedule_in(nanoseconds(10), probe);
+  });
+  EXPECT_FALSE(s.passed(Reservation{0, 0, 1}));  // before any run
+  s.run_until(nanoseconds(9));
+  EXPECT_FALSE(s.passed(r));
+  s.run();
+  EXPECT_EQ(seen, (std::vector<bool>{false, true}));
+  EXPECT_TRUE(s.passed(r));
+}
+
+TEST(Simulator, ElidedEventCountsOnceItsKeyPassesAtAnyCut) {
+  Simulator s;
+  ElidableEvent e(s);
+  s.schedule_at(0, [&] { e.reserve_in(nanoseconds(10)); });
+  s.schedule_at(nanoseconds(20), [] {});
+  s.run_until(nanoseconds(9));
+  EXPECT_EQ(s.events_elided(), 0u);
+  EXPECT_EQ(s.events_executed(), 1u);
+  s.run_until(nanoseconds(10));
+  EXPECT_TRUE(e.held());
+  EXPECT_EQ(s.events_elided(), 1u);
+  EXPECT_EQ(s.events_executed(), 2u);
+  e.settle();  // settling a counted key does not count it twice
+  EXPECT_EQ(s.events_elided(), 1u);
+  s.run();
+  EXPECT_EQ(s.events_executed(), 3u);
+}
+
+TEST(Simulator, ScheduledElidableEventIsCountedOnceAsExecuted) {
+  Simulator s;
+  ElidableEvent e(s);
+  int fired = 0;
+  s.schedule_at(0, [&] { e.reserve_in(nanoseconds(10)); });
+  s.schedule_at(nanoseconds(5), [&] { e.schedule([&] { ++fired; }); });
+  s.run();
+  EXPECT_EQ(fired, 1);
+  EXPECT_FALSE(e.held());
+  EXPECT_EQ(s.events_elided(), 0u);
+  EXPECT_EQ(s.events_executed(), 3u);
+}
+
+TEST(Simulator, DrainedRunEndsAtTheLastLogicalEvent) {
+  Simulator s;
+  ElidableEvent e(s);
+  s.schedule_at(nanoseconds(1), [&] { e.reserve_in(nanoseconds(99)); });
+  s.run();
+  EXPECT_EQ(s.now(), nanoseconds(100));
+  EXPECT_TRUE(e.passed());
+  EXPECT_EQ(s.events_executed(), 2u);
+}
+
+TEST(Simulator, DestroyedElidableEventCountsOnlyIfItsKeyPassed) {
+  Simulator s;
+  {
+    ElidableEvent ahead(s);
+    ahead.reserve_in(nanoseconds(10));
+  }  // dropped, as cancelling its event would
+  EXPECT_EQ(s.events_elided(), 0u);
+  {
+    ElidableEvent done(s);
+    done.reserve_in(nanoseconds(10));
+    s.run_until(nanoseconds(10));
+  }  // ran logically: still counted once its owner is gone
+  EXPECT_EQ(s.events_elided(), 1u);
+  EXPECT_EQ(s.events_executed(), 1u);
+}
+
+TEST(Simulator, WakeupsAreNotLogicalEvents) {
+  Simulator s;
+  s.schedule_at(nanoseconds(10), [&] { s.note_wakeup(); });
+  s.schedule_at(nanoseconds(20), [] {});
+  s.run_until(nanoseconds(10));
+  EXPECT_EQ(s.wakeups(), 1u);
+  EXPECT_EQ(s.events_executed(), 0u);
+  s.run();
+  EXPECT_EQ(s.events_executed(), 1u);
+}
+
 TEST(TimeHelpers, UnitConversionsAreExact) {
   EXPECT_EQ(nanoseconds(1), 1'000);
   EXPECT_EQ(microseconds(1), 1'000'000);
