@@ -6,8 +6,8 @@
 ///   (e,f) tail slowdown vs incast request *size* (rate 256/s);
 ///   (g)   fabric buffer-occupancy CDF at 80% load;
 ///   (h)   buffer-occupancy CDF under the bursty overlay.
-/// Same scaling conventions as bench_fig6 (see docs/architecture.md,
-/// "Bench scaling conventions").
+/// Same scaling conventions as configs/fig6_quick.toml (see
+/// docs/architecture.md, "Scaling conventions").
 ///
 /// Sweep points are independent simulations, executed on a thread pool
 /// (--threads=N); tables are identical for every N. --csv/--json emit

@@ -7,7 +7,7 @@
 #include "harness/sweep.hpp"
 
 /// \file bench_opts.hpp
-/// Shared CLI for the sweep-shaped figure benches: every bench accepts
+/// Shared CLI for `powertcp_run` and the sweep benches: each accepts
 ///   --threads=N    run sweep points on N pool threads (default 1)
 ///   --csv=FILE     append long-format CSV (table,point,metric,value);
 ///                  the header is written only when FILE is new/empty,

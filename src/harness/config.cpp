@@ -173,10 +173,19 @@ const ConfigFile::Entry* SectionView::take(const std::string& key) {
   return section_->find(key);
 }
 
-void SectionView::fail(const ConfigFile::Entry& e, const char* want) const {
+void SectionView::fail(const ConfigFile::Entry& e,
+                       const std::string& why) const {
   throw ConfigError(file_.origin() + ":" + std::to_string(e.line) + ": [" +
                     section_->name + "] " + e.key + " = '" + e.value +
-                    "' is not a valid " + want);
+                    "' " + why);
+}
+
+void SectionView::reject(const std::string& key,
+                         const std::string& why) const {
+  const ConfigFile::Entry* e =
+      section_ == nullptr ? nullptr : section_->find(key);
+  if (e == nullptr) throw ConfigError(file_.origin() + ": " + key + " " + why);
+  fail(*e, why);
 }
 
 std::string SectionView::get_string(const std::string& key,
@@ -189,7 +198,7 @@ double SectionView::get_double(const std::string& key, double fallback) {
   const auto* e = take(key);
   if (e == nullptr) return fallback;
   const auto v = cc::parse_double_value(e->value);
-  if (!v) fail(*e, "number");
+  if (!v) fail(*e, "is not a valid number");
   return *v;
 }
 
@@ -198,7 +207,7 @@ std::int64_t SectionView::get_int(const std::string& key,
   const auto* e = take(key);
   if (e == nullptr) return fallback;
   const auto v = cc::parse_int_value(e->value);
-  if (!v) fail(*e, "integer");
+  if (!v) fail(*e, "is not a valid integer");
   return *v;
 }
 
@@ -208,7 +217,7 @@ int SectionView::get_int32(const std::string& key, int fallback) {
   const auto v = cc::parse_int_value(e->value);
   if (!v || *v < std::numeric_limits<int>::min() ||
       *v > std::numeric_limits<int>::max()) {
-    fail(*e, "32-bit integer");
+    fail(*e, "is not a valid 32-bit integer");
   }
   return static_cast<int>(*v);
 }
@@ -217,7 +226,7 @@ bool SectionView::get_bool(const std::string& key, bool fallback) {
   const auto* e = take(key);
   if (e == nullptr) return fallback;
   const auto v = cc::parse_bool_value(e->value);
-  if (!v) fail(*e, "boolean (true/false/on/off/1/0)");
+  if (!v) fail(*e, "is not a valid boolean (true/false/on/off/1/0)");
   return *v;
 }
 
@@ -235,7 +244,7 @@ std::vector<double> SectionView::get_double_list(
   std::vector<double> out;
   for (const auto& piece : split_config_list(e->value)) {
     const auto v = cc::parse_double_value(piece);
-    if (!v) fail(*e, "number list");
+    if (!v) fail(*e, "is not a valid number list");
     out.push_back(*v);
   }
   return out;

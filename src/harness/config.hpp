@@ -90,9 +90,15 @@ class SectionView {
   /// Throws ConfigError on the first key read by none of the getters.
   void finish();
 
+  /// Throws ConfigError "origin:line: [section] key = 'value' <why>"
+  /// for a key whose value parsed but is out of range.
+  [[noreturn]] void reject(const std::string& key,
+                           const std::string& why) const;
+
  private:
   const ConfigFile::Entry* take(const std::string& key);
-  [[noreturn]] void fail(const ConfigFile::Entry& e, const char* want) const;
+  [[noreturn]] void fail(const ConfigFile::Entry& e,
+                         const std::string& why) const;
 
   const ConfigFile& file_;
   const ConfigFile::Section* section_;

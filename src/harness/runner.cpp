@@ -91,22 +91,74 @@ void load_fat_tree_topology(SectionView& topo, topo::FatTreeConfig* cfg,
   cfg->dt_alpha = topo.get_double("dt_alpha", cfg->dt_alpha);
 }
 
+/// Just under int64 max: the ceiling for any double that is cast to a
+/// byte count or rounded onto the picosecond clock.
+constexpr double kInt64Ceiling = 9.0e18;
+
+/// A duration key in `unit_s` seconds, as picoseconds; absent keys
+/// keep `fallback`. NaN/inf, negative and past-the-clock values are
+/// file:line errors: llround of them is not a detectable error path.
+sim::TimePs get_duration(SectionView& v, const std::string& key,
+                         double unit_s, sim::TimePs fallback) {
+  const double x = v.get_double(key, 0);  // marks the key consumed
+  if (!v.has(key)) return fallback;
+  const double s = x * unit_s;
+  if (!std::isfinite(s) || s < 0 ||
+      s * static_cast<double>(sim::kPsPerSec) > kInt64Ceiling) {
+    v.reject(key, "must be a finite duration >= 0 within the clock's range");
+  }
+  return sim::from_seconds(s);
+}
+
 sim::TimePs get_ms(SectionView& v, const std::string& key,
                    sim::TimePs fallback) {
-  if (!v.has(key)) {
-    v.get_double(key, 0);  // mark consumed even when absent
-    return fallback;
-  }
-  return sim::from_seconds(v.get_double(key, 0) * 1e-3);
+  return get_duration(v, key, 1e-3, fallback);
 }
 
 sim::TimePs get_us(SectionView& v, const std::string& key,
                    sim::TimePs fallback) {
-  if (!v.has(key)) {
-    v.get_double(key, 0);
-    return fallback;
+  return get_duration(v, key, 1e-6, fallback);
+}
+
+/// A time-series bin width in us. Checked after the conversion, since
+/// a tiny value rounds to 0 ps and every series divides by the width.
+sim::TimePs get_bin_us(SectionView& v, const std::string& key,
+                       sim::TimePs fallback) {
+  const sim::TimePs bin = get_us(v, key, fallback);
+  if (bin < 1) v.reject(key, "must be a bin width of at least 1 ps");
+  return bin;
+}
+
+/// Scales a size value (MB/KB key) to bytes. Rejects NaN/inf, sizes
+/// under one byte, and sizes past int64 range — casting an
+/// unrepresentable double is undefined behavior, not an error path.
+std::int64_t size_to_bytes(double value, double scale, SectionView& v,
+                           const std::string& key) {
+  const double bytes = value * scale;
+  if (!std::isfinite(bytes) || bytes < 1 || bytes > kInt64Ceiling) {
+    v.reject(key, "must be a positive in-range size");
   }
-  return sim::from_seconds(v.get_double(key, 0) * 1e-6);
+  return static_cast<std::int64_t>(bytes);
+}
+
+/// A size key in bytes (`scale` bytes per unit); absent keys keep
+/// `fallback`.
+std::int64_t get_size(SectionView& v, const std::string& key, double scale,
+                      std::int64_t fallback) {
+  const double x = v.get_double(key, 0);  // marks the key consumed
+  if (!v.has(key)) return fallback;
+  return size_to_bytes(x, scale, v, key);
+}
+
+/// Reads a `flow_mb = 14, 10, 6, 2.5` list into per-flow byte sizes;
+/// absent keys keep the scenario's defaults.
+void load_flow_mb(SectionView& work, std::vector<std::int64_t>* flow_bytes) {
+  const std::vector<double> mb = work.get_double_list("flow_mb", {});
+  if (mb.empty()) return;
+  flow_bytes->clear();
+  for (const double m : mb) {
+    flow_bytes->push_back(size_to_bytes(m, 1e6, work, "flow_mb"));
+  }
 }
 
 /// A `key = v1, v2` list of small positive integers (overcommit
@@ -161,11 +213,8 @@ std::unique_ptr<ScenarioConfig> load_fat_tree_kind(const ConfigFile& file,
   sc->fat_tree.incast = work.get_bool("incast", sc->fat_tree.incast);
   sc->fat_tree.incast_requests_per_sec = work.get_double(
       "incast_requests_per_sec", sc->fat_tree.incast_requests_per_sec);
-  sc->fat_tree.incast_request_bytes = static_cast<std::int64_t>(
-      work.get_double(
-          "incast_request_kb",
-          static_cast<double>(sc->fat_tree.incast_request_bytes) / 1e3) *
-      1e3);
+  sc->fat_tree.incast_request_bytes = get_size(
+      work, "incast_request_kb", 1e3, sc->fat_tree.incast_request_bytes);
   sc->fat_tree.incast_fan_in =
       work.get_int32("incast_fan_in", sc->fat_tree.incast_fan_in);
   return sc;
@@ -203,6 +252,10 @@ std::unique_ptr<ScenarioConfig> load_incast_kind(const ConfigFile& file,
                         ": [workload] fan_in entries must be integers >= 0");
     }
   }
+  for (const double kb : sc->query_kb) {
+    // 0 is the companions-only table; run() casts any other entry.
+    if (kb != 0) size_to_bytes(kb, 1e3, work, "query_kb");
+  }
   for (std::size_t i = 0; i < sc->query_kb.size(); ++i) {
     const double fan = sc->fan_in[sc->fan_in.size() == 1 ? 0 : i];
     if (sc->query_kb[i] > 0 && fan < 1) {
@@ -211,15 +264,13 @@ std::unique_ptr<ScenarioConfig> load_incast_kind(const ConfigFile& file,
                         "(the query is split across the fan-in)");
     }
   }
-  sc->incast.long_flow_bytes = static_cast<std::int64_t>(
-      work.get_double("long_flow_mb",
-                      static_cast<double>(sc->incast.long_flow_bytes) / 1e6) *
-      1e6);
+  sc->incast.long_flow_bytes =
+      get_size(work, "long_flow_mb", 1e6, sc->incast.long_flow_bytes);
   sc->incast.long_companions =
       work.get_int32("long_companions", sc->incast.long_companions);
   sc->incast.burst_at = get_us(work, "burst_at_us", sc->incast.burst_at);
   sc->incast.horizon = get_ms(work, "horizon_ms", sc->incast.horizon);
-  sc->incast.bin = get_us(work, "bin_us", sc->incast.bin);
+  sc->incast.bin = get_bin_us(work, "bin_us", sc->incast.bin);
   sc->incast.expected_flows =
       work.get_int32("expected_flows", sc->incast.expected_flows);
   return sc;
@@ -262,40 +313,12 @@ std::unique_ptr<ScenarioConfig> load_rdcn_kind(const ConfigFile& file,
     throw ConfigError(file.origin() +
                       ": [workload] point lists must be non-empty");
   }
-  sc->rdcn.flow_bytes = static_cast<std::int64_t>(
-      work.get_double("flow_mb",
-                      static_cast<double>(sc->rdcn.flow_bytes) / 1e6) *
-      1e6);
+  sc->rdcn.flow_bytes = get_size(work, "flow_mb", 1e6, sc->rdcn.flow_bytes);
   sc->rdcn.horizon = get_ms(work, "horizon_ms", sc->rdcn.horizon);
-  sc->rdcn.bin = get_us(work, "bin_us", sc->rdcn.bin);
+  sc->rdcn.bin = get_bin_us(work, "bin_us", sc->rdcn.bin);
   sc->rdcn.expected_flows =
       work.get_int32("expected_flows", sc->rdcn.expected_flows);
   return sc;
-}
-
-/// Scales a size value (MB/KB key) to bytes. Rejects NaN/inf,
-/// non-positive values, and sizes past int64 range — casting an
-/// unrepresentable double is undefined behavior, not an error path.
-std::int64_t size_to_bytes(double value, double scale,
-                           const std::string& key, const ConfigFile& file) {
-  constexpr double kMaxBytes = 9.0e18;  // just under int64 max
-  if (!std::isfinite(value) || value <= 0 || value * scale > kMaxBytes) {
-    throw ConfigError(file.origin() + ": [workload] " + key +
-                      " must be a positive in-range size");
-  }
-  return static_cast<std::int64_t>(value * scale);
-}
-
-/// Reads a `flow_mb = 14, 10, 6, 2.5` list into per-flow byte sizes;
-/// absent keys keep the scenario's defaults.
-void load_flow_mb(SectionView& work, std::vector<std::int64_t>* flow_bytes,
-                  const ConfigFile& file) {
-  const std::vector<double> mb = work.get_double_list("flow_mb", {});
-  if (mb.empty()) return;
-  flow_bytes->clear();
-  for (const double m : mb) {
-    flow_bytes->push_back(size_to_bytes(m, 1e6, "flow_mb", file));
-  }
 }
 
 std::unique_ptr<ScenarioConfig> load_dumbbell_kind(const ConfigFile& file,
@@ -319,14 +342,15 @@ std::unique_ptr<ScenarioConfig> load_dumbbell_kind(const ConfigFile& file,
   }
   d.topo.link_delay = get_us(topo, "link_delay_us", d.topo.link_delay);
   d.topo.dt_alpha = topo.get_double("dt_alpha", d.topo.dt_alpha);
-  if (topo.has("buffer_kb")) {
-    d.topo.buffer_bytes =
-        static_cast<std::int64_t>(topo.get_double("buffer_kb", 0) * 1e3);
+  // 0 (or absent) keeps the default: a buffer derived from the rates.
+  const double buffer_kb = topo.get_double("buffer_kb", 0);
+  if (buffer_kb != 0) {
+    d.topo.buffer_bytes = size_to_bytes(buffer_kb, 1e3, topo, "buffer_kb");
   }
-  load_flow_mb(work, &d.flow_bytes, file);
+  load_flow_mb(work, &d.flow_bytes);
   d.stagger = get_us(work, "stagger_us", d.stagger);
   d.horizon = get_ms(work, "horizon_ms", d.horizon);
-  d.bin = get_us(work, "bin_us", d.bin);
+  d.bin = get_bin_us(work, "bin_us", d.bin);
   d.row_stride = work.get_int32("row_every", d.row_stride);
   if (d.row_stride < 1) {
     throw ConfigError(file.origin() + ": [workload] row_every must be >= 1");
@@ -350,28 +374,24 @@ std::unique_ptr<ScenarioConfig> load_homa_oc_kind(const ConfigFile& file,
   h.fairness.topo.aqm = ctx.aqm;
   h.overcommit = get_int_list(work, "overcommit", h.overcommit, file);
   h.fan_in = get_int_list(work, "fan_in", h.fan_in, file);
-  load_flow_mb(work, &h.fairness.flow_bytes, file);
+  load_flow_mb(work, &h.fairness.flow_bytes);
   h.fairness.stagger = get_us(work, "stagger_us", h.fairness.stagger);
   h.fairness.horizon =
       get_ms(work, "fairness_horizon_ms", h.fairness.horizon);
-  h.fairness.bin = get_us(work, "fairness_bin_us", h.fairness.bin);
+  h.fairness.bin = get_bin_us(work, "fairness_bin_us", h.fairness.bin);
   h.fairness.row_stride =
       work.get_int32("fairness_row_every", h.fairness.row_stride);
   if (h.fairness.row_stride < 1) {
     throw ConfigError(file.origin() +
                       ": [workload] fairness_row_every must be >= 1");
   }
-  h.long_message_bytes = size_to_bytes(
-      work.get_double("long_message_mb",
-                      static_cast<double>(h.long_message_bytes) / 1e6),
-      1e6, "long_message_mb", file);
-  h.burst_message_bytes = size_to_bytes(
-      work.get_double("burst_kb",
-                      static_cast<double>(h.burst_message_bytes) / 1e3),
-      1e3, "burst_kb", file);
+  h.long_message_bytes =
+      get_size(work, "long_message_mb", 1e6, h.long_message_bytes);
+  h.burst_message_bytes =
+      get_size(work, "burst_kb", 1e3, h.burst_message_bytes);
   h.burst_at = get_us(work, "burst_at_us", h.burst_at);
   h.incast_horizon = get_ms(work, "incast_horizon_ms", h.incast_horizon);
-  h.incast_bin = get_us(work, "incast_bin_us", h.incast_bin);
+  h.incast_bin = get_bin_us(work, "incast_bin_us", h.incast_bin);
   return sc;
 }
 
@@ -506,15 +526,13 @@ std::unique_ptr<ScenarioConfig> load_mixed_cc_kind(const ConfigFile& file,
   // buffer; small values reach the Tiny-Buffer regime.
   for (const double kb : work.get_double_list("buffer_kb", {})) {
     m.buffer_bytes.push_back(
-        kb == 0 ? 0 : size_to_bytes(kb, 1e3, "buffer_kb", file));
+        kb == 0 ? 0 : size_to_bytes(kb, 1e3, work, "buffer_kb"));
   }
   m.senders = work.get_int32("senders", m.senders);
   if (m.senders < 1) {
     throw ConfigError(file.origin() + ": [workload] senders must be >= 1");
   }
-  m.flow_bytes = size_to_bytes(
-      work.get_double("flow_mb", static_cast<double>(m.flow_bytes) / 1e6),
-      1e6, "flow_mb", file);
+  m.flow_bytes = get_size(work, "flow_mb", 1e6, m.flow_bytes);
   m.horizon = get_ms(work, "horizon_ms", m.horizon);
   return sc;
 }
@@ -1111,67 +1129,6 @@ ResultTable incast_figure_table(const SweepRunner& runner,
     slug = slug_prefix + "_" + std::to_string(cfg.long_companions) + "to1";
   }
   return incast_table(runner, cfg, schemes, slug, title, flight_out);
-}
-
-// ---- figure definitions shared by benches and configs -------------
-
-RunnerConfig fig5_runner_config() {
-  auto sc = std::make_shared<DumbbellKindConfig>();
-  sc->slug_prefix = "fig5";
-  for (const char* name : {"powertcp", "homa", "theta-powertcp", "timely"}) {
-    sc->schemes.push_back(SchemeRun{"", name, {}});
-  }
-  // DumbbellScenario defaults are exactly the Fig. 5 quick shape.
-  RunnerConfig rc;
-  rc.kind = "dumbbell";
-  rc.scenario = std::move(sc);
-  return rc;
-}
-
-RunnerConfig fig6_runner_config(bool fast, bool full) {
-  auto sc = std::make_shared<FatTreeKindConfig>();
-  sc->slug_prefix = "fig6";
-  sc->loads = {0.2, 0.6};
-  sc->percentile = 99.0;
-  sc->fat_tree.seed = 42;
-  sc->fat_tree.duration = sim::milliseconds(20);
-  sc->fat_tree.size_scale = 0.1;
-  if (fast) sc->fat_tree.duration = sim::milliseconds(8);
-  if (full) {
-    sc->fat_tree.topo = topo::FatTreeConfig();  // paper scale
-    sc->fat_tree.duration = sim::milliseconds(100);
-    sc->fat_tree.size_scale = 1.0;
-    sc->percentile = 99.9;
-  }
-  for (const char* name :
-       {"powertcp", "theta-powertcp", "hpcc", "dcqcn", "timely", "homa"}) {
-    sc->schemes.push_back(SchemeRun{"", name, {}});
-  }
-  RunnerConfig rc;
-  rc.kind = "fat_tree";
-  rc.scenario = std::move(sc);
-  return rc;
-}
-
-RunnerConfig fig2_runner_config() {
-  auto sc = std::make_shared<SingleFlowKindConfig>();
-  sc->slug_prefix = "fig2";
-  // SingleFlowKindConfig defaults are exactly the Fig. 2 setting.
-  RunnerConfig rc;
-  rc.kind = "single_flow";
-  rc.scenario = std::move(sc);
-  return rc;
-}
-
-RunnerConfig fig9_runner_config() {
-  auto sc = std::make_shared<HomaOcKindConfig>();
-  sc->slug_prefix = "fig9";
-  sc->schemes.push_back(SchemeRun{"", "homa", {}});
-  // HomaOcScenario defaults are exactly the Figs. 9-11 quick shape.
-  RunnerConfig rc;
-  rc.kind = "homa_oc";
-  rc.scenario = std::move(sc);
-  return rc;
 }
 
 }  // namespace powertcp::harness

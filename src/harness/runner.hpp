@@ -17,9 +17,9 @@
 /// and run_config() executes it through SweepRunner into ResultTables.
 /// The runner has no per-kind switch — each registry entry owns its
 /// `[topology]`/`[workload]` schema and its table emission, so a new
-/// paper shape is a registration, not a harness change. The figure
-/// benches build the same concrete scenario types programmatically, so
-/// a config file and its bench produce identical tables.
+/// paper shape is a registration, not a harness change. Every figure
+/// of the paper is a shipped `configs/*.toml`; this is the one path
+/// that runs them.
 ///
 /// Config format (see docs/reproducing.md for the full key reference):
 ///
@@ -67,8 +67,7 @@
 namespace powertcp::harness {
 
 /// A loaded experiment: the kind name plus the registry-parsed
-/// scenario. Benches construct the concrete scenario types below
-/// directly instead of going through a config file.
+/// scenario (one of the concrete kind types below).
 struct RunnerConfig {
   std::string kind = "fat_tree";
   std::shared_ptr<const ScenarioConfig> scenario;
@@ -214,14 +213,15 @@ std::vector<ResultTable> run_config(const RunnerConfig& cfg,
 
 /// The Fig. 6/7-style FCT sweep: one row per scheme at `load`, tail
 /// slowdown per paper size bucket plus allP50/drops/flows/done%.
-/// Exposed so bench_fig6 and the fat_tree kind build identical specs.
+/// The fat_tree kind builds one per load; exposed so tests can check
+/// the spec a config expands to without running it.
 SweepSpec fct_sweep_spec(const FatTreeExperiment& base, double load,
                          double percentile,
                          const std::vector<SchemeRun>& schemes,
                          const std::string& slug_prefix);
 
 /// Fig. 4-style incast table with the canonical title/slug for the
-/// (query, companions) shape; shared by bench_fig4 and the incast kind.
+/// (query, companions) shape; the incast kind emits one per point.
 /// With telemetry enabled, per-scheme flight tables land in
 /// `flight_out` (untouched otherwise).
 ResultTable incast_figure_table(const SweepRunner& runner,
@@ -230,27 +230,5 @@ ResultTable incast_figure_table(const SweepRunner& runner,
                                 const std::string& slug_prefix,
                                 std::vector<ResultTable>* flight_out =
                                     nullptr);
-
-/// The Fig. 5 experiment definition — what configs/fig5_quick.toml
-/// loads, so bench_fig5_fairness and `powertcp_run
-/// configs/fig5_quick.toml` print identical tables (pinned by test).
-RunnerConfig fig5_runner_config();
-
-/// The Fig. 6 experiment definition. The default (fast = full = false)
-/// equals what configs/fig6_quick.toml loads — bench_fig6_fct and
-/// `powertcp_run configs/fig6_quick.toml` therefore print identical
-/// tables; a test pins the equivalence.
-RunnerConfig fig6_runner_config(bool fast, bool full);
-
-/// The Figs. 9-11 experiment definition — what configs/fig9_oc.toml
-/// loads, so bench_fig9_homa_oc and `powertcp_run configs/fig9_oc.toml`
-/// print identical tables (pinned by test).
-RunnerConfig fig9_runner_config();
-
-/// The Fig. 2 reaction-curve definition — what
-/// configs/fig2_reaction.toml loads, so bench_fig2_reaction and
-/// `powertcp_run configs/fig2_reaction.toml` print identical tables
-/// (pinned by test).
-RunnerConfig fig2_runner_config();
 
 }  // namespace powertcp::harness

@@ -60,11 +60,10 @@ struct ScenarioContext {
 };
 
 /// A parsed, runnable experiment of one scenario kind. Implementations
-/// are plain value holders (the concrete types in runner.hpp are also
-/// built programmatically by the figure benches); run() executes every
-/// simulation point on the runner's pool and returns the tables in
-/// declaration order — output is a pure function of the config,
-/// byte-identical for every thread count.
+/// are plain value holders (the concrete types in runner.hpp); run()
+/// executes every simulation point on the runner's pool and returns the
+/// tables in declaration order — output is a pure function of the
+/// config, byte-identical for every thread count.
 class ScenarioConfig {
  public:
   virtual ~ScenarioConfig() = default;

@@ -15,7 +15,7 @@
 
 /// \file scenarios.hpp
 /// The non-sweep workhorse scenarios behind Figs. 4, 5, 8 and 9-11,
-/// shared by the figure benches and the `powertcp_run` config runner.
+/// run by the scenario kinds of the `powertcp_run` config runner.
 /// Every scenario resolves its scheme through cc::Registry — topology
 /// needs (priority bands, ECN profile, CircuitSchedule) are applied
 /// from the registry entry, `key=value` params flow into the scheme's

@@ -1,9 +1,10 @@
 /// Byte-identity goldens for every shipped config: each file in
-/// configs/ must render exactly the text/CSV/JSON captured in
-/// tests/goldens/ before the AQM-layer refactor. This is the
-/// regression fence for the pluggable-AQM work — the default "red"
-/// policy (and the whole runner pipeline behind it) may not change a
-/// single byte of any pre-existing experiment.
+/// configs/ must render exactly the text/CSV/JSON committed in
+/// tests/goldens/ under its stem. The suite is instantiated from a
+/// listing of configs/*.toml, so a config shipped without goldens
+/// fails here instead of going unpinned. The configs are the one way
+/// to run a figure, so this is the regression fence for every figure
+/// the harness reproduces.
 ///
 /// The fixture name is deliberately outside the tsan test filter:
 /// these runs are the heaviest in the suite and the pool race they
@@ -11,7 +12,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -83,10 +86,23 @@ std::vector<ResultTable> run_config_no_fallback(const RunnerConfig& cfg,
   return tables;
 }
 
-class ConfigGolden : public ::testing::TestWithParam<const char*> {};
+/// Stems of every configs/*.toml, sorted so the suite order is stable.
+std::vector<std::string> shipped_configs() {
+  std::vector<std::string> names;
+  for (const auto& entry : std::filesystem::directory_iterator(
+           std::string(POWERTCP_SOURCE_DIR) + "/configs")) {
+    if (entry.path().extension() == ".toml") {
+      names.push_back(entry.path().stem().string());
+    }
+  }
+  std::sort(names.begin(), names.end());
+  return names;
+}
+
+class ConfigGolden : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(ConfigGolden, MatchesPreRefactorOutputByteForByte) {
-  const std::string name = GetParam();
+  const std::string& name = GetParam();
   const std::string root = POWERTCP_SOURCE_DIR;
   const auto cfg = load_runner_config(
       ConfigFile::parse_file(root + "/configs/" + name + ".toml"));
@@ -100,13 +116,8 @@ TEST_P(ConfigGolden, MatchesPreRefactorOutputByteForByte) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllShippedConfigs, ConfigGolden,
-                         ::testing::Values("fig2_reaction", "fig4_quick",
-                                           "fig5_quick", "fig6_quick",
-                                           "fig7_load_sweep", "fig8_quick",
-                                           "fig9_oc"),
-                         [](const auto& info) {
-                           return std::string(info.param);
-                         });
+                         ::testing::ValuesIn(shipped_configs()),
+                         [](const auto& info) { return info.param; });
 
 /// The parallel-DES exactness bar: a shipped fat-tree config rendered
 /// with the engine sharded four ways must match the sequential goldens

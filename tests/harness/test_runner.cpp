@@ -1,15 +1,19 @@
-/// Config-driven runner coverage: the fig5/fig6/fig9 golden
-/// equivalences (each shipped config loads exactly the experiment its
-/// figure bench runs), end-to-end thread-count byte-identity for every
-/// scenario kind, the reTCP/HOMA topology wiring through run_config,
-/// and the loader's rejection paths.
+/// Config-driven runner coverage: the paper numbers and the paper-scale
+/// recipe the shipped configs stand for (ConfigGolden pins their bytes),
+/// end-to-end thread-count byte-identity for every scenario kind, the
+/// reTCP/HOMA topology wiring through run_config, and the loader's
+/// rejection paths.
 
 #include "harness/runner.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <fstream>
 #include <memory>
+#include <sstream>
 #include <string>
+#include <vector>
 
 #include "harness/config.hpp"
 
@@ -40,180 +44,58 @@ const Kind& as_kind(const RunnerConfig& cfg) {
   return *kind;
 }
 
-void expect_same_schemes(const std::vector<SchemeRun>& a,
-                         const std::vector<SchemeRun>& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].display(), b[i].display());
-    EXPECT_EQ(a[i].scheme, b[i].scheme);
-    EXPECT_EQ(a[i].params, b[i].params);
-  }
-}
-
-void expect_same_fat_tree_config(const RunnerConfig& ca,
-                                 const RunnerConfig& cb) {
-  EXPECT_EQ(ca.kind, cb.kind);
-  const FatTreeKindConfig& a = as_kind<FatTreeKindConfig>(ca);
-  const FatTreeKindConfig& b = as_kind<FatTreeKindConfig>(cb);
-  EXPECT_EQ(a.slug_prefix, b.slug_prefix);
-  EXPECT_EQ(a.loads, b.loads);
-  EXPECT_DOUBLE_EQ(a.percentile, b.percentile);
-  expect_same_schemes(a.schemes, b.schemes);
-  EXPECT_EQ(a.fat_tree.duration, b.fat_tree.duration);
-  EXPECT_EQ(a.fat_tree.seed, b.fat_tree.seed);
-  EXPECT_DOUBLE_EQ(a.fat_tree.size_scale, b.fat_tree.size_scale);
-  EXPECT_EQ(a.fat_tree.expected_flows, b.fat_tree.expected_flows);
-  EXPECT_EQ(a.fat_tree.topo.pods, b.fat_tree.topo.pods);
-  EXPECT_EQ(a.fat_tree.topo.servers_per_tor, b.fat_tree.topo.servers_per_tor);
-  EXPECT_DOUBLE_EQ(a.fat_tree.topo.host_bw.bps(),
-                   b.fat_tree.topo.host_bw.bps());
-  EXPECT_DOUBLE_EQ(a.fat_tree.topo.fabric_bw.bps(),
-                   b.fat_tree.topo.fabric_bw.bps());
-}
-
 RunnerConfig load_shipped_config(const std::string& name) {
   return load_runner_config(ConfigFile::parse_file(
       std::string(POWERTCP_SOURCE_DIR) + "/configs/" + name));
 }
 
-/// The golden-file link between the unified CLI and the figure bench:
-/// parsing configs/fig6_quick.toml must yield the very RunnerConfig
-/// bench_fig6_fct executes, so `powertcp_run configs/fig6_quick.toml`
-/// and `./build/bench_fig6_fct` print identical tables.
-TEST(RunnerGolden, Fig6ConfigMatchesBench) {
-  const RunnerConfig from_config = load_shipped_config("fig6_quick.toml");
-  const RunnerConfig from_bench = fig6_runner_config(false, false);
-  expect_same_fat_tree_config(from_config, from_bench);
+/// Sets `key = value` on the line that assigns `key` (each key appears
+/// once in the configs this edits), as a user adapting a shipped
+/// config by hand would.
+std::string with_key(std::string text, const std::string& key,
+                     const std::string& value) {
+  const std::size_t at = text.find("\n" + key + " =");
+  if (at == std::string::npos) {
+    ADD_FAILURE() << "no '" << key << " =' line to override";
+    return text;
+  }
+  const std::size_t begin = at + 1;
+  const std::size_t end = text.find('\n', begin);
+  text.replace(begin, end - begin, key + " = " + value);
+  return text;
+}
 
-  // And the spec both expand to is structurally the one bench_fig6
-  // has always run: same slugs, titles, columns, and point configs.
-  const FatTreeKindConfig& fa = as_kind<FatTreeKindConfig>(from_config);
-  const FatTreeKindConfig& fb = as_kind<FatTreeKindConfig>(from_bench);
-  for (const double load : fb.loads) {
-    const SweepSpec a = fct_sweep_spec(fa.fat_tree, load, fa.percentile,
-                                       fa.schemes, fa.slug_prefix);
-    const SweepSpec b = fct_sweep_spec(fb.fat_tree, load, fb.percentile,
-                                       fb.schemes, fb.slug_prefix);
-    EXPECT_EQ(a.title, b.title);
-    EXPECT_EQ(a.slug, b.slug);
-    EXPECT_EQ(a.value_columns, b.value_columns);
-    ASSERT_EQ(a.points.size(), b.points.size());
-    for (std::size_t i = 0; i < a.points.size(); ++i) {
-      EXPECT_EQ(a.points[i].cfg.cc, b.points[i].cfg.cc);
-      EXPECT_EQ(a.points[i].cfg.cc_params, b.points[i].cfg.cc_params);
-      EXPECT_DOUBLE_EQ(a.points[i].cfg.uplink_load,
-                       b.points[i].cfg.uplink_load);
-    }
+/// Loads `text` as bad.toml and expects a ConfigError that names the
+/// file:line of the `key = ...` line and the key itself.
+void expect_rejected_at(const std::string& text, const std::string& key) {
+  const std::size_t at = ("\n" + text).find("\n" + key + " =");
+  ASSERT_NE(at, std::string::npos) << "no '" << key << " =' line";
+  const long line =
+      1 + std::count(text.begin(), text.begin() + static_cast<long>(at), '\n');
+  try {
+    load_runner_config(ConfigFile::parse(text, "bad.toml"));
+    ADD_FAILURE() << "loaded without a ConfigError:\n" << text;
+  } catch (const ConfigError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("bad.toml:" + std::to_string(line) + ": "),
+              std::string::npos)
+        << what;
+    EXPECT_NE(what.find(key), std::string::npos) << what;
   }
 }
 
-/// configs/fig5_quick.toml loads the exact scenario
-/// bench_fig5_fairness runs, and executing both yields byte-identical
-/// tables — the pre-refactor bench output is pinned by the committed
-/// bench/baselines/fig5.json gate in CI.
-TEST(RunnerGolden, Fig5ConfigMatchesBench) {
-  const RunnerConfig from_config = load_shipped_config("fig5_quick.toml");
-  const RunnerConfig from_bench = fig5_runner_config();
-  EXPECT_EQ(from_config.kind, "dumbbell");
-  EXPECT_EQ(from_config.kind, from_bench.kind);
-  const DumbbellKindConfig& a = as_kind<DumbbellKindConfig>(from_config);
-  const DumbbellKindConfig& b = as_kind<DumbbellKindConfig>(from_bench);
-  EXPECT_EQ(a.slug_prefix, b.slug_prefix);
-  expect_same_schemes(a.schemes, b.schemes);
-  EXPECT_EQ(a.dumbbell.flow_bytes, b.dumbbell.flow_bytes);
-  EXPECT_EQ(a.dumbbell.stagger, b.dumbbell.stagger);
-  EXPECT_EQ(a.dumbbell.horizon, b.dumbbell.horizon);
-  EXPECT_EQ(a.dumbbell.bin, b.dumbbell.bin);
-  EXPECT_EQ(a.dumbbell.row_stride, b.dumbbell.row_stride);
-  EXPECT_DOUBLE_EQ(a.dumbbell.topo.host_bw.bps(),
-                   b.dumbbell.topo.host_bw.bps());
-  EXPECT_DOUBLE_EQ(a.dumbbell.topo.bottleneck_bw.bps(),
-                   b.dumbbell.topo.bottleneck_bw.bps());
-
-  const SweepRunner runner(2);
-  EXPECT_EQ(render_all(run_config(from_config, runner)),
-            render_all(run_config(from_bench, runner)));
-}
-
-/// configs/fig9_oc.toml loads the exact scenario bench_fig9_homa_oc
-/// runs; a reduced-scale copy of both executes byte-identically (the
-/// full-scale equivalence follows because run() is a pure function of
-/// the compared fields).
-TEST(RunnerGolden, Fig9ConfigMatchesBench) {
-  const RunnerConfig from_config = load_shipped_config("fig9_oc.toml");
-  const RunnerConfig from_bench = fig9_runner_config();
-  EXPECT_EQ(from_config.kind, "homa_oc");
-  EXPECT_EQ(from_config.kind, from_bench.kind);
-  const HomaOcKindConfig& a = as_kind<HomaOcKindConfig>(from_config);
-  const HomaOcKindConfig& b = as_kind<HomaOcKindConfig>(from_bench);
-  EXPECT_EQ(a.slug_prefix, b.slug_prefix);
-  expect_same_schemes(a.schemes, b.schemes);
-  EXPECT_EQ(a.homa_oc.overcommit, b.homa_oc.overcommit);
-  EXPECT_EQ(a.homa_oc.fan_in, b.homa_oc.fan_in);
-  EXPECT_EQ(a.homa_oc.fairness.flow_bytes, b.homa_oc.fairness.flow_bytes);
-  EXPECT_EQ(a.homa_oc.fairness.stagger, b.homa_oc.fairness.stagger);
-  EXPECT_EQ(a.homa_oc.fairness.horizon, b.homa_oc.fairness.horizon);
-  EXPECT_EQ(a.homa_oc.fairness.bin, b.homa_oc.fairness.bin);
-  EXPECT_EQ(a.homa_oc.fairness.row_stride, b.homa_oc.fairness.row_stride);
-  EXPECT_EQ(a.homa_oc.long_message_bytes, b.homa_oc.long_message_bytes);
-  EXPECT_EQ(a.homa_oc.burst_message_bytes, b.homa_oc.burst_message_bytes);
-  EXPECT_EQ(a.homa_oc.burst_at, b.homa_oc.burst_at);
-  EXPECT_EQ(a.homa_oc.incast_horizon, b.homa_oc.incast_horizon);
-  EXPECT_EQ(a.homa_oc.incast_bin, b.homa_oc.incast_bin);
-  EXPECT_EQ(a.homa_oc.incast_topo.servers_per_tor,
-            b.homa_oc.incast_topo.servers_per_tor);
-
-  const auto reduced = [](const HomaOcKindConfig& src) {
-    auto copy = std::make_shared<HomaOcKindConfig>(src);
-    copy->homa_oc.overcommit = {1, 2};
-    copy->homa_oc.fan_in = {4};
-    copy->homa_oc.fairness.horizon = sim::milliseconds(1);
-    copy->homa_oc.incast_horizon = sim::microseconds(600);
-    RunnerConfig rc;
-    rc.kind = "homa_oc";
-    rc.scenario = std::move(copy);
-    return rc;
-  };
-  const SweepRunner runner(2);
-  EXPECT_EQ(render_all(run_config(reduced(a), runner)),
-            render_all(run_config(reduced(b), runner)));
-}
-
-/// configs/fig2_reaction.toml loads the exact analytic curves
-/// bench_fig2_reaction prints; both are cheap closed forms, so the
-/// golden equivalence executes BOTH at full scale and compares every
-/// byte. The paper's printed disambiguation numbers (voltage
-/// 3.24/2.12/2.12, current 9/1/9) are pinned alongside.
-TEST(RunnerGolden, Fig2ConfigMatchesBench) {
-  const RunnerConfig from_config = load_shipped_config("fig2_reaction.toml");
-  const RunnerConfig from_bench = fig2_runner_config();
-  EXPECT_EQ(from_config.kind, "single_flow");
-  EXPECT_EQ(from_config.kind, from_bench.kind);
-  const SingleFlowKindConfig& a = as_kind<SingleFlowKindConfig>(from_config);
-  const SingleFlowKindConfig& b = as_kind<SingleFlowKindConfig>(from_bench);
-  EXPECT_EQ(a.slug_prefix, b.slug_prefix);
-  EXPECT_DOUBLE_EQ(a.bandwidth_gbps, b.bandwidth_gbps);
-  EXPECT_DOUBLE_EQ(a.bdp_packets, b.bdp_packets);
-  EXPECT_DOUBLE_EQ(a.packet_kb, b.packet_kb);
-  EXPECT_DOUBLE_EQ(a.hold_queue_pkts, b.hold_queue_pkts);
-  EXPECT_DOUBLE_EQ(a.hold_rate_x, b.hold_rate_x);
-  EXPECT_DOUBLE_EQ(a.rate_max_x, b.rate_max_x);
-  EXPECT_DOUBLE_EQ(a.queue_max_pkts, b.queue_max_pkts);
-  EXPECT_DOUBLE_EQ(a.queue_step_pkts, b.queue_step_pkts);
-
-  const SweepRunner runner(2);
-  const auto tables = run_config(from_bench, runner);
-  EXPECT_EQ(render_all(run_config(from_config, runner)),
-            render_all(tables));
-
-  // The three panels, by slug...
+/// Fig. 2c's paper numbers, read from the shipped config: voltage
+/// 3.24/2.12/2.12 cannot separate case-2 from case-3, current 9/1/9
+/// cannot separate case-1 from case-3, and power (29.16/2.12/19.08)
+/// separates all three. ConfigGolden pins every other byte.
+TEST(RunnerGolden, Fig2ConfigPrintsThePaperNumbers) {
+  const RunnerConfig cfg = load_shipped_config("fig2_reaction.toml");
+  EXPECT_EQ(cfg.kind, "single_flow");
+  const auto tables = run_config(cfg, SweepRunner(1));
   ASSERT_EQ(tables.size(), 3u);
   EXPECT_EQ(tables[0].slug, "fig2_vs_rate");
   EXPECT_EQ(tables[1].slug, "fig2_vs_queue");
   EXPECT_EQ(tables[2].slug, "fig2_three_cases");
-  // ...and Fig. 2c's paper numbers: voltage 3.24/2.12/2.12 cannot
-  // separate case-2 vs case-3, current 9/1/9 cannot separate case-1
-  // vs case-3, power (29.16/2.12/19.08) separates all three.
   const ResultTable& c = tables[2];
   ASSERT_EQ(c.rows.size(), 3u);
   const char* expected[3][3] = {{"3.24", "9.00", "29.16"},
@@ -228,13 +110,58 @@ TEST(RunnerGolden, Fig2ConfigMatchesBench) {
   }
 }
 
-TEST(RunnerGolden, ShippedConfigsAllLoad) {
-  for (const char* name :
-       {"fig2_reaction.toml", "fig4_quick.toml", "fig5_quick.toml",
-        "fig6_quick.toml", "fig7_load_sweep.toml", "fig8_quick.toml",
-        "fig9_oc.toml"}) {
-    EXPECT_NO_THROW(load_shipped_config(name)) << name;
+/// The paper-scale Fig. 6 recipe (docs/reproducing.md, "Quick scale vs
+/// paper scale"): fig6_quick.toml with four keys changed loads the
+/// 256-host fabric, 100 ms of full-size websearch and p99.9 tails. The
+/// simulation itself takes hours, so only the loaded fields are checked.
+TEST(RunnerGolden, Fig6PaperScaleRecipeLoads) {
+  std::ifstream in(std::string(POWERTCP_SOURCE_DIR) +
+                   "/configs/fig6_quick.toml");
+  std::ostringstream quick;
+  quick << in.rdbuf();
+  std::string text = quick.str();
+  text = with_key(text, "preset", "paper");
+  text = with_key(text, "duration_ms", "100");
+  text = with_key(text, "size_scale", "1");
+  text = with_key(text, "percentile", "99.9");
+  const RunnerConfig cfg =
+      load_runner_config(ConfigFile::parse(text, "fig6_paper.toml"));
+  ASSERT_EQ(cfg.kind, "fat_tree");
+  const FatTreeKindConfig& ft = as_kind<FatTreeKindConfig>(cfg);
+
+  const topo::FatTreeConfig paper;
+  EXPECT_EQ(ft.fat_tree.topo.pods, paper.pods);
+  EXPECT_EQ(ft.fat_tree.topo.tors_per_pod, paper.tors_per_pod);
+  EXPECT_EQ(ft.fat_tree.topo.aggs_per_pod, paper.aggs_per_pod);
+  EXPECT_EQ(ft.fat_tree.topo.cores, paper.cores);
+  EXPECT_EQ(ft.fat_tree.topo.servers_per_tor, paper.servers_per_tor);
+  EXPECT_DOUBLE_EQ(ft.fat_tree.topo.host_bw.bps(), paper.host_bw.bps());
+  EXPECT_DOUBLE_EQ(ft.fat_tree.topo.fabric_bw.bps(), paper.fabric_bw.bps());
+  EXPECT_EQ(ft.fat_tree.topo.buffer_bytes_per_gbps,
+            paper.buffer_bytes_per_gbps);
+  EXPECT_DOUBLE_EQ(ft.fat_tree.topo.dt_alpha, paper.dt_alpha);
+
+  EXPECT_EQ(ft.fat_tree.duration, sim::milliseconds(100));
+  EXPECT_DOUBLE_EQ(ft.fat_tree.size_scale, 1.0);
+  EXPECT_DOUBLE_EQ(ft.percentile, 99.9);
+  EXPECT_EQ(ft.fat_tree.seed, 42u);
+  EXPECT_EQ(ft.slug_prefix, "fig6");
+  EXPECT_EQ(ft.loads, (std::vector<double>{0.2, 0.6}));
+  std::vector<std::string> schemes;
+  for (const auto& s : ft.schemes) {
+    EXPECT_EQ(s.display(), s.scheme);
+    EXPECT_TRUE(s.params.empty()) << s.scheme;
+    schemes.push_back(s.scheme);
   }
+  EXPECT_EQ(schemes,
+            (std::vector<std::string>{"powertcp", "theta-powertcp", "hpcc",
+                                      "dcqcn", "timely", "homa"}));
+  const SweepSpec spec = fct_sweep_spec(ft.fat_tree, 0.6, ft.percentile,
+                                        ft.schemes, ft.slug_prefix);
+  EXPECT_EQ(spec.slug, "fig6_load60");
+  EXPECT_EQ(spec.title,
+            "60% ToR-uplink load, websearch (x1.00 sizes), p99.9 slowdown "
+            "per size bucket");
 }
 
 RunnerConfig mini_fat_tree_config() {
@@ -531,6 +458,27 @@ TEST(Runner, LoaderRejectsUnknownSchemesKeysAndSections) {
   EXPECT_THROW(load("[experiment]\nkind = homa_oc\nschemes = homa\n"
                     "[workload]\nlong_message_mb = 1e15\n"),
                ConfigError);
+  // A zero bin width divides every time series by zero (SIGFPE):
+  // each one fails at load, at its own file:line. The width is checked
+  // in picoseconds, so 1e-7 us (which rounds to 0 ps) fails too.
+  expect_rejected_at("[experiment]\nkind = dumbbell\nschemes = powertcp\n"
+                     "[workload]\nbin_us = 0\n",
+                     "bin_us");
+  expect_rejected_at("[experiment]\nkind = dumbbell\nschemes = powertcp\n"
+                     "[workload]\nbin_us = 1e-7\n",
+                     "bin_us");
+  expect_rejected_at("[experiment]\nkind = incast\nschemes = powertcp\n"
+                     "[workload]\nbin_us = 0\n",
+                     "bin_us");
+  expect_rejected_at("[experiment]\nkind = rdcn\nschemes = powertcp\n"
+                     "[topology]\npreset = small\n[workload]\nbin_us = 0\n",
+                     "bin_us");
+  expect_rejected_at("[experiment]\nkind = homa_oc\nschemes = homa\n"
+                     "[workload]\nfairness_bin_us = 0\n",
+                     "fairness_bin_us");
+  expect_rejected_at("[experiment]\nkind = homa_oc\nschemes = homa\n"
+                     "[workload]\nincast_bin_us = 0\n",
+                     "incast_bin_us");
   // A query incast needs a positive fan-in (the query splits across
   // it); fan_in = 0 with query_kb > 0 must fail at load, not SIGFPE
   // in the scenario.
@@ -544,6 +492,48 @@ TEST(Runner, LoaderRejectsUnknownSchemesKeysAndSections) {
       "[topology]\npreset = small\n"
       "[workload]\nhorizon_ms = 1\n");
   EXPECT_THROW(run_config(cfg, SweepRunner(1)), std::invalid_argument);
+}
+
+/// Sizes and durations are doubles in the file but integers in the
+/// run: every value that cannot be cast (NaN, negative, past int64 or
+/// past the picosecond clock) fails at load with file:line and the key,
+/// instead of running with a garbage size or horizon.
+TEST(Runner, LoaderRejectsUncastableSizesAndTimes) {
+  expect_rejected_at("[experiment]\nkind = dumbbell\nschemes = powertcp\n"
+                     "[topology]\nbuffer_kb = nan\n",
+                     "buffer_kb");
+  expect_rejected_at("[experiment]\nkind = dumbbell\nschemes = powertcp\n"
+                     "[topology]\nbuffer_kb = -16\n",
+                     "buffer_kb");
+  expect_rejected_at("[experiment]\nkind = fat_tree\nschemes = powertcp\n"
+                     "[workload]\nincast = true\nincast_request_kb = 1e300\n",
+                     "incast_request_kb");
+  expect_rejected_at("[experiment]\nkind = rdcn\nschemes = powertcp\n"
+                     "[topology]\npreset = small\n[workload]\nflow_mb = 1e30\n",
+                     "flow_mb");
+  expect_rejected_at("[experiment]\nkind = incast\nschemes = powertcp\n"
+                     "[workload]\nlong_flow_mb = -3\n",
+                     "long_flow_mb");
+  expect_rejected_at("[experiment]\nkind = incast\nschemes = powertcp\n"
+                     "[workload]\nquery_kb = nan\nfan_in = 4\n",
+                     "query_kb");
+  expect_rejected_at("[experiment]\nkind = fat_tree\nschemes = powertcp\n"
+                     "[workload]\nduration_ms = 1e300\n",
+                     "duration_ms");
+  expect_rejected_at("[experiment]\nkind = dumbbell\nschemes = powertcp\n"
+                     "[workload]\nhorizon_ms = -1\n",
+                     "horizon_ms");
+  expect_rejected_at("[experiment]\nkind = incast\nschemes = powertcp\n"
+                     "[workload]\nburst_at_us = inf\n",
+                     "burst_at_us");
+
+  // buffer_kb = 0 still means "derive the default buffer".
+  const RunnerConfig derived = load_runner_config(ConfigFile::parse(
+      "[experiment]\nkind = dumbbell\nschemes = powertcp\n"
+      "[topology]\nbuffer_kb = 0\n",
+      "ok.toml"));
+  EXPECT_EQ(as_kind<DumbbellKindConfig>(derived).dumbbell.topo.buffer_bytes,
+            0);
 }
 
 TEST(Runner, QueryPointsGetUniqueSlugs) {
