@@ -125,15 +125,6 @@ const ConfigFile::Section* ConfigFile::find(const std::string& name) const {
   return nullptr;
 }
 
-std::vector<const ConfigFile::Section*> ConfigFile::with_prefix(
-    const std::string& prefix) const {
-  std::vector<const Section*> out;
-  for (const auto& s : sections_) {
-    if (s.name.rfind(prefix, 0) == 0) out.push_back(&s);
-  }
-  return out;
-}
-
 std::vector<std::string> split_config_list(const std::string& value) {
   std::string body = trim(value);
   if (body.size() >= 2 && body.front() == '[' && body.back() == ']') {

@@ -53,9 +53,6 @@ class ConfigFile {
   const std::vector<Section>& sections() const { return sections_; }
   /// nullptr when the section is absent.
   const Section* find(const std::string& name) const;
-  /// Sections whose name starts with `prefix` ("cc."), declaration
-  /// order.
-  std::vector<const Section*> with_prefix(const std::string& prefix) const;
 
  private:
   std::string origin_;

@@ -86,7 +86,6 @@ std::pair<ExperimentResult, std::uint64_t> run_fat_tree_point(
   }
   topo_cfg.int_enabled = true;
   topo::FatTree fabric(network, topo_cfg);
-  apply_burst(cfg.burst, network);
 
   ExperimentResult result;
   result.tau = fabric.max_base_rtt();

@@ -6,7 +6,6 @@
 
 #include "cc/mix.hpp"
 #include "cc/params.hpp"
-#include "harness/burst.hpp"
 #include "harness/telemetry.hpp"
 #include "sim/time.hpp"
 #include "stats/fct_recorder.hpp"
@@ -79,8 +78,6 @@ struct FatTreeExperiment {
   /// arrival's sender. Read-only probes — enabling it never changes
   /// the simulation's results (pinned by golden tests).
   TelemetryConfig telemetry;
-  /// NIC batching knobs (`[burst]`); defaults are per-packet.
-  BurstConfig burst;
 };
 
 struct ExperimentResult {

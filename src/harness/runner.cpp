@@ -1,9 +1,8 @@
 #include "harness/runner.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <limits>
-#include <set>
 #include <stdexcept>
 
 #include "analysis/control_law.hpp"
@@ -18,14 +17,27 @@ namespace powertcp::harness {
 
 namespace {
 
-/// Resolves one `schemes = ...` entry: its optional [cc.<label>]
-/// section supplies params and may alias a registered scheme via
+constexpr const char* kTopo = "topology";
+constexpr const char* kWork = "workload";
+
+/// Euler steps (duration_ms / step_us) and stored samples (duration_ms
+/// / sample_us) one fluid_phase trajectory may take: Fig. 3 needs
+/// 20,000 and 2,000.
+constexpr double kMaxFluidSteps = 1e8;
+constexpr double kMaxFluidSamples = 1e6;
+/// Rows one single_flow table may have: Fig. 2 needs 9.
+constexpr double kMaxReactionRows = 1e4;
+
+/// Resolves one `schemes` label: its optional [cc.<label>] section
+/// supplies params and may alias a registered scheme via
 /// `scheme = <name>`. Every param key must be declared by the entry.
-SchemeRun resolve_scheme(const ConfigFile& file, const std::string& label) {
+SchemeRun resolve_scheme(const ConfigFile& file, const std::string& label,
+                         const KeyTable& keys, const void* labels_field) {
   SchemeRun run;
   run.label = label;
   run.scheme = label;
   const ConfigFile::Section* sec = file.find("cc." + label);
+  const SectionView cc(file, sec);
   if (sec != nullptr) {
     for (const auto& e : sec->entries) {
       if (e.key == "scheme") {
@@ -37,16 +49,13 @@ SchemeRun resolve_scheme(const ConfigFile& file, const std::string& label) {
   }
   const cc::Scheme* scheme = cc::Registry::instance().find(run.scheme);
   if (scheme == nullptr) {
-    throw ConfigError(file.origin() + ": scheme '" + run.scheme + "' (" +
-                      label + ") is not registered; known: " + [] {
-                        std::string names;
-                        for (const auto& s :
-                             cc::Registry::instance().schemes()) {
-                          if (!names.empty()) names += ", ";
-                          names += s.name;
-                        }
-                        return names;
-                      }());
+    std::string why = "names scheme '" + run.scheme + "' (" + label +
+                      "), which is not registered; known:";
+    for (const auto& s : cc::Registry::instance().schemes()) {
+      why += " " + s.name;
+    }
+    if (cc.has("scheme")) cc.reject("scheme", why);
+    keys.reject(labels_field, why);
   }
   for (const auto& [key, value] : run.params) {
     (void)value;
@@ -55,422 +64,272 @@ SchemeRun resolve_scheme(const ConfigFile& file, const std::string& label) {
       declared = declared || spec.key == key;
     }
     if (!declared) {
-      throw ConfigError(file.origin() + ": [cc." + label + "] '" + key +
-                        "' is not a declared parameter of scheme '" +
-                        run.scheme + "'");
+      cc.reject(key, "is not a declared parameter of scheme '" + run.scheme +
+                         "'");
     }
   }
   return run;
 }
 
-void load_fat_tree_topology(SectionView& topo, topo::FatTreeConfig* cfg,
-                            const ConfigFile& file) {
-  const std::string preset = topo.get_string("preset", "quick");
-  if (preset == "quick") {
-    *cfg = topo::FatTreeConfig::quick();
-  } else if (preset == "paper") {
-    *cfg = topo::FatTreeConfig();
-  } else {
-    throw ConfigError(file.origin() + ": [topology] preset = '" + preset +
-                      "' is not one of quick, paper");
-  }
-  cfg->pods = topo.get_int32("pods", cfg->pods);
-  cfg->tors_per_pod = topo.get_int32("tors_per_pod", cfg->tors_per_pod);
-  cfg->aggs_per_pod = topo.get_int32("aggs_per_pod", cfg->aggs_per_pod);
-  cfg->cores = topo.get_int32("cores", cfg->cores);
-  cfg->servers_per_tor =
-      topo.get_int32("servers_per_tor", cfg->servers_per_tor);
-  if (topo.has("host_gbps")) {
-    cfg->host_bw = sim::Bandwidth::gbps(topo.get_double("host_gbps", 0));
-  }
-  if (topo.has("fabric_gbps")) {
-    cfg->fabric_bw = sim::Bandwidth::gbps(topo.get_double("fabric_gbps", 0));
-  }
-  cfg->buffer_bytes_per_gbps =
-      topo.get_int("buffer_bytes_per_gbps", cfg->buffer_bytes_per_gbps);
-  cfg->dt_alpha = topo.get_double("dt_alpha", cfg->dt_alpha);
+/// The fat-tree [topology] keys of fat_tree, incast and homa_oc: a
+/// preset, then per-field overrides.
+void declare_fat_tree_topology(KeyTable& k, std::string* preset,
+                               topo::FatTreeConfig* cfg) {
+  k.choice(kTopo, "preset", preset, {"quick", "paper"});
+  *cfg = *preset == "paper" ? topo::FatTreeConfig()
+                            : topo::FatTreeConfig::quick();
+  k.count(kTopo, "pods", &cfg->pods, Bound::at_least(1));
+  k.count(kTopo, "tors_per_pod", &cfg->tors_per_pod, Bound::at_least(1));
+  k.count(kTopo, "aggs_per_pod", &cfg->aggs_per_pod, Bound::at_least(1));
+  k.count(kTopo, "cores", &cfg->cores, Bound::at_least(1));
+  k.count(kTopo, "servers_per_tor", &cfg->servers_per_tor,
+          Bound::at_least(1));
+  k.gbps(kTopo, "host_gbps", &cfg->host_bw);
+  k.gbps(kTopo, "fabric_gbps", &cfg->fabric_bw);
+  k.count(kTopo, "buffer_bytes_per_gbps", &cfg->buffer_bytes_per_gbps,
+          Bound::at_least(1));
+  k.real(kTopo, "dt_alpha", &cfg->dt_alpha, Bound::above(0));
 }
 
-/// Just under int64 max: the ceiling for any double that is cast to a
-/// byte count or rounded onto the picosecond clock.
-constexpr double kInt64Ceiling = 9.0e18;
+/// "20000", "1e+08", "6e+301": a count for an error message.
+std::string count_text(double n) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%g", n);
+  return buf;
+}
 
-/// A duration key in `unit_s` seconds, as picoseconds; absent keys
-/// keep `fallback`. NaN/inf, negative and past-the-clock values are
-/// file:line errors: llround of them is not a detectable error path.
-sim::TimePs get_duration(SectionView& v, const std::string& key,
-                         double unit_s, sim::TimePs fallback) {
-  const double x = v.get_double(key, 0);  // marks the key consumed
-  if (!v.has(key)) return fallback;
-  const double s = x * unit_s;
-  if (!std::isfinite(s) || s < 0 ||
-      s * static_cast<double>(sim::kPsPerSec) > kInt64Ceiling) {
-    v.reject(key, "must be a finite duration >= 0 within the clock's range");
+template <typename Kind>
+ScenarioEntry builtin(std::string name, std::string summary) {
+  return {std::move(name), std::move(summary),
+          [] { return std::make_unique<Kind>(); }};
+}
+
+}  // namespace
+
+void declare_shared_keys(KeyTable& k, ScenarioContext* ctx,
+                         const ScenarioRegistry& registry) {
+  constexpr const char* kExp = "experiment";
+  k.choice(kExp, "kind", &ctx->kind, registry.names());
+  k.text(kExp, "slug", &ctx->slug_prefix);
+  k.text(kExp, "schemes", &ctx->scheme_labels);
+  k.count(kExp, "seed", &ctx->seed, Bound::at_least(0));
+  k.real(kExp, "percentile", &ctx->percentile, Bound::at_least(0).upto(100));
+  k.count(kExp, "sim_threads", &ctx->sim_threads,
+          Bound::at_least(1).upto(64));
+
+  // Delays in us: positive and well inside the picosecond clock.
+  constexpr Bound kAqmUs = Bound::above(0).upto(1e9);
+  net::AqmSpec& a = ctx->aqm;
+  k.choice("aqm", "kind", &a.kind, net::AqmRegistry::instance().names());
+  k.real("aqm", "target_us", &a.target_us, kAqmUs);
+  k.real("aqm", "tupdate_us", &a.tupdate_us, kAqmUs);
+  k.real("aqm", "alpha", &a.alpha, Bound::above(0));
+  k.real("aqm", "beta", &a.beta, Bound::above(0));
+  k.real("aqm", "ecn_threshold", &a.ecn_threshold,
+         Bound::at_least(0).upto(1));
+  k.real("aqm", "interval_us", &a.interval_us, kAqmUs);
+
+  declare_telemetry_keys(k, &ctx->telemetry);
+}
+
+// ---- per-kind key tables ------------------------------------------
+// declare() is each kind's whole [topology]/[workload] schema; bind()
+// copies in the shared context and holds the only checks that span
+// several keys.
+
+void FatTreeKindConfig::declare(KeyTable& k) {
+  declare_fat_tree_topology(k, &preset, &fat_tree.topo);
+  k.real(kWork, "loads", &loads, Bound::above(0).upto(1));
+  k.ms(kWork, "duration_ms", &fat_tree.duration);
+  k.real(kWork, "size_scale", &fat_tree.size_scale,
+         Bound::above(0).upto(1e3));
+  k.count(kWork, "expected_flows", &fat_tree.expected_flows,
+          Bound::at_least(1));
+  k.flag(kWork, "incast", &fat_tree.incast);
+  k.real(kWork, "incast_requests_per_sec", &fat_tree.incast_requests_per_sec,
+         Bound::above(0).upto(1e6));
+  k.size(kWork, "incast_request_kb", &fat_tree.incast_request_bytes,
+         Size::kKB);
+  k.count(kWork, "incast_fan_in", &fat_tree.incast_fan_in,
+          Bound::at_least(1));
+}
+
+void FatTreeKindConfig::bind(const ScenarioContext& ctx, const KeyTable&) {
+  schemes = ctx.schemes;
+  slug_prefix = ctx.slug_prefix;
+  percentile = ctx.percentile;
+  fat_tree.sim_threads = ctx.sim_threads;
+  fat_tree.seed = static_cast<std::uint64_t>(ctx.seed);
+  fat_tree.telemetry = ctx.telemetry;
+  fat_tree.topo.aqm = ctx.aqm;
+}
+
+void IncastKindConfig::declare(KeyTable& k) {
+  declare_fat_tree_topology(k, &preset, &incast.topo);
+  k.size(kWork, "query_kb", &query_bytes, Size::kKB, /*zero_ok=*/true);
+  k.count(kWork, "fan_in", &fan_in, Bound::at_least(0));
+  k.size(kWork, "long_flow_mb", &incast.long_flow_bytes, Size::kMB);
+  k.count(kWork, "long_companions", &incast.long_companions,
+          Bound::at_least(0));
+  k.us(kWork, "burst_at_us", &incast.burst_at);
+  k.ms(kWork, "horizon_ms", &incast.horizon);
+  k.us(kWork, "bin_us", &incast.bin, /*positive=*/true);
+  k.count(kWork, "expected_flows", &incast.expected_flows,
+          Bound::at_least(1));
+}
+
+void IncastKindConfig::bind(const ScenarioContext& ctx, const KeyTable& k) {
+  schemes = ctx.schemes;
+  slug_prefix = ctx.slug_prefix;
+  incast.sim_threads = ctx.sim_threads;
+  incast.telemetry = ctx.telemetry;
+  incast.topo.aqm = ctx.aqm;
+  if (fan_in.size() != query_bytes.size() && fan_in.size() != 1) {
+    k.reject(&fan_in,
+             "must list one value or one per " + k.name(&query_bytes) +
+                 " entry");
   }
-  return sim::from_seconds(s);
-}
-
-sim::TimePs get_ms(SectionView& v, const std::string& key,
-                   sim::TimePs fallback) {
-  return get_duration(v, key, 1e-3, fallback);
-}
-
-sim::TimePs get_us(SectionView& v, const std::string& key,
-                   sim::TimePs fallback) {
-  return get_duration(v, key, 1e-6, fallback);
-}
-
-/// A time-series bin width in us. Checked after the conversion, since
-/// a tiny value rounds to 0 ps and every series divides by the width.
-sim::TimePs get_bin_us(SectionView& v, const std::string& key,
-                       sim::TimePs fallback) {
-  const sim::TimePs bin = get_us(v, key, fallback);
-  if (bin < 1) v.reject(key, "must be a bin width of at least 1 ps");
-  return bin;
-}
-
-/// Scales a size value (MB/KB key) to bytes. Rejects NaN/inf, sizes
-/// under one byte, and sizes past int64 range — casting an
-/// unrepresentable double is undefined behavior, not an error path.
-std::int64_t size_to_bytes(double value, double scale, SectionView& v,
-                           const std::string& key) {
-  const double bytes = value * scale;
-  if (!std::isfinite(bytes) || bytes < 1 || bytes > kInt64Ceiling) {
-    v.reject(key, "must be a positive in-range size");
-  }
-  return static_cast<std::int64_t>(bytes);
-}
-
-/// A size key in bytes (`scale` bytes per unit); absent keys keep
-/// `fallback`.
-std::int64_t get_size(SectionView& v, const std::string& key, double scale,
-                      std::int64_t fallback) {
-  const double x = v.get_double(key, 0);  // marks the key consumed
-  if (!v.has(key)) return fallback;
-  return size_to_bytes(x, scale, v, key);
-}
-
-/// Reads a `flow_mb = 14, 10, 6, 2.5` list into per-flow byte sizes;
-/// absent keys keep the scenario's defaults.
-void load_flow_mb(SectionView& work, std::vector<std::int64_t>* flow_bytes) {
-  const std::vector<double> mb = work.get_double_list("flow_mb", {});
-  if (mb.empty()) return;
-  flow_bytes->clear();
-  for (const double m : mb) {
-    flow_bytes->push_back(size_to_bytes(m, 1e6, work, "flow_mb"));
-  }
-}
-
-/// A `key = v1, v2` list of small positive integers (overcommit
-/// levels, fan-ins); absent keys keep `fallback`.
-std::vector<int> get_int_list(SectionView& v, const std::string& key,
-                              std::vector<int> fallback,
-                              const ConfigFile& file) {
-  const std::vector<double> raw = v.get_double_list(key, {});
-  if (raw.empty()) return fallback;
-  std::vector<int> out;
-  out.reserve(raw.size());
-  for (const double x : raw) {
-    // Range-check before the cast: int-casting an unrepresentable
-    // double is undefined behavior, not a detectable error.
-    if (x < 1 || x > std::numeric_limits<int>::max() || std::floor(x) != x) {
-      throw ConfigError(file.origin() + ": [workload] " + key +
-                        " entries must be integers >= 1");
-    }
-    out.push_back(static_cast<int>(x));
-  }
-  return out;
-}
-
-// ---- per-kind loaders ---------------------------------------------
-// Each owns its [topology]/[workload] schema; the shared SectionView
-// consumption tracking turns any unread key into a file:line error.
-
-std::unique_ptr<ScenarioConfig> load_fat_tree_kind(const ConfigFile& file,
-                                                   SectionView& topo,
-                                                   SectionView& work,
-                                                   const ScenarioContext& ctx) {
-  auto sc = std::make_unique<FatTreeKindConfig>();
-  sc->schemes = ctx.schemes;
-  sc->slug_prefix = ctx.slug_prefix;
-  sc->percentile = ctx.percentile;
-  sc->fat_tree.sim_threads = ctx.sim_threads;
-  sc->fat_tree.seed = ctx.seed;
-  sc->fat_tree.telemetry = ctx.telemetry;
-  sc->fat_tree.burst = ctx.burst;
-  load_fat_tree_topology(topo, &sc->fat_tree.topo, file);
-  sc->fat_tree.topo.aqm = ctx.aqm;
-  sc->loads = work.get_double_list("loads", sc->loads);
-  if (sc->loads.empty()) {
-    throw ConfigError(file.origin() +
-                      ": [workload] point lists must be non-empty");
-  }
-  sc->fat_tree.duration = get_ms(work, "duration_ms", sc->fat_tree.duration);
-  sc->fat_tree.size_scale =
-      work.get_double("size_scale", sc->fat_tree.size_scale);
-  sc->fat_tree.expected_flows =
-      work.get_int32("expected_flows", sc->fat_tree.expected_flows);
-  sc->fat_tree.incast = work.get_bool("incast", sc->fat_tree.incast);
-  sc->fat_tree.incast_requests_per_sec = work.get_double(
-      "incast_requests_per_sec", sc->fat_tree.incast_requests_per_sec);
-  sc->fat_tree.incast_request_bytes = get_size(
-      work, "incast_request_kb", 1e3, sc->fat_tree.incast_request_bytes);
-  sc->fat_tree.incast_fan_in =
-      work.get_int32("incast_fan_in", sc->fat_tree.incast_fan_in);
-  return sc;
-}
-
-std::unique_ptr<ScenarioConfig> load_incast_kind(const ConfigFile& file,
-                                                 SectionView& topo,
-                                                 SectionView& work,
-                                                 const ScenarioContext& ctx) {
-  auto sc = std::make_unique<IncastKindConfig>();
-  sc->schemes = ctx.schemes;
-  sc->slug_prefix = ctx.slug_prefix;
-  sc->incast.sim_threads = ctx.sim_threads;
-  sc->incast.telemetry = ctx.telemetry;
-  sc->incast.burst = ctx.burst;
-  load_fat_tree_topology(topo, &sc->incast.topo, file);
-  sc->incast.topo.aqm = ctx.aqm;
-  sc->query_kb = work.get_double_list("query_kb", sc->query_kb);
-  sc->fan_in = work.get_double_list("fan_in", sc->fan_in);
-  if (sc->query_kb.empty() || sc->fan_in.empty()) {
-    throw ConfigError(file.origin() +
-                      ": [workload] point lists must be non-empty");
-  }
-  if (sc->fan_in.size() != sc->query_kb.size() && sc->fan_in.size() != 1) {
-    throw ConfigError(file.origin() +
-                      ": [workload] fan_in must list one value or one "
-                      "per query_kb entry");
-  }
-  for (const double fan : sc->fan_in) {
-    // 0 is legal (companions-only table), fractions are not: the run
-    // would silently truncate to a point the config does not state.
-    if (fan < 0 || fan > std::numeric_limits<int>::max() ||
-        std::floor(fan) != fan) {
-      throw ConfigError(file.origin() +
-                        ": [workload] fan_in entries must be integers >= 0");
+  for (std::size_t i = 0; i < query_bytes.size(); ++i) {
+    if (query_bytes[i] > 0 && fan_in[fan_in.size() == 1 ? 0 : i] < 1) {
+      k.reject(&fan_in, "must be >= 1 where " + k.name(&query_bytes) +
+                            " > 0 (the query is split across the fan-in)");
     }
   }
-  for (const double kb : sc->query_kb) {
-    // 0 is the companions-only table; run() casts any other entry.
-    if (kb != 0) size_to_bytes(kb, 1e3, work, "query_kb");
-  }
-  for (std::size_t i = 0; i < sc->query_kb.size(); ++i) {
-    const double fan = sc->fan_in[sc->fan_in.size() == 1 ? 0 : i];
-    if (sc->query_kb[i] > 0 && fan < 1) {
-      throw ConfigError(file.origin() +
-                        ": [workload] query_kb > 0 needs fan_in >= 1 "
-                        "(the query is split across the fan-in)");
+}
+
+void RdcnKindConfig::declare(KeyTable& k) {
+  k.choice(kTopo, "preset", &preset, {"small", "paper"});
+  rdcn.topo =
+      preset == "small" ? topo::RdcnConfig::small() : topo::RdcnConfig();
+  k.count(kTopo, "n_tors", &rdcn.topo.n_tors, Bound::at_least(2));
+  k.count(kTopo, "servers_per_tor", &rdcn.topo.servers_per_tor,
+          Bound::at_least(1));
+  k.gbps(kTopo, "host_gbps", &rdcn.topo.host_bw);
+  k.gbps(kTopo, "circuit_gbps", &rdcn.topo.circuit_bw);
+  k.us(kTopo, "day_us", &rdcn.topo.day, /*positive=*/true);
+  k.us(kTopo, "night_us", &rdcn.topo.night);
+  k.gbps(kWork, "packet_gbps", &packet_gbps);
+  k.size(kWork, "flow_mb", &rdcn.flow_bytes, Size::kMB);
+  k.ms(kWork, "horizon_ms", &rdcn.horizon);
+  k.us(kWork, "bin_us", &rdcn.bin, /*positive=*/true);
+  k.count(kWork, "expected_flows", &rdcn.expected_flows, Bound::at_least(1));
+}
+
+void RdcnKindConfig::bind(const ScenarioContext& ctx, const KeyTable&) {
+  schemes = ctx.schemes;
+  slug_prefix = ctx.slug_prefix;
+  rdcn.sim_threads = ctx.sim_threads;
+  rdcn.telemetry = ctx.telemetry;
+}
+
+void DumbbellKindConfig::declare(KeyTable& k) {
+  DumbbellScenario& d = dumbbell;
+  k.gbps(kTopo, "host_gbps", &d.topo.host_bw);
+  k.gbps(kTopo, "bottleneck_gbps", &d.topo.bottleneck_bw);
+  k.us(kTopo, "link_delay_us", &d.topo.link_delay);
+  k.real(kTopo, "dt_alpha", &d.topo.dt_alpha, Bound::above(0));
+  // 0 keeps the default: a buffer derived from the rates.
+  k.size(kTopo, "buffer_kb", &d.topo.buffer_bytes, Size::kKB,
+         /*zero_ok=*/true);
+  k.size(kWork, "flow_mb", &d.flow_bytes, Size::kMB);
+  k.us(kWork, "stagger_us", &d.stagger);
+  k.ms(kWork, "horizon_ms", &d.horizon);
+  k.us(kWork, "bin_us", &d.bin, /*positive=*/true);
+  k.count(kWork, "row_every", &d.row_stride, Bound::at_least(1));
+}
+
+void DumbbellKindConfig::bind(const ScenarioContext& ctx, const KeyTable&) {
+  schemes = ctx.schemes;
+  slug_prefix = ctx.slug_prefix;
+  dumbbell.sim_threads = ctx.sim_threads;
+  dumbbell.telemetry = ctx.telemetry;
+  dumbbell.topo.aqm = ctx.aqm;
+}
+
+void HomaOcKindConfig::declare(KeyTable& k) {
+  HomaOcScenario& h = homa_oc;
+  declare_fat_tree_topology(k, &preset, &h.incast_topo);
+  k.count(kWork, "overcommit", &h.overcommit, Bound::at_least(1));
+  k.count(kWork, "fan_in", &h.fan_in, Bound::at_least(1));
+  k.size(kWork, "flow_mb", &h.fairness.flow_bytes, Size::kMB);
+  k.us(kWork, "stagger_us", &h.fairness.stagger);
+  k.ms(kWork, "fairness_horizon_ms", &h.fairness.horizon);
+  k.us(kWork, "fairness_bin_us", &h.fairness.bin, /*positive=*/true);
+  k.count(kWork, "fairness_row_every", &h.fairness.row_stride,
+          Bound::at_least(1));
+  k.size(kWork, "long_message_mb", &h.long_message_bytes, Size::kMB);
+  k.size(kWork, "burst_kb", &h.burst_message_bytes, Size::kKB);
+  k.us(kWork, "burst_at_us", &h.burst_at);
+  k.ms(kWork, "incast_horizon_ms", &h.incast_horizon);
+  k.us(kWork, "incast_bin_us", &h.incast_bin, /*positive=*/true);
+}
+
+void HomaOcKindConfig::bind(const ScenarioContext& ctx, const KeyTable&) {
+  schemes = ctx.schemes;
+  slug_prefix = ctx.slug_prefix;
+  homa_oc.sim_threads = ctx.sim_threads;
+  homa_oc.telemetry = ctx.telemetry;
+  homa_oc.incast_topo.aqm = ctx.aqm;
+  homa_oc.fairness.topo.aqm = ctx.aqm;
+}
+
+void SingleFlowKindConfig::declare(KeyTable& k) {
+  k.gbps(kTopo, "bandwidth_gbps", &bandwidth_gbps);
+  k.real(kTopo, "bdp_packets", &bdp_packets, Bound::above(0));
+  k.real(kTopo, "packet_kb", &packet_kb, Bound::above(0));
+  k.real(kWork, "hold_queue_pkts", &hold_queue_pkts, Bound::at_least(0));
+  k.real(kWork, "hold_rate_x", &hold_rate_x, Bound::at_least(0));
+  k.real(kWork, "rate_max", &rate_max_x, Bound::at_least(0));
+  k.real(kWork, "queue_max_pkts", &queue_max_pkts, Bound::at_least(0));
+  k.real(kWork, "queue_step_pkts", &queue_step_pkts, Bound::above(0));
+}
+
+void SingleFlowKindConfig::bind(const ScenarioContext& ctx,
+                                const KeyTable& k) {
+  slug_prefix = ctx.slug_prefix;
+  const auto too_many = [&k](const void* field, double rows) {
+    if (rows > kMaxReactionRows) {
+      k.reject(field, "implies " + count_text(rows) +
+                          " table rows; the cap is " +
+                          count_text(kMaxReactionRows));
     }
-  }
-  sc->incast.long_flow_bytes =
-      get_size(work, "long_flow_mb", 1e6, sc->incast.long_flow_bytes);
-  sc->incast.long_companions =
-      work.get_int32("long_companions", sc->incast.long_companions);
-  sc->incast.burst_at = get_us(work, "burst_at_us", sc->incast.burst_at);
-  sc->incast.horizon = get_ms(work, "horizon_ms", sc->incast.horizon);
-  sc->incast.bin = get_bin_us(work, "bin_us", sc->incast.bin);
-  sc->incast.expected_flows =
-      work.get_int32("expected_flows", sc->incast.expected_flows);
-  return sc;
+  };
+  too_many(&rate_max_x, std::floor(rate_max_x + 0.01) + 1);
+  too_many(k.given(&queue_step_pkts) ? &queue_step_pkts : &queue_max_pkts,
+           std::floor((queue_max_pkts + 0.01) / queue_step_pkts) + 1);
 }
 
-std::unique_ptr<ScenarioConfig> load_rdcn_kind(const ConfigFile& file,
-                                               SectionView& topo,
-                                               SectionView& work,
-                                               const ScenarioContext& ctx) {
-  auto sc = std::make_unique<RdcnKindConfig>();
-  sc->schemes = ctx.schemes;
-  sc->slug_prefix = ctx.slug_prefix;
-  sc->rdcn.sim_threads = ctx.sim_threads;
-  sc->rdcn.telemetry = ctx.telemetry;
-  sc->rdcn.burst = ctx.burst;
-  const std::string preset = topo.get_string("preset", "paper");
-  if (preset == "small") {
-    sc->rdcn.topo = topo::RdcnConfig::small();
-  } else if (preset == "paper") {
-    sc->rdcn.topo = topo::RdcnConfig();
-  } else {
-    throw ConfigError(file.origin() + ": [topology] preset = '" + preset +
-                      "' is not one of small, paper");
-  }
-  sc->rdcn.topo.n_tors = topo.get_int32("n_tors", sc->rdcn.topo.n_tors);
-  sc->rdcn.topo.servers_per_tor =
-      topo.get_int32("servers_per_tor", sc->rdcn.topo.servers_per_tor);
-  if (topo.has("host_gbps")) {
-    sc->rdcn.topo.host_bw =
-        sim::Bandwidth::gbps(topo.get_double("host_gbps", 0));
-  }
-  if (topo.has("circuit_gbps")) {
-    sc->rdcn.topo.circuit_bw =
-        sim::Bandwidth::gbps(topo.get_double("circuit_gbps", 0));
-  }
-  sc->rdcn.topo.day = get_us(topo, "day_us", sc->rdcn.topo.day);
-  sc->rdcn.topo.night = get_us(topo, "night_us", sc->rdcn.topo.night);
-  sc->packet_gbps = work.get_double_list("packet_gbps", sc->packet_gbps);
-  if (sc->packet_gbps.empty()) {
-    throw ConfigError(file.origin() +
-                      ": [workload] point lists must be non-empty");
-  }
-  sc->rdcn.flow_bytes = get_size(work, "flow_mb", 1e6, sc->rdcn.flow_bytes);
-  sc->rdcn.horizon = get_ms(work, "horizon_ms", sc->rdcn.horizon);
-  sc->rdcn.bin = get_bin_us(work, "bin_us", sc->rdcn.bin);
-  sc->rdcn.expected_flows =
-      work.get_int32("expected_flows", sc->rdcn.expected_flows);
-  return sc;
+void MixedCcKindConfig::declare(KeyTable& k) {
+  MixedCcScenario& m = mixed;
+  k.gbps(kTopo, "host_gbps", &m.topo.host_bw);
+  k.gbps(kTopo, "bottleneck_gbps", &m.topo.bottleneck_bw);
+  k.real(kTopo, "dt_alpha", &m.topo.dt_alpha, Bound::above(0));
+  k.text(kWork, "cc_mix", &cc_mix);
+  k.choice(kWork, "aqm", &m.aqm_kinds, net::AqmRegistry::instance().names());
+  k.real(kWork, "rtt_us", &m.rtt_us, Bound::above(0).upto(1e9));
+  // 0 keeps the topology's default (deep) buffer; small values reach
+  // the Tiny-Buffer regime.
+  k.size(kWork, "buffer_kb", &m.buffer_bytes, Size::kKB, /*zero_ok=*/true);
+  k.count(kWork, "senders", &m.senders, Bound::at_least(1));
+  k.size(kWork, "flow_mb", &m.flow_bytes, Size::kMB);
+  k.ms(kWork, "horizon_ms", &m.horizon);
 }
 
-std::unique_ptr<ScenarioConfig> load_dumbbell_kind(const ConfigFile& file,
-                                                   SectionView& topo,
-                                                   SectionView& work,
-                                                   const ScenarioContext& ctx) {
-  auto sc = std::make_unique<DumbbellKindConfig>();
-  sc->schemes = ctx.schemes;
-  sc->slug_prefix = ctx.slug_prefix;
-  DumbbellScenario& d = sc->dumbbell;
-  d.sim_threads = ctx.sim_threads;
-  d.telemetry = ctx.telemetry;
-  d.burst = ctx.burst;
-  d.topo.aqm = ctx.aqm;
-  if (topo.has("host_gbps")) {
-    d.topo.host_bw = sim::Bandwidth::gbps(topo.get_double("host_gbps", 0));
-  }
-  if (topo.has("bottleneck_gbps")) {
-    d.topo.bottleneck_bw =
-        sim::Bandwidth::gbps(topo.get_double("bottleneck_gbps", 0));
-  }
-  d.topo.link_delay = get_us(topo, "link_delay_us", d.topo.link_delay);
-  d.topo.dt_alpha = topo.get_double("dt_alpha", d.topo.dt_alpha);
-  // 0 (or absent) keeps the default: a buffer derived from the rates.
-  const double buffer_kb = topo.get_double("buffer_kb", 0);
-  if (buffer_kb != 0) {
-    d.topo.buffer_bytes = size_to_bytes(buffer_kb, 1e3, topo, "buffer_kb");
-  }
-  load_flow_mb(work, &d.flow_bytes);
-  d.stagger = get_us(work, "stagger_us", d.stagger);
-  d.horizon = get_ms(work, "horizon_ms", d.horizon);
-  d.bin = get_bin_us(work, "bin_us", d.bin);
-  d.row_stride = work.get_int32("row_every", d.row_stride);
-  if (d.row_stride < 1) {
-    throw ConfigError(file.origin() + ": [workload] row_every must be >= 1");
-  }
-  return sc;
-}
-
-std::unique_ptr<ScenarioConfig> load_homa_oc_kind(const ConfigFile& file,
-                                                  SectionView& topo,
-                                                  SectionView& work,
-                                                  const ScenarioContext& ctx) {
-  auto sc = std::make_unique<HomaOcKindConfig>();
-  sc->schemes = ctx.schemes;
-  sc->slug_prefix = ctx.slug_prefix;
-  HomaOcScenario& h = sc->homa_oc;
-  h.sim_threads = ctx.sim_threads;
-  h.telemetry = ctx.telemetry;
-  h.burst = ctx.burst;
-  load_fat_tree_topology(topo, &h.incast_topo, file);
-  h.incast_topo.aqm = ctx.aqm;
-  h.fairness.topo.aqm = ctx.aqm;
-  h.overcommit = get_int_list(work, "overcommit", h.overcommit, file);
-  h.fan_in = get_int_list(work, "fan_in", h.fan_in, file);
-  load_flow_mb(work, &h.fairness.flow_bytes);
-  h.fairness.stagger = get_us(work, "stagger_us", h.fairness.stagger);
-  h.fairness.horizon =
-      get_ms(work, "fairness_horizon_ms", h.fairness.horizon);
-  h.fairness.bin = get_bin_us(work, "fairness_bin_us", h.fairness.bin);
-  h.fairness.row_stride =
-      work.get_int32("fairness_row_every", h.fairness.row_stride);
-  if (h.fairness.row_stride < 1) {
-    throw ConfigError(file.origin() +
-                      ": [workload] fairness_row_every must be >= 1");
-  }
-  h.long_message_bytes =
-      get_size(work, "long_message_mb", 1e6, h.long_message_bytes);
-  h.burst_message_bytes =
-      get_size(work, "burst_kb", 1e3, h.burst_message_bytes);
-  h.burst_at = get_us(work, "burst_at_us", h.burst_at);
-  h.incast_horizon = get_ms(work, "incast_horizon_ms", h.incast_horizon);
-  h.incast_bin = get_bin_us(work, "incast_bin_us", h.incast_bin);
-  return sc;
-}
-
-std::unique_ptr<ScenarioConfig> load_single_flow_kind(
-    const ConfigFile& file, SectionView& topo, SectionView& work,
-    const ScenarioContext& ctx) {
-  auto sc = std::make_unique<SingleFlowKindConfig>();
-  sc->slug_prefix = ctx.slug_prefix;
-  sc->bandwidth_gbps = topo.get_double("bandwidth_gbps", sc->bandwidth_gbps);
-  sc->bdp_packets = topo.get_double("bdp_packets", sc->bdp_packets);
-  sc->packet_kb = topo.get_double("packet_kb", sc->packet_kb);
-  if (sc->bandwidth_gbps <= 0 || sc->bdp_packets <= 0 || sc->packet_kb <= 0) {
-    throw ConfigError(file.origin() +
-                      ": [topology] bandwidth_gbps, bdp_packets and "
-                      "packet_kb must be > 0");
-  }
-  sc->hold_queue_pkts =
-      work.get_double("hold_queue_pkts", sc->hold_queue_pkts);
-  sc->hold_rate_x = work.get_double("hold_rate_x", sc->hold_rate_x);
-  sc->rate_max_x = work.get_double("rate_max", sc->rate_max_x);
-  sc->queue_max_pkts = work.get_double("queue_max_pkts", sc->queue_max_pkts);
-  sc->queue_step_pkts =
-      work.get_double("queue_step_pkts", sc->queue_step_pkts);
-  if (sc->hold_queue_pkts < 0 || sc->hold_rate_x < 0 || sc->rate_max_x < 0 ||
-      sc->queue_max_pkts < 0) {
-    throw ConfigError(file.origin() + ": [workload] values must be >= 0");
-  }
-  if (sc->queue_step_pkts <= 0) {
-    throw ConfigError(file.origin() +
-                      ": [workload] queue_step_pkts must be > 0");
-  }
-  return sc;
-}
-
-std::unique_ptr<ScenarioConfig> load_mixed_cc_kind(const ConfigFile& file,
-                                                   SectionView& topo,
-                                                   SectionView& work,
-                                                   const ScenarioContext& ctx) {
-  auto sc = std::make_unique<MixedCcKindConfig>();
-  sc->slug_prefix = ctx.slug_prefix;
-  MixedCcScenario& m = sc->mixed;
-  m.sim_threads = ctx.sim_threads;
-  m.burst = ctx.burst;
-  m.seed = ctx.seed;
-  m.aqm = ctx.aqm;
-  if (topo.has("host_gbps")) {
-    m.topo.host_bw = sim::Bandwidth::gbps(topo.get_double("host_gbps", 0));
-  }
-  if (topo.has("bottleneck_gbps")) {
-    m.topo.bottleneck_bw =
-        sim::Bandwidth::gbps(topo.get_double("bottleneck_gbps", 0));
-  }
-  m.topo.dt_alpha = topo.get_double("dt_alpha", m.topo.dt_alpha);
-
-  // `cc_mix = dctcp:0.5+powertcp:0.5, dctcp` — each comma-separated
-  // entry is one mix cell; members reference [experiment] scheme
-  // labels (so [cc.<label>] params apply per member).
-  const std::vector<std::string> mix_specs = work.get_list("cc_mix", {});
-  if (mix_specs.empty()) {
-    throw ConfigError(file.origin() +
-                      ": [workload] needs a non-empty `cc_mix` list");
-  }
-  // The entry's source line, for member-resolution errors.
-  std::string at = file.origin();
-  if (const ConfigFile::Section* wsec = file.find("workload")) {
-    for (const auto& e : wsec->entries) {
-      if (e.key == "cc_mix") {
-        at += ":" + std::to_string(e.line);
-        break;
-      }
-    }
-  }
-  for (const std::string& spec : mix_specs) {
+void MixedCcKindConfig::bind(const ScenarioContext& ctx, const KeyTable& k) {
+  slug_prefix = ctx.slug_prefix;
+  mixed.sim_threads = ctx.sim_threads;
+  mixed.seed = static_cast<std::uint64_t>(ctx.seed);
+  mixed.aqm = ctx.aqm;
+  // Each entry (`dctcp:0.5+powertcp:0.5`) is one mix cell; members
+  // reference [experiment] scheme labels, so [cc.<label>] params apply
+  // per member.
+  for (const std::string& spec : cc_mix) {
+    const std::string entry = "entry '" + spec + "': ";
     std::vector<cc::MixMember> members;
     try {
       members = cc::parse_cc_mix(spec);
     } catch (const std::exception& e) {
-      throw ConfigError(at + ": [workload] cc_mix entry '" + spec +
-                        "': " + e.what());
+      k.reject(&cc_mix, entry + e.what());
     }
     MixedCcMix mix;
     mix.display = cc::mix_display(members);
@@ -483,271 +342,153 @@ std::unique_ptr<ScenarioConfig> load_mixed_cc_kind(const ConfigFile& file,
         }
       }
       if (run == nullptr) {
-        throw ConfigError(at + ": [workload] cc_mix member '" + mem.label +
-                          "' is not in the [experiment] schemes list");
+        k.reject(&cc_mix, entry + "member '" + mem.label +
+                              "' is not in the [experiment] schemes list");
       }
       const cc::Scheme& scheme = cc::Registry::instance().at(run->scheme);
       if (scheme.message_transport) {
-        throw ConfigError(
-            at + ": [workload] cc_mix member '" + mem.label + "' (scheme " +
-            run->scheme +
-            ") is a receiver-driven message transport; it reshapes the "
-            "fabric and cannot share a bottleneck with sender CC "
-            "algorithms");
+        k.reject(&cc_mix,
+                 entry + "member '" + mem.label + "' (scheme " + run->scheme +
+                     ") is a receiver-driven message transport; it "
+                     "reshapes the fabric and cannot share a bottleneck "
+                     "with sender CC algorithms");
       }
       if (scheme.needs.circuit_schedule) {
-        throw ConfigError(at + ": [workload] cc_mix member '" + mem.label +
-                          "' (scheme " + run->scheme +
-                          ") needs a circuit schedule; the coexistence "
-                          "dumbbell has none");
+        k.reject(&cc_mix, entry + "member '" + mem.label + "' (scheme " +
+                              run->scheme +
+                              ") needs a circuit schedule; the coexistence "
+                              "dumbbell has none");
       }
       mix.members.push_back(*run);
       mix.weights.push_back(mem.weight);
     }
-    m.mixes.push_back(std::move(mix));
+    mixed.mixes.push_back(std::move(mix));
   }
-
-  m.aqm_kinds = work.get_list("aqm", m.aqm_kinds);
-  for (const auto& kind : m.aqm_kinds) {
-    if (net::AqmRegistry::instance().find(kind) == nullptr) {
-      throw ConfigError(file.origin() + ": [workload] aqm = '" + kind +
-                        "' is not one of " +
-                        net::AqmRegistry::instance().joined_names());
-    }
-  }
-  m.rtt_us = work.get_double_list("rtt_us", m.rtt_us);
-  for (const double rtt : m.rtt_us) {
-    if (!std::isfinite(rtt) || rtt <= 0) {
-      throw ConfigError(file.origin() +
-                        ": [workload] rtt_us entries must be > 0");
-    }
-  }
-  // `buffer_kb = 0, 16, 250` — 0 keeps the topology's default (deep)
-  // buffer; small values reach the Tiny-Buffer regime.
-  for (const double kb : work.get_double_list("buffer_kb", {})) {
-    m.buffer_bytes.push_back(
-        kb == 0 ? 0 : size_to_bytes(kb, 1e3, work, "buffer_kb"));
-  }
-  m.senders = work.get_int32("senders", m.senders);
-  if (m.senders < 1) {
-    throw ConfigError(file.origin() + ": [workload] senders must be >= 1");
-  }
-  m.flow_bytes = get_size(work, "flow_mb", 1e6, m.flow_bytes);
-  m.horizon = get_ms(work, "horizon_ms", m.horizon);
-  return sc;
 }
 
-std::unique_ptr<ScenarioConfig> load_fluid_phase_kind(
-    const ConfigFile& file, SectionView& topo, SectionView& work,
-    const ScenarioContext& ctx) {
-  auto sc = std::make_unique<FluidPhaseKindConfig>();
-  sc->slug_prefix = ctx.slug_prefix;
-  sc->bandwidth_gbps = topo.get_double("bandwidth_gbps", sc->bandwidth_gbps);
-  sc->base_rtt_us = topo.get_double("base_rtt_us", sc->base_rtt_us);
-  sc->gamma = topo.get_double("gamma", sc->gamma);
-  sc->update_interval_us =
-      topo.get_double("update_interval_us", sc->update_interval_us);
-  sc->beta_frac = topo.get_double("beta_frac", sc->beta_frac);
-  if (sc->bandwidth_gbps <= 0 || sc->base_rtt_us <= 0 || sc->gamma <= 0 ||
-      sc->update_interval_us <= 0 || sc->beta_frac <= 0) {
-    throw ConfigError(file.origin() +
-                      ": [topology] fluid-model parameters must be > 0");
-  }
-  sc->duration_ms = work.get_double("duration_ms", sc->duration_ms);
-  sc->step_us = work.get_double("step_us", sc->step_us);
-  sc->sample_us = work.get_double("sample_us", sc->sample_us);
-  if (sc->duration_ms <= 0 || sc->step_us <= 0 || sc->sample_us <= 0) {
-    throw ConfigError(
-        file.origin() +
-        ": [workload] duration_ms, step_us and sample_us must be > 0");
-  }
-  sc->grid_w_bdp = work.get_double_list("grid_w_bdp", sc->grid_w_bdp);
-  sc->grid_q_bdp = work.get_double_list("grid_q_bdp", sc->grid_q_bdp);
-  if (sc->grid_w_bdp.empty() ||
-      sc->grid_w_bdp.size() != sc->grid_q_bdp.size()) {
-    throw ConfigError(file.origin() +
-                      ": [workload] grid_w_bdp and grid_q_bdp must be "
-                      "non-empty lists of equal length");
-  }
-  for (std::size_t i = 0; i < sc->grid_w_bdp.size(); ++i) {
-    if (!std::isfinite(sc->grid_w_bdp[i]) || sc->grid_w_bdp[i] <= 0 ||
-        !std::isfinite(sc->grid_q_bdp[i]) || sc->grid_q_bdp[i] < 0) {
-      throw ConfigError(file.origin() +
-                        ": [workload] grid entries need w > 0 and q >= 0");
-    }
-  }
-  return sc;
+void FluidPhaseKindConfig::declare(KeyTable& k) {
+  k.gbps(kTopo, "bandwidth_gbps", &bandwidth_gbps);
+  k.real(kTopo, "base_rtt_us", &base_rtt_us, Bound::above(0));
+  k.real(kTopo, "gamma", &gamma, Bound::above(0));
+  k.real(kTopo, "update_interval_us", &update_interval_us, Bound::above(0));
+  k.real(kTopo, "beta_frac", &beta_frac, Bound::above(0));
+  k.real(kWork, "duration_ms", &duration_ms, Bound::above(0));
+  k.real(kWork, "step_us", &step_us, Bound::above(0));
+  k.real(kWork, "sample_us", &sample_us, Bound::above(0));
+  k.real(kWork, "grid_w_bdp", &grid_w_bdp, Bound::above(0));
+  k.real(kWork, "grid_q_bdp", &grid_q_bdp, Bound::at_least(0));
 }
 
-}  // namespace
+void FluidPhaseKindConfig::bind(const ScenarioContext& ctx,
+                                const KeyTable& k) {
+  slug_prefix = ctx.slug_prefix;
+  if (grid_w_bdp.size() != grid_q_bdp.size()) {
+    k.reject(k.given(&grid_q_bdp) ? &grid_q_bdp : &grid_w_bdp,
+             "must pair one to one with " +
+                 k.name(k.given(&grid_q_bdp) ? &grid_w_bdp : &grid_q_bdp));
+  }
+  const auto too_many = [&](const double* per, double cap,
+                            const char* what) {
+    const double n = duration_ms * 1e3 / *per;
+    if (n > cap) {
+      k.reject(k.given(per) ? static_cast<const void*>(per) : &duration_ms,
+               "implies " + count_text(n) + " " + what +
+                   " per trajectory; the cap is " + count_text(cap));
+    }
+  };
+  too_many(&step_us, kMaxFluidSteps, "Euler steps");
+  too_many(&sample_us, kMaxFluidSamples, "samples");
+}
 
 void register_builtin_scenarios(ScenarioRegistry& registry) {
-  registry.add(
-      {"fat_tree",
-       "Fig. 6/7 FCT sweep: websearch fat-tree, tail slowdown per size "
-       "bucket, one table per load",
-       "preset (quick|paper), pods, tors_per_pod, aggs_per_pod, cores, "
-       "servers_per_tor, host_gbps, fabric_gbps, buffer_bytes_per_gbps, "
-       "dt_alpha",
-       "loads, duration_ms, size_scale, expected_flows, incast, "
-       "incast_requests_per_sec, incast_request_kb, incast_fan_in",
-       load_fat_tree_kind});
-  registry.add(
-      {"incast",
-       "Fig. 4 reaction to incast: long flow + N:1 burst on one downlink, "
-       "goodput/queue time series per scheme",
-       "preset (quick|paper) + fat-tree overrides (see fat_tree)",
-       "query_kb, fan_in, long_flow_mb, long_companions, burst_at_us, "
-       "horizon_ms, bin_us, expected_flows",
-       load_incast_kind});
-  registry.add(
-      {"rdcn",
-       "Fig. 8 reconfigurable-DCN case study: rack-to-rack series over the "
-       "rotor schedule plus p99 ToR latency vs packet bandwidth",
-       "preset (small|paper), n_tors, servers_per_tor, host_gbps, "
-       "circuit_gbps, day_us, night_us",
-       "packet_gbps, flow_mb, horizon_ms, bin_us, expected_flows",
-       load_rdcn_kind});
-  registry.add(
-      {"dumbbell",
-       "Fig. 5 fairness/stability: staggered flows over one bottleneck, "
-       "per-flow goodput series, one table per scheme",
-       "host_gbps, bottleneck_gbps, link_delay_us, dt_alpha, buffer_kb",
-       "flow_mb, stagger_us, horizon_ms, bin_us, row_every",
-       load_dumbbell_kind});
-  registry.add(
-      {"homa_oc",
-       "Figs. 9-11 overcommitment sweep: message-transport fairness per "
-       "level plus N:1 incast reaction summaries",
-       "preset (quick|paper) + fat-tree overrides for the incast panel",
-       "overcommit, fan_in, flow_mb, stagger_us, fairness_horizon_ms, "
-       "fairness_bin_us, fairness_row_every, long_message_mb, burst_kb, "
-       "burst_at_us, incast_horizon_ms, incast_bin_us",
-       load_homa_oc_kind});
-  registry.add(
-      {"single_flow",
-       "Fig. 2 analytic reaction curves: multiplicative decrease of the "
-       "voltage/current/power laws on one bottleneck (no simulation)",
-       "bandwidth_gbps, bdp_packets, packet_kb",
-       "hold_queue_pkts, hold_rate_x, rate_max, queue_max_pkts, "
-       "queue_step_pkts",
-       load_single_flow_kind});
-  registry.add(
-      {"mixed_cc",
-       "brownfield coexistence: per-host CC mixes sharing one dumbbell, "
-       "swept over (mix, aqm, rtt, buffer) cells into fairness/share/FCT "
-       "tables",
-       "host_gbps, bottleneck_gbps, dt_alpha",
-       "cc_mix, aqm, rtt_us, buffer_kb, senders, flow_mb, horizon_ms",
-       load_mixed_cc_kind});
-  registry.add(
-      {"fluid_phase",
-       "Fig. 3 fluid-model phase portraits: per-law trajectories from a "
-       "grid of initial states plus the Theorem 1/2 stability summary "
-       "(no simulation)",
-       "bandwidth_gbps, base_rtt_us, gamma, update_interval_us, beta_frac",
-       "duration_ms, step_us, sample_us, grid_w_bdp, grid_q_bdp",
-       load_fluid_phase_kind});
+  registry.add(builtin<FatTreeKindConfig>(
+      "fat_tree",
+      "Fig. 6/7 FCT sweep: websearch fat-tree, tail slowdown per size "
+      "bucket, one table per load"));
+  registry.add(builtin<IncastKindConfig>(
+      "incast",
+      "Fig. 4 reaction to incast: long flow + N:1 burst on one downlink, "
+      "goodput/queue time series per scheme"));
+  registry.add(builtin<RdcnKindConfig>(
+      "rdcn",
+      "Fig. 8 reconfigurable-DCN case study: rack-to-rack series over the "
+      "rotor schedule plus p99 ToR latency vs packet bandwidth"));
+  registry.add(builtin<DumbbellKindConfig>(
+      "dumbbell",
+      "Fig. 5 fairness/stability: staggered flows over one bottleneck, "
+      "per-flow goodput series, one table per scheme"));
+  registry.add(builtin<HomaOcKindConfig>(
+      "homa_oc",
+      "Figs. 9-11 overcommitment sweep: message-transport fairness per "
+      "level plus N:1 incast reaction summaries"));
+  registry.add(builtin<SingleFlowKindConfig>(
+      "single_flow",
+      "Fig. 2 analytic reaction curves: multiplicative decrease of the "
+      "voltage/current/power laws on one bottleneck (no simulation)"));
+  registry.add(builtin<MixedCcKindConfig>(
+      "mixed_cc",
+      "brownfield coexistence: per-host CC mixes sharing one dumbbell, "
+      "swept over (mix, aqm, rtt, buffer) cells into fairness/share/FCT "
+      "tables"));
+  registry.add(builtin<FluidPhaseKindConfig>(
+      "fluid_phase",
+      "Fig. 3 fluid-model phase portraits: per-law trajectories from a "
+      "grid of initial states plus the Theorem 1/2 stability summary "
+      "(no simulation)"));
+}
+
+std::string kinds_reference(const ScenarioRegistry& registry) {
+  KeyTable shared;
+  ScenarioContext ctx;
+  declare_shared_keys(shared, &ctx, registry);
+  std::string out =
+      "every kind: [experiment], plus the optional [aqm] and [telemetry]\n" +
+      format_keys(shared.keys());
+  for (const auto& kind : registry.entries()) {
+    KeyTable keys;
+    kind.make()->declare(keys);
+    out += "\n" + kind.name + "\n  " + kind.summary + "\n" +
+           format_keys(keys.keys());
+  }
+  return out;
 }
 
 RunnerConfig load_runner_config(const ConfigFile& file,
                                 const ScenarioRegistry& registry,
                                 const RunnerLoadOptions& options) {
-  const ConfigFile::Section* exp_sec = file.find("experiment");
-  if (exp_sec == nullptr) {
+  if (file.find("experiment") == nullptr) {
     throw ConfigError(file.origin() + ": missing [experiment] section");
   }
-  SectionView exp(file, exp_sec);
-  const std::string kind = exp.get_string("kind", "fat_tree");
-  const ScenarioEntry* entry = registry.find(kind);
-  if (entry == nullptr) {
-    throw ConfigError(file.origin() + ": [experiment] kind = '" + kind +
-                      "' is not one of " + registry.joined_names());
-  }
-
+  KeyTable keys(file);
   ScenarioContext ctx;
-  ctx.slug_prefix = exp.get_string("slug", ctx.slug_prefix);
-  const std::vector<std::string> scheme_names = exp.get_list("schemes");
-  if (scheme_names.empty()) {
-    throw ConfigError(file.origin() +
-                      ": [experiment] needs a non-empty `schemes` list");
-  }
-  ctx.seed = static_cast<std::uint64_t>(exp.get_int("seed", 1));
-  ctx.percentile = exp.get_double("percentile", ctx.percentile);
-  // Partitioned event engine. Every value is byte-identical to
-  // sim_threads = 1 (pinned by the sharded golden tests); 1 runs the
-  // exact sequential engine with no threads spawned.
-  const std::int64_t threads_knob =
-      exp.get_int("sim_threads", options.force_sim_threads > 0
-                                     ? options.force_sim_threads
-                                     : ctx.sim_threads);
-  if (threads_knob < 1 || threads_knob > 64) {
-    throw ConfigError(file.origin() +
-                      ": [experiment] sim_threads must be in [1, 64]");
-  }
-  ctx.sim_threads = static_cast<int>(threads_knob);
+  declare_shared_keys(keys, &ctx, registry);
   if (options.force_sim_threads > 0) {
     ctx.sim_threads = options.force_sim_threads;
   }
-  exp.finish();
-
-  ctx.telemetry = load_telemetry_config(file);
   if (options.force_telemetry) ctx.telemetry.enabled = true;
-
-  ctx.burst = load_burst_config(file);
-
-  // Optional [aqm] section: the switch marking/drop policy. The
-  // default ("red") keeps every pre-AQM-layer config byte-identical
-  // (pinned by the golden tests).
-  SectionView aqm(file, file.find("aqm"));
-  ctx.aqm.kind = aqm.get_string("kind", ctx.aqm.kind);
-  if (net::AqmRegistry::instance().find(ctx.aqm.kind) == nullptr) {
-    throw ConfigError(file.origin() + ": [aqm] kind = '" + ctx.aqm.kind +
-                      "' is not one of " +
-                      net::AqmRegistry::instance().joined_names());
-  }
-  ctx.aqm.target_us = aqm.get_double("target_us", ctx.aqm.target_us);
-  ctx.aqm.tupdate_us = aqm.get_double("tupdate_us", ctx.aqm.tupdate_us);
-  ctx.aqm.alpha = aqm.get_double("alpha", ctx.aqm.alpha);
-  ctx.aqm.beta = aqm.get_double("beta", ctx.aqm.beta);
-  ctx.aqm.ecn_threshold =
-      aqm.get_double("ecn_threshold", ctx.aqm.ecn_threshold);
-  ctx.aqm.interval_us = aqm.get_double("interval_us", ctx.aqm.interval_us);
-  if (ctx.aqm.target_us <= 0 || ctx.aqm.tupdate_us <= 0 ||
-      ctx.aqm.alpha <= 0 || ctx.aqm.beta <= 0 || ctx.aqm.interval_us <= 0) {
-    throw ConfigError(file.origin() +
-                      ": [aqm] target_us, tupdate_us, alpha, beta and "
-                      "interval_us must be > 0");
-  }
-  if (ctx.aqm.ecn_threshold < 0 || ctx.aqm.ecn_threshold > 1) {
-    throw ConfigError(file.origin() +
-                      ": [aqm] ecn_threshold must be in [0, 1]");
-  }
-  aqm.finish();
-
-  for (const auto& name : scheme_names) {
-    ctx.schemes.push_back(resolve_scheme(file, name));
+  for (const auto& label : ctx.scheme_labels) {
+    ctx.schemes.push_back(
+        resolve_scheme(file, label, keys, &ctx.scheme_labels));
   }
 
-  SectionView topo(file, file.find("topology"));
-  SectionView work(file, file.find("workload"));
-  RunnerConfig rc;
-  rc.kind = kind;
-  rc.scenario = entry->load(file, topo, work, ctx);
-  topo.finish();
-  work.finish();
+  std::unique_ptr<ScenarioConfig> scenario = registry.at(ctx.kind).make();
+  scenario->declare(keys);
+  scenario->bind(ctx, keys);
+  keys.finish();
 
-  // Reject sections the loader never looked at (typos, or [cc.X] for a
+  // Reject sections no declaration named (typos, or [cc.X] for a
   // scheme the `schemes` list does not run).
-  std::set<std::string> known = {"experiment", "topology", "workload",
-                                 "telemetry", "aqm", "burst"};
-  for (const auto& name : scheme_names) known.insert("cc." + name);
+  std::vector<std::string> known = keys.sections();
+  for (const auto& label : ctx.scheme_labels) known.push_back("cc." + label);
   for (const auto& sec : file.sections()) {
-    if (known.count(sec.name) == 0) {
+    if (std::find(known.begin(), known.end(), sec.name) == known.end()) {
       throw ConfigError(file.origin() + ":" + std::to_string(sec.line) +
                         ": unused section [" + sec.name + "]");
     }
   }
+  RunnerConfig rc;
+  rc.kind = ctx.kind;
+  rc.scenario = std::move(scenario);
   return rc;
 }
 
@@ -794,11 +535,10 @@ std::vector<ResultTable> FatTreeKindConfig::run(
 std::vector<ResultTable> IncastKindConfig::run(
     const SweepRunner& runner) const {
   std::vector<ResultTable> tables;
-  for (std::size_t i = 0; i < query_kb.size(); ++i) {
+  for (std::size_t i = 0; i < query_bytes.size(); ++i) {
     IncastScenario point = incast;
-    point.query_bytes = static_cast<std::int64_t>(query_kb[i] * 1e3);
-    point.fan_in =
-        static_cast<int>(fan_in[fan_in.size() == 1 ? 0 : i]);
+    point.query_bytes = query_bytes[i];
+    point.fan_in = fan_in[fan_in.size() == 1 ? 0 : i];
     std::vector<ResultTable> flights;
     tables.push_back(
         incast_figure_table(runner, point, schemes, slug_prefix, &flights));

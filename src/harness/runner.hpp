@@ -21,48 +21,14 @@
 /// of the paper is a shipped `configs/*.toml`; this is the one path
 /// that runs them.
 ///
-/// Config format (see docs/reproducing.md for the full key reference):
-///
-///   [experiment]
-///   kind = fat_tree            # any registered scenario kind:
-///                              # fat_tree | incast | rdcn | dumbbell
-///                              # | homa_oc | single_flow | mixed_cc
-///                              # | fluid_phase
-///                              # (powertcp_run --kinds)
-///   slug = fig6                # table slug prefix
-///   schemes = powertcp, hpcc, homa
-///   seed = 42                  # seed/percentile are part of the shared
-///                              # ScenarioContext; kinds without random
-///                              # workloads / percentile metrics (the
-///                              # deterministic time-series shapes)
-///                              # ignore them
-///   sim_threads = 1            # event-engine shards per simulation
-///                              # point (conservative-lookahead
-///                              # partitioned DES; byte-identical to
-///                              # sim_threads = 1 for every value)
-///
-///   [topology]                 # kind-specific presets + overrides
-///   preset = quick             # fat-tree: quick | paper
-///
-///   [workload]                 # kind-specific points
-///   loads = 0.2, 0.6           # fat-tree: one table per load
-///
-///   [cc.powertcp]              # per-scheme tunables (optional)
-///   gamma = 0.9
-///
-///   [aqm]                      # optional; switch marking/drop policy
-///   kind = red                 # red (default) | pie | pi2 | codel
-///   target_us = 20             # PI/CoDel: target queue delay
-///   tupdate_us = 20            # PI controllers: update period
-///   interval_us = 100          # CoDel: above-target window / law base
-///
-///   [burst]                    # optional; NIC batching (burst.hpp)
-///   ack_agg_us = 0             # receiver ack aggregation window
-///   pacing_quantum = 1         # packets per pacing-timer tick
-///
-/// A `[cc.<label>]` section may carry `scheme = <registered name>` to
-/// run one scheme several times under different labels/params (e.g.
-/// reTCP-600us vs reTCP-1800us).
+/// A config has an `[experiment]` section (kind, slug, schemes, ...),
+/// the kind's `[topology]`/`[workload]` sections, optional `[aqm]` and
+/// `[telemetry]` sections, and a `[cc.<label>]` section per scheme
+/// label that needs tunables. `powertcp_run --kinds` prints every key
+/// with its unit, default and bound (docs/reproducing.md carries the
+/// same reference). A `[cc.<label>]` section may carry
+/// `scheme = <registered name>` to run one scheme several times under
+/// different labels/params (e.g. reTCP-600us vs reTCP-1800us).
 
 namespace powertcp::harness {
 
@@ -74,37 +40,49 @@ struct RunnerConfig {
 };
 
 // ---- the built-in scenario kinds ----------------------------------
-// One concrete ScenarioConfig per registered kind. Each carries the
-// resolved schemes and slug prefix itself (copied from the
-// [experiment] section at load time), so run() is self-contained.
+// One concrete ScenarioConfig per registered kind; declare() and bind()
+// live in runner.cpp. Each carries the resolved schemes and slug prefix
+// itself (copied from the [experiment] section at load time), so run()
+// is self-contained.
 
 /// kind == "fat_tree": the workhorse FCT experiment per (load, scheme).
 struct FatTreeKindConfig final : ScenarioConfig {
+  std::string preset = "quick";  ///< quick | paper: fat_tree.topo's base
   FatTreeExperiment fat_tree;
   std::vector<double> loads = {0.6};
   double percentile = 99.0;
   std::vector<SchemeRun> schemes;
   std::string slug_prefix = "run";
+  void declare(KeyTable& keys) override;
+  void bind(const ScenarioContext& ctx, const KeyTable& keys) override;
   std::vector<ResultTable> run(const SweepRunner& runner) const override;
 };
 
 /// kind == "incast": one Fig. 4-style table per (query_kb, fan_in).
 struct IncastKindConfig final : ScenarioConfig {
+  std::string preset = "quick";  ///< quick | paper: incast.topo's base
   IncastScenario incast;
-  std::vector<double> query_kb = {0};
-  std::vector<double> fan_in = {10};
+  /// One table per query size (0 = companions only), paired with
+  /// fan_in (or one fan_in for every size).
+  std::vector<std::int64_t> query_bytes = {0};
+  std::vector<int> fan_in = {10};
   std::vector<SchemeRun> schemes;
   std::string slug_prefix = "run";
+  void declare(KeyTable& keys) override;
+  void bind(const ScenarioContext& ctx, const KeyTable& keys) override;
   std::vector<ResultTable> run(const SweepRunner& runner) const override;
 };
 
 /// kind == "rdcn": a time series at packet_gbps.front() plus a p99
 /// latency table across all of packet_gbps.
 struct RdcnKindConfig final : ScenarioConfig {
+  std::string preset = "paper";  ///< small | paper: rdcn.topo's base
   RdcnScenario rdcn;
   std::vector<double> packet_gbps = {25};
   std::vector<SchemeRun> schemes;
   std::string slug_prefix = "run";
+  void declare(KeyTable& keys) override;
+  void bind(const ScenarioContext& ctx, const KeyTable& keys) override;
   std::vector<ResultTable> run(const SweepRunner& runner) const override;
 };
 
@@ -114,15 +92,20 @@ struct DumbbellKindConfig final : ScenarioConfig {
   DumbbellScenario dumbbell;
   std::vector<SchemeRun> schemes;
   std::string slug_prefix = "run";
+  void declare(KeyTable& keys) override;
+  void bind(const ScenarioContext& ctx, const KeyTable& keys) override;
   std::vector<ResultTable> run(const SweepRunner& runner) const override;
 };
 
 /// kind == "homa_oc": Figs. 9-11 overcommitment sweep (message
 /// transports only).
 struct HomaOcKindConfig final : ScenarioConfig {
+  std::string preset = "quick";  ///< quick | paper: incast_topo's base
   HomaOcScenario homa_oc;
   std::vector<SchemeRun> schemes;
   std::string slug_prefix = "run";
+  void declare(KeyTable& keys) override;
+  void bind(const ScenarioContext& ctx, const KeyTable& keys) override;
   std::vector<ResultTable> run(const SweepRunner& runner) const override;
 };
 
@@ -145,6 +128,8 @@ struct SingleFlowKindConfig final : ScenarioConfig {
   double queue_max_pkts = 60;    ///< Fig. 2b sweeps 0..queue_max_pkts
   double queue_step_pkts = 10;   ///< ... in this step
   std::string slug_prefix = "run";
+  void declare(KeyTable& keys) override;
+  void bind(const ScenarioContext& ctx, const KeyTable& keys) override;
   std::vector<ResultTable> run(const SweepRunner& runner) const override;
 };
 
@@ -156,7 +141,12 @@ struct SingleFlowKindConfig final : ScenarioConfig {
 /// (x member for the per-member tables).
 struct MixedCcKindConfig final : ScenarioConfig {
   MixedCcScenario mixed;
+  /// `cc_mix` entries as written; bind() resolves them into
+  /// mixed.mixes.
+  std::vector<std::string> cc_mix;
   std::string slug_prefix = "run";
+  void declare(KeyTable& keys) override;
+  void bind(const ScenarioContext& ctx, const KeyTable& keys) override;
   std::vector<ResultTable> run(const SweepRunner& runner) const override;
 };
 
@@ -181,6 +171,8 @@ struct FluidPhaseKindConfig final : ScenarioConfig {
   std::vector<double> grid_w_bdp = {0.3, 3, 1, 4, 0.5, 6};
   std::vector<double> grid_q_bdp = {0, 0, 2, 1, 3, 4};
   std::string slug_prefix = "run";
+  void declare(KeyTable& keys) override;
+  void bind(const ScenarioContext& ctx, const KeyTable& keys) override;
   std::vector<ResultTable> run(const SweepRunner& runner) const override;
 };
 
@@ -196,10 +188,22 @@ struct RunnerLoadOptions {
   int force_sim_threads = 0;
 };
 
+/// Declares the shared `[experiment]`, `[aqm]` and `[telemetry]` keys
+/// (`kind` chooses among `registry`'s kinds).
+void declare_shared_keys(KeyTable& keys, ScenarioContext* ctx,
+                         const ScenarioRegistry& registry);
+
+/// The `powertcp_run --kinds` reference: the shared sections' keys,
+/// then each kind's summary and `[topology]`/`[workload]` keys, each
+/// with unit, default and bound.
+std::string kinds_reference(
+    const ScenarioRegistry& registry = ScenarioRegistry::instance());
+
 /// Builds a RunnerConfig from a parsed file, resolving the kind
-/// through `registry`. Throws ConfigError on unknown kinds (listing
-/// the registered ones), unknown sections/keys, unregistered schemes,
-/// or scheme params not declared by the registry entry.
+/// through `registry`. Throws ConfigError, with the offending line, on
+/// unknown kinds (listing the registered ones), unknown sections/keys,
+/// out-of-bound values, unregistered schemes, or scheme params not
+/// declared by the registry entry.
 RunnerConfig load_runner_config(
     const ConfigFile& file,
     const ScenarioRegistry& registry = ScenarioRegistry::instance(),

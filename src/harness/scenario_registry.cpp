@@ -15,9 +15,9 @@ void ScenarioRegistry::add(ScenarioEntry entry) {
   if (entry.name.empty()) {
     throw std::logic_error("ScenarioRegistry: entry needs a non-empty name");
   }
-  if (!entry.load) {
+  if (!entry.make) {
     throw std::logic_error("ScenarioRegistry: kind '" + entry.name +
-                           "' needs a loader");
+                           "' needs a factory");
   }
   if (find(entry.name) != nullptr) {
     throw std::logic_error("ScenarioRegistry: kind '" + entry.name +

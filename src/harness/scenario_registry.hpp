@@ -6,7 +6,7 @@
 #include <string>
 #include <vector>
 
-#include "harness/config.hpp"
+#include "harness/keys.hpp"
 #include "harness/scenarios.hpp"
 #include "harness/sweep.hpp"
 
@@ -14,12 +14,11 @@
 /// The scenario registry: one entry per experiment *shape* (topology +
 /// workload + table emission), mirroring how cc::Registry owns one
 /// entry per congestion control scheme. A `powertcp_run` config picks
-/// a shape with `[experiment] kind = <name>`; the entry's loader owns
-/// the kind-specific `[topology]`/`[workload]` schema (parsed through
-/// the same SectionView machinery that rejects unknown keys with
-/// file:line context) and returns a runnable ScenarioConfig. The
-/// runner itself has no per-kind switch: adding a paper shape is a
-/// registration, not a harness fork.
+/// a shape with `[experiment] kind = <name>`; the entry's config type
+/// declares the kind-specific `[topology]`/`[workload]` keys in one
+/// KeyTable (keys.hpp), which loads them with file:line errors and
+/// renders them for `--kinds`. The runner itself has no per-kind
+/// switch: adding a paper shape is a registration, not a harness fork.
 ///
 /// Built-in kinds (registered by the constructor, in this order):
 ///   fat_tree  — Fig. 6/7 FCT sweeps over the websearch fat-tree
@@ -33,58 +32,55 @@
 
 namespace powertcp::harness {
 
-/// The kind-independent `[experiment]` context handed to every
-/// scenario loader: resolved schemes, slug prefix, seed, percentile,
-/// and the engine and host knobs.
+/// The shared sections every scenario kind reads: `[experiment]`
+/// (kind, slug, schemes, seed, percentile, sim_threads), `[aqm]` and
+/// `[telemetry]`, as declared by declare_shared_keys (runner.hpp) and
+/// possibly overridden by the CLI.
 struct ScenarioContext {
+  std::string kind = "fat_tree";
   std::string slug_prefix = "run";
+  /// The `schemes` labels as written; resolved into `schemes`.
+  std::vector<std::string> scheme_labels;
   std::vector<SchemeRun> schemes;
-  std::uint64_t seed = 1;
+  std::int64_t seed = 1;
   double percentile = 99.0;
-  /// Parsed `[experiment] sim_threads` (possibly overridden by the
-  /// CLI): event-engine shards per simulation point. 1 is the exact
+  /// Event-engine shards per simulation point. 1 is the exact
   /// sequential engine; N > 1 partitions the topology with
   /// conservative lookahead, byte-identical by construction.
   int sim_threads = 1;
-  /// Parsed `[telemetry]` section (possibly forced on by the CLI);
-  /// loaders copy it into their kind's scenario config.
+  /// Simulated kinds copy it into their scenario config.
   TelemetryConfig telemetry;
-  /// Parsed `[burst]` section; loaders copy it into their kind's
-  /// scenario config. Absent is byte-identical to the per-packet NIC.
-  BurstConfig burst;
-  /// Parsed `[aqm]` section (kind validated against net::AqmRegistry).
-  /// Loaders with switches copy it into their topology config; the
+  /// The switch marking/drop policy (kind from net::AqmRegistry).
+  /// Kinds with switches copy it into their topology config; the
   /// default ("red" + the scheme's ECN profile) is byte-identical to
   /// the pre-AQM-layer behavior.
   net::AqmSpec aqm;
 };
 
 /// A parsed, runnable experiment of one scenario kind. Implementations
-/// are plain value holders (the concrete types in runner.hpp); run()
-/// executes every simulation point on the runner's pool and returns the
-/// tables in declaration order — output is a pure function of the
-/// config, byte-identical for every thread count.
+/// are plain value holders (the concrete types in runner.hpp) whose
+/// default-constructed state is the kind's defaults.
 class ScenarioConfig {
  public:
   virtual ~ScenarioConfig() = default;
+  /// Declares every `[topology]`/`[workload]` key of the kind, one
+  /// KeyTable line per key: the kind's whole schema, used both to load
+  /// a config and to render `powertcp_run --kinds`.
+  virtual void declare(KeyTable& keys) = 0;
+  /// Load mode, after declare(): takes the shared context and runs the
+  /// checks that span several keys, rejecting through `keys`.
+  virtual void bind(const ScenarioContext& ctx, const KeyTable& keys) = 0;
+  /// Executes every simulation point on the runner's pool and returns
+  /// the tables in declaration order — output is a pure function of
+  /// the config, byte-identical for every thread count.
   virtual std::vector<ResultTable> run(const SweepRunner& runner) const = 0;
 };
 
 struct ScenarioEntry {
   std::string name;     ///< `[experiment] kind = <name>`
   std::string summary;  ///< one line for `powertcp_run --kinds`
-  /// Key references rendered by `powertcp_run --kinds` (documentation
-  /// only; the loader is authoritative).
-  std::string topology_keys;
-  std::string workload_keys;
-  /// Parses the kind-specific `[topology]`/`[workload]` sections. The
-  /// SectionViews are finished (unknown-key check) by the caller, so a
-  /// loader only reads the keys it owns. Throws ConfigError on invalid
-  /// values, with file:line context from the views.
-  using Loader = std::function<std::unique_ptr<ScenarioConfig>(
-      const ConfigFile& file, SectionView& topo, SectionView& work,
-      const ScenarioContext& ctx)>;
-  Loader load;
+  /// A default-constructed config of the kind.
+  std::function<std::unique_ptr<ScenarioConfig>()> make;
 };
 
 class ScenarioRegistry {
@@ -98,7 +94,7 @@ class ScenarioRegistry {
   static const ScenarioRegistry& instance();
 
   /// Registers a kind. Throws std::logic_error on an empty name, a
-  /// missing loader, or a duplicate registration (naming the entry).
+  /// missing factory, or a duplicate registration (naming the entry).
   void add(ScenarioEntry entry);
 
   /// nullptr when `name` is not registered.
@@ -116,8 +112,8 @@ class ScenarioRegistry {
   std::vector<ScenarioEntry> entries_;
 };
 
-/// Registers the built-in kinds; defined in runner.cpp beside the
-/// per-kind loaders so the registry core stays schema-free.
+/// Registers the built-in kinds; defined in runner.cpp beside their
+/// key declarations so the registry core stays schema-free.
 void register_builtin_scenarios(ScenarioRegistry& registry);
 
 }  // namespace powertcp::harness

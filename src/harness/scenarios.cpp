@@ -71,7 +71,6 @@ std::pair<IncastSeries, std::uint64_t> run_incast_point(
   topo_cfg.ecn = scheme.needs.ecn;
   topo_cfg.priority_bands = scheme.needs.priority_bands;
   topo::FatTree fabric(network, topo_cfg);
-  apply_burst(cfg.burst, network);
 
   cc::FlowParams params;
   params.host_bw = topo_cfg.host_bw;
@@ -251,7 +250,6 @@ std::pair<RdcnResult, std::uint64_t> run_rdcn_point(
   sim::Simulator& simulator = point.sim();
   net::Network& network = point.network;
   topo::Rdcn rdcn(network, cfg.topo);
-  apply_burst(cfg.burst, network);
 
   cc::FlowParams params;
   params.host_bw = cfg.topo.host_bw;
@@ -399,7 +397,6 @@ std::pair<DumbbellSeries, std::uint64_t> run_dumbbell_point(
   sim::Simulator& simulator = point.sim();
   net::Network& network = point.network;
   topo::Dumbbell topo(network, topo_cfg);
-  apply_burst(cfg.burst, network);
 
   cc::FlowParams params;
   params.host_bw = topo_cfg.host_bw;
@@ -546,7 +543,6 @@ std::pair<HomaOcIncastResult, std::uint64_t> run_homa_oc_incast_point(
   topo_cfg.ecn = scheme.needs.ecn;
   topo_cfg.priority_bands = scheme.needs.priority_bands;
   topo::FatTree fabric(network, topo_cfg);
-  apply_burst(cfg.burst, network);
 
   cc::FlowParams params;
   params.host_bw = topo_cfg.host_bw;
@@ -642,7 +638,6 @@ std::vector<ResultTable> homa_oc_tables(const SweepRunner& runner,
   DumbbellScenario fairness = cfg.fairness;
   fairness.sim_threads = cfg.sim_threads;
   fairness.telemetry = cfg.telemetry;
-  fairness.burst = cfg.burst;
   std::vector<std::function<DumbbellSeries()>> fairness_jobs;
   fairness_jobs.reserve(schemes.size() * cfg.overcommit.size());
   std::vector<std::function<HomaOcIncastResult()>> incast_jobs;
@@ -786,7 +781,6 @@ std::pair<MixedCcCellResult, std::uint64_t> run_mixed_cc_point(
   ShardedPoint point(topo::dumbbell_shard_plan(topo_cfg, threads));
   net::Network& network = point.network;
   topo::Dumbbell topo(network, topo_cfg);
-  apply_burst(cfg.burst, network);
 
   cc::FlowParams params;
   params.host_bw = topo_cfg.host_bw;
@@ -919,13 +913,10 @@ std::vector<ResultTable> mixed_cc_tables(const SweepRunner& runner,
     std::int64_t buffer;
   };
   std::vector<CellKey> cells;
-  const std::vector<std::int64_t> buffers =
-      cfg.buffer_bytes.empty() ? std::vector<std::int64_t>{0}
-                               : cfg.buffer_bytes;
   for (std::size_t m = 0; m < cfg.mixes.size(); ++m) {
     for (const auto& aqm : cfg.aqm_kinds) {
       for (const double rtt : cfg.rtt_us) {
-        for (const std::int64_t buf : buffers) {
+        for (const std::int64_t buf : cfg.buffer_bytes) {
           cells.push_back({m, aqm, rtt, buf});
         }
       }

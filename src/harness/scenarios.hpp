@@ -6,7 +6,6 @@
 
 #include "cc/params.hpp"
 #include "harness/sweep.hpp"
-#include "harness/burst.hpp"
 #include "harness/telemetry.hpp"
 #include "sim/time.hpp"
 #include "topo/dumbbell.hpp"
@@ -54,8 +53,6 @@ struct IncastScenario {
   /// Optional flight recorder on the receiver's ToR downlink + the
   /// long foreground flow.
   TelemetryConfig telemetry;
-  /// NIC batching knobs (`[burst]`); defaults are per-packet.
-  BurstConfig burst;
 };
 
 /// Receiver goodput and bottleneck ToR-downlink queue, one bin each.
@@ -90,8 +87,6 @@ struct RdcnScenario {
   /// Optional flight recorder on ToR-0's circuit port + the
   /// `telemetry.flow`-th rack-0 flow.
   TelemetryConfig telemetry;
-  /// NIC batching knobs (`[burst]`); defaults are per-packet.
-  BurstConfig burst;
 };
 
 struct RdcnResult {
@@ -143,8 +138,6 @@ struct DumbbellScenario {
   /// Optional flight recorder on the bottleneck port + the
   /// `telemetry.flow`-th flow (sender flow-1).
   TelemetryConfig telemetry;
-  /// NIC batching knobs (`[burst]`); defaults are per-packet.
-  BurstConfig burst;
 };
 
 /// Per-flow receiver goodput, one sampled row per table line.
@@ -200,8 +193,6 @@ struct HomaOcScenario {
   /// panel taps the receiver's ToR downlink; message transports have
   /// no sender window, so cwnd/pace read 0 there).
   TelemetryConfig telemetry;
-  /// NIC batching knobs (`[burst]`); defaults are per-packet.
-  BurstConfig burst;
 };
 
 /// One incast reaction at one (overcommit via scheme params, fan_in)
@@ -253,14 +244,12 @@ struct MixedCcScenario {
   /// Parallel-engine shards (1 = sequential verbatim); results are
   /// thread-count-independent.
   int sim_threads = 1;
-  /// NIC batching knobs (`[burst]`); defaults are per-packet.
-  BurstConfig burst;
 
   // Cell axes (outer product, mix-major):
   std::vector<MixedCcMix> mixes;
   std::vector<std::string> aqm_kinds = {"red"};
   std::vector<double> rtt_us = {8.0};          ///< base RTT; link_delay = rtt/4
-  std::vector<std::int64_t> buffer_bytes = {}; ///< 0 entry = topo default
+  std::vector<std::int64_t> buffer_bytes = {0}; ///< 0 = topo default
 };
 
 /// One (mix, aqm, rtt, buffer) cell: fairness, aggregate, and

@@ -21,33 +21,13 @@ constexpr std::size_t kChannels = 5;
 
 }  // namespace
 
-TelemetryConfig load_telemetry_config(const ConfigFile& file) {
-  TelemetryConfig cfg;
-  const ConfigFile::Section* sec = file.find("telemetry");
-  if (sec == nullptr) return cfg;
-  SectionView v(file, sec);
-  cfg.enabled = v.get_bool("enabled", cfg.enabled);
-  cfg.capacity = v.get_int("capacity", cfg.capacity);
-  if (cfg.capacity < 2 || cfg.capacity > 1'000'000) {
-    throw ConfigError(file.origin() +
-                      ": [telemetry] capacity must be in [2, 1000000]");
-  }
-  if (v.has("sample_every_us")) {
-    const double us = v.get_double("sample_every_us", 0);
-    if (us <= 0) {
-      throw ConfigError(file.origin() +
-                        ": [telemetry] sample_every_us must be positive");
-    }
-    cfg.sample_every = sim::from_seconds(us * 1e-6);
-  } else {
-    v.get_double("sample_every_us", 0);  // mark consumed when absent
-  }
-  cfg.flow = v.get_int("flow", cfg.flow);
-  if (cfg.flow < 1) {
-    throw ConfigError(file.origin() + ": [telemetry] flow must be >= 1");
-  }
-  v.finish();
-  return cfg;
+void declare_telemetry_keys(KeyTable& k, TelemetryConfig* cfg) {
+  k.flag("telemetry", "enabled", &cfg->enabled);
+  k.count("telemetry", "capacity", &cfg->capacity,
+          Bound::at_least(2).upto(1e6));
+  k.us("telemetry", "sample_every_us", &cfg->sample_every,
+       /*positive=*/true);
+  k.count("telemetry", "flow", &cfg->flow, Bound::at_least(1));
 }
 
 FlightTap::FlightTap(const TelemetryConfig& cfg, sim::Simulator& sim,

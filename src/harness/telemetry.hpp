@@ -4,7 +4,7 @@
 #include <string>
 #include <vector>
 
-#include "harness/config.hpp"
+#include "harness/keys.hpp"
 #include "sim/flight_recorder.hpp"
 #include "sim/time.hpp"
 
@@ -53,10 +53,9 @@ struct TelemetryConfig {
   std::int64_t flow = 1;
 };
 
-/// Parses the optional `[telemetry]` section (absent = all defaults,
-/// i.e. disabled). Throws ConfigError on out-of-range values or
-/// unknown keys, with file:line context.
-TelemetryConfig load_telemetry_config(const ConfigFile& file);
+/// Declares the optional `[telemetry]` section's keys (keys.hpp);
+/// absent, telemetry stays disabled.
+void declare_telemetry_keys(KeyTable& keys, TelemetryConfig* cfg);
 
 /// One finalized flight recording, copied out of a simulation point.
 /// Channel-major values share the time column.

@@ -61,17 +61,8 @@ void FlowSender::try_send() {
         inflight_bytes() == 0;
     if (!window_ok) return;  // an ack will reopen the window
     if (sim.now() < next_send_allowed_) {
-      // Ahead of the pacing edge: spend quantum credit if any remains,
-      // else sleep until the edge. With the default quantum of 1 no
-      // credit ever exists and this is the historical per-packet gate.
-      if (quantum_left_ > 0) {
-        --quantum_left_;
-      } else {
-        arm_pacing_timer(next_send_allowed_);
-        return;
-      }
-    } else {
-      quantum_left_ = cfg_.pacing_quantum - 1;
+      arm_pacing_timer(next_send_allowed_);
+      return;
     }
     send_one();
   }
@@ -97,13 +88,7 @@ void FlowSender::send_one() {
   if (pacing_bps_ > 0) {
     const double interval_sec =
         static_cast<double>(payload + net::kHeaderBytes) * 8.0 / pacing_bps_;
-    // Advance the edge by one interval per packet (not from now()):
-    // packets released ahead of the edge on quantum credit still pay
-    // their full serialization interval, keeping the long-run rate at
-    // pacing_bps_. With quantum 1 every send happens at now() >= edge,
-    // where max() degenerates to now() — the historical update.
-    next_send_allowed_ =
-        std::max(next_send_allowed_, sim.now()) + sim::from_seconds(interval_sec);
+    next_send_allowed_ = sim.now() + sim::from_seconds(interval_sec);
   }
   if (!rto_armed_) arm_rto();
 }

@@ -32,14 +32,6 @@ struct FlowSenderConfig {
   double rto_base_rtt_factor = 8.0;
   sim::TimePs min_rto = sim::microseconds(100);
   double rto_backoff = 2.0;
-  /// Packets released per pacing-timer wakeup. 1 (the default) is the
-  /// historical one-timer-per-packet behavior, byte-identical to the
-  /// pre-quantum sender. Larger quanta trade pacing granularity for
-  /// fewer timer events: the sender still advances the release edge by
-  /// one serialization interval per packet, so the average rate is
-  /// unchanged, but up to `pacing_quantum` packets leave back-to-back
-  /// once the edge is reached.
-  std::int32_t pacing_quantum = 1;
 };
 
 class FlowSender {
@@ -108,8 +100,6 @@ class FlowSender {
   std::int64_t snd_nxt_ = 0;
   std::int64_t snd_una_ = 0;
   sim::TimePs next_send_allowed_ = 0;
-  /// Packets still releasable ahead of the pacing edge this quantum.
-  std::int32_t quantum_left_ = 0;
   bool pacing_timer_armed_ = false;
   sim::EventId pacing_timer_{};
   /// The RTO keeps at most one heap entry. A progress ack only reserves

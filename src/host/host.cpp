@@ -12,10 +12,9 @@ Host::Host(sim::Simulator& simulator, net::NodeId id, std::string name)
     : net::Node(id, std::move(name)), sim_(simulator) {}
 
 Host::~Host() {
-  // Armed retire and ack-aggregation timers capture `this`.
+  // Armed retire timers capture `this`.
   for (auto& [flow, rs] : receivers_) {
     if (rs.retire_armed) sim_.cancel(rs.retire_event);
-    if (rs.agg_armed) sim_.cancel(rs.agg_event);
   }
 }
 
@@ -87,7 +86,6 @@ void Host::handle_data(net::Packet&& pkt) {
   if (rs.retire_armed && pkt.message_bytes > 0 &&
       pkt.message_bytes != rs.expected_seq) {
     sim_.cancel(rs.retire_event);
-    if (rs.agg_armed) sim_.cancel(rs.agg_event);
     rs = ReceiverState{};
   }
   rs.last_activity = sim_.now();
@@ -111,45 +109,9 @@ void Host::handle_data(net::Packet&& pkt) {
         kReceiverGrace, [this, flow] { retire_receiver(flow); });
   }
   if (delivered > 0 && data_cb_) data_cb_(pkt.flow, delivered, sim_.now());
-  // Ack aggregation: defer the ack for plain in-order progress; one
-  // cumulative ack goes out when the window closes. Everything else —
-  // duplicates/out-of-order (go-back-N needs its dup-ack signal now),
-  // completion (the sender is waiting on the final edge) — flushes
-  // immediately, and the cumulative edge subsumes the deferred ack.
-  if (ack_agg_window_ > 0 && delivered > 0 && !completing) {
-    const bool sticky_ecn = rs.agg_pending && rs.agg_pkt.ecn_marked;
-    rs.agg_pkt = pkt;  // newest packet: freshest sent_time/INT echo
-    if (sticky_ecn) rs.agg_pkt.ecn_marked = true;
-    rs.agg_pending = true;
-    if (!rs.agg_armed) {
-      rs.agg_armed = true;
-      const net::FlowId flow = pkt.flow;
-      rs.agg_event = sim_.schedule_in(ack_agg_window_,
-                                      [this, flow] { flush_ack(flow); });
-    }
-    return;
-  }
-  if (rs.agg_armed) {
-    sim_.cancel(rs.agg_event);
-    rs.agg_armed = false;
-  }
-  if (rs.agg_pending) {
-    if (rs.agg_pkt.ecn_marked) pkt.ecn_marked = true;  // sticky echo
-    rs.agg_pending = false;
-  }
   // Out-of-order packets (go-back-N) generate duplicate acks here.
   net::Packet ack = net::make_ack(pkt, rs.expected_seq);
   send_packet(std::move(ack));
-}
-
-void Host::flush_ack(net::FlowId flow) {
-  const auto it = receivers_.find(flow);
-  if (it == receivers_.end()) return;
-  ReceiverState& rs = it->second;
-  rs.agg_armed = false;
-  if (!rs.agg_pending) return;
-  rs.agg_pending = false;
-  send_packet(net::make_ack(rs.agg_pkt, rs.expected_seq));
 }
 
 void Host::retire_receiver(net::FlowId flow) {
@@ -163,7 +125,6 @@ void Host::retire_receiver(net::FlowId flow) {
         quiet_until, [this, flow] { retire_receiver(flow); });
     return;
   }
-  if (rs.agg_armed) sim_.cancel(rs.agg_event);
   receivers_.erase(it);
 }
 
@@ -191,8 +152,7 @@ FlowSender& Host::start_flow(net::FlowId flow, net::NodeId dst,
                              sim::TimePs start_time,
                              CompletionCallback on_complete) {
   auto sender = std::make_unique<FlowSender>(*this, flow, dst, size_bytes,
-                                             std::move(algorithm), params,
-                                             sender_cfg_);
+                                             std::move(algorithm), params);
   FlowSender* raw = sender.get();
   auto [it, inserted] = senders_.emplace(flow, std::move(sender));
   if (!inserted) {

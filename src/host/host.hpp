@@ -71,22 +71,6 @@ class Host final : public net::Node {
   /// Enqueues a packet on the NIC, stamping src/sent_time.
   void send_packet(net::Packet&& pkt);
 
-  /// Receiver-side ack aggregation window. 0 (the default) acks every
-  /// data packet — the historical, byte-identical behavior. A positive
-  /// window defers the ack for in-order progress and sends ONE
-  /// cumulative ack when the window expires; any packet that does not
-  /// advance the edge (a go-back-N duplicate) or that completes the
-  /// flow flushes immediately, so loss recovery and completion see no
-  /// added latency. ECN marks on deferred packets are echoed sticky so
-  /// aggregation never hides a congestion signal.
-  void set_ack_agg_window(sim::TimePs w) { ack_agg_window_ = w; }
-  sim::TimePs ack_agg_window() const { return ack_agg_window_; }
-
-  /// Sender knobs (pacing quantum, RTO profile) applied to flows
-  /// started after the call.
-  void set_sender_config(const FlowSenderConfig& cfg) { sender_cfg_ = cfg; }
-  const FlowSenderConfig& sender_config() const { return sender_cfg_; }
-
   /// Quiet period after a flow's last data packet before its receiver
   /// state retires. Long enough that go-back-N replays (the sender's
   /// RTO racing our acks, with exponential backoff) still find the
@@ -100,29 +84,17 @@ class Host final : public net::Node {
     sim::TimePs last_activity = 0;
     bool retire_armed = false;
     sim::EventId retire_event{};
-    /// Ack aggregation: a deferred cumulative ack is pending, its flush
-    /// timer is armed, and agg_pkt holds the newest deferred data
-    /// packet (the template make_ack echoes — sent_time, INT, sticky
-    /// ECN). The Packet lives inline in the map node, so deferral
-    /// allocates nothing per packet.
-    bool agg_armed = false;
-    bool agg_pending = false;
-    sim::EventId agg_event{};
-    net::Packet agg_pkt;
   };
 
   void handle_data(net::Packet&& pkt);
   void handle_ack(const net::Packet& pkt);
   void retire_receiver(net::FlowId flow);
-  void flush_ack(net::FlowId flow);
 
   sim::Simulator& sim_;
   std::unordered_map<net::FlowId, std::unique_ptr<FlowSender>> senders_;
   std::unordered_map<net::FlowId, ReceiverState> receivers_;
   std::unique_ptr<HomaTransport> homa_;
   DataCallback data_cb_;
-  sim::TimePs ack_agg_window_ = 0;
-  FlowSenderConfig sender_cfg_;
 };
 
 }  // namespace powertcp::host

@@ -134,7 +134,7 @@ void EgressPort::start_tx(Packet&& pkt) {
     // that produced it, which is what lets the cut-link weight — and
     // therefore the engine's lookahead windows — include the flit
     // serialization delay on top of propagation (see
-    // ShardedSimulator::add_cut_edge and docs/performance.md §6).
+    // ShardedSimulator::add_cut_edge and docs/performance.md §5).
     remote_->send(finish + propagation_, finish, tie_token_, std::move(pkt));
   } else if (peer_ != nullptr) {
     // The local delivery takes the same shape: scheduled now, stamped

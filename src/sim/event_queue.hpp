@@ -47,7 +47,7 @@ namespace powertcp::sim {
 /// engine can compute locally, instead of by the global scheduling
 /// chronology (`seq`) that a partitioned run cannot reconstruct. This
 /// is what lets the sharded engine order cross-shard boundary ties
-/// EXACTLY like the sequential engine (see docs/performance.md §6).
+/// EXACTLY like the sequential engine (see docs/performance.md §5).
 struct EventEntry {
   TimePs time;
   TimePs sched;

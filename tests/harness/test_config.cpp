@@ -30,7 +30,6 @@ gamma = 0.9
   EXPECT_EQ(exp->find("title")->value, "a # quoted hash");
   EXPECT_EQ(cfg.find("cc.powertcp")->find("gamma")->value, "0.9");
   EXPECT_EQ(cfg.find("nope"), nullptr);
-  EXPECT_EQ(cfg.with_prefix("cc.").size(), 1u);
 }
 
 TEST(ConfigFile, SplitsPlainAndBracketedLists) {

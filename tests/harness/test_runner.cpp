@@ -194,21 +194,25 @@ TEST(Runner, FatTreeConfigIsByteIdenticalAcrossThreadCounts) {
 }
 
 TEST(Runner, RetiredEngineKeysAreUnknownKeys) {
-  // The event-queue backend and exact burst mode are gone; their keys
-  // must fail like any typo, with file:line, not be silently ignored.
-  const auto expect_unknown = [](const std::string& text,
-                                 const std::string& key, int line) {
+  // The event-queue backend, exact burst mode and the [burst] NIC
+  // batching section are gone; their keys must fail like any typo,
+  // with file:line, not be silently ignored.
+  const auto expect_error = [](const std::string& text,
+                               const std::string& message, int line) {
     try {
       load_runner_config(ConfigFile::parse(text, "q.toml"));
-      FAIL() << "expected unknown-key ConfigError for " << key;
+      FAIL() << "expected ConfigError: " << message;
     } catch (const ConfigError& e) {
       const std::string what = e.what();
       EXPECT_NE(what.find("q.toml:" + std::to_string(line)),
                 std::string::npos)
           << what;
-      EXPECT_NE(what.find("unknown key '" + key + "'"), std::string::npos)
-          << what;
+      EXPECT_NE(what.find(message), std::string::npos) << what;
     }
+  };
+  const auto expect_unknown = [&](const std::string& text,
+                                  const std::string& key, int line) {
+    expect_error(text, "unknown key '" + key + "'", line);
   };
   const std::string head =
       "[experiment]\nkind = fat_tree\nschemes = powertcp\n";
@@ -219,7 +223,8 @@ TEST(Runner, RetiredEngineKeysAreUnknownKeys) {
   const std::string retired_burst = std::string("sim_") + "burst";
   expect_unknown(head + retired_queue + " = heap\n" + work, retired_queue, 4);
   expect_unknown(head + retired_burst + " = off\n" + work, retired_burst, 4);
-  expect_unknown(head + work + "[burst]\nbudget = 8\n", "budget", 7);
+  expect_error(head + work + "[burst]\nbudget = 8\n",
+               "unused section [burst]", 6);
 }
 
 TEST(Runner, FatTreeConfigEqualsDirectlyBuiltSpec) {
@@ -387,12 +392,31 @@ TEST(Runner, LoaderRejectsUnknownSchemesKeysAndSections) {
   const auto load = [](const std::string& text) {
     return load_runner_config(ConfigFile::parse(text, "bad.toml"));
   };
-  // Unknown scheme name.
-  EXPECT_THROW(load("[experiment]\nschemes = warp-speed\n"), ConfigError);
-  // Param not declared by the scheme.
-  EXPECT_THROW(load("[experiment]\nschemes = powertcp\n"
-                    "[cc.powertcp]\nwarp = 9\n"),
-               ConfigError);
+  // Unknown scheme name: at the schemes line, or at the alias that
+  // names it.
+  expect_rejected_at("[experiment]\nschemes = powertcp, warp-speed\n",
+                     "schemes");
+  expect_rejected_at("[experiment]\nschemes = fast\n"
+                     "[cc.fast]\nscheme = warp-speed\n",
+                     "scheme");
+  // Param not declared by the scheme, at its line.
+  expect_rejected_at("[experiment]\nschemes = powertcp\n"
+                     "[cc.powertcp]\ngamma = 0.9\nwarp = 9\n",
+                     "warp");
+  // Empty or out-of-range [experiment] values, at their line; a
+  // missing schemes list at the section's.
+  expect_rejected_at("[experiment]\nkind = fat_tree\nschemes =\n",
+                     "schemes");
+  expect_rejected_at("[experiment]\nschemes = powertcp\nsim_threads = 65\n",
+                     "sim_threads");
+  expect_rejected_at("[experiment]\nschemes = powertcp\nsim_threads = 0\n",
+                     "sim_threads");
+  try {
+    load("\n[experiment]\nkind = fat_tree\n");
+    ADD_FAILURE() << "loaded without schemes";
+  } catch (const ConfigError& e) {
+    EXPECT_STREQ(e.what(), "bad.toml:2: [experiment] schemes is required");
+  }
   // Unknown workload key.
   EXPECT_THROW(load("[experiment]\nschemes = powertcp\n"
                     "[workload]\nlods = 0.2\n"),
@@ -440,12 +464,12 @@ TEST(Runner, LoaderRejectsUnknownSchemesKeysAndSections) {
                     "[workload]\novercommit = 3000000000\n"),
                ConfigError);
   // Integer keys narrowed to int must not wrap: 4294967304 would
-  // otherwise load as 8 senders and 4294967297 as a quantum of 1.
+  // otherwise load as 8 senders and 4294967297 as a row stride of 1.
   EXPECT_THROW(load("[experiment]\nkind = mixed_cc\nschemes = dctcp\n"
                     "[workload]\ncc_mix = dctcp\nsenders = 4294967304\n"),
                ConfigError);
-  EXPECT_THROW(load("[experiment]\nschemes = powertcp\n"
-                    "[burst]\npacing_quantum = 4294967297\n"),
+  EXPECT_THROW(load("[experiment]\nkind = dumbbell\nschemes = powertcp\n"
+                    "[workload]\nrow_every = 4294967297\n"),
                ConfigError);
   EXPECT_THROW(load("[experiment]\nschemes = powertcp\n"
                     "[topology]\npods = -4294967294\n"),
@@ -630,9 +654,10 @@ TEST(Runner, MixedCcConfigResolvesMembersFromSchemeLabels) {
   EXPECT_EQ(mix.members[1].scheme, "powertcp");
   EXPECT_DOUBLE_EQ(mix.weights[0], 0.5);
   EXPECT_DOUBLE_EQ(mix.weights[1], 0.5);
-  // Defaults: the red AQM, one rtt point, no buffer override.
+  // Defaults: the red AQM, one rtt point, one cell at the topology's
+  // default buffer (0).
   EXPECT_EQ(kind.mixed.aqm_kinds, (std::vector<std::string>{"red"}));
-  EXPECT_TRUE(kind.mixed.buffer_bytes.empty());
+  EXPECT_EQ(kind.mixed.buffer_bytes, (std::vector<std::int64_t>{0}));
 }
 
 TEST(Runner, MixedCcTablesAreByteIdenticalAcrossThreadCounts) {
@@ -758,6 +783,28 @@ TEST(Runner, FluidPhaseLoaderValidatesGridAndParameters) {
                ConfigError);
   EXPECT_THROW(load("[workload]\ngrid_w_bdp = 0\ngrid_q_bdp = 0\n"),
                ConfigError);
+  // Work caps: 1e-300 us steps or samples would integrate (or store)
+  // forever. Fig. 3's own 20,000 steps stay well inside.
+  const std::string fluid =
+      "[experiment]\nkind = fluid_phase\nschemes = powertcp\n[workload]\n";
+  expect_rejected_at(fluid + "step_us = 1e-300\n", "step_us");
+  expect_rejected_at(fluid + "sample_us = 1e-300\n", "sample_us");
+  expect_rejected_at(fluid + "duration_ms = 1e300\n", "duration_ms");
+  EXPECT_NO_THROW(load("[workload]\nduration_ms = 100\nstep_us = 1\n"));
+}
+
+TEST(Runner, SingleFlowLoaderCapsTheTableRows) {
+  const std::string head =
+      "[experiment]\nkind = single_flow\nschemes = powertcp\n[workload]\n";
+  // 0..rate_max in steps of 1 and 0..queue_max in steps of
+  // queue_step: a 1e300 sweep never finishes.
+  expect_rejected_at(head + "rate_max = 1e300\n", "rate_max");
+  expect_rejected_at(head + "queue_step_pkts = 1e-300\n", "queue_step_pkts");
+  expect_rejected_at(head + "queue_max_pkts = 1e300\n", "queue_max_pkts");
+  expect_rejected_at(head + "queue_step_pkts = nan\n", "queue_step_pkts");
+  EXPECT_NO_THROW(load_runner_config(ConfigFile::parse(
+      head + "rate_max = 9998\nqueue_max_pkts = 9999\nqueue_step_pkts = 1\n",
+      "ok.toml")));
 }
 
 }  // namespace

@@ -26,7 +26,7 @@ TEST(ScenarioRegistry, BuiltinKindsAreRegisteredInOrder) {
     const ScenarioEntry* e = reg.find(name);
     ASSERT_NE(e, nullptr) << name;
     EXPECT_FALSE(e->summary.empty()) << name;
-    EXPECT_TRUE(static_cast<bool>(e->load)) << name;
+    EXPECT_TRUE(static_cast<bool>(e->make)) << name;
   }
   EXPECT_EQ(reg.find("ring"), nullptr);
 }
@@ -47,10 +47,7 @@ TEST(ScenarioRegistry, DuplicateRegistrationIsRejected) {
   ScenarioRegistry reg;  // local copy with the built-ins
   ScenarioEntry dup;
   dup.name = "fat_tree";
-  dup.load = [](const ConfigFile&, SectionView&, SectionView&,
-                const ScenarioContext&) -> std::unique_ptr<ScenarioConfig> {
-    return nullptr;
-  };
+  dup.make = []() -> std::unique_ptr<ScenarioConfig> { return nullptr; };
   EXPECT_THROW(reg.add(dup), std::logic_error);
 
   // First registration of a fresh name is fine; the second is not.
@@ -62,13 +59,11 @@ TEST(ScenarioRegistry, DuplicateRegistrationIsRejected) {
 TEST(ScenarioRegistry, InvalidEntriesAreRejected) {
   ScenarioRegistry reg;
   ScenarioEntry nameless;
-  nameless.load = [](const ConfigFile&, SectionView&, SectionView&,
-                     const ScenarioContext&)
-      -> std::unique_ptr<ScenarioConfig> { return nullptr; };
+  nameless.make = []() -> std::unique_ptr<ScenarioConfig> { return nullptr; };
   EXPECT_THROW(reg.add(nameless), std::logic_error);
-  ScenarioEntry loaderless;
-  loaderless.name = "no-loader";
-  EXPECT_THROW(reg.add(loaderless), std::logic_error);
+  ScenarioEntry factoryless;
+  factoryless.name = "no-factory";
+  EXPECT_THROW(reg.add(factoryless), std::logic_error);
 }
 
 TEST(ScenarioRegistry, UnknownKindErrorNamesOriginAndKnownKinds) {
@@ -106,7 +101,13 @@ TEST(ScenarioRegistry, UnknownWorkloadKeyErrorCarriesFileAndLine) {
 TEST(ScenarioRegistry, CustomKindIsADropInRegistration) {
   struct EchoConfig final : ScenarioConfig {
     std::string slug;
-    double knob = 0;
+    double knob = 1.5;
+    void declare(KeyTable& keys) override {
+      keys.real("workload", "knob", &knob, Bound::above(0));
+    }
+    void bind(const ScenarioContext& ctx, const KeyTable&) override {
+      slug = ctx.slug_prefix + "_echo";
+    }
     std::vector<ResultTable> run(const SweepRunner&) const override {
       ResultTable t;
       t.title = "echo";
@@ -125,14 +126,7 @@ TEST(ScenarioRegistry, CustomKindIsADropInRegistration) {
   ScenarioEntry echo;
   echo.name = "echo";
   echo.summary = "test-only scenario";
-  echo.load = [](const ConfigFile&, SectionView&, SectionView& work,
-                 const ScenarioContext& ctx)
-      -> std::unique_ptr<ScenarioConfig> {
-    auto cfg = std::make_unique<EchoConfig>();
-    cfg->slug = ctx.slug_prefix + "_echo";
-    cfg->knob = work.get_double("knob", 1.5);
-    return cfg;
-  };
+  echo.make = [] { return std::make_unique<EchoConfig>(); };
   reg.add(echo);
 
   const auto file = ConfigFile::parse(
@@ -147,13 +141,21 @@ TEST(ScenarioRegistry, CustomKindIsADropInRegistration) {
   EXPECT_EQ(tables[0].rows.at(0).values.at(0).number(), 7.25);
 
   // The custom kind still gets the shared rejection machinery: an
-  // unknown workload key is a ConfigError even though the loader is
-  // user-supplied.
+  // unknown workload key and an out-of-bound value are ConfigErrors
+  // even though the key table is user-supplied, and --kinds lists it.
   const auto bad = ConfigFile::parse(
       "[experiment]\nkind = echo\nschemes = powertcp\n"
       "[workload]\nknobb = 1\n",
       "echo.toml");
   EXPECT_THROW(load_runner_config(bad, reg), ConfigError);
+  EXPECT_THROW(load_runner_config(
+                   ConfigFile::parse("[experiment]\nkind = echo\n"
+                                     "schemes = powertcp\n[workload]\n"
+                                     "knob = -1\n",
+                                     "echo.toml"),
+                   reg),
+               ConfigError);
+  EXPECT_NE(kinds_reference(reg).find("knob"), std::string::npos);
 }
 
 }  // namespace

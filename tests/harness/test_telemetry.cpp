@@ -17,7 +17,12 @@ namespace powertcp::harness {
 namespace {
 
 TelemetryConfig parse_telemetry(const std::string& text) {
-  return load_telemetry_config(ConfigFile::parse(text, "telemetry.toml"));
+  const ConfigFile file = ConfigFile::parse(text, "telemetry.toml");
+  TelemetryConfig cfg;
+  KeyTable keys(file);
+  declare_telemetry_keys(keys, &cfg);
+  keys.finish();
+  return cfg;
 }
 
 TEST(TelemetryConfig, AbsentSectionIsDisabledDefaults) {

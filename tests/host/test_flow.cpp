@@ -170,69 +170,5 @@ TEST_F(FlowFixture, SubMssFlowCompletes) {
   EXPECT_EQ(completions, 1);
 }
 
-// ---- pacing quantum ------------------------------------------------
-
-struct PacedRun {
-  sim::TimePs fct = 0;
-  std::int64_t received = 0;
-  std::uint64_t events = 0;
-};
-
-/// One rate-paced (TIMELY) flow over an idle dumbbell under the given
-/// sender config (nullptr = the host's default-constructed config).
-PacedRun run_paced_flow(const FlowSenderConfig* cfg) {
-  sim::Simulator simulator;
-  net::Network network{simulator};
-  topo::DumbbellConfig dcfg;
-  dcfg.n_senders = 1;
-  topo::Dumbbell topo(network, dcfg);
-  cc::FlowParams params;
-  params.host_bw = dcfg.host_bw;
-  params.base_rtt = topo.base_rtt();
-  params.expected_flows = 1;
-  if (cfg != nullptr) topo.sender(0).set_sender_config(*cfg);
-  PacedRun out;
-  topo.receiver().set_data_callback(
-      [&out](net::FlowId, std::int64_t b, sim::TimePs) { out.received += b; });
-  const cc::CcFactory f = cc::make_factory("timely");
-  topo.sender(0).start_flow(1, topo.receiver().id(), 1'000'000, f(params),
-                            params, 0, [&out](const FlowCompletion& c) {
-                              out.fct = c.finish - c.start;
-                            });
-  simulator.run_until(sim::milliseconds(20));
-  out.events = simulator.events_executed();
-  return out;
-}
-
-TEST(PacingQuantum, ExplicitQuantumOneIsIdenticalToDefault) {
-  // quantum = 1 IS the historical engine: setting it explicitly must
-  // reproduce the default run event-for-event.
-  const PacedRun dflt = run_paced_flow(nullptr);
-  FlowSenderConfig one;
-  one.pacing_quantum = 1;
-  const PacedRun q1 = run_paced_flow(&one);
-  EXPECT_GT(dflt.fct, 0);
-  EXPECT_EQ(q1.fct, dflt.fct);
-  EXPECT_EQ(q1.events, dflt.events);
-  EXPECT_EQ(q1.received, dflt.received);
-}
-
-TEST(PacingQuantum, QuantumGroupsTimerTicksWithoutChangingGoodput) {
-  FlowSenderConfig one;
-  one.pacing_quantum = 1;
-  FlowSenderConfig eight;
-  eight.pacing_quantum = 8;
-  const PacedRun q1 = run_paced_flow(&one);
-  const PacedRun q8 = run_paced_flow(&eight);
-  ASSERT_GT(q1.fct, 0);
-  ASSERT_GT(q8.fct, 0);
-  EXPECT_EQ(q8.received, q1.received);
-  // Releasing 8 packets per timer tick retires most pacing-timer
-  // events; the per-packet edge advance keeps the long-run rate, so
-  // the transfer must not slow down materially.
-  EXPECT_LT(q8.events, q1.events);
-  EXPECT_LT(q8.fct, q1.fct + q1.fct / 2);
-}
-
 }  // namespace
 }  // namespace powertcp::host

@@ -2,6 +2,7 @@
 ///
 ///   powertcp_run [--threads=N] [--csv=FILE] [--json=FILE] CONFIG...
 ///   powertcp_run --schemes
+///   powertcp_run --kinds
 ///
 /// Each CONFIG is an INI/TOML-subset experiment definition (see
 /// configs/ for the per-figure quick-scale setups and
@@ -48,25 +49,12 @@ const char* kUsage =
     "               near --threads\n"
     "  --schemes    list registered schemes, their tunables and\n"
     "               topology needs, then exit\n"
-    "  --kinds      list registered scenario kinds and their\n"
-    "               [topology]/[workload] keys, then exit\n"
+    "  --kinds      list registered scenario kinds and every config\n"
+    "               key with its unit, default and bound, then exit\n"
     "  --help       this message\n"
     "CONFIG files define [experiment]/[topology]/[workload]/[cc.*]\n"
     "sections; `kind = <name>` under [experiment] picks any registered\n"
     "scenario kind. See configs/ and docs/reproducing.md.\n";
-
-void list_kinds() {
-  for (const auto& kind : harness::ScenarioRegistry::instance().entries()) {
-    std::printf("%s\n  %s\n", kind.name.c_str(), kind.summary.c_str());
-    if (!kind.topology_keys.empty()) {
-      std::printf("  [topology] %s\n", kind.topology_keys.c_str());
-    }
-    if (!kind.workload_keys.empty()) {
-      std::printf("  [workload] %s\n", kind.workload_keys.c_str());
-    }
-    std::printf("\n");
-  }
-}
 
 void list_schemes() {
   for (const auto& scheme : cc::Registry::instance().schemes()) {
@@ -141,7 +129,7 @@ int main(int argc, char** argv) {
       list_schemes();
       return 0;
     } else if (std::strcmp(arg, "--kinds") == 0) {
-      list_kinds();
+      std::fputs(harness::kinds_reference().c_str(), stdout);
       return 0;
     } else if (std::strcmp(arg, "--help") == 0 ||
                std::strcmp(arg, "-h") == 0) {
