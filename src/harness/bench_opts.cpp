@@ -112,10 +112,6 @@ int BenchReporter::finish() {
     // No run metadata beyond the bench name: the document must be
     // byte-identical for every --threads value.
     std::string json = "{\n  \"bench\": \"" + bench_name_ + "\",\n";
-    if (have_shard_fallbacks_) {
-      json += "  \"shard_fallbacks\": " + std::to_string(shard_fallbacks_) +
-              ",\n";
-    }
     json += "  \"tables\": [\n";
     for (std::size_t i = 0; i < tables_.size(); ++i) {
       tables_[i].append_json(json, 4);

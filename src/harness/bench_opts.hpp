@@ -50,15 +50,6 @@ class BenchReporter {
   /// Prints the table (stdout) and retains it for the file emitters.
   void add(ResultTable table);
 
-  /// Opts the JSON document into a top-level "shard_fallbacks" field
-  /// (the number of simulation points that fell back to the sequential
-  /// engine — harness::shard_fallback_count()). Call before finish();
-  /// reporters that never call this emit the pre-existing document.
-  void set_shard_fallbacks(std::uint64_t count) {
-    shard_fallbacks_ = count;
-    have_shard_fallbacks_ = true;
-  }
-
   /// Writes --csv/--json outputs if requested. Returns 0 on success,
   /// 1 if a file could not be written (after printing to stderr).
   int finish();
@@ -68,8 +59,6 @@ class BenchReporter {
   BenchOptions opts_;
   SweepRunner runner_;
   std::vector<ResultTable> tables_;
-  std::uint64_t shard_fallbacks_ = 0;
-  bool have_shard_fallbacks_ = false;
 };
 
 }  // namespace powertcp::harness

@@ -11,12 +11,14 @@
 #include "cc/mix.hpp"
 #include "cc/registry.hpp"
 #include "net/aqm.hpp"
+#include "net/node.hpp"
 #include "stats/fct_recorder.hpp"
 
 namespace powertcp::harness {
 
 namespace {
 
+constexpr const char* kExp = "experiment";
 constexpr const char* kTopo = "topology";
 constexpr const char* kWork = "workload";
 
@@ -71,10 +73,12 @@ SchemeRun resolve_scheme(const ConfigFile& file, const std::string& label,
   return run;
 }
 
-/// The fat-tree [topology] keys of fat_tree, incast and homa_oc: a
-/// preset, then per-field overrides.
-void declare_fat_tree_topology(KeyTable& k, std::string* preset,
-                               topo::FatTreeConfig* cfg) {
+/// The fat-tree keys of fat_tree, incast and homa_oc: the shard count
+/// (only these kinds have a cut), the [topology] preset, then
+/// per-field overrides.
+void declare_fat_tree_topology(KeyTable& k, int* sim_threads,
+                               std::string* preset, topo::FatTreeConfig* cfg) {
+  k.count(kExp, "sim_threads", sim_threads, Bound::at_least(1).upto(64));
   k.choice(kTopo, "preset", preset, {"quick", "paper"});
   *cfg = *preset == "paper" ? topo::FatTreeConfig()
                             : topo::FatTreeConfig::quick();
@@ -89,6 +93,74 @@ void declare_fat_tree_topology(KeyTable& k, std::string* preset,
   k.count(kTopo, "buffer_bytes_per_gbps", &cfg->buffer_bytes_per_gbps,
           Bound::at_least(1));
   k.real(kTopo, "dt_alpha", &cfg->dt_alpha, Bound::above(0));
+}
+
+/// The first of `fields` the file sets, else the first: the key a
+/// check that spans several keys blames.
+const void* first_given(const KeyTable& k,
+                        std::initializer_list<const void*> fields) {
+  for (const void* f : fields) {
+    if (k.given(f)) return f;
+  }
+  return *fields.begin();
+}
+
+/// Rejects a fat-tree outside the tie-token range (net::Node::
+/// attach_port): more ports on a switch than net::kMaxPortsPerNode or
+/// more nodes than net::kMaxNodes. The port checks bound every count
+/// first, so the 64-bit node total cannot overflow.
+void check_fat_tree_size(const KeyTable& k, const topo::FatTreeConfig& c) {
+  const std::int64_t pods = c.pods, tors = c.tors_per_pod,
+                     aggs = c.aggs_per_pod, cores = c.cores,
+                     servers = c.servers_per_tor;
+  const auto ports = [&](std::int64_t n, const char* node,
+                         std::initializer_list<const void*> keys) {
+    if (n > net::kMaxPortsPerNode) {
+      k.reject(first_given(k, keys),
+               "gives each " + std::string(node) + " " + std::to_string(n) +
+                   " ports; a node has at most " +
+                   std::to_string(net::kMaxPortsPerNode));
+    }
+  };
+  ports(servers + aggs, "ToR", {&c.servers_per_tor, &c.aggs_per_pod});
+  // Agg a links to every core c with c % aggs_per_pod == a.
+  ports(tors + (cores + aggs - 1) / aggs, "aggregation switch",
+        {&c.tors_per_pod, &c.cores});
+  ports(pods, "core", {&c.pods});
+  const std::int64_t nodes =
+      cores + pods * (aggs + tors) + pods * tors * servers;
+  if (nodes > net::kMaxNodes) {
+    k.reject(first_given(k, {&c.pods, &c.tors_per_pod, &c.servers_per_tor}),
+             "gives " + std::to_string(nodes) +
+                 " nodes; a network has at most " +
+                 std::to_string(net::kMaxNodes));
+  }
+}
+
+/// Rejects a query fan-in on a fat-tree (already size-checked) with no
+/// host outside the receiver's rack other than the long sender: the
+/// pool both fan-in scenarios draw responders from.
+void check_fan_in_hosts(const KeyTable& k, const void* fan_in,
+                        const topo::FatTreeConfig& c) {
+  const std::int64_t hosts = static_cast<std::int64_t>(c.pods) *
+                             c.tors_per_pod * c.servers_per_tor;
+  if (hosts - c.servers_per_tor - 1 < 1) {
+    k.reject(fan_in,
+             "needs a host outside the receiver's rack other than the long "
+             "sender; grow pods or tors_per_pod");
+  }
+}
+
+/// Rejects a dumbbell whose bottleneck switch would need more than
+/// net::kMaxPortsPerNode ports: one per sender plus the receiver's.
+void check_dumbbell_senders(const KeyTable& k, const void* field,
+                            std::size_t senders) {
+  if (senders + 1 > static_cast<std::size_t>(net::kMaxPortsPerNode)) {
+    k.reject(field, "gives " + std::to_string(senders) +
+                        " senders; the bottleneck switch has at most " +
+                        std::to_string(net::kMaxPortsPerNode) +
+                        " ports, one per sender plus the receiver's");
+  }
 }
 
 /// "20000", "1e+08", "6e+301": a count for an error message.
@@ -108,14 +180,11 @@ ScenarioEntry builtin(std::string name, std::string summary) {
 
 void declare_shared_keys(KeyTable& k, ScenarioContext* ctx,
                          const ScenarioRegistry& registry) {
-  constexpr const char* kExp = "experiment";
   k.choice(kExp, "kind", &ctx->kind, registry.names());
   k.text(kExp, "slug", &ctx->slug_prefix);
   k.text(kExp, "schemes", &ctx->scheme_labels);
   k.count(kExp, "seed", &ctx->seed, Bound::at_least(0));
   k.real(kExp, "percentile", &ctx->percentile, Bound::at_least(0).upto(100));
-  k.count(kExp, "sim_threads", &ctx->sim_threads,
-          Bound::at_least(1).upto(64));
 
   // Delays in us: positive and well inside the picosecond clock.
   constexpr Bound kAqmUs = Bound::above(0).upto(1e9);
@@ -138,7 +207,8 @@ void declare_shared_keys(KeyTable& k, ScenarioContext* ctx,
 // several keys.
 
 void FatTreeKindConfig::declare(KeyTable& k) {
-  declare_fat_tree_topology(k, &preset, &fat_tree.topo);
+  declare_fat_tree_topology(k, &fat_tree.sim_threads, &preset,
+                            &fat_tree.topo);
   k.real(kWork, "loads", &loads, Bound::above(0).upto(1));
   k.ms(kWork, "duration_ms", &fat_tree.duration);
   k.real(kWork, "size_scale", &fat_tree.size_scale,
@@ -154,18 +224,18 @@ void FatTreeKindConfig::declare(KeyTable& k) {
           Bound::at_least(1));
 }
 
-void FatTreeKindConfig::bind(const ScenarioContext& ctx, const KeyTable&) {
+void FatTreeKindConfig::bind(const ScenarioContext& ctx, const KeyTable& k) {
+  check_fat_tree_size(k, fat_tree.topo);
   schemes = ctx.schemes;
   slug_prefix = ctx.slug_prefix;
   percentile = ctx.percentile;
-  fat_tree.sim_threads = ctx.sim_threads;
   fat_tree.seed = static_cast<std::uint64_t>(ctx.seed);
   fat_tree.telemetry = ctx.telemetry;
   fat_tree.topo.aqm = ctx.aqm;
 }
 
 void IncastKindConfig::declare(KeyTable& k) {
-  declare_fat_tree_topology(k, &preset, &incast.topo);
+  declare_fat_tree_topology(k, &incast.sim_threads, &preset, &incast.topo);
   k.size(kWork, "query_kb", &query_bytes, Size::kKB, /*zero_ok=*/true);
   k.count(kWork, "fan_in", &fan_in, Bound::at_least(0));
   k.size(kWork, "long_flow_mb", &incast.long_flow_bytes, Size::kMB);
@@ -179,9 +249,9 @@ void IncastKindConfig::declare(KeyTable& k) {
 }
 
 void IncastKindConfig::bind(const ScenarioContext& ctx, const KeyTable& k) {
+  check_fat_tree_size(k, incast.topo);
   schemes = ctx.schemes;
   slug_prefix = ctx.slug_prefix;
-  incast.sim_threads = ctx.sim_threads;
   incast.telemetry = ctx.telemetry;
   incast.topo.aqm = ctx.aqm;
   if (fan_in.size() != query_bytes.size() && fan_in.size() != 1) {
@@ -194,6 +264,7 @@ void IncastKindConfig::bind(const ScenarioContext& ctx, const KeyTable& k) {
       k.reject(&fan_in, "must be >= 1 where " + k.name(&query_bytes) +
                             " > 0 (the query is split across the fan-in)");
     }
+    if (query_bytes[i] > 0) check_fan_in_hosts(k, &fan_in, incast.topo);
   }
 }
 
@@ -218,7 +289,6 @@ void RdcnKindConfig::declare(KeyTable& k) {
 void RdcnKindConfig::bind(const ScenarioContext& ctx, const KeyTable&) {
   schemes = ctx.schemes;
   slug_prefix = ctx.slug_prefix;
-  rdcn.sim_threads = ctx.sim_threads;
   rdcn.telemetry = ctx.telemetry;
 }
 
@@ -238,17 +308,17 @@ void DumbbellKindConfig::declare(KeyTable& k) {
   k.count(kWork, "row_every", &d.row_stride, Bound::at_least(1));
 }
 
-void DumbbellKindConfig::bind(const ScenarioContext& ctx, const KeyTable&) {
+void DumbbellKindConfig::bind(const ScenarioContext& ctx, const KeyTable& k) {
+  check_dumbbell_senders(k, &dumbbell.flow_bytes, dumbbell.flow_bytes.size());
   schemes = ctx.schemes;
   slug_prefix = ctx.slug_prefix;
-  dumbbell.sim_threads = ctx.sim_threads;
   dumbbell.telemetry = ctx.telemetry;
   dumbbell.topo.aqm = ctx.aqm;
 }
 
 void HomaOcKindConfig::declare(KeyTable& k) {
   HomaOcScenario& h = homa_oc;
-  declare_fat_tree_topology(k, &preset, &h.incast_topo);
+  declare_fat_tree_topology(k, &h.sim_threads, &preset, &h.incast_topo);
   k.count(kWork, "overcommit", &h.overcommit, Bound::at_least(1));
   k.count(kWork, "fan_in", &h.fan_in, Bound::at_least(1));
   k.size(kWork, "flow_mb", &h.fairness.flow_bytes, Size::kMB);
@@ -264,10 +334,13 @@ void HomaOcKindConfig::declare(KeyTable& k) {
   k.us(kWork, "incast_bin_us", &h.incast_bin, /*positive=*/true);
 }
 
-void HomaOcKindConfig::bind(const ScenarioContext& ctx, const KeyTable&) {
+void HomaOcKindConfig::bind(const ScenarioContext& ctx, const KeyTable& k) {
+  check_fat_tree_size(k, homa_oc.incast_topo);
+  check_fan_in_hosts(k, &homa_oc.fan_in, homa_oc.incast_topo);
+  check_dumbbell_senders(k, &homa_oc.fairness.flow_bytes,
+                         homa_oc.fairness.flow_bytes.size());
   schemes = ctx.schemes;
   slug_prefix = ctx.slug_prefix;
-  homa_oc.sim_threads = ctx.sim_threads;
   homa_oc.telemetry = ctx.telemetry;
   homa_oc.incast_topo.aqm = ctx.aqm;
   homa_oc.fairness.topo.aqm = ctx.aqm;
@@ -316,8 +389,9 @@ void MixedCcKindConfig::declare(KeyTable& k) {
 }
 
 void MixedCcKindConfig::bind(const ScenarioContext& ctx, const KeyTable& k) {
+  check_dumbbell_senders(k, &mixed.senders,
+                         static_cast<std::size_t>(mixed.senders));
   slug_prefix = ctx.slug_prefix;
-  mixed.sim_threads = ctx.sim_threads;
   mixed.seed = static_cast<std::uint64_t>(ctx.seed);
   mixed.aqm = ctx.aqm;
   // Each entry (`dctcp:0.5+powertcp:0.5`) is one mix cell; members
@@ -462,9 +536,6 @@ RunnerConfig load_runner_config(const ConfigFile& file,
   KeyTable keys(file);
   ScenarioContext ctx;
   declare_shared_keys(keys, &ctx, registry);
-  if (options.force_sim_threads > 0) {
-    ctx.sim_threads = options.force_sim_threads;
-  }
   if (options.force_telemetry) ctx.telemetry.enabled = true;
   for (const auto& label : ctx.scheme_labels) {
     ctx.schemes.push_back(
@@ -473,6 +544,19 @@ RunnerConfig load_runner_config(const ConfigFile& file,
 
   std::unique_ptr<ScenarioConfig> scenario = registry.at(ctx.kind).make();
   scenario->declare(keys);
+  if (options.force_sim_threads > 0) {
+    int* sim_threads = scenario->sim_threads();
+    if (sim_threads == nullptr) {
+      std::string cut;
+      for (const auto& kind : registry.entries()) {
+        if (kind.make()->sim_threads() == nullptr) continue;
+        cut += (cut.empty() ? "" : ", ") + kind.name;
+      }
+      throw ConfigError(file.origin() + ": --sim-threads: kind '" + ctx.kind +
+                        "' has no shard cut (kinds with one: " + cut + ")");
+    }
+    *sim_threads = options.force_sim_threads;
+  }
   scenario->bind(ctx, keys);
   keys.finish();
 

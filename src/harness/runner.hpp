@@ -55,6 +55,7 @@ struct FatTreeKindConfig final : ScenarioConfig {
   std::string slug_prefix = "run";
   void declare(KeyTable& keys) override;
   void bind(const ScenarioContext& ctx, const KeyTable& keys) override;
+  int* sim_threads() override { return &fat_tree.sim_threads; }
   std::vector<ResultTable> run(const SweepRunner& runner) const override;
 };
 
@@ -70,6 +71,7 @@ struct IncastKindConfig final : ScenarioConfig {
   std::string slug_prefix = "run";
   void declare(KeyTable& keys) override;
   void bind(const ScenarioContext& ctx, const KeyTable& keys) override;
+  int* sim_threads() override { return &incast.sim_threads; }
   std::vector<ResultTable> run(const SweepRunner& runner) const override;
 };
 
@@ -106,6 +108,7 @@ struct HomaOcKindConfig final : ScenarioConfig {
   std::string slug_prefix = "run";
   void declare(KeyTable& keys) override;
   void bind(const ScenarioContext& ctx, const KeyTable& keys) override;
+  int* sim_threads() override { return &homa_oc.sim_threads; }
   std::vector<ResultTable> run(const SweepRunner& runner) const override;
 };
 
@@ -184,7 +187,9 @@ struct RunnerLoadOptions {
   bool force_telemetry = false;
   /// `powertcp_run --sim-threads=N`: override `[experiment]
   /// sim_threads` (0 = no override). Values > 1 shard each simulation
-  /// point across cores with conservative lookahead.
+  /// point across cores with conservative lookahead; a kind without a
+  /// shard cut (ScenarioConfig::sim_threads() is nullptr) rejects any
+  /// override with a ConfigError naming the kind.
   int force_sim_threads = 0;
 };
 

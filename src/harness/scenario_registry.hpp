@@ -33,7 +33,7 @@
 namespace powertcp::harness {
 
 /// The shared sections every scenario kind reads: `[experiment]`
-/// (kind, slug, schemes, seed, percentile, sim_threads), `[aqm]` and
+/// (kind, slug, schemes, seed, percentile), `[aqm]` and
 /// `[telemetry]`, as declared by declare_shared_keys (runner.hpp) and
 /// possibly overridden by the CLI.
 struct ScenarioContext {
@@ -44,10 +44,6 @@ struct ScenarioContext {
   std::vector<SchemeRun> schemes;
   std::int64_t seed = 1;
   double percentile = 99.0;
-  /// Event-engine shards per simulation point. 1 is the exact
-  /// sequential engine; N > 1 partitions the topology with
-  /// conservative lookahead, byte-identical by construction.
-  int sim_threads = 1;
   /// Simulated kinds copy it into their scenario config.
   TelemetryConfig telemetry;
   /// The switch marking/drop policy (kind from net::AqmRegistry).
@@ -70,6 +66,10 @@ class ScenarioConfig {
   /// Load mode, after declare(): takes the shared context and runs the
   /// checks that span several keys, rejecting through `keys`.
   virtual void bind(const ScenarioContext& ctx, const KeyTable& keys) = 0;
+  /// The `[experiment] sim_threads` field of a kind with a shard cut
+  /// (the fat-tree kinds), which `powertcp_run --sim-threads` sets
+  /// between declare() and bind(); nullptr for every other kind.
+  virtual int* sim_threads() { return nullptr; }
   /// Executes every simulation point on the runner's pool and returns
   /// the tables in declaration order — output is a pure function of
   /// the config, byte-identical for every thread count.

@@ -58,13 +58,12 @@ void append_flight_tables(std::vector<ResultTable>* flight_out,
 
 }  // namespace
 
-namespace {
-
-std::pair<IncastSeries, std::uint64_t> run_incast_point(
-    const IncastScenario& cfg, const SchemeRun& scheme_run, int threads) {
+IncastSeries run_incast_scenario(const IncastScenario& cfg,
+                                 const SchemeRun& scheme_run) {
   const cc::Scheme& scheme = resolve(scheme_run);
   // Partitioned engine (per-pod cut); monitors live on pod 0 = shard 0.
-  ShardedPoint point(topo::fat_tree_shard_plan(cfg.topo, threads));
+  ShardedPoint point(topo::fat_tree_shard_plan(
+      cfg.topo, effective_sim_threads(cfg.sim_threads, cfg.telemetry.enabled)));
   sim::Simulator& simulator = point.sim();
   net::Network& network = point.network;
   topo::FatTreeConfig topo_cfg = cfg.topo;
@@ -175,7 +174,7 @@ std::pair<IncastSeries, std::uint64_t> run_incast_point(
                 1, params.base_rtt, cfg.horizon);
   }
 
-  point.engine.run_until(cfg.horizon);
+  point.run_until(cfg.horizon);
 
   IncastSeries out;
   const auto bins = static_cast<std::size_t>(cfg.horizon / cfg.bin);
@@ -186,16 +185,7 @@ std::pair<IncastSeries, std::uint64_t> run_incast_point(
         1e3);
   }
   if (tap) out.flight = tap->series();
-  return {std::move(out), point.engine.boundary_ambiguities()};
-}
-
-}  // namespace
-
-IncastSeries run_incast_scenario(const IncastScenario& cfg,
-                                 const SchemeRun& scheme_run) {
-  return run_with_exact_fallback(
-      effective_sim_threads(cfg.sim_threads, cfg.telemetry.enabled),
-      [&](int threads) { return run_incast_point(cfg, scheme_run, threads); });
+  return out;
 }
 
 ResultTable incast_table(const SweepRunner& runner, const IncastScenario& cfg,
@@ -232,10 +222,8 @@ ResultTable incast_table(const SweepRunner& runner, const IncastScenario& cfg,
   return t;
 }
 
-namespace {
-
-std::pair<RdcnResult, std::uint64_t> run_rdcn_point(
-    const RdcnScenario& cfg, const SchemeRun& scheme_run, int threads) {
+RdcnResult run_rdcn_scenario(const RdcnScenario& cfg,
+                             const SchemeRun& scheme_run) {
   const cc::Scheme& scheme = resolve(scheme_run);
   if (scheme.message_transport) {
     throw std::invalid_argument("scheme '" + scheme_run.scheme +
@@ -243,12 +231,8 @@ std::pair<RdcnResult, std::uint64_t> run_rdcn_point(
                                 "scenario drives sender CC algorithms");
   }
 
-  // Partitioned engine: switching stays on shard 0, hosts spread by
-  // rack. Monitors tap ToR 0 (shard 0); the rack-1 goodput callback
-  // fires only on rack 1's shard thread (single writer).
-  ShardedPoint point(topo::rdcn_shard_plan(cfg.topo, threads));
-  sim::Simulator& simulator = point.sim();
-  net::Network& network = point.network;
+  sim::Simulator simulator;
+  net::Network network(simulator);
   topo::Rdcn rdcn(network, cfg.topo);
 
   cc::FlowParams params;
@@ -300,7 +284,7 @@ std::pair<RdcnResult, std::uint64_t> run_rdcn_point(
                 &rdcn.host(idx - 1), idx, params.base_rtt, cfg.horizon);
   }
 
-  point.engine.run_until(cfg.horizon);
+  simulator.run_until(cfg.horizon);
 
   RdcnResult out;
   double day_bytes = 0, day_secs = 0;
@@ -321,16 +305,7 @@ std::pair<RdcnResult, std::uint64_t> run_rdcn_point(
   }
   if (!sojourns_us.empty()) out.p99_sojourn_us = sojourns_us.percentile(99);
   if (tap) out.flight = tap->series();
-  return {std::move(out), point.engine.boundary_ambiguities()};
-}
-
-}  // namespace
-
-RdcnResult run_rdcn_scenario(const RdcnScenario& cfg,
-                             const SchemeRun& scheme_run) {
-  return run_with_exact_fallback(
-      effective_sim_threads(cfg.sim_threads, cfg.telemetry.enabled),
-      [&](int threads) { return run_rdcn_point(cfg, scheme_run, threads); });
+  return out;
 }
 
 ResultTable rdcn_timeseries_table(const SweepRunner& runner,
@@ -377,10 +352,8 @@ ResultTable rdcn_timeseries_table(const SweepRunner& runner,
   return t;
 }
 
-namespace {
-
-std::pair<DumbbellSeries, std::uint64_t> run_dumbbell_point(
-    const DumbbellScenario& cfg, const SchemeRun& scheme_run, int threads) {
+DumbbellSeries run_dumbbell_scenario(const DumbbellScenario& cfg,
+                                     const SchemeRun& scheme_run) {
   const cc::Scheme& scheme = resolve(scheme_run);
   const int n_flows = static_cast<int>(cfg.flow_bytes.size());
   if (n_flows < 1) {
@@ -391,11 +364,8 @@ std::pair<DumbbellSeries, std::uint64_t> run_dumbbell_point(
   topo_cfg.n_senders = n_flows;
   topo_cfg.ecn = scheme.needs.ecn;
   topo_cfg.priority_bands = scheme.needs.priority_bands;
-  // Partitioned engine: senders spread across shards, switch and
-  // receiver (every monitor) on shard 0.
-  ShardedPoint point(topo::dumbbell_shard_plan(topo_cfg, threads));
-  sim::Simulator& simulator = point.sim();
-  net::Network& network = point.network;
+  sim::Simulator simulator;
+  net::Network network(simulator);
   topo::Dumbbell topo(network, topo_cfg);
 
   cc::FlowParams params;
@@ -451,7 +421,7 @@ std::pair<DumbbellSeries, std::uint64_t> run_dumbbell_point(
                 idx, params.base_rtt, cfg.horizon);
   }
 
-  point.engine.run_until(cfg.horizon);
+  simulator.run_until(cfg.horizon);
 
   DumbbellSeries out;
   out.gbps.resize(static_cast<std::size_t>(n_flows));
@@ -468,18 +438,7 @@ std::pair<DumbbellSeries, std::uint64_t> run_dumbbell_point(
     }
   }
   if (tap) out.flight = tap->series();
-  return {std::move(out), point.engine.boundary_ambiguities()};
-}
-
-}  // namespace
-
-DumbbellSeries run_dumbbell_scenario(const DumbbellScenario& cfg,
-                                     const SchemeRun& scheme_run) {
-  return run_with_exact_fallback(
-      effective_sim_threads(cfg.sim_threads, cfg.telemetry.enabled),
-      [&](int threads) {
-        return run_dumbbell_point(cfg, scheme_run, threads);
-      });
+  return out;
 }
 
 ResultTable dumbbell_series_table(const DumbbellSeries& series,
@@ -528,15 +487,15 @@ std::vector<ResultTable> dumbbell_fairness_tables(
   return tables;
 }
 
-namespace {
-
-std::pair<HomaOcIncastResult, std::uint64_t> run_homa_oc_incast_point(
-    const HomaOcScenario& cfg, const SchemeRun& scheme_run, int fan_in,
-    int threads) {
+HomaOcIncastResult run_homa_oc_incast(const HomaOcScenario& cfg,
+                                      const SchemeRun& scheme_run,
+                                      int fan_in) {
   const cc::Scheme& scheme = resolve(scheme_run);
 
   // Partitioned engine (per-pod cut); monitors live on pod 0 = shard 0.
-  ShardedPoint point(topo::fat_tree_shard_plan(cfg.incast_topo, threads));
+  ShardedPoint point(topo::fat_tree_shard_plan(
+      cfg.incast_topo,
+      effective_sim_threads(cfg.sim_threads, cfg.telemetry.enabled)));
   sim::Simulator& simulator = point.sim();
   net::Network& network = point.network;
   topo::FatTreeConfig topo_cfg = cfg.incast_topo;
@@ -589,26 +548,14 @@ std::pair<HomaOcIncastResult, std::uint64_t> run_homa_oc_incast_point(
                 params.base_rtt, cfg.incast_horizon);
   }
 
-  point.engine.run_until(cfg.incast_horizon);
+  point.run_until(cfg.incast_horizon);
 
   HomaOcIncastResult out;
   out.peak_queue_kb = static_cast<double>(queue.max_bytes()) / 1e3;
   out.drops = fabric.total_drops();
   out.mean_goodput_gbps = goodput.mean_gbps(0, goodput.bin_count());
   if (tap) out.flight = tap->series();
-  return {std::move(out), point.engine.boundary_ambiguities()};
-}
-
-}  // namespace
-
-HomaOcIncastResult run_homa_oc_incast(const HomaOcScenario& cfg,
-                                      const SchemeRun& scheme_run,
-                                      int fan_in) {
-  return run_with_exact_fallback(
-      effective_sim_threads(cfg.sim_threads, cfg.telemetry.enabled),
-      [&](int threads) {
-        return run_homa_oc_incast_point(cfg, scheme_run, fan_in, threads);
-      });
+  return out;
 }
 
 std::vector<ResultTable> homa_oc_tables(const SweepRunner& runner,
@@ -636,7 +583,6 @@ std::vector<ResultTable> homa_oc_tables(const SweepRunner& runner,
   };
 
   DumbbellScenario fairness = cfg.fairness;
-  fairness.sim_threads = cfg.sim_threads;
   fairness.telemetry = cfg.telemetry;
   std::vector<std::function<DumbbellSeries()>> fairness_jobs;
   fairness_jobs.reserve(schemes.size() * cfg.overcommit.size());
@@ -724,12 +670,11 @@ std::vector<ResultTable> homa_oc_tables(const SweepRunner& runner,
   return tables;
 }
 
-namespace {
-
-std::pair<MixedCcCellResult, std::uint64_t> run_mixed_cc_point(
-    const MixedCcScenario& cfg, const MixedCcMix& mix,
-    const std::string& aqm_kind, double rtt_us, std::int64_t buffer_bytes,
-    int threads) {
+MixedCcCellResult run_mixed_cc_cell(const MixedCcScenario& cfg,
+                                    const MixedCcMix& mix,
+                                    const std::string& aqm_kind,
+                                    double rtt_us,
+                                    std::int64_t buffer_bytes) {
   if (mix.members.empty() || mix.members.size() != mix.weights.size()) {
     throw std::invalid_argument("mixed_cc: malformed mix '" + mix.display +
                                 "'");
@@ -775,11 +720,8 @@ std::pair<MixedCcCellResult, std::uint64_t> run_mixed_cc_point(
       break;
     }
   }
-  // Partitioned engine: senders spread across shards; the receiver's
-  // byte counters and the per-sender finish slots are each written by
-  // exactly one shard thread.
-  ShardedPoint point(topo::dumbbell_shard_plan(topo_cfg, threads));
-  net::Network& network = point.network;
+  sim::Simulator simulator;
+  net::Network network(simulator);
   topo::Dumbbell topo(network, topo_cfg);
 
   cc::FlowParams params;
@@ -824,7 +766,7 @@ std::pair<MixedCcCellResult, std::uint64_t> run_mixed_cc_point(
         });
   }
 
-  point.engine.run_until(cfg.horizon);
+  simulator.run_until(cfg.horizon);
 
   // Per-flow delivery rate over the flow's own active window, so a
   // stack that finishes early is credited its speed rather than
@@ -883,21 +825,7 @@ std::pair<MixedCcCellResult, std::uint64_t> run_mixed_cc_point(
   }
   out.done_frac =
       static_cast<double>(done_total) / static_cast<double>(cfg.senders);
-  return {std::move(out), point.engine.boundary_ambiguities()};
-}
-
-}  // namespace
-
-MixedCcCellResult run_mixed_cc_cell(const MixedCcScenario& cfg,
-                                    const MixedCcMix& mix,
-                                    const std::string& aqm_kind,
-                                    double rtt_us,
-                                    std::int64_t buffer_bytes) {
-  return run_with_exact_fallback(
-      effective_sim_threads(cfg.sim_threads, false), [&](int threads) {
-        return run_mixed_cc_point(cfg, mix, aqm_kind, rtt_us, buffer_bytes,
-                                  threads);
-      });
+  return out;
 }
 
 std::vector<ResultTable> mixed_cc_tables(const SweepRunner& runner,

@@ -81,9 +81,6 @@ struct RdcnScenario {
   std::int64_t flow_bytes = 2'000'000'000;
   sim::TimePs horizon = sim::milliseconds(4);
   sim::TimePs bin = sim::microseconds(50);
-  /// Parallel-engine shards (1 = sequential verbatim); results are
-  /// thread-count-independent. Telemetry forces 1.
-  int sim_threads = 1;
   /// Optional flight recorder on ToR-0's circuit port + the
   /// `telemetry.flow`-th rack-0 flow.
   TelemetryConfig telemetry;
@@ -132,9 +129,6 @@ struct DumbbellScenario {
   sim::TimePs bin = sim::microseconds(100);
   /// Table rows sample every `row_stride`-th bin.
   int row_stride = 4;
-  /// Parallel-engine shards (1 = sequential verbatim); results are
-  /// thread-count-independent. Telemetry forces 1.
-  int sim_threads = 1;
   /// Optional flight recorder on the bottleneck port + the
   /// `telemetry.flow`-th flow (sender flow-1).
   TelemetryConfig telemetry;
@@ -187,7 +181,9 @@ struct HomaOcScenario {
   sim::TimePs burst_at = sim::microseconds(500);
   sim::TimePs incast_horizon = sim::milliseconds(3);
   sim::TimePs incast_bin = sim::microseconds(100);
-  /// Parallel-engine shards, applied to both panels (1 = sequential).
+  /// Parallel-engine shards for the incast panel (per-pod cut; 1 =
+  /// sequential verbatim); results are thread-count-independent.
+  /// Telemetry forces 1.
   int sim_threads = 1;
   /// Optional flight recorder, applied to both panels (the incast
   /// panel taps the receiver's ToR downlink; message transports have
@@ -241,9 +237,6 @@ struct MixedCcScenario {
   std::uint64_t seed = 1;  ///< pins the host->member assignment
   /// AQM tunables shared by every cell; the swept axis picks `kind`.
   net::AqmSpec aqm;
-  /// Parallel-engine shards (1 = sequential verbatim); results are
-  /// thread-count-independent.
-  int sim_threads = 1;
 
   // Cell axes (outer product, mix-major):
   std::vector<MixedCcMix> mixes;

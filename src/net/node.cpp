@@ -19,7 +19,7 @@ int Node::attach_port(std::unique_ptr<EgressPort> port) {
   // delivery ties without consulting the global scheduling chronology —
   // the property that lets a partitioned run reproduce the sequential
   // order exactly. 9 bits of port index, the rest node id.
-  if (index >= 511 || id_ < 0 || id_ >= (1 << 22)) {
+  if (index >= kMaxPortsPerNode || id_ < 0 || id_ >= kMaxNodes) {
     throw std::logic_error(
         "Node::attach_port: node id / port index out of tie-token range");
   }

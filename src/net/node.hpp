@@ -14,6 +14,11 @@ namespace powertcp::net {
 
 class EgressPort;
 
+/// The tie-token range (see Node::attach_port): a node has at most
+/// kMaxPortsPerNode ports and a network at most kMaxNodes nodes.
+inline constexpr int kMaxPortsPerNode = 511;
+inline constexpr int kMaxNodes = 1 << 22;
+
 class Node {
  public:
   Node(NodeId id, std::string name);
@@ -29,7 +34,8 @@ class Node {
   /// ingress `in_port` (the index of the local port whose peer sent it).
   virtual void receive(Packet&& pkt, int in_port) = 0;
 
-  /// Takes ownership of an egress port; returns its index.
+  /// Takes ownership of an egress port; returns its index. Throws
+  /// std::logic_error outside the tie-token range.
   int attach_port(std::unique_ptr<EgressPort> port);
 
   EgressPort& port(int i) { return *ports_.at(static_cast<std::size_t>(i)); }

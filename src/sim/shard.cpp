@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 #include <thread>
+#include <tuple>
 
 namespace powertcp::sim {
 
@@ -100,6 +101,27 @@ std::uint64_t ShardedSimulator::events_executed() const {
   std::uint64_t total = 0;
   for (const auto& s : shards_) total += s->events_executed();
   return total;
+}
+
+ShardedSimulator::Ambiguity ShardedSimulator::first_ambiguity() const {
+  Ambiguity first;
+  bool found = false;
+  for (std::size_t i = 0; i < shards_.size(); ++i) {
+    if (shards_[i]->boundary_ambiguities() == 0) continue;
+    const Simulator::Ambiguity& a = shards_[i]->first_ambiguity();
+    if (found && std::tie(a.time, a.sched, a.tie) >=
+                     std::tie(first.time, first.sched, first.tie)) {
+      continue;
+    }
+    found = true;
+    first = {a.time, a.sched, a.tie, {0, 0}};
+    for (int k = 0; k < 2; ++k) {
+      // Origin 0 is a local event; a foreign one is 1 + source shard.
+      first.shards[k] = a.origins[k] == 0 ? static_cast<int>(i)
+                                          : static_cast<int>(a.origins[k]) - 1;
+    }
+  }
+  return first;
 }
 
 void ShardedSimulator::record_error() {

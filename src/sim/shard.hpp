@@ -1,11 +1,12 @@
 #pragma once
 
-#include <condition_variable>
+#include <atomic>
 #include <cstdint>
 #include <exception>
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <thread>
 #include <vector>
 
 #include "sim/simulator.hpp"
@@ -120,48 +121,61 @@ class ShardedSimulator {
 
   /// Sum of boundary ambiguities detected across all shards (see
   /// Simulator::boundary_ambiguities()). Zero certifies the sharded
-  /// run byte-identical to the sequential engine; the harness reruns a
-  /// simulation point sequentially when it comes back nonzero.
+  /// run byte-identical to the sequential engine; the harness fails a
+  /// simulation point when it comes back nonzero.
   std::uint64_t boundary_ambiguities() const {
     std::uint64_t total = 0;
     for (const auto& s : shards_) total += s->boundary_ambiguities();
     return total;
   }
 
+  /// The earliest-keyed first ambiguity over all shards, with its two
+  /// events' origins resolved to shard indices (a local event's shard
+  /// is the one that ran it). Meaningful once boundary_ambiguities() > 0.
+  struct Ambiguity {
+    TimePs time = 0;
+    TimePs sched = 0;
+    std::uint32_t tie = 0;
+    int shards[2] = {0, 0};
+  };
+  Ambiguity first_ambiguity() const;
+
   /// Lookahead windows synchronized so far (0 for single-shard runs) —
   /// introspection for tests and the shard bench.
   std::uint64_t windows() const { return windows_; }
 
  private:
-  /// Reusable mutex/condvar cyclic barrier; the last arriver runs the
-  /// round's reduction before releasing the others.
+  /// Reusable sense-reversing barrier: arrivals count up, the last one
+  /// runs the round's reduction and releases the others by bumping the
+  /// generation they spin on (yielding, so it stays safe when threads
+  /// outnumber cores). The acq_rel arrival makes every party's writes
+  /// visible to the reduction; the release/acquire generation makes the
+  /// reduction's writes visible to every party.
   class Barrier {
    public:
     explicit Barrier(int parties) : parties_(parties) {}
     template <typename Fn>
     void arrive_and_wait(Fn&& reduction) {
-      std::unique_lock<std::mutex> lock(mu_);
-      const std::uint64_t gen = generation_;
-      if (++arrived_ == parties_) {
+      // Read before arriving: the round cannot end without this party.
+      const std::uint32_t gen = generation_.load(std::memory_order_relaxed);
+      if (arrived_.fetch_add(1, std::memory_order_acq_rel) + 1 == parties_) {
         reduction();
-        arrived_ = 0;
-        ++generation_;
-        lock.unlock();
-        cv_.notify_all();
+        arrived_.store(0, std::memory_order_relaxed);
+        generation_.store(gen + 1, std::memory_order_release);
         return;
       }
-      cv_.wait(lock, [&] { return generation_ != gen; });
+      while (generation_.load(std::memory_order_acquire) == gen) {
+        std::this_thread::yield();
+      }
     }
     void arrive_and_wait() {
       arrive_and_wait([] {});
     }
 
    private:
-    std::mutex mu_;
-    std::condition_variable cv_;
+    std::atomic<int> arrived_{0};
+    std::atomic<std::uint32_t> generation_{0};
     const int parties_;
-    int arrived_ = 0;
-    std::uint64_t generation_ = 0;
   };
 
   void worker(int idx, TimePs horizon);

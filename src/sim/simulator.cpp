@@ -98,11 +98,14 @@ bool Simulator::pop_and_run_next(TimePs limit) {
     // both engines, so they are not ambiguous — and since deliveries
     // carry unique per-port tokens, a mixed-origin same-token pair is
     // structurally impossible; the counter stays as the safety net the
-    // harness polices.
+    // harness polices (the first pair's key is kept for its error).
     const std::uint32_t origin = slots_[top.slot].origin;
     if (cur_.time == top.time && cur_.sched == top.sched &&
         cur_.tie == top.tie && prev_origin_ != origin) {
-      ++ambiguities_;
+      if (ambiguities_++ == 0) {
+        first_ambiguity_ = {top.time, top.sched, top.tie,
+                            {prev_origin_, origin}};
+      }
     }
     cur_ = top;
     prev_origin_ = origin;

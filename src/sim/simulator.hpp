@@ -166,13 +166,24 @@ class Simulator {
   /// such a pair by causal history that a partitioned run cannot
   /// reconstruct with bounded state, so a sharded run is PROVABLY
   /// byte-identical to the sequential engine iff this stays 0 on every
-  /// shard; the harness falls back to a sequential rerun otherwise.
+  /// shard; the harness fails the point otherwise.
   /// Since every cross-shard delivery carries its port's unique
   /// nonzero token (net::Node::attach_port) while local events carry
   /// 0, this is now a safety net that should never fire — kept (and
   /// still policed by the harness) as the proof obligation
   /// (see docs/performance.md).
   std::uint64_t boundary_ambiguities() const { return ambiguities_; }
+
+  /// The first ambiguous pair (see boundary_ambiguities()): its shared
+  /// key and the origins of its two events, in pop order (0 = local,
+  /// else 1 + source shard). Meaningful once boundary_ambiguities() > 0.
+  struct Ambiguity {
+    TimePs time = 0;
+    TimePs sched = 0;
+    std::uint32_t tie = 0;
+    std::uint32_t origins[2] = {0, 0};
+  };
+  const Ambiguity& first_ambiguity() const { return first_ambiguity_; }
 
   /// Cancels a pending event and releases its callback immediately.
   /// Cancelling an already-fired, already-cancelled, or default
@@ -296,6 +307,7 @@ class Simulator {
   // mixes origins.
   std::uint32_t prev_origin_ = 0;
   std::uint64_t ambiguities_ = 0;
+  Ambiguity first_ambiguity_;
 };
 
 /// An event that runs only if something needs it to. A serialization

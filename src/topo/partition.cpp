@@ -5,143 +5,51 @@
 
 namespace powertcp::topo {
 
-namespace {
-
-ShardPlan sequential_plan(std::size_t node_count) {
-  ShardPlan plan;
-  plan.node_shard.assign(node_count, 0);
-  return plan;
-}
-
-int clamp_shards(int requested, int natural) {
+ShardPlan fat_tree_shard_plan(const FatTreeConfig& cfg, int requested) {
   if (requested < 1) {
     throw std::invalid_argument("shard plan: requested shards must be >= 1");
   }
-  return std::min(requested, natural);
-}
-
-}  // namespace
-
-ShardPlan fat_tree_shard_plan(const FatTreeConfig& cfg, int requested) {
-  const int pod_switches = cfg.aggs_per_pod + cfg.tors_per_pod;
-  const int n_tors = cfg.pods * cfg.tors_per_pod;
-  const std::size_t nodes = static_cast<std::size_t>(
-      cfg.cores + cfg.pods * pod_switches +
-      cfg.pods * cfg.tors_per_pod * cfg.servers_per_tor);
-
-  // PER-TOR cut, for requests beyond the per-pod family's natural
-  // parallelism: the whole aggregation/core plane stays on shard 0 and
-  // ToR t (with its hosts) goes to shard 1 + t % (N - 1), so the only
-  // cut links are the ToR uplinks and the lookahead is
-  // fabric_link_delay. Parallelism scales with racks instead of pods
-  // at the price of a shorter cut delay.
-  if (requested > cfg.pods && n_tors >= 2 && cfg.fabric_link_delay >= 1) {
-    const int shards = clamp_shards(requested, 1 + n_tors);
-    ShardPlan plan;
-    plan.shards = shards;
-    plan.lookahead = cfg.fabric_link_delay;
-    plan.node_shard.reserve(nodes);
-    for (int c = 0; c < cfg.cores; ++c) {
-      plan.node_shard.push_back(0);
-    }
-    for (int p = 0; p < cfg.pods; ++p) {
-      for (int a = 0; a < cfg.aggs_per_pod; ++a) {
-        plan.node_shard.push_back(0);
-      }
-      for (int t = 0; t < cfg.tors_per_pod; ++t) {
-        const int tor_idx = p * cfg.tors_per_pod + t;
-        plan.node_shard.push_back(1 + tor_idx % (shards - 1));
-      }
-    }
-    for (int t = 0; t < n_tors; ++t) {
-      for (int s = 0; s < cfg.servers_per_tor; ++s) {
-        plan.node_shard.push_back(1 + t % (shards - 1));
-      }
-    }
-    return plan;
-  }
-
-  const int shards = clamp_shards(requested, cfg.pods);
-  if (shards < 2 || cfg.core_link_delay < 1) return sequential_plan(nodes);
+  const auto count = [](int n) { return static_cast<std::size_t>(n); };
+  const std::size_t pod_switches =
+      count(cfg.aggs_per_pod) + count(cfg.tors_per_pod);
+  const std::size_t n_tors = count(cfg.pods) * count(cfg.tors_per_pod);
+  const std::size_t nodes = count(cfg.cores) + count(cfg.pods) * pod_switches +
+                            n_tors * count(cfg.servers_per_tor);
 
   ShardPlan plan;
+  const int shards = std::min(requested, cfg.pods);
+  if (shards < 2 || cfg.core_link_delay < 1) {
+    plan.node_shard.assign(nodes, 0);
+    return plan;
+  }
   plan.shards = shards;
   plan.lookahead = cfg.core_link_delay;
   plan.node_shard.reserve(nodes);
-  // PER-POD cut. At N >= 3 the cores get a DEDICATED relay shard
-  // (N - 1) and the pods spread over shards 0..N-2: every cut link is
-  // an agg<->core link, so two pod shards only influence each other
-  // through the relay — their pairwise bound is TWO core-link hops,
-  // and the engine's per-pair lookahead (ShardedSimulator::
-  // add_cut_edge) opens windows about twice as wide as the cut delay
-  // whenever traffic stays pod-local (the relay shard sits idle). At
-  // N == 2 a relay would leave every pod on one shard, so the classic
-  // interleaved cut (cores c % N, pod p % N) is kept.
+  // At N >= 3 the cores get a DEDICATED relay shard (N - 1) and the
+  // pods spread over shards 0..N-2: every cut link is an agg<->core
+  // link, so two pod shards only influence each other through the
+  // relay — their pairwise bound is TWO core-link hops, and the
+  // engine's per-pair lookahead (ShardedSimulator::add_cut_edge) opens
+  // windows about twice as wide as the cut delay whenever traffic
+  // stays pod-local (the relay shard sits idle). At N == 2 a relay
+  // would leave every pod on one shard, so the interleaved cut
+  // (cores c % N, pod p % N) is kept.
   const bool relay = shards >= 3;
   const int pod_shards = relay ? shards - 1 : shards;
   for (int c = 0; c < cfg.cores; ++c) {
     plan.node_shard.push_back(relay ? shards - 1 : c % shards);
   }
   for (int p = 0; p < cfg.pods; ++p) {
-    for (int i = 0; i < pod_switches; ++i) {
-      plan.node_shard.push_back(p % pod_shards);
-    }
+    plan.node_shard.insert(plan.node_shard.end(), pod_switches,
+                           p % pod_shards);
   }
   // Hosts are built ToR-major after every pod; a host's pod is
   // tor / tors_per_pod.
-  for (int t = 0; t < n_tors; ++t) {
-    for (int s = 0; s < cfg.servers_per_tor; ++s) {
-      plan.node_shard.push_back((t / cfg.tors_per_pod) % pod_shards);
-    }
+  for (std::size_t t = 0; t < n_tors; ++t) {
+    plan.node_shard.insert(plan.node_shard.end(), count(cfg.servers_per_tor),
+                           static_cast<int>(t / count(cfg.tors_per_pod)) %
+                               pod_shards);
   }
-  return plan;
-}
-
-ShardPlan dumbbell_shard_plan(const DumbbellConfig& cfg, int requested) {
-  const std::size_t nodes = static_cast<std::size_t>(cfg.n_senders) + 2;
-  const int shards = clamp_shards(requested, cfg.n_senders);
-  if (shards < 2 || cfg.link_delay < 1) return sequential_plan(nodes);
-
-  ShardPlan plan;
-  plan.shards = shards;
-  plan.lookahead = cfg.link_delay;
-  plan.node_shard.reserve(nodes);
-  plan.node_shard.push_back(0);  // bottleneck switch
-  for (int i = 0; i < cfg.n_senders; ++i) {
-    plan.node_shard.push_back(i % shards);
-  }
-  plan.node_shard.push_back(0);  // receiver
-  return plan;
-}
-
-ShardPlan rdcn_shard_plan(const RdcnConfig& cfg, int requested) {
-  const std::size_t nodes =
-      static_cast<std::size_t>(cfg.n_tors) *
-          static_cast<std::size_t>(1 + cfg.servers_per_tor) +
-      2;
-  const int shards = clamp_shards(requested, cfg.n_tors);
-  if (shards < 2 || cfg.host_link_delay < 1 || cfg.fabric_link_delay < 1) {
-    return sequential_plan(nodes);
-  }
-
-  // The circuit plane (ToRs + optical switch) must stay together on
-  // shard 0 — the circuit switch delivers into ToRs directly through
-  // its own event queue — but the PACKET core only talks to ToRs over
-  // ordinary fabric links, so it gets its own shard: packet-plane
-  // store-and-forward runs concurrently with the VOQ/circuit machinery,
-  // and the hosts of ToR t spread over all shards as before.
-  ShardPlan plan;
-  plan.shards = shards;
-  plan.lookahead = std::min(cfg.host_link_delay, cfg.fabric_link_delay);
-  plan.node_shard.reserve(nodes);
-  plan.node_shard.push_back(1);  // packet core, split from the circuit plane
-  for (int t = 0; t < cfg.n_tors; ++t) {
-    plan.node_shard.push_back(0);  // the ToR itself
-    for (int s = 0; s < cfg.servers_per_tor; ++s) {
-      plan.node_shard.push_back(t % shards);
-    }
-  }
-  plan.node_shard.push_back(0);  // circuit switch
   return plan;
 }
 

@@ -2,41 +2,27 @@
 
 #include <vector>
 
-#include "topo/dumbbell.hpp"
 #include "topo/fat_tree.hpp"
-#include "topo/rdcn.hpp"
 
 /// \file partition.hpp
-/// Shard plans for the parallel engine (sim/shard.hpp): each plan maps
-/// every node a topology builder will create — by construction order,
-/// which is the NodeId — to a shard, and reports the minimum
+/// The shard plan for the parallel engine (sim/shard.hpp): it maps
+/// every node the fat-tree builder will create — by construction
+/// order, which is the NodeId — to a shard, and reports the minimum
 /// propagation delay across the cut, which becomes the engine's
-/// conservative lookahead. Plans only cut links whose delay equals or
-/// exceeds that lookahead, and fall back to a single shard when the
-/// topology has no usable cut (no parallelism is better than a wrong
-/// answer or a zero-lookahead livelock).
+/// conservative lookahead. The plan falls back to a single shard when
+/// the topology has no usable cut (no parallelism is better than a
+/// wrong answer or a zero-lookahead livelock).
 ///
-/// The cuts:
-///  - fat_tree, requested <= pods: per-pod. At N >= 3 the cores form a
-///    dedicated RELAY shard (N-1) and pod p goes to shard p % (N-1);
-///    only agg<->core links cross (lookahead core_link_delay), and pod
-///    shards influence each other only via two hops through the relay,
-///    which the engine's per-pair lookahead turns into windows about
-///    twice the cut delay. At N == 2 the classic interleaved cut
-///    (core c % N, pod p % N) is kept.
-///  - fat_tree, requested > pods: per-ToR. The aggregation/core plane
-///    stays on shard 0 and ToR t with its hosts goes to shard
-///    1 + t % (N-1), N up to 1 + n_tors; the cut is the ToR uplinks
-///    (lookahead fabric_link_delay).
-///  - dumbbell: the bottleneck switch and the receiver stay on shard 0,
-///    sender i goes to shard i % N; the cut is the sender access links
-///    (lookahead link_delay).
-///  - rdcn: the circuit plane (ToRs + circuit switch) stays on shard 0
-///    — the circuit switch delivers into ToRs directly through its own
-///    event queue, so splitting ToRs from it would race — while the
-///    PACKET core gets shard 1 (its only links are ordinary ToR fabric
-///    links) and the hosts of ToR t go to shard t % N (lookahead
-///    min(host_link_delay, fabric_link_delay)).
+/// The cut is per pod, with the request clamped to `pods`. At N >= 3
+/// the cores form a dedicated RELAY shard (N-1) and pod p goes to
+/// shard p % (N-1); only agg<->core links cross (lookahead
+/// core_link_delay), and pod shards influence each other only via two
+/// hops through the relay, which the engine's per-pair lookahead turns
+/// into windows about twice the cut delay. At N == 2 the interleaved
+/// cut (core c % N, pod p % N) is kept.
+///
+/// Sharding one point is a tool for a config with fewer points than
+/// cores; docs/performance.md §5 has the measured speedups.
 
 namespace powertcp::topo {
 
@@ -49,11 +35,9 @@ struct ShardPlan {
   std::vector<int> node_shard;
 };
 
-/// Plans for `requested` shards, clamped to the topology's natural
-/// parallelism (pods / senders / ToRs); returns a 1-shard plan when the
-/// clamp or a zero cut delay removes all parallelism.
+/// Plans for `requested` (>= 1) shards, clamped to `pods`; returns a
+/// 1-shard plan when the clamp or a zero core-link delay removes all
+/// parallelism.
 ShardPlan fat_tree_shard_plan(const FatTreeConfig& cfg, int requested);
-ShardPlan dumbbell_shard_plan(const DumbbellConfig& cfg, int requested);
-ShardPlan rdcn_shard_plan(const RdcnConfig& cfg, int requested);
 
 }  // namespace powertcp::topo

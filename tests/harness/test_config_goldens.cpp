@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "harness/runner.hpp"
-#include "harness/shard_setup.hpp"
 
 #ifndef POWERTCP_SOURCE_DIR
 #define POWERTCP_SOURCE_DIR "."
@@ -60,30 +59,13 @@ Rendered render_like_cli(const std::vector<ResultTable>& tables) {
   }
   r.csv = ResultTable::csv_header();
   for (const auto& t : tables) t.append_csv(r.csv);
-  // The CLI reports shard_fallback_count() here; the goldens pin it at
-  // 0 — no shipped config may silently rerun on the sequential engine.
-  r.json = "{\n  \"bench\": \"powertcp_run\",\n  \"shard_fallbacks\": 0,\n"
-           "  \"tables\": [\n";
+  r.json = "{\n  \"bench\": \"powertcp_run\",\n  \"tables\": [\n";
   for (std::size_t i = 0; i < tables.size(); ++i) {
     tables[i].append_json(r.json, 4);
     r.json += i + 1 < tables.size() ? ",\n" : "\n";
   }
   r.json += "  ]\n}\n";
   return r;
-}
-
-/// run_config with the zero-fallback acceptance bar attached: the
-/// process-wide fallback counter may not move while a shipped config
-/// renders (otherwise the "shard_fallbacks": 0 the goldens pin would
-/// be a lie whenever sim_threads > 1 is forced).
-std::vector<ResultTable> run_config_no_fallback(const RunnerConfig& cfg,
-                                                const SweepRunner& runner) {
-  const std::uint64_t before =
-      shard_fallback_count().load(std::memory_order_relaxed);
-  auto tables = run_config(cfg, runner);
-  EXPECT_EQ(shard_fallback_count().load(std::memory_order_relaxed), before)
-      << "a shipped config fell back to the sequential engine";
-  return tables;
 }
 
 /// Stems of every configs/*.toml, sorted so the suite order is stable.
@@ -108,7 +90,7 @@ TEST_P(ConfigGolden, MatchesPreRefactorOutputByteForByte) {
       ConfigFile::parse_file(root + "/configs/" + name + ".toml"));
   const unsigned hw = std::thread::hardware_concurrency();
   const SweepRunner runner(hw == 0 ? 1 : static_cast<int>(hw));
-  const Rendered got = render_like_cli(run_config_no_fallback(cfg, runner));
+  const Rendered got = render_like_cli(run_config(cfg, runner));
 
   EXPECT_EQ(got.text, slurp(root + "/tests/goldens/" + name + ".txt"));
   EXPECT_EQ(got.csv, slurp(root + "/tests/goldens/" + name + ".csv"));
@@ -119,52 +101,45 @@ INSTANTIATE_TEST_SUITE_P(AllShippedConfigs, ConfigGolden,
                          ::testing::ValuesIn(shipped_configs()),
                          [](const auto& info) { return info.param; });
 
-/// The parallel-DES exactness bar: a shipped fat-tree config rendered
-/// with the engine sharded four ways must match the sequential goldens
-/// byte for byte — via causally-independent windows where the traffic
-/// allows it, via the detect-and-fallback rerun where it does not
-/// (docs/performance.md, "Parallel DES"). Deliberately outside the
-/// tsan filter like ConfigGolden above; the thread protocol itself is
-/// TSan-covered by the lighter ShardedEngine/ShardedHarness tests.
-TEST(ShardedConfigGolden, Fig6QuickByteIdenticalAtFourSimThreads) {
+/// Renders shipped config `name` with every simulation point sharded
+/// `sim_threads` ways and checks it against the sequential goldens. A
+/// boundary ambiguity would throw out of run_config and fail the test.
+void expect_golden_when_sharded(const std::string& name, int sim_threads) {
   const std::string root = POWERTCP_SOURCE_DIR;
   RunnerLoadOptions options;
-  options.force_sim_threads = 4;
+  options.force_sim_threads = sim_threads;
   const auto cfg = load_runner_config(
-      ConfigFile::parse_file(root + "/configs/fig6_quick.toml"),
+      ConfigFile::parse_file(root + "/configs/" + name + ".toml"),
       ScenarioRegistry::instance(), options);
   const unsigned hw = std::thread::hardware_concurrency();
   const SweepRunner runner(hw == 0 ? 1 : static_cast<int>(hw));
-  const Rendered got = render_like_cli(run_config_no_fallback(cfg, runner));
+  const Rendered got = render_like_cli(run_config(cfg, runner));
 
-  EXPECT_EQ(got.text, slurp(root + "/tests/goldens/fig6_quick.txt"));
-  EXPECT_EQ(got.csv, slurp(root + "/tests/goldens/fig6_quick.csv"));
-  EXPECT_EQ(got.json, slurp(root + "/tests/goldens/fig6_quick.json"));
+  EXPECT_EQ(got.text, slurp(root + "/tests/goldens/" + name + ".txt"));
+  EXPECT_EQ(got.csv, slurp(root + "/tests/goldens/" + name + ".csv"));
+  EXPECT_EQ(got.json, slurp(root + "/tests/goldens/" + name + ".json"));
 }
 
-/// The workload the tie-token unlocked: fig5's synchronized dumbbell
-/// used to trip the boundary-ambiguity detector (every sender's burst
-/// lands at the bottleneck in the same picosecond) and silently rerun
-/// sequentially. With deliveries keyed by (time, sched, tie) the
-/// cross-shard order is exact, so the sharded run must now render the
-/// sequential goldens byte for byte WITHOUT the fallback — which
-/// run_config_no_fallback asserts. Unlike fig6 it is in the tsan filter:
-/// a real sharded config, with elided serialization finishes on both
-/// sides of every cut, under the race detector.
-TEST(ShardedConfigGolden, Fig5QuickByteIdenticalAtFourSimThreads) {
-  const std::string root = POWERTCP_SOURCE_DIR;
-  RunnerLoadOptions options;
-  options.force_sim_threads = 4;
-  const auto cfg = load_runner_config(
-      ConfigFile::parse_file(root + "/configs/fig5_quick.toml"),
-      ScenarioRegistry::instance(), options);
-  const unsigned hw = std::thread::hardware_concurrency();
-  const SweepRunner runner(hw == 0 ? 1 : static_cast<int>(hw));
-  const Rendered got = render_like_cli(run_config_no_fallback(cfg, runner));
+/// The parallel-DES exactness bar: a shipped fat-tree config rendered
+/// with the engine sharded four ways must match the sequential goldens
+/// byte for byte (docs/performance.md, "Parallel DES"). Deliberately
+/// outside the tsan filter like ConfigGolden above; the thread protocol
+/// itself is TSan-covered by the lighter ShardedEngine/ShardedHarness
+/// tests and the fig4 run below.
+TEST(ShardedConfigGolden, Fig6QuickByteIdenticalAtFourSimThreads) {
+  expect_golden_when_sharded("fig6_quick", 4);
+}
 
-  EXPECT_EQ(got.text, slurp(root + "/tests/goldens/fig5_quick.txt"));
-  EXPECT_EQ(got.csv, slurp(root + "/tests/goldens/fig5_quick.csv"));
-  EXPECT_EQ(got.json, slurp(root + "/tests/goldens/fig5_quick.json"));
+/// Fig. 4's phase-locked 55:1 burst: every responder starts at the
+/// same picosecond and its packets cross the pod cut toward one
+/// receiver in lockstep. With deliveries keyed by
+/// (time, sched, tie) the cross-shard order is exact, so the sharded
+/// run must render the sequential goldens byte for byte. Unlike fig6
+/// it is in the tsan filter: a real sharded config, with elided
+/// serialization finishes on both sides of every cut, under the race
+/// detector.
+TEST(ShardedConfigGolden, Fig4QuickByteIdenticalAtFourSimThreads) {
+  expect_golden_when_sharded("fig4_quick", 4);
 }
 
 }  // namespace

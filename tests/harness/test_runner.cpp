@@ -353,22 +353,111 @@ row_every = 1
 TEST(Runner, SingleRackFabricsRejectFanInsInsteadOfCrashing) {
   // A one-rack fat-tree leaves no host outside the receiver's rack to
   // answer a burst: the modulo that picks responders would divide by
-  // zero (SIGFPE). Both fan-in scenarios must throw instead.
-  const auto load = [](const std::string& text) {
-    return load_runner_config(ConfigFile::parse(text, "tiny.toml"));
-  };
+  // zero (SIGFPE). The loader rejects such a fan-in at its line, and
+  // both fan-in scenarios still throw when built directly.
   const std::string tiny_topo =
       "[topology]\npods = 1\ntors_per_pod = 1\naggs_per_pod = 1\n"
       "cores = 1\nservers_per_tor = 2\n";
-  const auto incast = load(
-      "[experiment]\nkind = incast\nschemes = powertcp\n" + tiny_topo +
-      "[workload]\nquery_kb = 100\nfan_in = 4\nhorizon_ms = 1\n");
-  EXPECT_THROW(run_config(incast, SweepRunner(1)), std::invalid_argument);
-  const auto oc = load(
-      "[experiment]\nkind = homa_oc\nschemes = homa\n" + tiny_topo +
-      "[workload]\novercommit = 1\nfan_in = 2\n"
-      "fairness_horizon_ms = 1\nincast_horizon_ms = 1\n");
-  EXPECT_THROW(run_config(oc, SweepRunner(1)), std::invalid_argument);
+  expect_rejected_at("[experiment]\nkind = incast\nschemes = powertcp\n" +
+                         tiny_topo +
+                         "[workload]\nquery_kb = 100\nfan_in = 4\n",
+                     "fan_in");
+  expect_rejected_at("[experiment]\nkind = homa_oc\nschemes = homa\n" +
+                         tiny_topo + "[workload]\novercommit = 1\nfan_in = 2\n",
+                     "fan_in");
+
+  topo::FatTreeConfig tiny = topo::FatTreeConfig::quick();
+  tiny.pods = tiny.tors_per_pod = tiny.aggs_per_pod = tiny.cores = 1;
+  tiny.servers_per_tor = 2;
+  IncastScenario incast;
+  incast.topo = tiny;
+  incast.query_bytes = 100'000;
+  incast.fan_in = 4;
+  incast.horizon = sim::milliseconds(1);
+  EXPECT_THROW(run_incast_scenario(incast, SchemeRun{"", "powertcp", {}}),
+               std::invalid_argument);
+  HomaOcScenario oc;
+  oc.incast_topo = tiny;
+  oc.incast_horizon = sim::milliseconds(1);
+  EXPECT_THROW(run_homa_oc_incast(oc, SchemeRun{"", "homa", {}}, 2),
+               std::invalid_argument);
+}
+
+TEST(Runner, OversizedFabricsFailAtTheirLine) {
+  // Past the tie-token range (net::Node::attach_port): a switch with
+  // more than 511 ports, or more than 2^22 nodes. The counts are
+  // checked at load, in 64 bits, before anything is built.
+  const std::string fat_tree = "[experiment]\nschemes = powertcp\n";
+  expect_rejected_at(fat_tree + "[topology]\nservers_per_tor = 600\n",
+                     "servers_per_tor");
+  expect_rejected_at(fat_tree + "sim_threads = 2\n[topology]\npods = 100000\n"
+                                "tors_per_pod = 1000\nservers_per_tor = 1000\n",
+                     "servers_per_tor");
+  expect_rejected_at(fat_tree + "[topology]\npods = 500\ntors_per_pod = 500\n"
+                                "servers_per_tor = 500\n",
+                     "pods");
+  expect_rejected_at(fat_tree + "[topology]\ncores = 2000\n", "cores");
+  expect_rejected_at("[experiment]\nkind = mixed_cc\nschemes = dctcp\n"
+                     "[workload]\ncc_mix = dctcp\nsenders = 600\n",
+                     "senders");
+  std::string flows = "1";
+  for (int i = 1; i < 600; ++i) flows += ", 1";
+  expect_rejected_at("[experiment]\nkind = dumbbell\nschemes = powertcp\n"
+                     "[workload]\nflow_mb = " + flows + "\n",
+                     "flow_mb");
+  // 510 senders fill the bottleneck switch exactly.
+  EXPECT_NO_THROW(load_runner_config(ConfigFile::parse(
+      "[experiment]\nkind = mixed_cc\nschemes = dctcp\n"
+      "[workload]\ncc_mix = dctcp\nsenders = 510\n",
+      "full.toml")));
+}
+
+TEST(Runner, SimThreadsIsAFatTreeKey) {
+  // Only the fat-tree kinds have a shard cut: anywhere else the key is
+  // unknown at its line, and the CLI override names the kind.
+  expect_rejected_at("[experiment]\nkind = dumbbell\nschemes = powertcp\n"
+                     "sim_threads = 4\n",
+                     "sim_threads");
+  RunnerLoadOptions options;
+  options.force_sim_threads = 4;
+  for (const char* kind : {"dumbbell", "rdcn", "mixed_cc", "single_flow",
+                           "fluid_phase"}) {
+    SCOPED_TRACE(kind);
+    const std::string scheme =
+        std::string(kind) == "mixed_cc" ? "dctcp" : "powertcp";
+    const std::string mix =
+        std::string(kind) == "mixed_cc" ? "[workload]\ncc_mix = dctcp\n" : "";
+    try {
+      load_runner_config(
+          ConfigFile::parse("[experiment]\nkind = " + std::string(kind) +
+                                "\nschemes = " + scheme + "\n" + mix,
+                            "cli.toml"),
+          ScenarioRegistry::instance(), options);
+      ADD_FAILURE() << "--sim-threads loaded";
+    } catch (const ConfigError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("--sim-threads"), std::string::npos) << what;
+      EXPECT_NE(what.find("'" + std::string(kind) + "'"), std::string::npos)
+          << what;
+    }
+  }
+  const auto forced = [&options](const std::string& kind,
+                                 const std::string& scheme) {
+    return load_runner_config(
+        ConfigFile::parse("[experiment]\nkind = " + kind +
+                              "\nschemes = " + scheme + "\n",
+                          "cli.toml"),
+        ScenarioRegistry::instance(), options);
+  };
+  EXPECT_EQ(as_kind<FatTreeKindConfig>(forced("fat_tree", "powertcp"))
+                .fat_tree.sim_threads,
+            4);
+  EXPECT_EQ(as_kind<IncastKindConfig>(forced("incast", "powertcp"))
+                .incast.sim_threads,
+            4);
+  EXPECT_EQ(
+      as_kind<HomaOcKindConfig>(forced("homa_oc", "homa")).homa_oc.sim_threads,
+      4);
 }
 
 TEST(Runner, HomaOcKindRejectsSenderCcSchemes) {

@@ -1,48 +1,24 @@
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "harness/scenarios.hpp"
 #include "harness/shard_setup.hpp"
+#include "topo/partition.hpp"
 
-/// End-to-end exactness of the sharded harness: the same scenario
-/// config must produce the same numbers at every `sim_threads` value —
-/// either because the partitions stayed causally independent (zero
-/// boundary ambiguities) or because the harness detected otherwise and
-/// reran the point sequentially (run_with_exact_fallback). The
-/// ShardedHarness.* fixtures are part of the tsan preset's test filter:
-/// they drive real worker threads, the cross-shard rings, and the
-/// barrier protocol under TSan on every CI run.
+/// End-to-end exactness of the sharded harness: the same fat-tree
+/// scenario must produce the same numbers at every `sim_threads` value,
+/// and a run whose boundary-ambiguity detector fires must fail instead
+/// of returning numbers nobody can vouch for. The ShardedHarness.*
+/// fixtures are part of the tsan preset's test filter: they drive real
+/// worker threads, the cross-shard rings, and the barrier protocol
+/// under TSan on every CI run.
 
 namespace powertcp::harness {
 namespace {
-
-DumbbellScenario quick_dumbbell() {
-  DumbbellScenario cfg;
-  cfg.flow_bytes = {2'000'000, 1'500'000, 1'000'000, 500'000};
-  cfg.stagger = sim::microseconds(200);
-  cfg.horizon = sim::milliseconds(2);
-  return cfg;
-}
-
-TEST(ShardedHarness, PartitionedDumbbellMatchesSequential) {
-  const SchemeRun scheme{"", "powertcp", {}};
-  DumbbellScenario seq_cfg = quick_dumbbell();
-  seq_cfg.sim_threads = 1;
-  DumbbellScenario par_cfg = quick_dumbbell();
-  par_cfg.sim_threads = 4;
-
-  const DumbbellSeries a = run_dumbbell_scenario(seq_cfg, scheme);
-  const DumbbellSeries b = run_dumbbell_scenario(par_cfg, scheme);
-
-  EXPECT_EQ(a.bin_start, b.bin_start);
-  ASSERT_EQ(a.gbps.size(), b.gbps.size());
-  for (std::size_t f = 0; f < a.gbps.size(); ++f) {
-    EXPECT_EQ(a.gbps[f], b.gbps[f]) << "flow " << f;
-  }
-}
 
 TEST(ShardedHarness, PartitionedIncastMatchesSequential) {
   IncastScenario cfg;
@@ -60,58 +36,58 @@ TEST(ShardedHarness, PartitionedIncastMatchesSequential) {
   EXPECT_EQ(a.queue_kb, b.queue_kb);
 }
 
-TEST(ShardedHarness, PerTorFatTreeCutMatchesSequential) {
-  // sim_threads > pods selects the per-ToR plan (aggregation/core
-  // plane on shard 0, one shard per ToR): quick() has 4 pods and 8
-  // ToRs, so 6 threads can only come from the per-ToR cut. The fan-in
-  // keeps cross-ToR traffic flowing both ways across the uplinks.
-  IncastScenario cfg;
-  cfg.topo = topo::FatTreeConfig::quick();
-  cfg.fan_in = 8;
-  cfg.query_bytes = 800'000;
-  cfg.horizon = sim::milliseconds(1);
-  const SchemeRun scheme{"", "powertcp", {}};
+TEST(ShardedHarness, AmbiguousTieFailsWithItsKeyAndShards) {
+  // On shard 1, a local event scheduled at 40 ns for 50 ns and a
+  // delivery from shard 0 (origin 1) stamped with the same causal time
+  // and no tie token share one key: no engine can order them the way
+  // the sequential run would have.
+  sim::ShardedSimulator engine(2);
+  engine.set_lookahead(sim::nanoseconds(10));
+  sim::Simulator& s1 = engine.shard(1);
+  s1.schedule_at(sim::nanoseconds(40), [&s1] {
+    s1.schedule_at(sim::nanoseconds(50), [] {});
+  });
+  s1.schedule_from(sim::nanoseconds(40), sim::nanoseconds(50), [] {}, 1);
+  engine.run_until(sim::nanoseconds(100));
+  ASSERT_EQ(engine.boundary_ambiguities(), 1u);
 
-  IncastScenario par_cfg = cfg;
-  par_cfg.sim_threads = 6;
-  const std::uint64_t before =
-      shard_fallback_count().load(std::memory_order_relaxed);
-  const IncastSeries a = run_incast_scenario(cfg, scheme);
-  const IncastSeries b = run_incast_scenario(par_cfg, scheme);
-
-  ASSERT_FALSE(a.gbps.empty());
-  EXPECT_EQ(a.gbps, b.gbps);
-  EXPECT_EQ(a.queue_kb, b.queue_kb);
-  // The tie-token total order means the cut needs no sequential rerun.
-  EXPECT_EQ(shard_fallback_count().load(std::memory_order_relaxed), before);
+  const sim::ShardedSimulator::Ambiguity a = engine.first_ambiguity();
+  EXPECT_EQ(a.time, sim::nanoseconds(50));
+  EXPECT_EQ(a.sched, sim::nanoseconds(40));
+  EXPECT_EQ(a.tie, 0u);
+  EXPECT_EQ(a.shards[0], 0);  // the delivery popped first (lower seq)
+  EXPECT_EQ(a.shards[1], 1);
+  try {
+    check_exact(engine);
+    FAIL() << "an ambiguous sharded run passed the check";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("shard 0 and shard 1"), std::string::npos) << what;
+    EXPECT_NE(what.find("time 50000 ps, sched 40000 ps, tie 0"),
+              std::string::npos)
+        << what;
+  }
 }
 
-TEST(ShardedHarness, RdcnPacketCircuitCutMatchesSequential) {
-  // The rdcn plan pins the circuit plane (ToRs + circuit switch) to
-  // shard 0, the packet core to shard 1, and spreads hosts by rack;
-  // 4 threads exercises all three roles at once.
-  RdcnScenario cfg;
-  cfg.topo.n_tors = 8;
-  cfg.topo.servers_per_tor = 4;
-  cfg.topo.packet_bw = sim::Bandwidth::gbps(25);
-  cfg.expected_flows = 4;
-  cfg.flow_bytes = 50'000'000;
-  cfg.horizon = sim::milliseconds(2);
-  const SchemeRun scheme{"", "powertcp", {}};
-
-  RdcnScenario par_cfg = cfg;
-  par_cfg.sim_threads = 4;
-  const std::uint64_t before =
-      shard_fallback_count().load(std::memory_order_relaxed);
-  const RdcnResult a = run_rdcn_scenario(cfg, scheme);
-  const RdcnResult b = run_rdcn_scenario(par_cfg, scheme);
-
-  ASSERT_FALSE(a.gbps.empty());
-  EXPECT_EQ(a.gbps, b.gbps);
-  EXPECT_EQ(a.voq_kb, b.voq_kb);
-  EXPECT_EQ(a.p99_sojourn_us, b.p99_sojourn_us);
-  EXPECT_EQ(a.circuit_utilization, b.circuit_utilization);
-  EXPECT_EQ(shard_fallback_count().load(std::memory_order_relaxed), before);
+TEST(ShardedHarness, PlanClampsRequestsAbovePodsToThePerPodCut) {
+  // quick() has 4 pods: any request above that is the 4-shard per-pod
+  // cut, with the cores on the relay shard.
+  const topo::FatTreeConfig cfg = topo::FatTreeConfig::quick();
+  const topo::ShardPlan four = topo::fat_tree_shard_plan(cfg, 4);
+  for (const int requested : {5, 6, 64}) {
+    const topo::ShardPlan plan = topo::fat_tree_shard_plan(cfg, requested);
+    EXPECT_EQ(plan.shards, cfg.pods) << requested;
+    EXPECT_EQ(plan.lookahead, cfg.core_link_delay) << requested;
+    EXPECT_EQ(plan.node_shard, four.node_shard) << requested;
+  }
+  const std::size_t nodes = static_cast<std::size_t>(
+      cfg.cores + cfg.pods * (cfg.aggs_per_pod + cfg.tors_per_pod) +
+      cfg.pods * cfg.tors_per_pod * cfg.servers_per_tor);
+  ASSERT_EQ(four.node_shard.size(), nodes);
+  for (int c = 0; c < cfg.cores; ++c) {
+    EXPECT_EQ(four.node_shard[static_cast<std::size_t>(c)], 3);
+  }
+  EXPECT_THROW(topo::fat_tree_shard_plan(cfg, 0), std::invalid_argument);
 }
 
 }  // namespace

@@ -56,7 +56,7 @@ TEST(ShardedEngine, EqualKeyMixedOriginTieIsCountedAmbiguous) {
   s.run();
   // seq decides the pop order (the remote entry was created first
   // here); the point is that the ambiguity is DETECTED, so the harness
-  // can fall back to the sequential engine.
+  // can fail the point (harness::check_exact).
   EXPECT_EQ(order, (std::vector<int>{2, 1}));
   EXPECT_EQ(s.boundary_ambiguities(), 1u);
 }

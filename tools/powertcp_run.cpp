@@ -11,8 +11,6 @@
 /// simulation points run on the --threads pool and the output is
 /// byte-identical for every thread count.
 
-#include <algorithm>
-#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -25,7 +23,6 @@
 #include "harness/config.hpp"
 #include "harness/runner.hpp"
 #include "harness/scenario_registry.hpp"
-#include "harness/shard_setup.hpp"
 
 using namespace powertcp;
 
@@ -42,11 +39,12 @@ const char* kUsage =
     "               never changes the other tables' values)\n"
     "  --sim-threads=N\n"
     "               override [experiment] sim_threads: shard each\n"
-    "               simulation point across N cores (conservative\n"
-    "               lookahead; byte-identical for every N). Composes\n"
-    "               with --threads: the sweep pool shrinks to\n"
-    "               max(1, threads / N) so total concurrency stays\n"
-    "               near --threads\n"
+    "               simulation point across N threads (fat_tree, incast\n"
+    "               and homa_oc only; byte-identical for every N, and a\n"
+    "               run that cannot prove that fails). For a config\n"
+    "               with fewer points than cores; prefer --threads\n"
+    "               otherwise. The two multiply: up to threads x N\n"
+    "               threads run at once\n"
     "  --schemes    list registered schemes, their tunables and\n"
     "               topology needs, then exit\n"
     "  --kinds      list registered scenario kinds and every config\n"
@@ -148,12 +146,6 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  // Keep total concurrency near --threads when each point itself runs
-  // sharded: N simulation threads per point leave threads/N pool slots.
-  if (load_opts.force_sim_threads > 1) {
-    opts.threads = std::max(1, opts.threads / load_opts.force_sim_threads);
-  }
-
   harness::BenchReporter reporter("powertcp_run", opts);
   for (const auto& path : configs) {
     try {
@@ -167,20 +159,6 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "powertcp_run: %s\n", e.what());
       return 2;
     }
-  }
-  // Fallback visibility: points whose boundary-ambiguity detector fired
-  // were rerun on the sequential engine (same bytes, none of the
-  // speedup). Surface the count so "sharded but silently sequential"
-  // can't hide — the shipped configs are expected to report 0 now that
-  // the tie-token orders cross-shard ties exactly.
-  const std::uint64_t fallbacks =
-      harness::shard_fallback_count().load(std::memory_order_relaxed);
-  reporter.set_shard_fallbacks(fallbacks);
-  if (fallbacks > 0) {
-    std::fprintf(stderr,
-                 "powertcp_run: %llu simulation point(s) fell back to the "
-                 "sequential engine (boundary ambiguity; results exact)\n",
-                 static_cast<unsigned long long>(fallbacks));
   }
   return reporter.finish();
 }
