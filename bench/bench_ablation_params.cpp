@@ -104,33 +104,39 @@ harness::ResultTable gamma_table(harness::SweepRunner& runner) {
   return t;
 }
 
-harness::SweepSpec beta_sweep() {
-  harness::SweepSpec sw;
-  sw.title = "beta ablation: N in beta = HostBw*tau/N (gamma = 0.9)";
-  sw.slug = "ablation_beta";
-  sw.key_columns = {"N"};
-  sw.value_columns = {"short-p99", "all-p50", "uplinkQ-p99(KB)", "drops"};
-  for (const int n : {8, 16, 64, 256}) {
-    harness::SweepPoint p;
-    p.keys = {Cell::integer(n)};
-    p.cfg.cc = "powertcp";
-    p.cfg.uplink_load = 0.6;
-    p.cfg.duration = sim::milliseconds(8);
-    p.cfg.size_scale = 0.1;
-    p.cfg.seed = 42;
-    p.cfg.expected_flows = n;
-    sw.points.push_back(std::move(p));
+harness::ResultTable beta_table(harness::SweepRunner& runner) {
+  const std::vector<int> ns = {8, 16, 64, 256};
+  std::vector<std::function<std::vector<Cell>()>> jobs;
+  jobs.reserve(ns.size());
+  for (const int n : ns) {
+    jobs.push_back([n] {
+      harness::FatTreeExperiment cfg;
+      cfg.cc = "powertcp";
+      cfg.uplink_load = 0.6;
+      cfg.duration = sim::milliseconds(8);
+      cfg.size_scale = 0.1;
+      cfg.seed = 42;
+      cfg.expected_flows = n;
+      const harness::ExperimentResult r = harness::run_fat_tree_experiment(cfg);
+      const auto s = r.fct.slowdowns_in_range(0, 1'000);
+      return std::vector<Cell>{
+          s.empty() ? Cell() : Cell(s.percentile(99), 2),
+          Cell(r.fct.all_slowdowns().percentile(50), 2),
+          Cell(r.uplink_queue_bytes.percentile(99) / 1e3, 1),
+          Cell::integer(static_cast<std::int64_t>(r.drops))};
+    });
   }
-  sw.metrics = [](const harness::FatTreeExperiment&,
-                  const harness::ExperimentResult& r) {
-    const auto s = r.fct.slowdowns_in_range(0, 1'000);
-    return std::vector<Cell>{
-        s.empty() ? Cell() : Cell(s.percentile(99), 2),
-        Cell(r.fct.all_slowdowns().percentile(50), 2),
-        Cell(r.uplink_queue_bytes.percentile(99) / 1e3, 1),
-        Cell::integer(static_cast<std::int64_t>(r.drops))};
-  };
-  return sw;
+  const std::vector<std::vector<Cell>> rows = runner.map(jobs);
+
+  harness::ResultTable t;
+  t.title = "beta ablation: N in beta = HostBw*tau/N (gamma = 0.9)";
+  t.slug = "ablation_beta";
+  t.key_columns = {"N"};
+  t.value_columns = {"short-p99", "all-p50", "uplinkQ-p99(KB)", "drops"};
+  for (std::size_t i = 0; i < ns.size(); ++i) {
+    t.rows.push_back({{Cell::integer(ns[i])}, rows[i]});
+  }
+  return t;
 }
 
 }  // namespace
@@ -147,7 +153,7 @@ int main(int argc, char** argv) {
 
   harness::BenchReporter reporter("bench_ablation_params", opts);
   reporter.add(gamma_table(reporter.runner()));
-  reporter.add(reporter.runner().run(beta_sweep()));
+  reporter.add(beta_table(reporter.runner()));
   std::printf("\nlarger N (smaller beta) -> lower standing queues and\n"
               "better tail FCTs, at slower fairness convergence "
               "(Theorem 3 weights).\n");

@@ -9,16 +9,19 @@
 /// Same scaling conventions as configs/fig6_quick.toml (see
 /// docs/architecture.md, "Scaling conventions").
 ///
-/// Sweep points are independent simulations, executed on a thread pool
-/// (--threads=N); tables are identical for every N. --csv/--json emit
+/// Sweep points are independent simulations; all five tables' points
+/// run as one job list on a thread pool (--threads=N), and tables are
+/// identical for every N. --csv/--json emit
 /// machine-readable copies of every table.
 
 #include <cstdio>
+#include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "harness/bench_opts.hpp"
-#include "harness/sweep.hpp"
+#include "harness/experiment.hpp"
 
 using namespace powertcp;
 using harness::Cell;
@@ -29,6 +32,33 @@ struct RunSpec {
   sim::TimePs duration = sim::milliseconds(8);
   double size_scale = 0.1;
   double pct = 99.0;
+};
+
+using Metrics =
+    std::function<std::vector<Cell>(const harness::ExperimentResult&)>;
+
+/// Every table's points as one job list, in row order: job i fills the
+/// values of the i-th row across all tables.
+struct Sweep {
+  std::vector<harness::ResultTable> tables;
+  std::vector<std::function<std::vector<Cell>()>> jobs;
+
+  /// Starts a table; the points added next are its rows.
+  void table(std::string title, std::string slug,
+             std::vector<std::string> key_columns,
+             std::vector<std::string> value_columns) {
+    tables.push_back({std::move(title), std::move(slug),
+                      std::move(key_columns), std::move(value_columns), {}});
+  }
+
+  /// Adds a row to the last table, measured by `metrics` on `cfg`'s run.
+  void point(std::vector<Cell> keys, const harness::FatTreeExperiment& cfg,
+             const Metrics& metrics) {
+    tables.back().rows.push_back({std::move(keys), {}});
+    jobs.push_back([cfg, metrics] {
+      return metrics(harness::run_fat_tree_experiment(cfg));
+    });
+  }
 };
 
 harness::FatTreeExperiment base_cfg(const std::string& algo,
@@ -46,9 +76,8 @@ Cell pct_cell(const stats::Samples& s, double pct) {
 }
 
 /// Short/long-flow tail slowdown extractor shared by Figs. 7a-7f.
-auto slowdown_metrics(const RunSpec& spec, bool with_drops) {
-  return [spec, with_drops](const harness::FatTreeExperiment&,
-                            const harness::ExperimentResult& r) {
+Metrics slowdown_metrics(const RunSpec& spec, bool with_drops) {
+  return [spec, with_drops](const harness::ExperimentResult& r) {
     const auto s = r.fct.slowdowns_in_range(
         0, static_cast<std::int64_t>(10'000 * spec.size_scale));
     const auto l = r.fct.slowdowns_in_range(
@@ -61,126 +90,102 @@ auto slowdown_metrics(const RunSpec& spec, bool with_drops) {
   };
 }
 
-harness::SweepSpec fig7ab(const RunSpec& spec,
-                          const std::vector<std::string>& algos) {
-  harness::SweepSpec sw;
+void fig7ab(Sweep& sweep, const RunSpec& spec,
+            const std::vector<std::string>& algos) {
   char title[96];
   std::snprintf(title, sizeof(title),
                 "Fig. 7a/7b: p%.1f slowdown vs load", spec.pct);
-  sw.title = title;
-  sw.slug = "fig7ab";
-  sw.key_columns = {"algorithm", "load%"};
-  sw.value_columns = {"short(<10K)", "long(>=1M)", "drops"};
+  sweep.table(title, "fig7ab", {"algorithm", "load%"},
+              {"short(<10K)", "long(>=1M)", "drops"});
+  const Metrics metrics = slowdown_metrics(spec, /*with_drops=*/true);
   for (const double load : {0.2, 0.4, 0.6, 0.8}) {
     for (const auto& algo : algos) {
-      harness::SweepPoint p;
-      p.keys = {Cell(algo), Cell(load * 100, 0)};
-      p.cfg = base_cfg(algo, spec);
-      p.cfg.uplink_load = load;
-      sw.points.push_back(std::move(p));
+      harness::FatTreeExperiment cfg = base_cfg(algo, spec);
+      cfg.uplink_load = load;
+      sweep.point({Cell(algo), Cell(load * 100, 0)}, cfg, metrics);
     }
   }
-  sw.metrics = slowdown_metrics(spec, /*with_drops=*/true);
-  return sw;
 }
 
-harness::SweepSpec fig7cd(const RunSpec& spec,
-                          const std::vector<std::string>& algos) {
-  harness::SweepSpec sw;
+void fig7cd(Sweep& sweep, const RunSpec& spec,
+            const std::vector<std::string>& algos) {
   char title[128];
   std::snprintf(title, sizeof(title),
                 "Fig. 7c/7d: p%.1f slowdown vs incast request rate "
                 "(websearch@80%%, request size 2MB x%.2f)",
                 spec.pct, spec.size_scale);
-  sw.title = title;
-  sw.slug = "fig7cd";
-  sw.key_columns = {"algorithm", "rate/s"};
-  sw.value_columns = {"short(<10K)", "long(>=1M)"};
+  sweep.table(title, "fig7cd", {"algorithm", "rate/s"},
+              {"short(<10K)", "long(>=1M)"});
+  const Metrics metrics = slowdown_metrics(spec, /*with_drops=*/false);
   // Rates scaled up vs the paper's 1-16/s because the horizon is ms,
   // not seconds; the ratio of burst bytes to background is preserved.
   for (const double rate : {64.0, 256.0, 512.0, 1024.0}) {
     for (const auto& algo : algos) {
-      harness::SweepPoint p;
-      p.keys = {Cell(algo), Cell(rate, 0)};
-      p.cfg = base_cfg(algo, spec);
-      p.cfg.uplink_load = 0.8;
-      p.cfg.incast = true;
-      p.cfg.incast_requests_per_sec = rate;
-      p.cfg.incast_request_bytes =
+      harness::FatTreeExperiment cfg = base_cfg(algo, spec);
+      cfg.uplink_load = 0.8;
+      cfg.incast = true;
+      cfg.incast_requests_per_sec = rate;
+      cfg.incast_request_bytes =
           static_cast<std::int64_t>(2'000'000 * spec.size_scale);
-      sw.points.push_back(std::move(p));
+      sweep.point({Cell(algo), Cell(rate, 0)}, cfg, metrics);
     }
   }
-  sw.metrics = slowdown_metrics(spec, /*with_drops=*/false);
-  return sw;
 }
 
-harness::SweepSpec fig7ef(const RunSpec& spec,
-                          const std::vector<std::string>& algos) {
-  harness::SweepSpec sw;
+void fig7ef(Sweep& sweep, const RunSpec& spec,
+            const std::vector<std::string>& algos) {
   char title[96];
   std::snprintf(title, sizeof(title),
                 "Fig. 7e/7f: p%.1f slowdown vs incast request size "
                 "(rate 256/s)",
                 spec.pct);
-  sw.title = title;
-  sw.slug = "fig7ef";
-  sw.key_columns = {"algorithm", "sizeMB"};
-  sw.value_columns = {"short(<10K)", "long(>=1M)"};
+  sweep.table(title, "fig7ef", {"algorithm", "sizeMB"},
+              {"short(<10K)", "long(>=1M)"});
+  const Metrics metrics = slowdown_metrics(spec, /*with_drops=*/false);
   for (const double mb : {1.0, 2.0, 4.0, 8.0}) {
     for (const auto& algo : algos) {
-      harness::SweepPoint p;
-      p.keys = {Cell(algo), Cell(mb, 0)};
-      p.cfg = base_cfg(algo, spec);
-      p.cfg.uplink_load = 0.8;
-      p.cfg.incast = true;
-      p.cfg.incast_requests_per_sec = 256.0;
-      p.cfg.incast_request_bytes =
+      harness::FatTreeExperiment cfg = base_cfg(algo, spec);
+      cfg.uplink_load = 0.8;
+      cfg.incast = true;
+      cfg.incast_requests_per_sec = 256.0;
+      cfg.incast_request_bytes =
           static_cast<std::int64_t>(mb * 1e6 * spec.size_scale);
-      sw.points.push_back(std::move(p));
+      sweep.point({Cell(algo), Cell(mb, 0)}, cfg, metrics);
     }
   }
-  sw.metrics = slowdown_metrics(spec, /*with_drops=*/false);
-  return sw;
 }
 
-harness::SweepSpec fig7gh(const RunSpec& spec,
-                          const std::vector<std::string>& algos,
-                          bool bursty) {
-  harness::SweepSpec sw;
-  sw.title = bursty ? "Fig. 7h: ToR-uplink buffer occupancy at 80% load, "
-                      "with incast overlay (KB at CDF points)"
-                    : "Fig. 7g: ToR-uplink buffer occupancy at 80% load "
-                      "(KB at CDF points)";
-  sw.slug = bursty ? "fig7h" : "fig7g";
-  sw.key_columns = {"algorithm"};
+void fig7gh(Sweep& sweep, const RunSpec& spec,
+            const std::vector<std::string>& algos, bool bursty) {
   // Columns come from the serializable summary form, so table headers
   // and the metrics row below cannot drift apart.
+  std::vector<std::string> columns;
   for (const auto& nv : stats::SampleSummary{}.named_values()) {
-    sw.value_columns.push_back(nv.first);
+    columns.push_back(nv.first);
   }
-  for (const auto& algo : algos) {
-    harness::SweepPoint p;
-    p.keys = {Cell(algo)};
-    p.cfg = base_cfg(algo, spec);
-    p.cfg.uplink_load = 0.8;
-    if (bursty) {
-      p.cfg.incast = true;
-      p.cfg.incast_requests_per_sec = 512.0;
-      p.cfg.incast_request_bytes =
-          static_cast<std::int64_t>(2'000'000 * spec.size_scale);
-    }
-    sw.points.push_back(std::move(p));
-  }
-  sw.metrics = [](const harness::FatTreeExperiment&,
-                  const harness::ExperimentResult& r) {
+  sweep.table(bursty ? "Fig. 7h: ToR-uplink buffer occupancy at 80% load, "
+                       "with incast overlay (KB at CDF points)"
+                     : "Fig. 7g: ToR-uplink buffer occupancy at 80% load "
+                       "(KB at CDF points)",
+              bursty ? "fig7h" : "fig7g", {"algorithm"}, std::move(columns));
+  const Metrics metrics = [](const harness::ExperimentResult& r) {
     std::vector<Cell> row;
     for (const auto& nv : r.uplink_queue_bytes.summary().named_values()) {
       row.push_back(Cell(nv.second / 1e3, 1));
     }
     return row;
   };
-  return sw;
+  for (const auto& algo : algos) {
+    harness::FatTreeExperiment cfg = base_cfg(algo, spec);
+    cfg.uplink_load = 0.8;
+    if (bursty) {
+      cfg.incast = true;
+      cfg.incast_requests_per_sec = 512.0;
+      cfg.incast_request_bytes =
+          static_cast<std::int64_t>(2'000'000 * spec.size_scale);
+    }
+    sweep.point({Cell(algo)}, cfg, metrics);
+  }
 }
 
 }  // namespace
@@ -204,11 +209,19 @@ int main(int argc, char** argv) {
   const std::vector<std::string> algos = {"powertcp", "theta-powertcp",
                                           "hpcc"};
 
+  Sweep sweep;
+  fig7ab(sweep, spec, algos);
+  fig7cd(sweep, spec, algos);
+  fig7ef(sweep, spec, algos);
+  fig7gh(sweep, spec, algos, /*bursty=*/false);
+  fig7gh(sweep, spec, algos, /*bursty=*/true);
+
   harness::BenchReporter reporter("bench_fig7_sweeps", opts);
-  reporter.add(reporter.runner().run(fig7ab(spec, algos)));
-  reporter.add(reporter.runner().run(fig7cd(spec, algos)));
-  reporter.add(reporter.runner().run(fig7ef(spec, algos)));
-  reporter.add(reporter.runner().run(fig7gh(spec, algos, false)));
-  reporter.add(reporter.runner().run(fig7gh(spec, algos, true)));
+  const std::vector<std::vector<Cell>> rows = reporter.runner().map(sweep.jobs);
+  std::size_t i = 0;
+  for (auto& t : sweep.tables) {
+    for (auto& row : t.rows) row.values = rows[i++];
+    reporter.add(std::move(t));
+  }
   return reporter.finish();
 }

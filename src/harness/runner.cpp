@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <functional>
 #include <stdexcept>
 
 #include "analysis/control_law.hpp"
@@ -105,36 +106,48 @@ const void* first_given(const KeyTable& k,
   return *fields.begin();
 }
 
-/// Rejects a fat-tree outside the tie-token range (net::Node::
-/// attach_port): more ports on a switch than net::kMaxPortsPerNode or
-/// more nodes than net::kMaxNodes. The port checks bound every count
-/// first, so the 64-bit node total cannot overflow.
+/// The tie-token range (net::Node::attach_port): rejects `n` ports on
+/// one `node` past net::kMaxPortsPerNode, blaming the first given of
+/// `keys`.
+void check_ports(const KeyTable& k, std::int64_t n, const char* node,
+                 std::initializer_list<const void*> keys) {
+  if (n > net::kMaxPortsPerNode) {
+    k.reject(first_given(k, keys),
+             "gives each " + std::string(node) + " " + std::to_string(n) +
+                 " ports; a node has at most " +
+                 std::to_string(net::kMaxPortsPerNode));
+  }
+}
+
+/// Rejects `n` nodes in one network past net::kMaxNodes (the same
+/// range).
+void check_nodes(const KeyTable& k, std::int64_t n,
+                 std::initializer_list<const void*> keys) {
+  if (n > net::kMaxNodes) {
+    k.reject(first_given(k, keys),
+             "gives " + std::to_string(n) + " nodes; a network has at most " +
+                 std::to_string(net::kMaxNodes));
+  }
+}
+
+/// Rejects a fat-tree outside the tie-token range. The port checks
+/// bound every count first, so the 64-bit node total cannot overflow.
 void check_fat_tree_size(const KeyTable& k, const topo::FatTreeConfig& c) {
   const std::int64_t pods = c.pods, tors = c.tors_per_pod,
                      aggs = c.aggs_per_pod, cores = c.cores,
                      servers = c.servers_per_tor;
-  const auto ports = [&](std::int64_t n, const char* node,
-                         std::initializer_list<const void*> keys) {
-    if (n > net::kMaxPortsPerNode) {
-      k.reject(first_given(k, keys),
-               "gives each " + std::string(node) + " " + std::to_string(n) +
-                   " ports; a node has at most " +
-                   std::to_string(net::kMaxPortsPerNode));
-    }
-  };
-  ports(servers + aggs, "ToR", {&c.servers_per_tor, &c.aggs_per_pod});
+  check_ports(k, servers + aggs, "ToR", {&c.servers_per_tor, &c.aggs_per_pod});
   // Agg a links to every core c with c % aggs_per_pod == a.
-  ports(tors + (cores + aggs - 1) / aggs, "aggregation switch",
-        {&c.tors_per_pod, &c.cores});
-  ports(pods, "core", {&c.pods});
-  const std::int64_t nodes =
-      cores + pods * (aggs + tors) + pods * tors * servers;
-  if (nodes > net::kMaxNodes) {
-    k.reject(first_given(k, {&c.pods, &c.tors_per_pod, &c.servers_per_tor}),
-             "gives " + std::to_string(nodes) +
-                 " nodes; a network has at most " +
-                 std::to_string(net::kMaxNodes));
-  }
+  check_ports(k, tors + (cores + aggs - 1) / aggs, "aggregation switch",
+              {&c.tors_per_pod, &c.cores});
+  check_ports(k, pods, "core", {&c.pods});
+  check_nodes(k, cores + pods * (aggs + tors) + pods * tors * servers,
+              {&c.pods, &c.tors_per_pod, &c.servers_per_tor});
+}
+
+/// Hosts of a (size-checked) fat-tree.
+std::int64_t host_count(const topo::FatTreeConfig& c) {
+  return std::int64_t{c.pods} * c.tors_per_pod * c.servers_per_tor;
 }
 
 /// Rejects a query fan-in on a fat-tree (already size-checked) with no
@@ -142,9 +155,7 @@ void check_fat_tree_size(const KeyTable& k, const topo::FatTreeConfig& c) {
 /// pool both fan-in scenarios draw responders from.
 void check_fan_in_hosts(const KeyTable& k, const void* fan_in,
                         const topo::FatTreeConfig& c) {
-  const std::int64_t hosts = static_cast<std::int64_t>(c.pods) *
-                             c.tors_per_pod * c.servers_per_tor;
-  if (hosts - c.servers_per_tor - 1 < 1) {
+  if (host_count(c) - c.servers_per_tor - 1 < 1) {
     k.reject(fan_in,
              "needs a host outside the receiver's rack other than the long "
              "sender; grow pods or tors_per_pod");
@@ -168,6 +179,53 @@ std::string count_text(double n) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%g", n);
   return buf;
+}
+
+/// One fat_tree point's output: its table row cells and its flight
+/// series.
+struct FctPoint {
+  std::vector<Cell> values;
+  TelemetrySeries flight;
+};
+
+/// A Fig. 6/7 row: tail slowdown per paper size bucket, then
+/// allP50/drops/flows/done%.
+std::vector<Cell> fct_row(const ExperimentResult& r, double size_scale,
+                          double percentile) {
+  std::vector<Cell> row;
+  // Buckets are defined on unscaled sizes; rescale the edges.
+  std::int64_t lo = 0;
+  for (const auto& b : stats::paper_size_buckets()) {
+    const auto hi = static_cast<std::int64_t>(
+        static_cast<double>(b.upper_bytes) * size_scale);
+    const auto s = r.fct.slowdowns_in_range(lo, hi);
+    row.push_back(s.count() >= 5 ? Cell(s.percentile(percentile), 2)
+                                 : Cell());
+    lo = hi;
+  }
+  const auto all = r.fct.all_slowdowns();
+  row.push_back(all.empty() ? Cell() : Cell(all.percentile(50), 2));
+  row.push_back(Cell::integer(static_cast<std::int64_t>(r.drops)));
+  row.push_back(Cell::integer(static_cast<std::int64_t>(r.flows_started)));
+  row.push_back(Cell(r.completion_rate() * 100, 1));
+  return row;
+}
+
+/// Appends one `<slug>_flight_<scheme>` table per scheme whose result
+/// carried a recording; results[at + i] belongs to schemes[i]. `slug`
+/// is a copy, so it may name a table in `tables`.
+template <typename Result>
+void append_flight_tables(std::vector<ResultTable>& tables,
+                          const std::vector<Result>& results, std::size_t at,
+                          const std::vector<SchemeRun>& schemes,
+                          std::string slug, const std::string& tap_desc) {
+  for (std::size_t i = 0; i < schemes.size(); ++i) {
+    const TelemetrySeries& flight = results[at + i].flight;
+    if (flight.empty()) continue;
+    tables.push_back(flight_table(
+        flight, slug + "_flight_" + schemes[i].display(),
+        schemes[i].display() + " flight recorder (" + tap_desc + ")"));
+  }
 }
 
 template <typename Kind>
@@ -225,7 +283,20 @@ void FatTreeKindConfig::declare(KeyTable& k) {
 }
 
 void FatTreeKindConfig::bind(const ScenarioContext& ctx, const KeyTable& k) {
-  check_fat_tree_size(k, fat_tree.topo);
+  const topo::FatTreeConfig& t = fat_tree.topo;
+  check_fat_tree_size(k, t);
+  const std::int64_t remote = host_count(t) - t.servers_per_tor;
+  if (remote < 1) {
+    k.reject(first_given(k, {&t.pods, &t.tors_per_pod}),
+             "leaves one rack, so no traffic crosses a ToR uplink and no "
+             "uplink load can be set; grow pods or tors_per_pod");
+  }
+  if (fat_tree.incast && fat_tree.incast_fan_in > remote) {
+    k.reject(&fat_tree.incast_fan_in,
+             "needs that many distinct responders outside the requester's "
+             "rack; the fabric has " +
+                 std::to_string(remote));
+  }
   schemes = ctx.schemes;
   slug_prefix = ctx.slug_prefix;
   percentile = ctx.percentile;
@@ -266,6 +337,17 @@ void IncastKindConfig::bind(const ScenarioContext& ctx, const KeyTable& k) {
     }
     if (query_bytes[i] > 0) check_fan_in_hosts(k, &fan_in, incast.topo);
   }
+  // Companion i sends from host servers_per_tor + 1 + i.
+  const topo::FatTreeConfig& t = incast.topo;
+  const std::int64_t hosts = host_count(t);
+  if (incast.long_companions > 0 &&
+      t.servers_per_tor + std::int64_t{incast.long_companions} >= hosts) {
+    k.reject(first_given(k, {&incast.long_companions, &t.servers_per_tor,
+                             &t.pods, &t.tors_per_pod}),
+             "puts companion hosts (servers_per_tor + 1 + i) past the "
+             "fabric's " +
+                 std::to_string(hosts) + " hosts");
+  }
 }
 
 void RdcnKindConfig::declare(KeyTable& k) {
@@ -286,7 +368,15 @@ void RdcnKindConfig::declare(KeyTable& k) {
   k.count(kWork, "expected_flows", &rdcn.expected_flows, Bound::at_least(1));
 }
 
-void RdcnKindConfig::bind(const ScenarioContext& ctx, const KeyTable&) {
+void RdcnKindConfig::bind(const ScenarioContext& ctx, const KeyTable& k) {
+  // As topo/rdcn.cpp wires it: a ToR has a port per server plus its
+  // circuit and packet uplinks, the packet core and the circuit switch
+  // one per ToR; the network is those two, the ToRs and the hosts.
+  const topo::RdcnConfig& t = rdcn.topo;
+  const std::int64_t tors = t.n_tors, servers = t.servers_per_tor;
+  check_ports(k, servers + 2, "ToR", {&t.servers_per_tor});
+  check_ports(k, tors, "packet core and circuit switch", {&t.n_tors});
+  check_nodes(k, 2 + tors * (1 + servers), {&t.servers_per_tor, &t.n_tors});
   schemes = ctx.schemes;
   slug_prefix = ctx.slug_prefix;
   rdcn.telemetry = ctx.telemetry;
@@ -586,69 +676,192 @@ std::vector<ResultTable> run_config(const RunnerConfig& cfg,
 
 // ---- built-in kind execution --------------------------------------
 
+ResultTable FatTreeKindConfig::load_table(double load) const {
+  ResultTable t;
+  char buf[128];
+  std::snprintf(buf, sizeof(buf),
+                "%.0f%% ToR-uplink load, websearch (x%.2f sizes), "
+                "p%.1f slowdown per size bucket",
+                load * 100, fat_tree.size_scale, percentile);
+  t.title = buf;
+  std::snprintf(buf, sizeof(buf), "%s_load%.0f", slug_prefix.c_str(),
+                load * 100);
+  t.slug = buf;
+  t.key_columns = {"algorithm"};
+  for (const auto& b : stats::paper_size_buckets()) {
+    t.value_columns.push_back(b.label);
+  }
+  t.value_columns.insert(t.value_columns.end(),
+                         {"allP50", "drops", "flows", "done%"});
+  return t;
+}
+
 std::vector<ResultTable> FatTreeKindConfig::run(
     const SweepRunner& runner) const {
-  std::vector<ResultTable> tables;
+  // One job per (load, scheme) point, load-major. A job keeps only its
+  // row cells and flight series, not the whole ExperimentResult.
+  std::vector<std::function<FctPoint()>> jobs;
   for (const double load : loads) {
-    SweepSpec spec =
-        fct_sweep_spec(fat_tree, load, percentile, schemes, slug_prefix);
-    if (!fat_tree.telemetry.enabled) {
-      tables.push_back(runner.run(spec));
-      continue;
+    for (const auto& scheme : schemes) {
+      FatTreeExperiment cfg = fat_tree;
+      cfg.cc = scheme.scheme;
+      cfg.cc_params = scheme.params;
+      cfg.uplink_load = load;
+      jobs.push_back([cfg, pct = percentile] {
+        ExperimentResult r = run_fat_tree_experiment(cfg);
+        return FctPoint{fct_row(r, cfg.size_scale, pct), std::move(r.flight)};
+      });
     }
-    // Collect per-point flight recordings by declaration index (the
-    // observe hook runs on worker threads; slots don't alias).
-    std::vector<TelemetrySeries> flights(spec.points.size());
-    spec.observe = [&flights](std::size_t i, const FatTreeExperiment&,
-                              const ExperimentResult& r) {
-      flights[i] = r.flight;
-    };
-    tables.push_back(runner.run(spec));
-    const std::string sweep_slug = tables.back().slug;
-    for (std::size_t i = 0; i < flights.size(); ++i) {
-      if (flights[i].empty()) continue;
-      tables.push_back(flight_table(
-          flights[i], sweep_slug + "_flight_" + schemes[i].display(),
-          schemes[i].display() +
-              " flight recorder (first ToR uplink + tapped flow)"));
+  }
+  const std::vector<FctPoint> points = runner.map(jobs);
+
+  std::vector<ResultTable> tables;
+  for (std::size_t l = 0; l < loads.size(); ++l) {
+    ResultTable t = load_table(loads[l]);
+    const std::size_t at = l * schemes.size();
+    for (std::size_t i = 0; i < schemes.size(); ++i) {
+      t.rows.push_back({{Cell(schemes[i].display())}, points[at + i].values});
     }
+    tables.push_back(std::move(t));
+    append_flight_tables(tables, points, at, schemes, tables.back().slug,
+                         "first ToR uplink + tapped flow");
   }
   return tables;
 }
 
 std::vector<ResultTable> IncastKindConfig::run(
     const SweepRunner& runner) const {
-  std::vector<ResultTable> tables;
-  for (std::size_t i = 0; i < query_bytes.size(); ++i) {
+  // One job per (query point, scheme), point-major.
+  std::vector<IncastScenario> points;
+  std::vector<std::function<IncastSeries()>> jobs;
+  for (std::size_t q = 0; q < query_bytes.size(); ++q) {
     IncastScenario point = incast;
-    point.query_bytes = query_bytes[i];
-    point.fan_in = fan_in[fan_in.size() == 1 ? 0 : i];
-    std::vector<ResultTable> flights;
-    tables.push_back(
-        incast_figure_table(runner, point, schemes, slug_prefix, &flights));
-    for (auto& f : flights) tables.push_back(std::move(f));
+    point.query_bytes = query_bytes[q];
+    point.fan_in = fan_in[fan_in.size() == 1 ? 0 : q];
+    for (const auto& s : schemes) {
+      jobs.push_back([point, s] { return run_incast_scenario(point, s); });
+    }
+    points.push_back(point);
+  }
+  const std::vector<IncastSeries> series = runner.map(jobs);
+
+  // Fig. 4-style tables: time rows, per-scheme goodput/queue columns.
+  std::vector<ResultTable> tables;
+  for (std::size_t q = 0; q < points.size(); ++q) {
+    const IncastScenario& p = points[q];
+    const std::size_t at = q * schemes.size();
+    ResultTable t;
+    char title[96];
+    const auto burst_us = static_cast<long long>(p.burst_at / sim::kPsPerUs);
+    if (p.query_bytes > 0) {
+      std::snprintf(title, sizeof(title),
+                    "%d long flows + %d:1 query incast (%lld KB total) "
+                    "at t=%lldus",
+                    p.long_companions, p.fan_in,
+                    static_cast<long long>(p.query_bytes / 1000), burst_us);
+      // The query size keeps slugs unique when a config sweeps several
+      // query points (CSV rows and the regression gate key on the slug).
+      t.slug = slug_prefix + "_query" + std::to_string(p.query_bytes / 1000) +
+               "kb";
+    } else {
+      std::snprintf(title, sizeof(title),
+                    "%d:1 incast of long flows at t=%lldus",
+                    p.long_companions, burst_us);
+      t.slug =
+          slug_prefix + "_" + std::to_string(p.long_companions) + "to1";
+    }
+    t.title = title;
+    t.key_columns = {"time"};
+    for (const auto& s : schemes) {
+      t.value_columns.push_back(s.display() + " gbps");
+      t.value_columns.push_back(s.display() + " qKB");
+    }
+    for (std::size_t b = 0; b < series[at].gbps.size(); b += 2) {
+      ResultTable::Row row;
+      row.keys = {Cell(sim::format_time(static_cast<sim::TimePs>(b) * p.bin))};
+      for (std::size_t i = at; i < at + schemes.size(); ++i) {
+        row.values.push_back(Cell(series[i].gbps[b], 1));
+        row.values.push_back(Cell(series[i].queue_kb[b], 1));
+      }
+      t.rows.push_back(std::move(row));
+    }
+    tables.push_back(std::move(t));
+    append_flight_tables(tables, series, at, schemes, tables.back().slug,
+                         "receiver ToR downlink + long flow");
   }
   return tables;
 }
 
 std::vector<ResultTable> RdcnKindConfig::run(const SweepRunner& runner) const {
-  std::vector<ResultTable> tables;
-  RdcnScenario series = rdcn;
-  series.topo.packet_bw = sim::Bandwidth::gbps(packet_gbps.front());
+  // One job per (packet_gbps, scheme), bandwidth-major: the time series
+  // reads the packet_gbps.front() results and the latency table reads
+  // all of them. The flight tap rides the front points; it is
+  // read-only, so their latencies are those of an untapped run.
+  std::vector<std::function<RdcnResult()>> jobs;
+  for (std::size_t g = 0; g < packet_gbps.size(); ++g) {
+    RdcnScenario point = rdcn;
+    point.topo.packet_bw = sim::Bandwidth::gbps(packet_gbps[g]);
+    point.telemetry.enabled = rdcn.telemetry.enabled && g == 0;
+    for (const auto& s : schemes) {
+      jobs.push_back([point, s] { return run_rdcn_scenario(point, s); });
+    }
+  }
+  const std::vector<RdcnResult> results = runner.map(jobs);
+
+  // Fig. 8a: time rows, per-scheme goodput/VOQ columns, plus a trailing
+  // row of day-time circuit utilization (a row keeps it in CSV/JSON).
+  ResultTable series;
   char title[128];
   std::snprintf(title, sizeof(title),
                 "rack0 -> rack1 throughput / VOQ time series "
                 "(%.0fG packet plane, %.0fG circuit)",
-                packet_gbps.front(), series.topo.circuit_bw.gbps_value());
-  std::vector<ResultTable> flights;
-  tables.push_back(rdcn_timeseries_table(runner, series, schemes,
-                                         slug_prefix + "_timeseries", title,
-                                         &flights));
-  for (auto& f : flights) tables.push_back(std::move(f));
-  std::snprintf(title, sizeof(title),
-                "p99 ToR queuing latency (us) vs packet bandwidth");
-  tables.push_back(rdcn_latency_table(runner, rdcn, schemes, packet_gbps,
-                                      slug_prefix + "_p99", title));
+                packet_gbps.front(), rdcn.topo.circuit_bw.gbps_value());
+  series.title = title;
+  series.slug = slug_prefix + "_timeseries";
+  series.key_columns = {"time"};
+  for (const auto& s : schemes) {
+    series.value_columns.push_back(s.display() + " gbps");
+    series.value_columns.push_back(s.display() + " voqKB");
+  }
+  for (std::size_t b = 0; b < results.front().gbps.size(); b += 2) {
+    ResultTable::Row row;
+    row.keys = {Cell(sim::format_time(static_cast<sim::TimePs>(b) * rdcn.bin))};
+    for (std::size_t i = 0; i < schemes.size(); ++i) {
+      row.values.push_back(Cell(results[i].gbps[b], 1));
+      row.values.push_back(Cell(results[i].voq_kb[b], 1));
+    }
+    series.rows.push_back(std::move(row));
+  }
+  ResultTable::Row util;
+  util.keys = {Cell(std::string("util%"))};
+  for (std::size_t i = 0; i < schemes.size(); ++i) {
+    util.values.push_back(Cell(results[i].circuit_utilization * 100, 0));
+    util.values.push_back(Cell());
+  }
+  series.rows.push_back(std::move(util));
+  std::vector<ResultTable> tables;
+  tables.push_back(std::move(series));
+  append_flight_tables(tables, results, 0, schemes, tables.back().slug,
+                       "ToR-0 circuit port + tapped rack-0 flow");
+
+  // Fig. 8b: one row per scheme, p99 ToR queuing latency per bandwidth.
+  ResultTable p99;
+  p99.title = "p99 ToR queuing latency (us) vs packet bandwidth";
+  p99.slug = slug_prefix + "_p99";
+  p99.key_columns = {"scheme"};
+  for (const double gbps : packet_gbps) {
+    p99.value_columns.push_back(Cell(gbps, 0).render() + "G p99us");
+  }
+  for (std::size_t i = 0; i < schemes.size(); ++i) {
+    ResultTable::Row row;
+    row.keys = {Cell(schemes[i].display())};
+    for (std::size_t g = 0; g < packet_gbps.size(); ++g) {
+      row.values.push_back(
+          Cell(results[g * schemes.size() + i].p99_sojourn_us, 1));
+    }
+    p99.rows.push_back(std::move(row));
+  }
+  tables.push_back(std::move(p99));
   return tables;
 }
 
@@ -869,90 +1082,6 @@ std::vector<ResultTable> SingleFlowKindConfig::run(
     tables.push_back(std::move(t));
   }
   return tables;
-}
-
-// ---- shared table builders ----------------------------------------
-
-SweepSpec fct_sweep_spec(const FatTreeExperiment& base, double load,
-                         double percentile,
-                         const std::vector<SchemeRun>& schemes,
-                         const std::string& slug_prefix) {
-  SweepSpec sw;
-  char title[128];
-  std::snprintf(title, sizeof(title),
-                "%.0f%% ToR-uplink load, websearch (x%.2f sizes), "
-                "p%.1f slowdown per size bucket",
-                load * 100, base.size_scale, percentile);
-  sw.title = title;
-  char slug[64];
-  std::snprintf(slug, sizeof(slug), "%s_load%.0f", slug_prefix.c_str(),
-                load * 100);
-  sw.slug = slug;
-  sw.key_columns = {"algorithm"};
-  for (const auto& b : stats::paper_size_buckets()) {
-    sw.value_columns.push_back(b.label);
-  }
-  sw.value_columns.insert(sw.value_columns.end(),
-                          {"allP50", "drops", "flows", "done%"});
-  for (const auto& scheme : schemes) {
-    SweepPoint p;
-    p.keys = {Cell(scheme.display())};
-    p.cfg = base;
-    p.cfg.cc = scheme.scheme;
-    p.cfg.cc_params = scheme.params;
-    p.cfg.uplink_load = load;
-    sw.points.push_back(std::move(p));
-  }
-  const double size_scale = base.size_scale;
-  sw.metrics = [size_scale, percentile](const FatTreeExperiment&,
-                                        const ExperimentResult& r) {
-    std::vector<Cell> row;
-    // Buckets are defined on unscaled sizes; rescale the edges.
-    std::int64_t lo = 0;
-    for (const auto& b : stats::paper_size_buckets()) {
-      const auto hi = static_cast<std::int64_t>(
-          static_cast<double>(b.upper_bytes) * size_scale);
-      const auto s = r.fct.slowdowns_in_range(lo, hi);
-      row.push_back(s.count() >= 5 ? Cell(s.percentile(percentile), 2)
-                                   : Cell());
-      lo = hi;
-    }
-    const auto all = r.fct.all_slowdowns();
-    row.push_back(all.empty() ? Cell() : Cell(all.percentile(50), 2));
-    row.push_back(Cell::integer(static_cast<std::int64_t>(r.drops)));
-    row.push_back(Cell::integer(static_cast<std::int64_t>(r.flows_started)));
-    row.push_back(Cell(r.completion_rate() * 100, 1));
-    return row;
-  };
-  return sw;
-}
-
-ResultTable incast_figure_table(const SweepRunner& runner,
-                                const IncastScenario& cfg,
-                                const std::vector<SchemeRun>& schemes,
-                                const std::string& slug_prefix,
-                                std::vector<ResultTable>* flight_out) {
-  char title[96];
-  std::string slug;
-  const auto burst_us =
-      static_cast<long long>(cfg.burst_at / sim::kPsPerUs);
-  if (cfg.query_bytes > 0) {
-    std::snprintf(title, sizeof(title),
-                  "%d long flows + %d:1 query incast (%lld KB total) "
-                  "at t=%lldus",
-                  cfg.long_companions, cfg.fan_in,
-                  static_cast<long long>(cfg.query_bytes / 1000), burst_us);
-    // The query size keeps slugs unique when a config sweeps several
-    // query points (CSV rows and the regression gate key on the slug).
-    slug = slug_prefix + "_query" +
-           std::to_string(cfg.query_bytes / 1000) + "kb";
-  } else {
-    std::snprintf(title, sizeof(title),
-                  "%d:1 incast of long flows at t=%lldus",
-                  cfg.long_companions, burst_us);
-    slug = slug_prefix + "_" + std::to_string(cfg.long_companions) + "to1";
-  }
-  return incast_table(runner, cfg, schemes, slug, title, flight_out);
 }
 
 }  // namespace powertcp::harness

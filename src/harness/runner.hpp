@@ -57,6 +57,9 @@ struct FatTreeKindConfig final : ScenarioConfig {
   void bind(const ScenarioContext& ctx, const KeyTable& keys) override;
   int* sim_threads() override { return &fat_tree.sim_threads; }
   std::vector<ResultTable> run(const SweepRunner& runner) const override;
+  /// The Fig. 6/7 FCT table at `load` before any row is filled: title,
+  /// slug and columns. run() adds one row per scheme.
+  ResultTable load_table(double load) const;
 };
 
 /// kind == "incast": one Fig. 4-style table per (query_kb, fan_in).
@@ -219,25 +222,5 @@ RunnerConfig load_runner_config(
 /// every runner thread count.
 std::vector<ResultTable> run_config(const RunnerConfig& cfg,
                                     const SweepRunner& runner);
-
-/// The Fig. 6/7-style FCT sweep: one row per scheme at `load`, tail
-/// slowdown per paper size bucket plus allP50/drops/flows/done%.
-/// The fat_tree kind builds one per load; exposed so tests can check
-/// the spec a config expands to without running it.
-SweepSpec fct_sweep_spec(const FatTreeExperiment& base, double load,
-                         double percentile,
-                         const std::vector<SchemeRun>& schemes,
-                         const std::string& slug_prefix);
-
-/// Fig. 4-style incast table with the canonical title/slug for the
-/// (query, companions) shape; the incast kind emits one per point.
-/// With telemetry enabled, per-scheme flight tables land in
-/// `flight_out` (untouched otherwise).
-ResultTable incast_figure_table(const SweepRunner& runner,
-                                const IncastScenario& cfg,
-                                const std::vector<SchemeRun>& schemes,
-                                const std::string& slug_prefix,
-                                std::vector<ResultTable>* flight_out =
-                                    nullptr);
 
 }  // namespace powertcp::harness

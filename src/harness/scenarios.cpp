@@ -39,23 +39,6 @@ int checked_remote_responders(const topo::FatTree& fabric,
   return remote;
 }
 
-/// Appends one flight table per scheme whose result carried a
-/// recording (telemetry off leaves `flight_out` untouched).
-template <typename Result>
-void append_flight_tables(std::vector<ResultTable>* flight_out,
-                          const std::vector<Result>& results,
-                          const std::vector<SchemeRun>& schemes,
-                          const std::string& slug_prefix,
-                          const std::string& tap_desc) {
-  if (flight_out == nullptr) return;
-  for (std::size_t i = 0; i < schemes.size(); ++i) {
-    if (results[i].flight.empty()) continue;
-    flight_out->push_back(flight_table(
-        results[i].flight, slug_prefix + "_flight_" + schemes[i].display(),
-        schemes[i].display() + " flight recorder (" + tap_desc + ")"));
-  }
-}
-
 }  // namespace
 
 IncastSeries run_incast_scenario(const IncastScenario& cfg,
@@ -89,6 +72,12 @@ IncastSeries run_incast_scenario(const IncastScenario& cfg,
   if (cfg.query_bytes > 0 && cfg.fan_in < 1) {
     throw std::invalid_argument(
         "IncastScenario: query_bytes > 0 needs fan_in >= 1");
+  }
+  // Companion i sends from host servers_per_tor + 1 + i.
+  if (cfg.long_companions > 0 &&
+      topo_cfg.servers_per_tor + cfg.long_companions >= fabric.host_count()) {
+    throw std::invalid_argument(
+        "IncastScenario: long_companions runs past the host count");
   }
   // Paper setup: `long_companions` long flows join the long flow's
   // receiver at `burst_at`; the large-scale case additionally fans a
@@ -188,40 +177,6 @@ IncastSeries run_incast_scenario(const IncastScenario& cfg,
   return out;
 }
 
-ResultTable incast_table(const SweepRunner& runner, const IncastScenario& cfg,
-                         const std::vector<SchemeRun>& schemes,
-                         const std::string& slug, const std::string& title,
-                         std::vector<ResultTable>* flight_out) {
-  std::vector<std::function<IncastSeries()>> jobs;
-  jobs.reserve(schemes.size());
-  for (const auto& s : schemes) {
-    jobs.push_back([cfg, s] { return run_incast_scenario(cfg, s); });
-  }
-  const std::vector<IncastSeries> rows = runner.map(jobs);
-
-  ResultTable t;
-  t.title = title;
-  t.slug = slug;
-  t.key_columns = {"time"};
-  for (const auto& s : schemes) {
-    t.value_columns.push_back(s.display() + " gbps");
-    t.value_columns.push_back(s.display() + " qKB");
-  }
-  const auto bins = rows.front().gbps.size();
-  for (std::size_t b = 0; b < bins; b += 2) {
-    ResultTable::Row row;
-    row.keys = {Cell(sim::format_time(static_cast<sim::TimePs>(b) * cfg.bin))};
-    for (const auto& r : rows) {
-      row.values.push_back(Cell(r.gbps[b], 1));
-      row.values.push_back(Cell(r.queue_kb[b], 1));
-    }
-    t.rows.push_back(std::move(row));
-  }
-  append_flight_tables(flight_out, rows, schemes, slug,
-                       "receiver ToR downlink + long flow");
-  return t;
-}
-
 RdcnResult run_rdcn_scenario(const RdcnScenario& cfg,
                              const SchemeRun& scheme_run) {
   const cc::Scheme& scheme = resolve(scheme_run);
@@ -306,50 +261,6 @@ RdcnResult run_rdcn_scenario(const RdcnScenario& cfg,
   if (!sojourns_us.empty()) out.p99_sojourn_us = sojourns_us.percentile(99);
   if (tap) out.flight = tap->series();
   return out;
-}
-
-ResultTable rdcn_timeseries_table(const SweepRunner& runner,
-                                  const RdcnScenario& cfg,
-                                  const std::vector<SchemeRun>& schemes,
-                                  const std::string& slug,
-                                  const std::string& title,
-                                  std::vector<ResultTable>* flight_out) {
-  std::vector<std::function<RdcnResult()>> jobs;
-  jobs.reserve(schemes.size());
-  for (const auto& s : schemes) {
-    jobs.push_back([cfg, s] { return run_rdcn_scenario(cfg, s); });
-  }
-  const std::vector<RdcnResult> results = runner.map(jobs);
-
-  ResultTable t;
-  t.title = title;
-  t.slug = slug;
-  t.key_columns = {"time"};
-  for (const auto& s : schemes) {
-    t.value_columns.push_back(s.display() + " gbps");
-    t.value_columns.push_back(s.display() + " voqKB");
-  }
-  for (std::size_t b = 0; b < results.front().gbps.size(); b += 2) {
-    ResultTable::Row row;
-    row.keys = {Cell(sim::format_time(static_cast<sim::TimePs>(b) * cfg.bin))};
-    for (const auto& r : results) {
-      row.values.push_back(Cell(r.gbps[b], 1));
-      row.values.push_back(Cell(r.voq_kb[b], 1));
-    }
-    t.rows.push_back(std::move(row));
-  }
-  // Day-time circuit utilization as a trailing summary row (the old
-  // bench printed it as a footnote; a row keeps it in the CSV/JSON).
-  ResultTable::Row util;
-  util.keys = {Cell(std::string("util%"))};
-  for (const auto& r : results) {
-    util.values.push_back(Cell(r.circuit_utilization * 100, 0));
-    util.values.push_back(Cell());
-  }
-  t.rows.push_back(std::move(util));
-  append_flight_tables(flight_out, results, schemes, slug,
-                       "ToR-0 circuit port + tapped rack-0 flow");
-  return t;
 }
 
 DumbbellSeries run_dumbbell_scenario(const DumbbellScenario& cfg,
@@ -927,48 +838,6 @@ std::vector<ResultTable> mixed_cc_tables(const SweepRunner& runner,
   tables.push_back(std::move(share));
   tables.push_back(std::move(fct));
   return tables;
-}
-
-ResultTable rdcn_latency_table(const SweepRunner& runner,
-                               const RdcnScenario& cfg,
-                               const std::vector<SchemeRun>& schemes,
-                               const std::vector<double>& packet_gbps,
-                               const std::string& slug,
-                               const std::string& title) {
-  // One independent simulation per (scheme, packet bandwidth) pair,
-  // flattened onto the pool scheme-major so the table assembles in
-  // declaration order.
-  std::vector<std::function<RdcnResult()>> jobs;
-  jobs.reserve(schemes.size() * packet_gbps.size());
-  for (const auto& s : schemes) {
-    for (const double gbps : packet_gbps) {
-      RdcnScenario point = cfg;
-      point.topo.packet_bw = sim::Bandwidth::gbps(gbps);
-      // Telemetry rides the timeseries panel only; this summary sweep
-      // has nowhere to put per-point recordings.
-      point.telemetry.enabled = false;
-      jobs.push_back([point, s] { return run_rdcn_scenario(point, s); });
-    }
-  }
-  const std::vector<RdcnResult> results = runner.map(jobs);
-
-  ResultTable t;
-  t.title = title;
-  t.slug = slug;
-  t.key_columns = {"scheme"};
-  for (const double gbps : packet_gbps) {
-    t.value_columns.push_back(Cell(gbps, 0).render() + "G p99us");
-  }
-  for (std::size_t s = 0; s < schemes.size(); ++s) {
-    ResultTable::Row row;
-    row.keys = {Cell(schemes[s].display())};
-    for (std::size_t g = 0; g < packet_gbps.size(); ++g) {
-      row.values.push_back(
-          Cell(results[s * packet_gbps.size() + g].p99_sojourn_us, 1));
-    }
-    t.rows.push_back(std::move(row));
-  }
-  return t;
 }
 
 }  // namespace powertcp::harness

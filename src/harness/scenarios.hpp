@@ -65,14 +65,6 @@ struct IncastSeries {
 IncastSeries run_incast_scenario(const IncastScenario& cfg,
                                  const SchemeRun& scheme);
 
-/// One table: time rows, per-scheme goodput/queue columns. Scenario
-/// simulations run on the runner's pool; output is identical for every
-/// thread count.
-ResultTable incast_table(const SweepRunner& runner, const IncastScenario& cfg,
-                         const std::vector<SchemeRun>& schemes,
-                         const std::string& slug, const std::string& title,
-                         std::vector<ResultTable>* flight_out = nullptr);
-
 /// Fig. 8: rack0's servers stream to rack1 across the RDCN while the
 /// rotor schedule connects and disconnects them.
 struct RdcnScenario {
@@ -96,25 +88,6 @@ struct RdcnResult {
 
 RdcnResult run_rdcn_scenario(const RdcnScenario& cfg,
                              const SchemeRun& scheme);
-
-/// Fig. 8a-style table: time rows, per-scheme goodput/VOQ columns,
-/// plus one trailing "util%" row of day-time circuit utilization.
-ResultTable rdcn_timeseries_table(const SweepRunner& runner,
-                                  const RdcnScenario& cfg,
-                                  const std::vector<SchemeRun>& schemes,
-                                  const std::string& slug,
-                                  const std::string& title,
-                                  std::vector<ResultTable>* flight_out =
-                                      nullptr);
-
-/// Fig. 8b-style table: one row per scheme, p99 ToR queuing latency at
-/// each packet-plane bandwidth in `packet_gbps`.
-ResultTable rdcn_latency_table(const SweepRunner& runner,
-                               const RdcnScenario& cfg,
-                               const std::vector<SchemeRun>& schemes,
-                               const std::vector<double>& packet_gbps,
-                               const std::string& slug,
-                               const std::string& title);
 
 /// Fig. 5: `flow_bytes.size()` flows share one dumbbell bottleneck,
 /// arriving staggered by `stagger` and (with the descending default

@@ -255,20 +255,4 @@ void SweepRunner::run_indexed(
   if (first_error) std::rethrow_exception(first_error);
 }
 
-ResultTable SweepRunner::run(const SweepSpec& spec) const {
-  ResultTable table;
-  table.title = spec.title;
-  table.slug = spec.slug;
-  table.key_columns = spec.key_columns;
-  table.value_columns = spec.value_columns;
-  table.rows.resize(spec.points.size());
-  run_indexed(spec.points.size(), [&](std::size_t i) {
-    const SweepPoint& p = spec.points[i];
-    const ExperimentResult result = run_fat_tree_experiment(p.cfg);
-    table.rows[i] = ResultTable::Row{p.keys, spec.metrics(p.cfg, result)};
-    if (spec.observe) spec.observe(i, p.cfg, result);
-  });
-  return table;
-}
-
 }  // namespace powertcp::harness

@@ -6,29 +6,27 @@
 #include <string>
 #include <vector>
 
-#include "harness/experiment.hpp"
-
 /// \file sweep.hpp
 /// Parallel sweep execution and machine-readable result tables.
 ///
-/// The paper's headline figures (6-7) are sweeps over independent
-/// fat-tree simulations: every point owns a private Simulator/Network,
-/// so points are embarrassingly parallel. SweepRunner executes a
-/// declared list of points on a thread pool and collects their metric
-/// rows *by declaration index*, so the resulting table is byte-identical
-/// regardless of thread count or completion order. ResultTable renders
-/// as an aligned text table, long-format CSV rows, or JSON.
+/// The paper's headline figures (6-8) are sweeps over independent
+/// simulations: every point owns a private Simulator/Network, so points
+/// are embarrassingly parallel. SweepRunner::map / run_indexed is the
+/// one way to run them: a caller builds all of its points as one job
+/// list, and results land *by declaration index*, so the tables built
+/// from them are byte-identical regardless of thread count or
+/// completion order. ResultTable renders as an aligned text table,
+/// long-format CSV rows, or JSON.
 ///
-/// Thread-safety contract for jobs run on the pool: a job — including a
-/// SweepSpec::metrics callback, which runs on a worker thread — must
-/// only touch its own point's config and result. The library holds no
-/// mutable global state (the only function-local statics —
-/// paper_size_buckets(), cc::Registry::instance() and the per-scheme
-/// param-spec tables, sender_cc_names() — are const and initialised
-/// thread-safely), but stats::Samples is NOT shareable across points:
-/// percentile()/summary() mutate its lazy sort cache, so a Samples
-/// read by two workers concurrently would be a data race. The tsan
-/// CMake preset runs these pool paths under ThreadSanitizer in CI.
+/// Thread-safety contract for jobs run on the pool: a job runs on a
+/// worker thread and must only touch its own point's config and result.
+/// The library holds no mutable global state (the only function-local
+/// statics — paper_size_buckets(), cc::Registry::instance() and the
+/// per-scheme param-spec tables, sender_cc_names() — are const and
+/// initialised thread-safely), but stats::Samples is NOT shareable
+/// across points: percentile()/summary() mutate its lazy sort cache, so
+/// a Samples read by two workers concurrently would be a data race. The
+/// tsan CMake preset runs these pool paths under ThreadSanitizer in CI.
 
 namespace powertcp::harness {
 
@@ -92,31 +90,6 @@ struct ResultTable {
   void append_json(std::string& out, int indent) const;
 };
 
-/// A declarative fat-tree sweep: labelled experiment configs plus a
-/// metric extractor mapping each finished experiment to a table row.
-struct SweepPoint {
-  std::vector<Cell> keys;
-  FatTreeExperiment cfg;
-};
-struct SweepSpec {
-  std::string title;
-  std::string slug;
-  std::vector<std::string> key_columns;
-  std::vector<std::string> value_columns;
-  std::vector<SweepPoint> points;
-  std::function<std::vector<Cell>(const FatTreeExperiment&,
-                                  const ExperimentResult&)>
-      metrics;
-  /// Optional per-point hook, called on the worker thread after
-  /// `metrics` with the point's declaration index. Same thread-safety
-  /// contract as metrics, except indices partition the work: writing
-  /// slot i of a caller-owned vector is race-free. The telemetry path
-  /// uses this to collect per-point flight recordings.
-  std::function<void(std::size_t, const FatTreeExperiment&,
-                     const ExperimentResult&)>
-      observe;
-};
-
 class SweepRunner {
  public:
   /// `threads` <= 1 means run inline on the calling thread.
@@ -138,10 +111,6 @@ class SweepRunner {
     run_indexed(jobs.size(), [&](std::size_t i) { out[i] = jobs[i](); });
     return out;
   }
-
-  /// Executes every point's experiment (in parallel) and assembles the
-  /// table in declaration order.
-  ResultTable run(const SweepSpec& spec) const;
 
  private:
   int threads_;

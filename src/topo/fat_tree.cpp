@@ -142,6 +142,12 @@ double FatTree::oversubscription() const {
 double FatTree::host_load_for_uplink_load(double uplink_load) const {
   // Uplink load = host_load * oversubscription * inter-rack fraction.
   const int n_hosts = host_count();
+  if (n_hosts - cfg_.servers_per_tor < 1) {
+    // A zero fraction would ask every host for infinite load.
+    throw std::invalid_argument(
+        "FatTree::host_load_for_uplink_load: no host outside a rack carries "
+        "uplink load (grow pods/tors_per_pod)");
+  }
   const double inter_rack_fraction =
       static_cast<double>(n_hosts - cfg_.servers_per_tor) /
       static_cast<double>(n_hosts - 1);

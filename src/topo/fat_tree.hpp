@@ -84,7 +84,9 @@ class FatTree {
 
   /// Converts a desired *ToR uplink* load into the per-host load knob
   /// for workload::PoissonConfig, accounting for oversubscription and
-  /// the fraction of traffic leaving the rack.
+  /// the fraction of traffic leaving the rack. Throws
+  /// std::invalid_argument for a one-rack fabric, where no traffic
+  /// leaves the rack.
   double host_load_for_uplink_load(double uplink_load) const;
 
   std::uint64_t total_drops() const;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 namespace powertcp::workload {
 namespace {
@@ -55,8 +56,16 @@ std::vector<FlowArrival> generate_poisson(const PoissonConfig& cfg,
 
 std::vector<FlowArrival> generate_incast(const IncastConfig& cfg,
                                          sim::Rng& rng) {
-  if (cfg.n_hosts < cfg.fan_in + 1) {
-    throw std::invalid_argument("generate_incast: not enough hosts");
+  // The distinct-responder draw below needs fan_in hosts outside the
+  // requester's group; with fewer it would never finish.
+  const int remote = cfg.hosts_per_group > 0
+                         ? cfg.n_hosts - cfg.hosts_per_group
+                         : cfg.n_hosts - 1;
+  if (cfg.fan_in < 1 || cfg.fan_in > remote) {
+    throw std::invalid_argument(
+        "generate_incast: fan_in " + std::to_string(cfg.fan_in) +
+        " needs that many hosts outside the requester's group; there are " +
+        std::to_string(remote));
   }
   const double mean_interarrival_sec = 1.0 / cfg.requests_per_sec;
   const std::int64_t per_responder =

@@ -61,6 +61,8 @@ struct IncastConfig {
 /// Synthetic distributed-file-system queries: at each (Poisson) request
 /// time a uniformly random host requests `request_bytes` split across
 /// `fan_in` servers in other racks, which all respond simultaneously.
+/// Throws std::invalid_argument unless 1 <= fan_in <= the hosts outside
+/// one group (n_hosts - hosts_per_group, or n_hosts - 1 without groups).
 std::vector<FlowArrival> generate_incast(const IncastConfig& cfg,
                                          sim::Rng& rng);
 

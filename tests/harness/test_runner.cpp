@@ -156,10 +156,9 @@ TEST(RunnerGolden, Fig6PaperScaleRecipeLoads) {
   EXPECT_EQ(schemes,
             (std::vector<std::string>{"powertcp", "theta-powertcp", "hpcc",
                                       "dcqcn", "timely", "homa"}));
-  const SweepSpec spec = fct_sweep_spec(ft.fat_tree, 0.6, ft.percentile,
-                                        ft.schemes, ft.slug_prefix);
-  EXPECT_EQ(spec.slug, "fig6_load60");
-  EXPECT_EQ(spec.title,
+  const ResultTable table = ft.load_table(0.6);
+  EXPECT_EQ(table.slug, "fig6_load60");
+  EXPECT_EQ(table.title,
             "60% ToR-uplink load, websearch (x1.00 sizes), p99.9 slowdown "
             "per size bucket");
 }
@@ -173,7 +172,7 @@ schemes = powertcp, dctcp
 seed = 7
 
 [workload]
-loads = 0.3
+loads = 0.3, 0.5
 duration_ms = 2
 size_scale = 0.05
 
@@ -190,6 +189,7 @@ TEST(Runner, FatTreeConfigIsByteIdenticalAcrossThreadCounts) {
   const auto t3 = render_all(run_config(cfg, SweepRunner(3)));
   EXPECT_EQ(t1, t3);
   EXPECT_NE(t1.find("mini_load30"), std::string::npos);
+  EXPECT_NE(t1.find("mini_load50"), std::string::npos);
   EXPECT_NE(t1.find("powertcp"), std::string::npos);
 }
 
@@ -227,17 +227,6 @@ TEST(Runner, RetiredEngineKeysAreUnknownKeys) {
                "unused section [burst]", 6);
 }
 
-TEST(Runner, FatTreeConfigEqualsDirectlyBuiltSpec) {
-  const RunnerConfig cfg = mini_fat_tree_config();
-  const FatTreeKindConfig& ft = as_kind<FatTreeKindConfig>(cfg);
-  const SweepRunner runner(1);
-  const auto via_config = run_config(cfg, runner);
-  ASSERT_EQ(via_config.size(), 1u);
-  const ResultTable direct = runner.run(fct_sweep_spec(
-      ft.fat_tree, ft.loads[0], ft.percentile, ft.schemes, ft.slug_prefix));
-  EXPECT_EQ(via_config[0].render_text(), direct.render_text());
-}
-
 TEST(Runner, RdcnConfigWiresReTcpToTheCircuitSchedule) {
   const auto file = ConfigFile::parse(R"(
 [experiment]
@@ -251,7 +240,7 @@ n_tors = 4
 servers_per_tor = 2
 
 [workload]
-packet_gbps = 25
+packet_gbps = 25, 50
 flow_mb = 40
 horizon_ms = 1
 bin_us = 50
@@ -261,14 +250,20 @@ prebuffering_us = 300
 )",
                                       "minirdcn.toml");
   const RunnerConfig cfg = load_runner_config(file);
-  const auto t1 = render_all(run_config(cfg, SweepRunner(1)));
-  const auto t2 = render_all(run_config(cfg, SweepRunner(4)));
-  EXPECT_EQ(t1, t2);  // thread-count independence
+  // Thread-count independence: the time series and the latency table
+  // come from one pool call over both bandwidths.
+  const auto tables = run_config(cfg, SweepRunner(1));
+  const auto t1 = render_all(tables);
+  const auto t3 = render_all(run_config(cfg, SweepRunner(3)));
+  EXPECT_EQ(t1, t3);
   // reTCP ran (no CircuitSchedule throw) and moved bytes: its goodput
   // column holds at least one positive bin.
   EXPECT_NE(t1.find("retcp gbps"), std::string::npos);
-  EXPECT_NE(t1.find("minirdcn_timeseries"), std::string::npos);
-  EXPECT_NE(t1.find("minirdcn_p99"), std::string::npos);
+  ASSERT_EQ(tables.size(), 2u);
+  EXPECT_EQ(tables[0].slug, "minirdcn_timeseries");
+  EXPECT_EQ(tables[1].slug, "minirdcn_p99");
+  EXPECT_EQ(tables[1].value_columns,
+            (std::vector<std::string>{"25G p99us", "50G p99us"}));
 }
 
 TEST(Runner, IncastConfigRunsMessageTransportViaRegistry) {
@@ -279,7 +274,8 @@ slug = miniincast
 schemes = powertcp, homa
 
 [workload]
-query_kb = 0
+query_kb = 0, 400
+fan_in = 12
 horizon_ms = 1
 bin_us = 100
 
@@ -288,11 +284,13 @@ overcommit = 2
 )",
                                       "miniincast.toml");
   const RunnerConfig cfg = load_runner_config(file);
+  // Both query points' schemes share one pool call.
   const auto t1 = render_all(run_config(cfg, SweepRunner(1)));
-  const auto t2 = render_all(run_config(cfg, SweepRunner(2)));
-  EXPECT_EQ(t1, t2);
+  const auto t3 = render_all(run_config(cfg, SweepRunner(3)));
+  EXPECT_EQ(t1, t3);
   EXPECT_NE(t1.find("homa gbps"), std::string::npos);
   EXPECT_NE(t1.find("miniincast_10to1"), std::string::npos);
+  EXPECT_NE(t1.find("miniincast_query400kb"), std::string::npos);
 }
 
 TEST(Runner, DumbbellTimeSeriesIsByteIdenticalAcrossThreadCounts) {
@@ -380,6 +378,67 @@ TEST(Runner, SingleRackFabricsRejectFanInsInsteadOfCrashing) {
   oc.incast_topo = tiny;
   oc.incast_horizon = sim::milliseconds(1);
   EXPECT_THROW(run_homa_oc_incast(oc, SchemeRun{"", "homa", {}}, 2),
+               std::invalid_argument);
+}
+
+TEST(Runner, LoadErrorsThatWouldHangOrCrashNameTheirLine) {
+  // Unchecked, each of these would run forever, grow memory until
+  // killed, or die with a line-less library error. The loader rejects
+  // each at its line, right at the boundary, and the library layer
+  // still throws when called directly. No probe runs a simulation that
+  // could hang.
+  const std::string fat_tree = "[experiment]\nschemes = powertcp\n";
+  // One rack: no uplink load can be set (a zero inter-rack fraction
+  // would make the Poisson generator append arrivals forever).
+  expect_rejected_at(fat_tree +
+                         "[topology]\npods = 1\ntors_per_pod = 1\n"
+                         "[workload]\nloads = 0.3\nduration_ms = 0.2\n",
+                     "pods");
+  // The overlay's distinct responders come from outside the
+  // requester's rack: 24 hosts with two pods of the quick fabric.
+  const std::string overlay =
+      fat_tree +
+      "[topology]\npods = 2\n[workload]\nincast = true\n"
+      "incast_requests_per_sec = 100000\nincast_fan_in = ";
+  expect_rejected_at(overlay + "25\n", "incast_fan_in");
+  expect_rejected_at(overlay + "28\n", "incast_fan_in");
+  EXPECT_NO_THROW(
+      load_runner_config(ConfigFile::parse(overlay + "24\n", "ok.toml")));
+  // Companion i sends from host servers_per_tor + 1 + i; the quick
+  // fabric has 64 hosts and 8 per rack.
+  const std::string incast =
+      "[experiment]\nkind = incast\nschemes = powertcp\n[workload]\n"
+      "long_companions = ";
+  expect_rejected_at(incast + "100\n", "long_companions");
+  expect_rejected_at(incast + "56\n", "long_companions");
+  EXPECT_NO_THROW(
+      load_runner_config(ConfigFile::parse(incast + "55\n", "ok.toml")));
+  // A ToR has a port per server plus its two uplinks.
+  const std::string rdcn =
+      "[experiment]\nkind = rdcn\nschemes = powertcp\n[topology]\n"
+      "preset = small\nn_tors = 4\nservers_per_tor = ";
+  expect_rejected_at(rdcn + "600\n", "servers_per_tor");
+  expect_rejected_at(rdcn + "510\n", "servers_per_tor");
+  EXPECT_NO_THROW(
+      load_runner_config(ConfigFile::parse(rdcn + "509\n", "ok.toml")));
+  expect_rejected_at("[experiment]\nkind = rdcn\nschemes = powertcp\n"
+                     "[topology]\npreset = small\nn_tors = 512\n",
+                     "n_tors");
+
+  FatTreeExperiment one_rack;
+  one_rack.topo.pods = one_rack.topo.tors_per_pod = 1;
+  one_rack.duration = sim::microseconds(200);
+  EXPECT_THROW(run_fat_tree_experiment(one_rack), std::invalid_argument);
+  FatTreeExperiment wide;
+  wide.topo.pods = 2;
+  wide.incast = true;
+  wide.incast_fan_in = 25;
+  wide.duration = sim::microseconds(200);
+  EXPECT_THROW(run_fat_tree_experiment(wide), std::invalid_argument);
+  IncastScenario companions;
+  companions.long_companions = 56;
+  companions.horizon = sim::microseconds(200);
+  EXPECT_THROW(run_incast_scenario(companions, SchemeRun{"", "powertcp", {}}),
                std::invalid_argument);
 }
 
@@ -655,28 +714,21 @@ TEST(Runner, QueryPointsGetUniqueSlugs) {
   const auto file = ConfigFile::parse(R"(
 [experiment]
 kind = incast
+slug = fig4
 schemes = powertcp
 
 [workload]
 query_kb = 500, 2000
 fan_in = 8, 16
+horizon_ms = 0.2
 )",
                                       "slugs.toml");
-  const RunnerConfig cfg = load_runner_config(file);
-  const IncastKindConfig& kind = as_kind<IncastKindConfig>(cfg);
-  IncastScenario a = kind.incast;
-  a.query_bytes = 500'000;
-  a.fan_in = 8;
-  IncastScenario b = kind.incast;
-  b.query_bytes = 2'000'000;
-  b.fan_in = 16;
-  // Slug generation is pure string work; shrink the simulations.
-  a.horizon = b.horizon = sim::microseconds(200);
-  const SweepRunner runner(1);
-  const auto ta = incast_figure_table(runner, a, kind.schemes, "fig4");
-  const auto tb = incast_figure_table(runner, b, kind.schemes, "fig4");
-  EXPECT_EQ(ta.slug, "fig4_query500kb");
-  EXPECT_EQ(tb.slug, "fig4_query2000kb");
+  // Slug generation is pure string work; the horizon shrinks the
+  // simulations.
+  const auto tables = run_config(load_runner_config(file), SweepRunner(1));
+  ASSERT_EQ(tables.size(), 2u);
+  EXPECT_EQ(tables[0].slug, "fig4_query500kb");
+  EXPECT_EQ(tables[1].slug, "fig4_query2000kb");
 }
 
 TEST(Runner, SchemeAliasesRunOneSchemeTwice) {

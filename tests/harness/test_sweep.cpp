@@ -145,64 +145,6 @@ TEST(SweepRunner, PropagatesJobException) {
                std::runtime_error);
 }
 
-SweepSpec small_fig7_style_sweep() {
-  // A shrunk fig7ab: two algorithms x two loads on the quick fat tree
-  // with a sub-millisecond horizon, so the whole sweep runs in seconds.
-  SweepSpec sw;
-  sw.title = "determinism probe";
-  sw.slug = "probe";
-  sw.key_columns = {"algorithm", "load%"};
-  sw.value_columns = {"short(<10K)", "long(>=1M)", "drops", "flows"};
-  for (const double load : {0.4, 0.8}) {
-    for (const std::string algo : {"powertcp", "hpcc"}) {
-      SweepPoint p;
-      p.keys = {Cell(algo), Cell(load * 100, 0)};
-      p.cfg.cc = algo;
-      p.cfg.uplink_load = load;
-      p.cfg.duration = sim::microseconds(400);
-      p.cfg.size_scale = 0.05;
-      p.cfg.seed = 7;
-      sw.points.push_back(std::move(p));
-    }
-  }
-  sw.metrics = [](const FatTreeExperiment&, const ExperimentResult& r) {
-    const auto s = r.fct.slowdowns_in_range(0, 500);
-    const auto l = r.fct.slowdowns_in_range(50'000, INT64_MAX);
-    return std::vector<Cell>{
-        s.empty() ? Cell() : Cell(s.percentile(99), 2),
-        l.empty() ? Cell() : Cell(l.percentile(99), 2),
-        Cell::integer(static_cast<std::int64_t>(r.drops)),
-        Cell::integer(static_cast<std::int64_t>(r.flows_started))};
-  };
-  return sw;
-}
-
-TEST(SweepRunner, FatTreeSweepIsByteIdenticalAcrossThreadCounts) {
-  const SweepSpec spec = small_fig7_style_sweep();
-  const ResultTable serial = SweepRunner(1).run(spec);
-  const ResultTable parallel = SweepRunner(4).run(spec);
-
-  EXPECT_EQ(serial.render_text(), parallel.render_text());
-
-  std::string csv1 = ResultTable::csv_header();
-  std::string csv4 = ResultTable::csv_header();
-  serial.append_csv(csv1);
-  parallel.append_csv(csv4);
-  EXPECT_EQ(csv1, csv4);
-
-  std::string json1, json4;
-  serial.append_json(json1, 0);
-  parallel.append_json(json4, 0);
-  EXPECT_EQ(json1, json4);
-
-  // The sweep actually measured something: every row has its flow count.
-  ASSERT_EQ(serial.rows.size(), 4u);
-  for (const auto& row : serial.rows) {
-    EXPECT_TRUE(row.values.back().is_number());
-    EXPECT_GT(row.values.back().number(), 0.0);
-  }
-}
-
 TEST(BenchOptions, ParsesSweepFlags) {
   const char* argv[] = {"bench", "--threads=4", "--csv=a.csv",
                         "--json=b.json", "--fast"};

@@ -74,11 +74,30 @@ bin_us = 100
 row_every = 4
 )";
 
-std::vector<ResultTable> run_mini(bool telemetry, int threads = 2) {
+/// Two bandwidths: the time series and the latency table's first
+/// column both read the first bandwidth's runs, which carry the tap.
+constexpr const char* kMiniRdcn = R"(
+[experiment]
+kind = rdcn
+slug = minirdcn
+schemes = powertcp, retcp
+
+[topology]
+preset = small
+
+[workload]
+packet_gbps = 25, 50
+flow_mb = 20
+horizon_ms = 0.5
+bin_us = 50
+)";
+
+std::vector<ResultTable> run_mini(bool telemetry, int threads = 2,
+                                  const char* text = kMiniDumbbell) {
   RunnerLoadOptions opts;
   opts.force_telemetry = telemetry;
   const RunnerConfig rc =
-      load_runner_config(ConfigFile::parse(kMiniDumbbell, "mini.toml"),
+      load_runner_config(ConfigFile::parse(text, "mini.toml"),
                          ScenarioRegistry::instance(), opts);
   return run_config(rc, SweepRunner(threads));
 }
@@ -104,22 +123,24 @@ bool is_flight(const ResultTable& t) {
 /// the off-run (which is itself the telemetry-free code path every
 /// shipped config exercises by default).
 TEST(TelemetryGolden, EnablingTelemetryOnlyAppendsFlightTables) {
-  const auto off = run_mini(false);
-  const auto on = run_mini(true);
-  for (const auto& t : off) {
-    EXPECT_FALSE(is_flight(t)) << t.slug;
-  }
-  std::vector<ResultTable> on_main;
-  std::size_t flights = 0;
-  for (const auto& t : on) {
-    if (is_flight(t)) {
-      ++flights;
-    } else {
-      on_main.push_back(t);
+  for (const char* text : {kMiniDumbbell, kMiniRdcn}) {
+    const auto off = run_mini(false, 2, text);
+    const auto on = run_mini(true, 2, text);
+    for (const auto& t : off) {
+      EXPECT_FALSE(is_flight(t)) << t.slug;
     }
+    std::vector<ResultTable> on_main;
+    std::size_t flights = 0;
+    for (const auto& t : on) {
+      if (is_flight(t)) {
+        ++flights;
+      } else {
+        on_main.push_back(t);
+      }
+    }
+    EXPECT_EQ(flights, 2u) << "one flight table per scheme";
+    EXPECT_EQ(render_all(off), render_all(on_main));
   }
-  EXPECT_EQ(flights, 2u) << "one flight table per scheme";
-  EXPECT_EQ(render_all(off), render_all(on_main));
 }
 
 TEST(TelemetryGolden, FlightTablesAreByteIdenticalAcrossThreadCounts) {

@@ -101,6 +101,15 @@ TEST_F(FatTreeFixture, HostLoadConversionInvertsOversubscription) {
   EXPECT_NEAR(host_load * 4.0 * frac, 0.6, 1e-12);
 }
 
+TEST_F(FatTreeFixture, HostLoadConversionNeedsASecondRack) {
+  // One rack: no traffic leaves it, and the zero inter-rack fraction
+  // would ask every host for infinite load.
+  FatTreeConfig cfg = FatTreeConfig::quick();
+  cfg.pods = cfg.tors_per_pod = 1;
+  FatTree ft(network, cfg);
+  EXPECT_THROW(ft.host_load_for_uplink_load(0.3), std::invalid_argument);
+}
+
 TEST_F(FatTreeFixture, RejectsNonPositiveCounts) {
   FatTreeConfig cfg;
   cfg.pods = 0;

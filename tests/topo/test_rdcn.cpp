@@ -21,6 +21,14 @@ TEST_F(RdcnFixture, SmallConfigBuilds) {
   EXPECT_EQ(rdcn.schedule().n_matchings(), 3);
 }
 
+TEST_F(RdcnFixture, TorPortsStayInTheTieTokenRange) {
+  // A ToR has a port per server plus two uplinks; 600 servers pass
+  // net::kMaxPortsPerNode.
+  RdcnConfig cfg = RdcnConfig::small();
+  cfg.servers_per_tor = 600;
+  EXPECT_THROW(Rdcn(network, cfg), std::logic_error);
+}
+
 TEST_F(RdcnFixture, TorOfNodeMapsHostsOnly) {
   Rdcn rdcn(network, RdcnConfig::small());
   EXPECT_EQ(rdcn.tor_of_node(rdcn.host(2).id()), 1);

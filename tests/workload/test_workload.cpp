@@ -150,6 +150,18 @@ TEST(GenerateIncast, RequiresEnoughHosts) {
   cfg.stop = sim::milliseconds(1);
   sim::Rng rng(15);
   EXPECT_THROW(generate_incast(cfg, rng), std::invalid_argument);
+  // Without groups any other host can respond: 15 of 16.
+  cfg.fan_in = 16;
+  EXPECT_THROW(generate_incast(cfg, rng), std::invalid_argument);
+  cfg.fan_in = 15;
+  EXPECT_NO_THROW(generate_incast(cfg, rng));
+  // With groups only the hosts outside the requester's: 12 of 16. One
+  // more would spin forever in the distinct-responder draw.
+  cfg.hosts_per_group = 4;
+  cfg.fan_in = 13;
+  EXPECT_THROW(generate_incast(cfg, rng), std::invalid_argument);
+  cfg.fan_in = 12;
+  EXPECT_NO_THROW(generate_incast(cfg, rng));
 }
 
 }  // namespace
