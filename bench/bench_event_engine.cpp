@@ -2,9 +2,8 @@
 /// that paper-scale (--full) runs are bound by. Four workloads
 /// (schedule+fire churn, a replay of the per-hop pop-one-schedule-one
 /// pattern, schedule+cancel churn, and an end-to-end dumbbell packet
-/// run) on the binary-heap pending set, the sharded
-/// engine on a pod-local fat-tree, plus a std::function baseline
-/// quantifying what the inline-callback / packet-pool rewrite removed.
+/// run) on the binary-heap pending set, and the sharded
+/// engine on a pod-local fat-tree.
 ///
 /// This bench is the calibrated perf gate: CI compares its JSON against
 /// bench/baselines/perf.json via scripts/check_perf_baseline.py. The
@@ -219,29 +218,6 @@ ShardRun run_shard_fat_tree(int sim_threads, sim::TimePs horizon) {
   return {point.engine.events_executed(), point.engine.windows()};
 }
 
-/// std::function baseline for the churn shape, quantifying the removed
-/// per-event allocation (a capture sized like the old Packet capture).
-std::uint64_t run_std_function_baseline(std::uint64_t events) {
-  struct FakePacketCapture {
-    unsigned char bytes[352];
-  };
-  std::vector<std::function<void()>> queue;
-  queue.reserve(64);
-  std::uint64_t fired = 0;
-  FakePacketCapture pkt{};
-  for (std::uint64_t i = 0; i < events; ++i) {
-    queue.emplace_back([pkt, &fired] {
-      fired += pkt.bytes[0] + 1;
-    });
-    if (queue.size() == 64) {
-      for (auto& f : queue) f();
-      queue.clear();
-    }
-  }
-  for (auto& f : queue) f();
-  return fired;
-}
-
 struct Measurement {
   double mops = 0;
   std::uint64_t events = 0;
@@ -366,21 +342,6 @@ int main(int argc, char** argv) {
     st.rows.push_back(std::move(row));
   }
   reporter.add(std::move(st));
-
-  // What the rewrite removed: a heap allocation per event for closures
-  // that capture a Packet by value.
-  harness::ResultTable base;
-  base.title = "std::function alloc-per-event baseline (the old hot path)";
-  base.slug = "event_engine_baseline";
-  base.key_columns = {"workload"};
-  base.value_columns = {"Mev/s", "allocs/ev"};
-  const Measurement sf =
-      measure([&] { return run_std_function_baseline(scale); });
-  harness::ResultTable::Row row;
-  row.keys = {Cell(std::string("std::function + 352B capture"))};
-  row.values = {Cell(sf.mops, 2), Cell(sf.allocs_per_event, 2)};
-  base.rows.push_back(std::move(row));
-  reporter.add(std::move(base));
 
   return reporter.finish();
 }

@@ -69,26 +69,25 @@ std::int64_t CircuitPort::int_qlen_bytes() const {
   return peer >= 0 ? voqs_->voq_bytes(peer) : voqs_->total_bytes();
 }
 
-EgressPort::SelectResult CircuitPort::try_select() {
-  SelectResult out;
+bool CircuitPort::select_into(Packet& out, sim::TimePs& retry_at) {
   const sim::TimePs now = simulator().now();
   if (!schedule_->is_day(now)) {
-    out.retry_at = schedule_->next_day_start(now);
-    return out;
+    retry_at = schedule_->next_day_start(now);
+    return false;
   }
   const int peer = schedule_->active_peer(my_tor_, now);
   const Packet* next = voqs_->peek(peer);
   if (next == nullptr) {
     // Nothing for the active peer; enqueues during this day kick us.
-    out.retry_at = schedule_->next_day_start(now);
-    return out;
+    retry_at = schedule_->next_day_start(now);
+    return false;
   }
   // A serialization must finish before the light goes out.
   if (now + bandwidth().tx_time(next->wire_bytes()) > schedule_->day_end(now)) {
-    out.retry_at = schedule_->next_day_start(now);
-    return out;
+    retry_at = schedule_->next_day_start(now);
+    return false;
   }
-  return SelectResult{voqs_->pop_from(peer)};
+  return voqs_->pop_from(peer, out);
 }
 
 VoqUplinkPort::VoqUplinkPort(sim::Simulator& simulator, sim::Bandwidth bw,
@@ -99,7 +98,7 @@ VoqUplinkPort::VoqUplinkPort(sim::Simulator& simulator, sim::Bandwidth bw,
       schedule_(schedule),
       my_tor_(my_tor) {}
 
-EgressPort::SelectResult VoqUplinkPort::try_select() {
+bool VoqUplinkPort::select_into(Packet& out, sim::TimePs& retry_at) {
   const sim::TimePs now = simulator().now();
   const int active = schedule_->active_peer(my_tor_, now);
   const int n = voqs_->size();
@@ -108,16 +107,15 @@ EgressPort::SelectResult VoqUplinkPort::try_select() {
     if (i == active) continue;
     if (voqs_->peek(i) != nullptr) {
       rr_cursor_ = i;
-      return SelectResult{voqs_->pop_from(i)};
+      return voqs_->pop_from(i, out);
     }
   }
   // Only the circuit-served VOQ has traffic: it becomes ours when the
   // day ends.
-  SelectResult out;
   if (active >= 0 && voqs_->peek(active) != nullptr) {
-    out.retry_at = schedule_->day_end(now);
+    retry_at = schedule_->day_end(now);
   }
-  return out;
+  return false;
 }
 
 CircuitSwitchNode::CircuitSwitchNode(sim::Simulator& simulator, NodeId id,
@@ -146,7 +144,9 @@ void CircuitSwitchNode::receive(Packet&& pkt, int /*in_port*/) {
   const PacketPool::Handle h = pool_.put(std::move(pkt));
   sim_.schedule_in(link.propagation, [this, dst_tor, h] {
     const TorLink& out = tors_[static_cast<std::size_t>(dst_tor)];
-    out.tor->receive(pool_.take(h), out.in_port);
+    pool_.lend(h, [&out](Packet& p) {
+      out.tor->receive(std::move(p), out.in_port);
+    });
   });
 }
 

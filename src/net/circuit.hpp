@@ -74,7 +74,7 @@ class CircuitPort final : public EgressPort {
 
  protected:
   void push_to_queue(Packet&& pkt) override { voqs_->push(std::move(pkt)); }
-  SelectResult try_select() override;
+  bool select_into(Packet& out, sim::TimePs& retry_at) override;
 
  private:
   VoqSet* voqs_;
@@ -95,7 +95,7 @@ class VoqUplinkPort final : public EgressPort {
 
  protected:
   void push_to_queue(Packet&& pkt) override { voqs_->push(std::move(pkt)); }
-  SelectResult try_select() override;
+  bool select_into(Packet& out, sim::TimePs& retry_at) override;
 
  private:
   VoqSet* voqs_;

@@ -74,30 +74,34 @@ void EgressPort::kick() {
     finish_.settle();
     busy_ = false;
   }
-  SelectResult sel = try_select();
-  if (sel.pkt.has_value()) {
+  // The dequeue writes straight into the slot the packet stays parked
+  // in until its delivery.
+  const PacketPool::Handle h = pool_.acquire();
+  Packet& slot = pool_.ref(h);
+  sim::TimePs retry_at = sim::kTimeInfinity;
+  if (select_into(slot, retry_at)) {
     if (pending_kick_at_ != sim::kTimeInfinity) {
       sim_.cancel(pending_kick_id_);
       pending_kick_at_ = sim::kTimeInfinity;
     }
-    start_tx(std::move(*sel.pkt));
+    start_tx(h, slot);
     return;
   }
-  if (sel.retry_at == sim::kTimeInfinity) return;
+  pool_.release(h);
+  if (retry_at == sim::kTimeInfinity) return;
   // Deduplicate wakeups: keep only the earliest pending retry.
-  if (pending_kick_at_ != sim::kTimeInfinity &&
-      pending_kick_at_ <= sel.retry_at) {
+  if (pending_kick_at_ != sim::kTimeInfinity && pending_kick_at_ <= retry_at) {
     return;
   }
   if (pending_kick_at_ != sim::kTimeInfinity) sim_.cancel(pending_kick_id_);
-  pending_kick_at_ = sel.retry_at;
-  pending_kick_id_ = sim_.schedule_at(sel.retry_at, [this] {
+  pending_kick_at_ = retry_at;
+  pending_kick_id_ = sim_.schedule_at(retry_at, [this] {
     pending_kick_at_ = sim::kTimeInfinity;
     kick();
   });
 }
 
-void EgressPort::start_tx(Packet&& pkt) {
+void EgressPort::start_tx(PacketPool::Handle h, Packet& pkt) {
   busy_ = true;
   // INT is stamped "when the packet is scheduled for transmission"
   // (paper §3.3): queue length is the backlog left behind, txBytes the
@@ -136,23 +140,26 @@ void EgressPort::start_tx(Packet&& pkt) {
     // serialization delay on top of propagation (see
     // ShardedSimulator::add_cut_edge and docs/performance.md §5).
     remote_->send(finish + propagation_, finish, tie_token_, std::move(pkt));
+    pool_.release(h);
   } else if (peer_ != nullptr) {
     // The local delivery takes the same shape: scheduled now, stamped
     // with the finish as its causal time and carrying the port's tie
     // token, so its key is the one scheduling it at the finish gave.
     // The packet rides in the pool, not the closure: capturing it by
     // value would heap-allocate ~350 bytes per transmission. It stays
-    // parked under this one handle until the peer receives it.
-    const PacketPool::Handle h = pool_.put(std::move(pkt));
+    // parked under this one handle until the peer's receive, which
+    // borrows the slot rather than a copy of it.
     tx_delivery_ = sim_.schedule_stamped(
-        finish, finish + propagation_, tie_token_,
-        [this, h] { peer_->receive(pool_.take(h), peer_in_port_); });
+        finish, finish + propagation_, tie_token_, [this, h] {
+          pool_.lend(h, [this](Packet& p) {
+            peer_->receive(std::move(p), peer_in_port_);
+          });
+        });
   } else {
     // Nobody to deliver to: the packet stays parked for its
     // serialization, so the finish must run to free it.
-    const PacketPool::Handle h = pool_.put(std::move(pkt));
     tx_event_ = finish_.schedule([this, h] {
-      pool_.take(h);
+      pool_.release(h);
       finish_tx();
     });
     return;
@@ -176,8 +183,8 @@ BasicPort::BasicPort(sim::Simulator& simulator, sim::Bandwidth bw,
                      std::unique_ptr<QueueDiscipline> queue)
     : EgressPort(simulator, bw, propagation_delay), queue_(std::move(queue)) {}
 
-EgressPort::SelectResult BasicPort::try_select() {
-  return SelectResult{queue_->pop()};
+bool BasicPort::select_into(Packet& out, sim::TimePs& /*retry_at*/) {
+  return queue_->pop_into(out);
 }
 
 }  // namespace powertcp::net

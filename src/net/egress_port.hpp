@@ -3,7 +3,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <optional>
 
 #include "net/aqm.hpp"
 #include "net/dt_buffer.hpp"
@@ -115,17 +114,14 @@ class EgressPort {
   void kick();
 
  protected:
-  struct SelectResult {
-    std::optional<Packet> pkt;
-    /// When to retry if no packet was selectable; kTimeInfinity means
-    /// "wait for an explicit kick" (e.g. the next enqueue).
-    sim::TimePs retry_at = sim::kTimeInfinity;
-  };
-
   /// Stores the packet in the discipline-specific backlog.
   virtual void push_to_queue(Packet&& pkt) = 0;
-  /// Chooses the next packet to serialize, or a retry time.
-  virtual SelectResult try_select() = 0;
+  /// Moves the next packet to serialize into `out` (the pool slot it
+  /// will be parked in) and returns true. Otherwise returns false,
+  /// leaves `out` untouched and may set `retry_at` to when to try
+  /// again; left at kTimeInfinity it means "wait for an explicit kick"
+  /// (e.g. the next enqueue).
+  virtual bool select_into(Packet& out, sim::TimePs& retry_at) = 0;
   /// True if a serialization finishing now would leave nothing to do but
   /// mark the wire idle: nothing to select, and no retry to arm. The
   /// finish is then elided (see start_tx). Only ports whose empty-backlog
@@ -136,7 +132,8 @@ class EgressPort {
   const sim::Simulator& simulator() const { return sim_; }
 
  private:
-  void start_tx(Packet&& pkt);
+  /// Serializes `pkt`, which is parked in pool_ under `h`.
+  void start_tx(PacketPool::Handle h, Packet& pkt);
   /// The serialization finish, when it runs as an event: frees the wire
   /// and serves the backlog.
   void finish_tx();
@@ -171,9 +168,10 @@ class EgressPort {
   /// cancelled if the port dies before the serialization finishes.
   sim::EventId tx_delivery_{};
 
-  /// Parks each packet from start_tx until its delivery event, so the
-  /// delivery event captures an 8-byte handle, not the packet, and the
-  /// packet is not moved in between.
+  /// Parks each packet from its dequeue until its delivery event, so
+  /// the delivery event captures an 8-byte handle, not the packet: the
+  /// dequeue writes into the slot and the delivery lends the slot to
+  /// the peer's receive, two moves per hop in all (push and pop).
   PacketPool pool_;
 
   stats::QueueSeries* queue_monitor_ = nullptr;
@@ -192,7 +190,7 @@ class BasicPort final : public EgressPort {
 
  protected:
   void push_to_queue(Packet&& pkt) override { queue_->push(std::move(pkt)); }
-  SelectResult try_select() override;
+  bool select_into(Packet& out, sim::TimePs& retry_at) override;
   bool finish_is_idle() const override { return queue_->empty(); }
 
  private:

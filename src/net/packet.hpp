@@ -78,8 +78,8 @@ class IntHeader {
 };
 
 /// A simulated packet. It is ~360 bytes, so the per-hop path hands it
-/// off by `Packet&&` and parks it in a PacketPool between serialization
-/// and delivery instead of copying it; fields below the "simulator
+/// off by `Packet&&` and parks it in a PacketPool from its dequeue to its
+/// delivery instead of copying it; fields below the "simulator
 /// metadata" marker never exist on a real wire and carry no modeled
 /// size.
 struct Packet {

@@ -25,8 +25,8 @@ void FifoQueue::push(Packet&& pkt) {
   bytes_ += arena_[idx].pkt.wire_bytes();
 }
 
-std::optional<Packet> FifoQueue::pop() {
-  if (count_ == 0) return std::nullopt;
+bool FifoQueue::pop_into(Packet& out) {
+  if (count_ == 0) return false;
   const std::uint32_t idx = head_;
   Node& n = arena_[idx];
   head_ = n.next;
@@ -35,9 +35,9 @@ std::optional<Packet> FifoQueue::pop() {
   free_head_ = idx;
   --count_;
   bytes_ -= n.pkt.wire_bytes();
-  // Built straight from the arena node into the caller's optional: the
-  // freed slot is not reused before the next push.
-  return std::optional<Packet>(std::in_place, std::move(n.pkt));
+  // The freed node is not reused before the next push.
+  out = std::move(n.pkt);
+  return true;
 }
 
 const Packet* FifoQueue::peek_next() const {
@@ -61,19 +61,19 @@ void PriorityQueue::push(Packet&& pkt) {
   bands_[band].push_back(std::move(pkt));
 }
 
-std::optional<Packet> PriorityQueue::pop() {
+bool PriorityQueue::pop_into(Packet& out) {
   for (std::size_t b = 0; b < bands_.size(); ++b) {
     auto& band = bands_[b];
     if (!band.empty()) {
-      std::optional<Packet> out(std::in_place, std::move(band.front()));
+      out = std::move(band.front());
       band.pop_front();
-      bytes_ -= out->wire_bytes();
-      band_bytes_[b] -= out->wire_bytes();
+      bytes_ -= out.wire_bytes();
+      band_bytes_[b] -= out.wire_bytes();
       --packets_;
-      return out;
+      return true;
     }
   }
-  return std::nullopt;
+  return false;
 }
 
 const Packet* PriorityQueue::peek_next() const {
@@ -101,15 +101,15 @@ void VoqSet::push(Packet&& pkt) {
   queues_[static_cast<std::size_t>(voq)].push_back(std::move(pkt));
 }
 
-std::optional<Packet> VoqSet::pop_from(int voq) {
+bool VoqSet::pop_from(int voq, Packet& out) {
   auto& q = queues_.at(static_cast<std::size_t>(voq));
-  if (q.empty()) return std::nullopt;
-  std::optional<Packet> out(std::in_place, std::move(q.front()));
+  if (q.empty()) return false;
+  out = std::move(q.front());
   q.pop_front();
-  voq_bytes_[static_cast<std::size_t>(voq)] -= out->wire_bytes();
-  total_bytes_ -= out->wire_bytes();
+  voq_bytes_[static_cast<std::size_t>(voq)] -= out.wire_bytes();
+  total_bytes_ -= out.wire_bytes();
   --total_packets_;
-  return out;
+  return true;
 }
 
 const Packet* VoqSet::peek(int voq) const {

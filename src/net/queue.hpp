@@ -3,7 +3,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <optional>
 #include <vector>
 
 #include "net/packet.hpp"
@@ -15,15 +14,17 @@
 namespace powertcp::net {
 
 /// Interface for an egress buffer. `push` takes the packet by rvalue
-/// reference and `pop` surrenders it, one move each; `peek_next` must
-/// agree with the packet `pop` would return (used to compute
+/// reference and `pop_into` moves it straight into the caller's slot
+/// (the port's PacketPool), one move each; `pop_into` returns false and
+/// leaves `out` untouched when the buffer is empty. `peek_next` must
+/// agree with the packet `pop_into` would produce (used to compute
 /// serialization time before committing).
 class QueueDiscipline {
  public:
   virtual ~QueueDiscipline() = default;
 
   virtual void push(Packet&& pkt) = 0;
-  virtual std::optional<Packet> pop() = 0;
+  virtual bool pop_into(Packet& out) = 0;
   virtual const Packet* peek_next() const = 0;
   virtual std::int64_t bytes() const = 0;
   virtual std::size_t packets() const = 0;
@@ -40,7 +41,7 @@ class QueueDiscipline {
 class FifoQueue final : public QueueDiscipline {
  public:
   void push(Packet&& pkt) override;
-  std::optional<Packet> pop() override;
+  bool pop_into(Packet& out) override;
   const Packet* peek_next() const override;
   std::int64_t bytes() const override { return bytes_; }
   std::size_t packets() const override { return count_; }
@@ -67,7 +68,7 @@ class PriorityQueue final : public QueueDiscipline {
   explicit PriorityQueue(int bands = 8);
 
   void push(Packet&& pkt) override;
-  std::optional<Packet> pop() override;
+  bool pop_into(Packet& out) override;
   const Packet* peek_next() const override;
   std::int64_t bytes() const override { return bytes_; }
   std::size_t packets() const override { return packets_; }
@@ -95,7 +96,9 @@ class VoqSet {
   VoqSet(int n_queues, std::function<int(NodeId)> classify);
 
   void push(Packet&& pkt);
-  std::optional<Packet> pop_from(int voq);
+  /// Moves the head of `voq` into `out`; false (and `out` untouched)
+  /// if that VOQ is empty.
+  bool pop_from(int voq, Packet& out);
   const Packet* peek(int voq) const;
 
   std::int64_t voq_bytes(int voq) const { return voq_bytes_[static_cast<size_t>(voq)]; }

@@ -70,8 +70,12 @@ void ShardRouter::ingest(int shard) {
     const auto origin = static_cast<std::uint32_t>(1 + m.src_shard);
     sim.schedule_from(
         m.sent_at, m.deliver_at,
-        [dst, port, pool, h] { dst->receive(pool->take(h), port); }, origin,
-        m.tie);
+        [dst, port, pool, h] {
+          pool->lend(h, [dst, port](Packet& p) {
+            dst->receive(std::move(p), port);
+          });
+        },
+        origin, m.tie);
   }
   in.scratch.clear();
 }

@@ -77,12 +77,14 @@ void Switch::set_routes(NodeId dst, std::vector<int> ports) {
   if (ports.empty()) {
     throw std::invalid_argument("Switch::set_routes: empty port set");
   }
-  routes_[dst] = std::move(ports);
-}
-
-const std::vector<int>* Switch::routes_to(NodeId dst) const {
-  const auto it = routes_.find(dst);
-  return it == routes_.end() ? nullptr : &it->second;
+  if (dst < 0 || dst >= kMaxNodes) {
+    throw std::invalid_argument("Switch::set_routes: destination " +
+                                std::to_string(dst) + " is outside [0, " +
+                                std::to_string(kMaxNodes) + ")");
+  }
+  const auto i = static_cast<std::size_t>(dst);
+  if (i >= routes_.size()) routes_.resize(i + 1);
+  routes_[i] = std::move(ports);
 }
 
 std::size_t Switch::ecmp_index(FlowId flow, std::size_t n) const {

@@ -1,7 +1,7 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "net/dt_buffer.hpp"
@@ -48,8 +48,16 @@ class Switch : public Node {
   int add_port(sim::Bandwidth bw, sim::TimePs propagation);
 
   /// Registers the ECMP next-hop port set toward destination `dst`.
+  /// Throws std::invalid_argument for an empty set or a `dst` outside
+  /// [0, kMaxNodes).
   void set_routes(NodeId dst, std::vector<int> ports);
-  const std::vector<int>* routes_to(NodeId dst) const;
+  /// The next-hop set toward `dst`, or nullptr if none is registered.
+  const std::vector<int>* routes_to(NodeId dst) const {
+    const auto i = static_cast<std::size_t>(dst);
+    // A negative id wraps to a huge index, so one bound check covers it.
+    if (i >= routes_.size() || routes_[i].empty()) return nullptr;
+    return &routes_[i];
+  }
 
   void receive(Packet&& pkt, int in_port) override;
 
@@ -67,7 +75,9 @@ class Switch : public Node {
   sim::Simulator& sim_;
   SwitchConfig cfg_;
   DtSharedBuffer buffer_;
-  std::unordered_map<NodeId, std::vector<int>> routes_;
+  /// Next-hop port sets indexed by destination node id (ids are dense:
+  /// Network assigns them in creation order). An empty set = no route.
+  std::vector<std::vector<int>> routes_;
 };
 
 }  // namespace powertcp::net

@@ -19,9 +19,36 @@ TEST(FifoQueue, PopsInArrivalOrder) {
   FifoQueue q;
   q.push(pkt(1, 100));
   q.push(pkt(2, 100));
-  EXPECT_EQ(q.pop()->flow, 1u);
-  EXPECT_EQ(q.pop()->flow, 2u);
-  EXPECT_FALSE(q.pop().has_value());
+  Packet out;
+  ASSERT_TRUE(q.pop_into(out));
+  EXPECT_EQ(out.flow, 1u);
+  ASSERT_TRUE(q.pop_into(out));
+  EXPECT_EQ(out.flow, 2u);
+  EXPECT_FALSE(q.pop_into(out));
+}
+
+TEST(FifoQueue, PopIntoLeavesOutUntouchedWhenEmpty) {
+  FifoQueue q;
+  Packet out = pkt(42, 700, 3, 9);
+  EXPECT_FALSE(q.pop_into(out));
+  EXPECT_EQ(out.flow, 42u);
+  EXPECT_EQ(out.payload_bytes, 700);
+  EXPECT_EQ(out.priority, 3);
+  EXPECT_EQ(out.dst, 9);
+  // Drained, not just never filled: still untouched.
+  q.push(pkt(1, 100));
+  ASSERT_TRUE(q.pop_into(out));
+  out = pkt(43, 800);
+  EXPECT_FALSE(q.pop_into(out));
+  EXPECT_EQ(out.flow, 43u);
+  EXPECT_EQ(out.payload_bytes, 800);
+
+  PriorityQueue pq(2);
+  EXPECT_FALSE(pq.pop_into(out));
+  EXPECT_EQ(out.flow, 43u);
+  VoqSet v(2, [](NodeId) { return 0; });
+  EXPECT_FALSE(v.pop_from(1, out));
+  EXPECT_EQ(out.flow, 43u);
 }
 
 TEST(FifoQueue, TracksBytesIncludingHeaders) {
@@ -30,7 +57,8 @@ TEST(FifoQueue, TracksBytesIncludingHeaders) {
   EXPECT_EQ(q.bytes(), 1000 + kHeaderBytes);
   q.push(pkt(2, 500));
   EXPECT_EQ(q.bytes(), 1500 + 2 * kHeaderBytes);
-  q.pop();
+  Packet out;
+  q.pop_into(out);
   EXPECT_EQ(q.bytes(), 500 + kHeaderBytes);
 }
 
@@ -39,7 +67,9 @@ TEST(FifoQueue, PeekMatchesPop) {
   q.push(pkt(9, 100));
   ASSERT_NE(q.peek_next(), nullptr);
   EXPECT_EQ(q.peek_next()->flow, 9u);
-  EXPECT_EQ(q.pop()->flow, 9u);
+  Packet out;
+  ASSERT_TRUE(q.pop_into(out));
+  EXPECT_EQ(out.flow, 9u);
   EXPECT_EQ(q.peek_next(), nullptr);
 }
 
@@ -48,17 +78,24 @@ TEST(PriorityQueue, LowerBandWins) {
   q.push(pkt(1, 100, 5));
   q.push(pkt(2, 100, 1));
   q.push(pkt(3, 100, 3));
-  EXPECT_EQ(q.pop()->flow, 2u);
-  EXPECT_EQ(q.pop()->flow, 3u);
-  EXPECT_EQ(q.pop()->flow, 1u);
+  Packet out;
+  ASSERT_TRUE(q.pop_into(out));
+  EXPECT_EQ(out.flow, 2u);
+  ASSERT_TRUE(q.pop_into(out));
+  EXPECT_EQ(out.flow, 3u);
+  ASSERT_TRUE(q.pop_into(out));
+  EXPECT_EQ(out.flow, 1u);
 }
 
 TEST(PriorityQueue, FifoWithinBand) {
   PriorityQueue q(8);
   q.push(pkt(1, 100, 2));
   q.push(pkt(2, 100, 2));
-  EXPECT_EQ(q.pop()->flow, 1u);
-  EXPECT_EQ(q.pop()->flow, 2u);
+  Packet out;
+  ASSERT_TRUE(q.pop_into(out));
+  EXPECT_EQ(out.flow, 1u);
+  ASSERT_TRUE(q.pop_into(out));
+  EXPECT_EQ(out.flow, 2u);
 }
 
 TEST(PriorityQueue, OutOfRangePriorityClampsToLowest) {
@@ -66,7 +103,9 @@ TEST(PriorityQueue, OutOfRangePriorityClampsToLowest) {
   q.push(pkt(1, 100, 200));
   q.push(pkt(2, 100, 3));
   // Both land in band 3 -> FIFO.
-  EXPECT_EQ(q.pop()->flow, 1u);
+  Packet out;
+  ASSERT_TRUE(q.pop_into(out));
+  EXPECT_EQ(out.flow, 1u);
 }
 
 TEST(PriorityQueue, AggregateAccounting) {
@@ -76,7 +115,8 @@ TEST(PriorityQueue, AggregateAccounting) {
   EXPECT_EQ(q.packets(), 2u);
   EXPECT_EQ(q.bytes(), 300 + 2 * kHeaderBytes);
   EXPECT_EQ(q.band_bytes(7), 200 + kHeaderBytes);
-  q.pop();
+  Packet out;
+  q.pop_into(out);
   EXPECT_EQ(q.packets(), 1u);
 }
 
@@ -91,13 +131,17 @@ TEST(VoqSet, ClassifiesByDestination) {
   v.push(pkt(2, 100, 0, /*dst=*/5));
   EXPECT_EQ(v.voq_bytes(0), 100 + kHeaderBytes);
   EXPECT_EQ(v.voq_bytes(1), 100 + kHeaderBytes);
-  EXPECT_EQ(v.pop_from(0)->flow, 1u);
-  EXPECT_EQ(v.pop_from(1)->flow, 2u);
+  Packet out;
+  ASSERT_TRUE(v.pop_from(0, out));
+  EXPECT_EQ(out.flow, 1u);
+  ASSERT_TRUE(v.pop_from(1, out));
+  EXPECT_EQ(out.flow, 2u);
 }
 
 TEST(VoqSet, PopFromEmptyVoqIsEmpty) {
   VoqSet v(2, [](NodeId) { return 0; });
-  EXPECT_FALSE(v.pop_from(1).has_value());
+  Packet out;
+  EXPECT_FALSE(v.pop_from(1, out));
 }
 
 TEST(VoqSet, TotalsAcrossQueues) {
@@ -106,7 +150,8 @@ TEST(VoqSet, TotalsAcrossQueues) {
   v.push(pkt(2, 200, 0, 2));
   EXPECT_EQ(v.total_packets(), 2u);
   EXPECT_EQ(v.total_bytes(), 300 + 2 * kHeaderBytes);
-  v.pop_from(2);
+  Packet out;
+  v.pop_from(2, out);
   EXPECT_EQ(v.total_bytes(), 100 + kHeaderBytes);
 }
 
@@ -132,14 +177,14 @@ TEST(FifoQueue, RingWrapsAcrossManyPushPopCycles) {
   for (int cycle = 0; cycle < 100; ++cycle) {
     for (int i = 0; i < 7; ++i) q.push(pkt(next++, 100));
     for (int i = 0; i < 5; ++i) {
-      auto p = q.pop();
-      ASSERT_TRUE(p.has_value());
-      EXPECT_EQ(p->flow, expect++);
+      Packet p;
+      ASSERT_TRUE(q.pop_into(p));
+      EXPECT_EQ(p.flow, expect++);
     }
   }
   EXPECT_EQ(q.packets(), 200u);
   EXPECT_EQ(q.bytes(), 200 * (100 + kHeaderBytes));
-  while (auto p = q.pop()) EXPECT_EQ(p->flow, expect++);
+  for (Packet p; q.pop_into(p);) EXPECT_EQ(p.flow, expect++);
   EXPECT_EQ(q.bytes(), 0);
   EXPECT_TRUE(q.empty());
 }
@@ -152,11 +197,12 @@ TEST(PriorityQueue, BandBytesCountersTrackPushAndPop) {
   EXPECT_EQ(q.band_bytes(0), 100 + kHeaderBytes);
   EXPECT_EQ(q.band_bytes(1), 0);
   EXPECT_EQ(q.band_bytes(2), 500 + 2 * kHeaderBytes);
-  q.pop();  // drains band 0
+  Packet out;
+  q.pop_into(out);  // drains band 0
   EXPECT_EQ(q.band_bytes(0), 0);
-  q.pop();  // first of band 2
+  q.pop_into(out);  // first of band 2
   EXPECT_EQ(q.band_bytes(2), 300 + kHeaderBytes);
-  q.pop();
+  q.pop_into(out);
   EXPECT_EQ(q.band_bytes(2), 0);
   EXPECT_EQ(q.bytes(), 0);
 }

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
 
 #include "net/network.hpp"
@@ -49,6 +50,22 @@ TEST_F(SwitchFixture, MissingRouteThrows) {
   Packet p;
   p.dst = 99;
   EXPECT_THROW(sw->receive(std::move(p), 0), std::logic_error);
+
+  // With a table: a destination past its end, and an unset entry
+  // inside it.
+  auto* a = network.add_node<CounterNode>("a");
+  network.connect(*sw, *a, sim::Bandwidth::gbps(10), 0);
+  sw->set_routes(5, {0});
+  ASSERT_NE(sw->routes_to(5), nullptr);
+  EXPECT_EQ(sw->routes_to(6), nullptr);
+  EXPECT_EQ(sw->routes_to(3), nullptr);
+  Packet past_end;
+  past_end.dst = 6;
+  EXPECT_THROW(sw->receive(std::move(past_end), 0), std::logic_error);
+  Packet unset;
+  unset.dst = 3;
+  EXPECT_THROW(sw->receive(std::move(unset), 0), std::logic_error);
+  EXPECT_EQ(sw->port(0).tx_packets(), 0u);
 }
 
 TEST_F(SwitchFixture, EcmpIsDeterministicPerFlow) {
@@ -147,6 +164,24 @@ TEST_F(SwitchFixture, PriorityBandsConfigurableViaConfig) {
 TEST_F(SwitchFixture, SetRoutesRejectsEmptySet) {
   auto* sw = network.add_node<Switch>("sw", SwitchConfig{});
   EXPECT_THROW(sw->set_routes(1, {}), std::invalid_argument);
+}
+
+TEST_F(SwitchFixture, SetRoutesRejectsNegativeDestination) {
+  auto* sw = network.add_node<Switch>("sw", SwitchConfig{});
+  EXPECT_THROW(sw->set_routes(-1, {0}), std::invalid_argument);
+  EXPECT_THROW(sw->set_routes(kInvalidNode, {0}), std::invalid_argument);
+  EXPECT_EQ(sw->routes_to(-1), nullptr);
+}
+
+TEST_F(SwitchFixture, SetRoutesRejectsOversizedDestination) {
+  // The table is indexed by destination id: an id past kMaxNodes must
+  // be refused before it can size the table.
+  auto* sw = network.add_node<Switch>("sw", SwitchConfig{});
+  EXPECT_THROW(sw->set_routes(kMaxNodes, {0}), std::invalid_argument);
+  EXPECT_THROW(sw->set_routes(std::numeric_limits<NodeId>::max(), {0}),
+               std::invalid_argument);
+  EXPECT_EQ(sw->routes_to(kMaxNodes), nullptr);
+  EXPECT_EQ(sw->routes_to(std::numeric_limits<NodeId>::max()), nullptr);
 }
 
 TEST_F(SwitchFixture, EcnPerGbpsScalesThresholds) {
