@@ -11,7 +11,6 @@
 #include "cc/dctcp.hpp"
 #include "cc/hpcc.hpp"
 #include "cc/power_tcp.hpp"
-#include "cc/swift.hpp"
 #include "cc/theta_power_tcp.hpp"
 #include "cc/timely.hpp"
 #include "sim/simulator.hpp"
@@ -70,7 +69,6 @@ void BM_HpccOnAck(benchmark::State& s) { bench_on_ack<cc::Hpcc>(s); }
 void BM_DcqcnOnAck(benchmark::State& s) { bench_on_ack<cc::Dcqcn>(s); }
 void BM_TimelyOnAck(benchmark::State& s) { bench_on_ack<cc::Timely>(s); }
 void BM_DctcpOnAck(benchmark::State& s) { bench_on_ack<cc::Dctcp>(s); }
-void BM_SwiftOnAck(benchmark::State& s) { bench_on_ack<cc::Swift>(s); }
 
 void BM_IntStamp(benchmark::State& state) {
   // The switch-side work of §3.6's Tofino component: append one hop
@@ -113,7 +111,6 @@ BENCHMARK(BM_HpccOnAck);
 BENCHMARK(BM_DcqcnOnAck);
 BENCHMARK(BM_TimelyOnAck);
 BENCHMARK(BM_DctcpOnAck);
-BENCHMARK(BM_SwiftOnAck);
 BENCHMARK(BM_IntStamp);
 BENCHMARK(BM_EventLoopScheduleRun);
 

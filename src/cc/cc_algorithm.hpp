@@ -14,7 +14,7 @@
 /// and enforces the returned window and pacing rate.
 ///
 /// All algorithms express both a congestion window (bytes) and a pacing
-/// rate (bits/s). Window-based laws (PowerTCP, HPCC, DCTCP, Swift) set
+/// rate (bits/s). Window-based laws (PowerTCP, HPCC, DCTCP) set
 /// rate = cwnd / τ as the paper does (Alg. 1, line 6); rate-based laws
 /// (DCQCN, TIMELY) return a generous window and let pacing govern.
 

@@ -16,9 +16,8 @@ const std::vector<ParamSpec>& hpcc_param_specs() {
   return kSpecs;
 }
 
-HpccConfig hpcc_config_from_params(const ParamMap& overrides,
-                                   const std::string& scheme) {
-  const ParamReader r(scheme, overrides, hpcc_param_specs());
+HpccConfig hpcc_config_from_params(const ParamMap& overrides) {
+  const ParamReader r("hpcc", overrides, hpcc_param_specs());
   HpccConfig cfg;
   cfg.eta = r.get_double("eta", cfg.eta);
   cfg.max_stage = static_cast<int>(r.get_int("max_stage", cfg.max_stage));

@@ -31,8 +31,7 @@ struct HpccConfig {
 
 /// Registry param table and `key=value` parser (see power_tcp.hpp).
 const std::vector<ParamSpec>& hpcc_param_specs();
-HpccConfig hpcc_config_from_params(const ParamMap& overrides,
-                                   const std::string& scheme = "hpcc");
+HpccConfig hpcc_config_from_params(const ParamMap& overrides);
 
 class Hpcc final : public CcAlgorithm {
  public:

@@ -20,9 +20,8 @@ const std::vector<ParamSpec>& power_tcp_param_specs() {
   return kSpecs;
 }
 
-PowerTcpConfig power_tcp_config_from_params(const ParamMap& overrides,
-                                            const std::string& scheme) {
-  const ParamReader r(scheme, overrides, power_tcp_param_specs());
+PowerTcpConfig power_tcp_config_from_params(const ParamMap& overrides) {
+  const ParamReader r("powertcp", overrides, power_tcp_param_specs());
   PowerTcpConfig cfg;
   cfg.gamma = r.get_double("gamma", cfg.gamma);
   cfg.beta_bytes = r.get_double("beta_bytes", cfg.beta_bytes);

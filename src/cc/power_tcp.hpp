@@ -31,13 +31,11 @@ struct PowerTcpConfig {
   double max_cwnd_bdp = 1.0;
 };
 
-/// Declared tunables for the registry entries ("powertcp",
-/// "powertcp-rtt") and the `key=value` parser building a config from
-/// overrides; unknown keys or unparseable values throw
-/// std::invalid_argument naming `scheme`.
+/// Declared tunables for the "powertcp" registry entry and the
+/// `key=value` parser building a config from overrides; unknown keys
+/// or unparseable values throw std::invalid_argument naming the scheme.
 const std::vector<ParamSpec>& power_tcp_param_specs();
-PowerTcpConfig power_tcp_config_from_params(
-    const ParamMap& overrides, const std::string& scheme = "powertcp");
+PowerTcpConfig power_tcp_config_from_params(const ParamMap& overrides);
 
 class PowerTcp final : public CcAlgorithm {
  public:

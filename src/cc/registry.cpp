@@ -4,13 +4,11 @@
 #include <stdexcept>
 #include <utility>
 
-#include "cc/classic.hpp"
 #include "cc/dcqcn.hpp"
 #include "cc/dctcp.hpp"
 #include "cc/hpcc.hpp"
 #include "cc/power_tcp.hpp"
 #include "cc/retcp.hpp"
-#include "cc/swift.hpp"
 #include "cc/theta_power_tcp.hpp"
 #include "cc/timely.hpp"
 // The registry is the one place allowed to look up the stack at the
@@ -80,23 +78,9 @@ Registry::Registry() {
     s.params = power_tcp_param_specs();
     s.make = [](const ParamMap& o, const SchemeTopology&) {
       return plain_factory<PowerTcpConfig, PowerTcp>(
-          power_tcp_config_from_params(o, "powertcp"));
+          power_tcp_config_from_params(o));
     };
     s.experiment_defaults = hpcc_matched_beta;
-    add(std::move(s));
-  }
-  {
-    Scheme s;
-    s.name = "powertcp-rtt";
-    s.summary = "PowerTCP restricted to per-RTT updates (RDCN study mode)";
-    s.params = power_tcp_param_specs();
-    s.rtt_variant = true;
-    s.make = [](const ParamMap& o, const SchemeTopology&) {
-      ParamMap merged = o;
-      merged.emplace("per_rtt_update", "true");
-      return plain_factory<PowerTcpConfig, PowerTcp>(
-          power_tcp_config_from_params(merged, "powertcp-rtt"));
-    };
     add(std::move(s));
   }
   {
@@ -118,20 +102,6 @@ Registry::Registry() {
     s.params = hpcc_param_specs();
     s.make = [](const ParamMap& o, const SchemeTopology&) {
       return plain_factory<HpccConfig, Hpcc>(hpcc_config_from_params(o));
-    };
-    add(std::move(s));
-  }
-  {
-    Scheme s;
-    s.name = "hpcc-rtt";
-    s.summary = "HPCC restricted to per-RTT updates (RDCN study mode)";
-    s.params = hpcc_param_specs();
-    s.rtt_variant = true;
-    s.make = [](const ParamMap& o, const SchemeTopology&) {
-      ParamMap merged = o;
-      merged.emplace("per_rtt_update", "true");
-      return plain_factory<HpccConfig, Hpcc>(
-          hpcc_config_from_params(merged, "hpcc-rtt"));
     };
     add(std::move(s));
   }
@@ -164,37 +134,6 @@ Registry::Registry() {
     s.needs.ecn = dctcp_ecn();
     s.make = [](const ParamMap& o, const SchemeTopology&) {
       return plain_factory<DctcpConfig, Dctcp>(dctcp_config_from_params(o));
-    };
-    add(std::move(s));
-  }
-  {
-    Scheme s;
-    s.name = "swift";
-    s.summary = "Swift (SIGCOMM 2020): target-delay AIMD";
-    s.params = swift_param_specs();
-    s.make = [](const ParamMap& o, const SchemeTopology&) {
-      return plain_factory<SwiftConfig, Swift>(swift_config_from_params(o));
-    };
-    add(std::move(s));
-  }
-  {
-    Scheme s;
-    s.name = "newreno";
-    s.summary = "TCP NewReno: loss-based AIMD (WAN-heritage baseline)";
-    s.params = new_reno_param_specs();
-    s.make = [](const ParamMap& o, const SchemeTopology&) {
-      return plain_factory<NewRenoConfig, NewReno>(
-          new_reno_config_from_params(o));
-    };
-    add(std::move(s));
-  }
-  {
-    Scheme s;
-    s.name = "cubic";
-    s.summary = "CUBIC: loss-based cubic growth (WAN-heritage baseline)";
-    s.params = cubic_param_specs();
-    s.make = [](const ParamMap& o, const SchemeTopology&) {
-      return plain_factory<CubicConfig, Cubic>(cubic_config_from_params(o));
     };
     add(std::move(s));
   }
@@ -286,7 +225,7 @@ const std::vector<std::string>& sender_cc_names() {
   static const std::vector<std::string> kNames = [] {
     std::vector<std::string> names;
     for (const Scheme& s : Registry::instance().schemes()) {
-      if (s.message_transport || s.rtt_variant || s.needs.circuit_schedule) {
+      if (s.message_transport || s.needs.circuit_schedule) {
         continue;
       }
       names.push_back(s.name);

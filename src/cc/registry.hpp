@@ -67,9 +67,6 @@ struct Scheme {
   /// host::Host::enable_homa rather than a sender CcAlgorithm, so
   /// `make` is null.
   bool message_transport = false;
-  /// True for the "-rtt" update-mode variants, which compare the same
-  /// scheme twice and are therefore excluded from sender_cc_names().
-  bool rtt_variant = false;
   /// Builds the flow factory. Throws std::invalid_argument on unknown
   /// parameter keys, unparseable values, or missing topology needs.
   std::function<FlowCcFactory(const ParamMap&, const SchemeTopology&)> make;
@@ -87,9 +84,8 @@ struct Scheme {
 /// ("retcp" needs the CircuitSchedule a SchemeTopology carries).
 CcFactory make_factory(const std::string& name);
 
-/// Canonical algorithm names, one per scheme — excludes the "-rtt"
-/// update-mode variants, the message transport, and circuit-bound
-/// schemes, so benches iterating this list compare each scheme once.
+/// Sender algorithm names — excludes the message transport and
+/// circuit-bound schemes, which need more than FlowParams to build.
 const std::vector<std::string>& sender_cc_names();
 
 class Registry {

@@ -6,8 +6,6 @@
 
 namespace powertcp::harness {
 
-namespace {
-
 bool take_value(const char* arg, const char* flag, std::string* out) {
   const std::size_t n = std::strlen(flag);
   if (std::strncmp(arg, flag, n) != 0 || arg[n] != '=') return false;
@@ -15,7 +13,17 @@ bool take_value(const char* arg, const char* flag, std::string* out) {
   return true;
 }
 
-}  // namespace
+bool parse_count_flag(const char* prog, const char* flag,
+                      const std::string& value, long max, int* out) {
+  char* end = nullptr;
+  const long n = std::strtol(value.c_str(), &end, 10);
+  if (end == nullptr || *end != '\0' || n < 1 || n > max) {
+    std::fprintf(stderr, "%s: bad %s value '%s'\n", prog, flag, value.c_str());
+    return false;
+  }
+  *out = static_cast<int>(n);
+  return true;
+}
 
 std::string BenchOptions::usage(const std::string& bench_name) {
   return "usage: " + bench_name +
@@ -35,15 +43,10 @@ BenchOptions BenchOptions::parse(int argc, char** argv) {
     const char* arg = argv[i];
     std::string value;
     if (take_value(arg, "--threads", &value)) {
-      char* end = nullptr;
-      const long n = std::strtol(value.c_str(), &end, 10);
-      if (end == nullptr || *end != '\0' || n < 1 || n > 4096) {
-        std::fprintf(stderr, "%s: bad --threads value '%s'\n", argv[0],
-                     value.c_str());
+      if (!parse_threads(argv[0], value, &o.threads)) {
         o.ok = false;
         return o;
       }
-      o.threads = static_cast<int>(n);
     } else if (take_value(arg, "--csv", &value)) {
       o.csv_path = value;
     } else if (take_value(arg, "--json", &value)) {

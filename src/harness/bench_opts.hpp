@@ -21,6 +21,21 @@
 
 namespace powertcp::harness {
 
+/// True when `arg` is `<flag>=<value>`; stores the value.
+bool take_value(const char* arg, const char* flag, std::string* out);
+
+/// Parses a count flag's value in [1, max] into `*out`. Otherwise
+/// prints "<prog>: bad <flag> value '<value>'" to stderr and returns
+/// false, leaving `*out` untouched.
+bool parse_count_flag(const char* prog, const char* flag,
+                      const std::string& value, long max, int* out);
+
+/// --threads: parse_count_flag with the pool's 1..4096 bound.
+inline bool parse_threads(const char* prog, const std::string& value,
+                          int* out) {
+  return parse_count_flag(prog, "--threads", value, 4096, out);
+}
+
 struct BenchOptions {
   int threads = 1;
   std::string csv_path;

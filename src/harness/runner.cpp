@@ -254,7 +254,6 @@ void declare_shared_keys(KeyTable& k, ScenarioContext* ctx,
   k.real("aqm", "beta", &a.beta, Bound::above(0));
   k.real("aqm", "ecn_threshold", &a.ecn_threshold,
          Bound::at_least(0).upto(1));
-  k.real("aqm", "interval_us", &a.interval_us, kAqmUs);
 
   declare_telemetry_keys(k, &ctx->telemetry);
 }

@@ -42,9 +42,6 @@ class Cell {
     return Cell(static_cast<double>(v), 0);
   }
 
-  bool is_number() const { return kind_ == Kind::kNumber; }
-  bool is_text() const { return kind_ == Kind::kText; }
-  bool is_empty() const { return kind_ == Kind::kEmpty; }
   double number() const { return number_; }
   const std::string& text() const { return text_; }
 

@@ -25,13 +25,6 @@ net::EgressPort& Host::nic() {
   return port(0);
 }
 
-sim::Bandwidth Host::nic_bandwidth() const {
-  if (port_count() == 0) {
-    throw std::logic_error("Host '" + name() + "': NIC not connected");
-  }
-  return port(0).bandwidth();
-}
-
 void Host::send_packet(net::Packet&& pkt) {
   pkt.src = id();
   // Acks echo the acked data packet's sent_time (the RTT measurement);

@@ -32,7 +32,6 @@ class Host final : public net::Node {
   /// The NIC egress port (created by Network::connect; exactly one link
   /// per host).
   net::EgressPort& nic();
-  sim::Bandwidth nic_bandwidth() const;
 
   void receive(net::Packet&& pkt, int in_port) override;
 

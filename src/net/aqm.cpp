@@ -1,6 +1,5 @@
 #include "net/aqm.hpp"
 
-#include <cmath>
 #include <stdexcept>
 
 namespace powertcp::net {
@@ -79,86 +78,6 @@ AqmVerdict PieAqm::on_enqueue(std::int64_t queue_bytes, bool ecn_capable,
   return v;
 }
 
-Pi2Aqm::Pi2Aqm(const AqmSpec& spec, sim::Bandwidth line_rate,
-               std::uint64_t seed)
-    : pi_(spec, line_rate), rng_(seed) {}
-
-AqmVerdict Pi2Aqm::on_enqueue(std::int64_t queue_bytes, bool ecn_capable,
-                              sim::TimePs now) {
-  AqmVerdict v;
-  const double p_base = pi_.update(queue_bytes, now);
-  if (p_base <= 0.0) return v;
-  if (ecn_capable) {
-    const double p_mark =
-        p_base * kCoupling < 1.0 ? p_base * kCoupling : 1.0;
-    if (rng_.uniform() < p_mark) v.mark = true;
-  } else {
-    if (rng_.uniform() < p_base * p_base) v.drop = true;
-  }
-  return v;
-}
-
-CodelAqm::CodelAqm(const AqmSpec& spec, sim::Bandwidth line_rate)
-    : target_(sim::from_seconds(spec.target_us * 1e-6)),
-      interval_(sim::from_seconds(spec.interval_us * 1e-6)),
-      line_rate_(line_rate) {
-  if (target_ <= 0 || interval_ <= 0) {
-    throw std::invalid_argument(
-        "CodelAqm: target_us and interval_us must be > 0");
-  }
-  if (!(line_rate_.bps() > 0)) {
-    throw std::invalid_argument("CodelAqm: line rate must be > 0");
-  }
-}
-
-sim::TimePs CodelAqm::control_law(sim::TimePs t) const {
-  return t + static_cast<sim::TimePs>(
-                 static_cast<double>(interval_) /
-                 std::sqrt(static_cast<double>(count_)));
-}
-
-AqmVerdict CodelAqm::on_enqueue(std::int64_t queue_bytes, bool ecn_capable,
-                                sim::TimePs now) {
-  AqmVerdict v;
-  const sim::TimePs sojourn = line_rate_.tx_time(queue_bytes);
-  if (sojourn < target_) {
-    // The queue drained below target: leave the dropping state and
-    // forget the above-target streak.
-    first_above_ = 0;
-    dropping_ = false;
-    return v;
-  }
-  const auto shoot = [&] {
-    if (ecn_capable) {
-      v.mark = true;
-    } else {
-      v.drop = true;
-    }
-  };
-  if (!dropping_) {
-    if (first_above_ == 0) {
-      // First packet of an above-target streak: arm the interval.
-      first_above_ = now + interval_;
-    } else if (now >= first_above_) {
-      // A whole interval above target — start shooting. If the last
-      // dropping episode ended recently the link is persistently
-      // congested: resume near the previous drop rate (count − 2)
-      // instead of relearning it from 1 (RFC 8289 §5.3).
-      dropping_ = true;
-      count_ = count_ > 2 && now - drop_next_ < 8 * interval_ ? count_ - 2 : 1;
-      drop_next_ = control_law(now);
-      shoot();
-    }
-    return v;
-  }
-  if (now >= drop_next_) {
-    shoot();
-    ++count_;
-    drop_next_ = control_law(drop_next_);
-  }
-  return v;
-}
-
 AqmRegistry::AqmRegistry() {
   entries_.push_back(
       {"red",
@@ -175,23 +94,6 @@ AqmRegistry::AqmRegistry() {
        [](const AqmSpec& spec, const EcnConfig&, sim::Bandwidth line_rate,
           std::uint64_t seed) -> std::unique_ptr<Aqm> {
          return std::make_unique<PieAqm>(spec, line_rate, seed);
-       }});
-  entries_.push_back(
-      {"pi2",
-       "RFC 9332-style PI^2/L4S coupling: ECT marked with min(2p',1), "
-       "not-ECT dropped with p'^2",
-       [](const AqmSpec& spec, const EcnConfig&, sim::Bandwidth line_rate,
-          std::uint64_t seed) -> std::unique_ptr<Aqm> {
-         return std::make_unique<Pi2Aqm>(spec, line_rate, seed);
-       }});
-  entries_.push_back(
-      {"codel",
-       "RFC 8289-style CoDel on the sojourn estimate: after interval_us "
-       "above target_us, shoot on the interval/sqrt(count) law (ECT "
-       "marked, not-ECT dropped) — deterministic, no RNG",
-       [](const AqmSpec& spec, const EcnConfig&, sim::Bandwidth line_rate,
-          std::uint64_t) -> std::unique_ptr<Aqm> {
-         return std::make_unique<CodelAqm>(spec, line_rate);
        }});
 }
 

@@ -15,7 +15,7 @@
 /// Every EgressPort may carry one Aqm; the port consults it once per
 /// enqueue attempt (after shared-buffer admission, before the packet
 /// joins the backlog) and the verdict either CE-marks the packet or
-/// drops it. Three variants ship in the registry:
+/// drops it. Two variants ship in the registry:
 ///
 ///   red  — the historical step/RED profile (DCQCN-compatible; with
 ///          kmin == kmax it degenerates to DCTCP's step marking). This
@@ -25,18 +25,8 @@
 ///          probability integrates the delay error every tupdate; ECT
 ///          packets are marked instead of dropped while the
 ///          probability is at or below `ecn_threshold`.
-///   pi2  — RFC 9332-style PI² / L4S coupling: the same PI controller
-///          maintains a base probability p'; ECT traffic is marked
-///          with min(2·p', 1) while not-ECT traffic is dropped with
-///          p'², the square-coupling that makes scalable and classic
-///          CC share a bottleneck.
-///   codel — RFC 8289's sojourn-time state machine, timerless and
-///          RNG-free: once the estimated sojourn (backlog / line rate)
-///          stays above target for a whole interval, packets are shot
-///          on the interval/√count control law until the queue drains
-///          below target; ECT packets are marked instead of dropped.
 ///
-/// The controllers are updated *lazily at enqueue time* (whole elapsed
+/// PIE's controller is updated *lazily at enqueue time* (whole elapsed
 /// tupdate intervals are replayed against the current backlog, with a
 /// bounded catch-up), so behaviour is a pure function of the packet
 /// event sequence — no timer events, byte-identical across thread
@@ -58,9 +48,9 @@ struct EcnConfig {
 /// step/RED thresholds live in EcnConfig, not here: "red" reuses the
 /// per-scheme ECN profile machinery unchanged.
 struct AqmSpec {
-  /// AqmRegistry entry name: "red" (default), "pie", "pi2", "codel".
+  /// AqmRegistry entry name: "red" (default) or "pie".
   std::string kind = "red";
-  /// PI/CoDel target queue delay, and the PI controller update period.
+  /// PIE's target queue delay and PI controller update period.
   double target_us = 20.0;
   double tupdate_us = 20.0;
   /// Dimensionless PI gains; the delay error is normalized by the
@@ -71,11 +61,6 @@ struct AqmSpec {
   /// PIE only: ECT packets are marked instead of dropped while the
   /// drop probability is at or below this threshold (RFC 8033 §5.1).
   double ecn_threshold = 0.1;
-  /// CoDel only: the sliding window the sojourn estimate must stay
-  /// above target for before the drop state engages, and the base of
-  /// the interval/√count control law (RFC 8289 §4.2; 100 ms on the
-  /// internet, microseconds in a datacenter).
-  double interval_us = 100.0;
 };
 
 /// What the AQM decided for one packet at enqueue time. `drop` wins
@@ -98,7 +83,7 @@ class Aqm {
   virtual AqmVerdict on_enqueue(std::int64_t queue_bytes, bool ecn_capable,
                                 sim::TimePs now) = 0;
 
-  /// Registry name of the variant ("red", "pie", "pi2").
+  /// Registry name of the variant ("red", "pie").
   virtual const char* kind() const = 0;
 };
 
@@ -124,11 +109,11 @@ class StepRedAqm final : public Aqm {
   sim::Rng rng_;
 };
 
-/// Shared PI controller core for PIE/PI2: a probability integrating
-/// the queue-delay error against the target, stepped once per elapsed
-/// tupdate interval (lazily, at enqueue). Queue delay is estimated as
-/// backlog / line rate, the standard PIE departure-rate shortcut for
-/// a fixed-rate port.
+/// PIE's PI controller core: a probability integrating the queue-delay
+/// error against the target, stepped once per elapsed tupdate interval
+/// (lazily, at enqueue). Queue delay is estimated as backlog / line
+/// rate, the standard PIE departure-rate shortcut for a fixed-rate
+/// port.
 class PiDelayController {
  public:
   PiDelayController(const AqmSpec& spec, sim::Bandwidth line_rate);
@@ -174,61 +159,6 @@ class PieAqm final : public Aqm {
   sim::Rng rng_;
 };
 
-/// RFC 9332-style PI²: the PI probability is the *base* p'; ECT
-/// traffic is marked with min(2·p', 1), not-ECT traffic dropped with
-/// p'² (the square coupling).
-class Pi2Aqm final : public Aqm {
- public:
-  Pi2Aqm(const AqmSpec& spec, sim::Bandwidth line_rate, std::uint64_t seed);
-
-  AqmVerdict on_enqueue(std::int64_t queue_bytes, bool ecn_capable,
-                        sim::TimePs now) override;
-  const char* kind() const override { return "pi2"; }
-
-  /// The coupling factor k between the scalable marking probability
-  /// and the base p' (RFC 9332 defaults k = 2).
-  static constexpr double kCoupling = 2.0;
-
- private:
-  PiDelayController pi_;
-  sim::Rng rng_;
-};
-
-/// RFC 8289's CoDel, adapted to the enqueue-time hook and entirely
-/// deterministic — no RNG, no timers. Sojourn time is estimated as
-/// backlog / line rate (the same departure-rate shortcut as
-/// PiDelayController, sound for a fixed-rate port). The classic state
-/// machine: while the estimate sits above `target_us` continuously for
-/// `interval_us`, the policy enters the dropping state and shoots one
-/// packet per control-law firing, with the firing gap shrinking as
-/// interval/√count; dropping ends the moment the estimate falls below
-/// target. ECT packets are marked rather than dropped (CE carries the
-/// same signal without the loss), non-ECT packets are dropped. On
-/// re-entry within 8 intervals the drop rate resumes near where it
-/// left off (count − 2, RFC 8289 §5.3) instead of restarting from 1.
-class CodelAqm final : public Aqm {
- public:
-  CodelAqm(const AqmSpec& spec, sim::Bandwidth line_rate);
-
-  AqmVerdict on_enqueue(std::int64_t queue_bytes, bool ecn_capable,
-                        sim::TimePs now) override;
-  const char* kind() const override { return "codel"; }
-
- private:
-  /// t + interval/√count — the gap to the next shot.
-  sim::TimePs control_law(sim::TimePs t) const;
-
-  sim::TimePs target_;
-  sim::TimePs interval_;
-  sim::Bandwidth line_rate_;
-  /// When the sojourn estimate has been above target since
-  /// first_above_ (0 = not currently above).
-  sim::TimePs first_above_ = 0;
-  sim::TimePs drop_next_ = 0;
-  std::uint32_t count_ = 0;
-  bool dropping_ = false;
-};
-
 /// The registry of AQM variants, mirroring cc::Registry: switches
 /// build each port's policy through the named entry, and the harness
 /// validates `[aqm] kind = ...` against the table.
@@ -257,7 +187,7 @@ class AqmRegistry {
 
   const std::vector<Entry>& entries() const { return entries_; }
   std::vector<std::string> names() const;
-  /// "red, pie, pi2" — for error messages and docs.
+  /// "red, pie" — for error messages and docs.
   std::string joined_names() const;
 
  private:

@@ -47,7 +47,6 @@ class EgressPort {
   /// simulator. Installed by Network when a link crosses the shard
   /// plan's cut; nullptr (the default) keeps the local path.
   void set_remote_channel(ShardChannel* ch) { remote_ = ch; }
-  ShardChannel* remote_channel() const { return remote_; }
 
   /// This port's tie token: a nonzero, topology-derived identifier
   /// stamped into every delivery event's key so same-picosecond
@@ -77,7 +76,6 @@ class EgressPort {
   bool enqueue(Packet&& pkt);
 
   sim::Bandwidth bandwidth() const { return bandwidth_; }
-  void set_bandwidth(sim::Bandwidth bw) { bandwidth_ = bw; }
   sim::TimePs propagation_delay() const { return propagation_; }
 
   /// Backlog awaiting transmission (excludes the packet on the wire).

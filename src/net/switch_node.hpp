@@ -29,8 +29,8 @@ struct SwitchConfig {
   bool ecn_per_gbps = false;
   /// Which AQM variant each port runs and its tunables. The default
   /// ("red") reuses `ecn` above and is byte-identical to the historical
-  /// fused marking; "pie"/"pi2" run delay-based probabilistic policies
-  /// and are installed even when `ecn.enabled` is false (they drop).
+  /// fused marking; "pie" runs a delay-based probabilistic policy and
+  /// is installed even when `ecn.enabled` is false (it drops).
   AqmSpec aqm;
   bool int_enabled = true;
   /// 0 = FIFO ports; >0 = strict-priority ports with this many bands

@@ -23,7 +23,7 @@ FlightRecorder::~FlightRecorder() {
   if (sim_ != nullptr) sim_->cancel(timer_);
 }
 
-std::size_t FlightRecorder::add_channel(std::string name, Probe probe) {
+std::size_t FlightRecorder::add_channel(const std::string& name, Probe probe) {
   if (!probe) {
     throw std::invalid_argument("FlightRecorder: channel '" + name +
                                 "' needs a probe");
@@ -32,7 +32,6 @@ std::size_t FlightRecorder::add_channel(std::string name, Probe probe) {
     throw std::logic_error(
         "FlightRecorder: add_channel after the first tick");
   }
-  names_.push_back(std::move(name));
   probes_.push_back(std::move(probe));
   values_.emplace_back().reserve(capacity_ + 1);
   latest_.push_back(0.0);

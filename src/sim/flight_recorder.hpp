@@ -61,7 +61,7 @@ class FlightRecorder {
   FlightRecorder& operator=(const FlightRecorder&) = delete;
 
   /// Setup phase only (may allocate). Returns the channel index.
-  std::size_t add_channel(std::string name, Probe probe);
+  std::size_t add_channel(const std::string& name, Probe probe);
 
   /// Offers one sample at time `t` (must be >= the previous tick's
   /// time): reads every probe, stores the row when the current
@@ -82,7 +82,6 @@ class FlightRecorder {
   void finalize();
 
   std::size_t channel_count() const { return probes_.size(); }
-  const std::string& channel_name(std::size_t c) const { return names_[c]; }
 
   /// Stored samples (<= capacity() + 1 after finalize()).
   std::size_t size() const { return times_.size(); }
@@ -101,7 +100,6 @@ class FlightRecorder {
   void compact();
 
   std::size_t capacity_;
-  std::vector<std::string> names_;
   std::vector<Probe> probes_;
   std::vector<TimePs> times_;
   std::vector<std::vector<double>> values_;  ///< [channel][stored index]

@@ -41,8 +41,6 @@ class Dumbbell {
   /// The egress port feeding the receiver (the bottleneck queue).
   net::EgressPort& bottleneck_port();
 
-  int sender_count() const { return static_cast<int>(senders_.size()); }
-
   /// Base RTT sender -> receiver -> sender including serialization.
   sim::TimePs base_rtt(std::int32_t mss = net::kDefaultMss) const;
 

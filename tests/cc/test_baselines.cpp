@@ -1,5 +1,5 @@
 /// Unit tests for the remaining baseline control laws: DCQCN, TIMELY,
-/// DCTCP, Swift, reTCP, plus the name-based factory.
+/// DCTCP, reTCP, plus the name-based factory.
 
 #include <gtest/gtest.h>
 
@@ -7,7 +7,6 @@
 #include "cc/dctcp.hpp"
 #include "cc/registry.hpp"
 #include "cc/retcp.hpp"
-#include "cc/swift.hpp"
 #include "cc/timely.hpp"
 
 namespace powertcp::cc {
@@ -198,37 +197,6 @@ TEST(Dctcp, FractionalMarkingScalesCut) {
   EXPECT_NEAR(algo.cwnd(), 62'500.0 * 0.75, 1.0);
 }
 
-// ---------------------------------------------------------------- Swift
-
-TEST(Swift, BelowTargetGrows) {
-  Swift algo(params25g());
-  algo.on_timeout();
-  const double before = algo.cwnd();
-  algo.on_ack(ack_at(0, sim::microseconds(20)));  // target = 25us
-  EXPECT_GT(algo.cwnd(), before);
-}
-
-TEST(Swift, AboveTargetCutsOncePerRtt) {
-  Swift algo(params25g());
-  algo.on_ack(ack_at(0, sim::microseconds(100)));
-  const double after_cut = algo.cwnd();
-  EXPECT_LT(after_cut, 62'500.0);
-  // Second over-target ack within one RTT: no further cut.
-  algo.on_ack(ack_at(sim::microseconds(10), sim::microseconds(100)));
-  EXPECT_DOUBLE_EQ(algo.cwnd(), after_cut);
-  // After an RTT elapses, it may cut again.
-  algo.on_ack(ack_at(sim::microseconds(150), sim::microseconds(100)));
-  EXPECT_LT(algo.cwnd(), after_cut);
-}
-
-TEST(Swift, DecreaseClampedByMaxMdf) {
-  SwiftConfig cfg;
-  cfg.max_mdf = 0.3;
-  Swift algo(params25g(), cfg);
-  algo.on_ack(ack_at(0, sim::seconds(1)));  // absurd delay
-  EXPECT_NEAR(algo.cwnd(), 62'500.0 * 0.7, 1.0);
-}
-
 // ---------------------------------------------------------------- reTCP
 
 TEST(ReTcp, ScalesInsidePrebufferAndDayOnly) {
@@ -296,11 +264,6 @@ TEST(Factory, BuildsEveryAdvertisedAlgorithm) {
     ASSERT_NE(algo, nullptr) << name;
     EXPECT_GT(algo->initial().cwnd_bytes, 0) << name;
   }
-}
-
-TEST(Factory, PerRttVariantsExist) {
-  EXPECT_NO_THROW(make_factory("powertcp-rtt"));
-  EXPECT_NO_THROW(make_factory("hpcc-rtt"));
 }
 
 TEST(Factory, UnknownNameThrows) {

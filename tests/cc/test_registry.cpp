@@ -7,14 +7,12 @@
 
 #include <stdexcept>
 
-#include "cc/classic.hpp"
 #include "cc/dcqcn.hpp"
 #include "cc/dctcp.hpp"
 #include "cc/hpcc.hpp"
 #include "cc/power_tcp.hpp"
 #include "cc/registry.hpp"
 #include "cc/retcp.hpp"
-#include "cc/swift.hpp"
 #include "cc/theta_power_tcp.hpp"
 #include "cc/timely.hpp"
 #include "host/homa.hpp"
@@ -34,9 +32,8 @@ FlowParams params25g() {
 TEST(Registry, ListsEverySchemeOnce) {
   const auto names = Registry::instance().names();
   const std::vector<std::string> expected = {
-      "powertcp", "powertcp-rtt", "theta-powertcp", "hpcc", "hpcc-rtt",
-      "dcqcn",    "timely",       "dctcp",          "swift", "newreno",
-      "cubic",    "retcp",        "homa"};
+      "powertcp", "theta-powertcp", "hpcc",  "dcqcn",
+      "timely",   "dctcp",          "retcp", "homa"};
   EXPECT_EQ(names, expected);
 }
 
@@ -119,21 +116,6 @@ TEST(Registry, ParamsRoundTripIntoEveryConfigStruct) {
   const auto dc = dctcp_config_from_params({{"g", "0.25"}});
   EXPECT_DOUBLE_EQ(dc.g, 0.25);
 
-  const auto sw = swift_config_from_params(
-      {{"target_rtt_factor", "2"}, {"min_cwnd_bytes", "250"}});
-  EXPECT_DOUBLE_EQ(sw.target_rtt_factor, 2);
-  EXPECT_DOUBLE_EQ(sw.min_cwnd_bytes, 250);
-
-  const auto nr = new_reno_config_from_params(
-      {{"dupack_threshold", "5"}, {"ssthresh_factor", "0.75"}});
-  EXPECT_EQ(nr.dupack_threshold, 5);
-  EXPECT_DOUBLE_EQ(nr.ssthresh_factor, 0.75);
-
-  const auto cu =
-      cubic_config_from_params({{"c", "0.6"}, {"beta", "0.5"}});
-  EXPECT_DOUBLE_EQ(cu.c, 0.6);
-  EXPECT_DOUBLE_EQ(cu.beta, 0.5);
-
   const auto rt = re_tcp_config_from_params(
       {{"prebuffering_us", "1800"}, {"ramp_reference_us", "900"}});
   EXPECT_EQ(rt.prebuffering, sim::microseconds(1800));
@@ -185,16 +167,6 @@ TEST(Registry, ReTcpRequiresAndReceivesACircuitSchedule) {
   EXPECT_NEAR(rt->scale_at(day0), 4.0, 1e-9);
 }
 
-TEST(Registry, RttVariantsForceThePerRttMode) {
-  // Not directly observable through CcAlgorithm, so pin the param
-  // plumbing instead: the merged map must parse cleanly and a user
-  // override must not be shadowed by the preset.
-  const Scheme& v = Registry::instance().at("powertcp-rtt");
-  EXPECT_TRUE(v.rtt_variant);
-  EXPECT_NO_THROW(v.make(ParamMap{}, SchemeTopology{}));
-  EXPECT_NO_THROW(v.make({{"gamma", "0.8"}}, SchemeTopology{}));
-}
-
 TEST(Registry, ExperimentDefaultsInjectHpccMatchedBeta) {
   const Scheme& pt = Registry::instance().at("powertcp");
   ASSERT_TRUE(pt.experiment_defaults != nullptr);
@@ -216,8 +188,7 @@ TEST(Registry, ExperimentDefaultsInjectHpccMatchedBeta) {
 
 TEST(Registry, SenderCcNamesDerivesFromRegistry) {
   const std::vector<std::string> expected = {
-      "powertcp", "theta-powertcp", "hpcc",    "dcqcn", "timely",
-      "dctcp",    "swift",          "newreno", "cubic"};
+      "powertcp", "theta-powertcp", "hpcc", "dcqcn", "timely", "dctcp"};
   EXPECT_EQ(sender_cc_names(), expected);
 }
 

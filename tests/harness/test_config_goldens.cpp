@@ -16,12 +16,15 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "cc/registry.hpp"
 #include "harness/runner.hpp"
+#include "net/aqm.hpp"
 
 #ifndef POWERTCP_SOURCE_DIR
 #define POWERTCP_SOURCE_DIR "."
@@ -100,6 +103,59 @@ TEST_P(ConfigGolden, MatchesPreRefactorOutputByteForByte) {
 INSTANTIATE_TEST_SUITE_P(AllShippedConfigs, ConfigGolden,
                          ::testing::ValuesIn(shipped_configs()),
                          [](const auto& info) { return info.param; });
+
+/// The registry names the shipped configs run: every `[experiment]
+/// schemes` label with its `[cc.<label>] scheme =` alias resolved, and
+/// every AQM kind — `[aqm] kind` (omitted means red) plus the
+/// `[workload] aqm` sweep only mixed_cc declares.
+struct ShippedRegistryUse {
+  std::set<std::string> schemes;
+  std::set<std::string> aqms;
+};
+
+ShippedRegistryUse shipped_registry_use() {
+  const auto value = [](const ConfigFile& file, const std::string& section,
+                        const std::string& key) -> const std::string* {
+    const ConfigFile::Section* sec = file.find(section);
+    const ConfigFile::Entry* e = sec == nullptr ? nullptr : sec->find(key);
+    return e == nullptr ? nullptr : &e->value;
+  };
+  ShippedRegistryUse use;
+  for (const auto& name : shipped_configs()) {
+    const auto file = ConfigFile::parse_file(
+        std::string(POWERTCP_SOURCE_DIR) + "/configs/" + name + ".toml");
+    if (const std::string* labels = value(file, "experiment", "schemes")) {
+      for (const auto& label : split_config_list(*labels)) {
+        const std::string* alias = value(file, "cc." + label, "scheme");
+        use.schemes.insert(alias != nullptr ? *alias : label);
+      }
+    }
+    const std::string* aqm = value(file, "aqm", "kind");
+    use.aqms.insert(aqm != nullptr ? *aqm : "red");
+    if (const std::string* swept = value(file, "workload", "aqm")) {
+      for (const auto& a : split_config_list(*swept)) use.aqms.insert(a);
+    }
+  }
+  return use;
+}
+
+/// A registry entry no shipped config runs is code no figure needs and
+/// no golden pins: ship or extend a config that runs it, or delete it.
+TEST(RegistryCoverage, EverySchemeRunsInAShippedConfig) {
+  const ShippedRegistryUse use = shipped_registry_use();
+  for (const auto& name : cc::Registry::instance().names()) {
+    EXPECT_EQ(use.schemes.count(name), 1u)
+        << "no configs/*.toml runs scheme '" << name << "'";
+  }
+}
+
+TEST(RegistryCoverage, EveryAqmRunsInAShippedConfig) {
+  const ShippedRegistryUse use = shipped_registry_use();
+  for (const auto& name : net::AqmRegistry::instance().names()) {
+    EXPECT_EQ(use.aqms.count(name), 1u)
+        << "no configs/*.toml runs AQM '" << name << "'";
+  }
+}
 
 /// Renders shipped config `name` with every simulation point sharded
 /// `sim_threads` ways and checks it against the sequential goldens. A

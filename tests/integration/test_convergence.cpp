@@ -100,7 +100,7 @@ TEST_P(AlgorithmSuite, LateJoinerGetsBandwidth) {
 INSTANTIATE_TEST_SUITE_P(
     AllAlgorithms, AlgorithmSuite,
     ::testing::Values("powertcp", "theta-powertcp", "hpcc", "dcqcn",
-                      "timely", "dctcp", "swift"),
+                      "timely", "dctcp"),
     [](const auto& info) {
       std::string n = info.param;
       for (auto& c : n) {

@@ -31,7 +31,7 @@ TEST_P(HarnessSuite, RunsAndCompletesMostFlows) {
 INSTANTIATE_TEST_SUITE_P(
     AllSchemes, HarnessSuite,
     ::testing::Values("powertcp", "theta-powertcp", "hpcc", "dcqcn",
-                      "timely", "dctcp", "swift", "homa"),
+                      "timely", "dctcp", "homa"),
     [](const auto& info) {
       std::string n = info.param;
       for (auto& c : n) {

@@ -1,8 +1,8 @@
 /// AQM layer unit coverage: the step/RED verdict reproduces the
 /// historical marking math draw-for-draw, the PI delay controller
 /// integrates the normalized error with a bounded lazy catch-up, the
-/// PIE/PI2 mark-vs-drop rules follow RFC 8033/9332, and the registry
-/// resolves and rejects kinds.
+/// PIE mark-vs-drop rule follows RFC 8033, and the registry resolves
+/// and rejects kinds.
 
 #include "net/aqm.hpp"
 
@@ -136,114 +136,9 @@ TEST(Aqm, PieMarksEctBelowThresholdAndDropsAboveIt) {
   EXPECT_FALSE(v.mark);
 }
 
-TEST(Aqm, Pi2CouplesMarkingAndDroppingThroughTheBaseProbability) {
-  // At base p' == 1: ECT marked with min(2p', 1) == 1, not-ECT
-  // dropped with p'^2 == 1 — both deterministic.
-  AqmSpec spec;
-  Pi2Aqm aqm(spec, sim::Bandwidth::gbps(25), 11);
-  sim::TimePs now = 0;
-  for (int i = 0; i < 2000; ++i) {
-    now += sim::microseconds(20);
-    aqm.on_enqueue(10'000'000, false, now);
-  }
-  AqmVerdict v = aqm.on_enqueue(10'000'000, true, now);
-  EXPECT_TRUE(v.mark);
-  EXPECT_FALSE(v.drop);
-  v = aqm.on_enqueue(10'000'000, false, now);
-  EXPECT_TRUE(v.drop);
-  EXPECT_FALSE(v.mark);
-  EXPECT_DOUBLE_EQ(Pi2Aqm::kCoupling, 2.0);
-}
-
-// ---- CoDel -----------------------------------------------------------
-// 8 Gbps -> 1e9 B/s, so queue bytes read directly as ns of sojourn:
-// 200'000 B = 200 us, above the 100 us target; interval 400 us.
-
-AqmSpec codel_spec() {
-  AqmSpec spec;
-  spec.kind = "codel";
-  spec.target_us = 100.0;
-  spec.interval_us = 400.0;
-  return spec;
-}
-
-TEST(Aqm, CodelStaysQuietBelowTargetAndForAPartialInterval) {
-  CodelAqm aqm(codel_spec(), sim::Bandwidth::gbps(8));
-  // Below target: nothing, ever.
-  for (int i = 0; i < 10; ++i) {
-    const AqmVerdict v = aqm.on_enqueue(50'000, true, sim::microseconds(i));
-    EXPECT_FALSE(v.mark);
-    EXPECT_FALSE(v.drop);
-  }
-  // Above target, but not yet for a whole interval: still nothing.
-  EXPECT_FALSE(aqm.on_enqueue(200'000, true, sim::microseconds(100)).mark);
-  EXPECT_FALSE(aqm.on_enqueue(200'000, true, sim::microseconds(400)).mark);
-  // A dip below target resets the streak — 399 us above is not enough.
-  aqm.on_enqueue(0, true, sim::microseconds(450));
-  EXPECT_FALSE(aqm.on_enqueue(200'000, true, sim::microseconds(500)).mark);
-  EXPECT_FALSE(aqm.on_enqueue(200'000, true, sim::microseconds(899)).mark);
-}
-
-TEST(Aqm, CodelShootsOnTheSqrtCountControlLaw) {
-  CodelAqm aqm(codel_spec(), sim::Bandwidth::gbps(8));
-  aqm.on_enqueue(200'000, true, 0);  // arm: first_above = 400 us
-  // A whole interval above target: first shot, count = 1.
-  EXPECT_TRUE(aqm.on_enqueue(200'000, true, sim::microseconds(400)).mark);
-  // Next shot is interval/sqrt(1) later; just before it, nothing.
-  EXPECT_FALSE(aqm.on_enqueue(200'000, true, sim::microseconds(799)).mark);
-  EXPECT_TRUE(aqm.on_enqueue(200'000, true, sim::microseconds(800)).mark);
-  // count = 2: the gap shrinks to 400/sqrt(2) ~ 282.8 us.
-  EXPECT_FALSE(aqm.on_enqueue(200'000, true, sim::microseconds(1082)).mark);
-  EXPECT_TRUE(aqm.on_enqueue(200'000, true, sim::microseconds(1083)).mark);
-}
-
-TEST(Aqm, CodelMarksEctAndDropsNotEct) {
-  CodelAqm ect(codel_spec(), sim::Bandwidth::gbps(8));
-  ect.on_enqueue(200'000, true, 0);
-  AqmVerdict v = ect.on_enqueue(200'000, true, sim::microseconds(400));
-  EXPECT_TRUE(v.mark);
-  EXPECT_FALSE(v.drop);
-
-  CodelAqm not_ect(codel_spec(), sim::Bandwidth::gbps(8));
-  not_ect.on_enqueue(200'000, false, 0);
-  v = not_ect.on_enqueue(200'000, false, sim::microseconds(400));
-  EXPECT_TRUE(v.drop);
-  EXPECT_FALSE(v.mark);
-}
-
-TEST(Aqm, CodelResumesNearThePreviousDropRateOnQuickReentry) {
-  CodelAqm aqm(codel_spec(), sim::Bandwidth::gbps(8));
-  // Build up to count = 3: shots at 400 (count 1), 800 (2), ~1083 (3).
-  aqm.on_enqueue(200'000, true, 0);
-  ASSERT_TRUE(aqm.on_enqueue(200'000, true, sim::microseconds(400)).mark);
-  ASSERT_TRUE(aqm.on_enqueue(200'000, true, sim::microseconds(800)).mark);
-  ASSERT_TRUE(aqm.on_enqueue(200'000, true, sim::microseconds(1083)).mark);
-  // Drain (exit dropping), then congest again within 8 intervals.
-  aqm.on_enqueue(0, true, sim::microseconds(1100));
-  aqm.on_enqueue(200'000, true, sim::microseconds(1200));  // re-arm
-  // Re-entry shot after one interval; count resumes at 3 - 2 = 1...
-  ASSERT_TRUE(aqm.on_enqueue(200'000, true, sim::microseconds(1600)).mark);
-  ASSERT_TRUE(aqm.on_enqueue(200'000, true, sim::microseconds(2000)).mark);
-  // ...so after the NEXT shot count is 2 and the following gap is the
-  // resumed 400/sqrt(2) ~ 282.8 us, not a relearned 400 us.
-  EXPECT_FALSE(aqm.on_enqueue(200'000, true, sim::microseconds(2282)).mark);
-  EXPECT_TRUE(aqm.on_enqueue(200'000, true, sim::microseconds(2283)).mark);
-}
-
-TEST(Aqm, CodelRejectsNonPositiveTunables) {
-  AqmSpec spec = codel_spec();
-  spec.interval_us = 0.0;
-  EXPECT_THROW(CodelAqm(spec, sim::Bandwidth::gbps(8)),
-               std::invalid_argument);
-  spec = codel_spec();
-  spec.target_us = -1.0;
-  EXPECT_THROW(CodelAqm(spec, sim::Bandwidth::gbps(8)),
-               std::invalid_argument);
-}
-
 TEST(Aqm, RegistryBuildsEveryVariantAndRejectsUnknownKinds) {
   const AqmRegistry& reg = AqmRegistry::instance();
-  EXPECT_EQ(reg.joined_names(), "red, pie, pi2, codel");
+  EXPECT_EQ(reg.joined_names(), "red, pie");
   for (const auto& name : reg.names()) {
     const auto aqm = reg.at(name).make(AqmSpec{}, dcqcn_profile(),
                                        sim::Bandwidth::gbps(25), 3);

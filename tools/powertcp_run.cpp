@@ -12,7 +12,6 @@
 /// byte-identical for every thread count.
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <exception>
 #include <string>
@@ -27,6 +26,8 @@
 using namespace powertcp;
 
 namespace {
+
+const char* const kProg = "powertcp_run";
 
 const char* kUsage =
     "usage: powertcp_run [options] CONFIG...\n"
@@ -83,13 +84,6 @@ void list_schemes() {
   }
 }
 
-bool take_value(const char* arg, const char* flag, std::string* out) {
-  const std::size_t n = std::strlen(flag);
-  if (std::strncmp(arg, flag, n) != 0 || arg[n] != '=') return false;
-  *out = arg + n + 1;
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -99,30 +93,19 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     std::string value;
-    if (take_value(arg, "--threads", &value)) {
-      char* end = nullptr;
-      const long n = std::strtol(value.c_str(), &end, 10);
-      if (end == nullptr || *end != '\0' || n < 1 || n > 4096) {
-        std::fprintf(stderr, "powertcp_run: bad --threads value '%s'\n",
-                     value.c_str());
-        return 2;
-      }
-      opts.threads = static_cast<int>(n);
-    } else if (take_value(arg, "--csv", &value)) {
+    if (harness::take_value(arg, "--threads", &value)) {
+      if (!harness::parse_threads(kProg, value, &opts.threads)) return 2;
+    } else if (harness::take_value(arg, "--csv", &value)) {
       opts.csv_path = value;
-    } else if (take_value(arg, "--json", &value)) {
+    } else if (harness::take_value(arg, "--json", &value)) {
       opts.json_path = value;
     } else if (std::strcmp(arg, "--telemetry") == 0) {
       load_opts.force_telemetry = true;
-    } else if (take_value(arg, "--sim-threads", &value)) {
-      char* end = nullptr;
-      const long n = std::strtol(value.c_str(), &end, 10);
-      if (end == nullptr || *end != '\0' || n < 1 || n > 64) {
-        std::fprintf(stderr, "powertcp_run: bad --sim-threads value '%s'\n",
-                     value.c_str());
+    } else if (harness::take_value(arg, "--sim-threads", &value)) {
+      if (!harness::parse_count_flag(kProg, "--sim-threads", value, 64,
+                                     &load_opts.force_sim_threads)) {
         return 2;
       }
-      load_opts.force_sim_threads = static_cast<int>(n);
     } else if (std::strcmp(arg, "--schemes") == 0) {
       list_schemes();
       return 0;
