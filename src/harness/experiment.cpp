@@ -1,9 +1,9 @@
 #include "harness/experiment.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <memory>
 #include <optional>
-#include <stdexcept>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -47,23 +47,7 @@ ExperimentResult run_fat_tree_experiment(const FatTreeExperiment& cfg) {
   // The registry entry carries everything scheme-specific: the fabric
   // features to configure, the tunable parameters, and the factory (or
   // the message-transport flag) — no scheme is special-cased by name.
-  // A cc_mix run resolves one entry per member instead; the hosts then
-  // share a fabric shaped by the first marking-dependent member.
-  const bool mixed = !cfg.cc_mix.empty();
-  const cc::Scheme* single =
-      mixed ? nullptr : &cc::Registry::instance().at(cfg.cc);
-  std::vector<const cc::Scheme*> members;
-  for (const auto& m : cfg.cc_mix) {
-    const cc::Scheme& s = cc::Registry::instance().at(m.cc);
-    if (s.message_transport) {
-      throw std::invalid_argument(
-          "cc_mix member '" + m.cc +
-          "' is a receiver-driven message transport; it reshapes the fabric "
-          "(priority bands, receiver grants) and cannot share one with "
-          "sender CC algorithms");
-    }
-    members.push_back(&s);
-  }
+  const cc::Scheme& scheme = cc::Registry::instance().at(cfg.cc);
 
   // Partitioned engine: the fat-tree is cut per pod; one shard drives
   // the whole thing when sim_threads is 1 (or the plan falls back).
@@ -73,19 +57,8 @@ ExperimentResult run_fat_tree_experiment(const FatTreeExperiment& cfg) {
   net::Network& network = point.network;
 
   topo::FatTreeConfig topo_cfg = cfg.topo;
-  if (single != nullptr) {
-    topo_cfg.ecn = single->needs.ecn;
-    topo_cfg.priority_bands = single->needs.priority_bands;
-  } else {
-    topo_cfg.ecn = net::EcnConfig{};
-    for (const cc::Scheme* s : members) {
-      if (s->needs.ecn.enabled) {
-        topo_cfg.ecn = s->needs.ecn;
-        break;
-      }
-    }
-    topo_cfg.priority_bands = 0;
-  }
+  topo_cfg.ecn = scheme.needs.ecn;
+  topo_cfg.priority_bands = scheme.needs.priority_bands;
   topo_cfg.int_enabled = true;
   topo::FatTree fabric(network, topo_cfg);
 
@@ -137,13 +110,9 @@ ExperimentResult run_fat_tree_experiment(const FatTreeExperiment& cfg) {
   // order, and the golden tests pin that it doesn't).
   struct ShardSink {
     stats::FctRecorder fct;
-    std::vector<stats::FctRecorder> member_fct;
     std::uint64_t completed = 0;
   };
   std::vector<ShardSink> sinks(static_cast<std::size_t>(point.plan.shards));
-  if (mixed) {
-    for (auto& s : sinks) s.member_fct.resize(cfg.cc_mix.size());
-  }
   const auto sink_of = [&](int host_index) {
     return &sinks[static_cast<std::size_t>(
         network.shard_of(fabric.host_node(host_index)))];
@@ -151,14 +120,12 @@ ExperimentResult run_fat_tree_experiment(const FatTreeExperiment& cfg) {
 
   // ---- flow setup ----
   cc::ParamMap scheme_params = cfg.cc_params;
-  if (single != nullptr && single->experiment_defaults) {
-    single->experiment_defaults(params, scheme_params);
+  if (scheme.experiment_defaults) {
+    scheme.experiment_defaults(params, scheme_params);
   }
-  if (single != nullptr && single->message_transport) {
-    host::HomaConfig hc = host::homa_config_from_params(scheme_params, params);
-    if (scheme_params.count("overcommit") == 0) {
-      hc.overcommit = cfg.homa_overcommit;
-    }
+  if (scheme.message_transport) {
+    const host::HomaConfig hc =
+        host::homa_config_from_params(scheme_params, params);
     for (int h = 0; h < fabric.host_count(); ++h) {
       ShardSink* sink = sink_of(h);
       fabric.host(h).enable_homa(hc).set_message_callback(
@@ -185,46 +152,21 @@ ExperimentResult run_fat_tree_experiment(const FatTreeExperiment& cfg) {
       });
     }
   } else {
-    // One factory per mix member (or the single scheme as a one-member
-    // "mix"); each host draws from the factory its assignment pins.
-    std::vector<cc::FlowCcFactory> factories;
-    if (mixed) {
-      std::vector<cc::MixMember> mm;
-      for (std::size_t i = 0; i < cfg.cc_mix.size(); ++i) {
-        cc::ParamMap member_params = cfg.cc_mix[i].cc_params;
-        if (members[i]->experiment_defaults) {
-          members[i]->experiment_defaults(params, member_params);
-        }
-        factories.push_back(
-            members[i]->make(member_params, cc::SchemeTopology{}));
-        mm.push_back({cfg.cc_mix[i].cc, cfg.cc_mix[i].weight});
-      }
-      result.host_member =
-          cc::mix_assignment(mm, fabric.host_count(), cfg.seed);
-      result.member_fct.resize(cfg.cc_mix.size());
-    } else {
-      factories.push_back(single->make(scheme_params, cc::SchemeTopology{}));
-    }
+    const cc::FlowCcFactory factory =
+        scheme.make(scheme_params, cc::SchemeTopology{});
     net::FlowId next_id = 1;
     for (const auto& arrival : plan) {
       const net::FlowId id = next_id++;
       const cc::FlowEndpoints endpoints{fabric.tor_of_host(arrival.src_host),
                                         fabric.tor_of_host(arrival.dst_host)};
-      const int member =
-          mixed ? result.host_member[static_cast<std::size_t>(
-                      arrival.src_host)]
-                : 0;
       // Completion is detected at the sender (final ack), so this
       // flow's record lands in the sender's shard sink.
       ShardSink* sink = sink_of(arrival.src_host);
       fabric.host(arrival.src_host)
           .start_flow(id, fabric.host_node(arrival.dst_host),
-                      arrival.size_bytes,
-                      factories[static_cast<std::size_t>(member)](params,
-                                                                  endpoints),
-                      params, arrival.start,
-                      [sink, &ideal_fct,
-                       member](const host::FlowCompletion& c) {
+                      arrival.size_bytes, factory(params, endpoints), params,
+                      arrival.start,
+                      [sink, &ideal_fct](const host::FlowCompletion& c) {
                         stats::FlowRecord rec;
                         rec.flow_id = c.flow;
                         rec.size_bytes = c.size_bytes;
@@ -232,10 +174,6 @@ ExperimentResult run_fat_tree_experiment(const FatTreeExperiment& cfg) {
                         rec.finish = c.finish;
                         rec.ideal = ideal_fct(c.size_bytes);
                         sink->fct.record(rec);
-                        if (!sink->member_fct.empty()) {
-                          sink->member_fct[static_cast<std::size_t>(member)]
-                              .record(rec);
-                        }
                         ++sink->completed;
                       });
     }
@@ -245,8 +183,7 @@ ExperimentResult run_fat_tree_experiment(const FatTreeExperiment& cfg) {
   // Each shard samples its own ToRs' uplinks (one self-rescheduling
   // event per shard per tick); the per-shard streams carry (tick,
   // global port rank) so the merge reproduces the sequential append
-  // order exactly. queue_sample_every = 0 disables sampling (the shard
-  // bench uses it for exact event-count parity across thread counts).
+  // order exactly.
   std::vector<net::EgressPort*> uplinks;
   for (int t = 0; t < fabric.tor_count(); ++t) {
     for (const int p : fabric.tor_uplink_ports(t)) {
@@ -275,9 +212,7 @@ ExperimentResult run_fat_tree_experiment(const FatTreeExperiment& cfg) {
   std::optional<FlightTap> tap;
   if (cfg.telemetry.enabled && !uplinks.empty()) {
     host::Host* tap_host = nullptr;
-    const bool message_transport =
-        single != nullptr && single->message_transport;
-    if (!message_transport && cfg.telemetry.flow >= 1 &&
+    if (!scheme.message_transport && cfg.telemetry.flow >= 1 &&
         static_cast<std::size_t>(cfg.telemetry.flow) <= plan.size()) {
       tap_host = &fabric.host(
           plan[static_cast<std::size_t>(cfg.telemetry.flow - 1)].src_host);
@@ -297,27 +232,24 @@ ExperimentResult run_fat_tree_experiment(const FatTreeExperiment& cfg) {
     std::vector<UplinkSample> out;
   };
   std::vector<std::unique_ptr<ShardSampler>> samplers;
-  if (cfg.queue_sample_every > 0) {
-    for (int s = 0; s < point.plan.shards; ++s) {
-      const auto& ports = shard_uplinks[static_cast<std::size_t>(s)];
-      if (ports.empty()) continue;
-      sim::Simulator* ssim = &point.engine.shard(s);
-      auto sampler = std::make_unique<ShardSampler>();
-      ShardSampler* self = sampler.get();
-      self->fn = [self, ssim, &ports, &cfg] {
-        for (const RankedPort& rp : ports) {
-          self->out.push_back(
-              {self->tick, rp.rank,
-               static_cast<double>(rp.port->queue_bytes())});
-        }
-        ++self->tick;
-        if (ssim->now() < cfg.duration) {
-          ssim->schedule_in(cfg.queue_sample_every, self->fn);
-        }
-      };
-      ssim->schedule_at(0, self->fn);
-      samplers.push_back(std::move(sampler));
-    }
+  for (int s = 0; s < point.plan.shards; ++s) {
+    const auto& ports = shard_uplinks[static_cast<std::size_t>(s)];
+    if (ports.empty()) continue;
+    sim::Simulator* ssim = &point.engine.shard(s);
+    auto sampler = std::make_unique<ShardSampler>();
+    ShardSampler* self = sampler.get();
+    self->fn = [self, ssim, &ports, &cfg] {
+      for (const RankedPort& rp : ports) {
+        self->out.push_back({self->tick, rp.rank,
+                             static_cast<double>(rp.port->queue_bytes())});
+      }
+      ++self->tick;
+      if (ssim->now() < cfg.duration) {
+        ssim->schedule_in(kQueueSampleEvery, self->fn);
+      }
+    };
+    ssim->schedule_at(0, self->fn);
+    samplers.push_back(std::move(sampler));
   }
 
   // Run past the horizon so in-flight flows can finish.
@@ -326,7 +258,6 @@ ExperimentResult run_fat_tree_experiment(const FatTreeExperiment& cfg) {
   // ---- merge per-shard sinks back into the sequential shapes ----
   if (point.plan.shards == 1) {
     result.fct = std::move(sinks[0].fct);
-    if (mixed) result.member_fct = std::move(sinks[0].member_fct);
     result.flows_completed = sinks[0].completed;
   } else {
     const auto by_finish = [](const stats::FlowRecord& a,
@@ -340,18 +271,6 @@ ExperimentResult run_fat_tree_experiment(const FatTreeExperiment& cfg) {
     }
     std::stable_sort(all.begin(), all.end(), by_finish);
     for (const auto& r : all) result.fct.record(r);
-    if (mixed) {
-      result.member_fct.assign(cfg.cc_mix.size(), stats::FctRecorder{});
-      for (std::size_t m = 0; m < cfg.cc_mix.size(); ++m) {
-        std::vector<stats::FlowRecord> member_all;
-        for (auto& s : sinks) {
-          member_all.insert(member_all.end(), s.member_fct[m].flows().begin(),
-                            s.member_fct[m].flows().end());
-        }
-        std::stable_sort(member_all.begin(), member_all.end(), by_finish);
-        for (const auto& r : member_all) result.member_fct[m].record(r);
-      }
-    }
   }
   {
     std::vector<UplinkSample> merged;

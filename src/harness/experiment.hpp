@@ -2,9 +2,7 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
-#include "cc/mix.hpp"
 #include "cc/params.hpp"
 #include "harness/telemetry.hpp"
 #include "sim/time.hpp"
@@ -32,18 +30,6 @@ struct FatTreeExperiment {
   /// does not pin fall back to the scheme's experiment defaults (e.g.
   /// PowerTCP's HPCC-matched beta), then to its paper defaults.
   cc::ParamMap cc_params;
-  /// Per-host CC mix (brownfield coexistence). When non-empty, `cc` /
-  /// `cc_params` above are ignored: each host is pinned to one member
-  /// by cc::mix_assignment, deterministic in `seed`. Members must be
-  /// sender CC algorithms — message transports (Homa) reshape the
-  /// fabric and cannot share it, so they are rejected. The fabric runs
-  /// the ECN profile of the first member that needs marking.
-  struct MixShare {
-    std::string cc;          ///< cc::Registry entry name
-    cc::ParamMap cc_params;  ///< per-member tunable overrides
-    double weight = 1.0;     ///< normalized share of hosts
-  };
-  std::vector<MixShare> cc_mix;
   double uplink_load = 0.6;  ///< websearch load on the ToR uplinks
   sim::TimePs duration = sim::milliseconds(20);
   std::uint64_t seed = 1;
@@ -55,16 +41,13 @@ struct FatTreeExperiment {
   /// of every β-driven law is Σβ, so N must reflect that concurrency
   /// (bench_ablation_params sweeps it).
   int expected_flows = 64;
-  int homa_overcommit = 1;
 
-  // Optional incast overlay (§4.1's distributed-file-system queries).
+  // Optional incast overlay (§4.1's distributed-file-system queries);
+  // the fat_tree kind sweeps its (rate, size) pairs for Fig. 7c-f.
   bool incast = false;
   double incast_requests_per_sec = 4.0;
   std::int64_t incast_request_bytes = 2'000'000;
   int incast_fan_in = 16;
-
-  /// Fabric queue sampling period for the occupancy CDF (Fig. 7g/7h).
-  sim::TimePs queue_sample_every = sim::microseconds(20);
 
   /// Shards for the parallel engine (sim/shard.hpp): the fat-tree is
   /// cut per pod (topo::fat_tree_shard_plan) and run on this many
@@ -80,21 +63,19 @@ struct FatTreeExperiment {
   TelemetryConfig telemetry;
 };
 
+/// ToR-uplink queue sampling period (ExperimentResult::uplink_queue_bytes).
+inline constexpr sim::TimePs kQueueSampleEvery = sim::microseconds(20);
+
 struct ExperimentResult {
   stats::FctRecorder fct;
-  stats::Samples uplink_queue_bytes;  ///< periodic ToR-uplink samples
+  /// Every ToR uplink's queue, sampled every kQueueSampleEvery: the
+  /// occupancy CDF of Fig. 7g/7h.
+  stats::Samples uplink_queue_bytes;
   std::uint64_t flows_started = 0;
   std::uint64_t flows_completed = 0;
   std::uint64_t drops = 0;
   sim::TimePs tau = 0;
   TelemetrySeries flight;  ///< empty unless cfg.telemetry.enabled
-
-  // Populated only for cc_mix runs:
-  /// mix-member index each host was pinned to (empty when homogeneous).
-  std::vector<int> host_member;
-  /// per-member FCT recorders, parallel to cfg.cc_mix; `fct` above
-  /// still aggregates every flow.
-  std::vector<stats::FctRecorder> member_fct;
 
   double completion_rate() const {
     return flows_started == 0

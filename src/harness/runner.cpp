@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <functional>
+#include <set>
 #include <stdexcept>
 
 #include "analysis/control_law.hpp"
@@ -52,8 +53,9 @@ SchemeRun resolve_scheme(const ConfigFile& file, const std::string& label,
   }
   const cc::Scheme* scheme = cc::Registry::instance().find(run.scheme);
   if (scheme == nullptr) {
-    std::string why = "names scheme '" + run.scheme + "' (" + label +
-                      "), which is not registered; known:";
+    std::string why = "names scheme '" + run.scheme + "'" +
+                      (run.scheme == label ? "" : " (" + label + ")") +
+                      ", which is not registered; known:";
     for (const auto& s : cc::Registry::instance().schemes()) {
       why += " " + s.name;
     }
@@ -79,7 +81,8 @@ SchemeRun resolve_scheme(const ConfigFile& file, const std::string& label,
 /// per-field overrides.
 void declare_fat_tree_topology(KeyTable& k, int* sim_threads,
                                std::string* preset, topo::FatTreeConfig* cfg) {
-  k.count(kExp, "sim_threads", sim_threads, Bound::at_least(1).upto(64));
+  k.count(kExp, "sim_threads", sim_threads,
+          Bound::at_least(1).upto(kMaxSimThreads));
   k.choice(kTopo, "preset", preset, {"quick", "paper"});
   *cfg = *preset == "paper" ? topo::FatTreeConfig()
                             : topo::FatTreeConfig::quick();
@@ -174,17 +177,58 @@ void check_dumbbell_senders(const KeyTable& k, const void* field,
   }
 }
 
-/// "20000", "1e+08", "6e+301": a count for an error message.
-std::string count_text(double n) {
+/// "20000", "1e+08", "0.5": a number in %g form, for error messages
+/// and slugs.
+std::string g_text(double n) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%g", n);
   return buf;
 }
 
-/// One fat_tree point's output: its table row cells and its flight
-/// series.
+/// Rejects list key `field` when two of its entries' points would
+/// write the same table: `slugs` holds each entry's point slug.
+void check_unique_slugs(const KeyTable& k, const void* field,
+                        const std::vector<std::string>& slugs) {
+  std::set<std::string> seen;
+  for (const std::string& slug : slugs) {
+    if (!seen.insert(slug).second) {
+      k.reject(field, "lists two points that would both write table '" +
+                          slug + "'");
+    }
+  }
+}
+
+/// An incast point's table slug. The query size keeps slugs unique
+/// when a config sweeps several query points (CSV rows and the
+/// regression gate key on the slug).
+std::string incast_slug(const std::string& prefix, std::int64_t query_bytes,
+                        int long_companions) {
+  return query_bytes > 0
+             ? prefix + "_query" + std::to_string(query_bytes / 1000) + "kb"
+             : prefix + "_" + std::to_string(long_companions) + "to1";
+}
+
+/// What a fat_tree point runs: "80% ToR-uplink load, websearch (x0.10
+/// sizes)", plus " + 256/s x 200 KB incast" with the overlay on.
+std::string fat_tree_point_text(const FatTreeExperiment& p) {
+  char buf[96];
+  std::snprintf(buf, sizeof(buf),
+                "%.0f%% ToR-uplink load, websearch (x%.2f sizes)",
+                p.uplink_load * 100, p.size_scale);
+  std::string text = buf;
+  if (p.incast) {
+    text += " + " + g_text(p.incast_requests_per_sec) + "/s x " +
+            g_text(static_cast<double>(p.incast_request_bytes) / 1e3) +
+            " KB incast";
+  }
+  return text;
+}
+
+/// One fat_tree point's output: its FCT and occupancy row cells and
+/// its flight series.
 struct FctPoint {
   std::vector<Cell> values;
+  std::vector<Cell> occupancy;
   TelemetrySeries flight;
 };
 
@@ -208,6 +252,15 @@ std::vector<Cell> fct_row(const ExperimentResult& r, double size_scale,
   row.push_back(Cell::integer(static_cast<std::int64_t>(r.drops)));
   row.push_back(Cell::integer(static_cast<std::int64_t>(r.flows_started)));
   row.push_back(Cell(r.completion_rate() * 100, 1));
+  return row;
+}
+
+/// A Fig. 7g/7h row: the ToR-uplink occupancy CDF points, in KB.
+std::vector<Cell> occupancy_row(const stats::Samples& queue_bytes) {
+  std::vector<Cell> row;
+  for (const auto& nv : queue_bytes.summary().named_values()) {
+    row.push_back(Cell(nv.second / 1e3, 1));
+  }
   return row;
 }
 
@@ -273,10 +326,9 @@ void FatTreeKindConfig::declare(KeyTable& k) {
   k.count(kWork, "expected_flows", &fat_tree.expected_flows,
           Bound::at_least(1));
   k.flag(kWork, "incast", &fat_tree.incast);
-  k.real(kWork, "incast_requests_per_sec", &fat_tree.incast_requests_per_sec,
+  k.real(kWork, "incast_requests_per_sec", &incast_rates,
          Bound::above(0).upto(1e6));
-  k.size(kWork, "incast_request_kb", &fat_tree.incast_request_bytes,
-         Size::kKB);
+  k.size(kWork, "incast_request_kb", &incast_bytes, Size::kKB);
   k.count(kWork, "incast_fan_in", &fat_tree.incast_fan_in,
           Bound::at_least(1));
 }
@@ -296,12 +348,37 @@ void FatTreeKindConfig::bind(const ScenarioContext& ctx, const KeyTable& k) {
              "rack; the fabric has " +
                  std::to_string(remote));
   }
+  if (incast_rates.size() != incast_bytes.size() && incast_rates.size() != 1 &&
+      incast_bytes.size() != 1) {
+    k.reject(&incast_bytes, "must list one value or one per " +
+                                k.name(&incast_rates) + " entry");
+  }
+  const void* overlay_list = incast_rates.size() > 1
+                                 ? static_cast<const void*>(&incast_rates)
+                                 : &incast_bytes;
+  if (!fat_tree.incast && overlay_count() > 1) {
+    k.reject(overlay_list,
+             "sweeps the incast overlay, which incast = false turns off; "
+             "set incast = true or list one value");
+  }
   schemes = ctx.schemes;
   slug_prefix = ctx.slug_prefix;
   percentile = ctx.percentile;
   fat_tree.seed = static_cast<std::uint64_t>(ctx.seed);
   fat_tree.telemetry = ctx.telemetry;
   fat_tree.topo.aqm = ctx.aqm;
+  // A slug is the load's part then the overlay's, so two points share
+  // one exactly when two loads or two overlay pairs do.
+  std::vector<std::string> load_slugs;
+  for (const double load : loads) {
+    load_slugs.push_back(load_table(point(load, 0)).slug);
+  }
+  check_unique_slugs(k, &loads, load_slugs);
+  std::vector<std::string> overlay_slugs;
+  for (std::size_t o = 0; o < overlay_count(); ++o) {
+    overlay_slugs.push_back(load_table(point(loads.front(), o)).slug);
+  }
+  check_unique_slugs(k, overlay_list, overlay_slugs);
 }
 
 void IncastKindConfig::declare(KeyTable& k) {
@@ -322,6 +399,11 @@ void IncastKindConfig::bind(const ScenarioContext& ctx, const KeyTable& k) {
   check_fat_tree_size(k, incast.topo);
   schemes = ctx.schemes;
   slug_prefix = ctx.slug_prefix;
+  std::vector<std::string> slugs;
+  for (const std::int64_t q : query_bytes) {
+    slugs.push_back(incast_slug(slug_prefix, q, incast.long_companions));
+  }
+  check_unique_slugs(k, &query_bytes, slugs);
   incast.telemetry = ctx.telemetry;
   incast.topo.aqm = ctx.aqm;
   if (fan_in.size() != query_bytes.size() && fan_in.size() != 1) {
@@ -451,9 +533,9 @@ void SingleFlowKindConfig::bind(const ScenarioContext& ctx,
   slug_prefix = ctx.slug_prefix;
   const auto too_many = [&k](const void* field, double rows) {
     if (rows > kMaxReactionRows) {
-      k.reject(field, "implies " + count_text(rows) +
+      k.reject(field, "implies " + g_text(rows) +
                           " table rows; the cap is " +
-                          count_text(kMaxReactionRows));
+                          g_text(kMaxReactionRows));
     }
   };
   too_many(&rate_max_x, std::floor(rate_max_x + 0.01) + 1);
@@ -555,8 +637,8 @@ void FluidPhaseKindConfig::bind(const ScenarioContext& ctx,
     const double n = duration_ms * 1e3 / *per;
     if (n > cap) {
       k.reject(k.given(per) ? static_cast<const void*>(per) : &duration_ms,
-               "implies " + count_text(n) + " " + what +
-                   " per trajectory; the cap is " + count_text(cap));
+               "implies " + g_text(n) + " " + what +
+                   " per trajectory; the cap is " + g_text(cap));
     }
   };
   too_many(&step_us, kMaxFluidSteps, "Euler steps");
@@ -566,8 +648,9 @@ void FluidPhaseKindConfig::bind(const ScenarioContext& ctx,
 void register_builtin_scenarios(ScenarioRegistry& registry) {
   registry.add(builtin<FatTreeKindConfig>(
       "fat_tree",
-      "Fig. 6/7 FCT sweep: websearch fat-tree, tail slowdown per size "
-      "bucket, one table per load"));
+      "Fig. 6/7 FCT sweep: websearch fat-tree plus an optional incast "
+      "overlay, tail slowdown per size bucket and ToR-uplink occupancy per "
+      "(load, overlay) point"));
   registry.add(builtin<IncastKindConfig>(
       "incast",
       "Fig. 4 reaction to incast: long flow + N:1 burst on one downlink, "
@@ -675,17 +758,30 @@ std::vector<ResultTable> run_config(const RunnerConfig& cfg,
 
 // ---- built-in kind execution --------------------------------------
 
-ResultTable FatTreeKindConfig::load_table(double load) const {
+std::size_t FatTreeKindConfig::overlay_count() const {
+  return std::max(incast_rates.size(), incast_bytes.size());
+}
+
+FatTreeExperiment FatTreeKindConfig::point(double load, std::size_t o) const {
+  FatTreeExperiment p = fat_tree;
+  p.uplink_load = load;
+  p.incast_requests_per_sec = incast_rates[incast_rates.size() == 1 ? 0 : o];
+  p.incast_request_bytes = incast_bytes[incast_bytes.size() == 1 ? 0 : o];
+  return p;
+}
+
+ResultTable FatTreeKindConfig::load_table(const FatTreeExperiment& p) const {
   ResultTable t;
-  char buf[128];
-  std::snprintf(buf, sizeof(buf),
-                "%.0f%% ToR-uplink load, websearch (x%.2f sizes), "
-                "p%.1f slowdown per size bucket",
-                load * 100, fat_tree.size_scale, percentile);
-  t.title = buf;
-  std::snprintf(buf, sizeof(buf), "%s_load%.0f", slug_prefix.c_str(),
-                load * 100);
-  t.slug = buf;
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), ", p%.1f slowdown per size bucket",
+                percentile);
+  t.title = fat_tree_point_text(p) + buf;
+  std::snprintf(buf, sizeof(buf), "_load%.0f", p.uplink_load * 100);
+  t.slug = slug_prefix + buf;
+  if (p.incast) {
+    t.slug += "_incast" + g_text(p.incast_requests_per_sec) + "x" +
+              g_text(static_cast<double>(p.incast_request_bytes) / 1e3) + "kb";
+  }
   t.key_columns = {"algorithm"};
   for (const auto& b : stats::paper_size_buckets()) {
     t.value_columns.push_back(b.label);
@@ -697,33 +793,50 @@ ResultTable FatTreeKindConfig::load_table(double load) const {
 
 std::vector<ResultTable> FatTreeKindConfig::run(
     const SweepRunner& runner) const {
-  // One job per (load, scheme) point, load-major. A job keeps only its
-  // row cells and flight series, not the whole ExperimentResult.
+  // One job per (load, overlay pair, scheme) point, load-major. A job
+  // keeps only its row cells and flight series, not the whole
+  // ExperimentResult.
+  std::vector<FatTreeExperiment> points;
   std::vector<std::function<FctPoint()>> jobs;
   for (const double load : loads) {
-    for (const auto& scheme : schemes) {
-      FatTreeExperiment cfg = fat_tree;
-      cfg.cc = scheme.scheme;
-      cfg.cc_params = scheme.params;
-      cfg.uplink_load = load;
-      jobs.push_back([cfg, pct = percentile] {
-        ExperimentResult r = run_fat_tree_experiment(cfg);
-        return FctPoint{fct_row(r, cfg.size_scale, pct), std::move(r.flight)};
-      });
+    for (std::size_t o = 0; o < overlay_count(); ++o) {
+      points.push_back(point(load, o));
+      for (const auto& scheme : schemes) {
+        FatTreeExperiment cfg = points.back();
+        cfg.cc = scheme.scheme;
+        cfg.cc_params = scheme.params;
+        jobs.push_back([cfg, pct = percentile] {
+          ExperimentResult r = run_fat_tree_experiment(cfg);
+          return FctPoint{fct_row(r, cfg.size_scale, pct),
+                          occupancy_row(r.uplink_queue_bytes),
+                          std::move(r.flight)};
+        });
+      }
     }
   }
-  const std::vector<FctPoint> points = runner.map(jobs);
+  const std::vector<FctPoint> results = runner.map(jobs);
 
   std::vector<ResultTable> tables;
-  for (std::size_t l = 0; l < loads.size(); ++l) {
-    ResultTable t = load_table(loads[l]);
-    const std::size_t at = l * schemes.size();
-    for (std::size_t i = 0; i < schemes.size(); ++i) {
-      t.rows.push_back({{Cell(schemes[i].display())}, points[at + i].values});
+  for (std::size_t p = 0; p < points.size(); ++p) {
+    ResultTable fct = load_table(points[p]);
+    ResultTable occupancy;
+    occupancy.title = fat_tree_point_text(points[p]) +
+                      ": ToR-uplink buffer occupancy (KB at CDF points)";
+    occupancy.slug = fct.slug + "_occupancy";
+    occupancy.key_columns = {"algorithm"};
+    for (const auto& nv : stats::SampleSummary{}.named_values()) {
+      occupancy.value_columns.push_back(nv.first);
     }
-    tables.push_back(std::move(t));
-    append_flight_tables(tables, points, at, schemes, tables.back().slug,
+    const std::size_t at = p * schemes.size();
+    for (std::size_t i = 0; i < schemes.size(); ++i) {
+      const Cell name(schemes[i].display());
+      fct.rows.push_back({{name}, results[at + i].values});
+      occupancy.rows.push_back({{name}, results[at + i].occupancy});
+    }
+    tables.push_back(std::move(fct));
+    append_flight_tables(tables, results, at, schemes, tables.back().slug,
                          "first ToR uplink + tapped flow");
+    tables.push_back(std::move(occupancy));
   }
   return tables;
 }
@@ -758,17 +871,12 @@ std::vector<ResultTable> IncastKindConfig::run(
                     "at t=%lldus",
                     p.long_companions, p.fan_in,
                     static_cast<long long>(p.query_bytes / 1000), burst_us);
-      // The query size keeps slugs unique when a config sweeps several
-      // query points (CSV rows and the regression gate key on the slug).
-      t.slug = slug_prefix + "_query" + std::to_string(p.query_bytes / 1000) +
-               "kb";
     } else {
       std::snprintf(title, sizeof(title),
                     "%d:1 incast of long flows at t=%lldus",
                     p.long_companions, burst_us);
-      t.slug =
-          slug_prefix + "_" + std::to_string(p.long_companions) + "to1";
     }
+    t.slug = incast_slug(slug_prefix, p.query_bytes, p.long_companions);
     t.title = title;
     t.key_columns = {"time"};
     for (const auto& s : schemes) {

@@ -45,11 +45,21 @@ struct RunnerConfig {
 // itself (copied from the [experiment] section at load time), so run()
 // is self-contained.
 
-/// kind == "fat_tree": the workhorse FCT experiment per (load, scheme).
+/// kind == "fat_tree": the workhorse FCT experiment per (load, incast
+/// overlay, scheme) point. Each (load, overlay) pair is one FCT table
+/// plus its ToR-uplink occupancy table (Figs. 6 and 7).
 struct FatTreeKindConfig final : ScenarioConfig {
   std::string preset = "quick";  ///< quick | paper: fat_tree.topo's base
+  /// Every point's base: point() sets the load and the overlay pair,
+  /// run() the scheme.
   FatTreeExperiment fat_tree;
   std::vector<double> loads = {0.6};
+  /// The incast overlay's (rate, size) pairs, paired one to one (or one
+  /// value for every entry of the other).
+  std::vector<double> incast_rates = {
+      FatTreeExperiment{}.incast_requests_per_sec};
+  std::vector<std::int64_t> incast_bytes = {
+      FatTreeExperiment{}.incast_request_bytes};
   double percentile = 99.0;
   std::vector<SchemeRun> schemes;
   std::string slug_prefix = "run";
@@ -57,9 +67,13 @@ struct FatTreeKindConfig final : ScenarioConfig {
   void bind(const ScenarioContext& ctx, const KeyTable& keys) override;
   int* sim_threads() override { return &fat_tree.sim_threads; }
   std::vector<ResultTable> run(const SweepRunner& runner) const override;
-  /// The Fig. 6/7 FCT table at `load` before any row is filled: title,
+  /// Overlay pairs a load runs: 1 without the overlay.
+  std::size_t overlay_count() const;
+  /// Point (load, overlay pair `o`) before a scheme is set.
+  FatTreeExperiment point(double load, std::size_t o) const;
+  /// The Fig. 6/7 FCT table of `point` before any row is filled: title,
   /// slug and columns. run() adds one row per scheme.
-  ResultTable load_table(double load) const;
+  ResultTable load_table(const FatTreeExperiment& point) const;
 };
 
 /// kind == "incast": one Fig. 4-style table per (query_kb, fan_in).
@@ -181,6 +195,10 @@ struct FluidPhaseKindConfig final : ScenarioConfig {
   void bind(const ScenarioContext& ctx, const KeyTable& keys) override;
   std::vector<ResultTable> run(const SweepRunner& runner) const override;
 };
+
+/// The most shards one simulation point may be cut into: the bound of
+/// both `[experiment] sim_threads` and `powertcp_run --sim-threads`.
+inline constexpr int kMaxSimThreads = 64;
 
 /// CLI-level overrides applied on top of the parsed file.
 struct RunnerLoadOptions {

@@ -61,7 +61,7 @@ class Cell {
 /// value columns of measured metrics.
 struct ResultTable {
   std::string title;  ///< human heading, printed above the text table
-  std::string slug;   ///< machine name used in CSV/JSON ("fig7ab")
+  std::string slug;   ///< machine name used in CSV/JSON ("fig7_load80")
   std::vector<std::string> key_columns;
   std::vector<std::string> value_columns;
   struct Row {

@@ -156,7 +156,7 @@ TEST(RunnerGolden, Fig6PaperScaleRecipeLoads) {
   EXPECT_EQ(schemes,
             (std::vector<std::string>{"powertcp", "theta-powertcp", "hpcc",
                                       "dcqcn", "timely", "homa"}));
-  const ResultTable table = ft.load_table(0.6);
+  const ResultTable table = ft.load_table(ft.point(0.6, 0));
   EXPECT_EQ(table.slug, "fig6_load60");
   EXPECT_EQ(table.title,
             "60% ToR-uplink load, websearch (x1.00 sizes), p99.9 slowdown "
@@ -191,6 +191,104 @@ TEST(Runner, FatTreeConfigIsByteIdenticalAcrossThreadCounts) {
   EXPECT_NE(t1.find("mini_load30"), std::string::npos);
   EXPECT_NE(t1.find("mini_load50"), std::string::npos);
   EXPECT_NE(t1.find("powertcp"), std::string::npos);
+}
+
+/// Two loads x two overlay rates of the incast overlay: four points,
+/// load-major, each an FCT table named for its overlay plus its
+/// occupancy table.
+TEST(Runner, FatTreeIncastOverlaySweepsLoadMajor) {
+  const auto file = ConfigFile::parse(R"(
+[experiment]
+kind = fat_tree
+slug = mini
+schemes = powertcp, hpcc
+seed = 7
+
+[workload]
+loads = 0.3, 0.5
+duration_ms = 1
+size_scale = 0.05
+incast = true
+incast_requests_per_sec = 100, 200
+incast_request_kb = 50
+)",
+                                      "mini.toml");
+  const RunnerConfig cfg = load_runner_config(file);
+  const auto tables = run_config(cfg, SweepRunner(1));
+  std::vector<std::string> slugs;
+  for (const auto& t : tables) slugs.push_back(t.slug);
+  EXPECT_EQ(slugs, (std::vector<std::string>{
+                       "mini_load30_incast100x50kb",
+                       "mini_load30_incast100x50kb_occupancy",
+                       "mini_load30_incast200x50kb",
+                       "mini_load30_incast200x50kb_occupancy",
+                       "mini_load50_incast100x50kb",
+                       "mini_load50_incast100x50kb_occupancy",
+                       "mini_load50_incast200x50kb",
+                       "mini_load50_incast200x50kb_occupancy"}));
+  EXPECT_EQ(tables[0].title,
+            "30% ToR-uplink load, websearch (x0.05 sizes) + 100/s x 50 KB "
+            "incast, p99.0 slowdown per size bucket");
+  const ResultTable& occupancy = tables[1];
+  EXPECT_EQ(occupancy.key_columns, (std::vector<std::string>{"algorithm"}));
+  EXPECT_EQ(occupancy.value_columns,
+            (std::vector<std::string>{"min", "max", "mean", "p50", "p90",
+                                      "p99", "p99.9"}));
+  ASSERT_EQ(occupancy.rows.size(), 2u);
+  EXPECT_EQ(occupancy.rows[1].keys[0].render(), "hpcc");
+  EXPECT_EQ(render_all(tables), render_all(run_config(cfg, SweepRunner(3))));
+}
+
+/// The overlay lists pair one to one, or one value serves every entry
+/// of the other; a sweep needs the overlay on.
+TEST(Runner, FatTreeOverlayListsAreCheckedAtTheirLine) {
+  const std::string head =
+      "[experiment]\nschemes = powertcp\n[workload]\nincast = true\n";
+  expect_rejected_at(head + "incast_requests_per_sec = 1, 2, 3\n"
+                            "incast_request_kb = 10, 20\n",
+                     "incast_request_kb");
+  EXPECT_NO_THROW(load_runner_config(ConfigFile::parse(
+      head + "incast_requests_per_sec = 1\nincast_request_kb = 10, 20\n",
+      "ok.toml")));
+  const std::string off = "[experiment]\nschemes = powertcp\n[workload]\n";
+  expect_rejected_at(off + "incast_requests_per_sec = 1, 2\n",
+                     "incast_requests_per_sec");
+  expect_rejected_at(off + "incast = false\nincast_request_kb = 10, 20\n",
+                     "incast_request_kb");
+  EXPECT_NO_THROW(load_runner_config(ConfigFile::parse(
+      off + "incast_requests_per_sec = 1\nincast_request_kb = 10\n",
+      "ok.toml")));
+}
+
+/// Two points that would write one table slug are a load error at the
+/// list key's line, in both kinds that sweep points.
+TEST(Runner, RepeatedPointsAreRejectedAtTheirLine) {
+  const std::string fat_tree =
+      "[experiment]\nslug = dup\nschemes = powertcp\n[workload]\n";
+  expect_rejected_at(fat_tree + "loads = 0.2, 0.2\n", "loads");
+  // 20.1% prints as load20 too.
+  expect_rejected_at(fat_tree + "loads = 0.2, 0.201\n", "loads");
+  expect_rejected_at(fat_tree + "incast = true\n"
+                                "incast_requests_per_sec = 256, 256\n"
+                                "incast_request_kb = 200\n",
+                     "incast_requests_per_sec");
+  expect_rejected_at(fat_tree + "incast = true\n"
+                                "incast_requests_per_sec = 256\n"
+                                "incast_request_kb = 200, 200\n",
+                     "incast_request_kb");
+  try {
+    load_runner_config(
+        ConfigFile::parse(fat_tree + "loads = 0.2, 0.2\n", "dup.toml"));
+    ADD_FAILURE() << "repeated load loaded";
+  } catch (const ConfigError& e) {
+    EXPECT_NE(std::string(e.what()).find("'dup_load20'"), std::string::npos)
+        << e.what();
+  }
+  const std::string incast =
+      "[experiment]\nkind = incast\nschemes = powertcp\n[workload]\n";
+  expect_rejected_at(incast + "query_kb = 100, 100\nfan_in = 4, 8\n",
+                     "query_kb");
+  expect_rejected_at(incast + "query_kb = 0, 0\nfan_in = 4\n", "query_kb");
 }
 
 TEST(Runner, RetiredEngineKeysAreUnknownKeys) {
@@ -547,6 +645,24 @@ TEST(Runner, LoaderRejectsUnknownSchemesKeysAndSections) {
   expect_rejected_at("[experiment]\nschemes = fast\n"
                      "[cc.fast]\nscheme = warp-speed\n",
                      "scheme");
+  // The label is repeated in parentheses only when an alias names a
+  // different scheme.
+  const auto error_of = [&load](const std::string& text) -> std::string {
+    try {
+      load(text);
+    } catch (const ConfigError& e) {
+      return e.what();
+    }
+    return "loaded";
+  };
+  EXPECT_NE(error_of("[experiment]\nschemes = warp-speed\n")
+                .find("names scheme 'warp-speed', which is not registered"),
+            std::string::npos);
+  EXPECT_NE(error_of("[experiment]\nschemes = fast\n"
+                     "[cc.fast]\nscheme = warp-speed\n")
+                .find("names scheme 'warp-speed' (fast), which is not "
+                      "registered"),
+            std::string::npos);
   // Param not declared by the scheme, at its line.
   expect_rejected_at("[experiment]\nschemes = powertcp\n"
                      "[cc.powertcp]\ngamma = 0.9\nwarp = 9\n",
@@ -555,8 +671,11 @@ TEST(Runner, LoaderRejectsUnknownSchemesKeysAndSections) {
   // missing schemes list at the section's.
   expect_rejected_at("[experiment]\nkind = fat_tree\nschemes =\n",
                      "schemes");
+  // kMaxSimThreads; the --sim-threads flag shares it (a CTest pins 65
+  // there). Loading starts no shard thread.
   expect_rejected_at("[experiment]\nschemes = powertcp\nsim_threads = 65\n",
                      "sim_threads");
+  EXPECT_NO_THROW(load("[experiment]\nschemes = powertcp\nsim_threads = 64\n"));
   expect_rejected_at("[experiment]\nschemes = powertcp\nsim_threads = 0\n",
                      "sim_threads");
   try {

@@ -102,7 +102,8 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(arg, "--telemetry") == 0) {
       load_opts.force_telemetry = true;
     } else if (harness::take_value(arg, "--sim-threads", &value)) {
-      if (!harness::parse_count_flag(kProg, "--sim-threads", value, 64,
+      if (!harness::parse_count_flag(kProg, "--sim-threads", value,
+                                     harness::kMaxSimThreads,
                                      &load_opts.force_sim_threads)) {
         return 2;
       }
