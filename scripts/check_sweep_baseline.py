@@ -3,9 +3,9 @@
 
 Usage: check_sweep_baseline.py CURRENT.json BASELINE.json
 
-Compares a freshly produced sweep document against a committed
-baseline: bench/baselines/ablation.json, or a config's golden JSON
-under tests/goldens/. The gate is deliberately generous —
+Compares a `powertcp_run --json` document from a parallel run of a
+shipped config against that config's golden JSON under tests/goldens/.
+The gate is deliberately generous —
 it exists to catch structural breakage and large behavioural
 regressions, not to pin every number:
 

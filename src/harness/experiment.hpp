@@ -39,7 +39,7 @@ struct FatTreeExperiment {
   /// Expected flows per host NIC (the N in β = HostBw·τ/N). Loaded
   /// fabrics run tens of concurrent flows per host; the standing queue
   /// of every β-driven law is Σβ, so N must reflect that concurrency
-  /// (bench_ablation_params sweeps it).
+  /// (configs/ablation_beta.toml sweeps the β it derives).
   int expected_flows = 64;
 
   // Optional incast overlay (§4.1's distributed-file-system queries);

@@ -155,7 +155,8 @@ std::int64_t host_count(const topo::FatTreeConfig& c) {
 
 /// Rejects a query fan-in on a fat-tree (already size-checked) with no
 /// host outside the receiver's rack other than the long sender: the
-/// pool both fan-in scenarios draw responders from.
+/// pool the incast scenario draws responders from (incast and
+/// homa_oc).
 void check_fan_in_hosts(const KeyTable& k, const void* fan_in,
                         const topo::FatTreeConfig& c) {
   if (host_count(c) - c.servers_per_tor - 1 < 1) {
@@ -489,7 +490,7 @@ void DumbbellKindConfig::bind(const ScenarioContext& ctx, const KeyTable& k) {
 
 void HomaOcKindConfig::declare(KeyTable& k) {
   HomaOcScenario& h = homa_oc;
-  declare_fat_tree_topology(k, &h.sim_threads, &preset, &h.incast_topo);
+  declare_fat_tree_topology(k, &h.incast.sim_threads, &preset, &h.incast.topo);
   k.count(kWork, "overcommit", &h.overcommit, Bound::at_least(1));
   k.count(kWork, "fan_in", &h.fan_in, Bound::at_least(1));
   k.size(kWork, "flow_mb", &h.fairness.flow_bytes, Size::kMB);
@@ -498,22 +499,22 @@ void HomaOcKindConfig::declare(KeyTable& k) {
   k.us(kWork, "fairness_bin_us", &h.fairness.bin, /*positive=*/true);
   k.count(kWork, "fairness_row_every", &h.fairness.row_stride,
           Bound::at_least(1));
-  k.size(kWork, "long_message_mb", &h.long_message_bytes, Size::kMB);
-  k.size(kWork, "burst_kb", &h.burst_message_bytes, Size::kKB);
-  k.us(kWork, "burst_at_us", &h.burst_at);
-  k.ms(kWork, "incast_horizon_ms", &h.incast_horizon);
-  k.us(kWork, "incast_bin_us", &h.incast_bin, /*positive=*/true);
+  k.size(kWork, "long_message_mb", &h.incast.long_flow_bytes, Size::kMB);
+  k.size(kWork, "burst_kb", &h.incast.responder_bytes, Size::kKB);
+  k.us(kWork, "burst_at_us", &h.incast.burst_at);
+  k.ms(kWork, "incast_horizon_ms", &h.incast.horizon);
+  k.us(kWork, "incast_bin_us", &h.incast.bin, /*positive=*/true);
 }
 
 void HomaOcKindConfig::bind(const ScenarioContext& ctx, const KeyTable& k) {
-  check_fat_tree_size(k, homa_oc.incast_topo);
-  check_fan_in_hosts(k, &homa_oc.fan_in, homa_oc.incast_topo);
+  check_fat_tree_size(k, homa_oc.incast.topo);
+  check_fan_in_hosts(k, &homa_oc.fan_in, homa_oc.incast.topo);
   check_dumbbell_senders(k, &homa_oc.fairness.flow_bytes,
                          homa_oc.fairness.flow_bytes.size());
   schemes = ctx.schemes;
   slug_prefix = ctx.slug_prefix;
-  homa_oc.telemetry = ctx.telemetry;
-  homa_oc.incast_topo.aqm = ctx.aqm;
+  homa_oc.fairness.telemetry = homa_oc.incast.telemetry = ctx.telemetry;
+  homa_oc.incast.topo.aqm = ctx.aqm;
   homa_oc.fairness.topo.aqm = ctx.aqm;
 }
 
@@ -843,13 +844,17 @@ std::vector<ResultTable> FatTreeKindConfig::run(
 
 std::vector<ResultTable> IncastKindConfig::run(
     const SweepRunner& runner) const {
-  // One job per (query point, scheme), point-major.
+  // One job per (query point, scheme), point-major. Each responder
+  // sends query / fan_in, at least 1 KB (~8 KB at the paper's 2MB/255).
   std::vector<IncastScenario> points;
   std::vector<std::function<IncastSeries()>> jobs;
   for (std::size_t q = 0; q < query_bytes.size(); ++q) {
     IncastScenario point = incast;
-    point.query_bytes = query_bytes[q];
     point.fan_in = fan_in[fan_in.size() == 1 ? 0 : q];
+    point.responder_bytes =
+        query_bytes[q] > 0
+            ? std::max<std::int64_t>(1'000, query_bytes[q] / point.fan_in)
+            : 0;
     for (const auto& s : schemes) {
       jobs.push_back([point, s] { return run_incast_scenario(point, s); });
     }
@@ -865,18 +870,21 @@ std::vector<ResultTable> IncastKindConfig::run(
     ResultTable t;
     char title[96];
     const auto burst_us = static_cast<long long>(p.burst_at / sim::kPsPerUs);
-    if (p.query_bytes > 0) {
+    if (query_bytes[q] > 0) {
+      const std::string companions =
+          p.long_companions > 0
+              ? std::to_string(p.long_companions) + " long flows + "
+              : "";
       std::snprintf(title, sizeof(title),
-                    "%d long flows + %d:1 query incast (%lld KB total) "
-                    "at t=%lldus",
-                    p.long_companions, p.fan_in,
-                    static_cast<long long>(p.query_bytes / 1000), burst_us);
+                    "%s%d:1 query incast (%lld KB total) at t=%lldus",
+                    companions.c_str(), p.fan_in,
+                    static_cast<long long>(query_bytes[q] / 1000), burst_us);
     } else {
       std::snprintf(title, sizeof(title),
                     "%d:1 incast of long flows at t=%lldus",
                     p.long_companions, burst_us);
     }
-    t.slug = incast_slug(slug_prefix, p.query_bytes, p.long_companions);
+    t.slug = incast_slug(slug_prefix, query_bytes[q], p.long_companions);
     t.title = title;
     t.key_columns = {"time"};
     for (const auto& s : schemes) {
@@ -892,9 +900,29 @@ std::vector<ResultTable> IncastKindConfig::run(
       }
       t.rows.push_back(std::move(row));
     }
+    ResultTable summary;
+    summary.title = t.title + ": burst summary (receiver ToR downlink)";
+    summary.slug = t.slug + "_summary";
+    summary.key_columns = {"scheme"};
+    summary.value_columns = {"peakQ(KB)", "settle(us)", "residualQ(KB)",
+                             "drops", "goodput(Gbps)"};
+    const auto opt = [](const std::optional<double>& v, int decimals) {
+      return v ? Cell(*v, decimals) : Cell();
+    };
+    for (std::size_t i = 0; i < schemes.size(); ++i) {
+      const IncastSeries& r = series[at + i];
+      ResultTable::Row row;
+      row.keys = {Cell(schemes[i].display())};
+      row.values = {Cell(r.peak_queue_kb, 1), opt(r.settle_us, 1),
+                    opt(r.residual_queue_kb, 2),
+                    Cell::integer(static_cast<std::int64_t>(r.drops)),
+                    Cell(r.mean_goodput_gbps, 1)};
+      summary.rows.push_back(std::move(row));
+    }
     tables.push_back(std::move(t));
     append_flight_tables(tables, series, at, schemes, tables.back().slug,
                          "receiver ToR downlink + long flow");
+    tables.push_back(std::move(summary));
   }
   return tables;
 }

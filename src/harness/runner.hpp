@@ -119,13 +119,13 @@ struct DumbbellKindConfig final : ScenarioConfig {
 /// kind == "homa_oc": Figs. 9-11 overcommitment sweep (message
 /// transports only).
 struct HomaOcKindConfig final : ScenarioConfig {
-  std::string preset = "quick";  ///< quick | paper: incast_topo's base
+  std::string preset = "quick";  ///< quick | paper: incast.topo's base
   HomaOcScenario homa_oc;
   std::vector<SchemeRun> schemes;
   std::string slug_prefix = "run";
   void declare(KeyTable& keys) override;
   void bind(const ScenarioContext& ctx, const KeyTable& keys) override;
-  int* sim_threads() override { return &homa_oc.sim_threads; }
+  int* sim_threads() override { return &homa_oc.incast.sim_threads; }
   std::vector<ResultTable> run(const SweepRunner& runner) const override;
 };
 

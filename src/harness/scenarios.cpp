@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <iterator>
 #include <optional>
 #include <stdexcept>
 #include <utility>
@@ -24,22 +25,41 @@ const cc::Scheme& resolve(const SchemeRun& run) {
 }
 
 /// Hosts outside the receiver's rack (rack 0), excluding the long
-/// sender — the round-robin pool both fan-in scenarios draw
-/// responders from. Throws when the fabric has no such host: the
-/// responder modulo would otherwise divide by zero.
+/// sender — the round-robin pool the query fan-in draws responders
+/// from. Throws when the fabric has no such host: the responder modulo
+/// would otherwise divide by zero.
 int checked_remote_responders(const topo::FatTree& fabric,
-                              int servers_per_tor, const char* scenario) {
+                              int servers_per_tor) {
   const int remote = fabric.host_count() - servers_per_tor - 1;
   if (remote < 1) {
     throw std::invalid_argument(
-        std::string(scenario) +
-        ": the fan-in needs at least one host outside the receiver's rack "
-        "(grow pods/tors_per_pod)");
+        "IncastScenario: the fan-in needs at least one host outside the "
+        "receiver's rack (grow pods/tors_per_pod)");
   }
   return remote;
 }
 
 }  // namespace
+
+IncastSeries summarize_burst_queue(const stats::QueueSeries& queue,
+                                   sim::TimePs burst_at, sim::TimePs horizon) {
+  IncastSeries out;
+  out.peak_queue_kb = static_cast<double>(queue.max_bytes()) / 1e3;
+  using Point = stats::QueueSeries::Point;
+  const auto& points = queue.points();
+  const auto peak = std::max_element(
+      points.begin(), points.end(),
+      [](const Point& a, const Point& b) { return a.bytes < b.bytes; });
+  if (peak == points.end()) return out;
+  const auto settle =
+      std::find_if(std::next(peak), points.end(), [&queue](const Point& p) {
+        return p.bytes <= queue.max_bytes() / 10;
+      });
+  if (settle == points.end()) return out;
+  out.settle_us = sim::to_microseconds(settle->t - burst_at);
+  out.residual_queue_kb = queue.time_weighted_mean(settle->t, horizon) / 1e3;
+  return out;
+}
 
 IncastSeries run_incast_scenario(const IncastScenario& cfg,
                                  const SchemeRun& scheme_run) {
@@ -69,9 +89,9 @@ IncastSeries run_incast_scenario(const IncastScenario& cfg,
   stats::QueueSeries queue;
   fabric.tor(0).port(fabric.tor_down_port(receiver)).set_queue_monitor(&queue);
 
-  if (cfg.query_bytes > 0 && cfg.fan_in < 1) {
+  if (cfg.responder_bytes > 0 && cfg.fan_in < 1) {
     throw std::invalid_argument(
-        "IncastScenario: query_bytes > 0 needs fan_in >= 1");
+        "IncastScenario: responder_bytes > 0 needs fan_in >= 1");
   }
   // Companion i sends from host servers_per_tor + 1 + i.
   if (cfg.long_companions > 0 &&
@@ -80,18 +100,14 @@ IncastSeries run_incast_scenario(const IncastScenario& cfg,
         "IncastScenario: long_companions runs past the host count");
   }
   // Paper setup: `long_companions` long flows join the long flow's
-  // receiver at `burst_at`; the large-scale case additionally fans a
-  // query of `query_bytes` total across every other server (each
-  // responder sends query_bytes / fan_in, ~8 KB at the paper's 2MB/255).
-  const std::int64_t burst_bytes =
-      cfg.query_bytes > 0
-          ? std::max<std::int64_t>(1'000, cfg.query_bytes / cfg.fan_in)
-          : cfg.long_flow_bytes;
+  // receiver at `burst_at`; the large-scale case additionally has
+  // `fan_in` responders from every other server send `responder_bytes`
+  // each.
+  const bool query = cfg.responder_bytes > 0;
+  const std::int64_t burst_bytes = cfg.responder_bytes;
   const int remote_responders =
-      cfg.query_bytes > 0
-          ? checked_remote_responders(fabric, topo_cfg.servers_per_tor,
-                                      "IncastScenario")
-          : 1;  // responder_of is never called without a query fan-in
+      query ? checked_remote_responders(fabric, topo_cfg.servers_per_tor)
+            : 1;  // responder_of is never called without a query fan-in
   const auto responder_of = [&](int i) {
     return topo_cfg.servers_per_tor + i % remote_responders;
   };
@@ -118,7 +134,7 @@ IncastSeries run_incast_scenario(const IncastScenario& cfg,
                                       long_bytes);
                                 });
     }
-    for (int i = 0; cfg.query_bytes > 0 && i < cfg.fan_in; ++i) {
+    for (int i = 0; query && i < cfg.fan_in; ++i) {
       host::Host& h = fabric.host(responder_of(i));
       const net::FlowId fid = static_cast<net::FlowId>(100 + i);
       h.simulator().schedule_at(cfg.burst_at, [&h, fid, &fabric, receiver,
@@ -143,7 +159,7 @@ IncastSeries run_incast_scenario(const IncastScenario& cfg,
           cfg.long_flow_bytes, factory(params, endpoints(responder)), params,
           cfg.burst_at);
     }
-    for (int i = 0; cfg.query_bytes > 0 && i < cfg.fan_in; ++i) {
+    for (int i = 0; query && i < cfg.fan_in; ++i) {
       const int responder = responder_of(i);
       fabric.host(responder).start_flow(
           static_cast<net::FlowId>(100 + i), fabric.host_node(receiver),
@@ -165,7 +181,9 @@ IncastSeries run_incast_scenario(const IncastScenario& cfg,
 
   point.run_until(cfg.horizon);
 
-  IncastSeries out;
+  IncastSeries out = summarize_burst_queue(queue, cfg.burst_at, cfg.horizon);
+  out.drops = fabric.total_drops();
+  out.mean_goodput_gbps = goodput.mean_gbps(0, goodput.bin_count());
   const auto bins = static_cast<std::size_t>(cfg.horizon / cfg.bin);
   for (std::size_t b = 0; b < bins; ++b) {
     out.gbps.push_back(goodput.gbps(b));
@@ -398,77 +416,6 @@ std::vector<ResultTable> dumbbell_fairness_tables(
   return tables;
 }
 
-HomaOcIncastResult run_homa_oc_incast(const HomaOcScenario& cfg,
-                                      const SchemeRun& scheme_run,
-                                      int fan_in) {
-  const cc::Scheme& scheme = resolve(scheme_run);
-
-  // Partitioned engine (per-pod cut); monitors live on pod 0 = shard 0.
-  ShardedPoint point(topo::fat_tree_shard_plan(
-      cfg.incast_topo,
-      effective_sim_threads(cfg.sim_threads, cfg.telemetry.enabled)));
-  sim::Simulator& simulator = point.sim();
-  net::Network& network = point.network;
-  topo::FatTreeConfig topo_cfg = cfg.incast_topo;
-  topo_cfg.ecn = scheme.needs.ecn;
-  topo_cfg.priority_bands = scheme.needs.priority_bands;
-  topo::FatTree fabric(network, topo_cfg);
-
-  cc::FlowParams params;
-  params.host_bw = topo_cfg.host_bw;
-  params.base_rtt = fabric.max_base_rtt();
-  const host::HomaConfig hc =
-      host::homa_config_from_params(scheme_run.params, params);
-  for (int h = 0; h < fabric.host_count(); ++h) fabric.host(h).enable_homa(hc);
-
-  const int receiver = 0;
-  stats::QueueSeries queue;
-  fabric.tor(0).port(fabric.tor_down_port(receiver)).set_queue_monitor(&queue);
-  stats::ThroughputSeries goodput(0, cfg.incast_bin);
-  fabric.host(receiver).set_data_callback(
-      [&goodput](net::FlowId, std::int64_t bytes, sim::TimePs now) {
-        goodput.add_bytes(now, bytes);
-      });
-
-  // Long message from the far pod plus the synchronized burst.
-  host::Host& ls = fabric.host(fabric.host_count() - 1);
-  const std::int64_t long_bytes = cfg.long_message_bytes;
-  ls.simulator().schedule_at(0, [&ls, &fabric, receiver, long_bytes] {
-    ls.homa()->send_message(1, fabric.host_node(receiver), long_bytes);
-  });
-  const int remote_responders =
-      fan_in > 0 ? checked_remote_responders(fabric, topo_cfg.servers_per_tor,
-                                             "HomaOcScenario")
-                 : 1;
-  const std::int64_t burst_bytes = cfg.burst_message_bytes;
-  for (int i = 0; i < fan_in; ++i) {
-    const int responder = topo_cfg.servers_per_tor + i % remote_responders;
-    host::Host& h = fabric.host(responder);
-    const auto fid = static_cast<net::FlowId>(100 + i);
-    h.simulator().schedule_at(cfg.burst_at, [&h, fid, &fabric, receiver,
-                                             burst_bytes] {
-      h.homa()->send_message(fid, fabric.host_node(receiver), burst_bytes);
-    });
-  }
-  // Flight tap on the contended downlink; Homa has no sender window,
-  // so the flow channels read 0 (no flow host to tap).
-  std::optional<FlightTap> tap;
-  if (cfg.telemetry.enabled) {
-    tap.emplace(cfg.telemetry, simulator,
-                fabric.tor(0).port(fabric.tor_down_port(receiver)), nullptr, 1,
-                params.base_rtt, cfg.incast_horizon);
-  }
-
-  point.run_until(cfg.incast_horizon);
-
-  HomaOcIncastResult out;
-  out.peak_queue_kb = static_cast<double>(queue.max_bytes()) / 1e3;
-  out.drops = fabric.total_drops();
-  out.mean_goodput_gbps = goodput.mean_gbps(0, goodput.bin_count());
-  if (tap) out.flight = tap->series();
-  return out;
-}
-
 std::vector<ResultTable> homa_oc_tables(const SweepRunner& runner,
                                         const HomaOcScenario& cfg,
                                         const std::vector<SchemeRun>& schemes,
@@ -493,24 +440,24 @@ std::vector<ResultTable> homa_oc_tables(const SweepRunner& runner,
     return run;
   };
 
-  DumbbellScenario fairness = cfg.fairness;
-  fairness.telemetry = cfg.telemetry;
+  IncastScenario incast = cfg.incast;
   std::vector<std::function<DumbbellSeries()>> fairness_jobs;
   fairness_jobs.reserve(schemes.size() * cfg.overcommit.size());
-  std::vector<std::function<HomaOcIncastResult()>> incast_jobs;
+  std::vector<std::function<IncastSeries()>> incast_jobs;
   incast_jobs.reserve(schemes.size() * cfg.fan_in.size() *
                       cfg.overcommit.size());
   for (const auto& s : schemes) {
     for (const int oc : cfg.overcommit) {
       const SchemeRun run = at_level(s, oc);
       fairness_jobs.push_back(
-          [fairness, run] { return run_dumbbell_scenario(fairness, run); });
+          [&cfg, run] { return run_dumbbell_scenario(cfg.fairness, run); });
     }
     for (const int fan : cfg.fan_in) {
+      incast.fan_in = fan;
       for (const int oc : cfg.overcommit) {
         const SchemeRun run = at_level(s, oc);
         incast_jobs.push_back(
-            [cfg, run, fan] { return run_homa_oc_incast(cfg, run, fan); });
+            [incast, run] { return run_incast_scenario(incast, run); });
       }
     }
   }
@@ -519,7 +466,7 @@ std::vector<ResultTable> homa_oc_tables(const SweepRunner& runner,
   // waiting behind the slowest fairness run. Results land by index,
   // keeping the tables deterministic.
   std::vector<DumbbellSeries> fairness_results(fairness_jobs.size());
-  std::vector<HomaOcIncastResult> incast_results(incast_jobs.size());
+  std::vector<IncastSeries> incast_results(incast_jobs.size());
   runner.run_indexed(
       fairness_jobs.size() + incast_jobs.size(), [&](std::size_t i) {
         if (i < fairness_jobs.size()) {
@@ -560,7 +507,7 @@ std::vector<ResultTable> homa_oc_tables(const SweepRunner& runner,
       t.value_columns = {"peakQ(KB)", "drops", "goodput(Gbps)"};
       std::vector<ResultTable> flights;
       for (const int oc : cfg.overcommit) {
-        const HomaOcIncastResult& r = incast_results[incast_at++];
+        const IncastSeries& r = incast_results[incast_at++];
         ResultTable::Row row;
         row.keys = {Cell(std::to_string(oc))};
         row.values = {Cell(r.peak_queue_kb, 1),

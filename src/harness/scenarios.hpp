@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -8,6 +9,7 @@
 #include "harness/sweep.hpp"
 #include "harness/telemetry.hpp"
 #include "sim/time.hpp"
+#include "stats/timeseries.hpp"
 #include "topo/dumbbell.hpp"
 #include "topo/fat_tree.hpp"
 #include "topo/rdcn.hpp"
@@ -40,8 +42,9 @@ struct SchemeRun {
 struct IncastScenario {
   topo::FatTreeConfig topo = topo::FatTreeConfig::quick();
   int expected_flows = 8;
-  int fan_in = 0;                  ///< query responders (0 = none)
-  std::int64_t query_bytes = 0;    ///< total query size across the fan-in
+  int fan_in = 0;  ///< query responders
+  /// What each of the `fan_in` responders sends (0 = no query).
+  std::int64_t responder_bytes = 0;
   std::int64_t long_flow_bytes = 400'000'000;
   int long_companions = 10;
   sim::TimePs burst_at = sim::microseconds(500);
@@ -55,15 +58,30 @@ struct IncastScenario {
   TelemetryConfig telemetry;
 };
 
-/// Receiver goodput and bottleneck ToR-downlink queue, one bin each.
+/// Receiver goodput and bottleneck ToR-downlink queue, one bin each,
+/// plus the point's burst summary.
 struct IncastSeries {
   std::vector<double> gbps;
   std::vector<double> queue_kb;
+  double peak_queue_kb = 0;
+  std::uint64_t drops = 0;       ///< fabric-wide
+  double mean_goodput_gbps = 0;  ///< over the bins that saw data
+  /// From `burst_at` to the first queue sample after the peak at or
+  /// below a tenth of it; empty when the queue never settles.
+  std::optional<double> settle_us;
+  /// Time-weighted mean queue from settle to the horizon; empty with
+  /// `settle_us`.
+  std::optional<double> residual_queue_kb;
   TelemetrySeries flight;  ///< empty unless telemetry.enabled
 };
 
 IncastSeries run_incast_scenario(const IncastScenario& cfg,
                                  const SchemeRun& scheme);
+
+/// The queue half of the burst summary: peak_queue_kb, settle_us and
+/// residual_queue_kb of `queue` (the other fields stay empty).
+IncastSeries summarize_burst_queue(const stats::QueueSeries& queue,
+                                   sim::TimePs burst_at, sim::TimePs horizon);
 
 /// Fig. 8: rack0's servers stream to rack1 across the RDCN while the
 /// rotor schedule connects and disconnects them.
@@ -142,40 +160,26 @@ struct HomaOcScenario {
     d.row_stride = 8;
     return d;
   }
+  /// A long message holds the receiver's downlink when a synchronized
+  /// burst of 100 KB messages arrives; no long companions.
+  static IncastScenario default_incast() {
+    IncastScenario s;
+    s.long_flow_bytes = 200'000'000;
+    s.long_companions = 0;
+    s.responder_bytes = 100'000;
+    s.bin = sim::microseconds(100);
+    return s;
+  }
 
   /// Fig. 9 panel (per-level fairness series).
   DumbbellScenario fairness = default_fairness();
-  /// Figs. 10/11 panel (incast reaction summaries).
-  topo::FatTreeConfig incast_topo = topo::FatTreeConfig::quick();
+  /// Figs. 10/11 panel (incast reaction summaries), run once per
+  /// `fan_in` entry. Its flight tap reads the receiver's ToR downlink;
+  /// message transports have no sender window, so cwnd/pace read 0.
+  IncastScenario incast = default_incast();
   std::vector<int> overcommit = {1, 2, 3, 4, 5, 6};
   std::vector<int> fan_in = {10, 55};
-  std::int64_t long_message_bytes = 200'000'000;
-  std::int64_t burst_message_bytes = 100'000;
-  sim::TimePs burst_at = sim::microseconds(500);
-  sim::TimePs incast_horizon = sim::milliseconds(3);
-  sim::TimePs incast_bin = sim::microseconds(100);
-  /// Parallel-engine shards for the incast panel (per-pod cut; 1 =
-  /// sequential verbatim); results are thread-count-independent.
-  /// Telemetry forces 1.
-  int sim_threads = 1;
-  /// Optional flight recorder, applied to both panels (the incast
-  /// panel taps the receiver's ToR downlink; message transports have
-  /// no sender window, so cwnd/pace read 0 there).
-  TelemetryConfig telemetry;
 };
-
-/// One incast reaction at one (overcommit via scheme params, fan_in)
-/// point: a long message holds the receiver's downlink when the
-/// synchronized burst arrives.
-struct HomaOcIncastResult {
-  double peak_queue_kb = 0;
-  std::uint64_t drops = 0;
-  double mean_goodput_gbps = 0;
-  TelemetrySeries flight;  ///< empty unless telemetry.enabled
-};
-
-HomaOcIncastResult run_homa_oc_incast(const HomaOcScenario& cfg,
-                                      const SchemeRun& scheme, int fan_in);
 
 /// Per scheme: one fairness table per overcommitment level, then one
 /// summary table per fan-in with a row per level. Throws

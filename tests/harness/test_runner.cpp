@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "harness/config.hpp"
+#include "stats/timeseries.hpp"
 
 #ifndef POWERTCP_SOURCE_DIR
 #define POWERTCP_SOURCE_DIR "."
@@ -467,15 +468,16 @@ TEST(Runner, SingleRackFabricsRejectFanInsInsteadOfCrashing) {
   tiny.servers_per_tor = 2;
   IncastScenario incast;
   incast.topo = tiny;
-  incast.query_bytes = 100'000;
+  incast.responder_bytes = 25'000;
   incast.fan_in = 4;
   incast.horizon = sim::milliseconds(1);
   EXPECT_THROW(run_incast_scenario(incast, SchemeRun{"", "powertcp", {}}),
                std::invalid_argument);
-  HomaOcScenario oc;
-  oc.incast_topo = tiny;
-  oc.incast_horizon = sim::milliseconds(1);
-  EXPECT_THROW(run_homa_oc_incast(oc, SchemeRun{"", "homa", {}}, 2),
+  IncastScenario oc = HomaOcScenario::default_incast();
+  oc.topo = tiny;
+  oc.fan_in = 2;
+  oc.horizon = sim::milliseconds(1);
+  EXPECT_THROW(run_incast_scenario(oc, SchemeRun{"", "homa", {}}),
                std::invalid_argument);
 }
 
@@ -612,9 +614,9 @@ TEST(Runner, SimThreadsIsAFatTreeKey) {
   EXPECT_EQ(as_kind<IncastKindConfig>(forced("incast", "powertcp"))
                 .incast.sim_threads,
             4);
-  EXPECT_EQ(
-      as_kind<HomaOcKindConfig>(forced("homa_oc", "homa")).homa_oc.sim_threads,
-      4);
+  EXPECT_EQ(as_kind<HomaOcKindConfig>(forced("homa_oc", "homa"))
+                .homa_oc.incast.sim_threads,
+            4);
 }
 
 TEST(Runner, HomaOcKindRejectsSenderCcSchemes) {
@@ -843,11 +845,110 @@ horizon_ms = 0.2
 )",
                                       "slugs.toml");
   // Slug generation is pure string work; the horizon shrinks the
-  // simulations.
+  // simulations. Each point's summary table follows its series.
+  const auto tables = run_config(load_runner_config(file), SweepRunner(1));
+  ASSERT_EQ(tables.size(), 4u);
+  EXPECT_EQ(tables[0].slug, "fig4_query500kb");
+  EXPECT_EQ(tables[1].slug, "fig4_query500kb_summary");
+  EXPECT_EQ(tables[2].slug, "fig4_query2000kb");
+  EXPECT_EQ(tables[3].slug, "fig4_query2000kb_summary");
+}
+
+TEST(Runner, IncastSummaryHasOneRowPerScheme) {
+  // long_companions = 0 drops the "N long flows + " title prefix, and
+  // the summary has one row per scheme with every cell filled once the
+  // burst drains.
+  const auto file = ConfigFile::parse(R"(
+[experiment]
+kind = incast
+slug = solo
+schemes = powertcp, hpcc
+
+[workload]
+long_companions = 0
+query_kb = 400
+fan_in = 8
+burst_at_us = 100
+horizon_ms = 0.6
+)",
+                                      "solo.toml");
   const auto tables = run_config(load_runner_config(file), SweepRunner(1));
   ASSERT_EQ(tables.size(), 2u);
-  EXPECT_EQ(tables[0].slug, "fig4_query500kb");
-  EXPECT_EQ(tables[1].slug, "fig4_query2000kb");
+  EXPECT_EQ(tables[0].title, "8:1 query incast (400 KB total) at t=100us");
+  const ResultTable& summary = tables[1];
+  EXPECT_EQ(summary.slug, "solo_query400kb_summary");
+  EXPECT_EQ(summary.value_columns,
+            (std::vector<std::string>{"peakQ(KB)", "settle(us)",
+                                      "residualQ(KB)", "drops",
+                                      "goodput(Gbps)"}));
+  ASSERT_EQ(summary.rows.size(), 2u);
+  EXPECT_EQ(summary.rows[0].keys.at(0).render(), "powertcp");
+  EXPECT_EQ(summary.rows[1].keys.at(0).render(), "hpcc");
+  for (const auto& row : summary.rows) {
+    EXPECT_GT(row.values.at(0).number(), 0.0);
+    EXPECT_GT(row.values.at(1).number(), 0.0);
+    EXPECT_NE(row.values.at(2).render(), "-");
+  }
+}
+
+TEST(Runner, BurstSummaryReadsPeakSettleAndResidual) {
+  stats::QueueSeries q;
+  q.sample(sim::microseconds(0), 0);  // at or below a tenth, but pre-peak
+  q.sample(sim::microseconds(120), 2'000);
+  q.sample(sim::microseconds(150), 50'000);  // the peak
+  q.sample(sim::microseconds(155), 5'001);   // just above peak/10
+  q.sample(sim::microseconds(170), 5'000);   // settles: <= peak/10
+  q.sample(sim::microseconds(200), 1'000);
+  const IncastSeries s = summarize_burst_queue(q, sim::microseconds(100),
+                                               sim::microseconds(270));
+  EXPECT_DOUBLE_EQ(s.peak_queue_kb, 50.0);
+  ASSERT_TRUE(s.settle_us.has_value());
+  EXPECT_NEAR(*s.settle_us, 70.0, 1e-9);  // from burst_at, not from 0
+  // [170, 270] us: 5000 B for 30 us, then 1000 B for 70 us.
+  ASSERT_TRUE(s.residual_queue_kb.has_value());
+  EXPECT_NEAR(*s.residual_queue_kb, 2.2, 1e-9);
+
+  stats::QueueSeries high;
+  high.sample(sim::microseconds(10), 1'000);
+  high.sample(sim::microseconds(20), 800);
+  const IncastSeries never = summarize_burst_queue(
+      high, sim::microseconds(0), sim::microseconds(100));
+  EXPECT_DOUBLE_EQ(never.peak_queue_kb, 1.0);
+  EXPECT_FALSE(never.settle_us.has_value());
+  EXPECT_FALSE(never.residual_queue_kb.has_value());
+  EXPECT_FALSE(summarize_burst_queue(stats::QueueSeries{}, 0,
+                                     sim::microseconds(100))
+                   .settle_us.has_value());
+}
+
+TEST(Runner, HomaOcSubKilobyteBurstsAreSentUnclamped) {
+  // burst_kb is what each responder sends, as given: 0.5 KB stays
+  // 500 bytes (the incast kind's 1 KB floor applies to its query
+  // split, not here). A 1 KB burst peaks at 5.2 KB on this point; the
+  // row below is the pre-refactor output for 0.5 KB.
+  const auto file = ConfigFile::parse(R"(
+[experiment]
+kind = homa_oc
+slug = half
+schemes = homa
+
+[workload]
+overcommit = 1
+fan_in = 10
+flow_mb = 1, 0.5
+fairness_horizon_ms = 1
+incast_horizon_ms = 1
+burst_kb = 0.5
+)",
+                                      "half.toml");
+  const auto tables = run_config(load_runner_config(file), SweepRunner(1));
+  ASSERT_EQ(tables.size(), 2u);
+  EXPECT_EQ(tables[1].slug, "half_homa_incast10to1");
+  ASSERT_EQ(tables[1].rows.size(), 1u);
+  const auto& cells = tables[1].rows[0].values;
+  EXPECT_EQ(cells.at(0).render(), "3.2");
+  EXPECT_EQ(cells.at(1).render(), "0");
+  EXPECT_EQ(cells.at(2).render(), "23.6");
 }
 
 TEST(Runner, SchemeAliasesRunOneSchemeTwice) {
