@@ -178,6 +178,33 @@ void check_dumbbell_senders(const KeyTable& k, const void* field,
   }
 }
 
+/// Rejects, at the `[experiment] schemes` line, the first scheme the
+/// kind cannot run: `misfit` returns why ("which ..."), or "" when the
+/// scheme fits. The scenario functions keep their own throws for
+/// library callers.
+void check_schemes(
+    const ScenarioContext& ctx, const KeyTable& k,
+    const std::function<std::string(const cc::Scheme&)>& misfit) {
+  for (const SchemeRun& run : ctx.schemes) {
+    const std::string why = misfit(cc::Registry::instance().at(run.scheme));
+    if (why.empty()) continue;
+    k.reject(&ctx.scheme_labels,
+             "names scheme '" + run.scheme + "'" +
+                 (run.scheme == run.label ? "" : " (" + run.label + ")") +
+                 ", " + why);
+  }
+}
+
+/// fat_tree, incast and dumbbell build no circuit switch, so a scheme
+/// that needs its schedule (reTCP) cannot run there.
+void check_no_circuit_schemes(const ScenarioContext& ctx, const KeyTable& k) {
+  check_schemes(ctx, k, [](const cc::Scheme& s) -> std::string {
+    return s.needs.circuit_schedule
+               ? "which needs a circuit schedule; only kind rdcn builds one"
+               : "";
+  });
+}
+
 /// "20000", "1e+08", "0.5": a number in %g form, for error messages
 /// and slugs.
 std::string g_text(double n) {
@@ -335,6 +362,7 @@ void FatTreeKindConfig::declare(KeyTable& k) {
 }
 
 void FatTreeKindConfig::bind(const ScenarioContext& ctx, const KeyTable& k) {
+  check_no_circuit_schemes(ctx, k);
   const topo::FatTreeConfig& t = fat_tree.topo;
   check_fat_tree_size(k, t);
   const std::int64_t remote = host_count(t) - t.servers_per_tor;
@@ -397,6 +425,7 @@ void IncastKindConfig::declare(KeyTable& k) {
 }
 
 void IncastKindConfig::bind(const ScenarioContext& ctx, const KeyTable& k) {
+  check_no_circuit_schemes(ctx, k);
   check_fat_tree_size(k, incast.topo);
   schemes = ctx.schemes;
   slug_prefix = ctx.slug_prefix;
@@ -451,6 +480,12 @@ void RdcnKindConfig::declare(KeyTable& k) {
 }
 
 void RdcnKindConfig::bind(const ScenarioContext& ctx, const KeyTable& k) {
+  check_schemes(ctx, k, [](const cc::Scheme& s) -> std::string {
+    return s.message_transport
+               ? "which is a receiver-driven message transport; kind rdcn "
+                 "drives sender CC algorithms"
+               : "";
+  });
   // As topo/rdcn.cpp wires it: a ToR has a port per server plus its
   // circuit and packet uplinks, the packet core and the circuit switch
   // one per ToR; the network is those two, the ToRs and the hosts.
@@ -481,6 +516,7 @@ void DumbbellKindConfig::declare(KeyTable& k) {
 }
 
 void DumbbellKindConfig::bind(const ScenarioContext& ctx, const KeyTable& k) {
+  check_no_circuit_schemes(ctx, k);
   check_dumbbell_senders(k, &dumbbell.flow_bytes, dumbbell.flow_bytes.size());
   schemes = ctx.schemes;
   slug_prefix = ctx.slug_prefix;
@@ -507,6 +543,13 @@ void HomaOcKindConfig::declare(KeyTable& k) {
 }
 
 void HomaOcKindConfig::bind(const ScenarioContext& ctx, const KeyTable& k) {
+  check_schemes(ctx, k, [](const cc::Scheme& s) -> std::string {
+    return s.message_transport
+               ? ""
+               : "which is not a receiver-driven message transport; the "
+                 "overcommitment sweep (kind homa_oc) drives message "
+                 "transports only";
+  });
   check_fat_tree_size(k, homa_oc.incast.topo);
   check_fan_in_hosts(k, &homa_oc.fan_in, homa_oc.incast.topo);
   check_dumbbell_senders(k, &homa_oc.fairness.flow_bytes,
@@ -655,7 +698,8 @@ void register_builtin_scenarios(ScenarioRegistry& registry) {
   registry.add(builtin<IncastKindConfig>(
       "incast",
       "Fig. 4 reaction to incast: long flow + N:1 burst on one downlink, "
-      "goodput/queue time series per scheme"));
+      "goodput/queue time series per scheme and a <slug>_summary table "
+      "(peak/settle/residual queue, drops, goodput per scheme) per point"));
   registry.add(builtin<RdcnKindConfig>(
       "rdcn",
       "Fig. 8 reconfigurable-DCN case study: rack-to-rack series over the "

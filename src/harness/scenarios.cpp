@@ -562,19 +562,12 @@ MixedCcCellResult run_mixed_cc_cell(const MixedCcScenario& cfg,
   topo_cfg.priority_bands = 0;
   topo_cfg.aqm = cfg.aqm;
   topo_cfg.aqm.kind = aqm_kind;
-  // Registry ECN profiles carry per-Gbps thresholds (FatTreeConfig
-  // semantics); the dumbbell takes absolute bytes, so scale by the
-  // bottleneck line rate. First marking-dependent member wins — one
-  // fabric, one profile, exactly the brownfield constraint.
+  // First marking-dependent member's (per-Gbps) ECN profile wins —
+  // one fabric, one profile, exactly the brownfield constraint.
   topo_cfg.ecn = net::EcnConfig{};
   for (const cc::Scheme* s : schemes) {
     if (s->needs.ecn.enabled) {
-      const double gbps = topo_cfg.bottleneck_bw.gbps_value();
       topo_cfg.ecn = s->needs.ecn;
-      topo_cfg.ecn.kmin_bytes = static_cast<std::int64_t>(
-          static_cast<double>(topo_cfg.ecn.kmin_bytes) * gbps);
-      topo_cfg.ecn.kmax_bytes = static_cast<std::int64_t>(
-          static_cast<double>(topo_cfg.ecn.kmax_bytes) * gbps);
       break;
     }
   }

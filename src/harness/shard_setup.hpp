@@ -49,7 +49,7 @@ struct ShardedPoint {
   explicit ShardedPoint(topo::ShardPlan p)
       : plan(std::move(p)),
         engine(plan.shards),
-        network(prepared_engine(), plan.node_shard) {}
+        network(engine, plan.node_shard) {}
 
   /// Shard 0's event queue — the "main" simulator every monitor and
   /// telemetry tap lives on.
@@ -59,12 +59,6 @@ struct ShardedPoint {
   void run_until(sim::TimePs horizon) {
     engine.run_until(horizon);
     check_exact(engine);
-  }
-
- private:
-  sim::ShardedSimulator& prepared_engine() {
-    engine.set_lookahead(plan.lookahead);
-    return engine;
   }
 };
 

@@ -42,7 +42,7 @@ class EgressPort {
   int peer_in_port() const { return peer_in_port_; }
 
   /// Marks the peer as living on another shard of a partitioned run:
-  /// deliveries go through `ch` (a cross-shard SPSC channel, see
+  /// deliveries go through `ch` (a cross-shard channel, see
   /// shard_link.hpp) instead of being scheduled on this shard's
   /// simulator. Installed by Network when a link crosses the shard
   /// plan's cut; nullptr (the default) keeps the local path.

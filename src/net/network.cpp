@@ -1,6 +1,5 @@
 #include "net/network.hpp"
 
-#include <algorithm>
 #include <deque>
 #include <limits>
 #include <memory>
@@ -35,11 +34,6 @@ void Network::link_shards(Node& a, int a_port, Node& b, int b_port) {
   if (sa == sb) return;
   const sim::TimePs prop_ab = a.port(a_port).propagation_delay();
   const sim::TimePs prop_ba = b.port(b_port).propagation_delay();
-  if (std::min(prop_ab, prop_ba) < engine_->lookahead()) {
-    throw std::logic_error(
-        "Network: cross-shard link shorter than the engine lookahead — "
-        "the shard plan's cut delay is wrong for this topology");
-  }
   a.port(a_port).set_remote_channel(router_->add_channel(sa, sb, &b, b_port));
   b.port(b_port).set_remote_channel(router_->add_channel(sb, sa, &a, a_port));
   // Cut-graph edge weights for the per-pair lookahead: a packet leaving

@@ -31,8 +31,8 @@ class Network {
 
   /// Partitioned mode: node i (by construction order) lives on shard
   /// `node_shard[i]` of `engine`. The map must cover every node the
-  /// builder will add, and the engine's lookahead must already be set
-  /// (connect() rejects cross-shard links shorter than it).
+  /// builder will add; connect() registers each cross-shard link's
+  /// directions as the engine's cut edges.
   Network(sim::ShardedSimulator& engine, std::vector<int> node_shard)
       : sim_(engine.shard(0)),
         engine_(&engine),

@@ -1,8 +1,8 @@
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <memory>
 #include <vector>
 
@@ -14,9 +14,9 @@
 /// Cross-partition packet handoff for the sharded engine. An egress
 /// port whose peer lives on another shard does not schedule the
 /// delivery event itself (that would touch a foreign event queue from
-/// the wrong thread); it pushes the packet onto its link's ShardChannel
-/// — a single-producer/single-consumer ring — stamped with the absolute
-/// delivery time. At the next window barrier the destination shard's
+/// the wrong thread); it appends the packet to its link's ShardChannel
+/// — a plain per-link buffer — stamped with the absolute delivery
+/// time. At the next window barrier the destination shard's
 /// ingest hook (ShardRouter) drains every inbound channel and schedules
 /// the deliveries into its own Simulator, parking packets in a
 /// per-shard PacketPool so the event callback carries a handle, not
@@ -41,11 +41,13 @@
 /// (Simulator::boundary_ambiguities()), and zero detections certifies
 /// the run byte-identical to the sequential engine.
 ///
-/// Memory ordering: producers push only while their window runs;
-/// consumers drain only at the barrier, which orders every push of
-/// window k before every drain of round k+1. The acquire/release pair
-/// on the ring cursors keeps the fast path TSan-clean even without the
-/// barrier; the rare overflow spill relies on the barrier alone.
+/// Memory ordering: a channel has one writer at a time and needs no
+/// atomics. The source shard appends only while its window runs; the
+/// destination shard drains only in the barrier phase, while every
+/// shard is quiescent. The window barrier's acq_rel arrival and
+/// release/acquire generation (sim::ShardedSimulator::Barrier) order
+/// every append of window k before the drain of round k+1, and that
+/// drain before any append of window k+1.
 
 namespace powertcp::net {
 
@@ -73,69 +75,15 @@ struct ShardMessage {
   Packet pkt;
 };
 
-/// Fixed-capacity SPSC ring with an unbounded overflow spill. The
-/// consumer only drains at barriers, so a full ring must never block
-/// the producer (a spinning producer would deadlock the window);
-/// instead the producer goes STICKY to the overflow vector for the
-/// rest of the window, preserving send order (ring first, then spill).
-class SpscRing {
- public:
-  explicit SpscRing(std::size_t capacity_pow2 = 1024)
-      : slots_(capacity_pow2), mask_(capacity_pow2 - 1) {
-    if (capacity_pow2 == 0 || (capacity_pow2 & mask_) != 0) {
-      throw std::invalid_argument("SpscRing: capacity must be a power of 2");
-    }
-  }
-
-  /// Producer thread only.
-  void push(ShardMessage&& m) {
-    if (!overflowing_) {
-      const std::uint64_t t = tail_.load(std::memory_order_relaxed);
-      if (t - head_.load(std::memory_order_acquire) < slots_.size()) {
-        slots_[t & mask_] = std::move(m);
-        tail_.store(t + 1, std::memory_order_release);
-        return;
-      }
-      overflowing_ = true;
-    }
-    overflow_.push_back(std::move(m));
-  }
-
-  /// Consumer thread only, at a barrier: appends everything pushed so
-  /// far to `out`, in push order, and resets the overflow spill.
-  void drain_into(std::vector<ShardMessage>& out) {
-    std::uint64_t h = head_.load(std::memory_order_relaxed);
-    const std::uint64_t t = tail_.load(std::memory_order_acquire);
-    while (h != t) {
-      out.push_back(std::move(slots_[h & mask_]));
-      ++h;
-    }
-    head_.store(h, std::memory_order_release);
-    if (!overflow_.empty()) {
-      for (auto& m : overflow_) out.push_back(std::move(m));
-      overflow_.clear();
-    }
-    overflowing_ = false;  // ordered vs the producer by the barrier
-  }
-
- private:
-  std::vector<ShardMessage> slots_;
-  const std::uint64_t mask_;
-  alignas(64) std::atomic<std::uint64_t> head_{0};  ///< consumer cursor
-  alignas(64) std::atomic<std::uint64_t> tail_{0};  ///< producer cursor
-  /// Producer-owned during a window, consumer-owned at the barrier.
-  bool overflowing_ = false;
-  std::vector<ShardMessage> overflow_;
-};
-
 /// The producer-side endpoint of one cross-shard directed link: knows
-/// the destination node/port and owns the ring. EgressPort::start_tx
-/// calls send() instead of scheduling the delivery locally.
+/// the destination node/port and buffers the window's sends in send
+/// order. EgressPort::start_tx calls send() instead of scheduling the
+/// delivery locally.
 class ShardChannel {
  public:
   /// `send_stamp` is the router-owned per-source-shard send counter;
-  /// only the source shard's worker thread touches it (SPSC channels,
-  /// one worker per shard), so a plain increment is race-free.
+  /// only the source shard's worker thread touches it (one worker per
+  /// shard), so a plain increment is race-free.
   ShardChannel(Node* dst, int dst_in_port, int src_shard,
                std::uint64_t* send_stamp)
       : dst_(dst),
@@ -145,11 +93,18 @@ class ShardChannel {
 
   void send(sim::TimePs deliver_at, sim::TimePs sent_at, std::uint32_t tie,
             Packet&& pkt) {
-    ring_.push(ShardMessage{deliver_at, sent_at, (*send_stamp_)++, dst_,
-                            dst_in_port_, src_shard_, tie, std::move(pkt)});
+    sent_.push_back(ShardMessage{deliver_at, sent_at, (*send_stamp_)++, dst_,
+                                 dst_in_port_, src_shard_, tie,
+                                 std::move(pkt)});
   }
 
-  void drain_into(std::vector<ShardMessage>& out) { ring_.drain_into(out); }
+  /// Destination shard, at a barrier: appends the buffered sends to
+  /// `out` in send order and empties the buffer (keeping its capacity).
+  void drain_into(std::vector<ShardMessage>& out) {
+    out.insert(out.end(), std::make_move_iterator(sent_.begin()),
+               std::make_move_iterator(sent_.end()));
+    sent_.clear();
+  }
 
   int src_shard() const { return src_shard_; }
 
@@ -158,7 +113,7 @@ class ShardChannel {
   std::int32_t dst_in_port_;
   std::int32_t src_shard_;
   std::uint64_t* send_stamp_;
-  SpscRing ring_;
+  std::vector<ShardMessage> sent_;
 };
 
 /// Owns every cross-shard channel of one partitioned network and
@@ -207,7 +162,7 @@ class ShardRouter {
 
   /// One per-source-shard send counter on its own cache line; written
   /// only by that shard's worker thread, read by consumers only via the
-  /// stamps already published through the rings.
+  /// stamps already carried in the channels' messages.
   struct alignas(64) SendStamp {
     std::uint64_t next = 0;
   };

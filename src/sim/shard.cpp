@@ -16,6 +16,8 @@ ShardedSimulator::ShardedSimulator(int shards) {
     shards_.push_back(std::make_unique<Simulator>());
   }
   ingest_.resize(static_cast<std::size_t>(shards));
+  cut_w_.assign(shards_.size() * shards_.size(), kTimeInfinity);
+  bound_ = cut_w_;
 }
 
 void ShardedSimulator::set_ingest_hook(int i, std::function<void()> hook) {
@@ -41,14 +43,9 @@ void ShardedSimulator::add_cut_edge(int src, int dst, TimePs weight) {
     throw std::invalid_argument(
         "ShardedSimulator::add_cut_edge: weight must be >= 1 ps");
   }
-  if (cut_w_.empty()) {
-    cut_w_.assign(static_cast<std::size_t>(n) * static_cast<std::size_t>(n),
-                  kTimeInfinity);
-  }
   TimePs& w = cut_w_[static_cast<std::size_t>(src) * static_cast<std::size_t>(n) +
                      static_cast<std::size_t>(dst)];
   w = std::min(w, weight);
-  have_cut_edges_ = true;
   bounds_dirty_ = true;
 }
 
@@ -91,7 +88,6 @@ TimePs ShardedSimulator::influence_bound(int src, int dst) {
   if (src < 0 || src >= n || dst < 0 || dst >= n) {
     throw std::invalid_argument("ShardedSimulator::influence_bound: bad pair");
   }
-  if (!have_cut_edges_) return kTimeInfinity;
   finalize_bounds();
   return bound_[static_cast<std::size_t>(src) * static_cast<std::size_t>(n) +
                 static_cast<std::size_t>(dst)];
@@ -136,7 +132,7 @@ void ShardedSimulator::worker(int idx, TimePs horizon) {
   while (true) {
     // Phase 1 (quiescent): pull in cross-shard deliveries buffered
     // during the previous window, then publish the earliest pending
-    // time. abort_/done_/window_end_ are written strictly before one
+    // time. abort_/done_/ends_ are written strictly before one
     // barrier and read strictly after it, so plain fields suffice.
     if (!abort_) {
       try {
@@ -154,33 +150,24 @@ void ShardedSimulator::worker(int idx, TimePs horizon) {
         done_ = true;
         return;
       }
+      // Per-shard window ends from the cut graph: shard j may run
+      // everything below min_k(next_k + D*[k][j]) — no influence from
+      // any shard (including j's own feedback cycle) can land earlier.
+      // Idle shards constrain nothing; shards without a finite bound
+      // run free to the horizon.
       const std::size_t n = shards_.size();
-      if (!have_cut_edges_) {
-        // Uniform exclusive window end: everything in
-        // [min_next, min_next + L) is safe (cross-shard influence
-        // arrives >= min_next + L), and the horizon itself must still
-        // be executed.
-        const TimePs end = std::min(min_next + lookahead_, horizon + 1);
-        for (std::size_t j = 0; j < n; ++j) ends_[j] = end;
-      } else {
-        // Per-shard window ends from the cut graph: shard j may run
-        // everything below min_i(next_i + D*[i][j]) — no influence
-        // from any shard (including j's own feedback cycle) can land
-        // earlier. Idle shards constrain nothing; shards without a
-        // finite bound run free to the horizon.
-        for (std::size_t j = 0; j < n; ++j) {
-          TimePs end = kTimeInfinity;
-          for (std::size_t k = 0; k < n; ++k) {
-            end = std::min(end, sat_add(next_times_[k], bound_[k * n + j]));
-          }
-          ends_[j] = std::min(end, horizon + 1);
+      for (std::size_t j = 0; j < n; ++j) {
+        TimePs end = kTimeInfinity;
+        for (std::size_t k = 0; k < n; ++k) {
+          end = std::min(end, sat_add(next_times_[k], bound_[k * n + j]));
         }
+        ends_[j] = std::min(end, horizon + 1);
       }
       ++windows_;
     });
     if (done_) break;
     // Phase 2 (parallel): run the window. Cross-shard sends land in
-    // the rings; the next round's phase 1 drains them.
+    // the channels; the next round's phase 1 drains them.
     try {
       sim.run_events_before(ends_[i]);
     } catch (...) {
@@ -198,11 +185,6 @@ void ShardedSimulator::run_until(TimePs horizon) {
     // The sequential engine, driven verbatim — no threads, no windows.
     shards_[0]->run_until(horizon);
     return;
-  }
-  if (lookahead_ < 1) {
-    throw std::logic_error(
-        "ShardedSimulator::run_until: multi-shard runs need a positive "
-        "lookahead (set_lookahead with the min cross-shard link delay)");
   }
   done_ = false;
   abort_ = false;

@@ -17,18 +17,19 @@
 /// partitions, each with its own event queue and local clock, advanced
 /// in lock-step time windows.
 ///
-/// The protocol is classic conservative PDES. Let L (the LOOKAHEAD) be
-/// the minimum propagation delay of any link that crosses a partition
-/// boundary. Each round, every shard publishes its earliest pending
-/// event time; the barrier reduction takes the global minimum T and
-/// opens the window [T, min(T + L, horizon + 1)). Events inside the
-/// window are causally safe to run in parallel: any cross-shard
-/// influence produced at time t >= T arrives at t + prop >= T + L,
-/// i.e. at or beyond the window end. Cross-shard deliveries are
-/// buffered by the shards' ingest hooks (net::ShardRouter) and drained
-/// at the next barrier, before the next minimum is taken — so a
-/// delivery always lands in a shard's queue before the window that
-/// could execute it opens.
+/// The protocol is classic conservative PDES over a CUT GRAPH: one
+/// directed edge per way an event on one shard can cause an event on
+/// another, weighted by that influence's minimum latency
+/// (add_cut_edge). Each round, every shard publishes its earliest
+/// pending event time; the barrier reduction gives shard j the window
+/// end min_i(next_i + D*[i][j]) (D* the cut graph's shortest paths,
+/// see add_cut_edge), clamped to horizon + 1. Everything below that
+/// end is causally safe to run in parallel: no influence from any
+/// shard can land earlier. Cross-shard deliveries are buffered by the
+/// shards' ingest hooks (net::ShardRouter) and drained at the next
+/// barrier, before the next minimum is taken — so a delivery always
+/// lands in a shard's queue before the window that could execute it
+/// opens.
 ///
 /// Determinism: within a shard, events run in the engine's usual
 /// (time, sched, seq) order; the barrier makes every cross-shard message
@@ -57,15 +58,6 @@ class ShardedSimulator {
     return *shards_.at(static_cast<std::size_t>(i));
   }
 
-  /// The conservative lookahead L: the minimum propagation delay of any
-  /// cross-shard link. Must be >= 1 ps before a multi-shard run_until();
-  /// irrelevant (and unchecked) with one shard. When cut edges are
-  /// registered (add_cut_edge) the engine instead derives PER-PAIR
-  /// bounds from the cut graph and this scalar only remains the
-  /// plan-sanity floor.
-  void set_lookahead(TimePs lookahead) { lookahead_ = lookahead; }
-  TimePs lookahead() const { return lookahead_; }
-
   /// Registers a directed cross-shard influence edge src -> dst with
   /// minimum latency `weight` (>= 1 ps): no event executing on shard
   /// `src` at time t can cause an event on shard `dst` before t +
@@ -75,9 +67,8 @@ class ShardedSimulator {
   /// publication, see EgressPort::start_tx). Multiple registrations of
   /// a pair keep the minimum.
   ///
-  /// With at least one edge registered, the barrier reduction replaces
-  /// the uniform window [T, T + L) with per-shard ends derived from
-  /// all-pairs shortest paths D over the cut graph:
+  /// The barrier reduction derives per-shard window ends from all-pairs
+  /// shortest paths D over the cut graph:
   ///
   ///   end_j = min_i ( next_i + D*[i][j] ),   clamped to horizon + 1
   ///
@@ -87,19 +78,20 @@ class ShardedSimulator {
   /// constraint, and multi-hop pairs constrain each other only at their
   /// path distance — which is how a relay-partitioned topology opens
   /// windows several times wider than its shortest cut link (fewer
-  /// barrier reductions; the `windows` bench metric). Byte-identity is
-  /// untouched: window size affects only scheduling batching, never
-  /// event order.
+  /// barrier reductions; the `windows` bench metric). Shards the graph
+  /// does not connect never hold each other back — with no edge at all,
+  /// every shard runs to the horizon in one window — so every way a
+  /// shard can influence another must be registered before run_until().
+  /// Byte-identity is untouched: window size affects only scheduling
+  /// batching, never event order.
   void add_cut_edge(int src, int dst, TimePs weight);
 
   /// The engine's conservative influence bound src -> dst through the
   /// registered cut graph: shortest path for src != dst, minimum cycle
   /// C_src for src == dst; kTimeInfinity when unconstrained (no path,
-  /// or no cut graph registered). Introspection for tests and plans.
+  /// e.g. before any edge is registered). Introspection for tests and
+  /// plans.
   TimePs influence_bound(int src, int dst);
-
-  /// True once add_cut_edge has been called.
-  bool has_cut_graph() const { return have_cut_edges_; }
 
   /// Installs shard `i`'s ingest hook. It runs on shard i's worker
   /// thread at every window barrier, while ALL shards are quiescent,
@@ -187,12 +179,11 @@ class ShardedSimulator {
 
   std::vector<std::unique_ptr<Simulator>> shards_;
   std::vector<std::function<void()>> ingest_;
-  TimePs lookahead_ = 0;
   std::uint64_t windows_ = 0;
 
-  // Cut graph (add_cut_edge): row-major shard-pair matrices. `cut_w_`
+  // Cut graph (add_cut_edge): row-major shard-pair matrices, all
+  // kTimeInfinity (no edge, no bound) from construction. `cut_w_`
   // holds registered edge minima, `bound_` the finalized D* bounds.
-  bool have_cut_edges_ = false;
   bool bounds_dirty_ = false;
   std::vector<TimePs> cut_w_;
   std::vector<TimePs> bound_;

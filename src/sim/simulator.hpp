@@ -143,8 +143,8 @@ class Simulator {
   /// have given it at the sender-side send time. `sched_time` may lie
   /// in this simulator's past (the sender's clock runs independently);
   /// only events at times still strictly ahead of this shard's
-  /// executed window may be scheduled, which the conservative
-  /// lookahead guarantees.
+  /// executed window may be scheduled, which the engine's cut-graph
+  /// window bounds guarantee.
   ///
   /// `origin` must be NONZERO and identify the foreign causal domain
   /// (the sharded engine uses 1 + source shard). It feeds the boundary
@@ -208,7 +208,7 @@ class Simulator {
   /// Runs every event with time strictly below `end` (>= 1); now() is
   /// left at the last executed event, never advanced to `end`. This is
   /// the window primitive of ShardedSimulator: a shard executes one
-  /// conservative lookahead window [start, end) and stops without
+  /// conservative window [start, end) and stops without
   /// claiming the boundary instant, which the next window owns.
   void run_events_before(TimePs end);
 

@@ -15,6 +15,7 @@ Dumbbell::Dumbbell(net::Network& network, const DumbbellConfig& cfg)
   sc.dt_alpha = cfg_.dt_alpha;
   sc.int_enabled = cfg_.int_enabled;
   sc.ecn = cfg_.ecn;
+  sc.ecn_per_gbps = cfg_.ecn.enabled;
   sc.aqm = cfg_.aqm;
   sc.priority_bands = cfg_.priority_bands;
   sw_ = net_.add_node<net::Switch>("bottleneck", sc);

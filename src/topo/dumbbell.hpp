@@ -22,7 +22,7 @@ struct DumbbellConfig {
   std::int64_t buffer_bytes = 0;  ///< 0 = derive Tofino-like 10 KB/Gbps
   double dt_alpha = 1.0;
   bool int_enabled = true;
-  net::EcnConfig ecn;  ///< absolute thresholds (single bottleneck)
+  net::EcnConfig ecn;  ///< per-Gbps thresholds, scaled per port speed
   net::AqmSpec aqm;    ///< per-port queue policy ("red" = `ecn` above)
   int priority_bands = 0;
 };

@@ -18,18 +18,20 @@ ShardPlan fat_tree_shard_plan(const FatTreeConfig& cfg, int requested) {
 
   ShardPlan plan;
   const int shards = std::min(requested, cfg.pods);
+  // With no core-link delay the cut edges weigh only the minimum
+  // packet's serialization time, a few nanoseconds: windows that short
+  // would spend more time at the barrier than running events.
   if (shards < 2 || cfg.core_link_delay < 1) {
     plan.node_shard.assign(nodes, 0);
     return plan;
   }
   plan.shards = shards;
-  plan.lookahead = cfg.core_link_delay;
   plan.node_shard.reserve(nodes);
   // At N >= 3 the cores get a DEDICATED relay shard (N - 1) and the
   // pods spread over shards 0..N-2: every cut link is an agg<->core
   // link, so two pod shards only influence each other through the
   // relay — their pairwise bound is TWO core-link hops, and the
-  // engine's per-pair lookahead (ShardedSimulator::add_cut_edge) opens
+  // engine's per-pair bounds (ShardedSimulator::add_cut_edge) open
   // windows about twice as wide as the cut delay whenever traffic
   // stays pod-local (the relay shard sits idle). At N == 2 a relay
   // would leave every pod on one shard, so the interleaved cut

@@ -620,20 +620,47 @@ TEST(Runner, SimThreadsIsAFatTreeKey) {
 }
 
 TEST(Runner, HomaOcKindRejectsSenderCcSchemes) {
-  const auto file = ConfigFile::parse(R"(
-[experiment]
+  // The overcommitment sweep drives message transports only: a sender
+  // CC scheme fails at load, at the schemes line.
+  expect_rejected_at(R"([experiment]
 kind = homa_oc
-schemes = powertcp
+schemes = homa, powertcp
 
 [workload]
 overcommit = 1
 fan_in = 2
 )",
-                                      "ocbad.toml");
-  // The registry check fires inside run_config -> homa_oc_tables: the
-  // overcommitment sweep drives message transports only.
-  const RunnerConfig cfg = load_runner_config(file);
-  EXPECT_THROW(run_config(cfg, SweepRunner(1)), std::invalid_argument);
+                     "schemes");
+}
+
+TEST(Runner, LoaderRejectsSchemesTheKindCannotRun) {
+  // A message transport has no place in the RDCN study, and reTCP
+  // needs the circuit schedule only kind rdcn builds: each mismatch is
+  // a ConfigError at the schemes line, not a failure inside the pool.
+  expect_rejected_at("[experiment]\nkind = rdcn\nschemes = powertcp, homa\n",
+                     "schemes");
+  for (const char* kind : {"fat_tree", "incast", "dumbbell"}) {
+    SCOPED_TRACE(kind);
+    expect_rejected_at(
+        std::string("[experiment]\nkind = ") + kind + "\nschemes = retcp\n",
+        "schemes");
+  }
+  // An alias names the scheme it runs, with its label.
+  try {
+    load_runner_config(ConfigFile::parse(
+        "[experiment]\nkind = incast\nschemes = prebuffer\n"
+        "[cc.prebuffer]\nscheme = retcp\n",
+        "bad.toml"));
+    ADD_FAILURE() << "reTCP under kind incast loaded";
+  } catch (const ConfigError& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "names scheme 'retcp' (prebuffer), which needs a "
+                  "circuit schedule"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_NO_THROW(load_runner_config(ConfigFile::parse(
+      "[experiment]\nkind = rdcn\nschemes = retcp\n", "ok.toml")));
 }
 
 TEST(Runner, LoaderRejectsUnknownSchemesKeysAndSections) {
@@ -778,13 +805,14 @@ TEST(Runner, LoaderRejectsUnknownSchemesKeysAndSections) {
   EXPECT_THROW(load("[experiment]\nkind = incast\nschemes = powertcp\n"
                     "[workload]\nquery_kb = 100\nfan_in = 0\n"),
                ConfigError);
-  // Message transports cannot run the RDCN scenario (registry check
-  // fires inside run_config -> scenario).
-  const auto cfg = load(
-      "[experiment]\nkind = rdcn\nschemes = homa\n"
-      "[topology]\npreset = small\n"
-      "[workload]\nhorizon_ms = 1\n");
-  EXPECT_THROW(run_config(cfg, SweepRunner(1)), std::invalid_argument);
+  // Message transports cannot run the RDCN scenario: a ConfigError at
+  // load, while the scenario keeps its own throw for library callers.
+  expect_rejected_at("[experiment]\nkind = rdcn\nschemes = homa\n"
+                     "[topology]\npreset = small\n"
+                     "[workload]\nhorizon_ms = 1\n",
+                     "schemes");
+  EXPECT_THROW(run_rdcn_scenario(RdcnScenario{}, SchemeRun{"", "homa", {}}),
+               std::invalid_argument);
 }
 
 /// Sizes and durations are doubles in the file but integers in the

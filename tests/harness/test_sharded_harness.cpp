@@ -14,7 +14,7 @@
 /// and a run whose boundary-ambiguity detector fires must fail instead
 /// of returning numbers nobody can vouch for. The ShardedHarness.*
 /// fixtures are part of the tsan preset's test filter: they drive real
-/// worker threads, the cross-shard rings, and the barrier protocol
+/// worker threads, the cross-shard channels, and the barrier protocol
 /// under TSan on every CI run.
 
 namespace powertcp::harness {
@@ -42,7 +42,6 @@ TEST(ShardedHarness, AmbiguousTieFailsWithItsKeyAndShards) {
   // and no tie token share one key: no engine can order them the way
   // the sequential run would have.
   sim::ShardedSimulator engine(2);
-  engine.set_lookahead(sim::nanoseconds(10));
   sim::Simulator& s1 = engine.shard(1);
   s1.schedule_at(sim::nanoseconds(40), [&s1] {
     s1.schedule_at(sim::nanoseconds(50), [] {});
@@ -77,7 +76,6 @@ TEST(ShardedHarness, PlanClampsRequestsAbovePodsToThePerPodCut) {
   for (const int requested : {5, 6, 64}) {
     const topo::ShardPlan plan = topo::fat_tree_shard_plan(cfg, requested);
     EXPECT_EQ(plan.shards, cfg.pods) << requested;
-    EXPECT_EQ(plan.lookahead, cfg.core_link_delay) << requested;
     EXPECT_EQ(plan.node_shard, four.node_shard) << requested;
   }
   const std::size_t nodes = static_cast<std::size_t>(

@@ -8,7 +8,6 @@
 #include <utility>
 #include <vector>
 
-#include "net/shard_link.hpp"
 #include "sim/rng.hpp"
 #include "sim/simulator.hpp"
 
@@ -130,7 +129,12 @@ TEST(ShardedEngine, SingleShardNeverOpensWindows) {
 
 TEST(ShardedEngine, IndependentShardsAdvanceInLockstepWindows) {
   ShardedSimulator eng(4);
-  eng.set_lookahead(nanoseconds(100));
+  // A complete cut graph: every shard holds every other one back.
+  for (int a = 0; a < 4; ++a) {
+    for (int b = 0; b < 4; ++b) {
+      if (a != b) eng.add_cut_edge(a, b, nanoseconds(100));
+    }
+  }
   std::array<int, 4> fired{};
   // The chains outlive every queued copy; owning the functions here
   // (rather than a self-captured shared_ptr) keeps LeakSanitizer happy.
@@ -149,14 +153,40 @@ TEST(ShardedEngine, IndependentShardsAdvanceInLockstepWindows) {
     EXPECT_EQ(fired[static_cast<std::size_t>(d)], 1000) << "shard " << d;
     EXPECT_EQ(eng.shard(d).now(), microseconds(50));
   }
-  EXPECT_GT(eng.windows(), 0u);
+  EXPECT_GT(eng.windows(), 100u);
   EXPECT_EQ(eng.events_executed(), 4000u);
   EXPECT_EQ(eng.boundary_ambiguities(), 0u);
 }
 
+TEST(ShardedEngine, ShardsWithoutCutEdgesRunToTheHorizonInOneWindow) {
+  // No cut edge: no shard can influence another, so the first window
+  // reaches the horizon on both.
+  ShardedSimulator eng(2);
+  std::array<int, 2> fired{};
+  std::array<std::function<void()>, 2> ticks;
+  for (int d = 0; d < 2; ++d) {
+    ticks[static_cast<std::size_t>(d)] = [&eng, &fired, &ticks, d] {
+      if (++fired[static_cast<std::size_t>(d)] < 300 + 200 * d) {
+        eng.shard(d).schedule_in(nanoseconds(11),
+                                 ticks[static_cast<std::size_t>(d)]);
+      }
+    };
+    eng.shard(d).schedule_at(0, ticks[static_cast<std::size_t>(d)]);
+  }
+  EXPECT_EQ(eng.influence_bound(0, 1), kTimeInfinity);
+  eng.run_until(microseconds(10));
+  EXPECT_EQ(eng.windows(), 1u);
+  EXPECT_EQ(fired[0], 300);
+  EXPECT_EQ(fired[1], 500);
+  EXPECT_EQ(eng.shard(0).events_executed(), 300u);
+  EXPECT_EQ(eng.shard(1).events_executed(), 500u);
+  for (int d = 0; d < 2; ++d) {
+    EXPECT_EQ(eng.shard(d).now(), microseconds(10)) << "shard " << d;
+  }
+}
+
 TEST(ShardedEngine, EventExceptionAbortsTheRunAndRethrows) {
   ShardedSimulator eng(2);
-  eng.set_lookahead(nanoseconds(100));
   eng.shard(1).schedule_at(nanoseconds(50),
                            [] { throw std::runtime_error("boom"); });
   eng.shard(0).schedule_at(nanoseconds(10), [] {});
@@ -168,7 +198,7 @@ TEST(ShardedEngine, EventExceptionAbortsTheRunAndRethrows) {
 //
 // Two causal domains exchange timestamped messages: each runs a
 // self-rescheduling local chain, occasionally sends to the other
-// (propagation >= kDelay, the lookahead), and receptions echo local
+// (propagation >= kDelay, the cut edges' weight), and receptions echo local
 // follow-ups and bounded replies. The same seeded process runs once on
 // one Simulator (domain sends become schedule_at at the send moment —
 // the sequential engine's own chronology) and once on a two-shard
@@ -262,9 +292,12 @@ std::array<Domain, 2> run_sharded(std::uint64_t seed, TimePs horizon,
   doms[0].rng = Rng(seed);
   doms[1].rng = Rng(seed ^ 0x9E3779B97F4A7C15ull);
   ShardedSimulator eng(2);
-  eng.set_lookahead(kDelay);
+  // Mail takes at least kDelay each way: the cut graph a Network
+  // registers for one cross-shard link.
+  eng.add_cut_edge(0, 1, kDelay);
+  eng.add_cut_edge(1, 0, kDelay);
   // Producer-side mailboxes; pushes happen inside windows, drains at
-  // barriers, which order them (same discipline as SpscRing's spill).
+  // barriers, which order them (as for net::ShardChannel).
   std::array<std::vector<Mail>, 2> outbox;
   auto sim_of = [&](int d) -> Simulator& { return eng.shard(d); };
   using ProcessT = Process<decltype(sim_of), std::function<void(int, Mail)>>;
@@ -323,7 +356,7 @@ TEST(ShardedEngine, RandomizedCrossShardTraceMatchesSequential) {
 
 // ---------------------------------------------------------------------
 // Cut-graph lookahead: registration rules, the Floyd–Warshall influence
-// bounds, and the wider windows they open over the uniform protocol.
+// bounds, and the wider windows a sparser graph opens.
 // ---------------------------------------------------------------------
 
 TEST(ShardedEngine, CutEdgeRejectsBadPairsAndWeights) {
@@ -333,9 +366,9 @@ TEST(ShardedEngine, CutEdgeRejectsBadPairsAndWeights) {
   EXPECT_THROW(eng.add_cut_edge(0, 3, nanoseconds(1)), std::invalid_argument);
   EXPECT_THROW(eng.add_cut_edge(1, 1, nanoseconds(1)), std::invalid_argument);
   EXPECT_THROW(eng.add_cut_edge(0, 1, 0), std::invalid_argument);
-  EXPECT_FALSE(eng.has_cut_graph());
+  EXPECT_EQ(eng.influence_bound(0, 1), kTimeInfinity);
   eng.add_cut_edge(0, 1, nanoseconds(5));
-  EXPECT_TRUE(eng.has_cut_graph());
+  EXPECT_EQ(eng.influence_bound(0, 1), nanoseconds(5));
 }
 
 TEST(ShardedEngine, InfluenceBoundIsInfiniteWithoutACutGraph) {
@@ -375,11 +408,12 @@ TEST(ShardedEngine, UnreachablePairsStayUnconstrained) {
 }
 
 TEST(ShardedEngine, CutGraphBatchesWindowsBeyondTheUniformLookahead) {
-  // Two independent tick chains under the two protocols. The cut graph
-  // registers only 0 -> 1, so shard 0 is unconstrained (its first
-  // window reaches the horizon) and shard 1 is released the moment
-  // shard 0 idles — a handful of barrier rounds where the uniform
-  // protocol pays one per lookahead of simulated time.
+  // Two independent tick chains under two cut graphs. Edges both ways
+  // hold each shard within w of the other — one barrier round per w of
+  // simulated time, the uniform [T, T + w) window. Registering only
+  // 0 -> 1 leaves shard 0 unconstrained (its first window reaches the
+  // horizon) and releases shard 1 the moment shard 0 idles — a handful
+  // of barrier rounds.
   const TimePs horizon = microseconds(100);
   const TimePs w = nanoseconds(200);
   // Chains owned outside the engine (no self-captured shared_ptr — it
@@ -398,13 +432,13 @@ TEST(ShardedEngine, CutGraphBatchesWindowsBeyondTheUniformLookahead) {
 
   ShardedSimulator uniform(2);
   std::array<std::function<void()>, 2> uniform_ticks;
-  uniform.set_lookahead(w);
+  uniform.add_cut_edge(0, 1, w);
+  uniform.add_cut_edge(1, 0, w);
   drive(uniform, uniform_ticks);
   uniform.run_until(horizon);
 
   ShardedSimulator cut(2);
   std::array<std::function<void()>, 2> cut_ticks;
-  cut.set_lookahead(w);  // plan-sanity floor; the graph supersedes it
   cut.add_cut_edge(0, 1, w);
   drive(cut, cut_ticks);
   cut.run_until(horizon);
@@ -479,7 +513,6 @@ std::array<Domain, 2> run_sharded_relay(std::uint64_t seed, TimePs horizon,
   doms[0].rng = Rng(seed);
   doms[1].rng = Rng(seed ^ 0x9E3779B97F4A7C15ull);
   ShardedSimulator eng(3);
-  eng.set_lookahead(kDelay);  // plan-sanity floor; the graph supersedes it
   eng.add_cut_edge(0, 1, kDelay);
   eng.add_cut_edge(1, 0, kDelay);
   eng.add_cut_edge(1, 2, kDelay);
@@ -568,38 +601,6 @@ TEST(ShardedEngine, RandomizedRelayCutTraceMatchesSequential) {
     }
     EXPECT_EQ(ambiguities, 0u) << "seed " << seed;
   }
-}
-
-// ---------------------------------------------------------------------
-// The SPSC ring under the channel: order preserved through overflow,
-// reusable after a drain.
-// ---------------------------------------------------------------------
-
-TEST(ShardedEngine, SpscRingOverflowPreservesSendOrder) {
-  net::SpscRing ring(8);
-  for (std::uint64_t i = 0; i < 100; ++i) {
-    net::ShardMessage m;
-    m.deliver_at = static_cast<TimePs>(i);
-    m.src_seq = i;
-    ring.push(std::move(m));
-  }
-  std::vector<net::ShardMessage> out;
-  ring.drain_into(out);
-  ASSERT_EQ(out.size(), 100u);
-  for (std::uint64_t i = 0; i < 100; ++i) EXPECT_EQ(out[i].src_seq, i);
-  // The spill resets: the ring is usable for the next window.
-  net::ShardMessage again;
-  again.src_seq = 7;
-  ring.push(std::move(again));
-  out.clear();
-  ring.drain_into(out);
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(out[0].src_seq, 7u);
-}
-
-TEST(ShardedEngine, SpscRingRejectsNonPowerOfTwoCapacity) {
-  EXPECT_THROW(net::SpscRing(12), std::invalid_argument);
-  EXPECT_THROW(net::SpscRing(0), std::invalid_argument);
 }
 
 }  // namespace
