@@ -8,8 +8,9 @@
 
 namespace powertcp::host {
 
-Host::Host(sim::Simulator& simulator, net::NodeId id, std::string name)
-    : net::Node(id, std::move(name)), sim_(simulator) {}
+Host::Host(sim::Simulator& simulator, net::PacketPool& slab, net::NodeId id,
+           std::string name)
+    : net::Node(slab, id, std::move(name)), sim_(simulator) {}
 
 Host::~Host() {
   // Armed retire timers capture `this`.
@@ -30,29 +31,31 @@ void Host::send_packet(net::Packet&& pkt) {
   // Acks echo the acked data packet's sent_time (the RTT measurement);
   // only fresh transmissions get stamped here.
   if (pkt.type != net::PacketType::kAck) pkt.sent_time = sim_.now();
-  nic().enqueue(std::move(pkt));
+  nic().enqueue(slab().put(std::move(pkt)));
 }
 
-void Host::receive(net::Packet&& pkt, int /*in_port*/) {
-  switch (pkt.type) {
-    case net::PacketType::kData:
-      handle_data(std::move(pkt));
-      break;
-    case net::PacketType::kAck:
-      handle_ack(pkt);
-      break;
-    case net::PacketType::kHomaData:
-    case net::PacketType::kHomaGrant:
-      if (homa_ == nullptr) {
-        throw std::logic_error("Host '" + name() +
-                               "': HOMA packet but transport not enabled");
-      }
-      homa_->on_packet(pkt);
-      break;
-  }
+void Host::receive(net::PacketPool::Handle h, int /*in_port*/) {
+  slab().lend(h, [this](const net::Packet& pkt) {
+    switch (pkt.type) {
+      case net::PacketType::kData:
+        handle_data(pkt);
+        break;
+      case net::PacketType::kAck:
+        handle_ack(pkt);
+        break;
+      case net::PacketType::kHomaData:
+      case net::PacketType::kHomaGrant:
+        if (homa_ == nullptr) {
+          throw std::logic_error("Host '" + name() +
+                                 "': HOMA packet but transport not enabled");
+        }
+        homa_->on_packet(pkt);
+        break;
+    }
+  });
 }
 
-void Host::handle_data(net::Packet&& pkt) {
+void Host::handle_data(const net::Packet& pkt) {
   auto it = receivers_.find(pkt.flow);
   if (it == receivers_.end()) {
     // Data packets echo the sender's cumulative received-ack edge in

@@ -26,14 +26,16 @@ using DataCallback =
 
 class Host final : public net::Node {
  public:
-  Host(sim::Simulator& simulator, net::NodeId id, std::string name);
+  Host(sim::Simulator& simulator, net::PacketPool& slab, net::NodeId id,
+       std::string name);
   ~Host() override;
 
   /// The NIC egress port (created by Network::connect; exactly one link
   /// per host).
   net::EgressPort& nic();
 
-  void receive(net::Packet&& pkt, int in_port) override;
+  /// Consumes `h`: the packet's slot is released once it is handled.
+  void receive(net::PacketPool::Handle h, int in_port) override;
 
   /// Creates a sender flow; transmission begins at `start_time`.
   FlowSender& start_flow(net::FlowId flow, net::NodeId dst,
@@ -67,7 +69,8 @@ class Host final : public net::Node {
   std::size_t active_senders() const { return senders_.size(); }
   std::size_t active_receivers() const { return receivers_.size(); }
 
-  /// Enqueues a packet on the NIC, stamping src/sent_time.
+  /// Writes a packet into the slab, stamping src/sent_time, and
+  /// enqueues its handle on the NIC.
   void send_packet(net::Packet&& pkt);
 
   /// Quiet period after a flow's last data packet before its receiver
@@ -85,7 +88,7 @@ class Host final : public net::Node {
     sim::EventId retire_event{};
   };
 
-  void handle_data(net::Packet&& pkt);
+  void handle_data(const net::Packet& pkt);
   void handle_ack(const net::Packet& pkt);
   void retire_receiver(net::FlowId flow);
 

@@ -56,10 +56,11 @@ sim::TimePs CircuitSchedule::next_connection(int src_tor, int dst_tor,
   throw std::logic_error("next_connection: schedule walk failed");
 }
 
-CircuitPort::CircuitPort(sim::Simulator& simulator, sim::Bandwidth bw,
-                         sim::TimePs propagation, VoqSet* voqs,
-                         const CircuitSchedule* schedule, int my_tor)
-    : EgressPort(simulator, bw, propagation),
+CircuitPort::CircuitPort(sim::Simulator& simulator, PacketPool& slab,
+                         sim::Bandwidth bw, sim::TimePs propagation,
+                         VoqSet* voqs, const CircuitSchedule* schedule,
+                         int my_tor)
+    : EgressPort(simulator, slab, bw, propagation),
       voqs_(voqs),
       schedule_(schedule),
       my_tor_(my_tor) {}
@@ -69,7 +70,8 @@ std::int64_t CircuitPort::int_qlen_bytes() const {
   return peer >= 0 ? voqs_->voq_bytes(peer) : voqs_->total_bytes();
 }
 
-bool CircuitPort::select_into(Packet& out, sim::TimePs& retry_at) {
+bool CircuitPort::select_next(PacketPool::Handle& out,
+                              sim::TimePs& retry_at) {
   const sim::TimePs now = simulator().now();
   if (!schedule_->is_day(now)) {
     retry_at = schedule_->next_day_start(now);
@@ -90,15 +92,17 @@ bool CircuitPort::select_into(Packet& out, sim::TimePs& retry_at) {
   return voqs_->pop_from(peer, out);
 }
 
-VoqUplinkPort::VoqUplinkPort(sim::Simulator& simulator, sim::Bandwidth bw,
-                             sim::TimePs propagation, VoqSet* voqs,
-                             const CircuitSchedule* schedule, int my_tor)
-    : EgressPort(simulator, bw, propagation),
+VoqUplinkPort::VoqUplinkPort(sim::Simulator& simulator, PacketPool& slab,
+                             sim::Bandwidth bw, sim::TimePs propagation,
+                             VoqSet* voqs, const CircuitSchedule* schedule,
+                             int my_tor)
+    : EgressPort(simulator, slab, bw, propagation),
       voqs_(voqs),
       schedule_(schedule),
       my_tor_(my_tor) {}
 
-bool VoqUplinkPort::select_into(Packet& out, sim::TimePs& retry_at) {
+bool VoqUplinkPort::select_next(PacketPool::Handle& out,
+                                sim::TimePs& retry_at) {
   const sim::TimePs now = simulator().now();
   const int active = schedule_->active_peer(my_tor_, now);
   const int n = voqs_->size();
@@ -118,11 +122,12 @@ bool VoqUplinkPort::select_into(Packet& out, sim::TimePs& retry_at) {
   return false;
 }
 
-CircuitSwitchNode::CircuitSwitchNode(sim::Simulator& simulator, NodeId id,
+CircuitSwitchNode::CircuitSwitchNode(sim::Simulator& simulator,
+                                     PacketPool& slab, NodeId id,
                                      std::string name,
                                      const CircuitSchedule* schedule,
                                      std::function<int(NodeId)> tor_of_dst)
-    : Node(id, std::move(name)),
+    : Node(slab, id, std::move(name)),
       sim_(simulator),
       schedule_(schedule),
       tor_of_dst_(std::move(tor_of_dst)) {
@@ -135,18 +140,16 @@ void CircuitSwitchNode::attach_tor(int tor_index, Node* tor, int tor_in_port,
       TorLink{tor, tor_in_port, out_propagation};
 }
 
-void CircuitSwitchNode::receive(Packet&& pkt, int /*in_port*/) {
-  const int dst_tor = tor_of_dst_(pkt.dst);
+void CircuitSwitchNode::receive(PacketPool::Handle h, int /*in_port*/) {
+  const int dst_tor = tor_of_dst_(slab().get(h).dst);
   const TorLink& link = tors_.at(static_cast<std::size_t>(dst_tor));
   if (link.tor == nullptr) {
+    slab().release(h);
     throw std::logic_error("CircuitSwitchNode: destination ToR not attached");
   }
-  const PacketPool::Handle h = pool_.put(std::move(pkt));
   sim_.schedule_in(link.propagation, [this, dst_tor, h] {
     const TorLink& out = tors_[static_cast<std::size_t>(dst_tor)];
-    pool_.lend(h, [&out](Packet& p) {
-      out.tor->receive(std::move(p), out.in_port);
-    });
+    out.tor->receive(h, out.in_port);
   });
 }
 

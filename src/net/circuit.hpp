@@ -6,7 +6,6 @@
 
 #include "net/egress_port.hpp"
 #include "net/node.hpp"
-#include "net/packet_pool.hpp"
 #include "net/queue.hpp"
 #include "sim/simulator.hpp"
 
@@ -65,7 +64,7 @@ class CircuitSchedule {
 /// during days, never spilling a serialization past the day boundary.
 class CircuitPort final : public EgressPort {
  public:
-  CircuitPort(sim::Simulator& simulator, sim::Bandwidth bw,
+  CircuitPort(sim::Simulator& simulator, PacketPool& slab, sim::Bandwidth bw,
               sim::TimePs propagation, VoqSet* voqs,
               const CircuitSchedule* schedule, int my_tor);
 
@@ -73,8 +72,8 @@ class CircuitPort final : public EgressPort {
   std::int64_t int_qlen_bytes() const override;
 
  protected:
-  void push_to_queue(Packet&& pkt) override { voqs_->push(std::move(pkt)); }
-  bool select_into(Packet& out, sim::TimePs& retry_at) override;
+  void push_to_queue(PacketPool::Handle h) override { voqs_->push(h); }
+  bool select_next(PacketPool::Handle& out, sim::TimePs& retry_at) override;
 
  private:
   VoqSet* voqs_;
@@ -87,15 +86,15 @@ class CircuitPort final : public EgressPort {
 /// exclusively on the circuit network when available", §5).
 class VoqUplinkPort final : public EgressPort {
  public:
-  VoqUplinkPort(sim::Simulator& simulator, sim::Bandwidth bw,
-                sim::TimePs propagation, VoqSet* voqs,
+  VoqUplinkPort(sim::Simulator& simulator, PacketPool& slab,
+                sim::Bandwidth bw, sim::TimePs propagation, VoqSet* voqs,
                 const CircuitSchedule* schedule, int my_tor);
 
   std::int64_t queue_bytes() const override { return voqs_->total_bytes(); }
 
  protected:
-  void push_to_queue(Packet&& pkt) override { voqs_->push(std::move(pkt)); }
-  bool select_into(Packet& out, sim::TimePs& retry_at) override;
+  void push_to_queue(PacketPool::Handle h) override { voqs_->push(h); }
+  bool select_next(PacketPool::Handle& out, sim::TimePs& retry_at) override;
 
  private:
   VoqSet* voqs_;
@@ -110,15 +109,15 @@ class VoqUplinkPort final : public EgressPort {
 /// sending ToR's CircuitPort already paid the wire time).
 class CircuitSwitchNode final : public Node {
  public:
-  CircuitSwitchNode(sim::Simulator& simulator, NodeId id, std::string name,
-                    const CircuitSchedule* schedule,
+  CircuitSwitchNode(sim::Simulator& simulator, PacketPool& slab, NodeId id,
+                    std::string name, const CircuitSchedule* schedule,
                     std::function<int(NodeId)> tor_of_dst);
 
   /// Registers the ToR attached as circuit endpoint `tor_index`.
   void attach_tor(int tor_index, Node* tor, int tor_in_port,
                   sim::TimePs out_propagation);
 
-  void receive(Packet&& pkt, int in_port) override;
+  void receive(PacketPool::Handle h, int in_port) override;
 
  private:
   struct TorLink {
@@ -130,9 +129,6 @@ class CircuitSwitchNode final : public Node {
   const CircuitSchedule* schedule_;
   std::function<int(NodeId)> tor_of_dst_;
   std::vector<TorLink> tors_;
-  /// Parks packets crossing the switch so the delivery event captures a
-  /// handle instead of the packet.
-  PacketPool pool_;
 };
 
 }  // namespace powertcp::net

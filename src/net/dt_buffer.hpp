@@ -52,7 +52,6 @@ class DtSharedBuffer {
   }
 
   void on_enqueue(std::int64_t pkt_bytes) { used_bytes_ += pkt_bytes; }
-  void on_dequeue(std::int64_t pkt_bytes) { used_bytes_ -= pkt_bytes; }
 
   /// Frees `pkt_bytes` once `key` — a serialization finish — has passed.
   /// Requires attach().

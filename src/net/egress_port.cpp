@@ -5,9 +5,10 @@
 
 namespace powertcp::net {
 
-EgressPort::EgressPort(sim::Simulator& simulator, sim::Bandwidth bw,
-                       sim::TimePs propagation_delay)
+EgressPort::EgressPort(sim::Simulator& simulator, PacketPool& slab,
+                       sim::Bandwidth bw, sim::TimePs propagation_delay)
     : sim_(simulator),
+      slab_(slab),
       bandwidth_(bw),
       propagation_(propagation_delay),
       finish_(simulator) {}
@@ -17,10 +18,10 @@ EgressPort::~EgressPort() {
   // being serialized all capture `this`; cancel them so destroying a
   // port mid-run (e.g. tearing a topology down) cannot leave a dangling
   // callback in the engine. Packets whose serialization has finished
-  // (propagation events) still reference this port and its peer: as in
-  // the pre-pool engine, nodes must outlive deliveries in flight —
-  // don't run the simulator after destroying parts of a network that
-  // still has packets airborne.
+  // (propagation events) still reference this port and its peer, so
+  // nodes must outlive deliveries in flight — don't run the simulator
+  // after destroying parts of a network that still has packets
+  // airborne.
   if (pending_kick_at_ != sim::kTimeInfinity) sim_.cancel(pending_kick_id_);
   if (busy()) {
     if (!finish_.held()) sim_.cancel(tx_event_);
@@ -28,11 +29,13 @@ EgressPort::~EgressPort() {
   }
 }
 
-bool EgressPort::enqueue(Packet&& pkt) {
+bool EgressPort::enqueue(PacketPool::Handle h) {
+  Packet& pkt = slab_.ref(h);
   const std::int64_t sz = pkt.wire_bytes();
   if (shared_buffer_ != nullptr &&
       !shared_buffer_->admits(queue_bytes(), sz)) {
     ++drops_;
+    slab_.release(h);
     sample_queue();
     return false;
   }
@@ -45,6 +48,7 @@ bool EgressPort::enqueue(Packet&& pkt) {
         aqm_->on_enqueue(queue_bytes(), pkt.ecn_capable, sim_.now());
     if (v.drop) {
       ++drops_;
+      slab_.release(h);
       sample_queue();
       return false;
     }
@@ -55,7 +59,7 @@ bool EgressPort::enqueue(Packet&& pkt) {
   }
   if (shared_buffer_ != nullptr) shared_buffer_->on_enqueue(sz);
   pkt.enqueue_time = sim_.now();
-  push_to_queue(std::move(pkt));
+  push_to_queue(h);
   sample_queue();
   kick();
   return true;
@@ -74,20 +78,16 @@ void EgressPort::kick() {
     finish_.settle();
     busy_ = false;
   }
-  // The dequeue writes straight into the slot the packet stays parked
-  // in until its delivery.
-  const PacketPool::Handle h = pool_.acquire();
-  Packet& slot = pool_.ref(h);
+  PacketPool::Handle h;
   sim::TimePs retry_at = sim::kTimeInfinity;
-  if (select_into(slot, retry_at)) {
+  if (select_next(h, retry_at)) {
     if (pending_kick_at_ != sim::kTimeInfinity) {
       sim_.cancel(pending_kick_id_);
       pending_kick_at_ = sim::kTimeInfinity;
     }
-    start_tx(h, slot);
+    start_tx(h);
     return;
   }
-  pool_.release(h);
   if (retry_at == sim::kTimeInfinity) return;
   // Deduplicate wakeups: keep only the earliest pending retry.
   if (pending_kick_at_ != sim::kTimeInfinity && pending_kick_at_ <= retry_at) {
@@ -101,7 +101,8 @@ void EgressPort::kick() {
   });
 }
 
-void EgressPort::start_tx(PacketPool::Handle h, Packet& pkt) {
+void EgressPort::start_tx(PacketPool::Handle h) {
+  Packet& pkt = slab_.ref(h);
   busy_ = true;
   // INT is stamped "when the packet is scheduled for transmission"
   // (paper §3.3): queue length is the backlog left behind, txBytes the
@@ -139,27 +140,23 @@ void EgressPort::start_tx(PacketPool::Handle h, Packet& pkt) {
     // therefore the engine's lookahead windows — include the flit
     // serialization delay on top of propagation (see
     // ShardedSimulator::add_cut_edge and docs/performance.md §5).
-    remote_->send(finish + propagation_, finish, tie_token_, std::move(pkt));
-    pool_.release(h);
+    remote_->send(finish + propagation_, finish, tie_token_, pkt);
+    slab_.release(h);
   } else if (peer_ != nullptr) {
     // The local delivery takes the same shape: scheduled now, stamped
     // with the finish as its causal time and carrying the port's tie
     // token, so its key is the one scheduling it at the finish gave.
-    // The packet rides in the pool, not the closure: capturing it by
-    // value would heap-allocate ~350 bytes per transmission. It stays
-    // parked under this one handle until the peer's receive, which
-    // borrows the slot rather than a copy of it.
+    // The packet stays in the slab, not the closure: capturing it by
+    // value would heap-allocate ~360 bytes per transmission. The peer's
+    // receive takes over the handle.
     tx_delivery_ = sim_.schedule_stamped(
-        finish, finish + propagation_, tie_token_, [this, h] {
-          pool_.lend(h, [this](Packet& p) {
-            peer_->receive(std::move(p), peer_in_port_);
-          });
-        });
+        finish, finish + propagation_, tie_token_,
+        [this, h] { peer_->receive(h, peer_in_port_); });
   } else {
-    // Nobody to deliver to: the packet stays parked for its
+    // Nobody to deliver to: the packet stays in the slab for its
     // serialization, so the finish must run to free it.
     tx_event_ = finish_.schedule([this, h] {
-      pool_.release(h);
+      slab_.release(h);
       finish_tx();
     });
     return;
@@ -178,13 +175,15 @@ void EgressPort::sample_queue() {
   }
 }
 
-BasicPort::BasicPort(sim::Simulator& simulator, sim::Bandwidth bw,
-                     sim::TimePs propagation_delay,
+BasicPort::BasicPort(sim::Simulator& simulator, PacketPool& slab,
+                     sim::Bandwidth bw, sim::TimePs propagation_delay,
                      std::unique_ptr<QueueDiscipline> queue)
-    : EgressPort(simulator, bw, propagation_delay), queue_(std::move(queue)) {}
+    : EgressPort(simulator, slab, bw, propagation_delay),
+      queue_(std::move(queue)) {}
 
-bool BasicPort::select_into(Packet& out, sim::TimePs& /*retry_at*/) {
-  return queue_->pop_into(out);
+bool BasicPort::select_next(PacketPool::Handle& out,
+                            sim::TimePs& /*retry_at*/) {
+  return queue_->pop(out);
 }
 
 }  // namespace powertcp::net

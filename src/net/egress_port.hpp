@@ -27,7 +27,9 @@ class ShardChannel;
 
 class EgressPort {
  public:
-  EgressPort(sim::Simulator& simulator, sim::Bandwidth bw,
+  /// `slab` is the network's packet slab, which holds every packet
+  /// this port queues, serializes and delivers.
+  EgressPort(sim::Simulator& simulator, PacketPool& slab, sim::Bandwidth bw,
              sim::TimePs propagation_delay);
   virtual ~EgressPort();
 
@@ -71,9 +73,10 @@ class EgressPort {
     if (buf != nullptr) buf->attach(sim_);
   }
 
-  /// Admits (or drops) a packet and starts the transmitter if idle.
-  /// Returns false iff the packet was dropped by buffer admission.
-  bool enqueue(Packet&& pkt);
+  /// Admits (or drops) the slab packet `h` and starts the transmitter if
+  /// idle. Returns false iff the packet was dropped (buffer admission or
+  /// AQM); a drop releases `h`.
+  bool enqueue(PacketPool::Handle h);
 
   sim::Bandwidth bandwidth() const { return bandwidth_; }
   sim::TimePs propagation_delay() const { return propagation_; }
@@ -96,10 +99,6 @@ class EgressPort {
   /// True while a packet is being serialized. An elided finish (see
   /// start_tx) flips this exactly at its key.
   bool busy() const { return busy_ && !(finish_.held() && finish_.passed()); }
-  /// Packets parked in this port's pool: the one being serialized plus
-  /// those propagating to the peer. Zero once the network drains.
-  std::size_t parked_packets() const { return pool_.live(); }
-
   /// Optional monitoring hooks (not owned).
   void set_queue_monitor(stats::QueueSeries* m) { queue_monitor_ = m; }
   void set_sojourn_callback(std::function<void(sim::TimePs)> cb) {
@@ -112,14 +111,13 @@ class EgressPort {
   void kick();
 
  protected:
-  /// Stores the packet in the discipline-specific backlog.
-  virtual void push_to_queue(Packet&& pkt) = 0;
-  /// Moves the next packet to serialize into `out` (the pool slot it
-  /// will be parked in) and returns true. Otherwise returns false,
-  /// leaves `out` untouched and may set `retry_at` to when to try
-  /// again; left at kTimeInfinity it means "wait for an explicit kick"
-  /// (e.g. the next enqueue).
-  virtual bool select_into(Packet& out, sim::TimePs& retry_at) = 0;
+  /// Stores the handle in the discipline-specific backlog.
+  virtual void push_to_queue(PacketPool::Handle h) = 0;
+  /// Hands the next packet to serialize to `out` and returns true.
+  /// Otherwise returns false, leaves `out` untouched and may set
+  /// `retry_at` to when to try again; left at kTimeInfinity it means
+  /// "wait for an explicit kick" (e.g. the next enqueue).
+  virtual bool select_next(PacketPool::Handle& out, sim::TimePs& retry_at) = 0;
   /// True if a serialization finishing now would leave nothing to do but
   /// mark the wire idle: nothing to select, and no retry to arm. The
   /// finish is then elided (see start_tx). Only ports whose empty-backlog
@@ -130,14 +128,15 @@ class EgressPort {
   const sim::Simulator& simulator() const { return sim_; }
 
  private:
-  /// Serializes `pkt`, which is parked in pool_ under `h`.
-  void start_tx(PacketPool::Handle h, Packet& pkt);
+  /// Serializes the slab packet `h`.
+  void start_tx(PacketPool::Handle h);
   /// The serialization finish, when it runs as an event: frees the wire
   /// and serves the backlog.
   void finish_tx();
   void sample_queue();
 
   sim::Simulator& sim_;
+  PacketPool& slab_;
   sim::Bandwidth bandwidth_;
   sim::TimePs propagation_;
   Node* peer_ = nullptr;
@@ -166,12 +165,6 @@ class EgressPort {
   /// cancelled if the port dies before the serialization finishes.
   sim::EventId tx_delivery_{};
 
-  /// Parks each packet from its dequeue until its delivery event, so
-  /// the delivery event captures an 8-byte handle, not the packet: the
-  /// dequeue writes into the slot and the delivery lends the slot to
-  /// the peer's receive, two moves per hop in all (push and pop).
-  PacketPool pool_;
-
   stats::QueueSeries* queue_monitor_ = nullptr;
   std::function<void(sim::TimePs)> sojourn_cb_;
 };
@@ -179,7 +172,7 @@ class EgressPort {
 /// Port with a self-contained queueing discipline (FIFO or priority).
 class BasicPort final : public EgressPort {
  public:
-  BasicPort(sim::Simulator& simulator, sim::Bandwidth bw,
+  BasicPort(sim::Simulator& simulator, PacketPool& slab, sim::Bandwidth bw,
             sim::TimePs propagation_delay,
             std::unique_ptr<QueueDiscipline> queue);
 
@@ -187,8 +180,8 @@ class BasicPort final : public EgressPort {
   const QueueDiscipline& queue() const { return *queue_; }
 
  protected:
-  void push_to_queue(Packet&& pkt) override { queue_->push(std::move(pkt)); }
-  bool select_into(Packet& out, sim::TimePs& retry_at) override;
+  void push_to_queue(PacketPool::Handle h) override { queue_->push(h); }
+  bool select_next(PacketPool::Handle& out, sim::TimePs& retry_at) override;
   bool finish_is_idle() const override { return queue_->empty(); }
 
  private:

@@ -14,6 +14,9 @@ Node* Network::adopt(std::unique_ptr<Node> node) {
   if (node->id() != next_node_id()) {
     throw std::invalid_argument("Network::adopt: node id mismatch");
   }
+  if (&node->slab() != &slab_of(node->id())) {
+    throw std::invalid_argument("Network::adopt: node built on another slab");
+  }
   nodes_.push_back(std::move(node));
   return nodes_.back().get();
 }
@@ -22,9 +25,16 @@ int Network::make_port_on(Node& n, sim::Bandwidth bw, sim::TimePs prop) {
   if (auto* sw = dynamic_cast<Switch*>(&n)) {
     return sw->add_port(bw, prop);
   }
-  auto port = std::make_unique<BasicPort>(sim_of(n.id()), bw, prop,
-                                          std::make_unique<FifoQueue>());
+  auto port = std::make_unique<BasicPort>(
+      sim_of(n.id()), n.slab(), bw, prop,
+      std::make_unique<FifoQueue>(n.slab()));
   return n.attach_port(std::move(port));
+}
+
+std::size_t Network::parked_packets() const {
+  std::size_t live = 0;
+  for (const PacketPool& slab : slabs_) live += slab.live();
+  return live;
 }
 
 void Network::link_shards(Node& a, int a_port, Node& b, int b_port) {

@@ -22,12 +22,17 @@
 /// cross-shard ShardChannels on links whose endpoints sit on different
 /// shards. Topology builders stay unchanged — they call add_node /
 /// connect exactly as before.
+///
+/// The Network also owns the packet slab (net/packet_pool.hpp) every
+/// node and port of it keeps its packets in: one in sequential mode,
+/// one per shard in partitioned mode, where a packet crossing the cut
+/// is copied into the destination shard's slab at ingest.
 
 namespace powertcp::net {
 
 class Network {
  public:
-  explicit Network(sim::Simulator& simulator) : sim_(simulator) {}
+  explicit Network(sim::Simulator& simulator) : sim_(simulator), slabs_(1) {}
 
   /// Partitioned mode: node i (by construction order) lives on shard
   /// `node_shard[i]` of `engine`. The map must cover every node the
@@ -36,9 +41,10 @@ class Network {
   Network(sim::ShardedSimulator& engine, std::vector<int> node_shard)
       : sim_(engine.shard(0)),
         engine_(&engine),
-        node_shard_(std::move(node_shard)) {
+        node_shard_(std::move(node_shard)),
+        slabs_(static_cast<std::size_t>(engine.shard_count())) {
     if (engine.shard_count() > 1) {
-      router_ = std::make_unique<ShardRouter>(engine);
+      router_ = std::make_unique<ShardRouter>(engine, slabs_);
     }
   }
 
@@ -53,21 +59,31 @@ class Network {
     return engine_ != nullptr ? engine_->shard(shard_of(id)) : sim_;
   }
 
-  /// Constructs a node in place; the NodeId is injected as the first
-  /// constructor argument after the simulator (the owning shard's in
-  /// partitioned mode).
+  /// The packet slab node `id`'s packets live in.
+  PacketPool& slab_of(NodeId id) {
+    return slabs_[static_cast<std::size_t>(shard_of(id))];
+  }
+
+  /// Packets alive in this network's slabs: queued, serializing or
+  /// propagating. Zero once the network drains.
+  std::size_t parked_packets() const;
+
+  /// Constructs a node in place; the owning simulator, the slab and the
+  /// NodeId are injected as the first three constructor arguments (the
+  /// owning shard's simulator and slab in partitioned mode).
   template <typename T, typename... Args>
   T* add_node(Args&&... args) {
     const NodeId id = static_cast<NodeId>(nodes_.size());
-    auto owned =
-        std::make_unique<T>(sim_of(id), id, std::forward<Args>(args)...);
+    auto owned = std::make_unique<T>(sim_of(id), slab_of(id), id,
+                                     std::forward<Args>(args)...);
     T* raw = owned.get();
     nodes_.push_back(std::move(owned));
     return raw;
   }
 
   /// Takes ownership of an externally constructed node. Its id() must
-  /// equal next_node_id() at the time of the call.
+  /// equal next_node_id() at the time of the call, and it must have
+  /// been built on slab_of(id()).
   Node* adopt(std::unique_ptr<Node> node);
   NodeId next_node_id() const { return static_cast<NodeId>(nodes_.size()); }
 
@@ -121,6 +137,8 @@ class Network {
   sim::Simulator& sim_;
   sim::ShardedSimulator* engine_ = nullptr;
   std::vector<int> node_shard_;
+  /// One per shard; sized once, so references to them stay valid.
+  std::vector<PacketPool> slabs_;
   std::unique_ptr<ShardRouter> router_;
   std::vector<std::unique_ptr<Node>> nodes_;
   /// (node, port) -> peer node, for route computation.

@@ -6,7 +6,8 @@
 
 namespace powertcp::net {
 
-Node::Node(NodeId id, std::string name) : id_(id), name_(std::move(name)) {}
+Node::Node(PacketPool& slab, NodeId id, std::string name)
+    : slab_(slab), id_(id), name_(std::move(name)) {}
 
 Node::~Node() = default;
 

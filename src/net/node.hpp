@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "net/packet.hpp"
+#include "net/packet_pool.hpp"
 
 /// \file node.hpp
 /// Base class for anything attached to the network graph: hosts,
@@ -21,7 +22,9 @@ inline constexpr int kMaxNodes = 1 << 22;
 
 class Node {
  public:
-  Node(NodeId id, std::string name);
+  /// `slab` is the network's packet slab (see Network::add_node): the
+  /// handles this node receives redeem there, and its ports queue there.
+  Node(PacketPool& slab, NodeId id, std::string name);
   virtual ~Node();
 
   Node(const Node&) = delete;
@@ -30,9 +33,13 @@ class Node {
   NodeId id() const { return id_; }
   const std::string& name() const { return name_; }
 
-  /// Called when a packet has fully arrived (store-and-forward) on
-  /// ingress `in_port` (the index of the local port whose peer sent it).
-  virtual void receive(Packet&& pkt, int in_port) = 0;
+  /// Called when the slab packet `h` has fully arrived
+  /// (store-and-forward) on ingress `in_port` (the index of the local
+  /// port whose peer sent it). The node takes over the handle: it
+  /// forwards it or releases it, also when it throws.
+  virtual void receive(PacketPool::Handle h, int in_port) = 0;
+
+  PacketPool& slab() { return slab_; }
 
   /// Takes ownership of an egress port; returns its index. Throws
   /// std::logic_error outside the tie-token range.
@@ -45,6 +52,7 @@ class Node {
   int port_count() const { return static_cast<int>(ports_.size()); }
 
  private:
+  PacketPool& slab_;
   NodeId id_;
   std::string name_;
   std::vector<std::unique_ptr<EgressPort>> ports_;

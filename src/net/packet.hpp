@@ -15,6 +15,10 @@
 /// (qlen, timestamp, txBytes, bandwidth) taken when the packet is
 /// scheduled for transmission. The receiver copies the collected records
 /// into the ACK, which the sender feeds to the congestion controller.
+///
+/// A packet is written once, into its network's slab
+/// (net/packet_pool.hpp), and never moves: every hop passes its 8-byte
+/// handle, and INT records are stamped into it in place.
 
 namespace powertcp::net {
 
@@ -77,11 +81,12 @@ class IntHeader {
   int n_hops_ = 0;
 };
 
-/// A simulated packet. It is ~360 bytes, so the per-hop path hands it
-/// off by `Packet&&` and parks it in a PacketPool from its dequeue to its
-/// delivery instead of copying it; fields below the "simulator
-/// metadata" marker never exist on a real wire and carry no modeled
-/// size.
+/// A simulated packet. It is ~360 bytes, so it is written once into
+/// the network's PacketPool slab when its host sends it and stays
+/// there until its receiver releases it; queues, events and
+/// Node::receive pass its 8-byte handle, never the packet. Fields below
+/// the "simulator metadata" marker never exist on a real wire and
+/// carry no modeled size.
 struct Packet {
   FlowId flow = 0;
   NodeId src = kInvalidNode;

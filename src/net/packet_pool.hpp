@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -9,17 +10,23 @@
 #include "net/packet.hpp"
 
 /// \file packet_pool.hpp
-/// Generation-checked parking lot for in-flight Packets.
+/// The network's packet slab: every in-flight Packet lives here, from
+/// the sending host's NIC to the receiving host, and everything in
+/// between — queues, VOQs, the serialization and delivery events,
+/// Node::receive — carries its 8-byte Handle instead.
 ///
-/// A Packet is ~350 bytes (mostly the 8-hop INT header), so capturing
-/// one by value in an event closure forces a heap allocation per event.
-/// Instead the owner parks the packet here and captures only the 8-byte
-/// Handle; a later event may read or fill it in place with get()/ref()
-/// and the last one hands it on with lend() or frees it with release().
-/// Generations catch use-after-release and double release at the call
-/// site instead of silently reading recycled storage. Storage grows to
-/// the high-water mark of simultaneously in-flight packets and is
-/// recycled thereafter — the steady-state path allocates nothing.
+/// A Packet is ~360 bytes (mostly the 8-hop INT header), so no hop
+/// moves it; only its handle travels, and only a cut link between
+/// shards copies it. Each Network owns one slab (one per shard of a
+/// partitioned run) and hands it to every node and port it builds.
+/// Storage is a list of fixed-size chunks that never move, so a
+/// `Packet&` from get()/ref() stays valid until its handle is released,
+/// however much the slab grows meanwhile. Generations catch
+/// use-after-release and double release at the call site instead of
+/// silently reading recycled storage: a released handle is dead, and
+/// every access through it throws. The slab starts empty, grows to the
+/// high-water mark of simultaneously in-flight packets and recycles
+/// slots thereafter — the steady-state path allocates nothing.
 
 namespace powertcp::net {
 
@@ -30,10 +37,13 @@ class PacketPool {
     std::uint32_t gen = 0;
   };
 
+  /// Slots per chunk: the unit in which storage grows.
+  static constexpr std::uint32_t kChunkSlots = 256;
+
   /// Parks a packet; the returned handle redeems it exactly once.
   Handle put(Packet&& pkt) {
     const Handle h = acquire();
-    entries_[h.index].pkt = std::move(pkt);
+    slot(h.index).pkt = std::move(pkt);
     return h;
   }
 
@@ -46,83 +56,70 @@ class PacketPool {
       idx = free_.back();
       free_.pop_back();
     } else {
-      // Growth may reallocate, which would leave a lent reference
-      // dangling; a recycled slot never moves the others.
-      if (lending_ != 0) {
-        throw std::logic_error(
-            "PacketPool: storage must not grow while a slot is lent");
+      idx = used_++;
+      if (idx % kChunkSlots == 0) {
+        chunks_.push_back(std::make_unique<Entry[]>(kChunkSlots));
       }
-      idx = static_cast<std::uint32_t>(entries_.size());
-      entries_.emplace_back();
     }
     ++live_;
-    return Handle{idx, entries_[idx].gen};
+    return Handle{idx, slot(idx).gen};
   }
 
   /// Reads a parked packet without redeeming it; the handle stays
-  /// valid. The reference dangles after the next put() or acquire()
-  /// (storage may grow), so read what you need before parking anything
-  /// else. Throws on stale/foreign handles, as release() does.
-  const Packet& get(Handle h) const {
-    check(h, "get");
-    return entries_[h.index].pkt;
-  }
+  /// valid, and so does the reference until the handle is released.
+  /// Throws on stale/foreign handles, as release() does.
+  const Packet& get(Handle h) const { return checked(h, "get").pkt; }
   /// Mutable in-place access, under the same rules as get().
-  Packet& ref(Handle h) {
-    check(h, "ref");
-    return entries_[h.index].pkt;
-  }
+  Packet& ref(Handle h) { return checked(h, "ref").pkt; }
 
   /// Frees a slot. Throws on stale/foreign handles (double release, or
   /// a handle from another pool).
   void release(Handle h) {
-    check(h, "release");
-    ++entries_[h.index].gen;  // invalidate the redeemed handle
+    ++checked(h, "release").gen;  // invalidate the redeemed handle
     free_.push_back(h.index);
     --live_;
   }
 
-  /// Hands the parked packet to `fn` by reference — it may move from
-  /// it — and frees the slot once `fn` returns or throws. While `fn`
-  /// runs, growing this pool throws std::logic_error instead of
-  /// leaving the lent reference dangling.
+  /// Hands the parked packet to `fn` by reference and frees the slot
+  /// once `fn` returns or throws.
   template <typename Fn>
   void lend(Handle h, Fn&& fn) {
     Packet& pkt = ref(h);
-    ++lending_;
     try {
       std::forward<Fn>(fn)(pkt);
     } catch (...) {
-      --lending_;
       release(h);
       throw;
     }
-    --lending_;
     release(h);
   }
 
   /// Packets currently parked.
   std::size_t live() const { return live_; }
   /// High-water mark of simultaneously parked packets.
-  std::size_t capacity() const { return entries_.size(); }
+  std::size_t capacity() const { return used_; }
 
  private:
   struct Entry {
-    Packet pkt;
     std::uint32_t gen = 1;
+    Packet pkt;
   };
-  void check(Handle h, const char* op) const {
-    if (h.index >= entries_.size() || entries_[h.index].gen != h.gen) {
+
+  Entry& slot(std::uint32_t idx) const {
+    return chunks_[idx / kChunkSlots][idx % kChunkSlots];
+  }
+  Entry& checked(Handle h, const char* op) const {
+    if (h.index >= used_ || slot(h.index).gen != h.gen) {
       throw std::logic_error(std::string("PacketPool::") + op +
                              ": stale handle");
     }
+    return slot(h.index);
   }
 
-  std::vector<Entry> entries_;
+  std::vector<std::unique_ptr<Entry[]>> chunks_;
   std::vector<std::uint32_t> free_;
+  std::uint32_t used_ = 0;  ///< slots ever handed out
   std::size_t live_ = 0;
-  /// lend() calls in progress; growth is refused while nonzero.
-  std::uint32_t lending_ = 0;
 };
 
 }  // namespace powertcp::net

@@ -4,71 +4,50 @@
 
 namespace powertcp::net {
 
-void FifoQueue::push(Packet&& pkt) {
-  std::uint32_t idx;
-  if (free_head_ != kNil) {
-    idx = free_head_;
-    free_head_ = arena_[idx].next;
-    arena_[idx].pkt = std::move(pkt);
-  } else {
-    idx = static_cast<std::uint32_t>(arena_.size());
-    arena_.emplace_back(std::move(pkt), kNil);
+void FifoQueue::push(PacketPool::Handle h) {
+  if (count_ == ring_.size()) {
+    // Unroll the full ring into twice the room, oldest first.
+    std::vector<PacketPool::Handle> grown(ring_.empty() ? 8 : 2 * ring_.size());
+    for (std::size_t i = 0; i < count_; ++i) {
+      grown[i] = ring_[(head_ + i) & (ring_.size() - 1)];
+    }
+    ring_.swap(grown);
+    head_ = 0;
   }
-  arena_[idx].next = kNil;
-  if (tail_ == kNil) {
-    head_ = idx;
-  } else {
-    arena_[tail_].next = idx;
-  }
-  tail_ = idx;
+  bytes_ += slab_->get(h).wire_bytes();
+  ring_[(head_ + count_) & (ring_.size() - 1)] = h;
   ++count_;
-  bytes_ += arena_[idx].pkt.wire_bytes();
 }
 
-bool FifoQueue::pop_into(Packet& out) {
+bool FifoQueue::pop(PacketPool::Handle& out) {
   if (count_ == 0) return false;
-  const std::uint32_t idx = head_;
-  Node& n = arena_[idx];
-  head_ = n.next;
-  if (head_ == kNil) tail_ = kNil;
-  n.next = free_head_;
-  free_head_ = idx;
+  out = ring_[head_];
+  head_ = (head_ + 1) & (ring_.size() - 1);
   --count_;
-  bytes_ -= n.pkt.wire_bytes();
-  // The freed node is not reused before the next push.
-  out = std::move(n.pkt);
+  bytes_ -= slab_->get(out).wire_bytes();
   return true;
 }
 
-const Packet* FifoQueue::peek_next() const {
-  return count_ == 0 ? nullptr : &arena_[head_].pkt;
-}
-
-PriorityQueue::PriorityQueue(int bands) {
+PriorityQueue::PriorityQueue(const PacketPool& slab, int bands) : slab_(&slab) {
   if (bands <= 0) throw std::invalid_argument("PriorityQueue: bands <= 0");
-  bands_.resize(static_cast<std::size_t>(bands));
-  band_bytes_.assign(static_cast<std::size_t>(bands), 0);
+  bands_.assign(static_cast<std::size_t>(bands), FifoQueue(slab));
 }
 
-void PriorityQueue::push(Packet&& pkt) {
-  const auto band =
-      static_cast<std::size_t>(pkt.priority) < bands_.size()
-          ? static_cast<std::size_t>(pkt.priority)
-          : bands_.size() - 1;
+void PriorityQueue::push(PacketPool::Handle h) {
+  const Packet& pkt = slab_->get(h);
+  const auto band = static_cast<std::size_t>(pkt.priority) < bands_.size()
+                        ? static_cast<std::size_t>(pkt.priority)
+                        : bands_.size() - 1;
   bytes_ += pkt.wire_bytes();
-  band_bytes_[band] += pkt.wire_bytes();
   ++packets_;
-  bands_[band].push_back(std::move(pkt));
+  bands_[band].push(h);
 }
 
-bool PriorityQueue::pop_into(Packet& out) {
-  for (std::size_t b = 0; b < bands_.size(); ++b) {
-    auto& band = bands_[b];
-    if (!band.empty()) {
-      out = std::move(band.front());
-      band.pop_front();
-      bytes_ -= out.wire_bytes();
-      band_bytes_[b] -= out.wire_bytes();
+bool PriorityQueue::pop(PacketPool::Handle& out) {
+  for (FifoQueue& band : bands_) {
+    const std::int64_t before = band.bytes();
+    if (band.pop(out)) {
+      bytes_ -= before - band.bytes();
       --packets_;
       return true;
     }
@@ -77,44 +56,37 @@ bool PriorityQueue::pop_into(Packet& out) {
 }
 
 const Packet* PriorityQueue::peek_next() const {
-  for (const auto& band : bands_) {
-    if (!band.empty()) return &band.front();
+  for (const FifoQueue& band : bands_) {
+    if (!band.empty()) return band.peek_next();
   }
   return nullptr;
 }
 
-VoqSet::VoqSet(int n_queues, std::function<int(NodeId)> classify)
-    : classify_(std::move(classify)) {
+VoqSet::VoqSet(const PacketPool& slab, int n_queues,
+               std::function<int(NodeId)> classify)
+    : slab_(&slab), classify_(std::move(classify)) {
   if (n_queues <= 0) throw std::invalid_argument("VoqSet: n_queues <= 0");
-  queues_.resize(static_cast<std::size_t>(n_queues));
-  voq_bytes_.assign(static_cast<std::size_t>(n_queues), 0);
+  queues_.assign(static_cast<std::size_t>(n_queues), FifoQueue(slab));
 }
 
-void VoqSet::push(Packet&& pkt) {
+void VoqSet::push(PacketPool::Handle h) {
+  const Packet& pkt = slab_->get(h);
   const int voq = classify_(pkt.dst);
   if (voq < 0 || voq >= size()) {
     throw std::out_of_range("VoqSet::push: classify returned bad index");
   }
-  voq_bytes_[static_cast<std::size_t>(voq)] += pkt.wire_bytes();
   total_bytes_ += pkt.wire_bytes();
   ++total_packets_;
-  queues_[static_cast<std::size_t>(voq)].push_back(std::move(pkt));
+  queues_[static_cast<std::size_t>(voq)].push(h);
 }
 
-bool VoqSet::pop_from(int voq, Packet& out) {
-  auto& q = queues_.at(static_cast<std::size_t>(voq));
-  if (q.empty()) return false;
-  out = std::move(q.front());
-  q.pop_front();
-  voq_bytes_[static_cast<std::size_t>(voq)] -= out.wire_bytes();
-  total_bytes_ -= out.wire_bytes();
+bool VoqSet::pop_from(int voq, PacketPool::Handle& out) {
+  FifoQueue& q = queues_.at(static_cast<std::size_t>(voq));
+  const std::int64_t before = q.bytes();
+  if (!q.pop(out)) return false;
+  total_bytes_ -= before - q.bytes();
   --total_packets_;
   return true;
-}
-
-const Packet* VoqSet::peek(int voq) const {
-  const auto& q = queues_.at(static_cast<std::size_t>(voq));
-  return q.empty() ? nullptr : &q.front();
 }
 
 }  // namespace powertcp::net

@@ -6,7 +6,9 @@
 
 namespace powertcp::net {
 
-ShardRouter::ShardRouter(sim::ShardedSimulator& engine) : engine_(engine) {
+ShardRouter::ShardRouter(sim::ShardedSimulator& engine,
+                         std::vector<PacketPool>& slabs)
+    : engine_(engine), slabs_(slabs) {
   ingress_.resize(static_cast<std::size_t>(engine.shard_count()));
   send_stamps_.resize(static_cast<std::size_t>(engine.shard_count()));
   for (int s = 0; s < engine.shard_count(); ++s) {
@@ -61,20 +63,15 @@ void ShardRouter::ingest(int shard) {
               return a.src_seq < b.src_seq;
             });
   sim::Simulator& sim = engine_.shard(shard);
-  PacketPool* pool = &in.pool;
+  PacketPool& slab = slabs_[static_cast<std::size_t>(shard)];
   for (const MergeKey& k : in.order) {
     ShardMessage& m = in.scratch[k.index];
-    const PacketPool::Handle h = pool->put(std::move(m.pkt));
+    const PacketPool::Handle h = slab.put(std::move(m.pkt));
     Node* dst = m.dst;
     const int port = m.dst_in_port;
     const auto origin = static_cast<std::uint32_t>(1 + m.src_shard);
     sim.schedule_from(
-        m.sent_at, m.deliver_at,
-        [dst, port, pool, h] {
-          pool->lend(h, [dst, port](Packet& p) {
-            dst->receive(std::move(p), port);
-          });
-        },
+        m.sent_at, m.deliver_at, [dst, port, h] { dst->receive(h, port); },
         origin, m.tie);
   }
   in.scratch.clear();

@@ -18,9 +18,11 @@
 /// — a plain per-link buffer — stamped with the absolute delivery
 /// time. At the next window barrier the destination shard's
 /// ingest hook (ShardRouter) drains every inbound channel and schedules
-/// the deliveries into its own Simulator, parking packets in a
-/// per-shard PacketPool so the event callback carries a handle, not
-/// ~350 bytes of packet.
+/// the deliveries into its own Simulator, writing each packet into the
+/// destination shard's slab so the event callback carries a handle,
+/// not ~360 bytes of packet. A cut link is the one place a packet is
+/// copied: out of the source shard's slab into the channel, and from
+/// the channel into the destination's.
 ///
 /// Determinism: channels are drained in their REGISTRATION order (the
 /// network's construction order — a pure function of the topology),
@@ -91,11 +93,11 @@ class ShardChannel {
         src_shard_(src_shard),
         send_stamp_(send_stamp) {}
 
+  /// Copies `pkt` out of the source shard's slab into the buffer.
   void send(sim::TimePs deliver_at, sim::TimePs sent_at, std::uint32_t tie,
-            Packet&& pkt) {
+            const Packet& pkt) {
     sent_.push_back(ShardMessage{deliver_at, sent_at, (*send_stamp_)++, dst_,
-                                 dst_in_port_, src_shard_, tie,
-                                 std::move(pkt)});
+                                 dst_in_port_, src_shard_, tie, pkt});
   }
 
   /// Destination shard, at a barrier: appends the buffered sends to
@@ -122,7 +124,9 @@ class ShardChannel {
 /// threaded, before any run.
 class ShardRouter {
  public:
-  explicit ShardRouter(sim::ShardedSimulator& engine);
+  /// `slabs` holds one packet slab per shard of `engine` (the
+  /// Network's); ingest parks each delivery in its shard's slab.
+  ShardRouter(sim::ShardedSimulator& engine, std::vector<PacketPool>& slabs);
 
   /// Registers a channel carrying `src_shard`'s sends into `dst_shard`.
   /// The caller (the Network) wires the returned channel into the
@@ -153,8 +157,6 @@ class ShardRouter {
   struct Ingress {
     /// Registration order = deterministic merge rank.
     std::vector<std::unique_ptr<ShardChannel>> channels;
-    /// Parks packets between ingest and delivery callback.
-    PacketPool pool;
     /// Reused drain and merge buffers (allocation-free once warm).
     std::vector<ShardMessage> scratch;
     std::vector<MergeKey> order;
@@ -168,6 +170,7 @@ class ShardRouter {
   };
 
   sim::ShardedSimulator& engine_;
+  std::vector<PacketPool>& slabs_;
   std::vector<Ingress> ingress_;
   std::vector<SendStamp> send_stamps_;
 };

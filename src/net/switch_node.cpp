@@ -35,9 +35,9 @@ std::int64_t scale_ecn_threshold(const char* which, std::int64_t bytes,
 
 }  // namespace
 
-Switch::Switch(sim::Simulator& simulator, NodeId id, std::string name,
-               SwitchConfig cfg)
-    : Node(id, std::move(name)),
+Switch::Switch(sim::Simulator& simulator, PacketPool& slab, NodeId id,
+               std::string name, SwitchConfig cfg)
+    : Node(slab, id, std::move(name)),
       sim_(simulator),
       cfg_(cfg),
       buffer_(cfg.buffer_bytes, cfg.dt_alpha) {}
@@ -45,11 +45,12 @@ Switch::Switch(sim::Simulator& simulator, NodeId id, std::string name,
 int Switch::add_port(sim::Bandwidth bw, sim::TimePs propagation) {
   std::unique_ptr<QueueDiscipline> q;
   if (cfg_.priority_bands > 0) {
-    q = std::make_unique<PriorityQueue>(cfg_.priority_bands);
+    q = std::make_unique<PriorityQueue>(slab(), cfg_.priority_bands);
   } else {
-    q = std::make_unique<FifoQueue>();
+    q = std::make_unique<FifoQueue>(slab());
   }
-  auto port = std::make_unique<BasicPort>(sim_, bw, propagation, std::move(q));
+  auto port = std::make_unique<BasicPort>(sim_, slab(), bw, propagation,
+                                          std::move(q));
   port->set_shared_buffer(&buffer_);
   port->set_int_enabled(cfg_.int_enabled);
   // The default "red" policy is the scheme's ECN marking profile:
@@ -94,14 +95,17 @@ std::size_t Switch::ecmp_index(FlowId flow, std::size_t n) const {
          n;
 }
 
-void Switch::receive(Packet&& pkt, int /*in_port*/) {
+void Switch::receive(PacketPool::Handle h, int /*in_port*/) {
+  const Packet& pkt = slab().get(h);
   const auto* choices = routes_to(pkt.dst);
   if (choices == nullptr) {
+    const NodeId dst = pkt.dst;
+    slab().release(h);
     throw std::logic_error("Switch '" + name() + "': no route to node " +
-                           std::to_string(pkt.dst));
+                           std::to_string(dst));
   }
   const std::size_t pick = ecmp_index(pkt.flow, choices->size());
-  port((*choices)[pick]).enqueue(std::move(pkt));
+  port((*choices)[pick]).enqueue(h);
 }
 
 std::uint64_t Switch::total_drops() const {

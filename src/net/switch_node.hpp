@@ -40,8 +40,8 @@ struct SwitchConfig {
 
 class Switch : public Node {
  public:
-  Switch(sim::Simulator& simulator, NodeId id, std::string name,
-         SwitchConfig cfg);
+  Switch(sim::Simulator& simulator, PacketPool& slab, NodeId id,
+         std::string name, SwitchConfig cfg);
 
   /// Creates an egress port (FIFO or priority per config) wired to
   /// nothing yet; returns the port index.
@@ -59,7 +59,9 @@ class Switch : public Node {
     return &routes_[i];
   }
 
-  void receive(Packet&& pkt, int in_port) override;
+  /// Forwards `h` to its ECMP next hop. Throws std::logic_error, after
+  /// releasing `h`, if no route to the packet's destination exists.
+  void receive(PacketPool::Handle h, int in_port) override;
 
   DtSharedBuffer& shared_buffer() { return buffer_; }
   const SwitchConfig& config() const { return cfg_; }

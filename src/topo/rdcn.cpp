@@ -12,9 +12,10 @@ RdcnConfig RdcnConfig::small() {
   return cfg;
 }
 
-RdcnTor::RdcnTor(sim::Simulator& simulator, net::NodeId id, std::string name,
-                 int tor_index, std::int64_t buffer_bytes, double dt_alpha)
-    : net::Node(id, std::move(name)),
+RdcnTor::RdcnTor(sim::Simulator& simulator, net::PacketPool& slab,
+                 net::NodeId id, std::string name, int tor_index,
+                 std::int64_t buffer_bytes, double dt_alpha)
+    : net::Node(slab, id, std::move(name)),
       sim_(simulator),
       tor_index_(tor_index),
       buffer_(buffer_bytes, dt_alpha) {}
@@ -24,22 +25,23 @@ void RdcnTor::add_local_host(net::NodeId host, int down_port) {
 }
 
 void RdcnTor::init_voqs(int n_tors, std::function<int(net::NodeId)> classify) {
-  voqs_ = std::make_unique<net::VoqSet>(n_tors, std::move(classify));
+  voqs_ = std::make_unique<net::VoqSet>(slab(), n_tors, std::move(classify));
 }
 
-void RdcnTor::receive(net::Packet&& pkt, int /*in_port*/) {
-  const auto it = local_hosts_.find(pkt.dst);
+void RdcnTor::receive(net::PacketPool::Handle h, int /*in_port*/) {
+  const auto it = local_hosts_.find(slab().get(h).dst);
   if (it != local_hosts_.end()) {
-    port(it->second).enqueue(std::move(pkt));
+    port(it->second).enqueue(h);
     return;
   }
   if (circuit_port_ < 0 || uplink_port_ < 0) {
+    slab().release(h);
     throw std::logic_error("RdcnTor '" + name() + "': uplinks not wired");
   }
   // All inter-rack traffic lands in the shared VOQ set via the circuit
   // port (the VoqSet entry point); the packet uplink drains the same
   // set, so wake it too.
-  port(circuit_port_).enqueue(std::move(pkt));
+  port(circuit_port_).enqueue(h);
   port(uplink_port_).kick();
 }
 
@@ -90,8 +92,8 @@ Rdcn::Rdcn(net::Network& network, const RdcnConfig& cfg)
 
     // Circuit uplink: ToR -> optical switch.
     auto cport = std::make_unique<net::CircuitPort>(
-        net_.simulator(), cfg_.circuit_bw, cfg_.fabric_link_delay,
-        &tor->voqs(), schedule_.get(), t);
+        net_.simulator(), tor->slab(), cfg_.circuit_bw,
+        cfg_.fabric_link_delay, &tor->voqs(), schedule_.get(), t);
     cport->set_shared_buffer(&tor->buffer());
     cport->set_int_enabled(cfg_.int_enabled);
     cport->set_peer(circuit_, /*peer_in_port=*/t);
@@ -102,8 +104,8 @@ Rdcn::Rdcn(net::Network& network, const RdcnConfig& cfg)
 
     // Packet uplink: ToR -> packet core (and a core port back).
     auto uport = std::make_unique<net::VoqUplinkPort>(
-        net_.simulator(), cfg_.packet_bw, cfg_.fabric_link_delay,
-        &tor->voqs(), schedule_.get(), t);
+        net_.simulator(), tor->slab(), cfg_.packet_bw,
+        cfg_.fabric_link_delay, &tor->voqs(), schedule_.get(), t);
     uport->set_shared_buffer(&tor->buffer());
     uport->set_int_enabled(cfg_.int_enabled);
     const int uidx = tor->attach_port(std::move(uport));

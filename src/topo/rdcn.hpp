@@ -41,10 +41,11 @@ struct RdcnConfig {
 /// drained by a CircuitPort and a VoqUplinkPort.
 class RdcnTor final : public net::Node {
  public:
-  RdcnTor(sim::Simulator& simulator, net::NodeId id, std::string name,
-          int tor_index, std::int64_t buffer_bytes, double dt_alpha);
+  RdcnTor(sim::Simulator& simulator, net::PacketPool& slab, net::NodeId id,
+          std::string name, int tor_index, std::int64_t buffer_bytes,
+          double dt_alpha);
 
-  void receive(net::Packet&& pkt, int in_port) override;
+  void receive(net::PacketPool::Handle h, int in_port) override;
 
   /// Registers a directly attached host and its down-port index.
   void add_local_host(net::NodeId host, int down_port);

@@ -1,7 +1,7 @@
 /// Conservation and accounting invariants under randomized traffic:
 /// every payload byte a receiver counts was sent exactly once (no
 /// duplication of *new* data), switch byte counters balance, and the
-/// shared buffer, every egress queue and every port's packet pool
+/// shared buffer, every egress queue and the network's packet slab
 /// return to empty when the network drains.
 
 #include <gtest/gtest.h>
@@ -9,6 +9,7 @@
 #include "cc/registry.hpp"
 #include "net/egress_port.hpp"
 #include "net/network.hpp"
+#include "net/switch_node.hpp"
 #include "sim/rng.hpp"
 #include "topo/dumbbell.hpp"
 #include "topo/fat_tree.hpp"
@@ -16,14 +17,14 @@
 namespace powertcp {
 namespace {
 
-/// Every port of a drained network is idle: nothing queued, nothing on
-/// the wire or propagating (no packet parked in its pool).
+/// A drained network is idle: no packet left in its slab (queued,
+/// serializing or propagating) and every port idle and empty.
 void expect_ports_drained(const net::Network& network) {
+  EXPECT_EQ(network.parked_packets(), 0u);
   for (std::size_t id = 0; id < network.node_count(); ++id) {
     const net::Node& node = network.node(static_cast<net::NodeId>(id));
     for (int p = 0; p < node.port_count(); ++p) {
       const net::EgressPort& port = node.port(p);
-      EXPECT_EQ(port.parked_packets(), 0u) << node.name() << " port " << p;
       EXPECT_EQ(port.queue_bytes(), 0) << node.name() << " port " << p;
       EXPECT_FALSE(port.busy()) << node.name() << " port " << p;
     }
@@ -96,23 +97,76 @@ TEST(Conservation, SharedBufferDrainsToZero) {
 }
 
 TEST(Conservation, PortWithoutPeerFreesItsSlotAtSerializationEnd) {
-  // A packet stays parked in its port's pool from serialization start
-  // until delivery; with no peer to deliver to, the slot must be freed
-  // when serialization ends instead of leaking.
+  // A packet stays in the slab until its receiver takes it; with no
+  // peer to deliver to, the port must free the slot when serialization
+  // ends instead of leaking it.
   sim::Simulator simulator;
-  net::BasicPort port(simulator, sim::Bandwidth::gbps(10),
+  net::PacketPool slab;
+  net::BasicPort port(simulator, slab, sim::Bandwidth::gbps(10),
                       sim::microseconds(1),
-                      std::make_unique<net::FifoQueue>());
+                      std::make_unique<net::FifoQueue>(slab));
   net::Packet pkt;
   pkt.payload_bytes = 952;
-  port.enqueue(std::move(pkt));
+  port.enqueue(slab.put(std::move(pkt)));
   EXPECT_TRUE(port.busy());
-  EXPECT_EQ(port.parked_packets(), 1u);
+  EXPECT_EQ(slab.live(), 1u);
   simulator.run();
   EXPECT_FALSE(port.busy());
-  EXPECT_EQ(port.parked_packets(), 0u);
+  EXPECT_EQ(slab.live(), 0u);
   EXPECT_EQ(port.tx_packets(), 1u);
   EXPECT_EQ(port.queue_bytes(), 0);
+}
+
+/// Drops every packet it is asked about.
+class DropAllAqm final : public net::Aqm {
+ public:
+  net::AqmVerdict on_enqueue(std::int64_t, bool, sim::TimePs) override {
+    return net::AqmVerdict{false, true};
+  }
+  const char* kind() const override { return "drop-all"; }
+};
+
+TEST(Conservation, DropsReleaseTheirSlabSlots) {
+  // Whatever consumes a packet frees its slot: a buffer-admission drop,
+  // an AQM drop and a switch with no route each leave the network's
+  // live count where it was before the packet was written.
+  sim::Simulator simulator;
+  net::Network network(simulator);
+  net::SwitchConfig cfg;
+  cfg.buffer_bytes = 1'500;
+  auto* sw = network.add_node<net::Switch>("sw", cfg);
+  auto* a = network.add_node<net::Switch>("a", net::SwitchConfig{});
+  auto* b = network.add_node<net::Switch>("b", net::SwitchConfig{});
+  network.connect(*sw, *a, sim::Bandwidth::gbps(10), sim::microseconds(1));
+  network.connect(*sw, *b, sim::Bandwidth::gbps(10), sim::microseconds(1));
+  network.compute_routes();
+  const auto packet_to = [&](net::NodeId dst) {
+    net::Packet p;
+    p.dst = dst;
+    p.payload_bytes = 952;  // 1000 B on the wire
+    return sw->slab().put(std::move(p));
+  };
+
+  // AQM: the buffer admits the packet, the policy drops it.
+  net::EgressPort& to_b = sw->port(1);
+  to_b.set_aqm(std::make_unique<DropAllAqm>());
+  std::size_t before = network.parked_packets();
+  EXPECT_FALSE(to_b.enqueue(packet_to(b->id())));
+  EXPECT_EQ(to_b.drops(), 1u);
+  EXPECT_EQ(network.parked_packets(), before);
+
+  // DT admission: the first packet holds 1000 of the 1500 bytes while
+  // it serializes, so a second does not fit.
+  net::EgressPort& to_a = sw->port(0);
+  ASSERT_TRUE(to_a.enqueue(packet_to(a->id())));
+  before = network.parked_packets();
+  EXPECT_FALSE(to_a.enqueue(packet_to(a->id())));
+  EXPECT_EQ(to_a.drops(), 1u);
+  EXPECT_EQ(network.parked_packets(), before);
+
+  before = network.parked_packets();
+  EXPECT_THROW(sw->receive(packet_to(99), 0), std::logic_error);
+  EXPECT_EQ(network.parked_packets(), before);
 }
 
 TEST(Conservation, PortTxBytesMatchArrivalsPlusBacklog) {

@@ -110,11 +110,11 @@ TEST(CircuitPort, DestructorCancelsThePendingWakeup) {
   // it — the simulator then runs nothing (and nothing dangles).
   sim::Simulator simulator;
   CircuitSchedule schedule(4, microseconds(10), microseconds(2));
-  VoqSet voqs(4, [](NodeId dst) { return static_cast<int>(dst) % 4; });
-  auto port = std::make_unique<CircuitPort>(simulator,
-                                            sim::Bandwidth::gbps(100),
-                                            microseconds(1), &voqs,
-                                            &schedule, /*my_tor=*/0);
+  PacketPool slab;
+  VoqSet voqs(slab, 4, [](NodeId dst) { return static_cast<int>(dst) % 4; });
+  auto port = std::make_unique<CircuitPort>(
+      simulator, slab, sim::Bandwidth::gbps(100), microseconds(1), &voqs,
+      &schedule, /*my_tor=*/0);
   port->kick();  // day, but VOQ empty: retry armed for the next day
   port.reset();
   simulator.run();

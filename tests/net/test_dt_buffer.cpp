@@ -33,10 +33,13 @@ TEST(DtSharedBuffer, SmallAlphaStarvesLongQueues) {
 }
 
 TEST(DtSharedBuffer, DequeueReleasesMemory) {
+  sim::Simulator simulator;
   DtSharedBuffer b(1'000, 1.0);
+  b.attach(simulator);
   b.on_enqueue(1'000);
-  EXPECT_FALSE(b.admits(0, 1));
-  b.on_dequeue(500);
+  b.release_at(simulator.reserve_in(sim::nanoseconds(10)), 500);
+  EXPECT_FALSE(b.admits(0, 1));  // the serialization has not finished
+  simulator.run_until(sim::nanoseconds(10));
   EXPECT_TRUE(b.admits(0, 400));
   EXPECT_EQ(b.used_bytes(), 500);
 }

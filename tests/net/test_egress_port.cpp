@@ -13,11 +13,12 @@ namespace {
 /// Records every packet it receives with the arrival time.
 class SinkNode : public Node {
  public:
-  SinkNode(sim::Simulator& simulator, NodeId id)
-      : Node(id, "sink"), sim_(simulator) {}
+  SinkNode(sim::Simulator& simulator, PacketPool& slab, NodeId id)
+      : Node(slab, id, "sink"), sim_(simulator) {}
 
-  void receive(Packet&& pkt, int in_port) override {
-    arrivals.push_back({sim_.now(), std::move(pkt), in_port});
+  void receive(PacketPool::Handle h, int in_port) override {
+    arrivals.push_back({sim_.now(), slab().get(h), in_port});
+    slab().release(h);
   }
 
   struct Arrival {
@@ -41,12 +42,13 @@ Packet data_pkt(FlowId flow, std::int32_t payload) {
 
 struct PortFixture : ::testing::Test {
   sim::Simulator simulator;
-  SinkNode sink{simulator, 0};
+  PacketPool slab;
+  SinkNode sink{simulator, slab, 0};
 
   std::unique_ptr<BasicPort> make_port(sim::Bandwidth bw,
                                        sim::TimePs prop) {
-    auto port = std::make_unique<BasicPort>(simulator, bw, prop,
-                                            std::make_unique<FifoQueue>());
+    auto port = std::make_unique<BasicPort>(
+        simulator, slab, bw, prop, std::make_unique<FifoQueue>(slab));
     port->set_peer(&sink, 3);
     return port;
   }
@@ -54,7 +56,7 @@ struct PortFixture : ::testing::Test {
 
 TEST_F(PortFixture, DeliversAfterSerializationPlusPropagation) {
   auto port = make_port(sim::Bandwidth::gbps(25), sim::microseconds(1));
-  port->enqueue(data_pkt(1, 1000));
+  port->enqueue(slab.put(data_pkt(1, 1000)));
   simulator.run();
   ASSERT_EQ(sink.arrivals.size(), 1u);
   // 1048 B at 25 Gbps = 335.36 ns; + 1 us propagation.
@@ -65,8 +67,8 @@ TEST_F(PortFixture, DeliversAfterSerializationPlusPropagation) {
 
 TEST_F(PortFixture, BackToBackPacketsSpacedBySerialization) {
   auto port = make_port(sim::Bandwidth::gbps(10), 0);
-  port->enqueue(data_pkt(1, 952));  // 1000 B wire = 800 ns at 10G
-  port->enqueue(data_pkt(2, 952));
+  port->enqueue(slab.put(data_pkt(1, 952)));  // 1000 B wire = 800 ns at 10G
+  port->enqueue(slab.put(data_pkt(2, 952)));
   simulator.run();
   ASSERT_EQ(sink.arrivals.size(), 2u);
   EXPECT_EQ(sink.arrivals[1].t - sink.arrivals[0].t,
@@ -77,9 +79,9 @@ TEST_F(PortFixture, IntStampedAtDequeueWithBacklogLeftBehind) {
   auto port = make_port(sim::Bandwidth::gbps(10), 0);
   port->set_int_enabled(true);
   // Packet 1 starts serializing immediately; 2 and 3 queue behind it.
-  port->enqueue(data_pkt(1, 952));
-  port->enqueue(data_pkt(2, 952));
-  port->enqueue(data_pkt(3, 952));
+  port->enqueue(slab.put(data_pkt(1, 952)));
+  port->enqueue(slab.put(data_pkt(2, 952)));
+  port->enqueue(slab.put(data_pkt(3, 952)));
   simulator.run();
   ASSERT_EQ(sink.arrivals.size(), 3u);
   const IntHeader& h1 = sink.arrivals[0].pkt.int_hdr;
@@ -109,7 +111,7 @@ TEST_F(PortFixture, AcksAreNeverIntStamped) {
   IntHopRecord echo;
   echo.qlen_bytes = 42;
   ack.int_hdr.push(echo);  // pretend echo from the data path
-  port->enqueue(std::move(ack));
+  port->enqueue(slab.put(std::move(ack)));
   simulator.run();
   ASSERT_EQ(sink.arrivals.size(), 1u);
   // The echoed record must pass through untouched.
@@ -119,7 +121,7 @@ TEST_F(PortFixture, AcksAreNeverIntStamped) {
 
 TEST_F(PortFixture, IntDisabledStampsNothing) {
   auto port = make_port(sim::Bandwidth::gbps(10), 0);
-  port->enqueue(data_pkt(1, 1000));
+  port->enqueue(slab.put(data_pkt(1, 1000)));
   simulator.run();
   EXPECT_TRUE(sink.arrivals[0].pkt.int_hdr.empty());
 }
@@ -130,7 +132,9 @@ TEST_F(PortFixture, SharedBufferDropsWhenFull) {
   port->set_shared_buffer(&buf);
   int admitted = 0;
   for (int i = 0; i < 5; ++i) {
-    if (port->enqueue(data_pkt(static_cast<FlowId>(i), 952))) ++admitted;
+    if (port->enqueue(slab.put(data_pkt(static_cast<FlowId>(i), 952)))) {
+      ++admitted;
+    }
   }
   EXPECT_EQ(admitted, 3);  // 3 x 1000 B fit, rest dropped
   EXPECT_EQ(port->drops(), 2u);
@@ -147,7 +151,7 @@ TEST_F(PortFixture, EcnStepMarkingAboveThreshold) {
   ecn.kmax_bytes = 1'500;
   port->set_ecn(ecn, 1);
   for (int i = 0; i < 5; ++i) {
-    port->enqueue(data_pkt(static_cast<FlowId>(i), 952));
+    port->enqueue(slab.put(data_pkt(static_cast<FlowId>(i), 952)));
   }
   simulator.run();
   ASSERT_EQ(sink.arrivals.size(), 5u);
@@ -168,10 +172,11 @@ TEST_F(PortFixture, EcnIgnoresNonCapablePackets) {
   ecn.kmin_bytes = 0;
   ecn.kmax_bytes = 0;
   port->set_ecn(ecn, 1);
-  port->enqueue(data_pkt(1, 952));  // queue 0 -> at threshold boundary
+  // Queue 0: at the threshold boundary.
+  port->enqueue(slab.put(data_pkt(1, 952)));
   Packet p = data_pkt(2, 952);
   p.ecn_capable = false;
-  port->enqueue(std::move(p));
+  port->enqueue(slab.put(std::move(p)));
   simulator.run();
   EXPECT_FALSE(sink.arrivals[1].pkt.ecn_marked);
 }
@@ -181,8 +186,8 @@ TEST_F(PortFixture, SojournCallbackMeasuresWaiting) {
   std::vector<sim::TimePs> sojourns;
   port->set_sojourn_callback(
       [&sojourns](sim::TimePs d) { sojourns.push_back(d); });
-  port->enqueue(data_pkt(1, 952));
-  port->enqueue(data_pkt(2, 952));
+  port->enqueue(slab.put(data_pkt(1, 952)));
+  port->enqueue(slab.put(data_pkt(2, 952)));
   simulator.run();
   ASSERT_EQ(sojourns.size(), 2u);
   EXPECT_EQ(sojourns[0], 0);  // started immediately
@@ -194,7 +199,7 @@ TEST_F(PortFixture, QueueMonitorSeesPeaks) {
   stats::QueueSeries series;
   port->set_queue_monitor(&series);
   for (int i = 0; i < 3; ++i) {
-    port->enqueue(data_pkt(static_cast<FlowId>(i), 952));
+    port->enqueue(slab.put(data_pkt(static_cast<FlowId>(i), 952)));
   }
   simulator.run();
   EXPECT_EQ(series.max_bytes(), 2000);  // two packets behind the in-flight one
@@ -202,8 +207,8 @@ TEST_F(PortFixture, QueueMonitorSeesPeaks) {
 
 TEST_F(PortFixture, TxCountersAccumulate) {
   auto port = make_port(sim::Bandwidth::gbps(10), 0);
-  port->enqueue(data_pkt(1, 952));
-  port->enqueue(data_pkt(2, 452));
+  port->enqueue(slab.put(data_pkt(1, 952)));
+  port->enqueue(slab.put(data_pkt(2, 452)));
   simulator.run();
   EXPECT_EQ(port->tx_packets(), 2u);
   EXPECT_EQ(port->tx_bytes(), 1000 + 500);
@@ -223,9 +228,9 @@ std::size_t live_events(const sim::Simulator& s) {
 TEST_F(PortFixture, IdlePortLeavesOneEngineEntryPerPacket) {
   auto a = make_port(sim::Bandwidth::gbps(10), sim::microseconds(1));
   auto b = make_port(sim::Bandwidth::gbps(10), sim::microseconds(1));
-  a->enqueue(data_pkt(1, 952));
+  a->enqueue(slab.put(data_pkt(1, 952)));
   EXPECT_EQ(live_events(simulator), 1u);  // the delivery; no finish
-  b->enqueue(data_pkt(2, 952));
+  b->enqueue(slab.put(data_pkt(2, 952)));
   EXPECT_EQ(live_events(simulator), 2u);
   EXPECT_EQ(simulator.tombstones(), 0u);
   simulator.run();
@@ -242,20 +247,21 @@ TEST_F(PortFixture, IdlePortLeavesOneEngineEntryPerPacket) {
 /// the finish's reserved key. Returns packet 2's INT queue length.
 std::int64_t second_packet_backlog(bool before_finish) {
   sim::Simulator simulator;
-  SinkNode sink(simulator, 0);
-  BasicPort port(simulator, sim::Bandwidth::gbps(10), 0,
-                 std::make_unique<FifoQueue>());
+  PacketPool slab;
+  SinkNode sink(simulator, slab, 0);
+  BasicPort port(simulator, slab, sim::Bandwidth::gbps(10), 0,
+                 std::make_unique<FifoQueue>(slab));
   port.set_peer(&sink, 0);
   port.set_int_enabled(true);
   const sim::TimePs finish = sim::Bandwidth::gbps(10).tx_time(1000);
   const auto burst = [&] {
-    port.enqueue(data_pkt(2, 952));
-    port.enqueue(data_pkt(3, 952));
+    port.enqueue(slab.put(data_pkt(2, 952)));
+    port.enqueue(slab.put(data_pkt(3, 952)));
   };
   // Same (time, sched): the scheduling order against packet 1's
   // start_tx decides which side of the finish's key the burst lands.
   if (before_finish) simulator.schedule_at(finish, burst);
-  port.enqueue(data_pkt(1, 952));
+  port.enqueue(slab.put(data_pkt(1, 952)));
   if (!before_finish) simulator.schedule_at(finish, burst);
   simulator.run();
   EXPECT_EQ(sink.arrivals.size(), 3u);
@@ -281,21 +287,22 @@ TEST(ElidedFinish, SamePicosecondEnqueuesSortAroundTheReservedKey) {
 /// before or after A's elided finish. Returns whether B admitted it.
 bool sibling_admitted(bool before_release) {
   sim::Simulator simulator;
-  SinkNode sink(simulator, 0);
+  PacketPool slab;
+  SinkNode sink(simulator, slab, 0);
   DtSharedBuffer buf(1'500, 10.0);
-  BasicPort a(simulator, sim::Bandwidth::gbps(10), 0,
-              std::make_unique<FifoQueue>());
-  BasicPort b(simulator, sim::Bandwidth::gbps(10), 0,
-              std::make_unique<FifoQueue>());
+  BasicPort a(simulator, slab, sim::Bandwidth::gbps(10), 0,
+              std::make_unique<FifoQueue>(slab));
+  BasicPort b(simulator, slab, sim::Bandwidth::gbps(10), 0,
+              std::make_unique<FifoQueue>(slab));
   a.set_peer(&sink, 0);
   b.set_peer(&sink, 1);
   a.set_shared_buffer(&buf);
   b.set_shared_buffer(&buf);
   const sim::TimePs finish = sim::Bandwidth::gbps(10).tx_time(1000);
   bool admitted = false;
-  const auto offer = [&] { admitted = b.enqueue(data_pkt(2, 952)); };
+  const auto offer = [&] { admitted = b.enqueue(slab.put(data_pkt(2, 952))); };
   if (before_release) simulator.schedule_at(finish, offer);
-  EXPECT_TRUE(a.enqueue(data_pkt(1, 952)));
+  EXPECT_TRUE(a.enqueue(slab.put(data_pkt(1, 952))));
   EXPECT_EQ(buf.used_bytes(), 1000);
   if (!before_release) simulator.schedule_at(finish, offer);
   simulator.run();
@@ -315,7 +322,7 @@ TEST_F(PortFixture, BusyFlipsExactlyAtTheReservedKey) {
   std::vector<bool> seen;
   const auto probe = [&] { seen.push_back(port->busy()); };
   simulator.schedule_at(finish, probe);
-  port->enqueue(data_pkt(1, 952));
+  port->enqueue(slab.put(data_pkt(1, 952)));
   simulator.schedule_at(finish, probe);
   EXPECT_TRUE(port->busy());
   simulator.run_until(finish - 1);
@@ -330,11 +337,11 @@ TEST_F(PortFixture, BusyFlipsExactlyAtTheReservedKey) {
 TEST_F(PortFixture, PortDestroyedMidSerializationLeavesNothingInTheEngine) {
   // Elided finish: the delivery scheduled at start_tx goes with it.
   auto idle = make_port(sim::Bandwidth::gbps(10), sim::microseconds(1));
-  idle->enqueue(data_pkt(1, 952));
+  idle->enqueue(slab.put(data_pkt(1, 952)));
   // Scheduled finish: a backlog made the finish a real event.
   auto backlogged = make_port(sim::Bandwidth::gbps(10), sim::microseconds(1));
-  backlogged->enqueue(data_pkt(2, 952));
-  backlogged->enqueue(data_pkt(3, 952));
+  backlogged->enqueue(slab.put(data_pkt(2, 952)));
+  backlogged->enqueue(slab.put(data_pkt(3, 952)));
   EXPECT_EQ(live_events(simulator), 3u);
   idle.reset();
   backlogged.reset();

@@ -9,11 +9,12 @@ namespace {
 
 class LeafNode final : public Node {
  public:
-  LeafNode(sim::Simulator&, NodeId id, std::string name)
-      : Node(id, std::move(name)) {}
-  void receive(Packet&& pkt, int) override {
+  LeafNode(sim::Simulator&, PacketPool& slab, NodeId id, std::string name)
+      : Node(slab, id, std::move(name)) {}
+  void receive(PacketPool::Handle h, int) override {
     ++count;
-    last = std::move(pkt);
+    last = slab().get(h);
+    slab().release(h);
   }
   int count = 0;
   Packet last;
@@ -66,14 +67,14 @@ TEST_F(NetworkFixture, BfsRoutesLinearChain) {
   Packet p;
   p.dst = b->id();
   p.payload_bytes = 100;
-  s1->receive(std::move(p), 0);
+  s1->receive(s1->slab().put(std::move(p)), 0);
   simulator.run();
   EXPECT_EQ(b->count, 1);
 
   Packet q;
   q.dst = a->id();
   q.payload_bytes = 100;
-  s2->receive(std::move(q), 0);
+  s2->receive(s2->slab().put(std::move(q)), 0);
   simulator.run();
   EXPECT_EQ(a->count, 1);
 }
@@ -106,8 +107,9 @@ TEST_F(NetworkFixture, RegisterLinkFeedsRouteComputation) {
   auto* leaf = network.add_node<LeafNode>("leaf");
   // Wire manually instead of via connect().
   const int sp = sw->add_port(sim::Bandwidth::gbps(10), 0);
-  auto port = std::make_unique<BasicPort>(simulator, sim::Bandwidth::gbps(10),
-                                          0, std::make_unique<FifoQueue>());
+  auto port = std::make_unique<BasicPort>(
+      simulator, leaf->slab(), sim::Bandwidth::gbps(10), 0,
+      std::make_unique<FifoQueue>(leaf->slab()));
   const int lp = leaf->attach_port(std::move(port));
   sw->port(sp).set_peer(leaf, lp);
   leaf->port(lp).set_peer(sw, sp);
@@ -117,8 +119,16 @@ TEST_F(NetworkFixture, RegisterLinkFeedsRouteComputation) {
 }
 
 TEST_F(NetworkFixture, AdoptRejectsWrongId) {
-  auto node = std::make_unique<LeafNode>(simulator, /*id=*/5, "x");
+  auto node =
+      std::make_unique<LeafNode>(simulator, network.slab_of(0), /*id=*/5, "x");
   EXPECT_THROW(network.adopt(std::move(node)), std::invalid_argument);
+  // The right id on a slab of its own would strand its packets.
+  PacketPool foreign;
+  auto stray = std::make_unique<LeafNode>(simulator, foreign, /*id=*/0, "y");
+  EXPECT_THROW(network.adopt(std::move(stray)), std::invalid_argument);
+  auto own =
+      std::make_unique<LeafNode>(simulator, network.slab_of(0), /*id=*/0, "z");
+  EXPECT_NO_THROW(network.adopt(std::move(own)));
 }
 
 TEST_F(NetworkFixture, EndToEndDeliveryThroughTwoSwitches) {
@@ -135,7 +145,7 @@ TEST_F(NetworkFixture, EndToEndDeliveryThroughTwoSwitches) {
   p.dst = b->id();
   p.payload_bytes = 952;  // 1000 B wire
   p.flow = 3;
-  a->port(0).enqueue(std::move(p));
+  a->port(0).enqueue(a->slab().put(std::move(p)));
   simulator.run();
   ASSERT_EQ(b->count, 1);
   // Arrival = 3 hops of store-and-forward + 3 propagation delays.

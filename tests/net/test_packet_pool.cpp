@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <vector>
 
 namespace powertcp::net {
 namespace {
@@ -100,19 +101,39 @@ TEST(PacketPool, LendFreesTheSlotAfterTheCall) {
   EXPECT_THROW(pool.lend(h, [](Packet&) {}), std::logic_error);
 }
 
-TEST(PacketPool, GrowthWhileLentThrows) {
+TEST(PacketPool, ReferencesSurviveGrowthAcrossChunks) {
   PacketPool pool;
-  const PacketPool::Handle h = pool.put(data_pkt(1, 100));
-  // Every slot is taken, so parking another packet would grow (and
-  // possibly reallocate) the storage the lent reference points into.
-  EXPECT_THROW(pool.lend(h, [&](Packet&) { pool.put(data_pkt(2, 100)); }),
-               std::logic_error);
-  // The throwing lend still freed its slot and ended the lend.
-  EXPECT_EQ(pool.live(), 0u);
-  EXPECT_THROW(pool.get(h), std::logic_error);
-  EXPECT_NO_THROW(pool.put(data_pkt(3, 100)));
-  EXPECT_NO_THROW(pool.put(data_pkt(4, 100)));
-  EXPECT_EQ(pool.capacity(), 2u);
+  const PacketPool::Handle first = pool.put(data_pkt(1, 100));
+  const Packet& held = pool.get(first);
+  Packet& lent_first = pool.ref(first);
+  // Grow across at least two more chunks while the references are out,
+  // the way a receive that sends acks grows the slab mid-lend.
+  std::vector<PacketPool::Handle> more;
+  pool.lend(pool.put(data_pkt(2, 200)), [&](Packet& lent) {
+    for (std::uint32_t i = 0; i < 2 * PacketPool::kChunkSlots + 1; ++i) {
+      more.push_back(pool.put(data_pkt(100 + i, 300)));
+    }
+    EXPECT_EQ(lent.flow, 2u);
+    EXPECT_EQ(lent.payload_bytes, 200);
+  });
+  EXPECT_GE(pool.capacity(), 2 * PacketPool::kChunkSlots + 2);
+  EXPECT_EQ(&held, &pool.get(first));
+  EXPECT_EQ(&lent_first, &held);
+  EXPECT_EQ(held.flow, 1u);
+  EXPECT_EQ(held.payload_bytes, 100);
+  EXPECT_EQ(pool.get(more.back()).flow, 100u + 2 * PacketPool::kChunkSlots);
+
+  // A released handle is dead: stale reads and double releases throw,
+  // also once its slot is recycled for another packet.
+  pool.release(first);
+  EXPECT_THROW(pool.get(first), std::logic_error);
+  EXPECT_THROW(pool.release(first), std::logic_error);
+  const PacketPool::Handle reuse = pool.put(data_pkt(7, 100));
+  EXPECT_EQ(reuse.index, first.index);
+  EXPECT_THROW(pool.ref(first), std::logic_error);
+  EXPECT_THROW(pool.release(first), std::logic_error);
+  EXPECT_EQ(pool.get(reuse).flow, 7u);
+  EXPECT_EQ(pool.live(), more.size() + 1);
 }
 
 TEST(PacketPool, RecycledSlotWhileLentIsAllowed) {

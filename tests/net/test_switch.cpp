@@ -13,11 +13,12 @@ namespace {
 /// Minimal leaf node counting arrivals.
 class CounterNode final : public Node {
  public:
-  CounterNode(sim::Simulator&, NodeId id, std::string name)
-      : Node(id, std::move(name)) {}
-  void receive(Packet&& pkt, int) override {
+  CounterNode(sim::Simulator&, PacketPool& slab, NodeId id, std::string name)
+      : Node(slab, id, std::move(name)) {}
+  void receive(PacketPool::Handle h, int) override {
     ++count;
-    last = std::move(pkt);
+    last = slab().get(h);
+    slab().release(h);
   }
   int count = 0;
   Packet last;
@@ -39,7 +40,7 @@ TEST_F(SwitchFixture, ForwardsAlongConfiguredRoute) {
   Packet p;
   p.flow = 1;
   p.dst = b->id();
-  sw->receive(std::move(p), 0);
+  sw->receive(sw->slab().put(std::move(p)), 0);
   simulator.run();
   EXPECT_EQ(a->count, 0);
   EXPECT_EQ(b->count, 1);
@@ -49,7 +50,8 @@ TEST_F(SwitchFixture, MissingRouteThrows) {
   auto* sw = network.add_node<Switch>("sw", SwitchConfig{});
   Packet p;
   p.dst = 99;
-  EXPECT_THROW(sw->receive(std::move(p), 0), std::logic_error);
+  EXPECT_THROW(sw->receive(sw->slab().put(std::move(p)), 0),
+               std::logic_error);
 
   // With a table: a destination past its end, and an unset entry
   // inside it.
@@ -61,10 +63,12 @@ TEST_F(SwitchFixture, MissingRouteThrows) {
   EXPECT_EQ(sw->routes_to(3), nullptr);
   Packet past_end;
   past_end.dst = 6;
-  EXPECT_THROW(sw->receive(std::move(past_end), 0), std::logic_error);
+  EXPECT_THROW(sw->receive(sw->slab().put(std::move(past_end)), 0),
+               std::logic_error);
   Packet unset;
   unset.dst = 3;
-  EXPECT_THROW(sw->receive(std::move(unset), 0), std::logic_error);
+  EXPECT_THROW(sw->receive(sw->slab().put(std::move(unset)), 0),
+               std::logic_error);
   EXPECT_EQ(sw->port(0).tx_packets(), 0u);
 }
 
@@ -81,7 +85,7 @@ TEST_F(SwitchFixture, EcmpIsDeterministicPerFlow) {
     p.flow = 12345;
     p.dst = dst->id();
     p.payload_bytes = 100;
-    sw->receive(std::move(p), 0);
+    sw->receive(sw->slab().put(std::move(p)), 0);
   }
   simulator.run();
   const auto tx1 = sw->port(l1.a_port).tx_packets();
@@ -105,7 +109,7 @@ TEST_F(SwitchFixture, EcmpSpreadsFlowsAcrossParallelLinks) {
     p.flow = f;
     p.dst = dst->id();
     p.payload_bytes = 100;
-    sw->receive(std::move(p), 0);
+    sw->receive(sw->slab().put(std::move(p)), 0);
   }
   simulator.run();
   EXPECT_EQ(dst->count, 64);
@@ -128,7 +132,7 @@ TEST_F(SwitchFixture, SharedBufferSpansPorts) {
     p.flow = static_cast<FlowId>(i);
     p.dst = a->id();
     p.payload_bytes = 1000;
-    sw->receive(std::move(p), 0);
+    sw->receive(sw->slab().put(std::move(p)), 0);
   }
   EXPECT_EQ(sw->total_drops(), 2u);
 }
@@ -152,9 +156,9 @@ TEST_F(SwitchFixture, PriorityBandsConfigurableViaConfig) {
   Packet hi = lo1;
   hi.priority = 0;
   hi.flow = 3;
-  sw->receive(std::move(lo1), 0);
-  sw->receive(std::move(lo2), 0);
-  sw->receive(std::move(hi), 0);
+  sw->receive(sw->slab().put(std::move(lo1)), 0);
+  sw->receive(sw->slab().put(std::move(lo2)), 0);
+  sw->receive(sw->slab().put(std::move(hi)), 0);
   simulator.run();
   EXPECT_EQ(a->count, 3);
   // The high-priority packet overtook lo2 (lo1 was already in service).
@@ -202,7 +206,7 @@ TEST_F(SwitchFixture, EcnPerGbpsScalesThresholds) {
     p.flow = static_cast<FlowId>(i);
     p.dst = a->id();
     p.payload_bytes = 1000;
-    sw->receive(std::move(p), 0);
+    sw->receive(sw->slab().put(std::move(p)), 0);
   }
   simulator.run();
   EXPECT_TRUE(a->last.ecn_marked);

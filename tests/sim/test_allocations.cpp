@@ -19,6 +19,7 @@
 #include "harness/telemetry.hpp"
 #include "host/host.hpp"
 #include "net/network.hpp"
+#include "net/queue.hpp"
 #include "net/switch_node.hpp"
 #include "sim/simulator.hpp"
 #include "topo/dumbbell.hpp"
@@ -145,7 +146,7 @@ TEST(Allocations, SteadyStatePacketEventsAreAllocationFree) {
   topo.sender(1).start_flow(2, topo.receiver().id(), 1'000'000'000,
                             factory(params), params, 0);
 
-  // Warm up: rings, slot table, pools, and maps reach their high-water
+  // Warm up: rings, slot table, slab, and maps reach their high-water
   // marks well within a millisecond of simulated traffic.
   simulator.run_until(sim::milliseconds(2));
   const std::uint64_t events_before = simulator.events_executed();
@@ -159,17 +160,18 @@ TEST(Allocations, SteadyStatePacketEventsAreAllocationFree) {
                                static_cast<double>(events);
 }
 
-TEST(Allocations, SteadyStateMultiHopForwardingIsAllocationFree) {
-  // Two flows across a two-switch chain: every data packet is received,
-  // routed and re-queued by two switches (and every ack by both on the
-  // way back), so each packet is parked and redeemed in three ports'
-  // pools and crosses two shared-buffer FIFOs, whose release heaps take
-  // every finish's key, elided or not. Once warm, none of that may touch
-  // the heap.
+/// Two flows across a two-switch chain whose switches run `sw_cfg`:
+/// every data packet is received, routed and re-queued by two switches
+/// (and every ack by both on the way back), so each packet's handle
+/// crosses three ports' queues and two shared buffers, whose release
+/// heaps take every finish's key, elided or not. Once warm, none of
+/// that may touch the heap.
+void expect_chain_forwarding_allocation_free(
+    const net::SwitchConfig& sw_cfg) {
   sim::Simulator simulator;
   net::Network network(simulator);
-  auto* sw1 = network.add_node<net::Switch>("sw1", net::SwitchConfig{});
-  auto* sw2 = network.add_node<net::Switch>("sw2", net::SwitchConfig{});
+  auto* sw1 = network.add_node<net::Switch>("sw1", sw_cfg);
+  auto* sw2 = network.add_node<net::Switch>("sw2", sw_cfg);
   auto* snd = network.add_node<host::Host>("snd");
   auto* rcv = network.add_node<host::Host>("rcv");
   const sim::Bandwidth bw = sim::Bandwidth::gbps(25);
@@ -199,6 +201,44 @@ TEST(Allocations, SteadyStateMultiHopForwardingIsAllocationFree) {
   EXPECT_EQ(allocs, 0u) << "heap allocations per steady-state event: "
                         << static_cast<double>(allocs) /
                                static_cast<double>(events);
+}
+
+TEST(Allocations, SteadyStateMultiHopForwardingIsAllocationFree) {
+  expect_chain_forwarding_allocation_free(net::SwitchConfig{});
+}
+
+TEST(Allocations, SteadyStatePriorityForwardingIsAllocationFree) {
+  // Strict-priority ports (the HOMA fabric's) queue per band.
+  net::SwitchConfig cfg;
+  cfg.priority_bands = 8;
+  expect_chain_forwarding_allocation_free(cfg);
+}
+
+TEST(Allocations, SteadyStateVoqPushPopIsAllocationFree) {
+  // An RDCN ToR's VOQs: once each queue has held its backlog high-water
+  // mark, pushing and popping handles never allocates.
+  net::PacketPool slab;
+  net::VoqSet voqs(slab, 4, [](net::NodeId dst) { return dst % 4; });
+  const auto cycle = [&] {
+    for (net::NodeId dst = 0; dst < 32; ++dst) {
+      net::Packet p;
+      p.dst = dst;
+      p.payload_bytes = 1'000;
+      voqs.push(slab.put(std::move(p)));
+    }
+    for (int voq = 0; voq < 4; ++voq) {
+      for (net::PacketPool::Handle h; voqs.pop_from(voq, h);) {
+        slab.release(h);
+      }
+    }
+  };
+  cycle();  // warm: slab chunk, free list, each VOQ's ring
+  const std::uint64_t before = allocations();
+  for (int round = 0; round < 1'000; ++round) cycle();
+  EXPECT_EQ(allocations() - before, 0u)
+      << "VOQ push/pop must recycle storage, not allocate";
+  EXPECT_EQ(voqs.total_packets(), 0u);
+  EXPECT_EQ(slab.live(), 0u);
 }
 
 TEST(Allocations, SharedBufferReleaseHeapIsReservedWhenPortsAttach) {

@@ -97,7 +97,7 @@ TEST_F(RdcnFixture, VoqHoldsTrafficHeadedToActiveCircuit) {
   p.dst = rdcn.host(2).id();  // rack 1
   p.payload_bytes = 1000;
   p.type = net::PacketType::kData;
-  rdcn.tor(0).receive(std::move(p), 0);
+  rdcn.tor(0).receive(rdcn.tor(0).slab().put(std::move(p)), 0);
   // The circuit (up for rack 1 in slot 0) grabbed the packet for
   // serialization the moment it hit the VOQ.
   EXPECT_TRUE(rdcn.tor(0).port(rdcn.tor(0).circuit_port_index()).busy());
