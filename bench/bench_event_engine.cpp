@@ -24,7 +24,7 @@
 
 #include "cc/registry.hpp"
 #include "harness/bench_opts.hpp"
-#include "harness/shard_setup.hpp"
+#include "harness/point.hpp"
 #include "harness/sweep.hpp"
 #include "net/network.hpp"
 #include "sim/rng.hpp"
@@ -188,7 +188,7 @@ std::uint64_t run_packet_sim(sim::TimePs horizon) {
 /// per pod, with POD-LOCAL long flows — every host streams to the
 /// neighboring rack of its own pod, so no packet crosses the cut and
 /// the partitions stay causally independent (zero boundary
-/// ambiguities, which ShardedPoint::run_until checks). This is the
+/// ambiguities, which FatTreePoint::run_until checks). This is the
 /// speedup ceiling of the conservative-lookahead engine: shards only
 /// meet at window barriers.
 struct ShardRun {
@@ -198,24 +198,20 @@ struct ShardRun {
 
 ShardRun run_shard_fat_tree(int sim_threads, sim::TimePs horizon) {
   const topo::FatTreeConfig cfg = topo::FatTreeConfig::quick();
-  harness::ShardedPoint point(topo::fat_tree_shard_plan(cfg, sim_threads));
-  topo::FatTree fabric(point.network, cfg);
-  cc::FlowParams params;
-  params.host_bw = cfg.host_bw;
-  params.base_rtt = fabric.max_base_rtt();
   const int pod_hosts = cfg.tors_per_pod * cfg.servers_per_tor;
-  params.expected_flows = pod_hosts;
-  const cc::CcFactory factory = cc::make_factory("powertcp");
-  for (int h = 0; h < fabric.host_count(); ++h) {
+  harness::FatTreePoint point(cfg, {}, pod_hosts, sim_threads, false);
+  std::vector<harness::FlowStart> flows;
+  for (int h = 0; h < point.fabric.host_count(); ++h) {
     const int pod_start = h / pod_hosts * pod_hosts;
     const int partner =
         pod_start + (h - pod_start + cfg.servers_per_tor) % pod_hosts;
-    fabric.host(h).start_flow(static_cast<net::FlowId>(h + 1),
-                              fabric.host_node(partner), 1'000'000'000,
-                              factory(params), params, 0);
+    flows.push_back({static_cast<net::FlowId>(h + 1), h, partner,
+                     1'000'000'000, 0});
   }
+  point.start({{"", "powertcp", {}}}, flows);
   point.run_until(horizon);
-  return {point.engine.events_executed(), point.engine.windows()};
+  return {point.sharded.engine.events_executed(),
+          point.sharded.engine.windows()};
 }
 
 struct Measurement {

@@ -1,164 +1,55 @@
 /// Incast scenario (paper Fig. 4): a long flow occupies a receiver's
 /// downlink when a synchronized fan-in of responders slams the same
 /// bottleneck. Compares how each congestion controller absorbs the
-/// burst: peak queue, drops, time back to near-zero queueing, and the
-/// long flow's throughput sacrifice.
+/// burst through harness::run_incast_scenario's burst summary: peak
+/// queue, time back to a tenth of it, the queue left after that,
+/// drops, and the receiver's goodput.
 ///
 /// Every scheme — the receiver-driven HOMA transport included — is
-/// resolved through cc::Registry: its entry supplies the fabric needs
-/// (ECN profile, priority bands), the flow factory, or the
-/// message-transport flag, so no algorithm is special-cased here.
+/// resolved through cc::Registry, so no algorithm is special-cased here.
 
 #include <cstdio>
+#include <optional>
 #include <string>
-#include <vector>
 
-#include "cc/registry.hpp"
-#include "host/flow.hpp"
-#include "host/homa.hpp"
-#include "net/network.hpp"
-#include "sim/simulator.hpp"
-#include "stats/percentiles.hpp"
-#include "stats/timeseries.hpp"
-#include "topo/fat_tree.hpp"
+#include "harness/scenarios.hpp"
 
 using namespace powertcp;
 
 namespace {
 
-struct Outcome {
-  double peak_queue_kb = 0;
-  double settle_us = -1;  ///< time from burst until queue < 10% of peak
-  double long_flow_gbps = 0;
-  std::uint64_t drops = 0;
-  double burst_p99_fct_us = 0;
-};
-
-Outcome run(const std::string& cc_name, int fan_in) {
-  const cc::Scheme& scheme = cc::Registry::instance().at(cc_name);
-
-  sim::Simulator simulator;
-  net::Network network(simulator);
-  topo::FatTreeConfig cfg = topo::FatTreeConfig::quick();
-  cfg.ecn = scheme.needs.ecn;
-  cfg.priority_bands = scheme.needs.priority_bands;
-  topo::FatTree fabric(network, cfg);
-
-  cc::FlowParams params;
-  params.host_bw = cfg.host_bw;
-  params.base_rtt = fabric.max_base_rtt();
-  params.expected_flows = 8;
-
-  // Receiver: host 0. Long-flow sender: last host (different pod).
-  const int receiver = 0;
-  const int long_sender = fabric.host_count() - 1;
-  stats::ThroughputSeries long_goodput(0, sim::microseconds(50));
-  fabric.host(receiver).set_data_callback(
-      [&](net::FlowId flow, std::int64_t bytes, sim::TimePs now) {
-        if (flow == 1) long_goodput.add_bytes(now, bytes);
-      });
-
-  // The receiver's ToR downlink is the bottleneck; watch its queue.
-  stats::QueueSeries queue;
-  fabric.tor(0).port(fabric.tor_down_port(receiver)).set_queue_monitor(&queue);
-
-  // Burst at t = 300us: fan_in responders in other racks, 50KB each.
-  const sim::TimePs burst_at = sim::microseconds(300);
-  const std::int64_t long_bytes = 1'000'000'000;
-  const std::int64_t burst_bytes = 50'000;
-  stats::Samples burst_fcts;
-  // Responders rotate over hosts outside the receiver's rack,
-  // excluding the long-flow sender (last host) so a huge fan-in never
-  // contends with the long flow's own uplink.
-  const auto responder_of = [&](int i) {
-    return cfg.servers_per_tor +
-           i % (fabric.host_count() - cfg.servers_per_tor - 1);
-  };
-
-  if (scheme.message_transport) {
-    const host::HomaConfig hc =
-        host::homa_config_from_params(cc::ParamMap{}, params);
-    for (int h = 0; h < fabric.host_count(); ++h) {
-      fabric.host(h).enable_homa(hc);
-    }
-    fabric.host(receiver).homa()->set_message_callback(
-        [&burst_fcts](const host::MessageCompletion& c) {
-          if (c.message >= 100) {
-            burst_fcts.add(sim::to_microseconds(c.finish - c.start));
-          }
-        });
-    host::Host& ls = fabric.host(long_sender);
-    simulator.schedule_at(0, [&ls, &fabric, receiver, long_bytes] {
-      ls.homa()->send_message(1, fabric.host_node(receiver), long_bytes);
-    });
-    for (int i = 0; i < fan_in; ++i) {
-      host::Host& h = fabric.host(responder_of(i));
-      const auto fid = static_cast<net::FlowId>(100 + i);
-      simulator.schedule_at(burst_at, [&h, fid, &fabric, receiver,
-                                       burst_bytes] {
-        h.homa()->send_message(fid, fabric.host_node(receiver), burst_bytes);
-      });
-    }
-  } else {
-    const cc::FlowCcFactory factory =
-        scheme.make(cc::ParamMap{}, cc::SchemeTopology{});
-    const auto endpoints = [&](int src_host) {
-      return cc::FlowEndpoints{fabric.tor_of_host(src_host),
-                               fabric.tor_of_host(receiver)};
-    };
-    fabric.host(long_sender)
-        .start_flow(1, fabric.host_node(receiver), long_bytes,
-                    factory(params, endpoints(long_sender)), params, 0);
-    for (int i = 0; i < fan_in; ++i) {
-      const int responder = responder_of(i);
-      fabric.host(responder).start_flow(
-          static_cast<net::FlowId>(100 + i), fabric.host_node(receiver),
-          burst_bytes, factory(params, endpoints(responder)), params,
-          burst_at, [&burst_fcts](const host::FlowCompletion& c) {
-            burst_fcts.add(sim::to_microseconds(c.finish - c.start));
-          });
-    }
-  }
-
-  simulator.run_until(sim::milliseconds(3));
-
-  Outcome out;
-  out.peak_queue_kb = static_cast<double>(queue.max_bytes()) / 1e3;
-  out.drops = fabric.total_drops();
-  out.long_flow_gbps =
-      long_goodput.mean_gbps(40, long_goodput.bin_count());  // post-burst
-  if (!burst_fcts.empty()) out.burst_p99_fct_us = burst_fcts.percentile(99);
-  // Settle time: first time after the burst the queue dips below 10% of
-  // its peak.
-  const auto threshold =
-      static_cast<std::int64_t>(queue.max_bytes() / 10);
-  for (const auto& p : queue.points()) {
-    if (p.t > burst_at + sim::microseconds(20) && p.bytes <= threshold) {
-      out.settle_us = sim::to_microseconds(p.t - burst_at);
-      break;
-    }
-  }
-  return out;
+/// "-" when the queue never settled.
+std::string cell(const std::optional<double>& v, int decimals) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.*f", decimals, v.value_or(0));
+  return v ? buf : "-";
 }
 
 }  // namespace
 
 int main() {
-  const std::vector<std::string> algos = {"powertcp", "theta-powertcp",
-                                          "hpcc",     "timely",
-                                          "dcqcn",    "dctcp",
-                                          "homa"};
+  // A 1 GB flow from the last host holds host 0's downlink; at 300 us
+  // `fan_in` responders in other racks send 50 KB each.
+  harness::IncastScenario cfg;
+  cfg.long_flow_bytes = 1'000'000'000;
+  cfg.long_companions = 0;
+  cfg.responder_bytes = 50'000;
+  cfg.burst_at = sim::microseconds(300);
   std::printf("Incast fan-in against a long flow (quick fat-tree)\n\n");
   for (const int fan_in : {10, 40}) {
+    cfg.fan_in = fan_in;
     std::printf("== %d:1 incast ==\n", fan_in);
-    std::printf("%-16s %10s %10s %10s %8s %12s\n", "algorithm", "peakQ(KB)",
-                "settle(us)", "longGbps", "drops", "burstP99(us)");
-    for (const auto& a : algos) {
-      const Outcome o = run(a, fan_in);
-      std::printf("%-16s %10.1f %10.1f %10.1f %8llu %12.1f\n", a.c_str(),
-                  o.peak_queue_kb, o.settle_us, o.long_flow_gbps,
-                  static_cast<unsigned long long>(o.drops),
-                  o.burst_p99_fct_us);
+    std::printf("%-16s %10s %10s %13s %8s %13s\n", "algorithm", "peakQ(KB)",
+                "settle(us)", "residualQ(KB)", "drops", "goodput(Gbps)");
+    for (const char* scheme : {"powertcp", "theta-powertcp", "hpcc", "timely",
+                               "dcqcn", "dctcp", "homa"}) {
+      const harness::IncastSeries s =
+          harness::run_incast_scenario(cfg, {"", scheme, {}});
+      std::printf("%-16s %10.1f %10s %13s %8llu %13.1f\n", scheme,
+                  s.peak_queue_kb, cell(s.settle_us, 1).c_str(),
+                  cell(s.residual_queue_kb, 2).c_str(),
+                  static_cast<unsigned long long>(s.drops),
+                  s.mean_goodput_gbps);
     }
     std::printf("\n");
   }

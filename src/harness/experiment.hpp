@@ -89,10 +89,4 @@ struct ExperimentResult {
 /// time horizon, and collects results. Deterministic in `cfg.seed`.
 ExperimentResult run_fat_tree_experiment(const FatTreeExperiment& cfg);
 
-/// ECN profile used when `cc` needs marking (DCQCN: RED 1000/4000
-/// bytes-per-Gbps with pmax 0.2; DCTCP: step at 700 bytes-per-Gbps).
-/// Reads the scheme's registry entry; unknown names get the disabled
-/// profile. Exposed for tests and non-fat-tree harnesses.
-net::EcnConfig ecn_profile_for(const std::string& cc);
-
 }  // namespace powertcp::harness

@@ -609,6 +609,7 @@ void MixedCcKindConfig::bind(const ScenarioContext& ctx, const KeyTable& k) {
   slug_prefix = ctx.slug_prefix;
   mixed.seed = static_cast<std::uint64_t>(ctx.seed);
   mixed.aqm = ctx.aqm;
+  mixed.telemetry = ctx.telemetry;
   // Each entry (`dctcp:0.5+powertcp:0.5`) is one mix cell; members
   // reference [experiment] scheme labels, so [cc.<label>] params apply
   // per member.

@@ -156,9 +156,10 @@ struct SingleFlowKindConfig final : ScenarioConfig {
 /// kind == "mixed_cc": brownfield coexistence. Per-host CC mixes
 /// (`cc_mix = "dctcp:0.5+powertcp:0.5"` entries over the resolved
 /// scheme labels) share one dumbbell bottleneck, swept over the
-/// (mix, aqm, rtt, buffer) grid down to the Tiny-Buffer regime.
-/// Emits fairness / throughput-share / FCT tables, one row per cell
-/// (x member for the per-member tables).
+/// (mix, aqm, rtt, buffer) grid down to the Tiny-Buffer regime; each
+/// cell is one DumbbellPoint. Emits fairness / throughput-share / FCT
+/// tables, one row per cell (x member for the per-member tables), and
+/// with `[telemetry]` one `<slug>_cell<N>_flight` table per cell.
 struct MixedCcKindConfig final : ScenarioConfig {
   MixedCcScenario mixed;
   /// `cc_mix` entries as written; bind() resolves them into

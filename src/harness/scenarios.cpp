@@ -9,8 +9,7 @@
 
 #include "cc/mix.hpp"
 #include "cc/registry.hpp"
-#include "harness/shard_setup.hpp"
-#include "host/homa.hpp"
+#include "harness/point.hpp"
 #include "net/network.hpp"
 #include "sim/simulator.hpp"
 #include "stats/percentiles.hpp"
@@ -24,19 +23,26 @@ const cc::Scheme& resolve(const SchemeRun& run) {
   return cc::Registry::instance().at(run.scheme);
 }
 
-/// Hosts outside the receiver's rack (rack 0), excluding the long
-/// sender — the round-robin pool the query fan-in draws responders
-/// from. Throws when the fabric has no such host: the responder modulo
-/// would otherwise divide by zero.
-int checked_remote_responders(const topo::FatTree& fabric,
-                              int servers_per_tor) {
-  const int remote = fabric.host_count() - servers_per_tor - 1;
-  if (remote < 1) {
-    throw std::invalid_argument(
-        "IncastScenario: the fan-in needs at least one host outside the "
-        "receiver's rack (grow pods/tors_per_pod)");
+/// Pure formatting: time rows, one f1..fN goodput column per flow.
+ResultTable dumbbell_series_table(const DumbbellSeries& series,
+                                  const std::string& slug,
+                                  const std::string& title) {
+  ResultTable t;
+  t.title = title;
+  t.slug = slug;
+  t.key_columns = {"time"};
+  for (std::size_t f = 0; f < series.gbps.size(); ++f) {
+    t.value_columns.push_back("f" + std::to_string(f + 1));
   }
-  return remote;
+  for (std::size_t b = 0; b < series.bin_start.size(); ++b) {
+    ResultTable::Row row;
+    row.keys = {Cell(sim::format_time(series.bin_start[b]))};
+    for (const auto& flow : series.gbps) {
+      row.values.push_back(Cell(flow[b], 1));
+    }
+    t.rows.push_back(std::move(row));
+  }
+  return t;
 }
 
 }  // namespace
@@ -63,21 +69,11 @@ IncastSeries summarize_burst_queue(const stats::QueueSeries& queue,
 
 IncastSeries run_incast_scenario(const IncastScenario& cfg,
                                  const SchemeRun& scheme_run) {
-  const cc::Scheme& scheme = resolve(scheme_run);
   // Partitioned engine (per-pod cut); monitors live on pod 0 = shard 0.
-  ShardedPoint point(topo::fat_tree_shard_plan(
-      cfg.topo, effective_sim_threads(cfg.sim_threads, cfg.telemetry.enabled)));
-  sim::Simulator& simulator = point.sim();
-  net::Network& network = point.network;
-  topo::FatTreeConfig topo_cfg = cfg.topo;
-  topo_cfg.ecn = scheme.needs.ecn;
-  topo_cfg.priority_bands = scheme.needs.priority_bands;
-  topo::FatTree fabric(network, topo_cfg);
-
-  cc::FlowParams params;
-  params.host_bw = topo_cfg.host_bw;
-  params.base_rtt = fabric.max_base_rtt();
-  params.expected_flows = cfg.expected_flows;
+  FatTreePoint point(cfg.topo, resolve(scheme_run).needs, cfg.expected_flows,
+                     cfg.sim_threads, cfg.telemetry.enabled);
+  topo::FatTree& fabric = point.fabric;
+  const int servers_per_tor = cfg.topo.servers_per_tor;
 
   const int receiver = 0;
   const int long_sender = fabric.host_count() - 1;
@@ -87,7 +83,9 @@ IncastSeries run_incast_scenario(const IncastScenario& cfg,
         goodput.add_bytes(now, bytes);
       });
   stats::QueueSeries queue;
-  fabric.tor(0).port(fabric.tor_down_port(receiver)).set_queue_monitor(&queue);
+  net::EgressPort& downlink =
+      fabric.tor(0).port(fabric.tor_down_port(receiver));
+  downlink.set_queue_monitor(&queue);
 
   if (cfg.responder_bytes > 0 && cfg.fan_in < 1) {
     throw std::invalid_argument(
@@ -95,89 +93,41 @@ IncastSeries run_incast_scenario(const IncastScenario& cfg,
   }
   // Companion i sends from host servers_per_tor + 1 + i.
   if (cfg.long_companions > 0 &&
-      topo_cfg.servers_per_tor + cfg.long_companions >= fabric.host_count()) {
+      servers_per_tor + cfg.long_companions >= fabric.host_count()) {
     throw std::invalid_argument(
         "IncastScenario: long_companions runs past the host count");
   }
-  // Paper setup: `long_companions` long flows join the long flow's
-  // receiver at `burst_at`; the large-scale case additionally has
-  // `fan_in` responders from every other server send `responder_bytes`
-  // each.
-  const bool query = cfg.responder_bytes > 0;
-  const std::int64_t burst_bytes = cfg.responder_bytes;
-  const int remote_responders =
-      query ? checked_remote_responders(fabric, topo_cfg.servers_per_tor)
-            : 1;  // responder_of is never called without a query fan-in
-  const auto responder_of = [&](int i) {
-    return topo_cfg.servers_per_tor + i % remote_responders;
-  };
-
-  if (scheme.message_transport) {
-    const host::HomaConfig hc =
-        host::homa_config_from_params(scheme_run.params, params);
-    for (int h = 0; h < fabric.host_count(); ++h) {
-      fabric.host(h).enable_homa(hc);
+  // Paper setup: the long flow (id 1) starts at 0; `long_companions`
+  // long flows (ids 10+i) join its receiver at `burst_at`; the
+  // large-scale case additionally has `fan_in` responders (ids 100+i)
+  // from every other server send `responder_bytes` each.
+  std::vector<FlowStart> flows{
+      {1, long_sender, receiver, cfg.long_flow_bytes, 0}};
+  for (int i = 0; i < cfg.long_companions; ++i) {
+    flows.push_back({static_cast<net::FlowId>(10 + i), servers_per_tor + 1 + i,
+                     receiver, cfg.long_flow_bytes, cfg.burst_at});
+  }
+  if (cfg.responder_bytes > 0) {
+    // Responders rotate over the hosts outside the receiver's rack,
+    // excluding the long sender (the last host).
+    const int remote = fabric.host_count() - servers_per_tor - 1;
+    if (remote < 1) {
+      throw std::invalid_argument(
+          "IncastScenario: the fan-in needs at least one host outside the "
+          "receiver's rack (grow pods/tors_per_pod)");
     }
-    host::Host& ls = fabric.host(long_sender);
-    const std::int64_t long_bytes = cfg.long_flow_bytes;
-    // Message starts are scheduled on each sender's own shard.
-    ls.simulator().schedule_at(0, [&ls, &fabric, receiver, long_bytes] {
-      ls.homa()->send_message(1, fabric.host_node(receiver), long_bytes);
-    });
-    for (int i = 0; i < cfg.long_companions; ++i) {
-      host::Host& h = fabric.host(topo_cfg.servers_per_tor + 1 + i);
-      const net::FlowId fid = static_cast<net::FlowId>(10 + i);
-      h.simulator().schedule_at(cfg.burst_at,
-                                [&h, fid, &fabric, receiver, long_bytes] {
-                                  h.homa()->send_message(
-                                      fid, fabric.host_node(receiver),
-                                      long_bytes);
-                                });
-    }
-    for (int i = 0; query && i < cfg.fan_in; ++i) {
-      host::Host& h = fabric.host(responder_of(i));
-      const net::FlowId fid = static_cast<net::FlowId>(100 + i);
-      h.simulator().schedule_at(cfg.burst_at, [&h, fid, &fabric, receiver,
-                                               burst_bytes] {
-        h.homa()->send_message(fid, fabric.host_node(receiver), burst_bytes);
-      });
-    }
-  } else {
-    const cc::FlowCcFactory factory =
-        scheme.make(scheme_run.params, cc::SchemeTopology{});
-    const auto endpoints = [&](int src_host) {
-      return cc::FlowEndpoints{fabric.tor_of_host(src_host),
-                               fabric.tor_of_host(receiver)};
-    };
-    fabric.host(long_sender)
-        .start_flow(1, fabric.host_node(receiver), cfg.long_flow_bytes,
-                    factory(params, endpoints(long_sender)), params, 0);
-    for (int i = 0; i < cfg.long_companions; ++i) {
-      const int responder = topo_cfg.servers_per_tor + 1 + i;
-      fabric.host(responder).start_flow(
-          static_cast<net::FlowId>(10 + i), fabric.host_node(receiver),
-          cfg.long_flow_bytes, factory(params, endpoints(responder)), params,
-          cfg.burst_at);
-    }
-    for (int i = 0; query && i < cfg.fan_in; ++i) {
-      const int responder = responder_of(i);
-      fabric.host(responder).start_flow(
-          static_cast<net::FlowId>(100 + i), fabric.host_node(receiver),
-          burst_bytes, factory(params, endpoints(responder)), params,
-          cfg.burst_at);
+    for (int i = 0; i < cfg.fan_in; ++i) {
+      flows.push_back({static_cast<net::FlowId>(100 + i),
+                       servers_per_tor + i % remote, receiver,
+                       cfg.responder_bytes, cfg.burst_at});
     }
   }
+  point.start({scheme_run}, flows);
 
   // The flight tap watches the same bottleneck the queue monitor does,
-  // plus the long foreground flow's sender (message transports have no
-  // sender window; those channels read 0).
-  std::optional<FlightTap> tap;
-  if (cfg.telemetry.enabled) {
-    tap.emplace(cfg.telemetry, simulator,
-                fabric.tor(0).port(fabric.tor_down_port(receiver)),
-                scheme.message_transport ? nullptr : &fabric.host(long_sender),
-                1, params.base_rtt, cfg.horizon);
-  }
+  // plus the long foreground flow's sender.
+  std::optional<FlightTap> tap =
+      point.tap(cfg.telemetry, downlink, long_sender, 1, cfg.horizon);
 
   point.run_until(cfg.horizon);
 
@@ -283,29 +233,18 @@ RdcnResult run_rdcn_scenario(const RdcnScenario& cfg,
 
 DumbbellSeries run_dumbbell_scenario(const DumbbellScenario& cfg,
                                      const SchemeRun& scheme_run) {
-  const cc::Scheme& scheme = resolve(scheme_run);
   const int n_flows = static_cast<int>(cfg.flow_bytes.size());
   if (n_flows < 1) {
     throw std::invalid_argument("DumbbellScenario: needs at least one flow");
   }
-
   topo::DumbbellConfig topo_cfg = cfg.topo;
   topo_cfg.n_senders = n_flows;
-  topo_cfg.ecn = scheme.needs.ecn;
-  topo_cfg.priority_bands = scheme.needs.priority_bands;
-  sim::Simulator simulator;
-  net::Network network(simulator);
-  topo::Dumbbell topo(network, topo_cfg);
-
-  cc::FlowParams params;
-  params.host_bw = topo_cfg.host_bw;
-  params.base_rtt = topo.base_rtt();
-  params.expected_flows = n_flows;
+  DumbbellPoint point(topo_cfg, resolve(scheme_run).needs, n_flows);
 
   std::vector<stats::ThroughputSeries> series(
       static_cast<std::size_t>(n_flows), stats::ThroughputSeries(0, cfg.bin));
   const auto max_flow = static_cast<net::FlowId>(n_flows);
-  topo.receiver().set_data_callback(
+  point.fabric.receiver().set_data_callback(
       [&series, max_flow](net::FlowId flow, std::int64_t bytes,
                           sim::TimePs now) {
         if (flow >= 1 && flow <= max_flow) {
@@ -313,44 +252,18 @@ DumbbellSeries run_dumbbell_scenario(const DumbbellScenario& cfg,
         }
       });
 
-  if (scheme.message_transport) {
-    const host::HomaConfig hc =
-        host::homa_config_from_params(scheme_run.params, params);
-    for (int i = 0; i < n_flows; ++i) topo.sender(i).enable_homa(hc);
-    topo.receiver().enable_homa(hc);
-    for (int i = 0; i < n_flows; ++i) {
-      host::Host& s = topo.sender(i);
-      const auto fid = static_cast<net::FlowId>(i + 1);
-      const std::int64_t size = cfg.flow_bytes[static_cast<std::size_t>(i)];
-      const net::NodeId dst = topo.receiver_node();
-      s.simulator().schedule_at(i * cfg.stagger, [&s, fid, size, dst] {
-        s.homa()->send_message(fid, dst, size);
-      });
-    }
-  } else {
-    const cc::FlowCcFactory factory =
-        scheme.make(scheme_run.params, cc::SchemeTopology{});
-    for (int i = 0; i < n_flows; ++i) {
-      topo.sender(i).start_flow(static_cast<net::FlowId>(i + 1),
-                                topo.receiver_node(),
-                                cfg.flow_bytes[static_cast<std::size_t>(i)],
-                                factory(params, cc::FlowEndpoints{}), params,
-                                i * cfg.stagger);
-    }
+  // Flow i+1 leaves sender i at i * stagger.
+  std::vector<FlowStart> flows;
+  for (int i = 0; i < n_flows; ++i) {
+    flows.push_back({static_cast<net::FlowId>(i + 1), i, point.receiver(),
+                     cfg.flow_bytes[static_cast<std::size_t>(i)],
+                     i * cfg.stagger});
   }
+  point.start({scheme_run}, flows);
+  std::optional<FlightTap> tap =
+      point.tap_bottleneck(cfg.telemetry, cfg.horizon);
 
-  // Flight tap: the shared bottleneck plus the telemetry.flow-th flow
-  // (sender flow-1), clamped to the flow count.
-  std::optional<FlightTap> tap;
-  if (cfg.telemetry.enabled) {
-    const auto idx = static_cast<int>(
-        std::min<std::int64_t>(cfg.telemetry.flow, n_flows));
-    tap.emplace(cfg.telemetry, simulator, topo.bottleneck_port(),
-                scheme.message_transport ? nullptr : &topo.sender(idx - 1),
-                idx, params.base_rtt, cfg.horizon);
-  }
-
-  simulator.run_until(cfg.horizon);
+  point.sim.run_until(cfg.horizon);
 
   DumbbellSeries out;
   out.gbps.resize(static_cast<std::size_t>(n_flows));
@@ -368,27 +281,6 @@ DumbbellSeries run_dumbbell_scenario(const DumbbellScenario& cfg,
   }
   if (tap) out.flight = tap->series();
   return out;
-}
-
-ResultTable dumbbell_series_table(const DumbbellSeries& series,
-                                  const std::string& slug,
-                                  const std::string& title) {
-  ResultTable t;
-  t.title = title;
-  t.slug = slug;
-  t.key_columns = {"time"};
-  for (std::size_t f = 0; f < series.gbps.size(); ++f) {
-    t.value_columns.push_back("f" + std::to_string(f + 1));
-  }
-  for (std::size_t b = 0; b < series.bin_start.size(); ++b) {
-    ResultTable::Row row;
-    row.keys = {Cell(sim::format_time(series.bin_start[b]))};
-    for (const auto& flow : series.gbps) {
-      row.values.push_back(Cell(flow[b], 1));
-    }
-    t.rows.push_back(std::move(row));
-  }
-  return t;
 }
 
 std::vector<ResultTable> dumbbell_fairness_tables(
@@ -440,42 +332,37 @@ std::vector<ResultTable> homa_oc_tables(const SweepRunner& runner,
     return run;
   };
 
-  IncastScenario incast = cfg.incast;
-  std::vector<std::function<DumbbellSeries()>> fairness_jobs;
-  fairness_jobs.reserve(schemes.size() * cfg.overcommit.size());
-  std::vector<std::function<IncastSeries()>> incast_jobs;
-  incast_jobs.reserve(schemes.size() * cfg.fan_in.size() *
-                      cfg.overcommit.size());
+  // One pool batch for both panels, fairness points first: every point
+  // is independent, so incast simulations start as soon as workers
+  // free up instead of waiting behind the slowest fairness run.
+  // Results land by index, keeping the tables deterministic.
+  std::vector<DumbbellSeries> fairness_results(schemes.size() *
+                                               cfg.overcommit.size());
+  std::vector<IncastSeries> incast_results(fairness_results.size() *
+                                           cfg.fan_in.size());
+  std::vector<std::function<void()>> jobs;
   for (const auto& s : schemes) {
     for (const int oc : cfg.overcommit) {
-      const SchemeRun run = at_level(s, oc);
-      fairness_jobs.push_back(
-          [&cfg, run] { return run_dumbbell_scenario(cfg.fairness, run); });
+      jobs.push_back([&cfg, &out = fairness_results[jobs.size()],
+                      run = at_level(s, oc)] {
+        out = run_dumbbell_scenario(cfg.fairness, run);
+      });
     }
+  }
+  IncastScenario incast = cfg.incast;
+  for (const auto& s : schemes) {
     for (const int fan : cfg.fan_in) {
       incast.fan_in = fan;
       for (const int oc : cfg.overcommit) {
-        const SchemeRun run = at_level(s, oc);
-        incast_jobs.push_back(
-            [incast, run] { return run_incast_scenario(incast, run); });
+        jobs.push_back([incast, run = at_level(s, oc),
+                        &out = incast_results[jobs.size() -
+                                              fairness_results.size()]] {
+          out = run_incast_scenario(incast, run);
+        });
       }
     }
   }
-  // One pool batch for both panels: every point is independent, so
-  // incast simulations start as soon as workers free up instead of
-  // waiting behind the slowest fairness run. Results land by index,
-  // keeping the tables deterministic.
-  std::vector<DumbbellSeries> fairness_results(fairness_jobs.size());
-  std::vector<IncastSeries> incast_results(incast_jobs.size());
-  runner.run_indexed(
-      fairness_jobs.size() + incast_jobs.size(), [&](std::size_t i) {
-        if (i < fairness_jobs.size()) {
-          fairness_results[i] = fairness_jobs[i]();
-        } else {
-          incast_results[i - fairness_jobs.size()] =
-              incast_jobs[i - fairness_jobs.size()]();
-        }
-      });
+  runner.run_indexed(jobs.size(), [&jobs](std::size_t i) { jobs[i](); });
 
   std::vector<ResultTable> tables;
   std::size_t fairness_at = 0, incast_at = 0;
@@ -528,17 +415,51 @@ std::vector<ResultTable> homa_oc_tables(const SweepRunner& runner,
   return tables;
 }
 
+namespace {
+
+/// One (mix, aqm, rtt, buffer) cell: fairness, aggregate, and
+/// per-member share/FCT statistics from a single simulation.
+struct MixedCcCellResult {
+  double jain = 0;       ///< Jain's index over per-flow delivery rates
+  double agg_gbps = 0;   ///< aggregate receiver goodput over the horizon
+  double done_frac = 0;  ///< flows finished before the horizon
+  std::uint64_t drops = 0;      ///< switch drops (admission + AQM)
+  std::uint64_t ecn_marks = 0;  ///< bottleneck-port CE marks
+  struct MemberStat {
+    int hosts = 0;
+    double share_pct = 0;  ///< member bytes / total delivered bytes
+    double mean_gbps = 0;  ///< mean per-host delivery rate
+    double p50_slowdown = 0, p99_slowdown = 0;  ///< 0 when none finished
+    int done = 0;
+  };
+  std::vector<MemberStat> members;  ///< parallel to the mix's members
+  TelemetrySeries flight;  ///< empty unless telemetry.enabled
+};
+
+/// One (mix, aqm, rtt, buffer) point of the cell grid.
+struct MixedCcCell {
+  std::size_t mix;
+  std::string aqm;
+  double rtt_us;
+  std::int64_t buffer;
+};
+
+/// Runs one cell. Throws std::invalid_argument for message-transport
+/// (Homa) or circuit-bound (reTCP) members and unknown AQM kinds.
 MixedCcCellResult run_mixed_cc_cell(const MixedCcScenario& cfg,
-                                    const MixedCcMix& mix,
-                                    const std::string& aqm_kind,
-                                    double rtt_us,
-                                    std::int64_t buffer_bytes) {
+                                    const MixedCcCell& cell) {
+  const MixedCcMix& mix = cfg.mixes[cell.mix];
   if (mix.members.empty() || mix.members.size() != mix.weights.size()) {
     throw std::invalid_argument("mixed_cc: malformed mix '" + mix.display +
                                 "'");
   }
-  std::vector<const cc::Scheme*> schemes;
-  for (const auto& run : mix.members) {
+  // First marking-dependent member's (per-Gbps) ECN profile wins —
+  // one fabric, one profile, exactly the brownfield constraint. No
+  // member is a message transport, so there are no priority bands.
+  cc::TopologyNeeds needs;
+  std::vector<cc::MixMember> mm;
+  for (std::size_t m = 0; m < mix.members.size(); ++m) {
+    const SchemeRun& run = mix.members[m];
     const cc::Scheme& s = resolve(run);
     if (s.message_transport) {
       throw std::invalid_argument(
@@ -552,45 +473,18 @@ MixedCcCellResult run_mixed_cc_cell(const MixedCcScenario& cfg,
           "mixed_cc: mix member '" + run.display() +
           "' needs a circuit schedule; the coexistence dumbbell has none");
     }
-    schemes.push_back(&s);
+    if (s.needs.ecn.enabled && !needs.ecn.enabled) needs.ecn = s.needs.ecn;
+    mm.push_back({run.display(), mix.weights[m]});
   }
 
   topo::DumbbellConfig topo_cfg = cfg.topo;
   topo_cfg.n_senders = cfg.senders;
-  topo_cfg.link_delay = sim::from_seconds(rtt_us * 1e-6 / 4.0);
-  if (buffer_bytes > 0) topo_cfg.buffer_bytes = buffer_bytes;
-  topo_cfg.priority_bands = 0;
+  topo_cfg.link_delay = sim::from_seconds(cell.rtt_us * 1e-6 / 4.0);
+  if (cell.buffer > 0) topo_cfg.buffer_bytes = cell.buffer;
   topo_cfg.aqm = cfg.aqm;
-  topo_cfg.aqm.kind = aqm_kind;
-  // First marking-dependent member's (per-Gbps) ECN profile wins —
-  // one fabric, one profile, exactly the brownfield constraint.
-  topo_cfg.ecn = net::EcnConfig{};
-  for (const cc::Scheme* s : schemes) {
-    if (s->needs.ecn.enabled) {
-      topo_cfg.ecn = s->needs.ecn;
-      break;
-    }
-  }
-  sim::Simulator simulator;
-  net::Network network(simulator);
-  topo::Dumbbell topo(network, topo_cfg);
+  topo_cfg.aqm.kind = cell.aqm;
+  DumbbellPoint point(topo_cfg, needs, cfg.senders);
 
-  cc::FlowParams params;
-  params.host_bw = topo_cfg.host_bw;
-  params.base_rtt = topo.base_rtt();
-  params.expected_flows = cfg.senders;
-
-  std::vector<cc::FlowCcFactory> factories;
-  factories.reserve(mix.members.size());
-  for (std::size_t i = 0; i < mix.members.size(); ++i) {
-    factories.push_back(
-        schemes[i]->make(mix.members[i].params, cc::SchemeTopology{}));
-  }
-  std::vector<cc::MixMember> mm;
-  mm.reserve(mix.members.size());
-  for (std::size_t i = 0; i < mix.members.size(); ++i) {
-    mm.push_back({mix.members[i].display(), mix.weights[i]});
-  }
   const std::vector<int> assign =
       cc::mix_assignment(mm, cfg.senders, cfg.seed);
 
@@ -598,26 +492,29 @@ MixedCcCellResult run_mixed_cc_cell(const MixedCcScenario& cfg,
   std::vector<std::int64_t> bytes(n, 0);
   std::vector<sim::TimePs> finish(n, 0);
   std::vector<char> done(n, 0);
-  topo.receiver().set_data_callback(
+  point.fabric.receiver().set_data_callback(
       [&bytes, n](net::FlowId flow, std::int64_t b, sim::TimePs) {
         if (flow >= 1 && static_cast<std::size_t>(flow) <= n) {
           bytes[static_cast<std::size_t>(flow - 1)] += b;
         }
       });
+  // Flow i+1 leaves sender i at t=0 under its assigned member's CC.
+  std::vector<FlowStart> flows;
   for (int i = 0; i < cfg.senders; ++i) {
-    const auto idx = static_cast<std::size_t>(i);
-    topo.sender(i).start_flow(
-        static_cast<net::FlowId>(i + 1), topo.receiver_node(), cfg.flow_bytes,
-        factories[static_cast<std::size_t>(assign[idx])](params,
-                                                         cc::FlowEndpoints{}),
-        params, 0,
-        [&finish, &done, idx](const host::FlowCompletion& c) {
-          finish[idx] = c.finish;
-          done[idx] = 1;
-        });
+    const int member = assign[static_cast<std::size_t>(i)];
+    flows.push_back({static_cast<net::FlowId>(i + 1), i, point.receiver(),
+                     cfg.flow_bytes, 0, static_cast<std::size_t>(member)});
   }
+  const FlowDone on_done = [&finish, &done](int sender,
+                                            const host::FlowCompletion& c) {
+    finish[static_cast<std::size_t>(sender)] = c.finish;
+    done[static_cast<std::size_t>(sender)] = 1;
+  };
+  point.start(mix.members, flows, &on_done);
+  std::optional<FlightTap> tap =
+      point.tap_bottleneck(cfg.telemetry, cfg.horizon);
 
-  simulator.run_until(cfg.horizon);
+  point.sim.run_until(cfg.horizon);
 
   // Per-flow delivery rate over the flow's own active window, so a
   // stack that finishes early is credited its speed rather than
@@ -641,11 +538,11 @@ MixedCcCellResult run_mixed_cc_cell(const MixedCcScenario& cfg,
     out.jain = sum * sum / (static_cast<double>(n) * sum_sq);
   }
   out.agg_gbps = static_cast<double>(total_bytes) * 8.0 / horizon_s / 1e9;
-  out.drops = topo.bottleneck_switch().total_drops();
-  out.ecn_marks = topo.bottleneck_port().ecn_marks();
+  out.drops = point.fabric.bottleneck_switch().total_drops();
+  out.ecn_marks = point.fabric.bottleneck_port().ecn_marks();
 
   const double ideal_s = sim::to_seconds(
-      params.base_rtt + topo_cfg.bottleneck_bw.tx_time(cfg.flow_bytes));
+      point.params.base_rtt + topo_cfg.bottleneck_bw.tx_time(cfg.flow_bytes));
   out.members.resize(mix.members.size());
   int done_total = 0;
   for (std::size_t m = 0; m < mix.members.size(); ++m) {
@@ -676,8 +573,11 @@ MixedCcCellResult run_mixed_cc_cell(const MixedCcScenario& cfg,
   }
   out.done_frac =
       static_cast<double>(done_total) / static_cast<double>(cfg.senders);
+  if (tap) out.flight = tap->series();
   return out;
 }
+
+}  // namespace
 
 std::vector<ResultTable> mixed_cc_tables(const SweepRunner& runner,
                                          const MixedCcScenario& cfg,
@@ -685,13 +585,7 @@ std::vector<ResultTable> mixed_cc_tables(const SweepRunner& runner,
   if (cfg.mixes.empty()) {
     throw std::invalid_argument("mixed_cc: needs at least one cc_mix");
   }
-  struct CellKey {
-    std::size_t mix;
-    std::string aqm;
-    double rtt_us;
-    std::int64_t buffer;
-  };
-  std::vector<CellKey> cells;
+  std::vector<MixedCcCell> cells;
   for (std::size_t m = 0; m < cfg.mixes.size(); ++m) {
     for (const auto& aqm : cfg.aqm_kinds) {
       for (const double rtt : cfg.rtt_us) {
@@ -705,14 +599,11 @@ std::vector<ResultTable> mixed_cc_tables(const SweepRunner& runner,
   std::vector<std::function<MixedCcCellResult()>> jobs;
   jobs.reserve(cells.size());
   for (const auto& c : cells) {
-    jobs.push_back([cfg, c] {
-      return run_mixed_cc_cell(cfg, cfg.mixes[c.mix], c.aqm, c.rtt_us,
-                               c.buffer);
-    });
+    jobs.push_back([cfg, c] { return run_mixed_cc_cell(cfg, c); });
   }
   const std::vector<MixedCcCellResult> results = runner.map(jobs);
 
-  const auto cell_keys = [&](const CellKey& c) {
+  const auto cell_keys = [&](const MixedCcCell& c) {
     std::vector<Cell> keys;
     keys.push_back(Cell(cfg.mixes[c.mix].display));
     keys.push_back(Cell(c.aqm));
@@ -743,7 +634,7 @@ std::vector<ResultTable> mixed_cc_tables(const SweepRunner& runner,
   fct.value_columns = {"p50slow", "p99slow", "done"};
 
   for (std::size_t i = 0; i < cells.size(); ++i) {
-    const CellKey& c = cells[i];
+    const MixedCcCell& c = cells[i];
     const MixedCcCellResult& r = results[i];
 
     ResultTable::Row row;
@@ -777,6 +668,19 @@ std::vector<ResultTable> mixed_cc_tables(const SweepRunner& runner,
   tables.push_back(std::move(fairness));
   tables.push_back(std::move(share));
   tables.push_back(std::move(fct));
+  const std::vector<std::string> key_names = tables.front().key_columns;
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    if (results[i].flight.empty()) continue;
+    const std::vector<Cell> keys = cell_keys(cells[i]);
+    std::string title;
+    for (std::size_t k = 0; k < keys.size(); ++k) {
+      title += (k > 0 ? ", " : "") + key_names[k] + "=" + keys[k].render();
+    }
+    tables.push_back(flight_table(
+        results[i].flight,
+        slug_prefix + "_cell" + std::to_string(i + 1) + "_flight",
+        title + ": flight recorder (bottleneck port + tapped flow)"));
+  }
   return tables;
 }
 

@@ -19,9 +19,11 @@
 /// run by the scenario kinds of the `powertcp_run` config runner.
 /// Every scenario resolves its scheme through cc::Registry — topology
 /// needs (priority bands, ECN profile, CircuitSchedule) are applied
-/// from the registry entry, `key=value` params flow into the scheme's
-/// factory, and `message_transport` entries (Homa) run through
-/// host::Host::enable_homa instead of a sender algorithm.
+/// from the registry entry and `key=value` params flow into the
+/// scheme's factory. The fat-tree and dumbbell scenarios run on the
+/// point builders of point.hpp, whose Point::start runs
+/// `message_transport` entries (Homa) through host::Host::enable_homa
+/// instead of a sender algorithm.
 ///
 /// A SchemeRun names one table column/row: a registered scheme plus
 /// its parameter overrides and a display label (so e.g. reTCP-600us
@@ -136,11 +138,6 @@ struct DumbbellSeries {
 DumbbellSeries run_dumbbell_scenario(const DumbbellScenario& cfg,
                                      const SchemeRun& scheme);
 
-/// Pure formatting: time rows, one f1..fN goodput column per flow.
-ResultTable dumbbell_series_table(const DumbbellSeries& series,
-                                  const std::string& slug,
-                                  const std::string& title);
-
 /// One "<scheme> (Gbps per flow)" table per scheme, slug
 /// "<prefix>_<display>". Per-scheme simulations run on the runner's
 /// pool; output is identical for every thread count.
@@ -220,37 +217,15 @@ struct MixedCcScenario {
   std::vector<std::string> aqm_kinds = {"red"};
   std::vector<double> rtt_us = {8.0};          ///< base RTT; link_delay = rtt/4
   std::vector<std::int64_t> buffer_bytes = {0}; ///< 0 = topo default
+  /// Optional flight recorder per cell on the bottleneck port + the
+  /// `telemetry.flow`-th sender's flow.
+  TelemetryConfig telemetry;
 };
-
-/// One (mix, aqm, rtt, buffer) cell: fairness, aggregate, and
-/// per-member share/FCT statistics from a single simulation.
-struct MixedCcCellResult {
-  double jain = 0;       ///< Jain's index over per-flow delivery rates
-  double agg_gbps = 0;   ///< aggregate receiver goodput over the horizon
-  double done_frac = 0;  ///< flows finished before the horizon
-  std::uint64_t drops = 0;      ///< switch drops (admission + AQM)
-  std::uint64_t ecn_marks = 0;  ///< bottleneck-port CE marks
-  struct MemberStat {
-    int hosts = 0;
-    double share_pct = 0;  ///< member bytes / total delivered bytes
-    double mean_gbps = 0;  ///< mean per-host delivery rate
-    double p50_slowdown = 0, p99_slowdown = 0;  ///< 0 when none finished
-    int done = 0;
-  };
-  std::vector<MemberStat> members;  ///< parallel to the mix's members
-};
-
-/// Runs one cell. Throws std::invalid_argument for message-transport
-/// (Homa) or circuit-bound (reTCP) members and unknown AQM kinds.
-MixedCcCellResult run_mixed_cc_cell(const MixedCcScenario& cfg,
-                                    const MixedCcMix& mix,
-                                    const std::string& aqm_kind,
-                                    double rtt_us,
-                                    std::int64_t buffer_bytes);
 
 /// The three coexistence tables — `<prefix>_fairness` (one row per
 /// cell), `<prefix>_share` and `<prefix>_fct` (one row per cell ×
-/// member). Cell simulations run on the runner's pool; output is
+/// member) — then, with telemetry on, one `<prefix>_cell<N>_flight`
+/// table per cell (N counts cells from 1 in fairness-row order). Cell simulations run on the runner's pool; output is
 /// identical for every thread count.
 std::vector<ResultTable> mixed_cc_tables(const SweepRunner& runner,
                                          const MixedCcScenario& cfg,

@@ -5,8 +5,8 @@
 #include <string>
 #include <vector>
 
+#include "harness/point.hpp"
 #include "harness/scenarios.hpp"
-#include "harness/shard_setup.hpp"
 #include "topo/partition.hpp"
 
 /// End-to-end exactness of the sharded harness: the same fat-tree

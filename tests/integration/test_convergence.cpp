@@ -23,7 +23,7 @@ class AlgorithmSuite : public ::testing::TestWithParam<std::string> {
 
   void build(int senders) {
     cfg.n_senders = senders;
-    cfg.ecn = harness::ecn_profile_for(GetParam());
+    cfg.ecn = cc::Registry::instance().at(GetParam()).needs.ecn;
     topo = std::make_unique<topo::Dumbbell>(network, cfg);
     params.host_bw = cfg.host_bw;
     params.base_rtt = topo->base_rtt();

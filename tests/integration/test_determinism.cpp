@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "cc/registry.hpp"
 #include "harness/experiment.hpp"
 
 namespace powertcp {
@@ -61,15 +62,16 @@ TEST(Determinism, HarnessAccountsForEveryFlow) {
 }
 
 TEST(Determinism, EcnProfilesMatchAlgorithms) {
-  EXPECT_TRUE(harness::ecn_profile_for("dcqcn").enabled);
-  EXPECT_TRUE(harness::ecn_profile_for("dctcp").enabled);
-  EXPECT_FALSE(harness::ecn_profile_for("powertcp").enabled);
-  EXPECT_FALSE(harness::ecn_profile_for("hpcc").enabled);
+  const auto ecn = [](const char* scheme) {
+    return cc::Registry::instance().at(scheme).needs.ecn;
+  };
+  EXPECT_TRUE(ecn("dcqcn").enabled);
+  EXPECT_TRUE(ecn("dctcp").enabled);
+  EXPECT_FALSE(ecn("powertcp").enabled);
+  EXPECT_FALSE(ecn("hpcc").enabled);
   // DCTCP uses step marking; DCQCN a RED band.
-  const auto dctcp = harness::ecn_profile_for("dctcp");
-  EXPECT_EQ(dctcp.kmin_bytes, dctcp.kmax_bytes);
-  const auto dcqcn = harness::ecn_profile_for("dcqcn");
-  EXPECT_LT(dcqcn.kmin_bytes, dcqcn.kmax_bytes);
+  EXPECT_EQ(ecn("dctcp").kmin_bytes, ecn("dctcp").kmax_bytes);
+  EXPECT_LT(ecn("dcqcn").kmin_bytes, ecn("dcqcn").kmax_bytes);
 }
 
 }  // namespace
