@@ -125,10 +125,31 @@ SectionView* KeyTable::declare(const char* section, const char* key,
   return nullptr;
 }
 
+SectionView* KeyTable::scalar(const char* section, const char* key,
+                              const void* field, KeyInfo info) {
+  SectionView* v = declare(section, key, field, std::move(info));
+  const std::string name = section;
+  if (v == nullptr || (name != "topology" && name != "workload")) return v;
+  const ConfigFile::Section& sec = *file_->find(name);
+  const ConfigFile::Entry& e = *sec.find(key);
+  const std::vector<std::string> entries = split_config_list(e.value);
+  if (entries.size() < 2) return v;
+  if (!listed_.empty() && entries.size() != points()) {
+    v->reject(key, "lists " + std::to_string(entries.size()) +
+                       " values but " + this->name(listed_.front().first) +
+                       " lists " + std::to_string(points()) +
+                       "; listed keys pair entry by entry");
+  }
+  listed_.emplace_back(field, entries.size());
+  v->get_string(key, "");  // consumed: the entry's view reads it
+  entry_ = {name, {{key, entries.at(point_), e.line}}, sec.line};
+  return &entry_view_.emplace(*file_, &entry_);
+}
+
 void KeyTable::count(const char* section, const char* key, int* field,
                      Bound bound) {
-  if (SectionView* v = declare(section, key, field,
-                               numeric("count", bound, number(*field)))) {
+  if (SectionView* v = scalar(section, key, field,
+                              numeric("count", bound, number(*field)))) {
     *field = v->get_int32(key, 0);
     if (!bound.admits(*field)) v->reject(key, requirement(bound));
   }
@@ -137,8 +158,8 @@ void KeyTable::count(const char* section, const char* key, int* field,
 void KeyTable::count(const char* section, const char* key,
                      std::int64_t* field, Bound bound) {
   const double dflt = static_cast<double>(*field);
-  if (SectionView* v = declare(section, key, field,
-                               numeric("count", bound, number(dflt)))) {
+  if (SectionView* v = scalar(section, key, field,
+                              numeric("count", bound, number(dflt)))) {
     *field = v->get_int(key, 0);
     if (!bound.admits(static_cast<double>(*field))) {
       v->reject(key, requirement(bound));
@@ -166,25 +187,25 @@ void KeyTable::count(const char* section, const char* key,
 
 void KeyTable::real(const char* section, const char* key, double* field,
                     Bound bound, const char* unit) {
-  if (SectionView* v = declare(section, key, field,
-                               numeric(unit, bound, number(*field)))) {
+  if (SectionView* v = scalar(section, key, field,
+                              numeric(unit, bound, number(*field)))) {
     *field = read_reals(*v, key, bound, false)[0];
   }
 }
 
 void KeyTable::real(const char* section, const char* key,
-                    std::vector<double>* field, Bound bound,
-                    const char* unit) {
-  if (SectionView* v = declare(section, key, field,
-                               numeric(unit, bound, joined(*field, number)),
-                               field->empty())) {
+                    std::vector<double>* field, Bound bound) {
+  if (SectionView* v = declare(
+          section, key, field,
+          numeric("real list", bound, joined(*field, number)),
+          field->empty())) {
     *field = read_reals(*v, key, bound, true);
   }
 }
 
 void KeyTable::gbps(const char* section, const char* key,
                     sim::Bandwidth* field) {
-  if (SectionView* v = declare(
+  if (SectionView* v = scalar(
           section, key, field,
           numeric("Gbps", kGbps, number(field->gbps_value())))) {
     *field = sim::Bandwidth::gbps(read_reals(*v, key, kGbps, false)[0]);
@@ -194,7 +215,7 @@ void KeyTable::gbps(const char* section, const char* key,
 void KeyTable::time(const char* section, const char* key, sim::TimePs* field,
                     const char* unit, double unit_s, bool positive) {
   const double ps = unit_s * static_cast<double>(sim::kPsPerSec);
-  SectionView* v = declare(
+  SectionView* v = scalar(
       section, key, field,
       numeric(unit, positive ? Bound::above(0) : Bound::at_least(0),
               number(static_cast<double>(*field) / ps)));
@@ -213,8 +234,8 @@ void KeyTable::time(const char* section, const char* key, sim::TimePs* field,
 
 void KeyTable::size(const char* section, const char* key, std::int64_t* field,
                     Size unit, bool zero_ok) {
-  if (SectionView* v = declare(section, key, field,
-                               size_info(unit, false, {*field}, zero_ok))) {
+  if (SectionView* v = scalar(section, key, field,
+                              size_info(unit, false, {*field}, zero_ok))) {
     *field = to_bytes(*v, key, v->get_double(key, 0), unit, zero_ok);
   }
 }
@@ -234,9 +255,9 @@ void KeyTable::size(const char* section, const char* key,
 }
 
 void KeyTable::flag(const char* section, const char* key, bool* field) {
-  if (SectionView* v = declare(section, key, field,
-                               {"", "", "flag", *field ? "true" : "false",
-                                "true | false", ""})) {
+  if (SectionView* v = scalar(section, key, field,
+                              {"", "", "flag", *field ? "true" : "false",
+                               "true | false", ""})) {
     *field = v->get_bool(key, false);
   }
 }
@@ -244,8 +265,8 @@ void KeyTable::flag(const char* section, const char* key, bool* field) {
 void KeyTable::choice(const char* section, const char* key,
                       std::string* field,
                       const std::vector<std::string>& options) {
-  if (SectionView* v = declare(section, key, field,
-                               choice_info(options, false, {*field}))) {
+  if (SectionView* v = scalar(section, key, field,
+                              choice_info(options, false, {*field}))) {
     *field = v->get_string(key, "");
     check_option(*v, key, *field, options);
   }

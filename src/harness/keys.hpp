@@ -4,6 +4,7 @@
 #include <deque>
 #include <limits>
 #include <map>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -25,6 +26,11 @@
 /// key, its unit, its bound and the field's value as the default: the
 /// reference `powertcp_run --kinds` prints. So a key's reader, range
 /// check and documentation cannot drift apart.
+///
+/// A load-mode table reads one point: a scalar key under [topology] or
+/// [workload] may list one value per point (one value serves every
+/// point), and the table reads its point's entry. Listed keys pair by
+/// entry index, so their lengths must match.
 
 namespace powertcp::harness {
 
@@ -64,8 +70,10 @@ class KeyTable {
 
   /// Describe mode.
   KeyTable() = default;
-  /// Load mode: each declaration reads its key from `file`.
-  explicit KeyTable(const ConfigFile& file) : file_(&file) {}
+  /// Load mode: each declaration reads its key from `file`, a listed
+  /// scalar key at entry `point`.
+  explicit KeyTable(const ConfigFile& file, std::size_t point = 0)
+      : file_(&file), point_(point) {}
 
   // A vector field makes a list key: comma-separated, non-empty, each
   // entry in bound. A list field that is empty by default is required.
@@ -77,13 +85,10 @@ class KeyTable {
   void real(const char* section, const char* key, double* field, Bound bound,
             const char* unit = "real");
   void real(const char* section, const char* key, std::vector<double>* field,
-            Bound bound, const char* unit = "real list");
+            Bound bound);
   void gbps(const char* section, const char* key, sim::Bandwidth* field);
   void gbps(const char* section, const char* key, double* field) {
     real(section, key, field, kGbps, "Gbps");
-  }
-  void gbps(const char* section, const char* key, std::vector<double>* field) {
-    real(section, key, field, kGbps, "Gbps list");
   }
   /// A duration >= 0 within the clock's range; with `positive`, at
   /// least 1 ps once rounded (time-series bins divide by it).
@@ -126,6 +131,16 @@ class KeyTable {
   [[noreturn]] void reject(const void* field, const std::string& why) const;
   /// Load mode: throws ConfigError on the first key nothing declared.
   void finish();
+  /// Load mode: how many points the listed scalar keys make (1 when the
+  /// file lists none).
+  std::size_t points() const {
+    return listed_.empty() ? 1 : listed_.front().second;
+  }
+  /// Load mode: throws ConfigError at the line of the first listed
+  /// scalar key.
+  [[noreturn]] void reject_points(const std::string& why) const {
+    reject(listed_.front().first, why);
+  }
   /// Load mode: every section a declaration named, in order.
   std::vector<std::string> sections() const;
   /// Describe mode: the declared keys, in order.
@@ -137,11 +152,22 @@ class KeyTable {
   SectionView* declare(const char* section, const char* key,
                        const void* field, KeyInfo info,
                        bool required = false);
+  /// declare() for a scalar key: a listed value's view holds the
+  /// point's entry alone.
+  SectionView* scalar(const char* section, const char* key,
+                      const void* field, KeyInfo info);
   void time(const char* section, const char* key, sim::TimePs* field,
             const char* unit, double unit_s, bool positive);
 
   const ConfigFile* file_ = nullptr;
+  std::size_t point_ = 0;
   std::deque<std::pair<std::string, SectionView>> views_;
+  /// The listed scalar keys, in declaration order, with their lengths.
+  std::vector<std::pair<const void*, std::size_t>> listed_;
+  /// The last listed key's entry at `point_`, and the view scalar()
+  /// returns over it.
+  ConfigFile::Section entry_;
+  std::optional<SectionView> entry_view_;
   std::map<const void*, std::pair<std::string, std::string>> fields_;
   std::vector<KeyInfo> keys_;
 };

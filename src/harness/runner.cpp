@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <functional>
+#include <map>
 #include <set>
 #include <stdexcept>
 
@@ -213,27 +214,20 @@ std::string g_text(double n) {
   return buf;
 }
 
-/// Rejects list key `field` when two of its entries' points would
-/// write the same table: `slugs` holds each entry's point slug.
-void check_unique_slugs(const KeyTable& k, const void* field,
-                        const std::vector<std::string>& slugs) {
+std::string as_is(const std::string& s) { return s; }
+
+/// Rejects list key `field` when two of `entries` render alike in the
+/// kind's output (`show`); `why` says what the repeat would write twice.
+template <typename T, typename Show>
+void check_distinct(const KeyTable& k, const void* field,
+                    const std::vector<T>& entries, Show show,
+                    const std::string& why) {
   std::set<std::string> seen;
-  for (const std::string& slug : slugs) {
-    if (!seen.insert(slug).second) {
-      k.reject(field, "lists two points that would both write table '" +
-                          slug + "'");
+  for (const T& x : entries) {
+    if (!seen.insert(show(x)).second) {
+      k.reject(field, "lists '" + show(x) + "' twice; " + why);
     }
   }
-}
-
-/// An incast point's table slug. The query size keeps slugs unique
-/// when a config sweeps several query points (CSV rows and the
-/// regression gate key on the slug).
-std::string incast_slug(const std::string& prefix, std::int64_t query_bytes,
-                        int long_companions) {
-  return query_bytes > 0
-             ? prefix + "_query" + std::to_string(query_bytes / 1000) + "kb"
-             : prefix + "_" + std::to_string(long_companions) + "to1";
 }
 
 /// What a fat_tree point runs: "80% ToR-uplink load, websearch (x0.10
@@ -309,6 +303,21 @@ void append_flight_tables(std::vector<ResultTable>& tables,
   }
 }
 
+/// One job per (point, scheme), schemes inner, in one pool call:
+/// result p * schemes.size() + i is `run(*points[p], schemes[i])`.
+template <typename Kind, typename Run>
+auto map_points(const SweepRunner& runner,
+                const std::vector<const Kind*>& points,
+                const std::vector<SchemeRun>& schemes, const Run& run) {
+  std::vector<std::function<decltype(run(*points[0], schemes[0]))()>> jobs;
+  for (const Kind* p : points) {
+    for (const SchemeRun& s : schemes) {
+      jobs.push_back([&run, p, &s] { return run(*p, s); });
+    }
+  }
+  return runner.map(jobs);
+}
+
 template <typename Kind>
 ScenarioEntry builtin(std::string name, std::string summary) {
   return {std::move(name), std::move(summary),
@@ -347,16 +356,17 @@ void declare_shared_keys(KeyTable& k, ScenarioContext* ctx,
 void FatTreeKindConfig::declare(KeyTable& k) {
   declare_fat_tree_topology(k, &fat_tree.sim_threads, &preset,
                             &fat_tree.topo);
-  k.real(kWork, "loads", &loads, Bound::above(0).upto(1));
+  k.real(kWork, "load", &fat_tree.uplink_load, Bound::above(0).upto(1));
   k.ms(kWork, "duration_ms", &fat_tree.duration);
   k.real(kWork, "size_scale", &fat_tree.size_scale,
          Bound::above(0).upto(1e3));
   k.count(kWork, "expected_flows", &fat_tree.expected_flows,
           Bound::at_least(1));
   k.flag(kWork, "incast", &fat_tree.incast);
-  k.real(kWork, "incast_requests_per_sec", &incast_rates,
+  k.real(kWork, "incast_requests_per_sec", &fat_tree.incast_requests_per_sec,
          Bound::above(0).upto(1e6));
-  k.size(kWork, "incast_request_kb", &incast_bytes, Size::kKB);
+  k.size(kWork, "incast_request_kb", &fat_tree.incast_request_bytes,
+         Size::kKB);
   k.count(kWork, "incast_fan_in", &fat_tree.incast_fan_in,
           Bound::at_least(1));
 }
@@ -377,43 +387,16 @@ void FatTreeKindConfig::bind(const ScenarioContext& ctx, const KeyTable& k) {
              "rack; the fabric has " +
                  std::to_string(remote));
   }
-  if (incast_rates.size() != incast_bytes.size() && incast_rates.size() != 1 &&
-      incast_bytes.size() != 1) {
-    k.reject(&incast_bytes, "must list one value or one per " +
-                                k.name(&incast_rates) + " entry");
-  }
-  const void* overlay_list = incast_rates.size() > 1
-                                 ? static_cast<const void*>(&incast_rates)
-                                 : &incast_bytes;
-  if (!fat_tree.incast && overlay_count() > 1) {
-    k.reject(overlay_list,
-             "sweeps the incast overlay, which incast = false turns off; "
-             "set incast = true or list one value");
-  }
-  schemes = ctx.schemes;
-  slug_prefix = ctx.slug_prefix;
   percentile = ctx.percentile;
   fat_tree.seed = static_cast<std::uint64_t>(ctx.seed);
   fat_tree.telemetry = ctx.telemetry;
   fat_tree.topo.aqm = ctx.aqm;
-  // A slug is the load's part then the overlay's, so two points share
-  // one exactly when two loads or two overlay pairs do.
-  std::vector<std::string> load_slugs;
-  for (const double load : loads) {
-    load_slugs.push_back(load_table(point(load, 0)).slug);
-  }
-  check_unique_slugs(k, &loads, load_slugs);
-  std::vector<std::string> overlay_slugs;
-  for (std::size_t o = 0; o < overlay_count(); ++o) {
-    overlay_slugs.push_back(load_table(point(loads.front(), o)).slug);
-  }
-  check_unique_slugs(k, overlay_list, overlay_slugs);
 }
 
 void IncastKindConfig::declare(KeyTable& k) {
   declare_fat_tree_topology(k, &incast.sim_threads, &preset, &incast.topo);
   k.size(kWork, "query_kb", &query_bytes, Size::kKB, /*zero_ok=*/true);
-  k.count(kWork, "fan_in", &fan_in, Bound::at_least(0));
+  k.count(kWork, "fan_in", &incast.fan_in, Bound::at_least(0));
   k.size(kWork, "long_flow_mb", &incast.long_flow_bytes, Size::kMB);
   k.count(kWork, "long_companions", &incast.long_companions,
           Bound::at_least(0));
@@ -427,26 +410,19 @@ void IncastKindConfig::declare(KeyTable& k) {
 void IncastKindConfig::bind(const ScenarioContext& ctx, const KeyTable& k) {
   check_no_circuit_schemes(ctx, k);
   check_fat_tree_size(k, incast.topo);
-  schemes = ctx.schemes;
-  slug_prefix = ctx.slug_prefix;
-  std::vector<std::string> slugs;
-  for (const std::int64_t q : query_bytes) {
-    slugs.push_back(incast_slug(slug_prefix, q, incast.long_companions));
-  }
-  check_unique_slugs(k, &query_bytes, slugs);
   incast.telemetry = ctx.telemetry;
   incast.topo.aqm = ctx.aqm;
-  if (fan_in.size() != query_bytes.size() && fan_in.size() != 1) {
-    k.reject(&fan_in,
-             "must list one value or one per " + k.name(&query_bytes) +
-                 " entry");
-  }
-  for (std::size_t i = 0; i < query_bytes.size(); ++i) {
-    if (query_bytes[i] > 0 && fan_in[fan_in.size() == 1 ? 0 : i] < 1) {
-      k.reject(&fan_in, "must be >= 1 where " + k.name(&query_bytes) +
-                            " > 0 (the query is split across the fan-in)");
+  if (query_bytes > 0) {
+    if (incast.fan_in < 1) {
+      k.reject(&incast.fan_in,
+               "must be >= 1 where " + k.name(&query_bytes) +
+                   " > 0 (the query is split across the fan-in)");
     }
-    if (query_bytes[i] > 0) check_fan_in_hosts(k, &fan_in, incast.topo);
+    check_fan_in_hosts(k, &incast.fan_in, incast.topo);
+    // Each responder sends its share, at least 1 KB (~8 KB at the
+    // paper's 2MB/255).
+    incast.responder_bytes =
+        std::max<std::int64_t>(1'000, query_bytes / incast.fan_in);
   }
   // Companion i sends from host servers_per_tor + 1 + i.
   const topo::FatTreeConfig& t = incast.topo;
@@ -472,7 +448,7 @@ void RdcnKindConfig::declare(KeyTable& k) {
   k.gbps(kTopo, "circuit_gbps", &rdcn.topo.circuit_bw);
   k.us(kTopo, "day_us", &rdcn.topo.day, /*positive=*/true);
   k.us(kTopo, "night_us", &rdcn.topo.night);
-  k.gbps(kWork, "packet_gbps", &packet_gbps);
+  k.gbps(kWork, "packet_gbps", &rdcn.topo.packet_bw);
   k.size(kWork, "flow_mb", &rdcn.flow_bytes, Size::kMB);
   k.ms(kWork, "horizon_ms", &rdcn.horizon);
   k.us(kWork, "bin_us", &rdcn.bin, /*positive=*/true);
@@ -494,8 +470,6 @@ void RdcnKindConfig::bind(const ScenarioContext& ctx, const KeyTable& k) {
   check_ports(k, servers + 2, "ToR", {&t.servers_per_tor});
   check_ports(k, tors, "packet core and circuit switch", {&t.n_tors});
   check_nodes(k, 2 + tors * (1 + servers), {&t.servers_per_tor, &t.n_tors});
-  schemes = ctx.schemes;
-  slug_prefix = ctx.slug_prefix;
   rdcn.telemetry = ctx.telemetry;
 }
 
@@ -518,8 +492,6 @@ void DumbbellKindConfig::declare(KeyTable& k) {
 void DumbbellKindConfig::bind(const ScenarioContext& ctx, const KeyTable& k) {
   check_no_circuit_schemes(ctx, k);
   check_dumbbell_senders(k, &dumbbell.flow_bytes, dumbbell.flow_bytes.size());
-  schemes = ctx.schemes;
-  slug_prefix = ctx.slug_prefix;
   dumbbell.telemetry = ctx.telemetry;
   dumbbell.topo.aqm = ctx.aqm;
 }
@@ -552,10 +524,15 @@ void HomaOcKindConfig::bind(const ScenarioContext& ctx, const KeyTable& k) {
   });
   check_fat_tree_size(k, homa_oc.incast.topo);
   check_fan_in_hosts(k, &homa_oc.fan_in, homa_oc.incast.topo);
+  // Each level and fan-in names its tables (<slug>_<scheme>_oc2,
+  // <slug>_<scheme>_incast10to1).
+  const auto text = [](int x) { return std::to_string(x); };
+  check_distinct(k, &homa_oc.overcommit, homa_oc.overcommit, text,
+                 "each entry writes its own tables");
+  check_distinct(k, &homa_oc.fan_in, homa_oc.fan_in, text,
+                 "each entry writes its own table");
   check_dumbbell_senders(k, &homa_oc.fairness.flow_bytes,
                          homa_oc.fairness.flow_bytes.size());
-  schemes = ctx.schemes;
-  slug_prefix = ctx.slug_prefix;
   homa_oc.fairness.telemetry = homa_oc.incast.telemetry = ctx.telemetry;
   homa_oc.incast.topo.aqm = ctx.aqm;
   homa_oc.fairness.topo.aqm = ctx.aqm;
@@ -572,9 +549,7 @@ void SingleFlowKindConfig::declare(KeyTable& k) {
   k.real(kWork, "queue_step_pkts", &queue_step_pkts, Bound::above(0));
 }
 
-void SingleFlowKindConfig::bind(const ScenarioContext& ctx,
-                                const KeyTable& k) {
-  slug_prefix = ctx.slug_prefix;
+void SingleFlowKindConfig::bind(const ScenarioContext&, const KeyTable& k) {
   const auto too_many = [&k](const void* field, double rows) {
     if (rows > kMaxReactionRows) {
       k.reject(field, "implies " + g_text(rows) +
@@ -606,7 +581,6 @@ void MixedCcKindConfig::declare(KeyTable& k) {
 void MixedCcKindConfig::bind(const ScenarioContext& ctx, const KeyTable& k) {
   check_dumbbell_senders(k, &mixed.senders,
                          static_cast<std::size_t>(mixed.senders));
-  slug_prefix = ctx.slug_prefix;
   mixed.seed = static_cast<std::uint64_t>(ctx.seed);
   mixed.aqm = ctx.aqm;
   mixed.telemetry = ctx.telemetry;
@@ -654,6 +628,17 @@ void MixedCcKindConfig::bind(const ScenarioContext& ctx, const KeyTable& k) {
     }
     mixed.mixes.push_back(std::move(mix));
   }
+  // The cells are the axes' outer product, so two write one row key
+  // exactly when an axis lists two entries that render alike.
+  const std::string why = "two grid cells would write one row key";
+  check_distinct(k, &cc_mix, mixed.mixes,
+                 [](const MixedCcMix& m) { return m.display; }, why);
+  check_distinct(k, &mixed.aqm_kinds, mixed.aqm_kinds, as_is, why);
+  check_distinct(k, &mixed.rtt_us, mixed.rtt_us,
+                 [](double r) { return mixed_cc_rtt_key(r).render(); }, why);
+  check_distinct(k, &mixed.buffer_bytes, mixed.buffer_bytes,
+                 [](std::int64_t b) { return mixed_cc_buffer_key(b).render(); },
+                 why);
 }
 
 void FluidPhaseKindConfig::declare(KeyTable& k) {
@@ -669,9 +654,7 @@ void FluidPhaseKindConfig::declare(KeyTable& k) {
   k.real(kWork, "grid_q_bdp", &grid_q_bdp, Bound::at_least(0));
 }
 
-void FluidPhaseKindConfig::bind(const ScenarioContext& ctx,
-                                const KeyTable& k) {
-  slug_prefix = ctx.slug_prefix;
+void FluidPhaseKindConfig::bind(const ScenarioContext&, const KeyTable& k) {
   if (grid_w_bdp.size() != grid_q_bdp.size()) {
     k.reject(k.given(&grid_q_bdp) ? &grid_q_bdp : &grid_w_bdp,
              "must pair one to one with " +
@@ -751,46 +734,85 @@ RunnerConfig load_runner_config(const ConfigFile& file,
   if (file.find("experiment") == nullptr) {
     throw ConfigError(file.origin() + ": missing [experiment] section");
   }
-  KeyTable keys(file);
-  ScenarioContext ctx;
-  declare_shared_keys(keys, &ctx, registry);
-  if (options.force_telemetry) ctx.telemetry.enabled = true;
-  for (const auto& label : ctx.scheme_labels) {
-    ctx.schemes.push_back(
-        resolve_scheme(file, label, keys, &ctx.scheme_labels));
-  }
-
-  std::unique_ptr<ScenarioConfig> scenario = registry.at(ctx.kind).make();
-  scenario->declare(keys);
-  if (options.force_sim_threads > 0) {
-    int* sim_threads = scenario->sim_threads();
-    if (sim_threads == nullptr) {
-      std::string cut;
-      for (const auto& kind : registry.entries()) {
-        if (kind.make()->sim_threads() == nullptr) continue;
-        cut += (cut.empty() ? "" : ", ") + kind.name;
-      }
-      throw ConfigError(file.origin() + ": --sim-threads: kind '" + ctx.kind +
-                        "' has no shard cut (kinds with one: " + cut + ")");
-    }
-    *sim_threads = options.force_sim_threads;
-  }
-  scenario->bind(ctx, keys);
-  keys.finish();
-
-  // Reject sections no declaration named (typos, or [cc.X] for a
-  // scheme the `schemes` list does not run).
-  std::vector<std::string> known = keys.sections();
-  for (const auto& label : ctx.scheme_labels) known.push_back("cc." + label);
-  for (const auto& sec : file.sections()) {
-    if (std::find(known.begin(), known.end(), sec.name) == known.end()) {
-      throw ConfigError(file.origin() + ":" + std::to_string(sec.line) +
-                        ": unused section [" + sec.name + "]");
-    }
-  }
+  // One fresh object per point, each declared and bound from a table
+  // that reads its entry; point 0's table counts the points.
   RunnerConfig rc;
-  rc.kind = ctx.kind;
-  rc.scenario = std::move(scenario);
+  std::shared_ptr<ScenarioConfig> front;
+  std::map<std::string, std::size_t> names;
+  for (std::size_t i = 0, n = 1; i < n; ++i) {
+    KeyTable keys(file, i);
+    ScenarioContext ctx;
+    declare_shared_keys(keys, &ctx, registry);
+    if (options.force_telemetry) ctx.telemetry.enabled = true;
+    // A label names a table row or column.
+    check_distinct(keys, &ctx.scheme_labels, ctx.scheme_labels, as_is,
+                   "give each run its own label, with a [cc.<label>] "
+                   "section's scheme = naming the scheme");
+    for (const auto& label : ctx.scheme_labels) {
+      ctx.schemes.push_back(
+          resolve_scheme(file, label, keys, &ctx.scheme_labels));
+    }
+
+    std::unique_ptr<ScenarioConfig> scenario = registry.at(ctx.kind).make();
+    scenario->schemes = ctx.schemes;
+    scenario->slug_prefix = ctx.slug_prefix;
+    scenario->declare(keys);
+    n = keys.points();
+    auto* point = dynamic_cast<PointsConfig*>(scenario.get());
+    if (n > 1 && point == nullptr) {
+      keys.reject_points("lists one value per point, but kind '" + ctx.kind +
+                         "' writes no table per point");
+    }
+    if (options.force_sim_threads > 0) {
+      int* sim_threads = scenario->sim_threads();
+      if (sim_threads == nullptr) {
+        std::string cut;
+        for (const auto& kind : registry.entries()) {
+          if (kind.make()->sim_threads() == nullptr) continue;
+          cut += (cut.empty() ? "" : ", ") + kind.name;
+        }
+        throw ConfigError(file.origin() + ": --sim-threads: kind '" +
+                          ctx.kind + "' has no shard cut (kinds with one: " +
+                          cut + ")");
+      }
+      *sim_threads = options.force_sim_threads;
+    }
+    try {
+      scenario->bind(ctx, keys);
+    } catch (const ConfigError& e) {
+      if (n == 1) throw;
+      throw ConfigError(std::string(e.what()) + " (at entry " +
+                        std::to_string(i + 1) + " of the listed keys)");
+    }
+    keys.finish();
+
+    // Reject sections no declaration named (typos, or [cc.X] for a
+    // scheme the `schemes` list does not run).
+    std::vector<std::string> known = keys.sections();
+    for (const auto& label : ctx.scheme_labels) known.push_back("cc." + label);
+    for (const auto& sec : file.sections()) {
+      if (std::find(known.begin(), known.end(), sec.name) == known.end()) {
+        throw ConfigError(file.origin() + ":" + std::to_string(sec.line) +
+                          ": unused section [" + sec.name + "]");
+      }
+    }
+    if (point != nullptr) {
+      const auto [at, fresh] = names.emplace(point->point_name(), i);
+      if (!fresh) {
+        keys.reject_points("makes entries " + std::to_string(at->second + 1) +
+                           " and " + std::to_string(i + 1) +
+                           " write one table or column, '" + at->first +
+                           "'");
+      }
+    }
+    if (i == 0) {
+      rc.kind = ctx.kind;
+      front = std::move(scenario);
+    } else {
+      static_cast<PointsConfig&>(*front).next.push_back(std::move(scenario));
+    }
+  }
+  rc.scenario = std::move(front);
   return rc;
 }
 
@@ -799,24 +821,22 @@ std::vector<ResultTable> run_config(const RunnerConfig& cfg,
   if (!cfg.scenario) {
     throw std::logic_error("run_config: RunnerConfig carries no scenario");
   }
-  return cfg.scenario->run(runner);
+  std::vector<ResultTable> tables = cfg.scenario->run(runner);
+  // A backstop behind the load checks: a repeated slug would make the
+  // CSV's (table, point, metric) keys ambiguous.
+  std::set<std::string> slugs;
+  for (const ResultTable& t : tables) {
+    if (!slugs.insert(t.slug).second) {
+      throw std::logic_error("run_config: two tables have slug " + t.slug);
+    }
+  }
+  return tables;
 }
 
 // ---- built-in kind execution --------------------------------------
 
-std::size_t FatTreeKindConfig::overlay_count() const {
-  return std::max(incast_rates.size(), incast_bytes.size());
-}
-
-FatTreeExperiment FatTreeKindConfig::point(double load, std::size_t o) const {
-  FatTreeExperiment p = fat_tree;
-  p.uplink_load = load;
-  p.incast_requests_per_sec = incast_rates[incast_rates.size() == 1 ? 0 : o];
-  p.incast_request_bytes = incast_bytes[incast_bytes.size() == 1 ? 0 : o];
-  return p;
-}
-
-ResultTable FatTreeKindConfig::load_table(const FatTreeExperiment& p) const {
+ResultTable FatTreeKindConfig::load_table() const {
+  const FatTreeExperiment& p = fat_tree;
   ResultTable t;
   char buf[64];
   std::snprintf(buf, sizeof(buf), ", p%.1f slowdown per size bucket",
@@ -839,34 +859,27 @@ ResultTable FatTreeKindConfig::load_table(const FatTreeExperiment& p) const {
 
 std::vector<ResultTable> FatTreeKindConfig::run(
     const SweepRunner& runner) const {
-  // One job per (load, overlay pair, scheme) point, load-major. A job
-  // keeps only its row cells and flight series, not the whole
+  // A job keeps only its row cells and flight series, not the whole
   // ExperimentResult.
-  std::vector<FatTreeExperiment> points;
-  std::vector<std::function<FctPoint()>> jobs;
-  for (const double load : loads) {
-    for (std::size_t o = 0; o < overlay_count(); ++o) {
-      points.push_back(point(load, o));
-      for (const auto& scheme : schemes) {
-        FatTreeExperiment cfg = points.back();
-        cfg.cc = scheme.scheme;
-        cfg.cc_params = scheme.params;
-        jobs.push_back([cfg, pct = percentile] {
-          ExperimentResult r = run_fat_tree_experiment(cfg);
-          return FctPoint{fct_row(r, cfg.size_scale, pct),
-                          occupancy_row(r.uplink_queue_bytes),
-                          std::move(r.flight)};
-        });
-      }
-    }
-  }
-  const std::vector<FctPoint> results = runner.map(jobs);
+  const std::vector<const FatTreeKindConfig*> points =
+      this->points<FatTreeKindConfig>();
+  const std::vector<FctPoint> results = map_points(
+      runner, points, schemes,
+      [pct = percentile](const FatTreeKindConfig& p, const SchemeRun& s) {
+        FatTreeExperiment cfg = p.fat_tree;
+        cfg.cc = s.scheme;
+        cfg.cc_params = s.params;
+        ExperimentResult r = run_fat_tree_experiment(cfg);
+        return FctPoint{fct_row(r, cfg.size_scale, pct),
+                        occupancy_row(r.uplink_queue_bytes),
+                        std::move(r.flight)};
+      });
 
   std::vector<ResultTable> tables;
   for (std::size_t p = 0; p < points.size(); ++p) {
-    ResultTable fct = load_table(points[p]);
+    ResultTable fct = points[p]->load_table();
     ResultTable occupancy;
-    occupancy.title = fat_tree_point_text(points[p]) +
+    occupancy.title = fat_tree_point_text(points[p]->fat_tree) +
                       ": ToR-uplink buffer occupancy (KB at CDF points)";
     occupancy.slug = fct.slug + "_occupancy";
     occupancy.key_columns = {"algorithm"};
@@ -887,35 +900,33 @@ std::vector<ResultTable> FatTreeKindConfig::run(
   return tables;
 }
 
+std::string IncastKindConfig::point_name() const {
+  return query_bytes > 0 ? slug_prefix + "_query" +
+                               std::to_string(query_bytes / 1000) + "kb"
+                         : slug_prefix + "_" +
+                               std::to_string(incast.long_companions) + "to1";
+}
+
 std::vector<ResultTable> IncastKindConfig::run(
     const SweepRunner& runner) const {
-  // One job per (query point, scheme), point-major. Each responder
-  // sends query / fan_in, at least 1 KB (~8 KB at the paper's 2MB/255).
-  std::vector<IncastScenario> points;
-  std::vector<std::function<IncastSeries()>> jobs;
-  for (std::size_t q = 0; q < query_bytes.size(); ++q) {
-    IncastScenario point = incast;
-    point.fan_in = fan_in[fan_in.size() == 1 ? 0 : q];
-    point.responder_bytes =
-        query_bytes[q] > 0
-            ? std::max<std::int64_t>(1'000, query_bytes[q] / point.fan_in)
-            : 0;
-    for (const auto& s : schemes) {
-      jobs.push_back([point, s] { return run_incast_scenario(point, s); });
-    }
-    points.push_back(point);
-  }
-  const std::vector<IncastSeries> series = runner.map(jobs);
+  const std::vector<const IncastKindConfig*> points =
+      this->points<IncastKindConfig>();
+  const std::vector<IncastSeries> series = map_points(
+      runner, points, schemes,
+      [](const IncastKindConfig& p, const SchemeRun& s) {
+        return run_incast_scenario(p.incast, s);
+      });
 
   // Fig. 4-style tables: time rows, per-scheme goodput/queue columns.
   std::vector<ResultTable> tables;
   for (std::size_t q = 0; q < points.size(); ++q) {
-    const IncastScenario& p = points[q];
+    const IncastScenario& p = points[q]->incast;
+    const std::int64_t query_bytes = points[q]->query_bytes;
     const std::size_t at = q * schemes.size();
     ResultTable t;
     char title[96];
     const auto burst_us = static_cast<long long>(p.burst_at / sim::kPsPerUs);
-    if (query_bytes[q] > 0) {
+    if (query_bytes > 0) {
       const std::string companions =
           p.long_companions > 0
               ? std::to_string(p.long_companions) + " long flows + "
@@ -923,13 +934,13 @@ std::vector<ResultTable> IncastKindConfig::run(
       std::snprintf(title, sizeof(title),
                     "%s%d:1 query incast (%lld KB total) at t=%lldus",
                     companions.c_str(), p.fan_in,
-                    static_cast<long long>(query_bytes[q] / 1000), burst_us);
+                    static_cast<long long>(query_bytes / 1000), burst_us);
     } else {
       std::snprintf(title, sizeof(title),
                     "%d:1 incast of long flows at t=%lldus",
                     p.long_companions, burst_us);
     }
-    t.slug = incast_slug(slug_prefix, query_bytes[q], p.long_companions);
+    t.slug = points[q]->point_name();
     t.title = title;
     t.key_columns = {"time"};
     for (const auto& s : schemes) {
@@ -972,21 +983,24 @@ std::vector<ResultTable> IncastKindConfig::run(
   return tables;
 }
 
+std::string RdcnKindConfig::point_name() const {
+  return Cell(rdcn.topo.packet_bw.gbps_value(), 0).render() + "G p99us";
+}
+
 std::vector<ResultTable> RdcnKindConfig::run(const SweepRunner& runner) const {
-  // One job per (packet_gbps, scheme), bandwidth-major: the time series
-  // reads the packet_gbps.front() results and the latency table reads
-  // all of them. The flight tap rides the front points; it is
-  // read-only, so their latencies are those of an untapped run.
-  std::vector<std::function<RdcnResult()>> jobs;
-  for (std::size_t g = 0; g < packet_gbps.size(); ++g) {
-    RdcnScenario point = rdcn;
-    point.topo.packet_bw = sim::Bandwidth::gbps(packet_gbps[g]);
-    point.telemetry.enabled = rdcn.telemetry.enabled && g == 0;
-    for (const auto& s : schemes) {
-      jobs.push_back([point, s] { return run_rdcn_scenario(point, s); });
-    }
-  }
-  const std::vector<RdcnResult> results = runner.map(jobs);
+  // The time series reads the first point's results and the latency
+  // table reads all of them. The flight tap rides the first point (this
+  // one); it is read-only, so its latencies are those of an untapped
+  // run.
+  const std::vector<const RdcnKindConfig*> points =
+      this->points<RdcnKindConfig>();
+  const std::vector<RdcnResult> results = map_points(
+      runner, points, schemes,
+      [this](const RdcnKindConfig& p, const SchemeRun& s) {
+        RdcnScenario cfg = p.rdcn;
+        cfg.telemetry.enabled = cfg.telemetry.enabled && &p == this;
+        return run_rdcn_scenario(cfg, s);
+      });
 
   // Fig. 8a: time rows, per-scheme goodput/VOQ columns, plus a trailing
   // row of day-time circuit utilization (a row keeps it in CSV/JSON).
@@ -995,7 +1009,8 @@ std::vector<ResultTable> RdcnKindConfig::run(const SweepRunner& runner) const {
   std::snprintf(title, sizeof(title),
                 "rack0 -> rack1 throughput / VOQ time series "
                 "(%.0fG packet plane, %.0fG circuit)",
-                packet_gbps.front(), rdcn.topo.circuit_bw.gbps_value());
+                rdcn.topo.packet_bw.gbps_value(),
+                rdcn.topo.circuit_bw.gbps_value());
   series.title = title;
   series.slug = slug_prefix + "_timeseries";
   series.key_columns = {"time"};
@@ -1029,13 +1044,13 @@ std::vector<ResultTable> RdcnKindConfig::run(const SweepRunner& runner) const {
   p99.title = "p99 ToR queuing latency (us) vs packet bandwidth";
   p99.slug = slug_prefix + "_p99";
   p99.key_columns = {"scheme"};
-  for (const double gbps : packet_gbps) {
-    p99.value_columns.push_back(Cell(gbps, 0).render() + "G p99us");
+  for (const RdcnKindConfig* point : points) {
+    p99.value_columns.push_back(point->point_name());
   }
   for (std::size_t i = 0; i < schemes.size(); ++i) {
     ResultTable::Row row;
     row.keys = {Cell(schemes[i].display())};
-    for (std::size_t g = 0; g < packet_gbps.size(); ++g) {
+    for (std::size_t g = 0; g < points.size(); ++g) {
       row.values.push_back(
           Cell(results[g * schemes.size() + i].p99_sojourn_us, 1));
     }

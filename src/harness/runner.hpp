@@ -33,7 +33,8 @@
 namespace powertcp::harness {
 
 /// A loaded experiment: the kind name plus the registry-parsed
-/// scenario (one of the concrete kind types below).
+/// scenario (one of the concrete kind types below; for a PointsConfig
+/// kind, its first point, which holds the rest in `next`).
 struct RunnerConfig {
   std::string kind = "fat_tree";
   std::shared_ptr<const ScenarioConfig> scenario;
@@ -41,67 +42,51 @@ struct RunnerConfig {
 
 // ---- the built-in scenario kinds ----------------------------------
 // One concrete ScenarioConfig per registered kind; declare() and bind()
-// live in runner.cpp. Each carries the resolved schemes and slug prefix
-// itself (copied from the [experiment] section at load time), so run()
-// is self-contained.
+// live in runner.cpp. bind() copies in what else of the shared context
+// the kind needs, so run() is self-contained.
 
-/// kind == "fat_tree": the workhorse FCT experiment per (load, incast
-/// overlay, scheme) point. Each (load, overlay) pair is one FCT table
-/// plus its ToR-uplink occupancy table (Figs. 6 and 7).
-struct FatTreeKindConfig final : ScenarioConfig {
+/// kind == "fat_tree": the workhorse FCT experiment, one point per
+/// (load, incast overlay) entry. Each point writes one FCT table plus
+/// its ToR-uplink occupancy table (Figs. 6 and 7).
+struct FatTreeKindConfig final : PointsConfig {
   std::string preset = "quick";  ///< quick | paper: fat_tree.topo's base
-  /// Every point's base: point() sets the load and the overlay pair,
-  /// run() the scheme.
+  /// This point; run() sets the scheme.
   FatTreeExperiment fat_tree;
-  std::vector<double> loads = {0.6};
-  /// The incast overlay's (rate, size) pairs, paired one to one (or one
-  /// value for every entry of the other).
-  std::vector<double> incast_rates = {
-      FatTreeExperiment{}.incast_requests_per_sec};
-  std::vector<std::int64_t> incast_bytes = {
-      FatTreeExperiment{}.incast_request_bytes};
   double percentile = 99.0;
-  std::vector<SchemeRun> schemes;
-  std::string slug_prefix = "run";
   void declare(KeyTable& keys) override;
   void bind(const ScenarioContext& ctx, const KeyTable& keys) override;
   int* sim_threads() override { return &fat_tree.sim_threads; }
+  std::string point_name() const override { return load_table().slug; }
   std::vector<ResultTable> run(const SweepRunner& runner) const override;
-  /// Overlay pairs a load runs: 1 without the overlay.
-  std::size_t overlay_count() const;
-  /// Point (load, overlay pair `o`) before a scheme is set.
-  FatTreeExperiment point(double load, std::size_t o) const;
-  /// The Fig. 6/7 FCT table of `point` before any row is filled: title,
+  /// This point's Fig. 6/7 FCT table before any row is filled: title,
   /// slug and columns. run() adds one row per scheme.
-  ResultTable load_table(const FatTreeExperiment& point) const;
+  ResultTable load_table() const;
 };
 
-/// kind == "incast": one Fig. 4-style table per (query_kb, fan_in).
-struct IncastKindConfig final : ScenarioConfig {
+/// kind == "incast": one Fig. 4-style table per (query_kb, fan_in)
+/// point.
+struct IncastKindConfig final : PointsConfig {
   std::string preset = "quick";  ///< quick | paper: incast.topo's base
+  /// This point; bind() splits query_bytes across its fan_in.
   IncastScenario incast;
-  /// One table per query size (0 = companions only), paired with
-  /// fan_in (or one fan_in for every size).
-  std::vector<std::int64_t> query_bytes = {0};
-  std::vector<int> fan_in = {10};
-  std::vector<SchemeRun> schemes;
-  std::string slug_prefix = "run";
+  std::int64_t query_bytes = 0;  ///< 0 = companions only
   void declare(KeyTable& keys) override;
   void bind(const ScenarioContext& ctx, const KeyTable& keys) override;
   int* sim_threads() override { return &incast.sim_threads; }
+  std::string point_name() const override;
   std::vector<ResultTable> run(const SweepRunner& runner) const override;
 };
 
-/// kind == "rdcn": a time series at packet_gbps.front() plus a p99
-/// latency table across all of packet_gbps.
-struct RdcnKindConfig final : ScenarioConfig {
+/// kind == "rdcn": a time series at the first point's packet bandwidth
+/// plus a p99 latency table with one column per point.
+struct RdcnKindConfig final : PointsConfig {
   std::string preset = "paper";  ///< small | paper: rdcn.topo's base
+  /// This point; packet_gbps sets topo.packet_bw.
   RdcnScenario rdcn;
-  std::vector<double> packet_gbps = {25};
-  std::vector<SchemeRun> schemes;
-  std::string slug_prefix = "run";
   void declare(KeyTable& keys) override;
   void bind(const ScenarioContext& ctx, const KeyTable& keys) override;
+  /// Its p99 column.
+  std::string point_name() const override;
   std::vector<ResultTable> run(const SweepRunner& runner) const override;
 };
 
@@ -109,8 +94,6 @@ struct RdcnKindConfig final : ScenarioConfig {
 /// scheme.
 struct DumbbellKindConfig final : ScenarioConfig {
   DumbbellScenario dumbbell;
-  std::vector<SchemeRun> schemes;
-  std::string slug_prefix = "run";
   void declare(KeyTable& keys) override;
   void bind(const ScenarioContext& ctx, const KeyTable& keys) override;
   std::vector<ResultTable> run(const SweepRunner& runner) const override;
@@ -121,8 +104,6 @@ struct DumbbellKindConfig final : ScenarioConfig {
 struct HomaOcKindConfig final : ScenarioConfig {
   std::string preset = "quick";  ///< quick | paper: incast.topo's base
   HomaOcScenario homa_oc;
-  std::vector<SchemeRun> schemes;
-  std::string slug_prefix = "run";
   void declare(KeyTable& keys) override;
   void bind(const ScenarioContext& ctx, const KeyTable& keys) override;
   int* sim_threads() override { return &homa_oc.incast.sim_threads; }
@@ -147,7 +128,6 @@ struct SingleFlowKindConfig final : ScenarioConfig {
   double rate_max_x = 8;         ///< Fig. 2a sweeps 0..rate_max_x step 1
   double queue_max_pkts = 60;    ///< Fig. 2b sweeps 0..queue_max_pkts
   double queue_step_pkts = 10;   ///< ... in this step
-  std::string slug_prefix = "run";
   void declare(KeyTable& keys) override;
   void bind(const ScenarioContext& ctx, const KeyTable& keys) override;
   std::vector<ResultTable> run(const SweepRunner& runner) const override;
@@ -165,7 +145,6 @@ struct MixedCcKindConfig final : ScenarioConfig {
   /// `cc_mix` entries as written; bind() resolves them into
   /// mixed.mixes.
   std::vector<std::string> cc_mix;
-  std::string slug_prefix = "run";
   void declare(KeyTable& keys) override;
   void bind(const ScenarioContext& ctx, const KeyTable& keys) override;
   std::vector<ResultTable> run(const SweepRunner& runner) const override;
@@ -191,7 +170,6 @@ struct FluidPhaseKindConfig final : ScenarioConfig {
   /// Initial states in BDP units, paired index-wise (w_bdp[i], q_bdp[i]).
   std::vector<double> grid_w_bdp = {0.3, 3, 1, 4, 0.5, 6};
   std::vector<double> grid_q_bdp = {0, 0, 2, 1, 3, 4};
-  std::string slug_prefix = "run";
   void declare(KeyTable& keys) override;
   void bind(const ScenarioContext& ctx, const KeyTable& keys) override;
   std::vector<ResultTable> run(const SweepRunner& runner) const override;
@@ -227,10 +205,13 @@ std::string kinds_reference(
     const ScenarioRegistry& registry = ScenarioRegistry::instance());
 
 /// Builds a RunnerConfig from a parsed file, resolving the kind
-/// through `registry`. Throws ConfigError, with the offending line, on
-/// unknown kinds (listing the registered ones), unknown sections/keys,
-/// out-of-bound values, unregistered schemes, or scheme params not
-/// declared by the registry entry.
+/// through `registry`; a PointsConfig kind is declared and bound once
+/// per point. Throws ConfigError, with the offending line, on unknown
+/// kinds (listing the registered ones), unknown sections/keys,
+/// out-of-bound values, unregistered or repeated schemes, scheme
+/// params not declared by the registry entry, listed keys of unequal
+/// lengths or under a kind without points, and two points that would
+/// write one table or column.
 RunnerConfig load_runner_config(
     const ConfigFile& file,
     const ScenarioRegistry& registry = ScenarioRegistry::instance(),
@@ -238,7 +219,8 @@ RunnerConfig load_runner_config(
 
 /// Executes every point and returns the tables in declaration order.
 /// Output is a pure function of the config: tables are identical for
-/// every runner thread count.
+/// every runner thread count. Throws std::logic_error if two tables
+/// share a slug.
 std::vector<ResultTable> run_config(const RunnerConfig& cfg,
                                     const SweepRunner& runner);
 

@@ -59,6 +59,11 @@ struct ScenarioContext {
 class ScenarioConfig {
  public:
   virtual ~ScenarioConfig() = default;
+  /// The resolved `[experiment] schemes` and `slug`, which the loader
+  /// sets before bind().
+  std::vector<SchemeRun> schemes;
+  std::string slug_prefix = "run";
+
   /// Declares every `[topology]`/`[workload]` key of the kind, one
   /// KeyTable line per key: the kind's whole schema, used both to load
   /// a config and to render `powertcp_run --kinds`.
@@ -74,6 +79,29 @@ class ScenarioConfig {
   /// the tables in declaration order — output is a pure function of
   /// the config, byte-identical for every thread count.
   virtual std::vector<ResultTable> run(const SweepRunner& runner) const = 0;
+};
+
+/// A kind whose output is per point (fat_tree, incast and rdcn): any
+/// scalar `[topology]`/`[workload]` key may list one value per point.
+/// The loader binds one object per point and hands the rest to the
+/// first, whose run() runs them all in entry order in one pool call.
+class PointsConfig : public ScenarioConfig {
+ public:
+  /// The table slug or column name this point writes: no two points of
+  /// one config may share it.
+  virtual std::string point_name() const = 0;
+
+  /// The points after this one, each of this object's kind.
+  std::vector<std::shared_ptr<const ScenarioConfig>> next;
+
+ protected:
+  /// This point, then `next`.
+  template <typename Kind>
+  std::vector<const Kind*> points() const {
+    std::vector<const Kind*> out{static_cast<const Kind*>(this)};
+    for (const auto& p : next) out.push_back(static_cast<const Kind*>(p.get()));
+    return out;
+  }
 };
 
 struct ScenarioEntry {

@@ -579,6 +579,13 @@ MixedCcCellResult run_mixed_cc_cell(const MixedCcScenario& cfg,
 
 }  // namespace
 
+Cell mixed_cc_rtt_key(double rtt_us) { return Cell(rtt_us, 1); }
+
+Cell mixed_cc_buffer_key(std::int64_t buffer_bytes) {
+  return buffer_bytes > 0 ? Cell(static_cast<double>(buffer_bytes) / 1e3, 0)
+                          : Cell(std::string("default"));
+}
+
 std::vector<ResultTable> mixed_cc_tables(const SweepRunner& runner,
                                          const MixedCcScenario& cfg,
                                          const std::string& slug_prefix) {
@@ -607,9 +614,8 @@ std::vector<ResultTable> mixed_cc_tables(const SweepRunner& runner,
     std::vector<Cell> keys;
     keys.push_back(Cell(cfg.mixes[c.mix].display));
     keys.push_back(Cell(c.aqm));
-    keys.push_back(Cell(c.rtt_us, 1));
-    keys.push_back(c.buffer > 0 ? Cell(static_cast<double>(c.buffer) / 1e3, 0)
-                                : Cell(std::string("default")));
+    keys.push_back(mixed_cc_rtt_key(c.rtt_us));
+    keys.push_back(mixed_cc_buffer_key(c.buffer));
     return keys;
   };
 

@@ -44,7 +44,7 @@ struct SchemeRun {
 struct IncastScenario {
   topo::FatTreeConfig topo = topo::FatTreeConfig::quick();
   int expected_flows = 8;
-  int fan_in = 0;  ///< query responders
+  int fan_in = 10;  ///< query responders
   /// What each of the `fan_in` responders sends (0 = no query).
   std::int64_t responder_bytes = 0;
   std::int64_t long_flow_bytes = 400'000'000;
@@ -221,6 +221,11 @@ struct MixedCcScenario {
   /// `telemetry.flow`-th sender's flow.
   TelemetryConfig telemetry;
 };
+
+/// A cell's `rttus` and `bufKB` row keys, as the coexistence tables
+/// render them (a 0 buffer is the topology's "default").
+Cell mixed_cc_rtt_key(double rtt_us);
+Cell mixed_cc_buffer_key(std::int64_t buffer_bytes);
 
 /// The three coexistence tables — `<prefix>_fairness` (one row per
 /// cell), `<prefix>_share` and `<prefix>_fct` (one row per cell ×

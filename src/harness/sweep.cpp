@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <exception>
 #include <mutex>
+#include <set>
 #include <stdexcept>
 #include <thread>
 
@@ -89,6 +90,11 @@ std::string Cell::json() const {
 }
 
 void ResultTable::check_shape() const {
+  std::set<std::string> names(key_columns.begin(), key_columns.end());
+  names.insert(value_columns.begin(), value_columns.end());
+  if (names.size() != key_columns.size() + value_columns.size()) {
+    throw std::logic_error("ResultTable '" + slug + "': a column name repeats");
+  }
   for (const auto& row : rows) {
     if (row.keys.size() != key_columns.size() ||
         row.values.size() != value_columns.size()) {

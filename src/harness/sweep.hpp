@@ -70,9 +70,10 @@ struct ResultTable {
   };
   std::vector<Row> rows;
 
-  /// Throws std::logic_error if any row's cell counts disagree with the
-  /// declared key/value columns (metrics callbacks and column lists are
-  /// maintained separately and can drift). All renderers call this.
+  /// Throws std::logic_error if a column name repeats (its CSV and JSON
+  /// keys would be ambiguous) or any row's cell counts disagree with
+  /// the declared key/value columns (metrics callbacks and column lists
+  /// are maintained separately and can drift). All renderers call this.
   void check_shape() const;
 
   /// Aligned text table including the "=== title ===" heading.

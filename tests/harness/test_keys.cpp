@@ -215,6 +215,65 @@ TEST(KeyTable, CrossKeyRejectionsNameTheKeyOrItsSection) {
   }
 }
 
+TEST(KeyTable, ListedScalarKeysReadTheirPointsEntry) {
+  const auto file = ConfigFile::parse(
+      "[workload]\nx = 1, 2, 3\nlist = 4, 5\none = 7\n"
+      "[topology]\nmode = a, b, a\n[s]\nn = 8\n",
+      "pt.toml");
+  for (std::size_t point = 0; point < 3; ++point) {
+    double x = 0;
+    std::vector<double> list;
+    int one = 0;
+    int n = 0;
+    std::string mode;
+    KeyTable keys(file, point);
+    keys.real("workload", "x", &x, Bound::above(0));
+    keys.real("workload", "list", &list, Bound::above(0));  // a list key
+    keys.count("workload", "one", &one, Bound::at_least(1));
+    keys.choice("topology", "mode", &mode, {"a", "b"});
+    keys.count("s", "n", &n, Bound::at_least(1));
+    keys.finish();
+    EXPECT_EQ(keys.points(), 3u);
+    EXPECT_DOUBLE_EQ(x, static_cast<double>(point + 1));
+    EXPECT_EQ(list, (std::vector<double>{4, 5}));
+    EXPECT_EQ(one, 7);
+    EXPECT_EQ(mode, point == 1 ? "b" : "a");
+    EXPECT_EQ(n, 8);
+  }
+  // An entry out of bound fails at the key's line, showing the entry.
+  const auto bad = ConfigFile::parse("[workload]\nx = 1, -2\n", "bad.toml");
+  double x = 0;
+  KeyTable first(bad, 0);
+  first.real("workload", "x", &x, Bound::above(0));
+  EXPECT_EQ(first.points(), 2u);
+  KeyTable second(bad, 1);
+  try {
+    second.real("workload", "x", &x, Bound::above(0));
+    FAIL();
+  } catch (const ConfigError& e) {
+    EXPECT_STREQ(e.what(), "bad.toml:2: [workload] x = '-2' must be > 0");
+  }
+  // Outside [topology] and [workload] a scalar takes one value.
+  const auto other = ConfigFile::parse("[s]\nn = 1, 2\n", "s.toml");
+  int n = 0;
+  KeyTable keys(other, 0);
+  EXPECT_THROW(keys.count("s", "n", &n, Bound::at_least(1)), ConfigError);
+  // Two lists longer than one pair entry by entry.
+  const auto unequal = ConfigFile::parse(
+      "[topology]\na = 1, 2\n[workload]\nb = 1, 2, 3\n", "u.toml");
+  double a = 0, b = 0;
+  KeyTable pair(unequal, 0);
+  pair.real("topology", "a", &a, Bound::above(0));
+  try {
+    pair.real("workload", "b", &b, Bound::above(0));
+    FAIL();
+  } catch (const ConfigError& e) {
+    EXPECT_STREQ(e.what(),
+                 "u.toml:4: [workload] b = '1, 2, 3' lists 3 values but a "
+                 "lists 2; listed keys pair entry by entry");
+  }
+}
+
 TEST(KeyTable, RequiredListsMustBeSet) {
   const auto file = ConfigFile::parse("[s]\nother = 1\n", "req.toml");
   std::vector<std::string> labels;

@@ -147,7 +147,13 @@ TEST(RunnerGolden, Fig6PaperScaleRecipeLoads) {
   EXPECT_DOUBLE_EQ(ft.percentile, 99.9);
   EXPECT_EQ(ft.fat_tree.seed, 42u);
   EXPECT_EQ(ft.slug_prefix, "fig6");
-  EXPECT_EQ(ft.loads, (std::vector<double>{0.2, 0.6}));
+  // `load = 0.2, 0.6`: two points, the second bound as its own object.
+  EXPECT_DOUBLE_EQ(ft.fat_tree.uplink_load, 0.2);
+  ASSERT_EQ(ft.next.size(), 1u);
+  const auto& second = dynamic_cast<const FatTreeKindConfig&>(*ft.next[0]);
+  EXPECT_DOUBLE_EQ(second.fat_tree.uplink_load, 0.6);
+  EXPECT_EQ(second.fat_tree.topo.pods, paper.pods);
+  EXPECT_DOUBLE_EQ(second.percentile, 99.9);
   std::vector<std::string> schemes;
   for (const auto& s : ft.schemes) {
     EXPECT_EQ(s.display(), s.scheme);
@@ -157,7 +163,7 @@ TEST(RunnerGolden, Fig6PaperScaleRecipeLoads) {
   EXPECT_EQ(schemes,
             (std::vector<std::string>{"powertcp", "theta-powertcp", "hpcc",
                                       "dcqcn", "timely", "homa"}));
-  const ResultTable table = ft.load_table(ft.point(0.6, 0));
+  const ResultTable table = second.load_table();
   EXPECT_EQ(table.slug, "fig6_load60");
   EXPECT_EQ(table.title,
             "60% ToR-uplink load, websearch (x1.00 sizes), p99.9 slowdown "
@@ -173,7 +179,7 @@ schemes = powertcp, dctcp
 seed = 7
 
 [workload]
-loads = 0.3, 0.5
+load = 0.3, 0.5
 duration_ms = 2
 size_scale = 0.05
 
@@ -194,9 +200,9 @@ TEST(Runner, FatTreeConfigIsByteIdenticalAcrossThreadCounts) {
   EXPECT_NE(t1.find("powertcp"), std::string::npos);
 }
 
-/// Two loads x two overlay rates of the incast overlay: four points,
-/// load-major, each an FCT table named for its overlay plus its
-/// occupancy table.
+/// Two loads x two overlay rates of the incast overlay, written as
+/// four paired entries: four points in entry order, each an FCT table
+/// named for its overlay plus its occupancy table.
 TEST(Runner, FatTreeIncastOverlaySweepsLoadMajor) {
   const auto file = ConfigFile::parse(R"(
 [experiment]
@@ -206,11 +212,11 @@ schemes = powertcp, hpcc
 seed = 7
 
 [workload]
-loads = 0.3, 0.5
+load = 0.3, 0.3, 0.5, 0.5
 duration_ms = 1
 size_scale = 0.05
 incast = true
-incast_requests_per_sec = 100, 200
+incast_requests_per_sec = 100, 200, 100, 200
 incast_request_kb = 50
 )",
                                       "mini.toml");
@@ -240,8 +246,9 @@ incast_request_kb = 50
   EXPECT_EQ(render_all(tables), render_all(run_config(cfg, SweepRunner(3))));
 }
 
-/// The overlay lists pair one to one, or one value serves every entry
-/// of the other; a sweep needs the overlay on.
+/// The overlay lists pair entry by entry, or one value serves every
+/// entry of the other; with the overlay off, listed overlay values
+/// make points that all write one table.
 TEST(Runner, FatTreeOverlayListsAreCheckedAtTheirLine) {
   const std::string head =
       "[experiment]\nschemes = powertcp\n[workload]\nincast = true\n";
@@ -262,13 +269,13 @@ TEST(Runner, FatTreeOverlayListsAreCheckedAtTheirLine) {
 }
 
 /// Two points that would write one table slug are a load error at the
-/// list key's line, in both kinds that sweep points.
+/// first listed key's line.
 TEST(Runner, RepeatedPointsAreRejectedAtTheirLine) {
   const std::string fat_tree =
       "[experiment]\nslug = dup\nschemes = powertcp\n[workload]\n";
-  expect_rejected_at(fat_tree + "loads = 0.2, 0.2\n", "loads");
+  expect_rejected_at(fat_tree + "load = 0.2, 0.2\n", "load");
   // 20.1% prints as load20 too.
-  expect_rejected_at(fat_tree + "loads = 0.2, 0.201\n", "loads");
+  expect_rejected_at(fat_tree + "load = 0.2, 0.201\n", "load");
   expect_rejected_at(fat_tree + "incast = true\n"
                                 "incast_requests_per_sec = 256, 256\n"
                                 "incast_request_kb = 200\n",
@@ -279,7 +286,7 @@ TEST(Runner, RepeatedPointsAreRejectedAtTheirLine) {
                      "incast_request_kb");
   try {
     load_runner_config(
-        ConfigFile::parse(fat_tree + "loads = 0.2, 0.2\n", "dup.toml"));
+        ConfigFile::parse(fat_tree + "load = 0.2, 0.2\n", "dup.toml"));
     ADD_FAILURE() << "repeated load loaded";
   } catch (const ConfigError& e) {
     EXPECT_NE(std::string(e.what()).find("'dup_load20'"), std::string::npos)
@@ -290,6 +297,154 @@ TEST(Runner, RepeatedPointsAreRejectedAtTheirLine) {
   expect_rejected_at(incast + "query_kb = 100, 100\nfan_in = 4, 8\n",
                      "query_kb");
   expect_rejected_at(incast + "query_kb = 0, 0\nfan_in = 4\n", "query_kb");
+}
+
+/// A list on a scalar key makes the points: a config listing two
+/// points renders exactly its two single-value configs, one after the
+/// other, at any thread count.
+TEST(Runner, ListedPointsRenderLikeTheirSeparateRuns) {
+  const auto render = [](const std::string& text, int threads) {
+    return render_all(
+        run_config(load_runner_config(ConfigFile::parse(text, "pt.toml")),
+                   SweepRunner(threads)));
+  };
+  const std::string fat_tree =
+      "[experiment]\nslug = pt\nschemes = powertcp, hpcc\nseed = 3\n"
+      "[workload]\nduration_ms = 0.5\nsize_scale = 0.05\nincast = true\n"
+      "incast_request_kb = 50\n";
+  const std::string incast =
+      "[experiment]\nkind = incast\nslug = pt\nschemes = powertcp, hpcc\n"
+      "[workload]\nlong_companions = 2\nburst_at_us = 100\n"
+      "horizon_ms = 0.4\n";
+  const struct {
+    std::string head, listed, first, second;
+  } cases[] = {
+      {fat_tree, "load = 0.3, 0.5\nincast_requests_per_sec = 100, 200\n",
+       "load = 0.3\nincast_requests_per_sec = 100\n",
+       "load = 0.5\nincast_requests_per_sec = 200\n"},
+      {incast, "query_kb = 0, 400\nfan_in = 10, 8\n",
+       "query_kb = 0\nfan_in = 10\n", "query_kb = 400\nfan_in = 8\n"},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.listed);
+    const std::string separate =
+        render(c.head + c.first, 1) + render(c.head + c.second, 1);
+    EXPECT_EQ(render(c.head + c.listed, 1), separate);
+    EXPECT_EQ(render(c.head + c.listed, 3), separate);
+  }
+}
+
+/// Keys pair by entry index: two lists longer than one must have equal
+/// lengths, a cross-key check names the entry it fails at, and a kind
+/// whose tables are not per point takes no list on a scalar key.
+TEST(Runner, ListedScalarKeysPairByEntry) {
+  const std::string fat_tree = "[experiment]\nschemes = powertcp\n";
+  expect_rejected_at(fat_tree + "[topology]\npods = 2, 4, 8\n"
+                                "[workload]\nload = 0.2, 0.4\n",
+                     "load");
+  try {
+    load_runner_config(ConfigFile::parse(
+        fat_tree + "[topology]\npods = 2, 4, 8\n[workload]\nload = 0.2, 0.4\n",
+        "pair.toml"));
+    ADD_FAILURE() << "unequal lists loaded";
+  } catch (const ConfigError& e) {
+    EXPECT_NE(std::string(e.what()).find("pods lists 3"), std::string::npos)
+        << e.what();
+  }
+  // The old list key's name fails like any unknown key.
+  expect_rejected_at(fat_tree + "[workload]\nloads = 0.2, 0.4\n", "loads");
+  const std::string incast =
+      "[experiment]\nkind = incast\nschemes = powertcp\n[workload]\n";
+  expect_rejected_at(incast + "query_kb = 0, 100\nfan_in = 0\n", "fan_in");
+  try {
+    load_runner_config(ConfigFile::parse(
+        incast + "query_kb = 0, 100\nfan_in = 0\n", "entry.toml"));
+    ADD_FAILURE() << "fan_in = 0 loaded under a query";
+  } catch (const ConfigError& e) {
+    EXPECT_NE(std::string(e.what()).find("entry 2"), std::string::npos)
+        << e.what();
+  }
+  expect_rejected_at(incast + "query_kb = 100, nan\nfan_in = 4\n", "query_kb");
+  expect_rejected_at("[experiment]\nkind = dumbbell\nschemes = powertcp\n"
+                     "[topology]\nbottleneck_gbps = 10, 25\n",
+                     "bottleneck_gbps");
+  expect_rejected_at("[experiment]\nkind = homa_oc\nschemes = homa\n"
+                     "[workload]\nstagger_us = 100, 200\n",
+                     "stagger_us");
+  // Shared sections never list points.
+  expect_rejected_at(fat_tree + "seed = 1, 2\n", "seed");
+}
+
+/// Each rdcn point writes one p99 column: two bandwidths that render
+/// alike would write two columns of one name.
+TEST(Runner, RdcnRejectsPointsThatShareAP99Column) {
+  const std::string text =
+      "[experiment]\nkind = rdcn\nschemes = powertcp\n"
+      "[topology]\npreset = small\n"
+      "[workload]\npacket_gbps = 25, 25.4\nhorizon_ms = 0.1\n";
+  expect_rejected_at(text, "packet_gbps");
+  try {
+    load_runner_config(ConfigFile::parse(text, "dup.toml"));
+    ADD_FAILURE() << "two 25G points loaded";
+  } catch (const ConfigError& e) {
+    EXPECT_NE(std::string(e.what()).find("'25G p99us'"), std::string::npos)
+        << e.what();
+  }
+}
+
+/// homa_oc names its tables by level and fan-in, and mixed_cc keys its
+/// rows by the rendered (mix, aqm, rtt, buffer) cell: a repeated entry
+/// would write one table or row twice.
+TEST(Runner, RepeatedGridEntriesAreRejectedAtTheirLine) {
+  const std::string oc = "[experiment]\nkind = homa_oc\nschemes = homa\n"
+                         "[workload]\n";
+  expect_rejected_at(oc + "overcommit = 2, 2\nfan_in = 10, 10\n",
+                     "overcommit");
+  expect_rejected_at(oc + "overcommit = 2\nfan_in = 10, 10\n", "fan_in");
+  const std::string mixed =
+      "[experiment]\nkind = mixed_cc\nschemes = powertcp, dctcp\n"
+      "[workload]\n";
+  expect_rejected_at(mixed + "cc_mix = powertcp, powertcp\n", "cc_mix");
+  // One mix, two spellings of its weights.
+  expect_rejected_at(
+      mixed + "cc_mix = powertcp:1+dctcp:1, powertcp:0.5+dctcp:0.5\n",
+      "cc_mix");
+  expect_rejected_at(mixed + "cc_mix = powertcp\naqm = red, red\n", "aqm");
+  // 8.04 us renders as 8.0, 1.4 KB as 1.
+  expect_rejected_at(mixed + "cc_mix = powertcp\nrtt_us = 8, 8.04\n",
+                     "rtt_us");
+  expect_rejected_at(mixed + "cc_mix = powertcp\nbuffer_kb = 1, 1.4\n",
+                     "buffer_kb");
+  EXPECT_NO_THROW(load_runner_config(ConfigFile::parse(
+      mixed + "cc_mix = powertcp, dctcp\naqm = red, pie\nrtt_us = 8, 16\n"
+              "buffer_kb = 0, 16\n",
+      "ok.toml")));
+}
+
+/// A label names a table row or column, so each may run once.
+TEST(Runner, RepeatedSchemeLabelsAreRejectedAtTheirLine) {
+  expect_rejected_at("[experiment]\nkind = incast\nschemes = powertcp, powertcp\n",
+                     "schemes");
+  EXPECT_NO_THROW(load_runner_config(ConfigFile::parse(
+      "[experiment]\nkind = incast\nschemes = powertcp, p2\n"
+      "[cc.p2]\nscheme = powertcp\n",
+      "ok.toml")));
+}
+
+/// The backstop behind the load checks: run_config never returns two
+/// tables of one slug.
+TEST(Runner, RunConfigRejectsTablesThatShareASlug) {
+  const RunnerConfig cfg = load_runner_config(ConfigFile::parse(
+      "[experiment]\nkind = fat_tree\nschemes = powertcp\n"
+      "[workload]\nduration_ms = 0.1\nsize_scale = 0.05\n",
+      "one.toml"));
+  auto twice = std::make_shared<FatTreeKindConfig>(
+      dynamic_cast<const FatTreeKindConfig&>(*cfg.scenario));
+  twice->next.push_back(cfg.scenario);
+  RunnerConfig dup = cfg;
+  dup.scenario = twice;
+  EXPECT_NO_THROW(run_config(cfg, SweepRunner(1)));
+  EXPECT_THROW(run_config(dup, SweepRunner(1)), std::logic_error);
 }
 
 TEST(Runner, RetiredEngineKeysAreUnknownKeys) {
@@ -315,7 +470,7 @@ TEST(Runner, RetiredEngineKeysAreUnknownKeys) {
   };
   const std::string head =
       "[experiment]\nkind = fat_tree\nschemes = powertcp\n";
-  const std::string work = "[workload]\nloads = 0.3\n";
+  const std::string work = "[workload]\nload = 0.3\n";
   // Spelled in pieces so a search of the tree for the retired names
   // finds no live use of them.
   const std::string retired_queue = std::string("sim_") + "queue";
@@ -492,7 +647,7 @@ TEST(Runner, LoadErrorsThatWouldHangOrCrashNameTheirLine) {
   // would make the Poisson generator append arrivals forever).
   expect_rejected_at(fat_tree +
                          "[topology]\npods = 1\ntors_per_pod = 1\n"
-                         "[workload]\nloads = 0.3\nduration_ms = 0.2\n",
+                         "[workload]\nload = 0.3\nduration_ms = 0.2\n",
                      "pods");
   // The overlay's distinct responders come from outside the
   // requester's rack: 24 hosts with two pods of the quick fabric.
@@ -731,7 +886,7 @@ TEST(Runner, LoaderRejectsUnknownSchemesKeysAndSections) {
   // Bad kind, missing experiment, empty schemes.
   EXPECT_THROW(load("[experiment]\nkind = ring\nschemes = powertcp\n"),
                ConfigError);
-  EXPECT_THROW(load("[workload]\nloads = 0.2\n"), ConfigError);
+  EXPECT_THROW(load("[workload]\nload = 0.2\n"), ConfigError);
   EXPECT_THROW(load("[experiment]\nkind = fat_tree\n"), ConfigError);
   // Bad values for the new kinds' validated keys.
   EXPECT_THROW(load("[experiment]\nkind = dumbbell\nschemes = powertcp\n"
@@ -986,7 +1141,7 @@ kind = fat_tree
 schemes = fast-power, slow-power
 
 [workload]
-loads = 0.3
+load = 0.3
 
 [cc.fast-power]
 scheme = powertcp

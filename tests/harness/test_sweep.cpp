@@ -90,6 +90,22 @@ TEST(ResultTable, RejectsRowShapeMismatch) {
   EXPECT_THROW(t.append_json(out, 0), std::logic_error);
 }
 
+TEST(ResultTable, RejectsRepeatedColumnNames) {
+  // Two columns of one name would write one (table, point, metric) CSV
+  // key twice; key and value columns share one namespace.
+  for (const bool as_key : {false, true}) {
+    ResultTable t = tiny_table();
+    (as_key ? t.key_columns : t.value_columns).push_back(t.value_columns[0]);
+    for (auto& row : t.rows) {
+      (as_key ? row.keys : row.values).push_back(Cell(1.0, 1));
+    }
+    EXPECT_THROW(t.render_text(), std::logic_error) << as_key;
+    std::string out;
+    EXPECT_THROW(t.append_csv(out), std::logic_error) << as_key;
+    EXPECT_THROW(t.append_json(out, 0), std::logic_error) << as_key;
+  }
+}
+
 TEST(BenchReporter, CsvAppendsAcrossRunsWithSingleHeader) {
   const std::string path = testing::TempDir() + "/sweep_append_test.csv";
   std::remove(path.c_str());

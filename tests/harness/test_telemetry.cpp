@@ -117,7 +117,7 @@ slug = minift
 schemes = powertcp, homa
 
 [workload]
-loads = 0.3
+load = 0.3
 duration_ms = 0.2
 size_scale = 0.05
 incast = true
