@@ -2,13 +2,11 @@
 /// that paper-scale (--full) runs are bound by. Four workloads
 /// (schedule+fire churn, a replay of the per-hop pop-one-schedule-one
 /// pattern, schedule+cancel churn, and an end-to-end dumbbell packet
-/// run) on the binary-heap pending set, and the sharded
-/// engine on a pod-local fat-tree.
+/// run) on the binary-heap pending set.
 ///
 /// This bench is the calibrated perf gate: CI compares its JSON against
 /// bench/baselines/perf.json via scripts/check_perf_baseline.py. The
-/// events and allocs/event columns are deterministic and gated exactly
-/// (the bench also aborts on cross-thread-count event divergence);
+/// events and allocs/event columns are deterministic and gated exactly;
 /// the Mev/s throughput columns are wall-clock dependent and gated
 /// only loosely, with tolerance learned from repeat runs.
 
@@ -24,14 +22,11 @@
 
 #include "cc/registry.hpp"
 #include "harness/bench_opts.hpp"
-#include "harness/point.hpp"
 #include "harness/sweep.hpp"
 #include "net/network.hpp"
 #include "sim/rng.hpp"
 #include "sim/simulator.hpp"
 #include "topo/dumbbell.hpp"
-#include "topo/fat_tree.hpp"
-#include "topo/partition.hpp"
 
 using namespace powertcp;
 using harness::Cell;
@@ -184,36 +179,6 @@ std::uint64_t run_packet_sim(sim::TimePs horizon) {
   return simulator.events_executed();
 }
 
-/// Sharded engine workload: the paper's fat-tree (quick preset), cut
-/// per pod, with POD-LOCAL long flows — every host streams to the
-/// neighboring rack of its own pod, so no packet crosses the cut and
-/// the partitions stay causally independent (zero boundary
-/// ambiguities, which FatTreePoint::run_until checks). This is the
-/// speedup ceiling of the conservative-lookahead engine: shards only
-/// meet at window barriers.
-struct ShardRun {
-  std::uint64_t events = 0;
-  std::uint64_t windows = 0;
-};
-
-ShardRun run_shard_fat_tree(int sim_threads, sim::TimePs horizon) {
-  const topo::FatTreeConfig cfg = topo::FatTreeConfig::quick();
-  const int pod_hosts = cfg.tors_per_pod * cfg.servers_per_tor;
-  harness::FatTreePoint point(cfg, {}, pod_hosts, sim_threads, false);
-  std::vector<harness::FlowStart> flows;
-  for (int h = 0; h < point.fabric.host_count(); ++h) {
-    const int pod_start = h / pod_hosts * pod_hosts;
-    const int partner =
-        pod_start + (h - pod_start + cfg.servers_per_tor) % pod_hosts;
-    flows.push_back({static_cast<net::FlowId>(h + 1), h, partner,
-                     1'000'000'000, 0});
-  }
-  point.start({{"", "powertcp", {}}}, flows);
-  point.run_until(horizon);
-  return {point.sharded.engine.events_executed(),
-          point.sharded.engine.windows()};
-}
-
 struct Measurement {
   double mops = 0;
   std::uint64_t events = 0;
@@ -296,48 +261,6 @@ int main(int argc, char** argv) {
   add_row("dumbbell packet sim",
           measure([&] { return run_packet_sim(horizon); }));
   reporter.add(std::move(t));
-
-  // Sharded engine: the paper's fat-tree (quick preset) cut per pod,
-  // pod-local traffic so the partitions stay causally independent.
-  // Event counts must agree EXACTLY across thread counts (the byte-
-  // identity bar at event granularity); speedup is wall-clock and
-  // machine-dependent — >1x needs real cores, so it carries no floor.
-  harness::ResultTable st;
-  st.title = "sharded engine: fat-tree quick slice, pod-local flows "
-             "(events exact-gated across sim_threads; speedup needs cores)";
-  st.slug = "event_engine_shard";
-  st.key_columns = {"sim_threads"};
-  st.value_columns = {"Mev/s", "speedup", "events", "windows"};
-  double shard_base_mops = 0;
-  std::uint64_t shard_base_events = 0;
-  for (const int threads : {1, 2, 4}) {
-    // A boundary ambiguity (the cut leaked causality) throws out of
-    // run_shard_fat_tree and fails the bench.
-    ShardRun run;
-    const Measurement m = measure([&] {
-      run = run_shard_fat_tree(threads, horizon);
-      return run.events;
-    });
-    if (threads == 1) {
-      shard_base_mops = m.mops;
-      shard_base_events = m.events;
-    } else if (m.events != shard_base_events) {
-      std::fprintf(stderr, "FATAL: sharded fat-tree executed %llu events at "
-                   "sim_threads=%d vs %llu at sim_threads=1 — shards "
-                   "diverged\n",
-                   static_cast<unsigned long long>(m.events), threads,
-                   static_cast<unsigned long long>(shard_base_events));
-      return 1;
-    }
-    harness::ResultTable::Row row;
-    row.keys = {Cell::integer(threads)};
-    row.values = {Cell(m.mops, 2),
-                  Cell(shard_base_mops > 0 ? m.mops / shard_base_mops : 0, 2),
-                  Cell::integer(static_cast<std::int64_t>(m.events)),
-                  Cell::integer(static_cast<std::int64_t>(run.windows))};
-    st.rows.push_back(std::move(row));
-  }
-  reporter.add(std::move(st));
 
   return reporter.finish();
 }

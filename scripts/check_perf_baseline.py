@@ -6,11 +6,10 @@ Usage: check_perf_baseline.py BASELINE.json CURRENT1.json [CURRENT2.json ...]
 Compares fresh bench_event_engine JSON documents against the committed
 baseline (bench/baselines/perf.json). Two classes of metric, two rules:
 
-  * deterministic columns — `events`, `windows`, and every
-    `allocs/ev` column — must match the baseline EXACTLY, and must
-    agree across the repeat runs. A planted allocation on the hot path,
-    a changed event count or a drifted lookahead-window count is always
-    a failure; there is no noise to tolerate.
+  * deterministic columns — `events` and every `allocs/ev` column —
+    must match the baseline EXACTLY, and must agree across the repeat
+    runs. A planted allocation on the hot path or a changed event count
+    is always a failure; there is no noise to tolerate.
   * wall-clock columns (`Mev/s`) are gated loosely: the BEST repeat
     must stay above baseline minus a tolerance learned from the
     repeats themselves — max(MIN_DROP, NOISE_FACTOR x the relative
@@ -26,19 +25,18 @@ scripts/check_sweep_baseline.py.
 The baseline may additionally carry a top-level `floors` list of
 absolute per-workload bars, each carrying `min` or `max`:
 
-    "floors": [{"table": "event_engine_shard",
-                "row": {"sim_threads": 4},
-                "metric": "speedup", "min": 1.5},
-               {"table": "event_engine_shard",
-                "row": {"sim_threads": 4},
-                "metric": "windows", "max": 1999}]
+    "floors": [{"table": "event_engine",
+                "row": {"workload": "dumbbell packet sim"},
+                "metric": "Mev/s", "min": 1.0},
+               {"table": "event_engine",
+                "row": {"workload": "hop replay x50"},
+                "metric": "allocs/ev", "max": 0.0}]
 
 A `min` floor requires the BEST (largest) repeat of that cell to stay
->= the bar — an absolute minimum (e.g. "four shards must stay at
-least 1.5x faster than one"); a `max` floor requires the SMALLEST
-repeat to stay <= the bar — an absolute ceiling (e.g. "batched
-lookahead must keep barrier-window counts at least 2x below the
-pre-batching engine"). Both are unlike the relative drift band above.
+>= the bar — an absolute minimum (e.g. "the packet simulation must
+keep at least 1 Mev/s"); a `max` floor requires the SMALLEST repeat to
+stay <= the bar — an absolute ceiling (e.g. "the per-hop path must not
+allocate"). Both are unlike the relative drift band above.
 A floor that names an unknown table, row, or metric is malformed
 input (exit 2), so a renamed workload cannot silently un-gate its
 floor.
@@ -71,8 +69,7 @@ def is_number(v):
 
 
 def is_deterministic(metric):
-    return metric in ("events", "windows") or \
-        "allocs" in metric
+    return metric == "events" or "allocs" in metric
 
 
 def load_document(path):

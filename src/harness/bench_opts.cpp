@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <stdexcept>
 
 namespace powertcp::harness {
 
@@ -13,12 +14,12 @@ bool take_value(const char* arg, const char* flag, std::string* out) {
   return true;
 }
 
-bool parse_count_flag(const char* prog, const char* flag,
-                      const std::string& value, long max, int* out) {
+bool parse_threads(const char* prog, const std::string& value, int* out) {
   char* end = nullptr;
   const long n = std::strtol(value.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0' || n < 1 || n > max) {
-    std::fprintf(stderr, "%s: bad %s value '%s'\n", prog, flag, value.c_str());
+  if (end == nullptr || *end != '\0' || n < 1 || n > 4096) {
+    std::fprintf(stderr, "%s: bad --threads value '%s'\n", prog,
+                 value.c_str());
     return false;
   }
   *out = static_cast<int>(n);
@@ -75,6 +76,12 @@ BenchReporter::BenchReporter(std::string bench_name, const BenchOptions& opts)
       runner_(opts.threads) {}
 
 void BenchReporter::add(ResultTable table) {
+  for (const ResultTable& t : tables_) {
+    if (t.slug == table.slug) {
+      throw std::invalid_argument("table slug '" + table.slug +
+                                  "' is already taken by an earlier table");
+    }
+  }
   if (!tables_.empty()) std::printf("\n");
   std::fputs(table.render_text().c_str(), stdout);
   std::fflush(stdout);

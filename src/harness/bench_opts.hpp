@@ -24,17 +24,10 @@ namespace powertcp::harness {
 /// True when `arg` is `<flag>=<value>`; stores the value.
 bool take_value(const char* arg, const char* flag, std::string* out);
 
-/// Parses a count flag's value in [1, max] into `*out`. Otherwise
-/// prints "<prog>: bad <flag> value '<value>'" to stderr and returns
-/// false, leaving `*out` untouched.
-bool parse_count_flag(const char* prog, const char* flag,
-                      const std::string& value, long max, int* out);
-
-/// --threads: parse_count_flag with the pool's 1..4096 bound.
-inline bool parse_threads(const char* prog, const std::string& value,
-                          int* out) {
-  return parse_count_flag(prog, "--threads", value, 4096, out);
-}
+/// Parses a --threads value in [1, 4096] (the pool's bound) into
+/// `*out`. Otherwise prints "<prog>: bad --threads value '<value>'" to
+/// stderr and returns false, leaving `*out` untouched.
+bool parse_threads(const char* prog, const std::string& value, int* out);
 
 struct BenchOptions {
   int threads = 1;
@@ -63,6 +56,9 @@ class BenchReporter {
   const BenchOptions& options() const { return opts_; }
 
   /// Prints the table (stdout) and retains it for the file emitters.
+  /// Throws std::invalid_argument, printing nothing, if an earlier
+  /// table has the same slug: the CSV's (table, point, metric) keys
+  /// would be ambiguous.
   void add(ResultTable table);
 
   /// Writes --csv/--json outputs if requested. Returns 0 on success,

@@ -49,13 +49,6 @@ struct FatTreeExperiment {
   std::int64_t incast_request_bytes = 2'000'000;
   int incast_fan_in = 16;
 
-  /// Shards for the parallel engine (sim/shard.hpp): the fat-tree is
-  /// cut per pod (topo::fat_tree_shard_plan) and run on this many
-  /// threads. 1 = the sequential engine, verbatim; results are
-  /// thread-count-independent (pinned by golden tests). Telemetry runs
-  /// force 1 (the flight tap reads across the cut).
-  int sim_threads = 1;
-
   /// Optional flight-recorder tap (off by default): samples the first
   /// ToR's first uplink port and the `telemetry.flow`-th planned
   /// arrival's sender. Read-only probes — enabling it never changes

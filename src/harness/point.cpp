@@ -1,8 +1,6 @@
 #include "harness/point.hpp"
 
 #include <algorithm>
-#include <stdexcept>
-#include <string>
 #include <utility>
 
 #include "host/homa.hpp"
@@ -20,18 +18,6 @@ TopoConfig with_needs(TopoConfig topo, const cc::TopologyNeeds& needs) {
 }
 
 }  // namespace
-
-void check_exact(const sim::ShardedSimulator& engine) {
-  if (engine.boundary_ambiguities() == 0) return;
-  const sim::ShardedSimulator::Ambiguity a = engine.first_ambiguity();
-  throw std::runtime_error(
-      "sharded run is not provably exact: events from shard " +
-      std::to_string(a.shards[0]) + " and shard " +
-      std::to_string(a.shards[1]) + " tie on key (time " +
-      std::to_string(a.time) + " ps, sched " + std::to_string(a.sched) +
-      " ps, tie " + std::to_string(a.tie) +
-      "); rerun this point with sim_threads = 1");
-}
 
 void Point::start(const std::vector<SchemeRun>& runs,
                   const std::vector<FlowStart>& flows, const FlowDone* done) {
@@ -53,7 +39,6 @@ void Point::start(const std::vector<SchemeRun>& runs,
       host::Host& src = *hosts_[static_cast<std::size_t>(f.src)].host;
       const net::NodeId dst =
           hosts_[static_cast<std::size_t>(f.dst)].host->id();
-      // Scheduled on the sender's shard: the event belongs to it.
       src.simulator().schedule_at(f.at, [&src, id = f.id, dst, size = f.bytes] {
         src.homa()->send_message(id, dst, size);
       });
@@ -95,12 +80,9 @@ std::optional<FlightTap> Point::tap(const TelemetryConfig& telemetry,
 }
 
 FatTreePoint::FatTreePoint(const topo::FatTreeConfig& topo,
-                           const cc::TopologyNeeds& needs, int expected_flows,
-                           int sim_threads, bool telemetry)
-    : sharded(topo::fat_tree_shard_plan(
-          topo, telemetry ? 1 : std::max(1, sim_threads))),
-      fabric(sharded.network, with_needs(topo, needs)) {
-  monitor_sim_ = &sharded.engine.shard(0);
+                           const cc::TopologyNeeds& needs, int expected_flows)
+    : network(sim), fabric(network, with_needs(topo, needs)) {
+  monitor_sim_ = &sim;
   for (int h = 0; h < fabric.host_count(); ++h) {
     hosts_.push_back({&fabric.host(h), fabric.tor_of_host(h)});
   }

@@ -11,8 +11,9 @@
 #include "harness/scenarios.hpp"
 #include "host/flow.hpp"
 #include "net/network.hpp"
-#include "sim/shard.hpp"
-#include "topo/partition.hpp"
+#include "sim/simulator.hpp"
+#include "topo/dumbbell.hpp"
+#include "topo/fat_tree.hpp"
 
 /// \file point.hpp
 /// One builder per topology the paper runs every scheme on: FatTreePoint
@@ -23,26 +24,6 @@
 /// message transport and sender congestion control.
 
 namespace powertcp::harness {
-
-/// Throws std::runtime_error naming the first boundary ambiguity of
-/// `engine`: a same-(time, sched, tie) pair from two shards whose
-/// sequential order the run cannot prove. Zero ambiguities prove the
-/// run byte-identical to the sequential engine.
-void check_exact(const sim::ShardedSimulator& engine);
-
-/// One partitioned simulation: plan -> engine -> network, tied together
-/// in member-initialization order. With one shard (sim_threads = 1, or
-/// a plan with no usable cut) it IS the sequential engine, verbatim.
-struct ShardedPoint {
-  topo::ShardPlan plan;
-  sim::ShardedSimulator engine;
-  net::Network network;
-
-  explicit ShardedPoint(topo::ShardPlan p)
-      : plan(std::move(p)),
-        engine(plan.shards),
-        network(engine, plan.node_shard) {}
-};
 
 /// One flow (sender CC) or message (Homa) to start. `src` and `dst`
 /// index the point's hosts: the fat tree's host index, or the
@@ -71,8 +52,8 @@ class Point {
 
   /// Starts `flows` in order. If `runs.front()` is a message transport,
   /// every host enables it (with that run's params) before any message
-  /// is scheduled on its sender's simulator; otherwise each flow starts
-  /// under its run's sender CC. `done` must outlive the run.
+  /// is scheduled; otherwise each flow starts under its run's sender
+  /// CC. `done` must outlive the run.
   void start(const std::vector<SchemeRun>& runs,
              const std::vector<FlowStart>& flows,
              const FlowDone* done = nullptr);
@@ -98,25 +79,18 @@ class Point {
   bool messages_ = false;
 };
 
-/// A fat tree on the partitioned engine, cut per pod into `sim_threads`
-/// shards; telemetry forces one (its probes read across the cut).
+/// A fat tree.
 class FatTreePoint final : public Point {
  public:
   FatTreePoint(const topo::FatTreeConfig& topo,
-               const cc::TopologyNeeds& needs, int expected_flows,
-               int sim_threads, bool telemetry);
+               const cc::TopologyNeeds& needs, int expected_flows);
 
-  ShardedPoint sharded;
+  sim::Simulator sim;
+  net::Network network;
   topo::FatTree fabric;
-
-  /// Runs to `horizon`, then check_exact().
-  void run_until(sim::TimePs horizon) {
-    sharded.engine.run_until(horizon);
-    check_exact(sharded.engine);
-  }
 };
 
-/// A dumbbell on the sequential engine.
+/// A dumbbell.
 class DumbbellPoint final : public Point {
  public:
   DumbbellPoint(const topo::DumbbellConfig& topo,

@@ -77,13 +77,10 @@ SchemeRun resolve_scheme(const ConfigFile& file, const std::string& label,
   return run;
 }
 
-/// The fat-tree keys of fat_tree, incast and homa_oc: the shard count
-/// (only these kinds have a cut), the [topology] preset, then
-/// per-field overrides.
-void declare_fat_tree_topology(KeyTable& k, int* sim_threads,
-                               std::string* preset, topo::FatTreeConfig* cfg) {
-  k.count(kExp, "sim_threads", sim_threads,
-          Bound::at_least(1).upto(kMaxSimThreads));
+/// The fat-tree keys of fat_tree, incast and homa_oc: the [topology]
+/// preset, then per-field overrides.
+void declare_fat_tree_topology(KeyTable& k, std::string* preset,
+                               topo::FatTreeConfig* cfg) {
   k.choice(kTopo, "preset", preset, {"quick", "paper"});
   *cfg = *preset == "paper" ? topo::FatTreeConfig()
                             : topo::FatTreeConfig::quick();
@@ -354,8 +351,7 @@ void declare_shared_keys(KeyTable& k, ScenarioContext* ctx,
 // several keys.
 
 void FatTreeKindConfig::declare(KeyTable& k) {
-  declare_fat_tree_topology(k, &fat_tree.sim_threads, &preset,
-                            &fat_tree.topo);
+  declare_fat_tree_topology(k, &preset, &fat_tree.topo);
   k.real(kWork, "load", &fat_tree.uplink_load, Bound::above(0).upto(1));
   k.ms(kWork, "duration_ms", &fat_tree.duration);
   k.real(kWork, "size_scale", &fat_tree.size_scale,
@@ -394,7 +390,7 @@ void FatTreeKindConfig::bind(const ScenarioContext& ctx, const KeyTable& k) {
 }
 
 void IncastKindConfig::declare(KeyTable& k) {
-  declare_fat_tree_topology(k, &incast.sim_threads, &preset, &incast.topo);
+  declare_fat_tree_topology(k, &preset, &incast.topo);
   k.size(kWork, "query_kb", &query_bytes, Size::kKB, /*zero_ok=*/true);
   k.count(kWork, "fan_in", &incast.fan_in, Bound::at_least(0));
   k.size(kWork, "long_flow_mb", &incast.long_flow_bytes, Size::kMB);
@@ -498,7 +494,7 @@ void DumbbellKindConfig::bind(const ScenarioContext& ctx, const KeyTable& k) {
 
 void HomaOcKindConfig::declare(KeyTable& k) {
   HomaOcScenario& h = homa_oc;
-  declare_fat_tree_topology(k, &h.incast.sim_threads, &preset, &h.incast.topo);
+  declare_fat_tree_topology(k, &preset, &h.incast.topo);
   k.count(kWork, "overcommit", &h.overcommit, Bound::at_least(1));
   k.count(kWork, "fan_in", &h.fan_in, Bound::at_least(1));
   k.size(kWork, "flow_mb", &h.fairness.flow_bytes, Size::kMB);
@@ -762,20 +758,6 @@ RunnerConfig load_runner_config(const ConfigFile& file,
     if (n > 1 && point == nullptr) {
       keys.reject_points("lists one value per point, but kind '" + ctx.kind +
                          "' writes no table per point");
-    }
-    if (options.force_sim_threads > 0) {
-      int* sim_threads = scenario->sim_threads();
-      if (sim_threads == nullptr) {
-        std::string cut;
-        for (const auto& kind : registry.entries()) {
-          if (kind.make()->sim_threads() == nullptr) continue;
-          cut += (cut.empty() ? "" : ", ") + kind.name;
-        }
-        throw ConfigError(file.origin() + ": --sim-threads: kind '" +
-                          ctx.kind + "' has no shard cut (kinds with one: " +
-                          cut + ")");
-      }
-      *sim_threads = options.force_sim_threads;
     }
     try {
       scenario->bind(ctx, keys);

@@ -55,7 +55,6 @@ struct FatTreeKindConfig final : PointsConfig {
   double percentile = 99.0;
   void declare(KeyTable& keys) override;
   void bind(const ScenarioContext& ctx, const KeyTable& keys) override;
-  int* sim_threads() override { return &fat_tree.sim_threads; }
   std::string point_name() const override { return load_table().slug; }
   std::vector<ResultTable> run(const SweepRunner& runner) const override;
   /// This point's Fig. 6/7 FCT table before any row is filled: title,
@@ -72,7 +71,6 @@ struct IncastKindConfig final : PointsConfig {
   std::int64_t query_bytes = 0;  ///< 0 = companions only
   void declare(KeyTable& keys) override;
   void bind(const ScenarioContext& ctx, const KeyTable& keys) override;
-  int* sim_threads() override { return &incast.sim_threads; }
   std::string point_name() const override;
   std::vector<ResultTable> run(const SweepRunner& runner) const override;
 };
@@ -106,7 +104,6 @@ struct HomaOcKindConfig final : ScenarioConfig {
   HomaOcScenario homa_oc;
   void declare(KeyTable& keys) override;
   void bind(const ScenarioContext& ctx, const KeyTable& keys) override;
-  int* sim_threads() override { return &homa_oc.incast.sim_threads; }
   std::vector<ResultTable> run(const SweepRunner& runner) const override;
 };
 
@@ -175,22 +172,12 @@ struct FluidPhaseKindConfig final : ScenarioConfig {
   std::vector<ResultTable> run(const SweepRunner& runner) const override;
 };
 
-/// The most shards one simulation point may be cut into: the bound of
-/// both `[experiment] sim_threads` and `powertcp_run --sim-threads`.
-inline constexpr int kMaxSimThreads = 64;
-
 /// CLI-level overrides applied on top of the parsed file.
 struct RunnerLoadOptions {
   /// `powertcp_run --telemetry`: enable the flight recorder even when
   /// the file has no `[telemetry] enabled = true` (file-set capacity/
   /// period/flow keys still apply).
   bool force_telemetry = false;
-  /// `powertcp_run --sim-threads=N`: override `[experiment]
-  /// sim_threads` (0 = no override). Values > 1 shard each simulation
-  /// point across cores with conservative lookahead; a kind without a
-  /// shard cut (ScenarioConfig::sim_threads() is nullptr) rejects any
-  /// override with a ConfigError naming the kind.
-  int force_sim_threads = 0;
 };
 
 /// Declares the shared `[experiment]`, `[aqm]` and `[telemetry]` keys

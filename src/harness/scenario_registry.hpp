@@ -71,10 +71,6 @@ class ScenarioConfig {
   /// Load mode, after declare(): takes the shared context and runs the
   /// checks that span several keys, rejecting through `keys`.
   virtual void bind(const ScenarioContext& ctx, const KeyTable& keys) = 0;
-  /// The `[experiment] sim_threads` field of a kind with a shard cut
-  /// (the fat-tree kinds), which `powertcp_run --sim-threads` sets
-  /// between declare() and bind(); nullptr for every other kind.
-  virtual int* sim_threads() { return nullptr; }
   /// Executes every simulation point on the runner's pool and returns
   /// the tables in declaration order — output is a pure function of
   /// the config, byte-identical for every thread count.

@@ -69,9 +69,7 @@ IncastSeries summarize_burst_queue(const stats::QueueSeries& queue,
 
 IncastSeries run_incast_scenario(const IncastScenario& cfg,
                                  const SchemeRun& scheme_run) {
-  // Partitioned engine (per-pod cut); monitors live on pod 0 = shard 0.
-  FatTreePoint point(cfg.topo, resolve(scheme_run).needs, cfg.expected_flows,
-                     cfg.sim_threads, cfg.telemetry.enabled);
+  FatTreePoint point(cfg.topo, resolve(scheme_run).needs, cfg.expected_flows);
   topo::FatTree& fabric = point.fabric;
   const int servers_per_tor = cfg.topo.servers_per_tor;
 
@@ -129,7 +127,7 @@ IncastSeries run_incast_scenario(const IncastScenario& cfg,
   std::optional<FlightTap> tap =
       point.tap(cfg.telemetry, downlink, long_sender, 1, cfg.horizon);
 
-  point.run_until(cfg.horizon);
+  point.sim.run_until(cfg.horizon);
 
   IncastSeries out = summarize_burst_queue(queue, cfg.burst_at, cfg.horizon);
   out.drops = fabric.total_drops();

@@ -52,9 +52,6 @@ struct IncastScenario {
   sim::TimePs burst_at = sim::microseconds(500);
   sim::TimePs horizon = sim::milliseconds(3);
   sim::TimePs bin = sim::microseconds(50);
-  /// Parallel-engine shards (1 = sequential verbatim); results are
-  /// thread-count-independent. Telemetry forces 1.
-  int sim_threads = 1;
   /// Optional flight recorder on the receiver's ToR downlink + the
   /// long foreground flow.
   TelemetryConfig telemetry;

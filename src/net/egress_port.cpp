@@ -1,7 +1,6 @@
 #include "net/egress_port.hpp"
 
 #include "net/node.hpp"
-#include "net/shard_link.hpp"
 
 namespace powertcp::net {
 
@@ -130,22 +129,10 @@ void EgressPort::start_tx(PacketPool::Handle h) {
   if (shared_buffer_ != nullptr) {
     shared_buffer_->release_at(finish_.key(), wire);
   }
-  if (remote_ != nullptr) {
-    // EARLY PUBLICATION (lookahead batching): the packet's content is
-    // final here — ECN was decided at enqueue, INT stamped above — and
-    // so are its serialization finish (the causal stamp) and delivery
-    // time. Publishing at start_tx guarantees every cross-shard
-    // delivery lands at least tx_time(min packet) beyond the event
-    // that produced it, which is what lets the cut-link weight — and
-    // therefore the engine's lookahead windows — include the flit
-    // serialization delay on top of propagation (see
-    // ShardedSimulator::add_cut_edge and docs/performance.md §5).
-    remote_->send(finish + propagation_, finish, tie_token_, pkt);
-    slab_.release(h);
-  } else if (peer_ != nullptr) {
-    // The local delivery takes the same shape: scheduled now, stamped
-    // with the finish as its causal time and carrying the port's tie
-    // token, so its key is the one scheduling it at the finish gave.
+  if (peer_ != nullptr) {
+    // The delivery is scheduled now, stamped with the finish as its
+    // causal time and carrying the port's tie token, so its key is the
+    // one scheduling it at the finish gave.
     // The packet stays in the slab, not the closure: capturing it by
     // value would heap-allocate ~360 bytes per transmission. The peer's
     // receive takes over the handle.

@@ -23,7 +23,6 @@
 namespace powertcp::net {
 
 class Node;
-class ShardChannel;
 
 class EgressPort {
  public:
@@ -43,17 +42,10 @@ class EgressPort {
   Node* peer() const { return peer_; }
   int peer_in_port() const { return peer_in_port_; }
 
-  /// Marks the peer as living on another shard of a partitioned run:
-  /// deliveries go through `ch` (a cross-shard channel, see
-  /// shard_link.hpp) instead of being scheduled on this shard's
-  /// simulator. Installed by Network when a link crosses the shard
-  /// plan's cut; nullptr (the default) keeps the local path.
-  void set_remote_channel(ShardChannel* ch) { remote_ = ch; }
-
   /// This port's tie token: a nonzero, topology-derived identifier
   /// stamped into every delivery event's key so same-picosecond
-  /// delivery ties resolve identically in sequential and sharded runs
-  /// (see Node::attach_port, which installs it).
+  /// delivery ties resolve by port (see Node::attach_port, which
+  /// installs it).
   void set_tie_token(std::uint32_t tie) { tie_token_ = tie; }
   std::uint32_t tie_token() const { return tie_token_; }
 
@@ -141,7 +133,6 @@ class EgressPort {
   sim::TimePs propagation_;
   Node* peer_ = nullptr;
   int peer_in_port_ = -1;
-  ShardChannel* remote_ = nullptr;
   std::uint32_t tie_token_ = 0;
 
   std::unique_ptr<Aqm> aqm_;

@@ -14,7 +14,7 @@ Node* Network::adopt(std::unique_ptr<Node> node) {
   if (node->id() != next_node_id()) {
     throw std::invalid_argument("Network::adopt: node id mismatch");
   }
-  if (&node->slab() != &slab_of(node->id())) {
+  if (&node->slab() != &slab_) {
     throw std::invalid_argument("Network::adopt: node built on another slab");
   }
   nodes_.push_back(std::move(node));
@@ -25,36 +25,9 @@ int Network::make_port_on(Node& n, sim::Bandwidth bw, sim::TimePs prop) {
   if (auto* sw = dynamic_cast<Switch*>(&n)) {
     return sw->add_port(bw, prop);
   }
-  auto port = std::make_unique<BasicPort>(
-      sim_of(n.id()), n.slab(), bw, prop,
-      std::make_unique<FifoQueue>(n.slab()));
+  auto q = std::make_unique<FifoQueue>(slab_);
+  auto port = std::make_unique<BasicPort>(sim_, slab_, bw, prop, std::move(q));
   return n.attach_port(std::move(port));
-}
-
-std::size_t Network::parked_packets() const {
-  std::size_t live = 0;
-  for (const PacketPool& slab : slabs_) live += slab.live();
-  return live;
-}
-
-void Network::link_shards(Node& a, int a_port, Node& b, int b_port) {
-  if (router_ == nullptr) return;
-  const int sa = shard_of(a.id());
-  const int sb = shard_of(b.id());
-  if (sa == sb) return;
-  const sim::TimePs prop_ab = a.port(a_port).propagation_delay();
-  const sim::TimePs prop_ba = b.port(b_port).propagation_delay();
-  a.port(a_port).set_remote_channel(router_->add_channel(sa, sb, &b, b_port));
-  b.port(b_port).set_remote_channel(router_->add_channel(sb, sa, &a, a_port));
-  // Cut-graph edge weights for the per-pair lookahead: a packet leaving
-  // shard `sa` over this link was produced by a start-of-serialization
-  // event and arrives no earlier than propagation plus the smallest
-  // packet's serialization time (early publication makes the tx term
-  // sound — see EgressPort::start_tx).
-  engine_->add_cut_edge(
-      sa, sb, prop_ab + a.port(a_port).bandwidth().tx_time(kMinWireBytes));
-  engine_->add_cut_edge(
-      sb, sa, prop_ba + b.port(b_port).bandwidth().tx_time(kMinWireBytes));
 }
 
 Network::LinkPorts Network::connect(Node& a, sim::Bandwidth bw_ab, Node& b,
@@ -65,7 +38,6 @@ Network::LinkPorts Network::connect(Node& a, sim::Bandwidth bw_ab, Node& b,
   b.port(pb).set_peer(&a, pa);
   edges_.push_back({a.id(), pa, b.id()});
   edges_.push_back({b.id(), pb, a.id()});
-  link_shards(a, pa, b, pb);
   return LinkPorts{pa, pb};
 }
 

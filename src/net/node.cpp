@@ -14,12 +14,10 @@ Node::~Node() = default;
 int Node::attach_port(std::unique_ptr<EgressPort> port) {
   const int index = static_cast<int>(ports_.size());
   // Tie token: a nonzero per-port identifier that is a pure function of
-  // the topology's construction order, so sequential and sharded runs
-  // compute identical tokens. Packet deliveries carry it in the event
-  // key (sim::EventEntry::tie), which totally orders same-(time, sched)
-  // delivery ties without consulting the global scheduling chronology —
-  // the property that lets a partitioned run reproduce the sequential
-  // order exactly. 9 bits of port index, the rest node id.
+  // the topology's construction order. Packet deliveries carry it in the
+  // event key (sim::EventEntry::tie), which totally orders
+  // same-(time, sched) delivery ties without consulting the global
+  // scheduling chronology. 9 bits of port index, the rest node id.
   if (index >= kMaxPortsPerNode || id_ < 0 || id_ >= kMaxNodes) {
     throw std::logic_error(
         "Node::attach_port: node id / port index out of tie-token range");

@@ -34,13 +34,6 @@ inline constexpr NodeId kInvalidNode = -1;
 inline constexpr std::int32_t kHeaderBytes = 48;
 /// Default maximum payload per packet (HPCC/PowerTCP ns-3 MTU setting).
 inline constexpr std::int32_t kDefaultMss = 1000;
-/// Smallest possible wire size of any packet (a header-only ack):
-/// payload_bytes >= 0 and header_bytes is always kHeaderBytes, so
-/// wire_bytes() >= kMinWireBytes. The sharded engine's cut-link weights
-/// add tx_time(kMinWireBytes) on top of propagation (lookahead
-/// batching), which is sound because ports publish cross-shard packets
-/// at serialization start.
-inline constexpr std::int32_t kMinWireBytes = kHeaderBytes;
 
 enum class PacketType : std::uint8_t {
   kData,       ///< window-based transport payload

@@ -16,9 +16,8 @@
 /// Node::receive — carries its 8-byte Handle instead.
 ///
 /// A Packet is ~360 bytes (mostly the 8-hop INT header), so no hop
-/// moves it; only its handle travels, and only a cut link between
-/// shards copies it. Each Network owns one slab (one per shard of a
-/// partitioned run) and hands it to every node and port it builds.
+/// moves it; only its handle travels. Each Network owns one slab and
+/// hands it to every node and port it builds.
 /// Storage is a list of fixed-size chunks that never move, so a
 /// `Packet&` from get()/ref() stays valid until its handle is released,
 /// however much the slab grows meanwhile. Generations catch

@@ -21,16 +21,12 @@
 /// heap pops the same sequence.
 ///
 /// The `sched` key is the CAUSAL timestamp: the simulation time at
-/// which the event was scheduled. In a purely sequential run it is
-/// redundant — scheduling actions execute in nondecreasing time order,
-/// so `seq` (assigned chronologically) already refines `sched` and
-/// (time, sched, seq) orders identically to the historical (time, seq).
-/// Its purpose is cross-shard determinism: the partitioned engine
-/// (sim::ShardedSimulator) ingests remote packet deliveries at window
-/// barriers, long after destination-local events grabbed their seq
-/// numbers, and stamps them with the sender-side send time via
-/// Simulator::schedule_from so same-picosecond ties still resolve in
-/// the sequential engine's scheduling-chronology order.
+/// which the event counts as scheduled. For an ordinary event it is
+/// now(), so `seq` (assigned chronologically) already refines it. A
+/// packet delivery is scheduled when its serialization starts but
+/// stamped with the serialization finish (Simulator::schedule_stamped),
+/// so it sorts among same-picosecond peers as if it had been scheduled
+/// at the finish. Every committed golden depends on that order.
 
 namespace powertcp::sim {
 
@@ -40,14 +36,10 @@ namespace powertcp::sim {
 ///
 /// `tie` is the TIE TOKEN, ordered between `sched` and `seq`: a
 /// topology-derived identifier of the producing egress port (see
-/// net::Node::attach_port), 0 for ordinary local events. Packet
-/// deliveries carry their port's token in BOTH engines, so a
-/// same-(time, sched) tie between deliveries from different ports — or
-/// between a delivery and a local event — resolves by a key every
-/// engine can compute locally, instead of by the global scheduling
-/// chronology (`seq`) that a partitioned run cannot reconstruct. This
-/// is what lets the sharded engine order cross-shard boundary ties
-/// EXACTLY like the sequential engine (see docs/performance.md §5).
+/// net::Node::attach_port), 0 for ordinary local events. A
+/// same-(time, sched) tie between deliveries from different ports, or
+/// between a delivery and a local event, resolves by the token before
+/// the scheduling chronology (`seq`).
 struct EventEntry {
   TimePs time;
   TimePs sched;

@@ -93,9 +93,8 @@ class Simulator {
   /// way when its serialization STARTS, stamped with the serialization
   /// finish as its causal time and carrying its egress port's
   /// topology-derived token (see net::Node::attach_port), so that
-  /// same-picosecond delivery ties resolve by a key that is identical in
-  /// sequential and sharded runs; schedule_from carries the same token
-  /// across a shard boundary.
+  /// same-picosecond delivery ties resolve by the port, not by when the
+  /// serialization started.
   EventId schedule_stamped(TimePs sched, TimePs t, std::uint32_t tie,
                            Callback cb);
 
@@ -134,57 +133,6 @@ class Simulator {
   /// events_executed() does not count it.
   void note_wakeup() { ++wakeups_; }
 
-  /// Schedules `cb` at absolute time `t` with an EXPLICIT causal
-  /// timestamp `sched_time` (<= t): the event sorts among
-  /// same-picosecond peers as if it had been scheduled at
-  /// `sched_time`, not at now(). This is the cross-shard ingestion
-  /// primitive — a remote packet delivery handed over at a window
-  /// barrier keeps the tie-break position the sequential engine would
-  /// have given it at the sender-side send time. `sched_time` may lie
-  /// in this simulator's past (the sender's clock runs independently);
-  /// only events at times still strictly ahead of this shard's
-  /// executed window may be scheduled, which the engine's cut-graph
-  /// window bounds guarantee.
-  ///
-  /// `origin` must be NONZERO and identify the foreign causal domain
-  /// (the sharded engine uses 1 + source shard). It feeds the boundary
-  /// ambiguity detector: two back-to-back events with equal
-  /// (time, sched_time, tie) but different origins are a tie whose
-  /// sequential order is not locally decidable — see
-  /// boundary_ambiguities(). `tie` is the producing port's tie token
-  /// (see schedule_stamped); deliveries stamped with a nonzero token
-  /// are exactly ordered against every differently-keyed event, so
-  /// with tokens flowing the detector is structurally silent.
-  EventId schedule_from(TimePs sched_time, TimePs t, Callback cb,
-                        std::uint32_t origin, std::uint32_t tie = 0);
-
-  /// Count of executed same-(time, sched, tie) adjacent event pairs
-  /// whose origins differ — boundary ties between a cross-shard
-  /// delivery and a local event (or deliveries from two different
-  /// source shards) at the same picosecond with the same causal
-  /// timestamp and the same tie token. The sequential engine orders
-  /// such a pair by causal history that a partitioned run cannot
-  /// reconstruct with bounded state, so a sharded run is PROVABLY
-  /// byte-identical to the sequential engine iff this stays 0 on every
-  /// shard; the harness fails the point otherwise.
-  /// Since every cross-shard delivery carries its port's unique
-  /// nonzero token (net::Node::attach_port) while local events carry
-  /// 0, this is now a safety net that should never fire — kept (and
-  /// still policed by the harness) as the proof obligation
-  /// (see docs/performance.md).
-  std::uint64_t boundary_ambiguities() const { return ambiguities_; }
-
-  /// The first ambiguous pair (see boundary_ambiguities()): its shared
-  /// key and the origins of its two events, in pop order (0 = local,
-  /// else 1 + source shard). Meaningful once boundary_ambiguities() > 0.
-  struct Ambiguity {
-    TimePs time = 0;
-    TimePs sched = 0;
-    std::uint32_t tie = 0;
-    std::uint32_t origins[2] = {0, 0};
-  };
-  const Ambiguity& first_ambiguity() const { return first_ambiguity_; }
-
   /// Cancels a pending event and releases its callback immediately.
   /// Cancelling an already-fired, already-cancelled, or default
   /// EventId is a harmless no-op and allocates nothing.
@@ -204,13 +152,6 @@ class Simulator {
   /// Runs events with time <= `t`; afterwards now() == t unless stopped
   /// earlier. Events scheduled beyond `t` remain pending.
   void run_until(TimePs t);
-
-  /// Runs every event with time strictly below `end` (>= 1); now() is
-  /// left at the last executed event, never advanced to `end`. This is
-  /// the window primitive of ShardedSimulator: a shard executes one
-  /// conservative window [start, end) and stops without
-  /// claiming the boundary instant, which the next window owns.
-  void run_events_before(TimePs end);
 
   /// Earliest pending live event time, or kTimeInfinity when idle.
   /// Tombstones of cancelled events blocking the top are discarded in
@@ -250,11 +191,6 @@ class Simulator {
  private:
   struct Slot {
     std::uint64_t seq = 0;  ///< 0 = free; else seq of the event it holds
-    /// Causal domain of the scheduling action: 0 for local events,
-    /// 1 + source shard for cross-shard deliveries (schedule_from).
-    /// Rides in padding before the 16-byte-aligned Callback, so the
-    /// slot stays one cache line. Feeds the boundary ambiguity detector.
-    std::uint32_t origin = 0;
     Callback cb;
   };
 
@@ -269,7 +205,7 @@ class Simulator {
   /// (t, sched, tie, seq); the schedule_* entry points validate their
   /// arguments first.
   EventId enqueue(TimePs t, TimePs sched, std::uint32_t tie,
-                  std::uint64_t seq, std::uint32_t origin, Callback cb);
+                  std::uint64_t seq, Callback cb);
 
   /// Marks every key at or before now() as passed: the state after
   /// run_until() or a drained run(), with no event running.
@@ -300,14 +236,6 @@ class Simulator {
   std::uint64_t elided_ = 0;
   std::uint64_t wakeups_ = 0;
 
-  // Boundary ambiguity detector (see boundary_ambiguities()): origin of
-  // the previously executed event, whose key is cur_, carried across
-  // tombstone discards. Equal-(time, sched, tie) events pop
-  // contiguously, so checking each adjacent pair catches every run that
-  // mixes origins.
-  std::uint32_t prev_origin_ = 0;
-  std::uint64_t ambiguities_ = 0;
-  Ambiguity first_ambiguity_;
 };
 
 /// An event that runs only if something needs it to. A serialization

@@ -157,46 +157,5 @@ TEST(RegistryCoverage, EveryAqmRunsInAShippedConfig) {
   }
 }
 
-/// Renders shipped config `name` with every simulation point sharded
-/// `sim_threads` ways and checks it against the sequential goldens. A
-/// boundary ambiguity would throw out of run_config and fail the test.
-void expect_golden_when_sharded(const std::string& name, int sim_threads) {
-  const std::string root = POWERTCP_SOURCE_DIR;
-  RunnerLoadOptions options;
-  options.force_sim_threads = sim_threads;
-  const auto cfg = load_runner_config(
-      ConfigFile::parse_file(root + "/configs/" + name + ".toml"),
-      ScenarioRegistry::instance(), options);
-  const unsigned hw = std::thread::hardware_concurrency();
-  const SweepRunner runner(hw == 0 ? 1 : static_cast<int>(hw));
-  const Rendered got = render_like_cli(run_config(cfg, runner));
-
-  EXPECT_EQ(got.text, slurp(root + "/tests/goldens/" + name + ".txt"));
-  EXPECT_EQ(got.csv, slurp(root + "/tests/goldens/" + name + ".csv"));
-  EXPECT_EQ(got.json, slurp(root + "/tests/goldens/" + name + ".json"));
-}
-
-/// The parallel-DES exactness bar: a shipped fat-tree config rendered
-/// with the engine sharded four ways must match the sequential goldens
-/// byte for byte (docs/performance.md, "Parallel DES"). Deliberately
-/// outside the tsan filter like ConfigGolden above; the thread protocol
-/// itself is TSan-covered by the lighter ShardedEngine/ShardedHarness
-/// tests and the fig4 run below.
-TEST(ShardedConfigGolden, Fig6QuickByteIdenticalAtFourSimThreads) {
-  expect_golden_when_sharded("fig6_quick", 4);
-}
-
-/// Fig. 4's phase-locked 55:1 burst: every responder starts at the
-/// same picosecond and its packets cross the pod cut toward one
-/// receiver in lockstep. With deliveries keyed by
-/// (time, sched, tie) the cross-shard order is exact, so the sharded
-/// run must render the sequential goldens byte for byte. Unlike fig6
-/// it is in the tsan filter: a real sharded config, with elided
-/// serialization finishes on both sides of every cut, under the race
-/// detector.
-TEST(ShardedConfigGolden, Fig4QuickByteIdenticalAtFourSimThreads) {
-  expect_golden_when_sharded("fig4_quick", 4);
-}
-
 }  // namespace
 }  // namespace powertcp::harness

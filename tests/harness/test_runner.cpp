@@ -704,7 +704,7 @@ TEST(Runner, OversizedFabricsFailAtTheirLine) {
   const std::string fat_tree = "[experiment]\nschemes = powertcp\n";
   expect_rejected_at(fat_tree + "[topology]\nservers_per_tor = 600\n",
                      "servers_per_tor");
-  expect_rejected_at(fat_tree + "sim_threads = 2\n[topology]\npods = 100000\n"
+  expect_rejected_at(fat_tree + "[topology]\npods = 100000\n"
                                 "tors_per_pod = 1000\nservers_per_tor = 1000\n",
                      "servers_per_tor");
   expect_rejected_at(fat_tree + "[topology]\npods = 500\ntors_per_pod = 500\n"
@@ -726,52 +726,27 @@ TEST(Runner, OversizedFabricsFailAtTheirLine) {
       "full.toml")));
 }
 
-TEST(Runner, SimThreadsIsAFatTreeKey) {
-  // Only the fat-tree kinds have a shard cut: anywhere else the key is
-  // unknown at its line, and the CLI override names the kind.
-  expect_rejected_at("[experiment]\nkind = dumbbell\nschemes = powertcp\n"
-                     "sim_threads = 4\n",
-                     "sim_threads");
-  RunnerLoadOptions options;
-  options.force_sim_threads = 4;
-  for (const char* kind : {"dumbbell", "rdcn", "mixed_cc", "single_flow",
-                           "fluid_phase"}) {
-    SCOPED_TRACE(kind);
-    const std::string scheme =
-        std::string(kind) == "mixed_cc" ? "dctcp" : "powertcp";
-    const std::string mix =
-        std::string(kind) == "mixed_cc" ? "[workload]\ncc_mix = dctcp\n" : "";
+TEST(Runner, SimThreadsIsAnUnknownKeyOfEveryKind) {
+  // Every point runs on one engine: the retired shard count is an
+  // unknown key at its line, whatever the kind.
+  for (const auto& kind : ScenarioRegistry::instance().entries()) {
+    SCOPED_TRACE(kind.name);
+    std::string scheme = "powertcp";
+    if (kind.name == "mixed_cc") scheme = "dctcp";
+    if (kind.name == "homa_oc") scheme = "homa";
+    std::string text = "[experiment]\nkind = " + kind.name;
+    text += "\nschemes = " + scheme + "\nsim_threads = 2\n";
+    if (kind.name == "mixed_cc") text += "[workload]\ncc_mix = dctcp\n";
     try {
-      load_runner_config(
-          ConfigFile::parse("[experiment]\nkind = " + std::string(kind) +
-                                "\nschemes = " + scheme + "\n" + mix,
-                            "cli.toml"),
-          ScenarioRegistry::instance(), options);
-      ADD_FAILURE() << "--sim-threads loaded";
+      load_runner_config(ConfigFile::parse(text, "bad.toml"));
+      ADD_FAILURE() << "loaded";
     } catch (const ConfigError& e) {
-      const std::string what = e.what();
-      EXPECT_NE(what.find("--sim-threads"), std::string::npos) << what;
-      EXPECT_NE(what.find("'" + std::string(kind) + "'"), std::string::npos)
-          << what;
+      EXPECT_NE(std::string(e.what()).find(
+                    "bad.toml:4: unknown key 'sim_threads' in [experiment]"),
+                std::string::npos)
+          << e.what();
     }
   }
-  const auto forced = [&options](const std::string& kind,
-                                 const std::string& scheme) {
-    return load_runner_config(
-        ConfigFile::parse("[experiment]\nkind = " + kind +
-                              "\nschemes = " + scheme + "\n",
-                          "cli.toml"),
-        ScenarioRegistry::instance(), options);
-  };
-  EXPECT_EQ(as_kind<FatTreeKindConfig>(forced("fat_tree", "powertcp"))
-                .fat_tree.sim_threads,
-            4);
-  EXPECT_EQ(as_kind<IncastKindConfig>(forced("incast", "powertcp"))
-                .incast.sim_threads,
-            4);
-  EXPECT_EQ(as_kind<HomaOcKindConfig>(forced("homa_oc", "homa"))
-                .homa_oc.incast.sim_threads,
-            4);
 }
 
 TEST(Runner, HomaOcKindRejectsSenderCcSchemes) {
@@ -855,13 +830,10 @@ TEST(Runner, LoaderRejectsUnknownSchemesKeysAndSections) {
   // missing schemes list at the section's.
   expect_rejected_at("[experiment]\nkind = fat_tree\nschemes =\n",
                      "schemes");
-  // kMaxSimThreads; the --sim-threads flag shares it (a CTest pins 65
-  // there). Loading starts no shard thread.
-  expect_rejected_at("[experiment]\nschemes = powertcp\nsim_threads = 65\n",
-                     "sim_threads");
-  EXPECT_NO_THROW(load("[experiment]\nschemes = powertcp\nsim_threads = 64\n"));
-  expect_rejected_at("[experiment]\nschemes = powertcp\nsim_threads = 0\n",
-                     "sim_threads");
+  // The retired shard count is an unknown key, at its line.
+  EXPECT_NE(error_of("[experiment]\nschemes = powertcp\nsim_threads = 2\n")
+                .find("bad.toml:3: unknown key 'sim_threads' in [experiment]"),
+            std::string::npos);
   try {
     load("\n[experiment]\nkind = fat_tree\n");
     ADD_FAILURE() << "loaded without schemes";

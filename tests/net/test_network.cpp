@@ -120,14 +120,14 @@ TEST_F(NetworkFixture, RegisterLinkFeedsRouteComputation) {
 
 TEST_F(NetworkFixture, AdoptRejectsWrongId) {
   auto node =
-      std::make_unique<LeafNode>(simulator, network.slab_of(0), /*id=*/5, "x");
+      std::make_unique<LeafNode>(simulator, network.slab(), /*id=*/5, "x");
   EXPECT_THROW(network.adopt(std::move(node)), std::invalid_argument);
   // The right id on a slab of its own would strand its packets.
   PacketPool foreign;
   auto stray = std::make_unique<LeafNode>(simulator, foreign, /*id=*/0, "y");
   EXPECT_THROW(network.adopt(std::move(stray)), std::invalid_argument);
   auto own =
-      std::make_unique<LeafNode>(simulator, network.slab_of(0), /*id=*/0, "z");
+      std::make_unique<LeafNode>(simulator, network.slab(), /*id=*/0, "z");
   EXPECT_NO_THROW(network.adopt(std::move(own)));
 }
 

@@ -78,8 +78,8 @@ TEST(BinaryHeapEventQueue, PopsInTimeThenSeqOrder) {
 TEST(BinaryHeapEventQueue, CausalTimestampBreaksSameTimeTies) {
   // Same delivery instant, different causal (schedule-time) stamps: the
   // earlier-scheduled event pops first even when its seq is larger —
-  // the cross-shard merge relies on this middle key. Equal stamps fall
-  // back to seq (FIFO).
+  // stamped packet deliveries rely on this middle key. Equal stamps
+  // fall back to seq (FIFO).
   BinaryHeapEventQueue q;
   q.push({nanoseconds(50), nanoseconds(40), 1, 0});
   q.push({nanoseconds(50), nanoseconds(10), 2, 1});

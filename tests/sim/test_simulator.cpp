@@ -437,6 +437,48 @@ TEST(Simulator, WakeupsAreNotLogicalEvents) {
   EXPECT_EQ(s.events_executed(), 1u);
 }
 
+TEST(Simulator, StampedDeliveryPopsAtItsCausalScheduleTime) {
+  // Four events collide at t=50. Three stamped deliveries are scheduled
+  // at t=0 and a local event at t=40; they pop in (sched, tie) order,
+  // not in the order they were scheduled. A local event carries tie 0,
+  // so it runs ahead of deliveries with its causal time.
+  Simulator s;
+  std::vector<int> order;
+  s.schedule_stamped(nanoseconds(40), nanoseconds(50), 2,
+                     [&] { order.push_back(4); });
+  s.schedule_stamped(nanoseconds(40), nanoseconds(50), 1,
+                     [&] { order.push_back(3); });
+  s.schedule_stamped(nanoseconds(10), nanoseconds(50), 5,
+                     [&] { order.push_back(1); });
+  s.schedule_at(nanoseconds(40), [&] {
+    s.schedule_at(nanoseconds(50), [&] { order.push_back(2); });
+  });
+  s.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
+}
+
+TEST(Simulator, StampedAndReservedSchedulingValidateTheirKeys) {
+  Simulator s;
+  s.run_until(nanoseconds(10));
+  // A causal stamp may lie ahead of now(), but never after the event.
+  EXPECT_THROW(s.schedule_stamped(nanoseconds(12), nanoseconds(11), 1, [] {}),
+               std::invalid_argument);
+  EXPECT_THROW(s.schedule_stamped(0, nanoseconds(9), 1, [] {}),
+               std::invalid_argument);
+  EXPECT_NO_THROW(s.schedule_stamped(nanoseconds(11), nanoseconds(11), 1,
+                                     [] {}));
+  EXPECT_THROW(s.reserve_in(-1), std::invalid_argument);
+  EXPECT_THROW(s.reserve_in(kTimeInfinity), std::invalid_argument);
+  EXPECT_THROW(s.schedule_reserved(Reservation{}, [] {}),
+               std::invalid_argument);
+  // A reservation whose key has passed can no longer run in key order.
+  const Reservation r = s.reserve_in(nanoseconds(5));
+  s.run_until(nanoseconds(15));
+  EXPECT_THROW(s.schedule_reserved(r, [] {}), std::logic_error);
+  const Reservation ahead = s.reserve_in(nanoseconds(5));
+  EXPECT_NO_THROW(s.schedule_reserved(ahead, [] {}));
+}
+
 TEST(TimeHelpers, UnitConversionsAreExact) {
   EXPECT_EQ(nanoseconds(1), 1'000);
   EXPECT_EQ(microseconds(1), 1'000'000);

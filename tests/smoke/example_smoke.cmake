@@ -3,13 +3,19 @@
 # EXPECT_REGEX. A run expected to succeed is matched on stdout (a data
 # or summary line, so an example that prints only headers still
 # fails); a run expected to fail is matched on stderr (the error
-# itself, so a crash or a different error never passes).
+# itself, so a crash or a different error never passes). Files listed
+# in EXPECT_ABSENT are removed before the run and must not exist after
+# it (outputs a failing run must not write).
 if(NOT DEFINED EXAMPLE_BIN OR NOT DEFINED EXPECT_REGEX)
   message(FATAL_ERROR "pass -DEXAMPLE_BIN=<binary> -DEXPECT_REGEX=<regex>")
 endif()
 if(NOT DEFINED EXPECT_EXIT)
   set(EXPECT_EXIT 0)
 endif()
+
+foreach(absent IN LISTS EXPECT_ABSENT)
+  file(REMOVE "${absent}")
+endforeach()
 
 execute_process(COMMAND ${EXAMPLE_BIN}
                 OUTPUT_VARIABLE out
@@ -29,3 +35,8 @@ string(REGEX MATCH "${EXPECT_REGEX}" matched "${checked}")
 if(matched STREQUAL "")
   message(FATAL_ERROR "${EXAMPLE_BIN} output did not match '${EXPECT_REGEX}':\n${checked}")
 endif()
+foreach(absent IN LISTS EXPECT_ABSENT)
+  if(EXISTS "${absent}")
+    message(FATAL_ERROR "${EXAMPLE_BIN} wrote ${absent}")
+  endif()
+endforeach()

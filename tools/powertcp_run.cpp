@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <cstring>
 #include <exception>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -38,14 +39,6 @@ const char* kUsage =
     "  --telemetry  arm the flight recorder even when the config has no\n"
     "               [telemetry] enabled = true (adds *_flight tables;\n"
     "               never changes the other tables' values)\n"
-    "  --sim-threads=N\n"
-    "               override [experiment] sim_threads: shard each\n"
-    "               simulation point across N threads (fat_tree, incast\n"
-    "               and homa_oc only; byte-identical for every N, and a\n"
-    "               run that cannot prove that fails). For a config\n"
-    "               with fewer points than cores; prefer --threads\n"
-    "               otherwise. The two multiply: up to threads x N\n"
-    "               threads run at once\n"
     "  --schemes    list registered schemes, their tunables and\n"
     "               topology needs, then exit\n"
     "  --kinds      list registered scenario kinds and every config\n"
@@ -101,12 +94,6 @@ int main(int argc, char** argv) {
       opts.json_path = value;
     } else if (std::strcmp(arg, "--telemetry") == 0) {
       load_opts.force_telemetry = true;
-    } else if (harness::take_value(arg, "--sim-threads", &value)) {
-      if (!harness::parse_count_flag(kProg, "--sim-threads", value,
-                                     harness::kMaxSimThreads,
-                                     &load_opts.force_sim_threads)) {
-        return 2;
-      }
     } else if (std::strcmp(arg, "--schemes") == 0) {
       list_schemes();
       return 0;
@@ -137,7 +124,11 @@ int main(int argc, char** argv) {
       const auto cfg = harness::load_runner_config(
           file, harness::ScenarioRegistry::instance(), load_opts);
       for (auto& table : harness::run_config(cfg, reporter.runner())) {
-        reporter.add(std::move(table));
+        try {
+          reporter.add(std::move(table));
+        } catch (const std::invalid_argument& e) {
+          throw std::invalid_argument(path + ": " + e.what());
+        }
       }
     } catch (const std::exception& e) {
       std::fprintf(stderr, "powertcp_run: %s\n", e.what());
