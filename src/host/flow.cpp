@@ -71,7 +71,9 @@ void FlowSender::try_send() {
 void FlowSender::send_one() {
   sim::Simulator& sim = host_.simulator();
   const std::int32_t payload = next_payload();
-  net::Packet pkt;
+  const net::PacketPool::Handle h = host_.slab().acquire();
+  net::Packet& pkt = host_.slab().ref(h);
+  pkt = net::Packet{};
   pkt.flow = flow_;
   pkt.dst = dst_;
   pkt.type = net::PacketType::kData;
@@ -83,7 +85,7 @@ void FlowSender::send_one() {
   pkt.message_bytes = size_;
   pkt.ack_seq = snd_una_;
   snd_nxt_ += payload;
-  host_.send_packet(std::move(pkt));
+  host_.send(h);
   // Pacing: spread packets at `pacing_bps_` (wire bytes).
   if (pacing_bps_ > 0) {
     const double interval_sec =

@@ -80,7 +80,9 @@ void HomaTransport::pump_out(net::FlowId id, OutMessage& m) {
   while (m.sent < m.granted) {
     const auto payload = static_cast<std::int32_t>(
         std::min<std::int64_t>(cfg_.mss, m.granted - m.sent));
-    net::Packet pkt;
+    const net::PacketPool::Handle h = host_.slab().acquire();
+    net::Packet& pkt = host_.slab().ref(h);
+    pkt = net::Packet{};
     pkt.flow = id;
     pkt.dst = m.dst;
     pkt.type = net::PacketType::kHomaData;
@@ -92,7 +94,7 @@ void HomaTransport::pump_out(net::FlowId id, OutMessage& m) {
                        ? unscheduled_priority(m.size)
                        : m.sched_priority;
     m.sent += payload;
-    host_.send_packet(std::move(pkt));
+    host_.send(h);
   }
 }
 
@@ -195,7 +197,9 @@ void HomaTransport::update_grants() {
 
 void HomaTransport::send_grant(net::FlowId id, InMessage& m,
                                std::int64_t resend_from) {
-  net::Packet g;
+  const net::PacketPool::Handle h = host_.slab().acquire();
+  net::Packet& g = host_.slab().ref(h);
+  g = net::Packet{};
   g.flow = id;
   g.dst = m.src;
   g.type = net::PacketType::kHomaGrant;
@@ -203,7 +207,7 @@ void HomaTransport::send_grant(net::FlowId id, InMessage& m,
   g.grant_offset = m.granted;
   g.seq = resend_from;
   g.priority = m.sched_prio_cache;
-  host_.send_packet(std::move(g));
+  host_.send(h);
 }
 
 void HomaTransport::arm_resend_timer() {

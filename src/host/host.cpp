@@ -26,36 +26,54 @@ net::EgressPort& Host::nic() {
   return port(0);
 }
 
-void Host::send_packet(net::Packet&& pkt) {
+void Host::send(net::PacketPool::Handle h) {
+  // A packet that cannot go out is consumed here: its slot is freed
+  // before the error leaves, whichever of the send sites wrote it.
+  net::EgressPort* out;
+  try {
+    out = &nic();
+  } catch (...) {
+    slab().release(h);
+    throw;
+  }
+  net::Packet& pkt = slab().ref(h);
   pkt.src = id();
   // Acks echo the acked data packet's sent_time (the RTT measurement);
   // only fresh transmissions get stamped here.
   if (pkt.type != net::PacketType::kAck) pkt.sent_time = sim_.now();
-  nic().enqueue(slab().put(std::move(pkt)));
+  out->enqueue(h);
 }
 
 void Host::receive(net::PacketPool::Handle h, int /*in_port*/) {
-  slab().lend(h, [this](const net::Packet& pkt) {
-    switch (pkt.type) {
-      case net::PacketType::kData:
-        handle_data(pkt);
-        break;
-      case net::PacketType::kAck:
-        handle_ack(pkt);
-        break;
-      case net::PacketType::kHomaData:
-      case net::PacketType::kHomaGrant:
-        if (homa_ == nullptr) {
-          throw std::logic_error("Host '" + name() +
-                                 "': HOMA packet but transport not enabled");
-        }
-        homa_->on_packet(pkt);
-        break;
+  net::Packet& pkt = slab().ref(h);
+  if (pkt.type == net::PacketType::kData) {
+    std::int64_t cumulative_ack;
+    try {
+      cumulative_ack = handle_data(pkt);
+    } catch (...) {
+      slab().release(h);
+      throw;
     }
+    // The data packet's slot becomes its ACK: the INT stack, seq and
+    // sent_time it echoes stay where they are, and the data handle dies.
+    net::turn_into_ack(pkt, cumulative_ack);
+    send(slab().reissue(h));
+    return;
+  }
+  slab().lend(h, [this](const net::Packet& p) {
+    if (p.type == net::PacketType::kAck) {
+      handle_ack(p);
+      return;
+    }
+    if (homa_ == nullptr) {
+      throw std::logic_error("Host '" + name() +
+                             "': HOMA packet but transport not enabled");
+    }
+    homa_->on_packet(p);
   });
 }
 
-void Host::handle_data(const net::Packet& pkt) {
+std::int64_t Host::handle_data(const net::Packet& pkt) {
   auto it = receivers_.find(pkt.flow);
   if (it == receivers_.end()) {
     // Data packets echo the sender's cumulative received-ack edge in
@@ -65,10 +83,7 @@ void Host::handle_data(const net::Packet& pkt) {
     // full-size ack the retained state would have produced, without
     // resurrecting state. A zero edge proves nothing (e.g. the flow's
     // first packets were dropped): fall through and create state.
-    if (pkt.ack_seq > 0 && pkt.message_bytes > 0) {
-      send_packet(net::make_ack(pkt, pkt.message_bytes));
-      return;
-    }
+    if (pkt.ack_seq > 0 && pkt.message_bytes > 0) return pkt.message_bytes;
     it = receivers_.emplace(pkt.flow, ReceiverState{}).first;
   }
   ReceiverState& rs = it->second;
@@ -106,8 +121,7 @@ void Host::handle_data(const net::Packet& pkt) {
   }
   if (delivered > 0 && data_cb_) data_cb_(pkt.flow, delivered, sim_.now());
   // Out-of-order packets (go-back-N) generate duplicate acks here.
-  net::Packet ack = net::make_ack(pkt, rs.expected_seq);
-  send_packet(std::move(ack));
+  return rs.expected_seq;
 }
 
 void Host::retire_receiver(net::FlowId flow) {

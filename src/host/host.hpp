@@ -69,9 +69,12 @@ class Host final : public net::Node {
   std::size_t active_senders() const { return senders_.size(); }
   std::size_t active_receivers() const { return receivers_.size(); }
 
-  /// Writes a packet into the slab, stamping src/sent_time, and
-  /// enqueues its handle on the NIC.
-  void send_packet(net::Packet&& pkt);
+  /// Sends the slab packet `h`, which the caller wrote in place
+  /// (slab().acquire(), then fill the slot): stamps src and, unless it
+  /// is an ack, sent_time, and enqueues the handle on the NIC, which
+  /// takes it over. Without a connected NIC it releases `h` and throws
+  /// std::logic_error.
+  void send(net::PacketPool::Handle h);
 
   /// Quiet period after a flow's last data packet before its receiver
   /// state retires. Long enough that go-back-N replays (the sender's
@@ -88,7 +91,9 @@ class Host final : public net::Node {
     sim::EventId retire_event{};
   };
 
-  void handle_data(const net::Packet& pkt);
+  /// Receiver bookkeeping for a data packet; returns the cumulative ack
+  /// its ACK carries.
+  std::int64_t handle_data(const net::Packet& pkt);
   void handle_ack(const net::Packet& pkt);
   void retire_receiver(net::FlowId flow);
 

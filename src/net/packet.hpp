@@ -13,12 +13,14 @@
 /// The INT format follows HPCC (Fig. 4 of the HPCC paper), which PowerTCP
 /// states it reuses verbatim (§3.3): each switch hop appends
 /// (qlen, timestamp, txBytes, bandwidth) taken when the packet is
-/// scheduled for transmission. The receiver copies the collected records
-/// into the ACK, which the sender feeds to the congestion controller.
+/// scheduled for transmission. The receiver echoes the collected records
+/// in the ACK, which the sender feeds to the congestion controller.
 ///
 /// A packet is written once, into its network's slab
 /// (net/packet_pool.hpp), and never moves: every hop passes its 8-byte
-/// handle, and INT records are stamped into it in place.
+/// handle, and INT records are stamped into it in place. The receiver
+/// turns the data packet into its ACK in the same slot (turn_into_ack),
+/// so the INT records are never copied either.
 
 namespace powertcp::net {
 
@@ -76,10 +78,10 @@ class IntHeader {
 
 /// A simulated packet. It is ~360 bytes, so it is written once into
 /// the network's PacketPool slab when its host sends it and stays
-/// there until its receiver releases it; queues, events and
-/// Node::receive pass its 8-byte handle, never the packet. Fields below
-/// the "simulator metadata" marker never exist on a real wire and
-/// carry no modeled size.
+/// there until its receiver releases it or turns it into its ACK;
+/// queues, events and Node::receive pass its 8-byte handle, never the
+/// packet. Fields below the "simulator metadata" marker never exist on
+/// a real wire and carry no modeled size.
 struct Packet {
   FlowId flow = 0;
   NodeId src = kInvalidNode;
@@ -116,8 +118,10 @@ struct Packet {
   std::int64_t wire_bytes() const { return payload_bytes + header_bytes; }
 };
 
-/// Canonical ack for a received data packet: swaps endpoints, echoes the
-/// INT record stack, the ECN mark and the send timestamp.
-Packet make_ack(const Packet& data, std::int64_t cumulative_ack);
+/// Rewrites a received data packet, in place, into its canonical ack:
+/// swaps endpoints, echoes the ECN mark, and resets every other field
+/// to a fresh Packet's value, except the three the ack echoes where
+/// they lie — the INT record stack, `seq` and the send timestamp.
+void turn_into_ack(Packet& pkt, std::int64_t cumulative_ack);
 
 }  // namespace powertcp::net

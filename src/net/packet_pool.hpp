@@ -39,7 +39,10 @@ class PacketPool {
   /// Slots per chunk: the unit in which storage grows.
   static constexpr std::uint32_t kChunkSlots = 256;
 
-  /// Parks a packet; the returned handle redeems it exactly once.
+  /// Parks a packet built elsewhere; the returned handle redeems it
+  /// exactly once. This exists for tests that feed a node or port by
+  /// hand: the simulator's own senders write their packets in place
+  /// through acquire(), which is the one send path.
   Handle put(Packet&& pkt) {
     const Handle h = acquire();
     slot(h.index).pkt = std::move(pkt);
@@ -70,6 +73,15 @@ class PacketPool {
   const Packet& get(Handle h) const { return checked(h, "get").pkt; }
   /// Mutable in-place access, under the same rules as get().
   Packet& ref(Handle h) { return checked(h, "ref").pkt; }
+
+  /// Hands the packet parked under `h` on under a fresh handle and
+  /// kills `h`, as release() would; the slot and its contents stay put
+  /// and live() does not change. A receiver turns a data packet into
+  /// its ACK this way. Throws on stale/foreign handles.
+  Handle reissue(Handle h) {
+    Entry& e = checked(h, "reissue");
+    return Handle{h.index, ++e.gen};
+  }
 
   /// Frees a slot. Throws on stale/foreign handles (double release, or
   /// a handle from another pool).

@@ -23,9 +23,9 @@ class Callback {
  public:
   /// Inline closure capacity. Sized for the engine's real customers —
   /// a captured `std::function` copy (32 bytes on libstdc++) or a
-  /// handful of references/ids, never a whole Packet — and so that a
-  /// Simulator event slot (8-byte seq + Callback) fills exactly one
-  /// 64-byte cache line.
+  /// handful of references/ids, never a whole Packet. With the ops
+  /// pointer and the 16-byte buffer alignment a Callback is 64 bytes,
+  /// and a Simulator event slot (8-byte seq + Callback) is 80.
   static constexpr std::size_t kCapacity = 48;
   static constexpr std::size_t kAlign = alignof(std::max_align_t);
 
@@ -37,17 +37,33 @@ class Callback {
                 !std::is_same_v<std::decay_t<F>, Callback> &&
                 std::is_invocable_r_v<void, std::decay_t<F>&>>>
   Callback(F&& f) {  // NOLINT(google-explicit-constructor)
+    emplace(std::forward<F>(f));
+  }
+
+  /// Constructs `f` directly in the inline buffer, destroying any
+  /// closure held before. The engine builds each event's closure in its
+  /// slot this way, so scheduling moves nothing through temporaries. A
+  /// Callback argument is moved in (one relocation).
+  template <typename F>
+  void emplace(F&& f) {
     using Fn = std::decay_t<F>;
-    static_assert(sizeof(Fn) <= kCapacity,
-                  "capture too large for the event slot: move bulky state "
-                  "(e.g. a Packet) into a pool and capture the handle");
-    static_assert(alignof(Fn) <= kAlign,
-                  "over-aligned capture in event callback");
-    static_assert(std::is_nothrow_move_constructible_v<Fn>,
-                  "event callbacks must be nothrow-movable (slots relocate "
-                  "when the slot table grows)");
-    ::new (static_cast<void*>(buf_)) Fn(std::forward<F>(f));
-    ops_ = ops_for<Fn>();
+    if constexpr (std::is_same_v<Fn, Callback>) {
+      *this = std::forward<F>(f);
+    } else {
+      static_assert(std::is_invocable_r_v<void, Fn&>,
+                    "event callbacks take no arguments");
+      static_assert(sizeof(Fn) <= kCapacity,
+                    "capture too large for the event slot: move bulky state "
+                    "(e.g. a Packet) into a pool and capture the handle");
+      static_assert(alignof(Fn) <= kAlign,
+                    "over-aligned capture in event callback");
+      static_assert(std::is_nothrow_move_constructible_v<Fn>,
+                    "event callbacks must be nothrow-movable (slots relocate "
+                    "when the slot table grows)");
+      reset();
+      ::new (static_cast<void*>(buf_)) Fn(std::forward<F>(f));
+      ops_ = ops_for<Fn>();
+    }
   }
 
   Callback(Callback&& other) noexcept : ops_(other.ops_) {

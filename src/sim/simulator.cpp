@@ -1,59 +1,37 @@
 #include "sim/simulator.hpp"
 
+#include <string>
+
 namespace powertcp::sim {
 
-EventId Simulator::schedule_at(TimePs t, Callback cb) {
-  if (t < now_) {
-    throw std::invalid_argument("Simulator::schedule_at: time " +
-                                format_time(t) + " is before now " +
-                                format_time(now_));
-  }
-  return enqueue(t, now_, 0, next_seq_++, std::move(cb));
+void Simulator::throw_before_now(const char* op, TimePs t) const {
+  throw std::invalid_argument(std::string("Simulator::") + op + ": time " +
+                              format_time(t) + " is before now " +
+                              format_time(now_));
 }
 
-EventId Simulator::schedule_stamped(TimePs sched, TimePs t, std::uint32_t tie,
-                                    Callback cb) {
-  if (t < now_) {
-    throw std::invalid_argument("Simulator::schedule_stamped: time " +
-                                format_time(t) + " is before now " +
-                                format_time(now_));
-  }
-  if (sched > t) {
-    throw std::invalid_argument("Simulator::schedule_stamped: sched " +
-                                format_time(sched) + " is after time " +
-                                format_time(t));
-  }
-  return enqueue(t, sched, tie, next_seq_++, std::move(cb));
+void Simulator::throw_bad_delay(const char* op, TimePs delay,
+                                const char* what) const {
+  throw std::invalid_argument(std::string("Simulator::") + op + ": delay " +
+                              format_time(delay) + " from now " +
+                              format_time(now_) + " " + what);
 }
 
-EventId Simulator::schedule_reserved(const Reservation& r, Callback cb) {
-  if (!r.held()) {
-    throw std::invalid_argument(
-        "Simulator::schedule_reserved: the reservation holds no key");
-  }
-  if (passed(r)) {
-    throw std::logic_error("Simulator::schedule_reserved: key at " +
-                           format_time(r.time) +
-                           " has passed; it can no longer run in order");
-  }
-  return enqueue(r.time, r.sched, 0, r.seq, std::move(cb));
+void Simulator::throw_sched_after_time(TimePs sched, TimePs t) {
+  throw std::invalid_argument("Simulator::schedule_stamped: sched " +
+                              format_time(sched) + " is after time " +
+                              format_time(t));
 }
 
-EventId Simulator::enqueue(TimePs t, TimePs sched, std::uint32_t tie,
-                           std::uint64_t seq, Callback cb) {
-  std::uint32_t slot;
-  if (!free_slots_.empty()) {
-    slot = free_slots_.back();
-    free_slots_.pop_back();
-  } else {
-    slot = static_cast<std::uint32_t>(slots_.size());
-    slots_.emplace_back();
-  }
-  slots_[slot].seq = seq;
-  slots_[slot].cb = std::move(cb);
-  queue_.push(EventEntry{t, sched, seq, slot, tie});
-  ++live_events_;
-  return EventId{seq, slot};
+void Simulator::throw_unheld() {
+  throw std::invalid_argument(
+      "Simulator::schedule_reserved: the reservation holds no key");
+}
+
+void Simulator::throw_passed(const Reservation& r) {
+  throw std::logic_error("Simulator::schedule_reserved: key at " +
+                         format_time(r.time) +
+                         " has passed; it can no longer run in order");
 }
 
 bool Simulator::pop_and_run_next(TimePs limit) {

@@ -22,7 +22,10 @@
 /// (time, sched, tie, seq, slot) and a slot table holding the
 /// callbacks. Callbacks are sim::Callback, which embeds the
 /// closure in the slot (no per-event heap allocation; oversized captures
-/// fail to compile). Cancelling frees the slot immediately — an O(1)
+/// fail to compile). The schedule_* entry points take the callable
+/// itself and forward it to its slot, where it is constructed in place:
+/// an event's closure moves once, when the pop takes it out of its slot
+/// to run it. Cancelling frees the slot immediately — an O(1)
 /// generation check against the EventId's seq, with no lookaside set
 /// that could grow when stale ids are cancelled — and leaves only the
 /// POD queue entry behind as a tombstone that is discarded when it
@@ -70,22 +73,28 @@ class Simulator {
   /// Current simulation time.
   TimePs now() const { return now_; }
 
-  /// Schedules `cb` at absolute time `t`. `t` must not be in the past.
-  EventId schedule_at(TimePs t, Callback cb);
-
-  /// Schedules `cb` after `delay` (>= 0) from now. A delay that would
-  /// carry the time past kTimeInfinity throws std::invalid_argument.
-  EventId schedule_in(TimePs delay, Callback cb) {
-    if (delay > kTimeInfinity - now_) {
-      throw std::invalid_argument("Simulator::schedule_in: delay " +
-                                  format_time(delay) + " from now " +
-                                  format_time(now_) +
-                                  " overflows the clock");
-    }
-    return schedule_at(now_ + delay, std::move(cb));
+  /// Schedules `f` at absolute time `t`. `t` must not be in the past.
+  /// `f` is any callable a sim::Callback holds, or a Callback; it is
+  /// constructed in the event's slot (see Callback::emplace).
+  template <typename F>
+  EventId schedule_at(TimePs t, F&& f) {
+    if (t < now_) throw_before_now("schedule_at", t);
+    return enqueue(t, now_, 0, next_seq_++, std::forward<F>(f));
   }
 
-  /// Schedules `cb` at absolute time `t` (>= now()) with causal
+  /// Schedules `f` after `delay` (>= 0) from now. A negative delay, or
+  /// one that would carry the time past kTimeInfinity, throws
+  /// std::invalid_argument and schedules nothing.
+  template <typename F>
+  EventId schedule_in(TimePs delay, F&& f) {
+    if (delay < 0) throw_bad_delay("schedule_in", delay, "is negative");
+    if (delay > kTimeInfinity - now_) {
+      throw_bad_delay("schedule_in", delay, "overflows the clock");
+    }
+    return enqueue(now_ + delay, now_, 0, next_seq_++, std::forward<F>(f));
+  }
+
+  /// Schedules `f` at absolute time `t` (>= now()) with causal
   /// timestamp `sched` (<= t) and tie token `tie`: the event sorts among
   /// same-time peers as if it had been scheduled at `sched`, and among
   /// same-(time, sched) peers by the token before scheduling order.
@@ -95,17 +104,20 @@ class Simulator {
   /// topology-derived token (see net::Node::attach_port), so that
   /// same-picosecond delivery ties resolve by the port, not by when the
   /// serialization started.
+  template <typename F>
   EventId schedule_stamped(TimePs sched, TimePs t, std::uint32_t tie,
-                           Callback cb);
+                           F&& f) {
+    if (t < now_) throw_before_now("schedule_stamped", t);
+    if (sched > t) throw_sched_after_time(sched, t);
+    return enqueue(t, sched, tie, next_seq_++, std::forward<F>(f));
+  }
 
   /// Takes the key schedule_in(delay, ...) would take here, and the same
   /// validation, without pushing an event. The key counts as passed()
   /// once the engine has run past the point it would have run at.
   Reservation reserve_in(TimePs delay) {
     if (delay < 0 || delay > kTimeInfinity - now_) {
-      throw std::invalid_argument("Simulator::reserve_in: delay " +
-                                  format_time(delay) + " from now " +
-                                  format_time(now_) + " is out of range");
+      throw_bad_delay("reserve_in", delay, "is out of range");
     }
     return Reservation{now_ + delay, now_, next_seq_++};
   }
@@ -125,7 +137,12 @@ class Simulator {
   /// an event scheduled when `r` was taken would have run. Throws
   /// std::logic_error if `r` has passed (it could no longer run in key
   /// order) and std::invalid_argument if `r` holds no key.
-  EventId schedule_reserved(const Reservation& r, Callback cb);
+  template <typename F>
+  EventId schedule_reserved(const Reservation& r, F&& f) {
+    if (!r.held()) throw_unheld();
+    if (passed(r)) throw_passed(r);
+    return enqueue(r.time, r.sched, 0, r.seq, std::forward<F>(f));
+  }
 
   /// Marks the running event as a wake-up: a deferred timer whose
   /// heap entry came due only to re-arm itself on its reserved key (see
@@ -193,6 +210,8 @@ class Simulator {
     std::uint64_t seq = 0;  ///< 0 = free; else seq of the event it holds
     Callback cb;
   };
+  static_assert(sizeof(Callback) == 64, "a Callback is one cache line");
+  static_assert(sizeof(Slot) == 80, "a slot is the seq plus a Callback");
 
   void release_slot(std::uint32_t idx) {
     Slot& s = slots_[idx];
@@ -201,11 +220,41 @@ class Simulator {
     free_slots_.push_back(idx);
   }
 
-  /// Stores `cb` in a free slot and pushes its queue entry with key
+  /// Constructs `f` in a free slot and pushes its queue entry with key
   /// (t, sched, tie, seq); the schedule_* entry points validate their
-  /// arguments first.
+  /// arguments first. If constructing `f` throws, the slot goes back on
+  /// the free list and nothing is scheduled.
+  template <typename F>
   EventId enqueue(TimePs t, TimePs sched, std::uint32_t tie,
-                  std::uint64_t seq, Callback cb);
+                  std::uint64_t seq, F&& f) {
+    std::uint32_t slot;
+    if (!free_slots_.empty()) {
+      slot = free_slots_.back();
+      free_slots_.pop_back();
+    } else {
+      slot = static_cast<std::uint32_t>(slots_.size());
+      slots_.emplace_back();
+    }
+    try {
+      slots_[slot].cb.emplace(std::forward<F>(f));
+    } catch (...) {
+      free_slots_.push_back(slot);
+      throw;
+    }
+    slots_[slot].seq = seq;
+    queue_.push(EventEntry{t, sched, seq, slot, tie});
+    ++live_events_;
+    return EventId{seq, slot};
+  }
+
+  // Argument errors, out of line so the inline schedule_* paths stay
+  // small.
+  [[noreturn]] void throw_before_now(const char* op, TimePs t) const;
+  [[noreturn]] void throw_bad_delay(const char* op, TimePs delay,
+                                    const char* what) const;
+  [[noreturn]] static void throw_sched_after_time(TimePs sched, TimePs t);
+  [[noreturn]] static void throw_unheld();
+  [[noreturn]] static void throw_passed(const Reservation& r);
 
   /// Marks every key at or before now() as passed: the state after
   /// run_until() or a drained run(), with no event running.
@@ -268,10 +317,11 @@ class ElidableEvent {
   const Reservation& key() const { return key_; }
   bool passed() const { return sim_.passed(key_); }
 
-  /// Turns the held key into a heap event (see
+  /// Turns the held key into a heap event running `f` (see
   /// Simulator::schedule_reserved) and lets go of it.
-  EventId schedule(Callback cb) {
-    const EventId id = sim_.schedule_reserved(key_, std::move(cb));
+  template <typename F>
+  EventId schedule(F&& f) {
+    const EventId id = sim_.schedule_reserved(key_, std::forward<F>(f));
     key_ = Reservation{};
     return id;
   }

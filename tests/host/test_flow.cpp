@@ -170,5 +170,55 @@ TEST_F(FlowFixture, SubMssFlowCompletes) {
   EXPECT_EQ(completions, 1);
 }
 
+TEST_F(FlowFixture, DataPacketAndItsAckShareOneSlabSlot) {
+  // The receiver turns the data packet's slot into its ACK, so a
+  // one-packet flow never holds more than one slab slot.
+  build(1);
+  net::PacketPool& slab = network.slab();
+  std::size_t peak_live = 0;
+  topo->receiver().set_data_callback(
+      [&](net::FlowId, std::int64_t, sim::TimePs) {
+        peak_live = std::max(peak_live, slab.live());
+      });
+  std::function<void()> probe = [&] {
+    peak_live = std::max(peak_live, slab.live());
+    if (simulator.now() < sim::microseconds(50)) {
+      simulator.schedule_in(sim::nanoseconds(10), probe);
+    }
+  };
+  simulator.schedule_at(0, probe);
+  int completions = 0;
+  start(0, 1, 500, "powertcp", 0,
+        [&completions](const FlowCompletion&) { ++completions; });
+  simulator.run_until(sim::milliseconds(1));
+  EXPECT_EQ(completions, 1);
+  EXPECT_EQ(peak_live, 1u);
+  EXPECT_EQ(slab.capacity(), 1u);
+  EXPECT_EQ(slab.live(), 0u);
+}
+
+TEST_F(FlowFixture, SendWithoutNicFreesItsSlot) {
+  // A host whose NIC was never connected cannot send: the ACK a data
+  // packet turns into and a sender's first data packet both fail with
+  // the NIC error, and neither leaves its slab slot behind.
+  Host* lonely = network.add_node<Host>("lonely");
+  net::PacketPool& slab = network.slab();
+  net::Packet data;
+  data.type = net::PacketType::kData;
+  data.flow = 9;
+  data.payload_bytes = 100;
+  data.message_bytes = 100;
+  EXPECT_THROW(lonely->receive(slab.put(std::move(data)), 0),
+               std::logic_error);
+  EXPECT_EQ(slab.live(), 0u);
+
+  const cc::CcFactory f = cc::make_factory("powertcp");
+  params.host_bw = cfg.host_bw;
+  params.base_rtt = sim::microseconds(10);
+  lonely->start_flow(1, 0, 1000, f(params), params, 0);
+  EXPECT_THROW(simulator.run_until(sim::microseconds(1)), std::logic_error);
+  EXPECT_EQ(slab.live(), 0u);
+}
+
 }  // namespace
 }  // namespace powertcp::host

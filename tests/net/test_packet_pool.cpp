@@ -87,6 +87,27 @@ TEST(PacketPool, AcquireFillsInPlace) {
   EXPECT_EQ(pool.live(), 0u);
 }
 
+TEST(PacketPool, ReissueKeepsContentsAndKillsOldHandle) {
+  PacketPool pool;
+  const PacketPool::Handle old = pool.put(data_pkt(4, 600));
+  const Packet* slot = &pool.get(old);
+  const PacketPool::Handle fresh = pool.reissue(old);
+  EXPECT_EQ(pool.live(), 1u);
+  EXPECT_EQ(fresh.index, old.index);
+  EXPECT_EQ(&pool.get(fresh), slot);  // the packet did not move
+  EXPECT_EQ(pool.get(fresh).flow, 4u);
+  EXPECT_EQ(pool.get(fresh).payload_bytes, 600);
+  // The old handle died as a release would have killed it.
+  EXPECT_THROW(pool.get(old), std::logic_error);
+  EXPECT_THROW(pool.ref(old), std::logic_error);
+  EXPECT_THROW(pool.release(old), std::logic_error);
+  EXPECT_THROW(pool.reissue(old), std::logic_error);
+  EXPECT_EQ(pool.live(), 1u);
+  pool.release(fresh);
+  EXPECT_EQ(pool.live(), 0u);
+  EXPECT_THROW(pool.get(fresh), std::logic_error);
+}
+
 TEST(PacketPool, LendFreesTheSlotAfterTheCall) {
   PacketPool pool;
   const PacketPool::Handle h = pool.put(data_pkt(9, 300));

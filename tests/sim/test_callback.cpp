@@ -48,6 +48,25 @@ TEST(Callback, MoveAssignReleasesPreviousTarget) {
   EXPECT_EQ(hits, 1);
 }
 
+TEST(Callback, EmplaceConstructsInPlaceAndReplacesTheTarget) {
+  auto token = std::make_shared<int>(3);
+  std::weak_ptr<int> alive = token;
+  Callback cb;
+  cb.emplace([token] { (void)*token; });
+  token.reset();
+  EXPECT_FALSE(alive.expired());
+  int hits = 0;
+  cb.emplace([&hits] { ++hits; });
+  EXPECT_TRUE(alive.expired());  // the old closure was destroyed first
+  cb();
+  // A Callback argument is moved in, leaving its source empty.
+  Callback other = [&hits] { hits += 10; };
+  cb.emplace(std::move(other));
+  EXPECT_FALSE(static_cast<bool>(other));  // NOLINT(bugprone-use-after-move)
+  cb();
+  EXPECT_EQ(hits, 11);
+}
+
 TEST(Callback, ResetAndNullptrAssignmentDestroyTarget) {
   auto token = std::make_shared<int>(1);
   std::weak_ptr<int> alive = token;

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace powertcp::sim {
@@ -329,6 +331,28 @@ TEST(Simulator, ScheduleInPastTheClockRangeThrows) {
   EXPECT_TRUE(s.pending());
 }
 
+TEST(Simulator, ScheduleInNegativeDelayThrows) {
+  // A negative delay would queue an event behind now() and run the
+  // clock backwards; it is rejected before anything is queued.
+  Simulator s;
+  s.schedule_at(microseconds(1), [] {});
+  s.run();
+  for (const TimePs delay : {TimePs{-1}, -microseconds(1), -kTimeInfinity}) {
+    try {
+      s.schedule_in(delay, [] {});
+      ADD_FAILURE() << "schedule_in(" << delay << ") did not throw";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("is negative"), std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_FALSE(s.pending());
+  EXPECT_EQ(s.tombstones(), 0u);
+  EXPECT_EQ(s.next_event_time(), kTimeInfinity);
+  s.run();
+  EXPECT_EQ(s.now(), microseconds(1));
+}
+
 TEST(Simulator, ReservedKeyRunsWhereScheduleInWouldHavePutIt) {
   // The reservation takes its seq between A's and B's, so the event
   // scheduled on it later still runs between them.
@@ -477,6 +501,82 @@ TEST(Simulator, StampedAndReservedSchedulingValidateTheirKeys) {
   EXPECT_THROW(s.schedule_reserved(r, [] {}), std::logic_error);
   const Reservation ahead = s.reserve_in(nanoseconds(5));
   EXPECT_NO_THROW(s.schedule_reserved(ahead, [] {}));
+}
+
+/// A capture that counts how often it is copied and moved.
+struct CountedCapture {
+  int* copies;
+  int* moves;
+  CountedCapture(int* c, int* m) : copies(c), moves(m) {}
+  CountedCapture(const CountedCapture& o) : copies(o.copies), moves(o.moves) {
+    ++*copies;
+  }
+  CountedCapture(CountedCapture&& o) noexcept
+      : copies(o.copies), moves(o.moves) {
+    ++*moves;
+  }
+  CountedCapture& operator=(const CountedCapture&) = delete;
+};
+
+TEST(Simulator, ClosureIsBuiltInItsSlotAndMovedAtMostOnce) {
+  // Every entry point copies the closure once, straight into its event
+  // slot; the pop that runs it is the only move on the way.
+  Simulator s;
+  int copies = 0;
+  int moves = 0;
+  int runs = 0;
+  const auto fn = [c = CountedCapture{&copies, &moves}, &runs] {
+    (void)c;
+    ++runs;
+  };
+  ElidableEvent elidable(s);
+  const std::vector<std::pair<const char*, std::function<void()>>> entries = {
+      {"schedule_at", [&] { s.schedule_at(nanoseconds(1), fn); }},
+      {"schedule_in", [&] { s.schedule_in(nanoseconds(1), fn); }},
+      {"schedule_stamped",
+       [&] { s.schedule_stamped(s.now(), s.now() + 1, 3, fn); }},
+      {"schedule_reserved",
+       [&] { s.schedule_reserved(s.reserve_in(nanoseconds(1)), fn); }},
+      {"ElidableEvent::schedule",
+       [&] {
+         elidable.reserve_in(nanoseconds(1));
+         elidable.schedule(fn);
+       }},
+  };
+  for (const auto& [name, schedule] : entries) {
+    copies = moves = runs = 0;
+    schedule();
+    s.run();
+    EXPECT_EQ(runs, 1) << name;
+    EXPECT_EQ(copies, 1) << name;
+    EXPECT_LE(moves, 1) << name;
+  }
+  // A prebuilt Callback is still accepted, and moved into the slot.
+  int hits = 0;
+  Callback prebuilt = [&hits] { ++hits; };
+  s.schedule_in(nanoseconds(1), std::move(prebuilt));
+  s.run();
+  EXPECT_EQ(hits, 1);
+}
+
+TEST(Simulator, ClosureThatThrowsWhileBuiltInItsSlotSchedulesNothing) {
+  struct ThrowsOnCopy {
+    ThrowsOnCopy() = default;
+    ThrowsOnCopy(const ThrowsOnCopy&) { throw std::runtime_error("copy"); }
+    ThrowsOnCopy(ThrowsOnCopy&&) noexcept = default;
+  };
+  Simulator s;
+  const auto fn = [t = ThrowsOnCopy{}] { (void)t; };
+  EXPECT_THROW(s.schedule_in(nanoseconds(1), fn), std::runtime_error);
+  EXPECT_FALSE(s.pending());
+  EXPECT_EQ(s.tombstones(), 0u);
+  // The claimed slot went back on the free list and is reused.
+  EXPECT_EQ(s.free_slot_count(), s.slot_count());
+  int runs = 0;
+  s.schedule_in(nanoseconds(1), [&runs] { ++runs; });
+  s.run();
+  EXPECT_EQ(runs, 1);
+  EXPECT_LE(s.slot_count(), 1u);
 }
 
 TEST(TimeHelpers, UnitConversionsAreExact) {
