@@ -50,6 +50,7 @@ bool Simulator::pop_and_run_next(TimePs limit) {
     release_slot(top.slot);
     --live_events_;
     now_ = top.time;
+    queue_.advance(now_);
     ++executed_;
     cb();
     return true;
@@ -68,6 +69,7 @@ void Simulator::run() {
   for (const ElidableEvent* e : elidable_) {
     if (e->held() && e->key().time > now_) now_ = e->key().time;
   }
+  queue_.advance(now_);
   settle_to_now();
 }
 
@@ -77,6 +79,7 @@ void Simulator::run_until(TimePs t) {
   }
   if (!stopped_ && now_ <= t) {
     now_ = t;
+    queue_.advance(now_);
     settle_to_now();
   }
 }

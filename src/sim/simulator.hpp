@@ -18,9 +18,10 @@
 /// relied on by the regression tests, which compare whole packet traces
 /// across runs.
 ///
-/// Storage is split between a binary heap of small POD entries
-/// (time, sched, tie, seq, slot) and a slot table holding the
-/// callbacks. Callbacks are sim::Callback, which embeds the
+/// Storage is split between a pending set of small POD entries
+/// (time, sched, tie, seq, slot) — a timing wheel for the near future
+/// with a binary heap behind it, see event_queue.hpp — and a slot table
+/// holding the callbacks. Callbacks are sim::Callback, which embeds the
 /// closure in the slot (no per-event heap allocation; oversized captures
 /// fail to compile). The schedule_* entry points take the callable
 /// itself and forward it to its slot, where it is constructed in place:
@@ -264,7 +265,9 @@ class Simulator {
 
   bool pop_and_run_next(TimePs limit);
 
-  BinaryHeapEventQueue queue_;
+  /// The pending set. Its cursor follows now_: every assignment to
+  /// now_ is followed by queue_.advance(now_).
+  TimingWheelEventQueue queue_;
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_slots_;
   TimePs now_ = 0;

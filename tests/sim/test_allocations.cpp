@@ -27,9 +27,14 @@
 namespace {
 
 std::atomic<std::uint64_t> g_allocations{0};
+/// The largest request since the last reset (plain operator new only).
+std::atomic<std::size_t> g_largest{0};
 
 void* counted_alloc(std::size_t n) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (n > g_largest.load(std::memory_order_relaxed)) {
+    g_largest.store(n, std::memory_order_relaxed);
+  }
   if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
   throw std::bad_alloc();
 }
@@ -99,6 +104,19 @@ TEST(Allocations, SchedulingRecycledSlotsIsAllocationFree) {
   }
   EXPECT_EQ(allocations() - before, 0u)
       << "schedule/cancel/fire churn must recycle slots, not allocate";
+}
+
+TEST(Allocations, PendingSetAllocatesItsWheelWhenTheEngineRuns) {
+  // Scheduling before the first run (a simulation's set-up) makes no
+  // request of 1 KiB or more: such a request may pay glibc's fastbin
+  // consolidation. The wheel's 64 KiB of buckets come with the first
+  // pop.
+  sim::Simulator s;
+  g_largest.store(0);
+  for (int i = 0; i < 4; ++i) s.schedule_in(sim::microseconds(i), [] {});
+  EXPECT_LT(g_largest.load(), 1024u);
+  s.run();
+  EXPECT_GE(g_largest.load(), 64u * 1024u);
 }
 
 TEST(Allocations, InlineCallbackNeverAllocates) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <tuple>
 #include <vector>
 
@@ -12,7 +13,23 @@
 namespace powertcp::sim {
 namespace {
 
-std::vector<EventEntry> drain(BinaryHeapEventQueue& q) {
+using Wheel = TimingWheelEventQueue;
+
+/// Starts `q`'s clock at `now`. The heap has no clock; the wheel takes
+/// no key until its first advance().
+template <typename Q>
+void follow(Q& q, TimePs now) {
+  if constexpr (requires { q.advance(now); }) q.advance(now);
+}
+
+/// A queue whose clock has started at 0, so the wheel takes near keys.
+template <typename Q>
+struct Started : Q {
+  Started() { follow<Q>(*this, 0); }
+};
+
+template <typename Q>
+std::vector<EventEntry> drain(Q& q) {
   std::vector<EventEntry> out;
   while (const EventEntry* top = q.peek()) {
     out.push_back(*top);
@@ -21,17 +38,17 @@ std::vector<EventEntry> drain(BinaryHeapEventQueue& q) {
   return out;
 }
 
-/// The pop-order contract spelled out independently of the heap.
-bool earlier(const EventEntry& a, const EventEntry& b) {
+/// The pop-order contract spelled out independently of the queues.
+bool oracle_earlier(const EventEntry& a, const EventEntry& b) {
   return std::tie(a.time, a.sched, a.tie, a.seq) <
          std::tie(b.time, b.sched, b.tie, b.seq);
 }
 
 /// Checks that `q` pops dry in oracle order: `pending` sorted by the
 /// key contract.
-void expect_drains_in_order(BinaryHeapEventQueue& q,
-                            std::vector<EventEntry> pending) {
-  std::sort(pending.begin(), pending.end(), earlier);
+template <typename Q>
+void expect_drains_in_order(Q& q, std::vector<EventEntry> pending) {
+  std::sort(pending.begin(), pending.end(), oracle_earlier);
   const auto order = drain(q);
   ASSERT_EQ(order.size(), pending.size());
   for (std::size_t i = 0; i < order.size(); ++i) {
@@ -42,7 +59,8 @@ void expect_drains_in_order(BinaryHeapEventQueue& q,
 
 /// Removes the oracle minimum from `pending` and returns it.
 EventEntry take_min(std::vector<EventEntry>& pending) {
-  const auto it = std::min_element(pending.begin(), pending.end(), earlier);
+  const auto it =
+      std::min_element(pending.begin(), pending.end(), oracle_earlier);
   const EventEntry e = *it;
   pending.erase(it);
   return e;
@@ -59,8 +77,9 @@ std::vector<EventEntry> seven_entries() {
   return v;
 }
 
-TEST(BinaryHeapEventQueue, PopsInTimeThenSeqOrder) {
-  BinaryHeapEventQueue q;
+template <typename Q>
+void pops_in_time_then_seq_order() {
+  Started<Q> q;
   q.push({nanoseconds(30), 0, 1, 0});
   q.push({nanoseconds(10), 0, 2, 1});
   q.push({nanoseconds(10), 0, 3, 2});
@@ -75,12 +94,20 @@ TEST(BinaryHeapEventQueue, PopsInTimeThenSeqOrder) {
   EXPECT_TRUE(q.empty());
 }
 
-TEST(BinaryHeapEventQueue, CausalTimestampBreaksSameTimeTies) {
+TEST(BinaryHeapEventQueue, PopsInTimeThenSeqOrder) {
+  pops_in_time_then_seq_order<BinaryHeapEventQueue>();
+}
+TEST(TimingWheelEventQueue, PopsInTimeThenSeqOrder) {
+  pops_in_time_then_seq_order<Wheel>();
+}
+
+template <typename Q>
+void causal_timestamp_breaks_same_time_ties() {
   // Same delivery instant, different causal (schedule-time) stamps: the
   // earlier-scheduled event pops first even when its seq is larger —
   // stamped packet deliveries rely on this middle key. Equal stamps
   // fall back to seq (FIFO).
-  BinaryHeapEventQueue q;
+  Started<Q> q;
   q.push({nanoseconds(50), nanoseconds(40), 1, 0});
   q.push({nanoseconds(50), nanoseconds(10), 2, 1});
   q.push({nanoseconds(50), nanoseconds(40), 3, 2});
@@ -93,11 +120,19 @@ TEST(BinaryHeapEventQueue, CausalTimestampBreaksSameTimeTies) {
   EXPECT_EQ(order[3].seq, 3u);
 }
 
-TEST(BinaryHeapEventQueue, TieTokenOrdersBetweenSchedAndSeq) {
+TEST(BinaryHeapEventQueue, CausalTimestampBreaksSameTimeTies) {
+  causal_timestamp_breaks_same_time_ties<BinaryHeapEventQueue>();
+}
+TEST(TimingWheelEventQueue, CausalTimestampBreaksSameTimeTies) {
+  causal_timestamp_breaks_same_time_ties<Wheel>();
+}
+
+template <typename Q>
+void tie_token_orders_between_sched_and_seq() {
   // Equal (time, sched): the tie token decides before seq, so a
   // delivery's port token beats scheduling chronology. A smaller
   // sched still wins over any token.
-  BinaryHeapEventQueue q;
+  Started<Q> q;
   q.push({nanoseconds(50), nanoseconds(40), 1, 0, /*tie=*/7});
   q.push({nanoseconds(50), nanoseconds(40), 2, 1, /*tie=*/3});
   q.push({nanoseconds(50), nanoseconds(40), 3, 2, /*tie=*/0});
@@ -112,8 +147,16 @@ TEST(BinaryHeapEventQueue, TieTokenOrdersBetweenSchedAndSeq) {
   EXPECT_EQ(order[4].seq, 1u);  // token 7, despite the lowest seq
 }
 
-TEST(BinaryHeapEventQueue, AllEventsAtOneInstant) {
-  BinaryHeapEventQueue q;
+TEST(BinaryHeapEventQueue, TieTokenOrdersBetweenSchedAndSeq) {
+  tie_token_orders_between_sched_and_seq<BinaryHeapEventQueue>();
+}
+TEST(TimingWheelEventQueue, TieTokenOrdersBetweenSchedAndSeq) {
+  tie_token_orders_between_sched_and_seq<Wheel>();
+}
+
+template <typename Q>
+void all_events_at_one_instant() {
+  Started<Q> q;
   for (std::uint64_t i = 0; i < 1000; ++i) {
     q.push({microseconds(5), 0, i + 1, static_cast<std::uint32_t>(i)});
   }
@@ -126,23 +169,45 @@ TEST(BinaryHeapEventQueue, AllEventsAtOneInstant) {
   EXPECT_EQ(q.size(), 0u);
 }
 
-TEST(BinaryHeapEventQueue, MatchesSortedOrderOnRandomizedWorkload) {
-  // Dense bursts, sparse gaps, heavy same-time ties, random tie tokens
-  // and interleaved pops: every pop must be the minimum of the pending
-  // set by the (time, sched, tie, seq) contract.
-  BinaryHeapEventQueue heap;
+TEST(BinaryHeapEventQueue, AllEventsAtOneInstant) {
+  all_events_at_one_instant<BinaryHeapEventQueue>();
+}
+TEST(TimingWheelEventQueue, AllEventsAtOneInstant) {
+  all_events_at_one_instant<Wheel>();
+}
+
+/// Dense bursts, sparse gaps, heavy same-time ties, random tie tokens
+/// and interleaved pops: every pop must be the minimum of the pending
+/// set by the (time, sched, tie, seq) contract. `sparse` is the range
+/// of the rare far delays; the queue's clock follows each pop.
+template <typename Q>
+void matches_sorted_order_on_randomized_workload(std::uint64_t seed,
+                                                 double sparse) {
+  Started<Q> q;
   std::vector<EventEntry> pending;
-  Rng rng(0xC0FFEEull);
+  Rng rng(seed);
   TimePs clock = 0;
   std::uint64_t seq = 1;
-  const auto pop_and_check = [&] {
-    const EventEntry* top = heap.peek();
-    ASSERT_NE(top, nullptr);
-    const auto want = std::min_element(pending.begin(), pending.end(), earlier);
-    ASSERT_EQ(top->seq, want->seq);
+  // Reports a wrong pop as a failure instead of asserting inside the
+  // lambda, which would return from the lambda alone and leave the
+  // caller's loop spinning on an oracle that never shrinks.
+  const auto pop_and_check = [&]() -> testing::AssertionResult {
+    const EventEntry* top = q.peek();
+    if (top == nullptr) {
+      return testing::AssertionFailure()
+             << "empty with " << pending.size() << " pending";
+    }
+    const auto want =
+        std::min_element(pending.begin(), pending.end(), oracle_earlier);
+    if (top->seq != want->seq) {
+      return testing::AssertionFailure()
+             << "popped seq " << top->seq << ", oracle " << want->seq;
+    }
     clock = top->time;  // future pushes never go below the pop floor
     pending.erase(want);
-    heap.pop();
+    q.pop();
+    follow(q, clock);
+    return testing::AssertionSuccess();
   };
   for (int round = 0; round < 200; ++round) {
     const int pushes = 1 + static_cast<int>(rng.uniform() * 40);
@@ -154,26 +219,47 @@ TEST(BinaryHeapEventQueue, MatchesSortedOrderOnRandomizedWorkload) {
       } else if (r < 0.9) {
         delta = static_cast<TimePs>(rng.uniform() * 1e6);  // dense ~us
       } else {
-        delta = static_cast<TimePs>(rng.uniform() * 1e11);  // sparse ~100ms
+        delta = static_cast<TimePs>(rng.uniform() * sparse);
       }
       const auto tie = static_cast<std::uint32_t>(rng.uniform() * 4);
       const EventEntry e{clock + delta, clock, seq,
                          static_cast<std::uint32_t>(seq), tie};
       ++seq;
-      heap.push(e);
+      q.push(e);
       pending.push_back(e);
     }
     const int pops = static_cast<int>(rng.uniform() * pushes * 1.2);
-    for (int i = 0; i < pops && !pending.empty(); ++i) pop_and_check();
-    ASSERT_EQ(heap.size(), pending.size());
+    for (int i = 0; i < pops && !pending.empty(); ++i) {
+      ASSERT_TRUE(pop_and_check()) << "round " << round;
+    }
+    ASSERT_EQ(q.size(), pending.size());
   }
-  while (!pending.empty()) pop_and_check();
-  EXPECT_TRUE(heap.empty());
+  while (!pending.empty()) ASSERT_TRUE(pop_and_check());
+  EXPECT_TRUE(q.empty());
 }
 
-TEST(BinaryHeapEventQueue, PushAfterPopFillsTheVacatedRoot) {
-  // pop() leaves the root vacated and the next push() fills it with one
-  // sift-down. The new entry may sort before everything, after
+TEST(BinaryHeapEventQueue, MatchesSortedOrderOnRandomizedWorkload) {
+  // Sparse gaps of up to ~100 ms.
+  matches_sorted_order_on_randomized_workload<BinaryHeapEventQueue>(
+      0xC0FFEEull, 1e11);
+}
+TEST(TimingWheelEventQueue, MatchesSortedOrderOnRandomizedWorkload) {
+  matches_sorted_order_on_randomized_workload<Wheel>(0xC0FFEEull, 1e11);
+}
+TEST(TimingWheelEventQueue, MatchesSortedOrderWithGapsNearTheHorizon) {
+  // Sparse gaps of up to two horizons: keys land on both sides of the
+  // wheel's reach, and overflow keys come within it as the clock moves.
+  for (const std::uint64_t seed : {1ull, 2ull, 3ull}) {
+    SCOPED_TRACE(testing::Message() << "seed " << seed);
+    matches_sorted_order_on_randomized_workload<Wheel>(
+        seed, 2.0 * static_cast<double>(Wheel::kHorizonPs));
+  }
+}
+
+template <typename Q>
+void push_after_pop_fills_the_vacated_root() {
+  // pop() leaves the heap's root vacated and the next push() fills it
+  // with one sift-down. The new entry may sort before everything, after
   // everything, or tie an entry on (time, sched) and be ordered by its
   // token alone (entry 3 sits at 30 ns with token 5).
   const EventEntry cases[] = {
@@ -187,7 +273,7 @@ TEST(BinaryHeapEventQueue, PushAfterPopFillsTheVacatedRoot) {
   for (const EventEntry& fresh : cases) {
     SCOPED_TRACE(testing::Message() << "time " << fresh.time << " tie "
                                     << fresh.tie << " seq " << fresh.seq);
-    BinaryHeapEventQueue q;
+    Started<Q> q;
     std::vector<EventEntry> pending = seven_entries();
     for (const EventEntry& e : pending) q.push(e);
     ASSERT_EQ(q.peek()->seq, take_min(pending).seq);
@@ -199,8 +285,16 @@ TEST(BinaryHeapEventQueue, PushAfterPopFillsTheVacatedRoot) {
   }
 }
 
-TEST(BinaryHeapEventQueue, PopAfterPopAndPeekBeforePush) {
-  BinaryHeapEventQueue q;
+TEST(BinaryHeapEventQueue, PushAfterPopFillsTheVacatedRoot) {
+  push_after_pop_fills_the_vacated_root<BinaryHeapEventQueue>();
+}
+TEST(TimingWheelEventQueue, PushAfterPopKeepsTheOrder) {
+  push_after_pop_fills_the_vacated_root<Wheel>();
+}
+
+template <typename Q>
+void pop_after_pop_and_peek_before_push() {
+  Started<Q> q;
   std::vector<EventEntry> pending = seven_entries();
   for (const EventEntry& e : pending) q.push(e);
 
@@ -225,8 +319,16 @@ TEST(BinaryHeapEventQueue, PopAfterPopAndPeekBeforePush) {
   expect_drains_in_order(q, pending);
 }
 
-TEST(BinaryHeapEventQueue, SizeAndEmptyExcludeTheVacatedRoot) {
-  BinaryHeapEventQueue q;
+TEST(BinaryHeapEventQueue, PopAfterPopAndPeekBeforePush) {
+  pop_after_pop_and_peek_before_push<BinaryHeapEventQueue>();
+}
+TEST(TimingWheelEventQueue, PopAfterPopAndPeekBeforePush) {
+  pop_after_pop_and_peek_before_push<Wheel>();
+}
+
+template <typename Q>
+void size_and_empty_exclude_the_vacated_root() {
+  Started<Q> q;
   q.push({nanoseconds(1), 0, 1, 0});
   q.pop();
   EXPECT_EQ(q.size(), 0u);
@@ -253,13 +355,23 @@ TEST(BinaryHeapEventQueue, SizeAndEmptyExcludeTheVacatedRoot) {
   EXPECT_EQ(q.peek(), nullptr);
 }
 
-TEST(BinaryHeapEventQueue, MatchesSortedOrderInTheEnginePattern) {
-  // The engine's own pattern, differential against the oracle: pop the
-  // minimum, then push 0-3 entries at or after the popped time, as a
-  // callback scheduling its successors does. Delays mix same-instant
-  // ties, two fixed hop delays and random gaps; the pending set swings
-  // between a few dozen and a few hundred entries.
-  BinaryHeapEventQueue heap;
+TEST(BinaryHeapEventQueue, SizeAndEmptyExcludeTheVacatedRoot) {
+  size_and_empty_exclude_the_vacated_root<BinaryHeapEventQueue>();
+}
+TEST(TimingWheelEventQueue, SizeAndEmptyCountBothSides) {
+  size_and_empty_exclude_the_vacated_root<Wheel>();
+}
+
+/// The engine's own pattern, differential against the oracle: pop the
+/// minimum, move the clock to it, then push 0-3 entries at or after the
+/// popped time, as a callback scheduling its successors does. Delays
+/// mix same-instant ties, two fixed hop delays and random gaps of up
+/// to `gap`; the pending set swings between a few dozen and a few
+/// hundred entries.
+template <typename Q>
+void matches_sorted_order_in_the_engine_pattern(TimePs gap,
+                                                std::uint64_t ops_total) {
+  Started<Q> q;
   std::vector<EventEntry> pending;
   Rng rng(0x5EEDull);
   std::uint64_t seq = 1;
@@ -268,21 +380,22 @@ TEST(BinaryHeapEventQueue, MatchesSortedOrderInTheEnginePattern) {
     const EventEntry e{now + delta, now, seq,
                        static_cast<std::uint32_t>(seq), tie};
     ++seq;
-    heap.push(e);
+    q.push(e);
     pending.push_back(e);
   };
   for (int i = 0; i < 50; ++i) {
     push(0, static_cast<TimePs>(rng.uniform() * 1e6));
   }
   std::uint64_t ops = 0;
-  while (ops < 120'000) {
-    const EventEntry* top = heap.peek();
+  while (ops < ops_total) {
+    const EventEntry* top = q.peek();
     ASSERT_NE(top, nullptr);
     const EventEntry want = take_min(pending);
     ASSERT_EQ(top->seq, want.seq) << "op " << ops;
-    heap.pop();
+    q.pop();
+    follow(q, want.time);
     ++ops;
-    ASSERT_EQ(heap.size(), pending.size());
+    ASSERT_EQ(q.size(), pending.size());
     int pushes = static_cast<int>(rng.uniform() * 4);
     if (pending.size() > 400) pushes = std::min(pushes, 1);
     if (pending.size() < 30) pushes = std::max(pushes, 1);
@@ -296,13 +409,203 @@ TEST(BinaryHeapEventQueue, MatchesSortedOrderInTheEnginePattern) {
       } else if (r < 0.9) {
         delta = microseconds(1);  // a propagation delay
       } else {
-        delta = static_cast<TimePs>(rng.uniform() * 1e8);
+        delta = static_cast<TimePs>(rng.uniform() * static_cast<double>(gap));
       }
       push(want.time, delta);
     }
   }
-  ASSERT_EQ(heap.size(), pending.size());
-  expect_drains_in_order(heap, pending);
+  ASSERT_EQ(q.size(), pending.size());
+  expect_drains_in_order(q, pending);
+}
+
+TEST(BinaryHeapEventQueue, MatchesSortedOrderInTheEnginePattern) {
+  matches_sorted_order_in_the_engine_pattern<BinaryHeapEventQueue>(
+      microseconds(100), 120'000);
+}
+TEST(TimingWheelEventQueue, MatchesSortedOrderInTheEnginePattern) {
+  matches_sorted_order_in_the_engine_pattern<Wheel>(microseconds(100),
+                                                    120'000);
+}
+
+TEST(TimingWheelEventQueue, InterleavesNearAndOverflowKeys) {
+  // Keys on both sides of the horizon, pushed in alternation and
+  // around its edge; then the clock moves so that the overflow's keys
+  // come within reach and new near keys land before, between and after
+  // them. Every pop takes the minimum of the wheel and the heap.
+  Wheel q;
+  q.advance(0);
+  const TimePs h = Wheel::kHorizonPs;
+  std::vector<EventEntry> pending;
+  std::uint64_t seq = 1;
+  const auto push = [&](TimePs t, TimePs sched, std::uint32_t tie = 0) {
+    const EventEntry e{t, sched, seq, static_cast<std::uint32_t>(seq), tie};
+    ++seq;
+    q.push(e);
+    pending.push_back(e);
+  };
+  for (TimePs d : {h - 1, h, h + 1, h - Wheel::kBucketPs, h + 7, TimePs{3}}) {
+    push(d, 0);
+    push(3 * h - d, 0);
+  }
+  push(h, 0, 2);      // the time of a heap key, a later token
+  push(h - 1, 0, 1);  // the time of a wheel key, a later token
+  // Pop in order with the clock following; each pop pushes a successor
+  // just after the popped key and one a horizon out.
+  while (pending.size() > 6) {
+    const EventEntry want = take_min(pending);
+    const EventEntry* top = q.peek();
+    ASSERT_NE(top, nullptr);
+    ASSERT_EQ(top->seq, want.seq);
+    q.pop();
+    q.advance(want.time);
+    if (seq < 200) {
+      push(want.time + 1, want.time);
+      push(want.time + h - 1, want.time, 3);
+    }
+  }
+  expect_drains_in_order(q, pending);
+}
+
+TEST(TimingWheelEventQueue, WrapsAroundAcrossManyHorizons) {
+  // The clock runs across 200 horizons (3.4 ms) while every key lies
+  // up to 1.5 horizons ahead: each slot is reused for many buckets, and
+  // keys move between the wheel and the heap as the clock passes them.
+  Wheel q;
+  q.advance(0);
+  Rng rng(0xBEEFull);
+  std::vector<EventEntry> pending;
+  std::uint64_t seq = 1;
+  TimePs clock = 0;
+  const auto push = [&](TimePs delta) {
+    const EventEntry e{clock + delta, clock, seq,
+                       static_cast<std::uint32_t>(seq),
+                       static_cast<std::uint32_t>(rng.uniform() * 2)};
+    ++seq;
+    q.push(e);
+    pending.push_back(e);
+  };
+  const double reach = 1.5 * static_cast<double>(Wheel::kHorizonPs);
+  for (int i = 0; i < 64; ++i) push(static_cast<TimePs>(rng.uniform() * reach));
+  while (clock < 200 * Wheel::kHorizonPs) {
+    const EventEntry want = take_min(pending);
+    const EventEntry* top = q.peek();
+    ASSERT_NE(top, nullptr);
+    ASSERT_EQ(top->seq, want.seq) << "at " << clock;
+    q.pop();
+    clock = want.time;
+    q.advance(clock);
+    const int pushes = pending.size() < 64 ? 2 : 1;
+    for (int i = 0; i < pushes; ++i) {
+      push(static_cast<TimePs>(rng.uniform() * reach));
+    }
+  }
+  expect_drains_in_order(q, pending);
+}
+
+TEST(TimingWheelEventQueue, OutOfOrderPushesIntoOneBucket) {
+  // Every key lies in one 2.048 ns bucket; pushes arrive in an order
+  // that inserts at the head, the tail and in between, on each part of
+  // the key.
+  Wheel q;
+  q.advance(0);
+  const TimePs base = 10 * Wheel::kBucketPs;
+  std::vector<EventEntry> pushes;
+  const auto push = [&](const EventEntry& e) {
+    q.push(e);
+    pushes.push_back(e);
+  };
+  push({base + 500, base, 10, 1, 0});      // first
+  push({base + 900, base, 11, 2, 0});      // tail
+  push({base + 100, base, 12, 3, 0});      // new head
+  push({base + 500, base, 9, 4, 0});       // before seq 10 at the same key
+  push({base + 500, base, 13, 5, 0});      // after seq 10
+  push({base + 500, base - 1, 14, 6, 0});  // earlier sched: before both
+  push({base + 500, base, 15, 7, 1});      // larger token: after seq 13
+  push({base + 2047, base, 16, 8, 0});     // the last picosecond
+  push({base, base, 17, 9, 0});            // the first picosecond
+  push({base + 900, base, 8, 10, 0});      // before seq 11
+  EXPECT_EQ(q.size(), pushes.size());
+  expect_drains_in_order(q, pushes);
+}
+
+TEST(TimingWheelEventQueue, SameTimeBurstPopsInSeqOrderQuickly) {
+  // 100k events at one instant: each push appends at its bucket's tail
+  // in O(1). A push that walked its bucket would make this quadratic
+  // (5e9 steps), far past the bound.
+  const auto start = std::chrono::steady_clock::now();
+  Wheel q;
+  q.advance(microseconds(3));
+  constexpr std::uint64_t kCount = 100'000;
+  for (std::uint64_t i = 1; i <= kCount; ++i) {
+    q.push({microseconds(4), microseconds(3), i,
+            static_cast<std::uint32_t>(i)});
+  }
+  std::uint64_t want = 1;
+  while (const EventEntry* top = q.peek()) {
+    ASSERT_EQ(top->seq, want);
+    q.pop();
+    ++want;
+  }
+  EXPECT_EQ(want, kCount + 1);
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(5));
+}
+
+TEST(TimingWheelEventQueue, PushAfterAPeekThatDidNotPop) {
+  // A peek that is not followed by its pop must not pin the entry, or
+  // the side (wheel or heap) the next pop removes from: a push in
+  // between may sort first.
+  Wheel q;
+  q.advance(0);
+  const TimePs h = Wheel::kHorizonPs;
+  std::vector<EventEntry> pending;
+  const auto push = [&](const EventEntry& e) {
+    q.push(e);
+    pending.push_back(e);
+  };
+  const auto pop_expecting = [&](std::uint64_t seq) {
+    q.pop();
+    EXPECT_EQ(take_min(pending).seq, seq);
+  };
+  push({2 * h, 0, 1, 1});  // past the horizon: the heap
+  q.advance(h + 10);
+  ASSERT_EQ(q.peek()->seq, 1u);
+  push({h + 500, h + 10, 2, 2});  // the wheel, before the heap's top
+  pop_expecting(2);
+  push({h + 500, h + 10, 3, 3});
+  ASSERT_EQ(q.peek()->seq, 3u);
+  push({h + 100, h + 10, 4, 4});  // the wheel, a new first bucket
+  pop_expecting(4);
+  ASSERT_EQ(q.peek()->seq, 3u);
+  push({h + 500, h + 10, 5, 5});  // same bucket, later: stays behind
+  ASSERT_EQ(q.peek()->seq, 3u);
+  push({h + 500, h + 10, 0, 6});  // same key but seq: new bucket head
+  pop_expecting(0);
+  ASSERT_EQ(q.peek()->seq, 3u);
+  expect_drains_in_order(q, pending);
+}
+
+TEST(TimingWheelEventQueue, TimesNearTheEndOfTheClock) {
+  // Keys up to kTimeInfinity, with the clock at 0 (all overflow) and
+  // then within a horizon of the end (all wheel): no bucket arithmetic
+  // may overflow, and the order holds at the clock's last picosecond.
+  const TimePs end = kTimeInfinity;
+  const TimePs h = Wheel::kHorizonPs;
+  for (const TimePs clock : {TimePs{0}, end - h / 2, end - 1}) {
+    SCOPED_TRACE(testing::Message() << "clock " << clock);
+    Wheel q;
+    q.advance(clock);
+    std::vector<EventEntry> pending;
+    std::uint64_t seq = 1;
+    for (const TimePs t : {end, end - 1, end, clock, end - h / 4, end - 1}) {
+      if (t < clock) continue;
+      const EventEntry e{t, clock, seq, static_cast<std::uint32_t>(seq), 0};
+      ++seq;
+      q.push(e);
+      pending.push_back(e);
+    }
+    EXPECT_EQ(q.size(), pending.size());
+    expect_drains_in_order(q, pending);
+  }
 }
 
 TEST(Simulator, FarFutureTombstoneDoesNotReorderLaterEvents) {
@@ -320,6 +623,29 @@ TEST(Simulator, FarFutureTombstoneDoesNotReorderLaterEvents) {
   ASSERT_EQ(fired.size(), 2u);
   EXPECT_EQ(fired[0], microseconds(1'000'018));
   EXPECT_EQ(fired[1], microseconds(1'000'033));
+}
+
+
+TEST(Simulator, NextEventTimeTombstoneDoesNotMoveTheClock) {
+  // next_event_time() discards a cancelled event's tombstone that lies
+  // well past now. The wheel's cursor stays with the clock, so events
+  // scheduled afterwards before the tombstone's time, near and past the
+  // wheel's reach, still run in time order.
+  Simulator s;
+  s.run_until(microseconds(1));  // the engine has run: the wheel is live
+  const EventId later = s.schedule_at(microseconds(15), [] { FAIL(); });
+  s.cancel(later);
+  EXPECT_EQ(s.next_event_time(), kTimeInfinity);
+  EXPECT_EQ(s.tombstones(), 0u);
+  std::vector<TimePs> fired;
+  const auto record = [&] { fired.push_back(s.now()); };
+  for (const std::int64_t us : {40, 14, 2, 15, 1}) {
+    s.schedule_at(microseconds(us), record);
+  }
+  s.run();
+  EXPECT_EQ(fired, (std::vector<TimePs>{microseconds(1), microseconds(2),
+                                        microseconds(14), microseconds(15),
+                                        microseconds(40)}));
 }
 
 }  // namespace
