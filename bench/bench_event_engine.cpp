@@ -2,7 +2,7 @@
 /// that paper-scale (--full) runs are bound by. Four workloads
 /// (schedule+fire churn, a replay of the per-hop pop-one-schedule-one
 /// pattern, schedule+cancel churn, and an end-to-end dumbbell packet
-/// run) on the binary-heap pending set.
+/// run) on the Simulator's pending set.
 ///
 /// This bench is the calibrated perf gate: CI compares its JSON against
 /// bench/baselines/perf.json via scripts/check_perf_baseline.py. The
@@ -215,15 +215,17 @@ int main(int argc, char** argv) {
   }
   if (!opts.ok) return 2;
 
+  // The packet horizon runs about `scale` events (~24k per ms), so
+  // every row is long enough to time; both flows finish at ~640 ms.
   std::uint64_t scale = 2'000'000;
-  sim::TimePs horizon = sim::milliseconds(8);
+  sim::TimePs horizon = sim::milliseconds(80);
   if (opts.fast) {
     scale = 200'000;
-    horizon = sim::milliseconds(1);
+    horizon = sim::milliseconds(8);
   }
   if (opts.full) {
     scale = 20'000'000;
-    horizon = sim::milliseconds(60);
+    horizon = sim::milliseconds(600);
   }
 
   std::printf("event-engine microbenchmark (%llu timer events, %s packet "

@@ -70,6 +70,29 @@ BenchOptions BenchOptions::parse(int argc, char** argv) {
   return o;
 }
 
+std::string text_block(const ResultTable& table, bool first) {
+  return (first ? "" : "\n") + table.render_text();
+}
+
+std::string csv_document(const std::vector<ResultTable>& tables,
+                         bool header) {
+  std::string csv = header ? ResultTable::csv_header() : "";
+  for (const auto& t : tables) t.append_csv(csv);
+  return csv;
+}
+
+std::string json_document(const std::string& bench_name,
+                          const std::vector<ResultTable>& tables) {
+  std::string json = "{\n  \"bench\": \"" + bench_name + "\",\n";
+  json += "  \"tables\": [\n";
+  for (std::size_t i = 0; i < tables.size(); ++i) {
+    tables[i].append_json(json, 4);
+    json += i + 1 < tables.size() ? ",\n" : "\n";
+  }
+  json += "  ]\n}\n";
+  return json;
+}
+
 BenchReporter::BenchReporter(std::string bench_name, const BenchOptions& opts)
     : bench_name_(std::move(bench_name)),
       opts_(opts),
@@ -82,8 +105,7 @@ void BenchReporter::add(ResultTable table) {
                                   "' is already taken by an earlier table");
     }
   }
-  if (!tables_.empty()) std::printf("\n");
-  std::fputs(table.render_text().c_str(), stdout);
+  std::fputs(text_block(table, tables_.empty()).c_str(), stdout);
   std::fflush(stdout);
   tables_.push_back(std::move(table));
 }
@@ -111,24 +133,13 @@ int BenchReporter::finish() {
       fresh = std::fgetc(probe) == EOF;
       std::fclose(probe);
     }
-    std::string csv = fresh ? ResultTable::csv_header() : "";
-    for (const auto& t : tables_) t.append_csv(csv);
-    write_file(opts_.csv_path, csv, "a");
+    write_file(opts_.csv_path, csv_document(tables_, fresh), "a");
     if (rc == 0) {
       std::fprintf(stderr, "appended CSV: %s\n", opts_.csv_path.c_str());
     }
   }
   if (!opts_.json_path.empty()) {
-    // No run metadata beyond the bench name: the document must be
-    // byte-identical for every --threads value.
-    std::string json = "{\n  \"bench\": \"" + bench_name_ + "\",\n";
-    json += "  \"tables\": [\n";
-    for (std::size_t i = 0; i < tables_.size(); ++i) {
-      tables_[i].append_json(json, 4);
-      json += i + 1 < tables_.size() ? ",\n" : "\n";
-    }
-    json += "  ]\n}\n";
-    write_file(opts_.json_path, json, "w");
+    write_file(opts_.json_path, json_document(bench_name_, tables_), "w");
     if (rc == 0) {
       std::fprintf(stderr, "wrote JSON: %s\n", opts_.json_path.c_str());
     }

@@ -45,6 +45,17 @@ struct BenchOptions {
   static std::string usage(const std::string& bench_name);
 };
 
+/// One table as BenchReporter::add prints it: after a blank line
+/// unless `first`.
+std::string text_block(const ResultTable& table, bool first);
+/// The long-format CSV rows of `tables`, after the header with `header`.
+std::string csv_document(const std::vector<ResultTable>& tables,
+                         bool header);
+/// The --json document: the bench name, then every table. No other
+/// run metadata, so it is byte-identical for every --threads value.
+std::string json_document(const std::string& bench_name,
+                          const std::vector<ResultTable>& tables);
+
 /// Collects ResultTables from one bench run: prints each table as text
 /// on add(), and on finish() writes the CSV/JSON files requested on the
 /// command line.

@@ -33,10 +33,11 @@ workload::FlowSizeDistribution scaled_websearch(double scale) {
 
 }  // namespace
 
-ExperimentResult run_fat_tree_experiment(const FatTreeExperiment& cfg) {
+ExperimentResult run_fat_tree_experiment(const FatTreeExperiment& cfg,
+                                         const SchemeRun& scheme_run) {
   // The registry entry carries everything scheme-specific; no scheme
   // is special-cased by name.
-  const cc::Scheme& scheme = cc::Registry::instance().at(cfg.cc);
+  const cc::Scheme& scheme = cc::Registry::instance().at(scheme_run.scheme);
   FatTreePoint point(cfg.topo, scheme.needs, cfg.expected_flows);
   topo::FatTree& fabric = point.fabric;
 
@@ -78,7 +79,7 @@ ExperimentResult run_fat_tree_experiment(const FatTreeExperiment& cfg) {
   };
 
   // ---- flow setup: plan ids are sequential from 1 ----
-  SchemeRun run{"", cfg.cc, cfg.cc_params};
+  SchemeRun run = scheme_run;
   if (scheme.experiment_defaults) {
     scheme.experiment_defaults(point.params, run.params);
   }

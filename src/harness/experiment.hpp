@@ -1,9 +1,8 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 
-#include "cc/params.hpp"
+#include "harness/scenarios.hpp"
 #include "harness/telemetry.hpp"
 #include "sim/time.hpp"
 #include "stats/fct_recorder.hpp"
@@ -14,22 +13,14 @@
 /// The paper's workhorse experiment (§4.1): a fat-tree carrying the web
 /// search workload at a target ToR-uplink load, optionally overlaid
 /// with the synthetic incast/query workload, under a chosen congestion
-/// control scheme. Returns per-flow FCT slowdowns and fabric buffer
+/// control scheme (a SchemeRun, as every scenario of scenarios.hpp
+/// takes). Returns per-flow FCT slowdowns and fabric buffer
 /// occupancy samples — the raw material of Figs. 6 and 7.
 
 namespace powertcp::harness {
 
 struct FatTreeExperiment {
   topo::FatTreeConfig topo = topo::FatTreeConfig::quick();
-  /// Any cc::Registry scheme runnable on a fat-tree — the window/rate
-  /// algorithms or "homa" (whose registry entry switches the fabric to
-  /// its priority bands and runs flows through the message transport).
-  std::string cc = "powertcp";
-  /// `key=value` overrides for the scheme's declared tunables
-  /// (config-file `[cc.<scheme>]` sections end up here). Keys the map
-  /// does not pin fall back to the scheme's experiment defaults (e.g.
-  /// PowerTCP's HPCC-matched beta), then to its paper defaults.
-  cc::ParamMap cc_params;
   double uplink_load = 0.6;  ///< websearch load on the ToR uplinks
   sim::TimePs duration = sim::milliseconds(20);
   std::uint64_t seed = 1;
@@ -80,6 +71,10 @@ struct ExperimentResult {
 
 /// Builds the fabric, generates the workload, runs to completion of the
 /// time horizon, and collects results. Deterministic in `cfg.seed`.
-ExperimentResult run_fat_tree_experiment(const FatTreeExperiment& cfg);
+/// Param keys `scheme` does not pin fall back to the scheme's
+/// experiment defaults (e.g. PowerTCP's HPCC-matched beta), then to
+/// its paper defaults.
+ExperimentResult run_fat_tree_experiment(const FatTreeExperiment& cfg,
+                                         const SchemeRun& scheme);
 
 }  // namespace powertcp::harness

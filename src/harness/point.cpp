@@ -1,6 +1,7 @@
 #include "harness/point.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 #include <utility>
 
 #include "host/homa.hpp"
@@ -14,6 +15,13 @@ template <typename TopoConfig>
 TopoConfig with_needs(TopoConfig topo, const cc::TopologyNeeds& needs) {
   topo.ecn = needs.ecn;
   topo.priority_bands = needs.priority_bands;
+  return topo;
+}
+
+const topo::RdcnConfig& servable(const topo::RdcnConfig& topo,
+                                 const cc::TopologyNeeds& needs) {
+  const std::string why = RdcnPoint::unmet(needs);
+  if (!why.empty()) throw std::invalid_argument("RdcnPoint: a scheme " + why);
   return topo;
 }
 
@@ -49,7 +57,7 @@ void Point::start(const std::vector<SchemeRun>& runs,
   factories.reserve(runs.size());
   for (const SchemeRun& run : runs) {
     factories.push_back(
-        registry.at(run.scheme).make(run.params, cc::SchemeTopology{}));
+        registry.at(run.scheme).make(run.params, scheme_topology_));
   }
   for (const FlowStart& f : flows) {
     const Endpoint& src = hosts_[static_cast<std::size_t>(f.src)];
@@ -75,14 +83,21 @@ std::optional<FlightTap> Point::tap(const TelemetryConfig& telemetry,
   host::Host* h = messages_ || flow_host < 0
                       ? nullptr
                       : hosts_[static_cast<std::size_t>(flow_host)].host;
-  return std::optional<FlightTap>(std::in_place, telemetry, *monitor_sim_,
-                                  port, h, flow, params.base_rtt, until);
+  return std::optional<FlightTap>(std::in_place, telemetry, sim, port, h,
+                                  flow, params.base_rtt, until);
+}
+
+std::optional<FlightTap> Point::tap_sender_flow(
+    const TelemetryConfig& telemetry, net::EgressPort& port, int senders,
+    sim::TimePs until) {
+  const auto idx =
+      static_cast<int>(std::min<std::int64_t>(telemetry.flow, senders));
+  return tap(telemetry, port, idx - 1, idx, until);
 }
 
 FatTreePoint::FatTreePoint(const topo::FatTreeConfig& topo,
                            const cc::TopologyNeeds& needs, int expected_flows)
-    : network(sim), fabric(network, with_needs(topo, needs)) {
-  monitor_sim_ = &sim;
+    : fabric(network, with_needs(topo, needs)) {
   for (int h = 0; h < fabric.host_count(); ++h) {
     hosts_.push_back({&fabric.host(h), fabric.tor_of_host(h)});
   }
@@ -94,8 +109,7 @@ FatTreePoint::FatTreePoint(const topo::FatTreeConfig& topo,
 DumbbellPoint::DumbbellPoint(const topo::DumbbellConfig& topo,
                              const cc::TopologyNeeds& needs,
                              int expected_flows)
-    : network(sim), fabric(network, with_needs(topo, needs)) {
-  monitor_sim_ = &sim;
+    : fabric(network, with_needs(topo, needs)) {
   for (int i = 0; i < topo.n_senders; ++i) {
     hosts_.push_back({&fabric.sender(i), -1});
   }
@@ -105,11 +119,27 @@ DumbbellPoint::DumbbellPoint(const topo::DumbbellConfig& topo,
   params.expected_flows = expected_flows;
 }
 
-std::optional<FlightTap> DumbbellPoint::tap_bottleneck(
-    const TelemetryConfig& telemetry, sim::TimePs until) {
-  const auto idx = static_cast<int>(
-      std::min<std::int64_t>(telemetry.flow, receiver()));
-  return tap(telemetry, fabric.bottleneck_port(), idx - 1, idx, until);
+RdcnPoint::RdcnPoint(const topo::RdcnConfig& topo,
+                     const cc::TopologyNeeds& needs, int expected_flows)
+    : fabric(network, servable(topo, needs)) {
+  for (int h = 0; h < fabric.host_count(); ++h) {
+    hosts_.push_back({&fabric.host(h), fabric.tor_of_host(h)});
+  }
+  scheme_topology_ = {&fabric.schedule(), topo.circuit_bw.bps(),
+                      topo.packet_bw.bps()};
+  params.host_bw = topo.host_bw;
+  params.base_rtt = fabric.max_base_rtt();
+  params.expected_flows = expected_flows;
+}
+
+std::string RdcnPoint::unmet(const cc::TopologyNeeds& needs) {
+  if (needs.priority_bands > 0) {
+    return "which needs switch priority bands; the RDCN fabric has none";
+  }
+  if (needs.ecn.enabled) {
+    return "which reacts to ECN marks; the RDCN fabric marks no packets";
+  }
+  return "";
 }
 
 }  // namespace powertcp::harness

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -14,14 +15,16 @@
 #include "sim/simulator.hpp"
 #include "topo/dumbbell.hpp"
 #include "topo/fat_tree.hpp"
+#include "topo/rdcn.hpp"
 
 /// \file point.hpp
 /// One builder per topology the paper runs every scheme on: FatTreePoint
-/// (Figs. 4, 6, 7) and DumbbellPoint (Fig. 5, Appendix D, mixed_cc)
-/// build the engine, network and fabric (with the schemes'
-/// cc::TopologyNeeds) and fill cc::FlowParams. Traffic starts through
-/// Point::start, the one place a point chooses between the Homa
-/// message transport and sender congestion control.
+/// (Figs. 4, 6, 7), DumbbellPoint (Fig. 5, Appendix D, mixed_cc) and
+/// RdcnPoint (Fig. 8) build the engine, network and fabric (with the
+/// schemes' cc::TopologyNeeds) and fill cc::FlowParams. Traffic starts
+/// through Point::start, the one place a point starts a flow and
+/// chooses between the Homa message transport and sender congestion
+/// control; Point::tap is the one place it arms a flight recorder.
 
 namespace powertcp::harness {
 
@@ -41,13 +44,16 @@ struct FlowStart {
 /// saw it finish (a flow's sender; a message's completing transport).
 using FlowDone = std::function<void(int host, const host::FlowCompletion&)>;
 
-/// What both builders share: the hosts, the flow parameters, the tap.
+/// What every builder shares: the engine, the network, the hosts, the
+/// flow parameters, the tap.
 class Point {
  public:
   Point() = default;
   Point(const Point&) = delete;  // callbacks and taps hold its hosts
   Point& operator=(const Point&) = delete;
 
+  sim::Simulator sim;
+  net::Network network{sim};
   cc::FlowParams params;  ///< every flow of the point starts with these
 
   /// Starts `flows` in order. If `runs.front()` is a message transport,
@@ -67,13 +73,20 @@ class Point {
                                net::EgressPort& port, int flow_host,
                                std::int64_t flow, sim::TimePs until);
 
+  /// tap() on `port` plus flow `telemetry.flow` clamped to `senders`,
+  /// where flow i is host i-1's (the dumbbell's and rdcn's numbering).
+  std::optional<FlightTap> tap_sender_flow(const TelemetryConfig& telemetry,
+                                           net::EgressPort& port, int senders,
+                                           sim::TimePs until);
+
  protected:
   struct Endpoint {
     host::Host* host;
     int tor;  ///< for route-aware factories; -1 on the dumbbell
   };
   std::vector<Endpoint> hosts_;
-  sim::Simulator* monitor_sim_ = nullptr;  ///< where the tap samples
+  /// What the fabric hands every scheme factory (rdcn: its circuit).
+  cc::SchemeTopology scheme_topology_;
 
  private:
   bool messages_ = false;
@@ -85,8 +98,6 @@ class FatTreePoint final : public Point {
   FatTreePoint(const topo::FatTreeConfig& topo,
                const cc::TopologyNeeds& needs, int expected_flows);
 
-  sim::Simulator sim;
-  net::Network network;
   topo::FatTree fabric;
 };
 
@@ -96,17 +107,25 @@ class DumbbellPoint final : public Point {
   DumbbellPoint(const topo::DumbbellConfig& topo,
                 const cc::TopologyNeeds& needs, int expected_flows);
 
-  sim::Simulator sim;
-  net::Network network;
   topo::Dumbbell fabric;
 
   /// The receiver's host index, after the senders'.
   int receiver() const { return static_cast<int>(hosts_.size()) - 1; }
+};
 
-  /// The bottleneck port plus flow `telemetry.flow` (sender flow-1),
-  /// clamped to the senders.
-  std::optional<FlightTap> tap_bottleneck(const TelemetryConfig& telemetry,
-                                          sim::TimePs until);
+/// The reconfigurable fabric, whose schemes get its circuit schedule.
+/// It marks no packets and has no priority bands, so it throws
+/// std::invalid_argument for a scheme that needs either (DCQCN, DCTCP,
+/// the Homa message transport).
+class RdcnPoint final : public Point {
+ public:
+  RdcnPoint(const topo::RdcnConfig& topo, const cc::TopologyNeeds& needs,
+            int expected_flows);
+
+  /// Why the fabric cannot serve `needs` ("which needs ..."), or "".
+  static std::string unmet(const cc::TopologyNeeds& needs);
+
+  topo::Rdcn fabric;
 };
 
 }  // namespace powertcp::harness

@@ -13,6 +13,7 @@
 #include "analysis/theorems.hpp"
 #include "cc/mix.hpp"
 #include "cc/registry.hpp"
+#include "harness/point.hpp"
 #include "net/aqm.hpp"
 #include "net/node.hpp"
 #include "stats/fct_recorder.hpp"
@@ -323,9 +324,8 @@ ScenarioEntry builtin(std::string name, std::string summary) {
 
 }  // namespace
 
-void declare_shared_keys(KeyTable& k, ScenarioContext* ctx,
-                         const ScenarioRegistry& registry) {
-  k.choice(kExp, "kind", &ctx->kind, registry.names());
+void declare_shared_keys(KeyTable& k, ScenarioContext* ctx) {
+  k.choice(kExp, "kind", &ctx->kind, ScenarioRegistry::instance().names());
   k.text(kExp, "slug", &ctx->slug_prefix);
   k.text(kExp, "schemes", &ctx->scheme_labels);
   k.count(kExp, "seed", &ctx->seed, Bound::at_least(0));
@@ -452,12 +452,15 @@ void RdcnKindConfig::declare(KeyTable& k) {
 }
 
 void RdcnKindConfig::bind(const ScenarioContext& ctx, const KeyTable& k) {
-  check_schemes(ctx, k, [](const cc::Scheme& s) -> std::string {
-    return s.message_transport
-               ? "which is a receiver-driven message transport; kind rdcn "
-                 "drives sender CC algorithms"
-               : "";
+  check_schemes(ctx, k, [](const cc::Scheme& s) {
+    return RdcnPoint::unmet(s.needs);
   });
+  const net::AqmSpec& a = ctx.aqm;
+  for (const void* f : std::initializer_list<const void*>{
+           &a.kind, &a.target_us, &a.tupdate_us, &a.alpha, &a.beta,
+           &a.ecn_threshold}) {
+    if (k.given(f)) k.reject(f, "has no effect: kind rdcn runs no AQM");
+  }
   // As topo/rdcn.cpp wires it: a ToR has a port per server plus its
   // circuit and packet uplinks, the packet core and the circuit switch
   // one per ToR; the network is those two, the ToRs and the hosts.
@@ -669,53 +672,80 @@ void FluidPhaseKindConfig::bind(const ScenarioContext&, const KeyTable& k) {
   too_many(&sample_us, kMaxFluidSamples, "samples");
 }
 
-void register_builtin_scenarios(ScenarioRegistry& registry) {
-  registry.add(builtin<FatTreeKindConfig>(
-      "fat_tree",
-      "Fig. 6/7 FCT sweep: websearch fat-tree plus an optional incast "
-      "overlay, tail slowdown per size bucket and ToR-uplink occupancy per "
-      "(load, overlay) point"));
-  registry.add(builtin<IncastKindConfig>(
-      "incast",
-      "Fig. 4 reaction to incast: long flow + N:1 burst on one downlink, "
-      "goodput/queue time series per scheme and a <slug>_summary table "
-      "(peak/settle/residual queue, drops, goodput per scheme) per point"));
-  registry.add(builtin<RdcnKindConfig>(
-      "rdcn",
-      "Fig. 8 reconfigurable-DCN case study: rack-to-rack series over the "
-      "rotor schedule plus p99 ToR latency vs packet bandwidth"));
-  registry.add(builtin<DumbbellKindConfig>(
-      "dumbbell",
-      "Fig. 5 fairness/stability: staggered flows over one bottleneck, "
-      "per-flow goodput series, one table per scheme"));
-  registry.add(builtin<HomaOcKindConfig>(
-      "homa_oc",
-      "Figs. 9-11 overcommitment sweep: message-transport fairness per "
-      "level plus N:1 incast reaction summaries"));
-  registry.add(builtin<SingleFlowKindConfig>(
-      "single_flow",
-      "Fig. 2 analytic reaction curves: multiplicative decrease of the "
-      "voltage/current/power laws on one bottleneck (no simulation)"));
-  registry.add(builtin<MixedCcKindConfig>(
-      "mixed_cc",
-      "brownfield coexistence: per-host CC mixes sharing one dumbbell, "
-      "swept over (mix, aqm, rtt, buffer) cells into fairness/share/FCT "
-      "tables"));
-  registry.add(builtin<FluidPhaseKindConfig>(
-      "fluid_phase",
-      "Fig. 3 fluid-model phase portraits: per-law trajectories from a "
-      "grid of initial states plus the Theorem 1/2 stability summary "
-      "(no simulation)"));
+// ---- the kind table ----------------------------------------------
+
+ScenarioRegistry::ScenarioRegistry() {
+  entries_ = {
+      builtin<FatTreeKindConfig>(
+          "fat_tree",
+          "Fig. 6/7 FCT sweep: websearch fat-tree plus an optional incast "
+          "overlay, tail slowdown per size bucket and ToR-uplink occupancy per "
+          "(load, overlay) point"),
+      builtin<IncastKindConfig>(
+          "incast",
+          "Fig. 4 reaction to incast: long flow + N:1 burst on one downlink, "
+          "goodput/queue time series per scheme and a <slug>_summary table "
+          "(peak/settle/residual queue, drops, goodput per scheme) per point"),
+      builtin<RdcnKindConfig>(
+          "rdcn",
+          "Fig. 8 reconfigurable-DCN case study: rack-to-rack series over the "
+          "rotor schedule plus p99 ToR latency vs packet bandwidth"),
+      builtin<DumbbellKindConfig>(
+          "dumbbell",
+          "Fig. 5 fairness/stability: staggered flows over one bottleneck, "
+          "per-flow goodput series, one table per scheme"),
+      builtin<HomaOcKindConfig>(
+          "homa_oc",
+          "Figs. 9-11 overcommitment sweep: message-transport fairness per "
+          "level plus N:1 incast reaction summaries"),
+      builtin<SingleFlowKindConfig>(
+          "single_flow",
+          "Fig. 2 analytic reaction curves: multiplicative decrease of the "
+          "voltage/current/power laws on one bottleneck (no simulation)"),
+      builtin<MixedCcKindConfig>(
+          "mixed_cc",
+          "brownfield coexistence: per-host CC mixes sharing one dumbbell, "
+          "swept over (mix, aqm, rtt, buffer) cells into fairness/share/FCT "
+          "tables"),
+      builtin<FluidPhaseKindConfig>(
+          "fluid_phase",
+          "Fig. 3 fluid-model phase portraits: per-law trajectories from a "
+          "grid of initial states plus the Theorem 1/2 stability summary "
+          "(no simulation)"),
+  };
 }
 
-std::string kinds_reference(const ScenarioRegistry& registry) {
+const ScenarioRegistry& ScenarioRegistry::instance() {
+  static const ScenarioRegistry kRegistry;
+  return kRegistry;
+}
+
+const ScenarioEntry& ScenarioRegistry::at(const std::string& name) const {
+  std::string known;
+  for (const auto& e : entries_) {
+    if (e.name == name) return e;
+    known += (known.empty() ? "" : ", ") + e.name;
+  }
+  throw std::invalid_argument("unknown scenario kind '" + name +
+                              "'; known: " + known);
+}
+
+std::vector<std::string> ScenarioRegistry::names() const {
+  std::vector<std::string> out;
+  out.reserve(entries_.size());
+  for (const auto& e : entries_) out.push_back(e.name);
+  return out;
+}
+
+std::string kinds_reference() {
   KeyTable shared;
   ScenarioContext ctx;
-  declare_shared_keys(shared, &ctx, registry);
+  declare_shared_keys(shared, &ctx);
   std::string out =
-      "every kind: [experiment], plus the optional [aqm] and [telemetry]\n" +
+      "every kind: [experiment], plus the optional [aqm] (not rdcn) and "
+      "[telemetry]\n" +
       format_keys(shared.keys());
-  for (const auto& kind : registry.entries()) {
+  for (const auto& kind : ScenarioRegistry::instance().entries()) {
     KeyTable keys;
     kind.make()->declare(keys);
     out += "\n" + kind.name + "\n  " + kind.summary + "\n" +
@@ -725,7 +755,6 @@ std::string kinds_reference(const ScenarioRegistry& registry) {
 }
 
 RunnerConfig load_runner_config(const ConfigFile& file,
-                                const ScenarioRegistry& registry,
                                 const RunnerLoadOptions& options) {
   if (file.find("experiment") == nullptr) {
     throw ConfigError(file.origin() + ": missing [experiment] section");
@@ -738,7 +767,7 @@ RunnerConfig load_runner_config(const ConfigFile& file,
   for (std::size_t i = 0, n = 1; i < n; ++i) {
     KeyTable keys(file, i);
     ScenarioContext ctx;
-    declare_shared_keys(keys, &ctx, registry);
+    declare_shared_keys(keys, &ctx);
     if (options.force_telemetry) ctx.telemetry.enabled = true;
     // A label names a table row or column.
     check_distinct(keys, &ctx.scheme_labels, ctx.scheme_labels, as_is,
@@ -749,7 +778,8 @@ RunnerConfig load_runner_config(const ConfigFile& file,
           resolve_scheme(file, label, keys, &ctx.scheme_labels));
     }
 
-    std::unique_ptr<ScenarioConfig> scenario = registry.at(ctx.kind).make();
+    std::unique_ptr<ScenarioConfig> scenario =
+        ScenarioRegistry::instance().at(ctx.kind).make();
     scenario->schemes = ctx.schemes;
     scenario->slug_prefix = ctx.slug_prefix;
     scenario->declare(keys);
@@ -848,11 +878,8 @@ std::vector<ResultTable> FatTreeKindConfig::run(
   const std::vector<FctPoint> results = map_points(
       runner, points, schemes,
       [pct = percentile](const FatTreeKindConfig& p, const SchemeRun& s) {
-        FatTreeExperiment cfg = p.fat_tree;
-        cfg.cc = s.scheme;
-        cfg.cc_params = s.params;
-        ExperimentResult r = run_fat_tree_experiment(cfg);
-        return FctPoint{fct_row(r, cfg.size_scale, pct),
+        ExperimentResult r = run_fat_tree_experiment(p.fat_tree, s);
+        return FctPoint{fct_row(r, p.fat_tree.size_scale, pct),
                         occupancy_row(r.uplink_queue_bytes),
                         std::move(r.flight)};
       });

@@ -15,11 +15,11 @@
 /// RunnerConfig names one scenario kind (resolved through
 /// harness::ScenarioRegistry) plus its parsed, runnable ScenarioConfig,
 /// and run_config() executes it through SweepRunner into ResultTables.
-/// The runner has no per-kind switch — each registry entry owns its
-/// `[topology]`/`[workload]` schema and its table emission, so a new
-/// paper shape is a registration, not a harness change. Every figure
-/// of the paper is a shipped `configs/*.toml`; this is the one path
-/// that runs them.
+/// The runner has no per-kind switch: each kind below owns its
+/// `[topology]`/`[workload]` schema and its table emission, and its
+/// simulations run on the point builders of point.hpp. Every figure of
+/// the paper is a shipped `configs/*.toml`; this is the one path that
+/// runs them.
 ///
 /// A config has an `[experiment]` section (kind, slug, schemes, ...),
 /// the kind's `[topology]`/`[workload]` sections, optional `[aqm]` and
@@ -50,7 +50,7 @@ struct RunnerConfig {
 /// its ToR-uplink occupancy table (Figs. 6 and 7).
 struct FatTreeKindConfig final : PointsConfig {
   std::string preset = "quick";  ///< quick | paper: fat_tree.topo's base
-  /// This point; run() sets the scheme.
+  /// This point; run() runs it once per scheme.
   FatTreeExperiment fat_tree;
   double percentile = 99.0;
   void declare(KeyTable& keys) override;
@@ -76,7 +76,9 @@ struct IncastKindConfig final : PointsConfig {
 };
 
 /// kind == "rdcn": a time series at the first point's packet bandwidth
-/// plus a p99 latency table with one column per point.
+/// plus a p99 latency table with one column per point. Its fabric
+/// marks no packets and runs no AQM, so bind() rejects marking-driven
+/// schemes (DCQCN, DCTCP), Homa and every `[aqm]` key.
 struct RdcnKindConfig final : PointsConfig {
   std::string preset = "paper";  ///< small | paper: rdcn.topo's base
   /// This point; packet_gbps sets topo.packet_bw.
@@ -181,28 +183,24 @@ struct RunnerLoadOptions {
 };
 
 /// Declares the shared `[experiment]`, `[aqm]` and `[telemetry]` keys
-/// (`kind` chooses among `registry`'s kinds).
-void declare_shared_keys(KeyTable& keys, ScenarioContext* ctx,
-                         const ScenarioRegistry& registry);
+/// (`kind` chooses among ScenarioRegistry's kinds).
+void declare_shared_keys(KeyTable& keys, ScenarioContext* ctx);
 
 /// The `powertcp_run --kinds` reference: the shared sections' keys,
 /// then each kind's summary and `[topology]`/`[workload]` keys, each
 /// with unit, default and bound.
-std::string kinds_reference(
-    const ScenarioRegistry& registry = ScenarioRegistry::instance());
+std::string kinds_reference();
 
 /// Builds a RunnerConfig from a parsed file, resolving the kind
-/// through `registry`; a PointsConfig kind is declared and bound once
+/// through ScenarioRegistry; a PointsConfig kind is declared and bound once
 /// per point. Throws ConfigError, with the offending line, on unknown
 /// kinds (listing the registered ones), unknown sections/keys,
 /// out-of-bound values, unregistered or repeated schemes, scheme
 /// params not declared by the registry entry, listed keys of unequal
 /// lengths or under a kind without points, and two points that would
 /// write one table or column.
-RunnerConfig load_runner_config(
-    const ConfigFile& file,
-    const ScenarioRegistry& registry = ScenarioRegistry::instance(),
-    const RunnerLoadOptions& options = {});
+RunnerConfig load_runner_config(const ConfigFile& file,
+                                const RunnerLoadOptions& options = {});
 
 /// Executes every point and returns the tables in declaration order.
 /// Output is a pure function of the config: tables are identical for

@@ -18,9 +18,10 @@
 /// declares the kind-specific `[topology]`/`[workload]` keys in one
 /// KeyTable (keys.hpp), which loads them with file:line errors and
 /// renders them for `--kinds`. The runner itself has no per-kind
-/// switch: adding a paper shape is a registration, not a harness fork.
+/// switch. The table is fixed: a new paper shape is a ScenarioConfig
+/// type plus one row of the table in runner.cpp.
 ///
-/// Built-in kinds (registered by the constructor, in this order):
+/// The built-in kinds, in table order:
 ///   fat_tree  — Fig. 6/7 FCT sweeps over the websearch fat-tree
 ///   incast    — Fig. 4 long-flow + N:1 incast time series
 ///   rdcn      — Fig. 8 reconfigurable-DCN case study
@@ -107,37 +108,23 @@ struct ScenarioEntry {
   std::function<std::unique_ptr<ScenarioConfig>()> make;
 };
 
+/// The fixed table of the built-in kinds, closed like cc::Registry:
+/// a kind is a ScenarioConfig type plus its row in runner.cpp.
 class ScenarioRegistry {
  public:
-  /// A fresh registry pre-populated with the built-in kinds. Tests
-  /// construct local instances to exercise registration; production
-  /// code uses instance().
-  ScenarioRegistry();
-
   /// The process-wide table (thread-safe magic static, immutable).
   static const ScenarioRegistry& instance();
 
-  /// Registers a kind. Throws std::logic_error on an empty name, a
-  /// missing factory, or a duplicate registration (naming the entry).
-  void add(ScenarioEntry entry);
-
-  /// nullptr when `name` is not registered.
-  const ScenarioEntry* find(const std::string& name) const;
   /// Throws std::invalid_argument listing the known kinds.
   const ScenarioEntry& at(const std::string& name) const;
 
-  /// Registration order.
+  /// Table order.
   const std::vector<ScenarioEntry>& entries() const { return entries_; }
   std::vector<std::string> names() const;
-  /// "fat_tree, incast, ..." — for error messages and --kinds.
-  std::string joined_names() const;
 
  private:
+  ScenarioRegistry();
   std::vector<ScenarioEntry> entries_;
 };
-
-/// Registers the built-in kinds; defined in runner.cpp beside their
-/// key declarations so the registry core stays schema-free.
-void register_builtin_scenarios(ScenarioRegistry& registry);
 
 }  // namespace powertcp::harness

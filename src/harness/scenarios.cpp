@@ -145,67 +145,40 @@ IncastSeries run_incast_scenario(const IncastScenario& cfg,
 
 RdcnResult run_rdcn_scenario(const RdcnScenario& cfg,
                              const SchemeRun& scheme_run) {
-  const cc::Scheme& scheme = resolve(scheme_run);
-  if (scheme.message_transport) {
-    throw std::invalid_argument("scheme '" + scheme_run.scheme +
-                                "' is a message transport; the RDCN "
-                                "scenario drives sender CC algorithms");
-  }
-
-  sim::Simulator simulator;
-  net::Network network(simulator);
-  topo::Rdcn rdcn(network, cfg.topo);
-
-  cc::FlowParams params;
-  params.host_bw = cfg.topo.host_bw;
-  params.base_rtt = rdcn.max_base_rtt();
-  params.expected_flows = cfg.expected_flows;
-
-  cc::SchemeTopology scheme_topo;
-  scheme_topo.circuit = &rdcn.schedule();
-  scheme_topo.circuit_bw_bps = cfg.topo.circuit_bw.bps();
-  scheme_topo.packet_bw_bps = cfg.topo.packet_bw.bps();
-  const cc::FlowCcFactory factory =
-      scheme.make(scheme_run.params, scheme_topo);
+  RdcnPoint point(cfg.topo, resolve(scheme_run).needs, cfg.expected_flows);
+  topo::Rdcn& rdcn = point.fabric;
 
   stats::ThroughputSeries goodput(0, cfg.bin);
   stats::QueueSeries voq;
   stats::Samples sojourns_us;
-  rdcn.tor(0).port(rdcn.tor(0).circuit_port_index()).set_queue_monitor(&voq);
+  net::EgressPort& circuit =
+      rdcn.tor(0).port(rdcn.tor(0).circuit_port_index());
+  circuit.set_queue_monitor(&voq);
   const auto sojourn_cb = [&sojourns_us](sim::TimePs d) {
     sojourns_us.add(sim::to_microseconds(d));
   };
-  rdcn.tor(0)
-      .port(rdcn.tor(0).circuit_port_index())
-      .set_sojourn_callback(sojourn_cb);
+  circuit.set_sojourn_callback(sojourn_cb);
   rdcn.tor(0)
       .port(rdcn.tor(0).uplink_port_index())
       .set_sojourn_callback(sojourn_cb);
 
-  for (int s = 0; s < cfg.topo.servers_per_tor; ++s) {
-    const int dst_host = cfg.topo.servers_per_tor + s;  // rack 1
-    rdcn.host(dst_host).set_data_callback(
+  // Flow s+1 leaves rack-0 server s for its rack-1 peer at t=0.
+  const int servers = cfg.topo.servers_per_tor;
+  std::vector<FlowStart> flows;
+  for (int s = 0; s < servers; ++s) {
+    rdcn.host(servers + s).set_data_callback(
         [&goodput](net::FlowId, std::int64_t bytes, sim::TimePs now) {
           goodput.add_bytes(now, bytes);
         });
-    rdcn.host(s).start_flow(static_cast<net::FlowId>(s + 1),
-                            rdcn.host(dst_host).id(), cfg.flow_bytes,
-                            factory(params, cc::FlowEndpoints{0, 1}), params,
-                            0);
+    flows.push_back(
+        {static_cast<net::FlowId>(s + 1), s, servers + s, cfg.flow_bytes, 0});
   }
+  point.start({scheme_run}, flows);
+  // The flight tap watches the VOQ the paper plots.
+  std::optional<FlightTap> tap =
+      point.tap_sender_flow(cfg.telemetry, circuit, servers, cfg.horizon);
 
-  // Flight tap: ToR-0's circuit port (the VOQ the paper plots) plus
-  // the telemetry.flow-th rack-0 flow, clamped to the rack.
-  std::optional<FlightTap> tap;
-  if (cfg.telemetry.enabled) {
-    const auto idx = static_cast<int>(
-        std::min<std::int64_t>(cfg.telemetry.flow, cfg.topo.servers_per_tor));
-    tap.emplace(cfg.telemetry, simulator,
-                rdcn.tor(0).port(rdcn.tor(0).circuit_port_index()),
-                &rdcn.host(idx - 1), idx, params.base_rtt, cfg.horizon);
-  }
-
-  simulator.run_until(cfg.horizon);
+  point.sim.run_until(cfg.horizon);
 
   RdcnResult out;
   double day_bytes = 0, day_secs = 0;
@@ -258,8 +231,8 @@ DumbbellSeries run_dumbbell_scenario(const DumbbellScenario& cfg,
                      i * cfg.stagger});
   }
   point.start({scheme_run}, flows);
-  std::optional<FlightTap> tap =
-      point.tap_bottleneck(cfg.telemetry, cfg.horizon);
+  std::optional<FlightTap> tap = point.tap_sender_flow(
+      cfg.telemetry, point.fabric.bottleneck_port(), n_flows, cfg.horizon);
 
   point.sim.run_until(cfg.horizon);
 
@@ -509,8 +482,8 @@ MixedCcCellResult run_mixed_cc_cell(const MixedCcScenario& cfg,
     done[static_cast<std::size_t>(sender)] = 1;
   };
   point.start(mix.members, flows, &on_done);
-  std::optional<FlightTap> tap =
-      point.tap_bottleneck(cfg.telemetry, cfg.horizon);
+  std::optional<FlightTap> tap = point.tap_sender_flow(
+      cfg.telemetry, point.fabric.bottleneck_port(), cfg.senders, cfg.horizon);
 
   point.sim.run_until(cfg.horizon);
 

@@ -20,10 +20,10 @@
 /// Every scenario resolves its scheme through cc::Registry — topology
 /// needs (priority bands, ECN profile, CircuitSchedule) are applied
 /// from the registry entry and `key=value` params flow into the
-/// scheme's factory. The fat-tree and dumbbell scenarios run on the
-/// point builders of point.hpp, whose Point::start runs
-/// `message_transport` entries (Homa) through host::Host::enable_homa
-/// instead of a sender algorithm.
+/// scheme's factory. Every scenario runs on a point builder of
+/// point.hpp (fat tree, dumbbell or RDCN), whose Point::start starts
+/// its traffic, running `message_transport` entries (Homa) through
+/// host::Host::enable_homa instead of a sender algorithm.
 ///
 /// A SchemeRun names one table column/row: a registered scheme plus
 /// its parameter overrides and a display label (so e.g. reTCP-600us
@@ -83,7 +83,9 @@ IncastSeries summarize_burst_queue(const stats::QueueSeries& queue,
                                    sim::TimePs burst_at, sim::TimePs horizon);
 
 /// Fig. 8: rack0's servers stream to rack1 across the RDCN while the
-/// rotor schedule connects and disconnects them.
+/// rotor schedule connects and disconnects them. The fabric marks no
+/// packets and has no priority bands, so the scenario throws
+/// std::invalid_argument for DCQCN, DCTCP and Homa (RdcnPoint).
 struct RdcnScenario {
   topo::RdcnConfig topo;  ///< caller sizes n_tors/servers_per_tor/bws
   int expected_flows = 10;

@@ -48,8 +48,9 @@ struct TelemetryConfig {
   sim::TimePs sample_every = sim::microseconds(10);
   /// Foreground flow for the cwnd/pacing channels, where the kind
   /// supports choosing one (dumbbell: flow i is sender i-1; rdcn:
-  /// flow i is rack-0 server i-1; fat_tree: the i-th planned arrival).
-  /// The incast kinds always tap their long foreground flow.
+  /// flow i is rack-0 server i-1; both clamp it to their senders in
+  /// Point::tap_sender_flow; fat_tree: the i-th planned arrival). The
+  /// incast kinds always tap their long foreground flow.
   std::int64_t flow = 1;
 };
 

@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "cc/registry.hpp"
+#include "harness/bench_opts.hpp"
 #include "harness/runner.hpp"
 #include "net/aqm.hpp"
 
@@ -42,33 +43,6 @@ std::string slurp(const std::string& path) {
   std::ostringstream out;
   out << in.rdbuf();
   return out.str();
-}
-
-/// Renders tables exactly as `powertcp_run` does: text with a blank
-/// line between tables (BenchReporter::add), the long-format CSV with
-/// its header (BenchReporter::finish with a fresh file), and the JSON
-/// document with the fixed "powertcp_run" bench name.
-struct Rendered {
-  std::string text;
-  std::string csv;
-  std::string json;
-};
-
-Rendered render_like_cli(const std::vector<ResultTable>& tables) {
-  Rendered r;
-  for (std::size_t i = 0; i < tables.size(); ++i) {
-    if (i > 0) r.text += "\n";
-    r.text += tables[i].render_text();
-  }
-  r.csv = ResultTable::csv_header();
-  for (const auto& t : tables) t.append_csv(r.csv);
-  r.json = "{\n  \"bench\": \"powertcp_run\",\n  \"tables\": [\n";
-  for (std::size_t i = 0; i < tables.size(); ++i) {
-    tables[i].append_json(r.json, 4);
-    r.json += i + 1 < tables.size() ? ",\n" : "\n";
-  }
-  r.json += "  ]\n}\n";
-  return r;
 }
 
 /// Stems of every configs/*.toml, sorted so the suite order is stable.
@@ -93,11 +67,18 @@ TEST_P(ConfigGolden, MatchesPreRefactorOutputByteForByte) {
       ConfigFile::parse_file(root + "/configs/" + name + ".toml"));
   const unsigned hw = std::thread::hardware_concurrency();
   const SweepRunner runner(hw == 0 ? 1 : static_cast<int>(hw));
-  const Rendered got = render_like_cli(run_config(cfg, runner));
+  const std::vector<ResultTable> tables = run_config(cfg, runner);
+  // What powertcp_run writes: stdout, --csv into a fresh file, --json.
+  std::string text;
+  for (std::size_t i = 0; i < tables.size(); ++i) {
+    text += text_block(tables[i], i == 0);
+  }
 
-  EXPECT_EQ(got.text, slurp(root + "/tests/goldens/" + name + ".txt"));
-  EXPECT_EQ(got.csv, slurp(root + "/tests/goldens/" + name + ".csv"));
-  EXPECT_EQ(got.json, slurp(root + "/tests/goldens/" + name + ".json"));
+  EXPECT_EQ(text, slurp(root + "/tests/goldens/" + name + ".txt"));
+  EXPECT_EQ(csv_document(tables, /*header=*/true),
+            slurp(root + "/tests/goldens/" + name + ".csv"));
+  EXPECT_EQ(json_document("powertcp_run", tables),
+            slurp(root + "/tests/goldens/" + name + ".json"));
 }
 
 INSTANTIATE_TEST_SUITE_P(AllShippedConfigs, ConfigGolden,

@@ -13,6 +13,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "harness/config.hpp"
@@ -680,20 +681,22 @@ TEST(Runner, LoadErrorsThatWouldHangOrCrashNameTheirLine) {
                      "[topology]\npreset = small\nn_tors = 512\n",
                      "n_tors");
 
+  const SchemeRun powertcp{"", "powertcp", {}};
   FatTreeExperiment one_rack;
   one_rack.topo.pods = one_rack.topo.tors_per_pod = 1;
   one_rack.duration = sim::microseconds(200);
-  EXPECT_THROW(run_fat_tree_experiment(one_rack), std::invalid_argument);
+  EXPECT_THROW(run_fat_tree_experiment(one_rack, powertcp),
+               std::invalid_argument);
   FatTreeExperiment wide;
   wide.topo.pods = 2;
   wide.incast = true;
   wide.incast_fan_in = 25;
   wide.duration = sim::microseconds(200);
-  EXPECT_THROW(run_fat_tree_experiment(wide), std::invalid_argument);
+  EXPECT_THROW(run_fat_tree_experiment(wide, powertcp), std::invalid_argument);
   IncastScenario companions;
   companions.long_companions = 56;
   companions.horizon = sim::microseconds(200);
-  EXPECT_THROW(run_incast_scenario(companions, SchemeRun{"", "powertcp", {}}),
+  EXPECT_THROW(run_incast_scenario(companions, powertcp),
                std::invalid_argument);
 }
 
@@ -764,11 +767,37 @@ fan_in = 2
 }
 
 TEST(Runner, LoaderRejectsSchemesTheKindCannotRun) {
-  // A message transport has no place in the RDCN study, and reTCP
-  // needs the circuit schedule only kind rdcn builds: each mismatch is
-  // a ConfigError at the schemes line, not a failure inside the pool.
-  expect_rejected_at("[experiment]\nkind = rdcn\nschemes = powertcp, homa\n",
-                     "schemes");
+  // The RDCN fabric has no priority bands (Homa), marks no packets
+  // (DCQCN, DCTCP) and runs no AQM, and reTCP needs the circuit
+  // schedule only kind rdcn builds: each mismatch is a ConfigError at
+  // its line, not a run that silently ignores it.
+  for (const char* scheme : {"homa", "dcqcn", "dctcp"}) {
+    SCOPED_TRACE(scheme);
+    expect_rejected_at(std::string("[experiment]\nkind = rdcn\n"
+                                   "schemes = powertcp, ") +
+                           scheme + "\n",
+                       "schemes");
+  }
+  // Every [aqm] key fails at its own line (5), `kind` included.
+  const std::pair<const char*, const char*> aqm_keys[] = {
+      {"kind", "pie"}, {"target_us", "20"}, {"alpha", "0.5"},
+      {"ecn_threshold", "0.1"}};
+  for (const auto& [key, value] : aqm_keys) {
+    SCOPED_TRACE(key);
+    try {
+      load_runner_config(ConfigFile::parse(
+          std::string("[experiment]\nkind = rdcn\nschemes = powertcp\n"
+                      "[aqm]\n") +
+              key + " = " + value + "\n",
+          "bad.toml"));
+      ADD_FAILURE() << "loaded";
+    } catch (const ConfigError& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string("bad.toml:5: [aqm] ") +
+                                           key),
+                std::string::npos)
+          << e.what();
+    }
+  }
   for (const char* kind : {"fat_tree", "incast", "dumbbell"}) {
     SCOPED_TRACE(kind);
     expect_rejected_at(
@@ -938,8 +967,13 @@ TEST(Runner, LoaderRejectsUnknownSchemesKeysAndSections) {
                      "[topology]\npreset = small\n"
                      "[workload]\nhorizon_ms = 1\n",
                      "schemes");
-  EXPECT_THROW(run_rdcn_scenario(RdcnScenario{}, SchemeRun{"", "homa", {}}),
-               std::invalid_argument);
+  // It throws for marking-driven schemes too, which its fabric would
+  // run unmarked.
+  for (const char* scheme : {"homa", "dcqcn", "dctcp"}) {
+    EXPECT_THROW(run_rdcn_scenario(RdcnScenario{}, SchemeRun{"", scheme, {}}),
+                 std::invalid_argument)
+        << scheme;
+  }
 }
 
 /// Sizes and durations are doubles in the file but integers in the

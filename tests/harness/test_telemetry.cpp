@@ -146,8 +146,7 @@ std::vector<ResultTable> run_mini(bool telemetry, int threads = 2,
   RunnerLoadOptions opts;
   opts.force_telemetry = telemetry;
   const RunnerConfig rc =
-      load_runner_config(ConfigFile::parse(text, "mini.toml"),
-                         ScenarioRegistry::instance(), opts);
+      load_runner_config(ConfigFile::parse(text, "mini.toml"), opts);
   return run_config(rc, SweepRunner(threads));
 }
 

@@ -149,9 +149,7 @@ TEST(PaperOrdering, PowerTcpShortFlowTailBeatsDcqcnUnderLoad) {
   base.seed = 3;
 
   auto run = [&](const std::string& cc) {
-    auto cfg = base;
-    cfg.cc = cc;
-    const auto r = harness::run_fat_tree_experiment(cfg);
+    const auto r = harness::run_fat_tree_experiment(base, {"", cc, {}});
     return r.fct.slowdowns_in_range(0, 1'000).percentile(99);
   };
   EXPECT_LT(run("powertcp"), run("dcqcn"));

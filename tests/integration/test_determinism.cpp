@@ -12,7 +12,6 @@ namespace {
 harness::FatTreeExperiment small_experiment(std::uint64_t seed) {
   harness::FatTreeExperiment cfg;
   cfg.topo = topo::FatTreeConfig::quick();
-  cfg.cc = "powertcp";
   cfg.uplink_load = 0.4;
   cfg.duration = sim::milliseconds(3);
   cfg.size_scale = 0.1;
@@ -20,9 +19,14 @@ harness::FatTreeExperiment small_experiment(std::uint64_t seed) {
   return cfg;
 }
 
+harness::ExperimentResult run_powertcp(std::uint64_t seed) {
+  return harness::run_fat_tree_experiment(small_experiment(seed),
+                                          {"", "powertcp", {}});
+}
+
 TEST(Determinism, SameSeedReproducesEveryFlowRecord) {
-  const auto a = harness::run_fat_tree_experiment(small_experiment(9));
-  const auto b = harness::run_fat_tree_experiment(small_experiment(9));
+  const auto a = run_powertcp(9);
+  const auto b = run_powertcp(9);
   ASSERT_EQ(a.fct.flow_count(), b.fct.flow_count());
   for (std::size_t i = 0; i < a.fct.flows().size(); ++i) {
     const auto& fa = a.fct.flows()[i];
@@ -36,8 +40,8 @@ TEST(Determinism, SameSeedReproducesEveryFlowRecord) {
 }
 
 TEST(Determinism, DifferentSeedsProduceDifferentWorkloads) {
-  const auto a = harness::run_fat_tree_experiment(small_experiment(1));
-  const auto b = harness::run_fat_tree_experiment(small_experiment(2));
+  const auto a = run_powertcp(1);
+  const auto b = run_powertcp(2);
   // Same statistical regime, different draws.
   ASSERT_GT(a.fct.flow_count(), 0u);
   ASSERT_GT(b.fct.flow_count(), 0u);
@@ -53,7 +57,7 @@ TEST(Determinism, DifferentSeedsProduceDifferentWorkloads) {
 }
 
 TEST(Determinism, HarnessAccountsForEveryFlow) {
-  const auto r = harness::run_fat_tree_experiment(small_experiment(17));
+  const auto r = run_powertcp(17);
   EXPECT_GT(r.flows_started, 0u);
   EXPECT_LE(r.flows_completed, r.flows_started);
   // Quick horizon with 20 ms drain: nearly everything finishes.

@@ -9,9 +9,8 @@
 namespace powertcp {
 namespace {
 
-harness::FatTreeExperiment tiny(const std::string& cc) {
+harness::FatTreeExperiment tiny() {
   harness::FatTreeExperiment cfg;
-  cfg.cc = cc;
   cfg.uplink_load = 0.3;
   cfg.duration = sim::milliseconds(2);
   cfg.size_scale = 0.05;
@@ -19,10 +18,15 @@ harness::FatTreeExperiment tiny(const std::string& cc) {
   return cfg;
 }
 
+harness::ExperimentResult run(const harness::FatTreeExperiment& cfg,
+                              const std::string& scheme = "powertcp") {
+  return harness::run_fat_tree_experiment(cfg, {"", scheme, {}});
+}
+
 class HarnessSuite : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(HarnessSuite, RunsAndCompletesMostFlows) {
-  const auto r = harness::run_fat_tree_experiment(tiny(GetParam()));
+  const auto r = run(tiny(), GetParam());
   EXPECT_GT(r.flows_started, 10u) << GetParam();
   EXPECT_GT(r.completion_rate(), 0.9) << GetParam();
   EXPECT_GT(r.tau, 0) << GetParam();
@@ -41,36 +45,36 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST(Harness, QueueSamplesAreCollected) {
-  const auto r = harness::run_fat_tree_experiment(tiny("powertcp"));
+  const auto r = run(tiny());
   // 8 ToRs x 2 uplinks sampled every 20us over 2ms: ~1600 samples.
   EXPECT_GT(r.uplink_queue_bytes.count(), 1'000u);
 }
 
 TEST(Harness, IncastOverlayAddsFlows) {
-  auto base = tiny("powertcp");
-  const auto without = harness::run_fat_tree_experiment(base);
+  auto base = tiny();
+  const auto without = run(base);
   base.incast = true;
   base.incast_requests_per_sec = 2'000;  // ~4 bursts in 2 ms
   base.incast_fan_in = 8;
   base.incast_request_bytes = 80'000;
-  const auto with = harness::run_fat_tree_experiment(base);
+  const auto with = run(base);
   EXPECT_GT(with.flows_started, without.flows_started);
 }
 
 TEST(Harness, LoadScalesFlowCount) {
-  auto lo = tiny("powertcp");
+  auto lo = tiny();
   lo.uplink_load = 0.2;
-  auto hi = tiny("powertcp");
+  auto hi = tiny();
   hi.uplink_load = 0.8;
-  const auto rlo = harness::run_fat_tree_experiment(lo);
-  const auto rhi = harness::run_fat_tree_experiment(hi);
+  const auto rlo = run(lo);
+  const auto rhi = run(hi);
   // Poisson arrival rate scales linearly with load.
   EXPECT_GT(static_cast<double>(rhi.flows_started),
             2.5 * static_cast<double>(rlo.flows_started));
 }
 
 TEST(Harness, SlowdownsAreBoundedBelowByPathPhysics) {
-  const auto r = harness::run_fat_tree_experiment(tiny("powertcp"));
+  const auto r = run(tiny());
   ASSERT_GT(r.fct.flow_count(), 0u);
   // The ideal model charges every flow the fabric-wide max base RTT
   // (the paper's τ), so same-rack flows legitimately report slowdowns
@@ -84,9 +88,9 @@ TEST(Harness, SlowdownsAreBoundedBelowByPathPhysics) {
 }
 
 TEST(Harness, SizeScaleShrinksFlows) {
-  auto cfg = tiny("powertcp");
+  auto cfg = tiny();
   cfg.size_scale = 0.01;
-  const auto r = harness::run_fat_tree_experiment(cfg);
+  const auto r = run(cfg);
   for (const auto& f : r.fct.flows()) {
     EXPECT_LE(f.size_bytes, 300'000);  // 30MB x 0.01
   }

@@ -121,8 +121,7 @@ int main(int argc, char** argv) {
   for (const auto& path : configs) {
     try {
       const auto file = harness::ConfigFile::parse_file(path);
-      const auto cfg = harness::load_runner_config(
-          file, harness::ScenarioRegistry::instance(), load_opts);
+      const auto cfg = harness::load_runner_config(file, load_opts);
       for (auto& table : harness::run_config(cfg, reporter.runner())) {
         try {
           reporter.add(std::move(table));
