@@ -29,7 +29,9 @@ struct FlowParams {
   /// additive-increase term β = HostBw·τ/N (§3.3).
   int expected_flows = 10;
 
-  double bdp_bytes() const { return host_bw.bytes_per_sec() * sim::to_seconds(base_rtt); }
+  double bdp_bytes() const {
+    return host_bw.bytes_per_sec() * sim::to_seconds(base_rtt);
+  }
 };
 
 /// Everything an algorithm may react to on one acknowledgment.

@@ -49,9 +49,8 @@ Dcqcn::Dcqcn(const FlowParams& params, const DcqcnConfig& cfg)
 }
 
 CcDecision Dcqcn::decision() const {
-  const double cwnd =
-      std::max<double>(params_.mss,
-                       rate_bps_ / 8.0 * sim::to_seconds(params_.base_rtt) * 4.0);
+  const double cwnd = std::max<double>(
+      params_.mss, rate_bps_ / 8.0 * sim::to_seconds(params_.base_rtt) * 4.0);
   return CcDecision{cwnd, rate_bps_};
 }
 

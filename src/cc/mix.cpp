@@ -48,9 +48,9 @@ std::vector<MixMember> parse_cc_mix(const std::string& spec) {
         used = 0;
       }
       if (used != wtext.size() || !std::isfinite(m.weight) || m.weight <= 0) {
-        throw std::invalid_argument("cc_mix: weight of '" + m.label +
-                                    "' must be a finite positive number, got '" +
-                                    wtext + "'");
+        throw std::invalid_argument(
+            "cc_mix: weight of '" + m.label +
+            "' must be a finite positive number, got '" + wtext + "'");
       }
     }
     for (const MixMember& prev : mix) {
@@ -112,8 +112,9 @@ std::vector<int> mix_assignment(const std::vector<MixMember>& mix,
     assigned += quota[i];
     rema.emplace_back(ideal - std::floor(ideal), i);
   }
-  std::stable_sort(rema.begin(), rema.end(),
-                   [](const auto& a, const auto& b) { return a.first > b.first; });
+  std::stable_sort(rema.begin(), rema.end(), [](const auto& a, const auto& b) {
+    return a.first > b.first;
+  });
   int left = n_hosts - assigned;
   for (std::size_t r = 0; left > 0; ++r, --left) ++quota[rema[r % k].second];
 

@@ -1,11 +1,16 @@
 #include "cc/params.hpp"
 
+#include <cmath>
 #include <cstdlib>
 #include <stdexcept>
 
 namespace powertcp::cc {
 
 namespace {
+
+/// Just under int64 max, as in harness/keys.cpp: the ceiling for a
+/// duration rounded onto the picosecond clock.
+constexpr double kClockCeilingPs = 9.0e18;
 
 [[noreturn]] void bad_value(const std::string& scheme, const std::string& key,
                             const std::string& value, const char* want) {
@@ -68,7 +73,9 @@ double ParamReader::get_double(const std::string& key, double fallback) const {
   const std::string* v = raw(key);
   if (v == nullptr) return fallback;
   const auto parsed = parse_double_value(*v);
-  if (!parsed) bad_value(scheme_, key, *v, "number");
+  if (!parsed || !std::isfinite(*parsed)) {
+    bad_value(scheme_, key, *v, "number");
+  }
   return *parsed;
 }
 
@@ -93,7 +100,12 @@ sim::TimePs ParamReader::get_microseconds(const std::string& key,
                                           sim::TimePs fallback) const {
   const std::string* v = raw(key);
   if (v == nullptr) return fallback;
-  return sim::from_seconds(get_double(key, 0.0) * 1e-6);
+  const double us = get_double(key, 0.0);
+  // llround past int64 has no detectable error path.
+  if (std::abs(us) * 1e6 > kClockCeilingPs) {
+    bad_value(scheme_, key, *v, "number");
+  }
+  return sim::from_seconds(us * 1e-6);
 }
 
 }  // namespace powertcp::cc

@@ -35,8 +35,8 @@ struct ParamSpec {
 
 /// Shared scalar parsers — the single definition of what counts as a
 /// number/boolean everywhere strings carry config (ParamReader here,
-/// harness::SectionView for config files). Empty optional means the
-/// text does not parse; the caller owns error shaping.
+/// harness::KeyTable, the one config-file reader). Empty optional means
+/// the text does not parse; the caller owns error shaping.
 std::optional<double> parse_double_value(const std::string& text);
 std::optional<std::int64_t> parse_int_value(const std::string& text);
 std::optional<bool> parse_bool_value(const std::string& text);
@@ -53,7 +53,8 @@ class ParamReader {
   bool has(const std::string& key) const;
 
   /// Each getter returns `fallback` when the key is not overridden and
-  /// throws std::invalid_argument when the override does not parse.
+  /// throws std::invalid_argument when the override does not parse (or
+  /// is NaN or infinite, or a duration past the picosecond clock).
   double get_double(const std::string& key, double fallback) const;
   std::int64_t get_int(const std::string& key, std::int64_t fallback) const;
   bool get_bool(const std::string& key, bool fallback) const;

@@ -44,9 +44,8 @@ Timely::Timely(const FlowParams& params, const TimelyConfig& cfg)
 CcDecision Timely::decision() const {
   // Rate-governed: window is a generous cap of four rate·τ products so
   // pacing, not the window, shapes transmission.
-  const double cwnd =
-      std::max<double>(params_.mss,
-                       rate_bps_ / 8.0 * sim::to_seconds(params_.base_rtt) * 4.0);
+  const double cwnd = std::max<double>(
+      params_.mss, rate_bps_ / 8.0 * sim::to_seconds(params_.base_rtt) * 4.0);
   return CcDecision{cwnd, rate_bps_};
 }
 

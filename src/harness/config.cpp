@@ -1,10 +1,7 @@
 #include "harness/config.hpp"
 
 #include <fstream>
-#include <limits>
 #include <sstream>
-
-#include "cc/params.hpp"
 
 namespace powertcp::harness {
 
@@ -148,108 +145,6 @@ std::vector<std::string> split_config_list(const std::string& value) {
     start = comma + 1;
   }
   return out;
-}
-
-SectionView::SectionView(const ConfigFile& file,
-                         const ConfigFile::Section* section)
-    : file_(file), section_(section) {}
-
-bool SectionView::has(const std::string& key) const {
-  return section_ != nullptr && section_->find(key) != nullptr;
-}
-
-const ConfigFile::Entry* SectionView::take(const std::string& key) {
-  if (section_ == nullptr) return nullptr;
-  consumed_.insert(key);
-  return section_->find(key);
-}
-
-void SectionView::fail(const ConfigFile::Entry& e,
-                       const std::string& why) const {
-  throw ConfigError(file_.origin() + ":" + std::to_string(e.line) + ": [" +
-                    section_->name + "] " + e.key + " = '" + e.value +
-                    "' " + why);
-}
-
-void SectionView::reject(const std::string& key,
-                         const std::string& why) const {
-  const ConfigFile::Entry* e =
-      section_ == nullptr ? nullptr : section_->find(key);
-  if (e == nullptr) throw ConfigError(file_.origin() + ": " + key + " " + why);
-  fail(*e, why);
-}
-
-std::string SectionView::get_string(const std::string& key,
-                                    const std::string& fallback) {
-  const auto* e = take(key);
-  return e == nullptr ? fallback : e->value;
-}
-
-double SectionView::get_double(const std::string& key, double fallback) {
-  const auto* e = take(key);
-  if (e == nullptr) return fallback;
-  const auto v = cc::parse_double_value(e->value);
-  if (!v) fail(*e, "is not a valid number");
-  return *v;
-}
-
-std::int64_t SectionView::get_int(const std::string& key,
-                                  std::int64_t fallback) {
-  const auto* e = take(key);
-  if (e == nullptr) return fallback;
-  const auto v = cc::parse_int_value(e->value);
-  if (!v) fail(*e, "is not a valid integer");
-  return *v;
-}
-
-int SectionView::get_int32(const std::string& key, int fallback) {
-  const auto* e = take(key);
-  if (e == nullptr) return fallback;
-  const auto v = cc::parse_int_value(e->value);
-  if (!v || *v < std::numeric_limits<int>::min() ||
-      *v > std::numeric_limits<int>::max()) {
-    fail(*e, "is not a valid 32-bit integer");
-  }
-  return static_cast<int>(*v);
-}
-
-bool SectionView::get_bool(const std::string& key, bool fallback) {
-  const auto* e = take(key);
-  if (e == nullptr) return fallback;
-  const auto v = cc::parse_bool_value(e->value);
-  if (!v) fail(*e, "is not a valid boolean (true/false/on/off/1/0)");
-  return *v;
-}
-
-std::vector<std::string> SectionView::get_list(
-    const std::string& key, std::vector<std::string> fallback) {
-  const auto* e = take(key);
-  if (e == nullptr) return fallback;
-  return split_config_list(e->value);
-}
-
-std::vector<double> SectionView::get_double_list(
-    const std::string& key, std::vector<double> fallback) {
-  const auto* e = take(key);
-  if (e == nullptr) return fallback;
-  std::vector<double> out;
-  for (const auto& piece : split_config_list(e->value)) {
-    const auto v = cc::parse_double_value(piece);
-    if (!v) fail(*e, "is not a valid number list");
-    out.push_back(*v);
-  }
-  return out;
-}
-
-void SectionView::finish() {
-  if (section_ == nullptr) return;
-  for (const auto& e : section_->entries) {
-    if (consumed_.count(e.key) == 0) {
-      throw ConfigError(file_.origin() + ":" + std::to_string(e.line) +
-                        ": unknown key '" + e.key + "' in [" +
-                        section_->name + "]");
-    }
-  }
 }
 
 }  // namespace powertcp::harness

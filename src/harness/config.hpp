@@ -1,7 +1,5 @@
 #pragma once
 
-#include <cstdint>
-#include <set>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -14,10 +12,10 @@
 ///   key = value         # bare or "quoted" strings, numbers, booleans
 ///   list = a, b, c      # or TOML-style [a, b, c]
 ///
-/// ConfigFile is the parsed syntax tree; SectionView layers typed
-/// getters and unknown-key rejection on one section (every key a
-/// harness does not consume is an error, so typos fail loudly instead
-/// of silently running the default).
+/// ConfigFile is the parsed syntax tree. The one typed reader over it
+/// is harness::KeyTable (keys.hpp): it parses each entry a declaration
+/// names, and every key nothing declared is an error, so typos fail
+/// loudly instead of silently running the default.
 
 namespace powertcp::harness {
 
@@ -57,49 +55,6 @@ class ConfigFile {
  private:
   std::string origin_;
   std::vector<Section> sections_;
-};
-
-/// Typed, consumption-tracked reads from one section. Call finish()
-/// after the last get: any key never consumed throws ConfigError
-/// naming it — the config-file analogue of cc::ParamReader.
-class SectionView {
- public:
-  /// `section` may be nullptr (a legitimately absent section): every
-  /// getter then returns its fallback and finish() is a no-op.
-  SectionView(const ConfigFile& file, const ConfigFile::Section* section);
-
-  bool has(const std::string& key) const;
-
-  std::string get_string(const std::string& key, const std::string& fallback);
-  double get_double(const std::string& key, double fallback);
-  std::int64_t get_int(const std::string& key, std::int64_t fallback);
-  /// get_int narrowed to `int`: a value outside int's range throws
-  /// ConfigError (file:line) instead of wrapping.
-  int get_int32(const std::string& key, int fallback);
-  bool get_bool(const std::string& key, bool fallback);
-  /// Comma-separated (or bracketed) list of strings; empty fallback
-  /// stays empty.
-  std::vector<std::string> get_list(const std::string& key,
-                                    std::vector<std::string> fallback = {});
-  std::vector<double> get_double_list(const std::string& key,
-                                      std::vector<double> fallback = {});
-
-  /// Throws ConfigError on the first key read by none of the getters.
-  void finish();
-
-  /// Throws ConfigError "origin:line: [section] key = 'value' <why>"
-  /// for a key whose value parsed but is out of range.
-  [[noreturn]] void reject(const std::string& key,
-                           const std::string& why) const;
-
- private:
-  const ConfigFile::Entry* take(const std::string& key);
-  [[noreturn]] void fail(const ConfigFile::Entry& e,
-                         const std::string& why) const;
-
-  const ConfigFile& file_;
-  const ConfigFile::Section* section_;
-  std::set<std::string> consumed_;
 };
 
 /// Splits a raw list value ("a, b" or "[a, b]") into trimmed elements.

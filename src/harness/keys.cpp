@@ -3,10 +3,32 @@
 #include <algorithm>
 #include <charconv>
 #include <cmath>
-#include <iterator>
-#include <tuple>
+
+#include "cc/params.hpp"
 
 namespace powertcp::harness {
+
+void KeyTable::Read::fail(const std::string& why) const {
+  throw ConfigError(origin + ":" + std::to_string(entry.line) + ": [" +
+                    section + "] " + entry.key + " = '" + entry.value +
+                    "' " + why);
+}
+
+double KeyTable::Read::number() const {
+  const auto x = cc::parse_double_value(entry.value);
+  if (!x) fail("is not a valid number");
+  return *x;
+}
+
+std::vector<double> KeyTable::Read::numbers() const {
+  std::vector<double> xs;
+  for (const auto& piece : split_config_list(entry.value)) {
+    const auto x = cc::parse_double_value(piece);
+    if (!x) fail("is not a valid number list");
+    xs.push_back(*x);
+  }
+  return xs;
+}
 
 namespace {
 
@@ -39,26 +61,24 @@ KeyInfo numeric(const char* unit, const Bound& b, std::string dflt) {
           number(b.lo_open ? b.lo : b.lo - 1)};
 }
 
-/// A scalar or list read, each value checked against `b`.
-std::vector<double> read_reals(SectionView& v, const char* key,
-                               const Bound& b, bool list) {
-  std::vector<double> xs =
-      list ? v.get_double_list(key) : std::vector{v.get_double(key, 0)};
-  if (xs.empty()) v.reject(key, "must list at least one value");
+/// A scalar or list read of KeyTable::Read `r`, each value checked
+/// against `b`.
+std::vector<double> read_reals(const auto& r, const Bound& b, bool list) {
+  std::vector<double> xs = list ? r.numbers() : std::vector{r.number()};
+  if (xs.empty()) r.fail("must list at least one value");
   for (const double x : xs) {
-    if (!b.admits(x)) v.reject(key, (list ? "entries " : "") + requirement(b));
+    if (!b.admits(x)) r.fail((list ? "entries " : "") + requirement(b));
   }
   return xs;
 }
 
-std::int64_t to_bytes(SectionView& v, const char* key, double x, Size unit,
-                      bool zero_ok) {
+std::int64_t to_bytes(const auto& r, double x, Size unit, bool zero_ok) {
   if (zero_ok && x == 0) return 0;
   const double bytes = x * (unit == Size::kKB ? 1e3 : 1e6);
   // Range-check before the cast: casting an unrepresentable double is
   // undefined behavior, not a detectable error.
   if (!std::isfinite(bytes) || bytes < 1 || bytes > kInt64Ceiling) {
-    v.reject(key, "must be a positive in-range size");
+    r.fail("must be a positive in-range size");
   }
   return static_cast<std::int64_t>(bytes);
 }
@@ -82,11 +102,11 @@ KeyInfo choice_info(const std::vector<std::string>& options, bool list,
 }
 
 /// An empty `options` list admits any text.
-void check_option(SectionView& v, const char* key, const std::string& x,
+void check_option(const auto& r, const std::string& x,
                   const std::vector<std::string>& options) {
   if (!options.empty() &&
       std::find(options.begin(), options.end(), x) == options.end()) {
-    v.reject(key, "'" + x + "' is not one of " + joined(options, as_is));
+    r.fail("'" + x + "' is not one of " + joined(options, as_is));
   }
 }
 
@@ -101,68 +121,72 @@ std::string Bound::text() const {
   return (lo_open ? "(" : "[") + number(lo) + ", " + number(hi) + "]";
 }
 
-SectionView* KeyTable::declare(const char* section, const char* key,
-                               const void* field, KeyInfo info,
-                               bool required) {
+std::optional<KeyTable::Read> KeyTable::declare(const char* section,
+                                                const char* key,
+                                                const void* field,
+                                                KeyInfo info, bool required) {
   fields_[field] = {section, key};
+  if (std::find(sections_.begin(), sections_.end(), section) ==
+      sections_.end()) {
+    sections_.push_back(section);
+  }
   if (file_ == nullptr) {
     info.section = section;
     info.key = key;
     if (required) info.default_value = "required";
     keys_.push_back(std::move(info));
-    return nullptr;
+    return std::nullopt;
   }
-  auto it = std::find_if(views_.begin(), views_.end(),
-                         [&](const auto& v) { return v.first == section; });
-  if (it == views_.end()) {
-    views_.emplace_back(std::piecewise_construct,
-                        std::forward_as_tuple(section),
-                        std::forward_as_tuple(*file_, file_->find(section)));
-    it = std::prev(views_.end());
+  const ConfigFile::Section* sec = file_->find(section);
+  if (const ConfigFile::Entry* e = sec ? sec->find(key) : nullptr) {
+    return Read{file_->origin(), section, *e};
   }
-  if (it->second.has(key)) return &it->second;
   if (required) reject(field, "is required");
-  return nullptr;
+  return std::nullopt;
 }
 
-SectionView* KeyTable::scalar(const char* section, const char* key,
-                              const void* field, KeyInfo info) {
-  SectionView* v = declare(section, key, field, std::move(info));
-  const std::string name = section;
-  if (v == nullptr || (name != "topology" && name != "workload")) return v;
-  const ConfigFile::Section& sec = *file_->find(name);
-  const ConfigFile::Entry& e = *sec.find(key);
-  const std::vector<std::string> entries = split_config_list(e.value);
-  if (entries.size() < 2) return v;
+std::optional<KeyTable::Read> KeyTable::scalar(const char* section,
+                                               const char* key,
+                                               const void* field,
+                                               KeyInfo info) {
+  std::optional<Read> r = declare(section, key, field, std::move(info));
+  if (!r || (r->section != "topology" && r->section != "workload")) return r;
+  const std::vector<std::string> entries = split_config_list(r->entry.value);
+  if (entries.size() < 2) return r;
   if (!listed_.empty() && entries.size() != points()) {
-    v->reject(key, "lists " + std::to_string(entries.size()) +
-                       " values but " + this->name(listed_.front().first) +
-                       " lists " + std::to_string(points()) +
-                       "; listed keys pair entry by entry");
+    r->fail("lists " + std::to_string(entries.size()) + " values but " +
+            name(listed_.front().first) + " lists " +
+            std::to_string(points()) + "; listed keys pair entry by entry");
   }
   listed_.emplace_back(field, entries.size());
-  v->get_string(key, "");  // consumed: the entry's view reads it
-  entry_ = {name, {{key, entries.at(point_), e.line}}, sec.line};
-  return &entry_view_.emplace(*file_, &entry_);
+  r->entry.value = entries.at(point_);
+  return r;
 }
 
 void KeyTable::count(const char* section, const char* key, int* field,
                      Bound bound) {
-  if (SectionView* v = scalar(section, key, field,
-                              numeric("count", bound, number(*field)))) {
-    *field = v->get_int32(key, 0);
-    if (!bound.admits(*field)) v->reject(key, requirement(bound));
+  if (const auto r = scalar(section, key, field,
+                            numeric("count", bound, number(*field)))) {
+    const auto x = cc::parse_int_value(r->entry.value);
+    if (!x || *x < std::numeric_limits<int>::min() ||
+        *x > std::numeric_limits<int>::max()) {
+      r->fail("is not a valid 32-bit integer");
+    }
+    *field = static_cast<int>(*x);
+    if (!bound.admits(*field)) r->fail(requirement(bound));
   }
 }
 
 void KeyTable::count(const char* section, const char* key,
                      std::int64_t* field, Bound bound) {
   const double dflt = static_cast<double>(*field);
-  if (SectionView* v = scalar(section, key, field,
-                              numeric("count", bound, number(dflt)))) {
-    *field = v->get_int(key, 0);
+  if (const auto r = scalar(section, key, field,
+                            numeric("count", bound, number(dflt)))) {
+    const auto x = cc::parse_int_value(r->entry.value);
+    if (!x) r->fail("is not a valid integer");
+    *field = *x;
     if (!bound.admits(static_cast<double>(*field))) {
-      v->reject(key, requirement(bound));
+      r->fail(requirement(bound));
     }
   }
 }
@@ -170,16 +194,16 @@ void KeyTable::count(const char* section, const char* key,
 void KeyTable::count(const char* section, const char* key,
                      std::vector<int>* field, Bound bound) {
   const auto show = [](int x) { return number(x); };
-  SectionView* v = declare(
-      section, key, field,
-      numeric("count list", bound, joined(*field, show)), field->empty());
-  if (v == nullptr) return;
+  const auto r = declare(section, key, field,
+                         numeric("count list", bound, joined(*field, show)),
+                         field->empty());
+  if (!r) return;
   field->clear();
-  for (const double x : read_reals(*v, key, bound, true)) {
+  for (const double x : read_reals(*r, bound, true)) {
     // Integers only: truncating 2.5 would run a point the config does
     // not state, and casting past int's range is undefined behavior.
     if (std::floor(x) != x || x > std::numeric_limits<int>::max()) {
-      v->reject(key, "entries must be integers");
+      r->fail("entries must be integers");
     }
     field->push_back(static_cast<int>(x));
   }
@@ -187,101 +211,102 @@ void KeyTable::count(const char* section, const char* key,
 
 void KeyTable::real(const char* section, const char* key, double* field,
                     Bound bound, const char* unit) {
-  if (SectionView* v = scalar(section, key, field,
-                              numeric(unit, bound, number(*field)))) {
-    *field = read_reals(*v, key, bound, false)[0];
+  if (const auto r = scalar(section, key, field,
+                            numeric(unit, bound, number(*field)))) {
+    *field = read_reals(*r, bound, false)[0];
   }
 }
 
 void KeyTable::real(const char* section, const char* key,
                     std::vector<double>* field, Bound bound) {
-  if (SectionView* v = declare(
+  if (const auto r = declare(
           section, key, field,
           numeric("real list", bound, joined(*field, number)),
           field->empty())) {
-    *field = read_reals(*v, key, bound, true);
+    *field = read_reals(*r, bound, true);
   }
 }
 
 void KeyTable::gbps(const char* section, const char* key,
                     sim::Bandwidth* field) {
-  if (SectionView* v = scalar(
+  if (const auto r = scalar(
           section, key, field,
           numeric("Gbps", kGbps, number(field->gbps_value())))) {
-    *field = sim::Bandwidth::gbps(read_reals(*v, key, kGbps, false)[0]);
+    *field = sim::Bandwidth::gbps(read_reals(*r, kGbps, false)[0]);
   }
 }
 
 void KeyTable::time(const char* section, const char* key, sim::TimePs* field,
                     const char* unit, double unit_s, bool positive) {
   const double ps = unit_s * static_cast<double>(sim::kPsPerSec);
-  SectionView* v = scalar(
+  const auto r = scalar(
       section, key, field,
       numeric(unit, positive ? Bound::above(0) : Bound::at_least(0),
               number(static_cast<double>(*field) / ps)));
-  if (v == nullptr) return;
+  if (!r) return;
   // NaN/inf, negative and past-the-clock values: llround of them is
   // not a detectable error path.
-  const double s = v->get_double(key, 0) * unit_s;
+  const double s = r->number() * unit_s;
   if (!std::isfinite(s) || s < 0 ||
       s * static_cast<double>(sim::kPsPerSec) > kInt64Ceiling) {
-    v->reject(key, "must be a finite duration >= 0 within the clock's range");
+    r->fail("must be a finite duration >= 0 within the clock's range");
   }
   *field = sim::from_seconds(s);
   // Checked after rounding: a tiny value rounds to 0 ps.
-  if (positive && *field < 1) v->reject(key, "must be at least 1 ps");
+  if (positive && *field < 1) r->fail("must be at least 1 ps");
 }
 
 void KeyTable::size(const char* section, const char* key, std::int64_t* field,
                     Size unit, bool zero_ok) {
-  if (SectionView* v = scalar(section, key, field,
-                              size_info(unit, false, {*field}, zero_ok))) {
-    *field = to_bytes(*v, key, v->get_double(key, 0), unit, zero_ok);
+  if (const auto r = scalar(section, key, field,
+                            size_info(unit, false, {*field}, zero_ok))) {
+    *field = to_bytes(*r, r->number(), unit, zero_ok);
   }
 }
 
 void KeyTable::size(const char* section, const char* key,
                     std::vector<std::int64_t>* field, Size unit,
                     bool zero_ok) {
-  SectionView* v = declare(section, key, field,
-                           size_info(unit, true, *field, zero_ok),
-                           field->empty());
-  if (v == nullptr) return;
+  const auto r = declare(section, key, field,
+                         size_info(unit, true, *field, zero_ok),
+                         field->empty());
+  if (!r) return;
   field->clear();
-  for (const double x : v->get_double_list(key)) {
-    field->push_back(to_bytes(*v, key, x, unit, zero_ok));
+  for (const double x : r->numbers()) {
+    field->push_back(to_bytes(*r, x, unit, zero_ok));
   }
-  if (field->empty()) v->reject(key, "must list at least one value");
+  if (field->empty()) r->fail("must list at least one value");
 }
 
 void KeyTable::flag(const char* section, const char* key, bool* field) {
-  if (SectionView* v = scalar(section, key, field,
-                              {"", "", "flag", *field ? "true" : "false",
-                               "true | false", ""})) {
-    *field = v->get_bool(key, false);
+  if (const auto r = scalar(section, key, field,
+                            {"", "", "flag", *field ? "true" : "false",
+                             "true | false", ""})) {
+    const auto x = cc::parse_bool_value(r->entry.value);
+    if (!x) r->fail("is not a valid boolean (true/false/on/off/1/0)");
+    *field = *x;
   }
 }
 
 void KeyTable::choice(const char* section, const char* key,
                       std::string* field,
                       const std::vector<std::string>& options) {
-  if (SectionView* v = scalar(section, key, field,
-                              choice_info(options, false, {*field}))) {
-    *field = v->get_string(key, "");
-    check_option(*v, key, *field, options);
+  if (const auto r = scalar(section, key, field,
+                            choice_info(options, false, {*field}))) {
+    *field = r->entry.value;
+    check_option(*r, *field, options);
   }
 }
 
 void KeyTable::choice(const char* section, const char* key,
                       std::vector<std::string>* field,
                       const std::vector<std::string>& options) {
-  SectionView* v = declare(section, key, field,
-                           choice_info(options, true, *field),
-                           field->empty());
-  if (v == nullptr) return;
-  *field = v->get_list(key);
-  if (field->empty()) v->reject(key, "must list at least one value");
-  for (const auto& x : *field) check_option(*v, key, x, options);
+  const auto r = declare(section, key, field,
+                         choice_info(options, true, *field), field->empty());
+  if (!r) return;
+  *field = split_config_list(r->entry.value);
+  if (field->empty()) r->fail("must list at least one value");
+  for (const auto& x : *field) check_option(*r, x, options);
 }
 
 const std::string& KeyTable::name(const void* field) const {
@@ -297,7 +322,7 @@ bool KeyTable::given(const void* field) const {
 void KeyTable::reject(const void* field, const std::string& why) const {
   const auto& [section, key] = fields_.at(field);
   const ConfigFile::Section* sec = file_->find(section);
-  if (given(field)) SectionView(*file_, sec).reject(key, why);
+  if (given(field)) Read{file_->origin(), section, *sec->find(key)}.fail(why);
   const std::string at =
       sec == nullptr ? "" : ":" + std::to_string(sec->line);
   throw ConfigError(file_->origin() + at + ": [" + section + "] " + key +
@@ -305,13 +330,19 @@ void KeyTable::reject(const void* field, const std::string& why) const {
 }
 
 void KeyTable::finish() {
-  for (auto& [name, v] : views_) v.finish();
-}
-
-std::vector<std::string> KeyTable::sections() const {
-  std::vector<std::string> out;
-  for (const auto& [name, v] : views_) out.push_back(name);
-  return out;
+  for (const std::string& name : sections_) {
+    const ConfigFile::Section* sec = file_->find(name);
+    if (sec == nullptr) continue;
+    for (const ConfigFile::Entry& e : sec->entries) {
+      const auto declared = [&](const auto& f) {
+        return f.second.first == name && f.second.second == e.key;
+      };
+      if (std::none_of(fields_.begin(), fields_.end(), declared)) {
+        throw ConfigError(file_->origin() + ":" + std::to_string(e.line) +
+                          ": unknown key '" + e.key + "' in [" + name + "]");
+      }
+    }
+  }
 }
 
 std::string format_keys(const std::vector<KeyInfo>& keys) {

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <limits>
 #include <map>
 #include <optional>
@@ -19,12 +18,15 @@
 ///   keys.count("topology", "pods", &cfg.pods, Bound::at_least(1));
 ///
 /// The same function runs in two modes. In load mode (a KeyTable over
-/// a ConfigFile) each line reads its key if the file sets it, checks
-/// it against its unit and bound, and writes the field; a violation is
-/// a ConfigError at the key's file:line. In describe mode (a default
-/// KeyTable over a default-constructed struct) each line records the
-/// key, its unit, its bound and the field's value as the default: the
-/// reference `powertcp_run --kinds` prints. So a key's reader, range
+/// a ConfigFile) each line reads its key if the file sets it, parses
+/// it with the cc::parse_*_value helpers, checks it against its unit
+/// and bound, and writes the field; a violation is a ConfigError at the
+/// key's file:line, and so is a key no line declares. KeyTable is the
+/// one typed reader of a config file, `[cc.<label>]` sections included.
+/// In describe mode (a default KeyTable over a default-constructed
+/// struct) each line records the key, its unit, its bound and the
+/// field's value as the default: the reference `powertcp_run --kinds`
+/// prints. So a key's reader, range
 /// check and documentation cannot drift apart.
 ///
 /// A load-mode table reads one point: a scalar key under [topology] or
@@ -129,7 +131,8 @@ class KeyTable {
   /// Load mode, for checks that span keys: throws ConfigError at the
   /// line of the key that writes `field`, else of its section.
   [[noreturn]] void reject(const void* field, const std::string& why) const;
-  /// Load mode: throws ConfigError on the first key nothing declared.
+  /// Load mode: throws ConfigError on the first key, in a declared
+  /// section, that nothing declared.
   void finish();
   /// Load mode: how many points the listed scalar keys make (1 when the
   /// file lists none).
@@ -142,32 +145,42 @@ class KeyTable {
     reject(listed_.front().first, why);
   }
   /// Load mode: every section a declaration named, in order.
-  std::vector<std::string> sections() const;
+  const std::vector<std::string>& sections() const { return sections_; }
   /// Describe mode: the declared keys, in order.
   const std::vector<KeyInfo>& keys() const { return keys_; }
 
  private:
-  /// Records a key. Returns its section's view in load mode when the
-  /// file sets the key, else nullptr.
-  SectionView* declare(const char* section, const char* key,
-                       const void* field, KeyInfo info,
-                       bool required = false);
-  /// declare() for a scalar key: a listed value's view holds the
-  /// point's entry alone.
-  SectionView* scalar(const char* section, const char* key,
-                      const void* field, KeyInfo info);
+  /// A key the file sets, as its declaration reads it: a listed scalar
+  /// key's value is its point's entry.
+  struct Read {
+    const std::string& origin;
+    std::string section;
+    ConfigFile::Entry entry;
+
+    /// Throws ConfigError "origin:line: [section] key = 'value' why".
+    [[noreturn]] void fail(const std::string& why) const;
+    double number() const;
+    std::vector<double> numbers() const;
+  };
+
+  /// Records a key. Returns its read in load mode when the file sets
+  /// the key.
+  std::optional<Read> declare(const char* section, const char* key,
+                              const void* field, KeyInfo info,
+                              bool required = false);
+  /// declare() for a scalar key, which [topology] and [workload] may
+  /// list.
+  std::optional<Read> scalar(const char* section, const char* key,
+                             const void* field, KeyInfo info);
   void time(const char* section, const char* key, sim::TimePs* field,
             const char* unit, double unit_s, bool positive);
 
   const ConfigFile* file_ = nullptr;
   std::size_t point_ = 0;
-  std::deque<std::pair<std::string, SectionView>> views_;
+  /// Every section a declaration named, in order.
+  std::vector<std::string> sections_;
   /// The listed scalar keys, in declaration order, with their lengths.
   std::vector<std::pair<const void*, std::size_t>> listed_;
-  /// The last listed key's entry at `point_`, and the view scalar()
-  /// returns over it.
-  ConfigFile::Section entry_;
-  std::optional<SectionView> entry_view_;
   std::map<const void*, std::pair<std::string, std::string>> fields_;
   std::vector<KeyInfo> keys_;
 };

@@ -34,48 +34,30 @@ constexpr double kMaxFluidSamples = 1e6;
 /// Rows one single_flow table may have: Fig. 2 needs 9.
 constexpr double kMaxReactionRows = 1e4;
 
-/// Resolves one `schemes` label: its optional [cc.<label>] section
-/// supplies params and may alias a registered scheme via
-/// `scheme = <name>`. Every param key must be declared by the entry.
-SchemeRun resolve_scheme(const ConfigFile& file, const std::string& label,
-                         const KeyTable& keys, const void* labels_field) {
-  SchemeRun run;
-  run.label = label;
-  run.scheme = label;
-  const ConfigFile::Section* sec = file.find("cc." + label);
-  const SectionView cc(file, sec);
-  if (sec != nullptr) {
-    for (const auto& e : sec->entries) {
-      if (e.key == "scheme") {
-        run.scheme = e.value;
-      } else {
-        run.params[e.key] = e.value;
-      }
-    }
-  }
-  const cc::Scheme* scheme = cc::Registry::instance().find(run.scheme);
+/// Declares `label`'s optional [cc.<label>] section into `run`:
+/// `scheme = <name>` may alias a registered scheme, and each param that
+/// scheme declares is one line. run->params keeps only the params the
+/// file sets.
+void declare_scheme(KeyTable& k, const std::string& label, SchemeRun* run,
+                    const void* labels_field) {
+  const std::string section = "cc." + label;
+  run->label = run->scheme = label;
+  k.text(section.c_str(), "scheme", &run->scheme);
+  const cc::Scheme* scheme = cc::Registry::instance().find(run->scheme);
   if (scheme == nullptr) {
-    std::string why = "names scheme '" + run.scheme + "'" +
-                      (run.scheme == label ? "" : " (" + label + ")") +
+    std::string why = "names scheme '" + run->scheme + "'" +
+                      (run->scheme == label ? "" : " (" + label + ")") +
                       ", which is not registered; known:";
     for (const auto& s : cc::Registry::instance().schemes()) {
       why += " " + s.name;
     }
-    if (cc.has("scheme")) cc.reject("scheme", why);
-    keys.reject(labels_field, why);
+    k.reject(k.given(&run->scheme) ? &run->scheme : labels_field, why);
   }
-  for (const auto& [key, value] : run.params) {
-    (void)value;
-    bool declared = false;
-    for (const auto& spec : scheme->params) {
-      declared = declared || spec.key == key;
-    }
-    if (!declared) {
-      cc.reject(key, "is not a declared parameter of scheme '" + run.scheme +
-                         "'");
-    }
+  for (const cc::ParamSpec& spec : scheme->params) {
+    k.text(section.c_str(), spec.key.c_str(), &run->params[spec.key]);
   }
-  return run;
+  std::erase_if(run->params,
+                [&k](const auto& p) { return !k.given(&p.second); });
 }
 
 /// The fat-tree keys of fat_tree, incast and homa_oc: the [topology]
@@ -179,8 +161,8 @@ void check_dumbbell_senders(const KeyTable& k, const void* field,
 
 /// Rejects, at the `[experiment] schemes` line, the first scheme the
 /// kind cannot run: `misfit` returns why ("which ..."), or "" when the
-/// scheme fits. The scenario functions keep their own throws for
-/// library callers.
+/// scheme fits. Each kind's `unmet` rule is the one its library entry
+/// point throws on, too.
 void check_schemes(
     const ScenarioContext& ctx, const KeyTable& k,
     const std::function<std::string(const cc::Scheme&)>& misfit) {
@@ -514,13 +496,7 @@ void HomaOcKindConfig::declare(KeyTable& k) {
 }
 
 void HomaOcKindConfig::bind(const ScenarioContext& ctx, const KeyTable& k) {
-  check_schemes(ctx, k, [](const cc::Scheme& s) -> std::string {
-    return s.message_transport
-               ? ""
-               : "which is not a receiver-driven message transport; the "
-                 "overcommitment sweep (kind homa_oc) drives message "
-                 "transports only";
-  });
+  check_schemes(ctx, k, HomaOcScenario::unmet);
   check_fat_tree_size(k, homa_oc.incast.topo);
   check_fan_in_hosts(k, &homa_oc.fan_in, homa_oc.incast.topo);
   // Each level and fan-in names its tables (<slug>_<scheme>_oc2,
@@ -608,19 +584,11 @@ void MixedCcKindConfig::bind(const ScenarioContext& ctx, const KeyTable& k) {
         k.reject(&cc_mix, entry + "member '" + mem.label +
                               "' is not in the [experiment] schemes list");
       }
-      const cc::Scheme& scheme = cc::Registry::instance().at(run->scheme);
-      if (scheme.message_transport) {
-        k.reject(&cc_mix,
-                 entry + "member '" + mem.label + "' (scheme " + run->scheme +
-                     ") is a receiver-driven message transport; it "
-                     "reshapes the fabric and cannot share a bottleneck "
-                     "with sender CC algorithms");
-      }
-      if (scheme.needs.circuit_schedule) {
+      const std::string why =
+          MixedCcScenario::unmet(cc::Registry::instance().at(run->scheme));
+      if (!why.empty()) {
         k.reject(&cc_mix, entry + "member '" + mem.label + "' (scheme " +
-                              run->scheme +
-                              ") needs a circuit schedule; the coexistence "
-                              "dumbbell has none");
+                              run->scheme + ") " + why);
       }
       mix.members.push_back(*run);
       mix.weights.push_back(mem.weight);
@@ -773,9 +741,10 @@ RunnerConfig load_runner_config(const ConfigFile& file,
     check_distinct(keys, &ctx.scheme_labels, ctx.scheme_labels, as_is,
                    "give each run its own label, with a [cc.<label>] "
                    "section's scheme = naming the scheme");
-    for (const auto& label : ctx.scheme_labels) {
-      ctx.schemes.push_back(
-          resolve_scheme(file, label, keys, &ctx.scheme_labels));
+    ctx.schemes.resize(ctx.scheme_labels.size());
+    for (std::size_t s = 0; s < ctx.schemes.size(); ++s) {
+      declare_scheme(keys, ctx.scheme_labels[s], &ctx.schemes[s],
+                     &ctx.scheme_labels);
     }
 
     std::unique_ptr<ScenarioConfig> scenario =
@@ -799,9 +768,8 @@ RunnerConfig load_runner_config(const ConfigFile& file,
     keys.finish();
 
     // Reject sections no declaration named (typos, or [cc.X] for a
-    // scheme the `schemes` list does not run).
-    std::vector<std::string> known = keys.sections();
-    for (const auto& label : ctx.scheme_labels) known.push_back("cc." + label);
+    // label the `schemes` list does not run).
+    const std::vector<std::string>& known = keys.sections();
     for (const auto& sec : file.sections()) {
       if (std::find(known.begin(), known.end(), sec.name) == known.end()) {
         throw ConfigError(file.origin() + ":" + std::to_string(sec.line) +

@@ -116,8 +116,9 @@ struct HomaOcKindConfig final : ScenarioConfig {
 /// forms: no simulation runs, so `[experiment] schemes/seed/
 /// percentile` and `[telemetry]` are carried by the file format but
 /// ignored (the documented pattern for deterministic kinds). Defaults
-/// are exactly the paper's illustrative setting (25G, BDP = 22.32 pkts of 1 KB) so the printed factors
-/// (3.24 / 2.12 / 9 / 1) come out exactly.
+/// are exactly the paper's illustrative setting (25G, BDP = 22.32
+/// pkts of 1 KB) so the printed factors (3.24 / 2.12 / 9 / 1) come out
+/// exactly.
 struct SingleFlowKindConfig final : ScenarioConfig {
   double bandwidth_gbps = 25.0;  ///< bottleneck b
   double bdp_packets = 22.32;    ///< b·τ in packets (fixes τ)
@@ -149,14 +150,15 @@ struct MixedCcKindConfig final : ScenarioConfig {
   std::vector<ResultTable> run(const SweepRunner& runner) const override;
 };
 
-/// kind == "fluid_phase": Fig. 3's fluid-model phase portraits — the
-/// four control laws integrated from a grid of initial (window, queue)
-/// states, plus the Theorem 1/2 stability summary. Deterministic
-/// closed-form integration: no simulation runs, so `[experiment]
-/// schemes/seed/percentile` and `[telemetry]` are carried by the file
-/// format but ignored (the documented pattern for deterministic
-/// kinds). Defaults are the paper's setting (100G,
-/// 20us RTT, beta = 0.01 BDP).
+/// kind == "fluid_phase": Fig. 3's fluid-model phase portraits — three
+/// of analysis::LawType's four laws, voltage (queue length), current
+/// (RTT gradient) and power (the delay law is not plotted), integrated
+/// from a grid of initial (window, queue) states, plus the Theorem 1/2
+/// stability summary. Deterministic closed-form integration: no
+/// simulation runs, so `[experiment] schemes/seed/percentile` and
+/// `[telemetry]` are carried by the file format but ignored (the
+/// documented pattern for deterministic kinds). Defaults are the
+/// paper's setting (100G, 20us RTT, beta = 0.01 BDP).
 struct FluidPhaseKindConfig final : ScenarioConfig {
   double bandwidth_gbps = 100.0;     ///< bottleneck b
   double base_rtt_us = 20.0;         ///< base RTT tau

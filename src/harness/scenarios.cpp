@@ -279,16 +279,23 @@ std::vector<ResultTable> dumbbell_fairness_tables(
   return tables;
 }
 
+std::string HomaOcScenario::unmet(const cc::Scheme& scheme) {
+  return scheme.message_transport
+             ? ""
+             : "which is not a receiver-driven message transport; the "
+               "overcommitment sweep (kind homa_oc) drives message "
+               "transports only";
+}
+
 std::vector<ResultTable> homa_oc_tables(const SweepRunner& runner,
                                         const HomaOcScenario& cfg,
                                         const std::vector<SchemeRun>& schemes,
                                         const std::string& slug_prefix) {
   for (const auto& s : schemes) {
-    if (!resolve(s).message_transport) {
-      throw std::invalid_argument(
-          "scheme '" + s.scheme +
-          "' is not a receiver-driven message transport; the overcommitment "
-          "sweep (kind homa_oc) drives message transports only");
+    const std::string why = HomaOcScenario::unmet(resolve(s));
+    if (!why.empty()) {
+      throw std::invalid_argument("HomaOcScenario: scheme '" + s.scheme +
+                                  "', " + why);
     }
   }
   if (cfg.overcommit.empty()) {
@@ -386,6 +393,17 @@ std::vector<ResultTable> homa_oc_tables(const SweepRunner& runner,
   return tables;
 }
 
+std::string MixedCcScenario::unmet(const cc::Scheme& scheme) {
+  if (scheme.message_transport) {
+    return "is a receiver-driven message transport; it reshapes the fabric "
+           "and cannot share a bottleneck with sender CC algorithms";
+  }
+  if (scheme.needs.circuit_schedule) {
+    return "needs a circuit schedule; the coexistence dumbbell has none";
+  }
+  return "";
+}
+
 namespace {
 
 /// One (mix, aqm, rtt, buffer) cell: fairness, aggregate, and
@@ -432,17 +450,10 @@ MixedCcCellResult run_mixed_cc_cell(const MixedCcScenario& cfg,
   for (std::size_t m = 0; m < mix.members.size(); ++m) {
     const SchemeRun& run = mix.members[m];
     const cc::Scheme& s = resolve(run);
-    if (s.message_transport) {
-      throw std::invalid_argument(
-          "mixed_cc: mix member '" + run.display() +
-          "' is a receiver-driven message transport; it reshapes the fabric "
-          "(priority bands, receiver grants) and cannot share a bottleneck "
-          "with sender CC algorithms");
-    }
-    if (s.needs.circuit_schedule) {
-      throw std::invalid_argument(
-          "mixed_cc: mix member '" + run.display() +
-          "' needs a circuit schedule; the coexistence dumbbell has none");
+    const std::string why = MixedCcScenario::unmet(s);
+    if (!why.empty()) {
+      throw std::invalid_argument("mixed_cc: mix member '" + run.display() +
+                                  "' " + why);
     }
     if (s.needs.ecn.enabled && !needs.ecn.enabled) needs.ecn = s.needs.ecn;
     mm.push_back({run.display(), mix.weights[m]});

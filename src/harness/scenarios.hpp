@@ -29,6 +29,10 @@
 /// its parameter overrides and a display label (so e.g. reTCP-600us
 /// and reTCP-1800us are two runs of the same scheme).
 
+namespace powertcp::cc {
+struct Scheme;
+}  // namespace powertcp::cc
+
 namespace powertcp::harness {
 
 struct SchemeRun {
@@ -175,6 +179,9 @@ struct HomaOcScenario {
   IncastScenario incast = default_incast();
   std::vector<int> overcommit = {1, 2, 3, 4, 5, 6};
   std::vector<int> fan_in = {10, 55};
+
+  /// Why the sweep cannot run `scheme` ("which is not ..."), or "".
+  static std::string unmet(const cc::Scheme& scheme);
 };
 
 /// Per scheme: one fairness table per overcommitment level, then one
@@ -219,6 +226,10 @@ struct MixedCcScenario {
   /// Optional flight recorder per cell on the bottleneck port + the
   /// `telemetry.flow`-th sender's flow.
   TelemetryConfig telemetry;
+
+  /// Why `scheme` cannot be a mix member ("is ..." or "needs ..."), or
+  /// "".
+  static std::string unmet(const cc::Scheme& scheme);
 };
 
 /// A cell's `rttus` and `bufKB` row keys, as the coexistence tables
@@ -229,8 +240,9 @@ Cell mixed_cc_buffer_key(std::int64_t buffer_bytes);
 /// The three coexistence tables — `<prefix>_fairness` (one row per
 /// cell), `<prefix>_share` and `<prefix>_fct` (one row per cell ×
 /// member) — then, with telemetry on, one `<prefix>_cell<N>_flight`
-/// table per cell (N counts cells from 1 in fairness-row order). Cell simulations run on the runner's pool; output is
-/// identical for every thread count.
+/// table per cell (N counts cells from 1 in fairness-row order). Cell
+/// simulations run on the runner's pool; output is identical for every
+/// thread count.
 std::vector<ResultTable> mixed_cc_tables(const SweepRunner& runner,
                                          const MixedCcScenario& cfg,
                                          const std::string& slug_prefix);

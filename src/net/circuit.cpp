@@ -48,7 +48,8 @@ sim::TimePs CircuitSchedule::next_connection(int src_tor, int dst_tor,
   // Walk forward (at most one week) to the next occurrence of want_slot.
   sim::TimePs slot_start = (t / slot_length()) * slot_length();
   for (int i = 0; i <= n_matchings(); ++i) {
-    const sim::TimePs s = slot_start + static_cast<sim::TimePs>(i) * slot_length();
+    const sim::TimePs s =
+        slot_start + static_cast<sim::TimePs>(i) * slot_length();
     if (slot_index(s) == want_slot && s + day_ > t) {
       return s;  // day start (may be slightly in the past if t is mid-day)
     }

@@ -21,7 +21,6 @@ class ThroughputSeries {
   void add_bytes(sim::TimePs when, std::int64_t bytes);
 
   std::size_t bin_count() const { return bins_.size(); }
-  sim::TimePs bin_width() const { return bin_width_; }
   sim::TimePs bin_start(std::size_t i) const {
     return origin_ + static_cast<sim::TimePs>(i) * bin_width_;
   }

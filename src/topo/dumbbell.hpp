@@ -35,8 +35,6 @@ class Dumbbell {
     return *senders_.at(static_cast<std::size_t>(i));
   }
   host::Host& receiver() { return *receiver_; }
-  /// The receiver's node id — the destination every flow targets.
-  net::NodeId receiver_node() const { return receiver_->id(); }
   net::Switch& bottleneck_switch() { return *sw_; }
   /// The egress port feeding the receiver (the bottleneck queue).
   net::EgressPort& bottleneck_port();

@@ -71,6 +71,12 @@ TEST(Registry, UnparseableValuesThrow) {
                std::invalid_argument);
   EXPECT_THROW(hpcc_config_from_params({{"max_stage", "5.5"}}),
                std::invalid_argument);
+  // Values that parse but mean nothing: NaN, and a duration past the
+  // picosecond clock (llround of it would wrap to "< 0, derive it").
+  EXPECT_THROW(power_tcp_config_from_params({{"gamma", "nan"}}),
+               std::invalid_argument);
+  EXPECT_THROW(timely_config_from_params({{"t_low_us", "1e300"}}),
+               std::invalid_argument);
 }
 
 TEST(Registry, ParamsRoundTripIntoEveryConfigStruct) {

@@ -1,6 +1,6 @@
-/// Config-file parser coverage: the INI/TOML-subset syntax, typed
-/// section reads, and the loud failure modes (syntax errors with
-/// file:line context, unknown keys, bad values).
+/// Config-file parser coverage: the INI/TOML-subset syntax and its
+/// loud failure modes (syntax errors with file:line context). Typed
+/// reads, bad values and unknown keys are KeyTable's (test_keys.cpp).
 
 #include "harness/config.hpp"
 
@@ -61,67 +61,6 @@ TEST(ConfigFile, SyntaxErrorsCarryFileAndLine) {
   expect_error("[a]\nx = 1\nx = 2\n", "duplicate key");
   expect_error("[a]\nx = \"unterminated\n", "unterminated");
   expect_error("[a b]\n", "bad section name");
-}
-
-TEST(SectionView, TypedGettersAndFallbacks) {
-  const auto cfg = ConfigFile::parse(R"(
-[s]
-num = 2.5
-int = 42
-flag = on
-text = hello
-list = 1, 2, 3
-)");
-  SectionView v(cfg, cfg.find("s"));
-  EXPECT_DOUBLE_EQ(v.get_double("num", 0), 2.5);
-  EXPECT_EQ(v.get_int("int", 0), 42);
-  EXPECT_TRUE(v.get_bool("flag", false));
-  EXPECT_EQ(v.get_string("text", ""), "hello");
-  EXPECT_EQ(v.get_double_list("list"), (std::vector<double>{1, 2, 3}));
-  EXPECT_EQ(v.get_string("absent", "fallback"), "fallback");
-  EXPECT_DOUBLE_EQ(v.get_double("absent2", 7.5), 7.5);
-  EXPECT_NO_THROW(v.finish());
-}
-
-TEST(SectionView, BadValuesAndUnknownKeysThrow) {
-  const auto cfg = ConfigFile::parse(R"(
-[s]
-num = not-a-number
-wide = 4294967297
-typo_key = 1
-)");
-  SectionView v(cfg, cfg.find("s"));
-  EXPECT_THROW(v.get_double("num", 0), ConfigError);
-  EXPECT_THROW(v.get_int("num", 0), ConfigError);
-  EXPECT_THROW(v.get_int32("num", 0), ConfigError);
-  EXPECT_THROW(v.get_bool("num", false), ConfigError);
-  // get_int32 range-checks instead of wrapping to 1.
-  EXPECT_EQ(v.get_int("wide", 0), 4294967297);
-  try {
-    v.get_int32("wide", 0);
-    FAIL() << "expected out-of-range ConfigError";
-  } catch (const ConfigError& e) {
-    EXPECT_NE(std::string(e.what()).find(":4:"), std::string::npos)
-        << e.what();
-  }
-  // `typo_key` was never consumed by a getter.
-  try {
-    SectionView w(cfg, cfg.find("s"));
-    w.get_string("num", "");
-    w.get_string("wide", "");
-    w.finish();
-    FAIL() << "expected unknown-key ConfigError";
-  } catch (const ConfigError& e) {
-    EXPECT_NE(std::string(e.what()).find("typo_key"), std::string::npos);
-  }
-}
-
-TEST(SectionView, AbsentSectionYieldsFallbacks) {
-  const auto cfg = ConfigFile::parse("[present]\nx = 1\n");
-  SectionView v(cfg, cfg.find("absent"));
-  EXPECT_FALSE(v.has("x"));
-  EXPECT_EQ(v.get_int("x", 9), 9);
-  EXPECT_NO_THROW(v.finish());
 }
 
 TEST(ConfigFile, ParseFileReportsMissingFile) {

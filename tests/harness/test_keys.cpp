@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -280,6 +281,52 @@ TEST(KeyTable, ListedScalarKeysReadTheirPointsEntry) {
     EXPECT_STREQ(e.what(),
                  "u.toml:4: [workload] b = '1, 2, 3' lists 3 values but a "
                  "lists 2; listed keys pair entry by entry");
+  }
+}
+
+TEST(KeyTable, UnparseableValuesAndUnknownKeysFailAtTheirLine) {
+  const auto file = ConfigFile::parse(
+      "[s]\nnum = not-a-number\nint = 2.5\nwide = 4294967297\n"
+      "flag = maybe\nlist = 1, x\ntypo = 1\n",
+      "bad.toml");
+  double num = 0;
+  std::int64_t integer = 0;
+  int wide = 0;
+  bool flag = false;
+  std::vector<double> list;
+  const std::pair<std::function<void(KeyTable&)>, const char*> cases[] = {
+      {[&](KeyTable& k) { k.real("s", "num", &num, Bound::at_least(0)); },
+       "bad.toml:2: [s] num = 'not-a-number' is not a valid number"},
+      {[&](KeyTable& k) { k.count("s", "int", &integer, Bound::at_least(0)); },
+       "bad.toml:3: [s] int = '2.5' is not a valid integer"},
+      // A 32-bit key range-checks instead of wrapping to 1.
+      {[&](KeyTable& k) { k.count("s", "wide", &wide, Bound::at_least(0)); },
+       "bad.toml:4: [s] wide = '4294967297' is not a valid 32-bit integer"},
+      {[&](KeyTable& k) { k.flag("s", "flag", &flag); },
+       "bad.toml:5: [s] flag = 'maybe' is not a valid boolean "
+       "(true/false/on/off/1/0)"},
+      {[&](KeyTable& k) { k.real("s", "list", &list, Bound::at_least(0)); },
+       "bad.toml:6: [s] list = '1, x' is not a valid number list"},
+  };
+  for (const auto& [declare, message] : cases) {
+    KeyTable keys(file);
+    try {
+      declare(keys);
+      ADD_FAILURE() << "loaded: " << message;
+    } catch (const ConfigError& e) {
+      EXPECT_STREQ(e.what(), message);
+    }
+  }
+  // `typo` is in a declared section, but nothing declares it.
+  KeyTable keys(file);
+  std::string text[5];
+  const char* declared[] = {"num", "int", "wide", "flag", "list"};
+  for (int i = 0; i < 5; ++i) keys.text("s", declared[i], &text[i]);
+  try {
+    keys.finish();
+    FAIL() << "finished with an undeclared key";
+  } catch (const ConfigError& e) {
+    EXPECT_STREQ(e.what(), "bad.toml:7: unknown key 'typo' in [s]");
   }
 }
 

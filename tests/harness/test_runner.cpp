@@ -424,8 +424,9 @@ TEST(Runner, RepeatedGridEntriesAreRejectedAtTheirLine) {
 
 /// A label names a table row or column, so each may run once.
 TEST(Runner, RepeatedSchemeLabelsAreRejectedAtTheirLine) {
-  expect_rejected_at("[experiment]\nkind = incast\nschemes = powertcp, powertcp\n",
-                     "schemes");
+  expect_rejected_at(
+      "[experiment]\nkind = incast\nschemes = powertcp, powertcp\n",
+      "schemes");
   EXPECT_NO_THROW(load_runner_config(ConfigFile::parse(
       "[experiment]\nkind = incast\nschemes = powertcp, p2\n"
       "[cc.p2]\nscheme = powertcp\n",
@@ -764,6 +765,18 @@ overcommit = 1
 fan_in = 2
 )",
                      "schemes");
+  // The library entry point throws on the same rule.
+  try {
+    homa_oc_tables(SweepRunner(1), HomaOcScenario{},
+                   {SchemeRun{"", "powertcp", {}}}, "oc");
+    FAIL() << "ran a sender CC scheme";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "'powertcp', which is not a receiver-driven message "
+                  "transport"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Runner, LoaderRejectsSchemesTheKindCannotRun) {
@@ -1246,6 +1259,21 @@ TEST(Runner, MixedCcLoaderRejectsBadMixesWithFileLineContext) {
   }
   // Circuit-bound schemes cannot share the coexistence dumbbell.
   EXPECT_THROW(load("cc_mix = dctcp+retcp\n"), ConfigError);
+  // The library entry point throws on the same rules.
+  const std::pair<const char*, const char*> members[] = {
+      {"homa", "'homa' is a receiver-driven message transport"},
+      {"retcp", "'retcp' needs a circuit schedule"}};
+  for (const auto& [scheme, why] : members) {
+    MixedCcScenario cfg;
+    cfg.mixes = {{"dctcp+x", {{"", "dctcp", {}}, {"", scheme, {}}}, {1, 1}}};
+    try {
+      mixed_cc_tables(SweepRunner(1), cfg, "mix");
+      ADD_FAILURE() << "ran mix member " << scheme;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(why), std::string::npos)
+          << e.what();
+    }
+  }
   // Members must come from the resolved schemes list.
   EXPECT_THROW(load("cc_mix = dctcp+timely\n"), ConfigError);
   // Malformed member syntax, empty list, unknown AQM kind, bad axes.

@@ -64,7 +64,8 @@ TEST(ScenarioRegistry, UnknownWorkloadKeyErrorCarriesFileAndLine) {
     FAIL() << "expected ConfigError";
   } catch (const ConfigError& e) {
     const std::string msg = e.what();
-    // SectionView's unknown-key rejection: origin:line plus the key.
+    // KeyTable::finish's unknown-key rejection: origin:line plus the
+    // key.
     EXPECT_NE(msg.find("typo.toml:5"), std::string::npos) << msg;
     EXPECT_NE(msg.find("flow_mbb"), std::string::npos) << msg;
   }

@@ -143,7 +143,8 @@ TEST_F(LifecycleFixture, SenderIsSweptAtCompletionAndIdBecomesReusable) {
   // cumulative edge).
   topo->sender(0).start_flow(
       7, topo->receiver().id(), 80'000, factory(params), params,
-      simulator.now(), [&completions](const FlowCompletion&) { ++completions; });
+      simulator.now(),
+      [&completions](const FlowCompletion&) { ++completions; });
   simulator.run_until(simulator.now() + sim::milliseconds(2));
   EXPECT_EQ(completions, 2);
   EXPECT_EQ(delivered, 130'000) << "reused id must deliver real bytes";
@@ -153,7 +154,8 @@ TEST_F(LifecycleFixture, SenderIsSweptAtCompletionAndIdBecomesReusable) {
   ASSERT_EQ(topo->receiver().active_receivers(), 0u);
   topo->sender(0).start_flow(
       7, topo->receiver().id(), 50'000, factory(params), params,
-      simulator.now(), [&completions](const FlowCompletion&) { ++completions; });
+      simulator.now(),
+      [&completions](const FlowCompletion&) { ++completions; });
   simulator.run_until(simulator.now() + sim::milliseconds(2));
   EXPECT_EQ(completions, 3);
   EXPECT_EQ(delivered, 180'000);

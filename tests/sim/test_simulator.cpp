@@ -98,7 +98,8 @@ TEST(Simulator, CancelOnlyAffectsTargetEvent) {
   Simulator s;
   std::vector<int> order;
   s.schedule_at(nanoseconds(10), [&] { order.push_back(1); });
-  const EventId id = s.schedule_at(nanoseconds(10), [&] { order.push_back(2); });
+  const EventId id =
+      s.schedule_at(nanoseconds(10), [&] { order.push_back(2); });
   s.schedule_at(nanoseconds(10), [&] { order.push_back(3); });
   s.cancel(id);
   s.run();
