@@ -1,5 +1,5 @@
 /// Event-engine microbenchmark: the raw cost of the simulator hot path
-/// that paper-scale (--full) runs are bound by. Four workloads
+/// that paper-scale runs are bound by. Four workloads
 /// (schedule+fire churn, a replay of the per-hop pop-one-schedule-one
 /// pattern, schedule+cancel churn, and an end-to-end dumbbell packet
 /// run) on the Simulator's pending set.
@@ -222,10 +222,6 @@ int main(int argc, char** argv) {
   if (opts.fast) {
     scale = 200'000;
     horizon = sim::milliseconds(8);
-  }
-  if (opts.full) {
-    scale = 20'000'000;
-    horizon = sim::milliseconds(600);
   }
 
   std::printf("event-engine microbenchmark (%llu timer events, %s packet "

@@ -27,9 +27,10 @@ DcqcnConfig dcqcn_config_from_params(const ParamMap& overrides) {
   cfg.alpha_timer = r.get_microseconds("alpha_timer_us", cfg.alpha_timer);
   cfg.increase_timer =
       r.get_microseconds("increase_timer_us", cfg.increase_timer);
-  cfg.increase_bytes = r.get_int("increase_bytes", cfg.increase_bytes);
-  cfg.fast_recovery_stages = static_cast<int>(
-      r.get_int("fast_recovery_stages", cfg.fast_recovery_stages));
+  cfg.increase_bytes =
+      r.get_int<std::int64_t>("increase_bytes", cfg.increase_bytes);
+  cfg.fast_recovery_stages =
+      r.get_int<int>("fast_recovery_stages", cfg.fast_recovery_stages);
   cfg.rate_ai_bps = r.get_double("rate_ai_bps", cfg.rate_ai_bps);
   cfg.rate_hai_bps = r.get_double("rate_hai_bps", cfg.rate_hai_bps);
   cfg.min_rate_fraction =

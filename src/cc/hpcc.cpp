@@ -20,7 +20,7 @@ HpccConfig hpcc_config_from_params(const ParamMap& overrides) {
   const ParamReader r("hpcc", overrides, hpcc_param_specs());
   HpccConfig cfg;
   cfg.eta = r.get_double("eta", cfg.eta);
-  cfg.max_stage = static_cast<int>(r.get_int("max_stage", cfg.max_stage));
+  cfg.max_stage = r.get_int<int>("max_stage", cfg.max_stage);
   cfg.wai_bytes = r.get_double("wai_bytes", cfg.wai_bytes);
   cfg.max_cwnd_bdp = r.get_double("max_cwnd_bdp", cfg.max_cwnd_bdp);
   cfg.per_rtt_update = r.get_bool("per_rtt_update", cfg.per_rtt_update);

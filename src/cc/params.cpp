@@ -1,8 +1,9 @@
 #include "cc/params.hpp"
 
+#include <cerrno>
 #include <cmath>
 #include <cstdlib>
-#include <stdexcept>
+#include <limits>
 
 namespace powertcp::cc {
 
@@ -14,11 +15,17 @@ constexpr double kClockCeilingPs = 9.0e18;
 
 [[noreturn]] void bad_value(const std::string& scheme, const std::string& key,
                             const std::string& value, const char* want) {
-  throw std::invalid_argument("scheme '" + scheme + "': parameter '" + key +
-                              "' = '" + value + "' is not a valid " + want);
+  throw ParamError(scheme, key, value, std::string("is not a valid ") + want);
 }
 
 }  // namespace
+
+ParamError::ParamError(const std::string& scheme, const std::string& key,
+                       const std::string& value, const std::string& why)
+    : std::invalid_argument("scheme '" + scheme + "': parameter '" + key +
+                            "' = '" + value + "' " + why),
+      key(key),
+      why(why) {}
 
 std::optional<double> parse_double_value(const std::string& text) {
   char* end = nullptr;
@@ -29,8 +36,11 @@ std::optional<double> parse_double_value(const std::string& text) {
 
 std::optional<std::int64_t> parse_int_value(const std::string& text) {
   char* end = nullptr;
+  errno = 0;
   const long long v = std::strtoll(text.c_str(), &end, 10);
-  if (end == text.c_str() || *end != '\0') return std::nullopt;
+  if (end == text.c_str() || *end != '\0' || errno == ERANGE) {
+    return std::nullopt;
+  }
   return v;
 }
 
@@ -79,12 +89,14 @@ double ParamReader::get_double(const std::string& key, double fallback) const {
   return *parsed;
 }
 
-std::int64_t ParamReader::get_int(const std::string& key,
-                                  std::int64_t fallback) const {
-  const std::string* v = raw(key);
-  if (v == nullptr) return fallback;
-  const auto parsed = parse_int_value(*v);
-  if (!parsed) bad_value(scheme_, key, *v, "integer");
+std::int64_t ParamReader::int_within(const std::string& key,
+                                     const std::string& value,
+                                     std::int64_t lo, std::int64_t hi) const {
+  const auto parsed = parse_int_value(value);
+  if (!parsed) bad_value(scheme_, key, value, "integer");
+  if (*parsed < lo || *parsed > hi) {
+    bad_value(scheme_, key, value, "32-bit integer");
+  }
   return *parsed;
 }
 

@@ -80,6 +80,7 @@ Registry::Registry() {
       return plain_factory<PowerTcpConfig, PowerTcp>(
           power_tcp_config_from_params(o));
     };
+    s.check = [](const ParamMap& o) { (void)power_tcp_config_from_params(o); };
     s.experiment_defaults = hpcc_matched_beta;
     add(std::move(s));
   }
@@ -92,6 +93,9 @@ Registry::Registry() {
       return plain_factory<ThetaPowerTcpConfig, ThetaPowerTcp>(
           theta_power_tcp_config_from_params(o));
     };
+    s.check = [](const ParamMap& o) {
+      (void)theta_power_tcp_config_from_params(o);
+    };
     s.experiment_defaults = hpcc_matched_beta;
     add(std::move(s));
   }
@@ -103,6 +107,7 @@ Registry::Registry() {
     s.make = [](const ParamMap& o, const SchemeTopology&) {
       return plain_factory<HpccConfig, Hpcc>(hpcc_config_from_params(o));
     };
+    s.check = [](const ParamMap& o) { (void)hpcc_config_from_params(o); };
     add(std::move(s));
   }
   {
@@ -114,6 +119,7 @@ Registry::Registry() {
     s.make = [](const ParamMap& o, const SchemeTopology&) {
       return plain_factory<DcqcnConfig, Dcqcn>(dcqcn_config_from_params(o));
     };
+    s.check = [](const ParamMap& o) { (void)dcqcn_config_from_params(o); };
     add(std::move(s));
   }
   {
@@ -124,6 +130,7 @@ Registry::Registry() {
     s.make = [](const ParamMap& o, const SchemeTopology&) {
       return plain_factory<TimelyConfig, Timely>(timely_config_from_params(o));
     };
+    s.check = [](const ParamMap& o) { (void)timely_config_from_params(o); };
     add(std::move(s));
   }
   {
@@ -135,6 +142,7 @@ Registry::Registry() {
     s.make = [](const ParamMap& o, const SchemeTopology&) {
       return plain_factory<DctcpConfig, Dctcp>(dctcp_config_from_params(o));
     };
+    s.check = [](const ParamMap& o) { (void)dctcp_config_from_params(o); };
     add(std::move(s));
   }
   {
@@ -160,6 +168,7 @@ Registry::Registry() {
                                            cfg);
           });
     };
+    s.check = [](const ParamMap& o) { (void)re_tcp_config_from_params(o); };
     add(std::move(s));
   }
   {
@@ -170,6 +179,9 @@ Registry::Registry() {
     s.params = host::homa_param_specs();
     s.needs.priority_bands = 8;
     s.message_transport = true;
+    s.check = [](const ParamMap& o) {
+      (void)host::homa_config_from_params(o, FlowParams{});
+    };
     add(std::move(s));
   }
 }

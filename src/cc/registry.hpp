@@ -70,6 +70,10 @@ struct Scheme {
   /// Builds the flow factory. Throws std::invalid_argument on unknown
   /// parameter keys, unparseable values, or missing topology needs.
   std::function<FlowCcFactory(const ParamMap&, const SchemeTopology&)> make;
+  /// Parses `params` as make() (or, for the message transport, the
+  /// host) will, building nothing: throws ParamError for a value that
+  /// does not parse, so a config loader can reject it at load.
+  std::function<void(const ParamMap&)> check;
   /// Tuned defaults the workhorse fat-tree experiment injects for keys
   /// the config does not pin (e.g. PowerTCP's beta matched to HPCC's
   /// W_AI so the INT schemes hold comparable standing queues).

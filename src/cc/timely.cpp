@@ -25,8 +25,7 @@ TimelyConfig timely_config_from_params(const ParamMap& overrides) {
   cfg.delta_bps = r.get_double("delta_bps", cfg.delta_bps);
   cfg.t_low = r.get_microseconds("t_low_us", cfg.t_low);
   cfg.t_high = r.get_microseconds("t_high_us", cfg.t_high);
-  cfg.hai_threshold =
-      static_cast<int>(r.get_int("hai_threshold", cfg.hai_threshold));
+  cfg.hai_threshold = r.get_int<int>("hai_threshold", cfg.hai_threshold);
   cfg.min_rate_fraction =
       r.get_double("min_rate_fraction", cfg.min_rate_fraction);
   return cfg;

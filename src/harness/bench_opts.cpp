@@ -28,14 +28,13 @@ bool parse_threads(const char* prog, const std::string& value, int* out) {
 
 std::string BenchOptions::usage(const std::string& bench_name) {
   return "usage: " + bench_name +
-         " [--threads=N] [--csv=FILE] [--json=FILE] [--fast] [--full]\n"
+         " [--threads=N] [--csv=FILE] [--json=FILE] [--fast]\n"
          "  --threads=N  run independent sweep points on N threads\n"
          "               (results are identical for every N)\n"
          "  --csv=FILE   append long-format CSV rows "
          "(table,point,metric,value)\n"
          "  --json=FILE  write all result tables as one JSON document\n"
-         "  --fast       smaller/quicker preset (where supported)\n"
-         "  --full       paper-scale preset (where supported)\n";
+         "  --fast       smaller/quicker preset (where supported)\n";
 }
 
 BenchOptions BenchOptions::parse(int argc, char** argv) {
@@ -54,8 +53,6 @@ BenchOptions BenchOptions::parse(int argc, char** argv) {
       o.json_path = value;
     } else if (std::strcmp(arg, "--fast") == 0) {
       o.fast = true;
-    } else if (std::strcmp(arg, "--full") == 0) {
-      o.full = true;
     } else if (std::strcmp(arg, "--help") == 0 ||
                std::strcmp(arg, "-h") == 0) {
       o.help = true;

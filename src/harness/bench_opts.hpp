@@ -13,7 +13,7 @@
 ///                  the header is written only when FILE is new/empty,
 ///                  so several benches can accumulate into one file
 ///   --json=FILE    write (overwrite) a structured JSON document
-///   --fast / --full  the pre-existing scale presets (bench-interpreted)
+///   --fast         a smaller, quicker preset (bench-interpreted)
 /// plus a BenchReporter that prints each finished table as text and
 /// flushes the machine-readable files at the end. Output is a pure
 /// function of (flags, seed): tables are assembled in declaration order
@@ -34,7 +34,6 @@ struct BenchOptions {
   std::string csv_path;
   std::string json_path;
   bool fast = false;
-  bool full = false;
 
   /// Parses argv. Unknown flags print usage to stderr and set `ok`
   /// false (benches exit 2). `--help` sets `help` (benches exit 0).

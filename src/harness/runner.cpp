@@ -37,7 +37,7 @@ constexpr double kMaxReactionRows = 1e4;
 /// Declares `label`'s optional [cc.<label>] section into `run`:
 /// `scheme = <name>` may alias a registered scheme, and each param that
 /// scheme declares is one line. run->params keeps only the params the
-/// file sets.
+/// file sets, and a value the scheme cannot parse fails at its line.
 void declare_scheme(KeyTable& k, const std::string& label, SchemeRun* run,
                     const void* labels_field) {
   const std::string section = "cc." + label;
@@ -58,6 +58,11 @@ void declare_scheme(KeyTable& k, const std::string& label, SchemeRun* run,
   }
   std::erase_if(run->params,
                 [&k](const auto& p) { return !k.given(&p.second); });
+  try {
+    scheme->check(run->params);
+  } catch (const cc::ParamError& e) {
+    k.reject(&run->params.at(e.key), e.why);
+  }
 }
 
 /// The fat-tree keys of fat_tree, incast and homa_oc: the [topology]

@@ -21,14 +21,14 @@ HomaConfig homa_config_from_params(const cc::ParamMap& overrides,
                                    const cc::FlowParams& flow) {
   const cc::ParamReader r("homa", overrides, homa_param_specs());
   HomaConfig cfg;
-  cfg.rtt_bytes = r.get_int("rtt_bytes", -1);
+  cfg.rtt_bytes = r.get_int<std::int64_t>("rtt_bytes", -1);
   if (cfg.rtt_bytes < 0) {
     cfg.rtt_bytes = static_cast<std::int64_t>(flow.bdp_bytes());
   }
-  cfg.overcommit = static_cast<int>(r.get_int("overcommit", cfg.overcommit));
+  cfg.overcommit = r.get_int<int>("overcommit", cfg.overcommit);
   cfg.resend_interval =
       r.get_microseconds("resend_interval_us", cfg.resend_interval);
-  cfg.max_resends = static_cast<int>(r.get_int("max_resends", cfg.max_resends));
+  cfg.max_resends = r.get_int<int>("max_resends", cfg.max_resends);
   cfg.mss = flow.mss;
   return cfg;
 }

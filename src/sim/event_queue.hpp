@@ -5,6 +5,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <queue>
 #include <vector>
 
 #include "sim/time.hpp"
@@ -20,14 +21,9 @@
 /// each a list kept sorted by the full key, so the engine's
 /// per-packet events (a delivery is due 1-3 us ahead) push and pop in
 /// O(1). Keys past the wheel's horizon, and everything pushed before
-/// the engine's first pop, go to the BinaryHeapEventQueue behind it.
-///
-/// The heap's pop is deferred: it leaves a hole at the root, and the
-/// next push into the heap fills that hole with a single sift-down
-/// instead of a pop's sift-down to a leaf plus a push's sift-up back to
-/// the top. Keys are unique (`seq` is), so the (time, sched, tie, seq)
-/// order is strict and total and any correct queue pops the same
-/// sequence.
+/// the engine's first pop, go to a std::priority_queue behind it. Keys
+/// are unique (`seq` is), so the (time, sched, tie, seq) order is
+/// strict and total and any correct queue pops the same sequence.
 ///
 /// The `sched` key is the CAUSAL timestamp: the simulation time at
 /// which the event counts as scheduled. For an ordinary event it is
@@ -67,79 +63,9 @@ inline bool earlier(const EventEntry& a, const EventEntry& b) {
   return a.seq < b.seq;
 }
 
-class BinaryHeapEventQueue {
- public:
-  /// Adds `e`. After a pop() the entry fills the vacated root with one
-  /// sift-down, which stops early for an entry that sorts near the top;
-  /// otherwise it sifts up from a new leaf. `e` is taken by value so it
-  /// may alias an entry of this queue.
-  void push(EventEntry e) {
-    if (vacated_) {
-      vacated_ = false;
-      sift_down(e);
-      return;
-    }
-    std::size_t hole = heap_.size();
-    heap_.emplace_back();
-    while (hole > 0) {
-      const std::size_t parent = (hole - 1) / 2;
-      if (!earlier(e, heap_[parent])) break;
-      heap_[hole] = heap_[parent];
-      hole = parent;
-    }
-    heap_[hole] = e;
-  }
-
-  /// Minimum entry by (time, sched, tie, seq), or nullptr when empty.
-  /// Settles a vacated root first, which moves entries, so the pointer
-  /// is valid only until the next push/pop/peek.
-  const EventEntry* peek() {
-    if (vacated_) settle();
-    return heap_.empty() ? nullptr : &heap_.front();
-  }
-
-  /// Removes the entry peek() reported. Precondition: not empty. Only
-  /// marks the root vacated; the next push() refills it, and the next
-  /// peek()/pop() settles it from the last leaf.
-  void pop() {
-    if (vacated_) settle();
-    vacated_ = true;
-  }
-
-  /// Pending entries; a vacated root is not counted.
-  std::size_t size() const { return heap_.size() - (vacated_ ? 1 : 0); }
-  bool empty() const { return size() == 0; }
-
- private:
-  /// Moves the last leaf into the vacated root.
-  void settle() {
-    vacated_ = false;
-    const EventEntry last = heap_.back();
-    heap_.pop_back();
-    if (!heap_.empty()) sift_down(last);
-  }
-
-  /// Places `e` into the hole at the root, moving smaller children up
-  /// until `e` sorts before both children of the hole.
-  void sift_down(const EventEntry& e) {
-    const std::size_t n = heap_.size();
-    std::size_t hole = 0;
-    for (std::size_t child = 1; child < n; child = 2 * hole + 1) {
-      if (child + 1 < n && earlier(heap_[child + 1], heap_[child])) ++child;
-      if (!earlier(heap_[child], e)) break;
-      heap_[hole] = heap_[child];
-      hole = child;
-    }
-    heap_[hole] = e;
-  }
-
-  std::vector<EventEntry> heap_;
-  /// heap_[0] is a hole left by pop(): see push() and settle().
-  bool vacated_ = false;
-};
-
 /// The Simulator's pending set: an exact timing wheel for keys near the
-/// engine clock, with a BinaryHeapEventQueue behind it for the rest.
+/// engine clock, with a binary heap (std::priority_queue) behind it for
+/// the rest.
 ///
 /// The wheel is kBuckets buckets of kBucketPs picoseconds. Bucket
 /// `b = time / kBucketPs` lives in slot `b % kBuckets`, and the wheel
@@ -150,8 +76,8 @@ class BinaryHeapEventQueue {
 /// bursts stay O(1)); a key that sorts earlier walks its bucket. A
 /// bitmap of the non-empty slots finds the next bucket with
 /// countr_zero. peek() compares the wheel's first entry with the
-/// overflow heap's top by the full key, so the order is exactly the
-/// heap's.
+/// overflow heap's top by the full key, so every pop follows earlier()
+/// exactly.
 ///
 /// The cursor follows the engine clock, never a popped entry: the
 /// Simulator calls advance() whenever its clock moves. A popped
@@ -206,7 +132,7 @@ class TimingWheelEventQueue {
   /// Minimum entry by (time, sched, tie, seq), or nullptr when empty.
   /// The pointer is valid only until the next push/pop/peek.
   const EventEntry* peek() {
-    const EventEntry* top = overflow_.peek();
+    const EventEntry* top = overflow_.empty() ? nullptr : &overflow_.top();
     in_wheel_ = false;
     if (wheel_size_ != 0) {
       const EventEntry& w = nodes_[buckets_[first_slot()].head].e;
@@ -268,6 +194,13 @@ class TimingWheelEventQueue {
     EventEntry e;
     std::uint32_t next = kNil;
   };
+  /// std::priority_queue keeps its greatest entry on top, so the
+  /// overflow's order is the reverse of earlier().
+  struct Later {
+    bool operator()(const EventEntry& a, const EventEntry& b) const {
+      return earlier(b, a);
+    }
+  };
 
   void allocate() {
     buckets_ = std::make_unique<Bucket[]>(kBuckets);
@@ -307,7 +240,7 @@ class TimingWheelEventQueue {
     return base + std::countr_zero(bits);
   }
 
-  BinaryHeapEventQueue overflow_;
+  std::priority_queue<EventEntry, std::vector<EventEntry>, Later> overflow_;
   std::unique_ptr<Bucket[]> buckets_;
   std::unique_ptr<std::uint64_t[]> occupied_;
   std::vector<Node> nodes_;

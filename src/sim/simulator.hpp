@@ -20,13 +20,13 @@
 ///
 /// Storage is split between a pending set of small POD entries
 /// (time, sched, tie, seq, slot) — a timing wheel for the near future
-/// with a binary heap behind it, see event_queue.hpp — and a slot table
-/// holding the callbacks. Callbacks are sim::Callback, which embeds the
-/// closure in the slot (no per-event heap allocation; oversized captures
-/// fail to compile). The schedule_* entry points take the callable
-/// itself and forward it to its slot, where it is constructed in place:
-/// an event's closure moves once, when the pop takes it out of its slot
-/// to run it. Cancelling frees the slot immediately — an O(1)
+/// with a std::priority_queue behind it, see event_queue.hpp — and a
+/// slot table holding the callbacks. Callbacks are sim::Callback, which
+/// embeds the closure in the slot (no per-event heap allocation;
+/// oversized captures fail to compile). The schedule_* entry points
+/// take the callable itself and forward it to its slot, where it is
+/// constructed in place: an event's closure moves once, when the pop
+/// takes it out of its slot to run it. Cancelling frees the slot immediately — an O(1)
 /// generation check against the EventId's seq, with no lookaside set
 /// that could grow when stale ids are cancelled — and leaves only the
 /// POD queue entry behind as a tombstone that is discarded when it

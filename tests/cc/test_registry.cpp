@@ -64,6 +64,22 @@ TEST(Registry, UnknownParamKeyThrowsForEverySchemeWithAFactory) {
                std::invalid_argument);
 }
 
+TEST(Registry, CheckNamesEveryDeclaredParamItCannotParse) {
+  // A config loader reports a bad [cc.<label>] value at its line from
+  // the key that check() names, so check() must read every param.
+  for (const Scheme& s : Registry::instance().schemes()) {
+    EXPECT_NO_THROW(s.check(ParamMap{})) << s.name;
+    for (const ParamSpec& spec : s.params) {
+      try {
+        s.check({{spec.key, "x"}});
+        ADD_FAILURE() << s.name << " accepted " << spec.key << " = x";
+      } catch (const ParamError& e) {
+        EXPECT_EQ(e.key, spec.key) << s.name;
+      }
+    }
+  }
+}
+
 TEST(Registry, UnparseableValuesThrow) {
   EXPECT_THROW(power_tcp_config_from_params({{"gamma", "fast"}}),
                std::invalid_argument);
@@ -77,6 +93,20 @@ TEST(Registry, UnparseableValuesThrow) {
                std::invalid_argument);
   EXPECT_THROW(timely_config_from_params({{"t_low_us", "1e300"}}),
                std::invalid_argument);
+  // An int param is range-checked, not narrowed: 4294967301 would wrap
+  // to 5.
+  try {
+    hpcc_config_from_params({{"max_stage", "4294967301"}});
+    FAIL() << "max_stage wrapped";
+  } catch (const ParamError& e) {
+    EXPECT_EQ(e.key, "max_stage");
+    EXPECT_EQ(e.why, "is not a valid 32-bit integer");
+    EXPECT_STREQ(e.what(),
+                 "scheme 'hpcc': parameter 'max_stage' = '4294967301' is not "
+                 "a valid 32-bit integer");
+  }
+  EXPECT_EQ(hpcc_config_from_params({{"max_stage", "2147483647"}}).max_stage,
+            2147483647);
 }
 
 TEST(Registry, ParamsRoundTripIntoEveryConfigStruct) {

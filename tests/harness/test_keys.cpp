@@ -287,7 +287,7 @@ TEST(KeyTable, ListedScalarKeysReadTheirPointsEntry) {
 TEST(KeyTable, UnparseableValuesAndUnknownKeysFailAtTheirLine) {
   const auto file = ConfigFile::parse(
       "[s]\nnum = not-a-number\nint = 2.5\nwide = 4294967297\n"
-      "flag = maybe\nlist = 1, x\ntypo = 1\n",
+      "flag = maybe\nlist = 1, x\nhuge = 99999999999999999999\ntypo = 1\n",
       "bad.toml");
   double num = 0;
   std::int64_t integer = 0;
@@ -307,6 +307,10 @@ TEST(KeyTable, UnparseableValuesAndUnknownKeysFailAtTheirLine) {
        "(true/false/on/off/1/0)"},
       {[&](KeyTable& k) { k.real("s", "list", &list, Bound::at_least(0)); },
        "bad.toml:6: [s] list = '1, x' is not a valid number list"},
+      // Past int64's range: rejected, not saturated to INT64_MAX.
+      {[&](KeyTable& k) { k.count("s", "huge", &integer, Bound::at_least(0)); },
+       "bad.toml:7: [s] huge = '99999999999999999999' is not a valid "
+       "integer"},
   };
   for (const auto& [declare, message] : cases) {
     KeyTable keys(file);
@@ -319,14 +323,14 @@ TEST(KeyTable, UnparseableValuesAndUnknownKeysFailAtTheirLine) {
   }
   // `typo` is in a declared section, but nothing declares it.
   KeyTable keys(file);
-  std::string text[5];
-  const char* declared[] = {"num", "int", "wide", "flag", "list"};
-  for (int i = 0; i < 5; ++i) keys.text("s", declared[i], &text[i]);
+  std::string text[6];
+  const char* declared[] = {"num", "int", "wide", "flag", "list", "huge"};
+  for (int i = 0; i < 6; ++i) keys.text("s", declared[i], &text[i]);
   try {
     keys.finish();
     FAIL() << "finished with an undeclared key";
   } catch (const ConfigError& e) {
-    EXPECT_STREQ(e.what(), "bad.toml:7: unknown key 'typo' in [s]");
+    EXPECT_STREQ(e.what(), "bad.toml:8: unknown key 'typo' in [s]");
   }
 }
 

@@ -989,6 +989,38 @@ TEST(Runner, LoaderRejectsUnknownSchemesKeysAndSections) {
   }
 }
 
+TEST(Runner, OutOfRangeIntegersFailAtTheirLine) {
+  // An integer past int64 does not saturate, and a [cc.<label>] int
+  // param does not wrap (4294967301 would run as 5): each fails at
+  // load, at its line, in KeyTable's words.
+  const std::pair<const char*, const char*> cases[] = {
+      {"[experiment]\nkind = dumbbell\nschemes = hpcc\n"
+       "seed = 99999999999999999999\n",
+       "bad.toml:4: [experiment] seed = '99999999999999999999' is not a "
+       "valid integer"},
+      {"[experiment]\nkind = dumbbell\nschemes = hpcc\n"
+       "[cc.hpcc]\neta = 0.9\nmax_stage = 4294967301\n",
+       "bad.toml:6: [cc.hpcc] max_stage = '4294967301' is not a valid "
+       "32-bit integer"},
+      {"[experiment]\nkind = dumbbell\nschemes = homa\n"
+       "[cc.homa]\novercommit = -4294967295\n",
+       "bad.toml:5: [cc.homa] overcommit = '-4294967295' is not a valid "
+       "32-bit integer"},
+      {"[experiment]\nkind = dumbbell\nschemes = dcqcn\n"
+       "[cc.dcqcn]\nincrease_bytes = 99999999999999999999\n",
+       "bad.toml:5: [cc.dcqcn] increase_bytes = '99999999999999999999' is "
+       "not a valid integer"},
+  };
+  for (const auto& [text, message] : cases) {
+    try {
+      load_runner_config(ConfigFile::parse(text, "bad.toml"));
+      ADD_FAILURE() << "loaded: " << message;
+    } catch (const ConfigError& e) {
+      EXPECT_STREQ(e.what(), message);
+    }
+  }
+}
+
 /// Sizes and durations are doubles in the file but integers in the
 /// run: every value that cannot be cast (NaN, negative, past int64 or
 /// past the picosecond clock) fails at load with file:line and the key,

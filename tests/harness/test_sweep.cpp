@@ -171,7 +171,6 @@ TEST(BenchOptions, ParsesSweepFlags) {
   EXPECT_EQ(o.csv_path, "a.csv");
   EXPECT_EQ(o.json_path, "b.json");
   EXPECT_TRUE(o.fast);
-  EXPECT_FALSE(o.full);
 }
 
 TEST(BenchOptions, RejectsUnknownAndBadFlags) {

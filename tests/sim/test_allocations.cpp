@@ -147,7 +147,7 @@ TEST(Allocations, SteadyStatePacketEventsAreAllocationFree) {
   // per-packet event chain (tx completion at two ports, propagation,
   // switch forward, receiver ack, sender cc update + RTO re-arm, INT
   // stamping) must run without touching the heap. This is the hot path
-  // that dominates paper-scale (--full) wall clock.
+  // that dominates paper-scale wall clock.
   sim::Simulator simulator;
   net::Network network(simulator);
   topo::DumbbellConfig cfg;

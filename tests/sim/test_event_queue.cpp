@@ -15,21 +15,23 @@ namespace {
 
 using Wheel = TimingWheelEventQueue;
 
-/// Starts `q`'s clock at `now`. The heap has no clock; the wheel takes
-/// no key until its first advance().
-template <typename Q>
-void follow(Q& q, TimePs now) {
-  if constexpr (requires { q.advance(now); }) q.advance(now);
+/// How an order workload drives the wheel's clock. kFollowed starts it
+/// at 0 and advances it to each popped key, as the Simulator does.
+/// kNeverStarted never calls advance(), so the wheel takes no key and
+/// every entry goes through the overflow heap alone.
+enum class Clock { kFollowed, kNeverStarted };
+
+/// Starts `q`'s clock at 0 under kFollowed, so the wheel takes near keys.
+void start(Wheel& q, Clock mode) {
+  if (mode == Clock::kFollowed) q.advance(0);
 }
 
-/// A queue whose clock has started at 0, so the wheel takes near keys.
-template <typename Q>
-struct Started : Q {
-  Started() { follow<Q>(*this, 0); }
-};
+// Each fixed-order case below runs twice: as TimingWheelEventQueue on a
+// started wheel, and as BinaryHeapEventQueue on a wheel that never
+// starts, which is the binary heap behind the wheel (its overflow)
+// alone.
 
-template <typename Q>
-std::vector<EventEntry> drain(Q& q) {
+std::vector<EventEntry> drain(Wheel& q) {
   std::vector<EventEntry> out;
   while (const EventEntry* top = q.peek()) {
     out.push_back(*top);
@@ -38,7 +40,7 @@ std::vector<EventEntry> drain(Q& q) {
   return out;
 }
 
-/// The pop-order contract spelled out independently of the queues.
+/// The pop-order contract spelled out independently of the queue.
 bool oracle_earlier(const EventEntry& a, const EventEntry& b) {
   return std::tie(a.time, a.sched, a.tie, a.seq) <
          std::tie(b.time, b.sched, b.tie, b.seq);
@@ -46,8 +48,7 @@ bool oracle_earlier(const EventEntry& a, const EventEntry& b) {
 
 /// Checks that `q` pops dry in oracle order: `pending` sorted by the
 /// key contract.
-template <typename Q>
-void expect_drains_in_order(Q& q, std::vector<EventEntry> pending) {
+void expect_drains_in_order(Wheel& q, std::vector<EventEntry> pending) {
   std::sort(pending.begin(), pending.end(), oracle_earlier);
   const auto order = drain(q);
   ASSERT_EQ(order.size(), pending.size());
@@ -77,9 +78,9 @@ std::vector<EventEntry> seven_entries() {
   return v;
 }
 
-template <typename Q>
-void pops_in_time_then_seq_order() {
-  Started<Q> q;
+void pops_in_time_then_seq_order(Clock mode) {
+  Wheel q;
+  start(q, mode);
   q.push({nanoseconds(30), 0, 1, 0});
   q.push({nanoseconds(10), 0, 2, 1});
   q.push({nanoseconds(10), 0, 3, 2});
@@ -94,20 +95,20 @@ void pops_in_time_then_seq_order() {
   EXPECT_TRUE(q.empty());
 }
 
-TEST(BinaryHeapEventQueue, PopsInTimeThenSeqOrder) {
-  pops_in_time_then_seq_order<BinaryHeapEventQueue>();
-}
 TEST(TimingWheelEventQueue, PopsInTimeThenSeqOrder) {
-  pops_in_time_then_seq_order<Wheel>();
+  pops_in_time_then_seq_order(Clock::kFollowed);
+}
+TEST(BinaryHeapEventQueue, PopsInTimeThenSeqOrder) {
+  pops_in_time_then_seq_order(Clock::kNeverStarted);
 }
 
-template <typename Q>
-void causal_timestamp_breaks_same_time_ties() {
+void causal_timestamp_breaks_same_time_ties(Clock mode) {
   // Same delivery instant, different causal (schedule-time) stamps: the
   // earlier-scheduled event pops first even when its seq is larger —
   // stamped packet deliveries rely on this middle key. Equal stamps
   // fall back to seq (FIFO).
-  Started<Q> q;
+  Wheel q;
+  start(q, mode);
   q.push({nanoseconds(50), nanoseconds(40), 1, 0});
   q.push({nanoseconds(50), nanoseconds(10), 2, 1});
   q.push({nanoseconds(50), nanoseconds(40), 3, 2});
@@ -120,19 +121,19 @@ void causal_timestamp_breaks_same_time_ties() {
   EXPECT_EQ(order[3].seq, 3u);
 }
 
-TEST(BinaryHeapEventQueue, CausalTimestampBreaksSameTimeTies) {
-  causal_timestamp_breaks_same_time_ties<BinaryHeapEventQueue>();
-}
 TEST(TimingWheelEventQueue, CausalTimestampBreaksSameTimeTies) {
-  causal_timestamp_breaks_same_time_ties<Wheel>();
+  causal_timestamp_breaks_same_time_ties(Clock::kFollowed);
+}
+TEST(BinaryHeapEventQueue, CausalTimestampBreaksSameTimeTies) {
+  causal_timestamp_breaks_same_time_ties(Clock::kNeverStarted);
 }
 
-template <typename Q>
-void tie_token_orders_between_sched_and_seq() {
+void tie_token_orders_between_sched_and_seq(Clock mode) {
   // Equal (time, sched): the tie token decides before seq, so a
   // delivery's port token beats scheduling chronology. A smaller
   // sched still wins over any token.
-  Started<Q> q;
+  Wheel q;
+  start(q, mode);
   q.push({nanoseconds(50), nanoseconds(40), 1, 0, /*tie=*/7});
   q.push({nanoseconds(50), nanoseconds(40), 2, 1, /*tie=*/3});
   q.push({nanoseconds(50), nanoseconds(40), 3, 2, /*tie=*/0});
@@ -147,16 +148,16 @@ void tie_token_orders_between_sched_and_seq() {
   EXPECT_EQ(order[4].seq, 1u);  // token 7, despite the lowest seq
 }
 
-TEST(BinaryHeapEventQueue, TieTokenOrdersBetweenSchedAndSeq) {
-  tie_token_orders_between_sched_and_seq<BinaryHeapEventQueue>();
-}
 TEST(TimingWheelEventQueue, TieTokenOrdersBetweenSchedAndSeq) {
-  tie_token_orders_between_sched_and_seq<Wheel>();
+  tie_token_orders_between_sched_and_seq(Clock::kFollowed);
+}
+TEST(BinaryHeapEventQueue, TieTokenOrdersBetweenSchedAndSeq) {
+  tie_token_orders_between_sched_and_seq(Clock::kNeverStarted);
 }
 
-template <typename Q>
-void all_events_at_one_instant() {
-  Started<Q> q;
+void all_events_at_one_instant(Clock mode) {
+  Wheel q;
+  start(q, mode);
   for (std::uint64_t i = 0; i < 1000; ++i) {
     q.push({microseconds(5), 0, i + 1, static_cast<std::uint32_t>(i)});
   }
@@ -169,21 +170,22 @@ void all_events_at_one_instant() {
   EXPECT_EQ(q.size(), 0u);
 }
 
-TEST(BinaryHeapEventQueue, AllEventsAtOneInstant) {
-  all_events_at_one_instant<BinaryHeapEventQueue>();
-}
 TEST(TimingWheelEventQueue, AllEventsAtOneInstant) {
-  all_events_at_one_instant<Wheel>();
+  all_events_at_one_instant(Clock::kFollowed);
+}
+TEST(BinaryHeapEventQueue, AllEventsAtOneInstant) {
+  all_events_at_one_instant(Clock::kNeverStarted);
 }
 
 /// Dense bursts, sparse gaps, heavy same-time ties, random tie tokens
 /// and interleaved pops: every pop must be the minimum of the pending
 /// set by the (time, sched, tie, seq) contract. `sparse` is the range
-/// of the rare far delays; the queue's clock follows each pop.
-template <typename Q>
+/// of the rare far delays.
 void matches_sorted_order_on_randomized_workload(std::uint64_t seed,
-                                                 double sparse) {
-  Started<Q> q;
+                                                 double sparse,
+                                                 Clock mode) {
+  Wheel q;
+  start(q, mode);
   std::vector<EventEntry> pending;
   Rng rng(seed);
   TimePs clock = 0;
@@ -206,7 +208,7 @@ void matches_sorted_order_on_randomized_workload(std::uint64_t seed,
     clock = top->time;  // future pushes never go below the pop floor
     pending.erase(want);
     q.pop();
-    follow(q, clock);
+    if (mode == Clock::kFollowed) q.advance(clock);
     return testing::AssertionSuccess();
   };
   for (int round = 0; round < 200; ++round) {
@@ -238,30 +240,30 @@ void matches_sorted_order_on_randomized_workload(std::uint64_t seed,
   EXPECT_TRUE(q.empty());
 }
 
-TEST(BinaryHeapEventQueue, MatchesSortedOrderOnRandomizedWorkload) {
-  // Sparse gaps of up to ~100 ms.
-  matches_sorted_order_on_randomized_workload<BinaryHeapEventQueue>(
-      0xC0FFEEull, 1e11);
-}
 TEST(TimingWheelEventQueue, MatchesSortedOrderOnRandomizedWorkload) {
-  matches_sorted_order_on_randomized_workload<Wheel>(0xC0FFEEull, 1e11);
+  // Sparse gaps of up to ~100 ms.
+  matches_sorted_order_on_randomized_workload(0xC0FFEEull, 1e11,
+                                              Clock::kFollowed);
+}
+TEST(BinaryHeapEventQueue, MatchesSortedOrderOnRandomizedWorkload) {
+  // Tie storms and ~100 ms gaps on the overflow heap alone.
+  matches_sorted_order_on_randomized_workload(0xC0FFEEull, 1e11,
+                                              Clock::kNeverStarted);
 }
 TEST(TimingWheelEventQueue, MatchesSortedOrderWithGapsNearTheHorizon) {
   // Sparse gaps of up to two horizons: keys land on both sides of the
   // wheel's reach, and overflow keys come within it as the clock moves.
   for (const std::uint64_t seed : {1ull, 2ull, 3ull}) {
     SCOPED_TRACE(testing::Message() << "seed " << seed);
-    matches_sorted_order_on_randomized_workload<Wheel>(
-        seed, 2.0 * static_cast<double>(Wheel::kHorizonPs));
+    matches_sorted_order_on_randomized_workload(
+        seed, 2.0 * static_cast<double>(Wheel::kHorizonPs), Clock::kFollowed);
   }
 }
 
-template <typename Q>
-void push_after_pop_fills_the_vacated_root() {
-  // pop() leaves the heap's root vacated and the next push() fills it
-  // with one sift-down. The new entry may sort before everything, after
-  // everything, or tie an entry on (time, sched) and be ordered by its
-  // token alone (entry 3 sits at 30 ns with token 5).
+void push_after_pop_keeps_the_order(Clock mode) {
+  // A push right after a pop: the new entry may sort before everything,
+  // after everything, or tie an entry on (time, sched) and be ordered by
+  // its token alone (entry 3 sits at 30 ns with token 5).
   const EventEntry cases[] = {
       {nanoseconds(5), 0, 100, 100, 0},     // before all
       {nanoseconds(999), 0, 100, 100, 0},   // after all
@@ -273,7 +275,8 @@ void push_after_pop_fills_the_vacated_root() {
   for (const EventEntry& fresh : cases) {
     SCOPED_TRACE(testing::Message() << "time " << fresh.time << " tie "
                                     << fresh.tie << " seq " << fresh.seq);
-    Started<Q> q;
+    Wheel q;
+    start(q, mode);
     std::vector<EventEntry> pending = seven_entries();
     for (const EventEntry& e : pending) q.push(e);
     ASSERT_EQ(q.peek()->seq, take_min(pending).seq);
@@ -285,20 +288,23 @@ void push_after_pop_fills_the_vacated_root() {
   }
 }
 
-TEST(BinaryHeapEventQueue, PushAfterPopFillsTheVacatedRoot) {
-  push_after_pop_fills_the_vacated_root<BinaryHeapEventQueue>();
-}
+// The two VacatedRoot names date from the hand-written heap the
+// overflow replaced, whose pop() left its root empty until the next
+// queue call; the orders they check still hold.
 TEST(TimingWheelEventQueue, PushAfterPopKeepsTheOrder) {
-  push_after_pop_fills_the_vacated_root<Wheel>();
+  push_after_pop_keeps_the_order(Clock::kFollowed);
+}
+TEST(BinaryHeapEventQueue, PushAfterPopFillsTheVacatedRoot) {
+  push_after_pop_keeps_the_order(Clock::kNeverStarted);
 }
 
-template <typename Q>
-void pop_after_pop_and_peek_before_push() {
-  Started<Q> q;
+void pop_after_pop_and_peek_before_push(Clock mode) {
+  Wheel q;
+  start(q, mode);
   std::vector<EventEntry> pending = seven_entries();
   for (const EventEntry& e : pending) q.push(e);
 
-  // pop -> pop: the second pop settles the first pop's hole.
+  // pop -> pop, with no peek in between.
   q.pop();
   take_min(pending);
   q.pop();
@@ -307,7 +313,7 @@ void pop_after_pop_and_peek_before_push() {
   ASSERT_NE(q.peek(), nullptr);
   EXPECT_EQ(q.peek()->seq, 3u);
 
-  // pop -> peek -> push: the peek settles the hole, the push sifts up.
+  // pop -> peek -> push: the push sorts before the peeked entry.
   q.pop();
   take_min(pending);
   ASSERT_NE(q.peek(), nullptr);
@@ -319,16 +325,16 @@ void pop_after_pop_and_peek_before_push() {
   expect_drains_in_order(q, pending);
 }
 
-TEST(BinaryHeapEventQueue, PopAfterPopAndPeekBeforePush) {
-  pop_after_pop_and_peek_before_push<BinaryHeapEventQueue>();
-}
 TEST(TimingWheelEventQueue, PopAfterPopAndPeekBeforePush) {
-  pop_after_pop_and_peek_before_push<Wheel>();
+  pop_after_pop_and_peek_before_push(Clock::kFollowed);
+}
+TEST(BinaryHeapEventQueue, PopAfterPopAndPeekBeforePush) {
+  pop_after_pop_and_peek_before_push(Clock::kNeverStarted);
 }
 
-template <typename Q>
-void size_and_empty_exclude_the_vacated_root() {
-  Started<Q> q;
+void size_and_empty_count_every_entry(Clock mode) {
+  Wheel q;
+  start(q, mode);
   q.push({nanoseconds(1), 0, 1, 0});
   q.pop();
   EXPECT_EQ(q.size(), 0u);
@@ -337,7 +343,7 @@ void size_and_empty_exclude_the_vacated_root() {
 
   q.push({nanoseconds(2), 0, 2, 0});
   q.pop();
-  q.push({nanoseconds(3), 0, 3, 0});  // refills the root
+  q.push({nanoseconds(3), 0, 3, 0});
   EXPECT_EQ(q.size(), 1u);
   EXPECT_FALSE(q.empty());
   ASSERT_NE(q.peek(), nullptr);
@@ -355,11 +361,11 @@ void size_and_empty_exclude_the_vacated_root() {
   EXPECT_EQ(q.peek(), nullptr);
 }
 
-TEST(BinaryHeapEventQueue, SizeAndEmptyExcludeTheVacatedRoot) {
-  size_and_empty_exclude_the_vacated_root<BinaryHeapEventQueue>();
-}
 TEST(TimingWheelEventQueue, SizeAndEmptyCountBothSides) {
-  size_and_empty_exclude_the_vacated_root<Wheel>();
+  size_and_empty_count_every_entry(Clock::kFollowed);
+}
+TEST(BinaryHeapEventQueue, SizeAndEmptyExcludeTheVacatedRoot) {
+  size_and_empty_count_every_entry(Clock::kNeverStarted);
 }
 
 /// The engine's own pattern, differential against the oracle: pop the
@@ -368,10 +374,11 @@ TEST(TimingWheelEventQueue, SizeAndEmptyCountBothSides) {
 /// mix same-instant ties, two fixed hop delays and random gaps of up
 /// to `gap`; the pending set swings between a few dozen and a few
 /// hundred entries.
-template <typename Q>
 void matches_sorted_order_in_the_engine_pattern(TimePs gap,
-                                                std::uint64_t ops_total) {
-  Started<Q> q;
+                                                std::uint64_t ops_total,
+                                                Clock mode) {
+  Wheel q;
+  start(q, mode);
   std::vector<EventEntry> pending;
   Rng rng(0x5EEDull);
   std::uint64_t seq = 1;
@@ -393,7 +400,7 @@ void matches_sorted_order_in_the_engine_pattern(TimePs gap,
     const EventEntry want = take_min(pending);
     ASSERT_EQ(top->seq, want.seq) << "op " << ops;
     q.pop();
-    follow(q, want.time);
+    if (mode == Clock::kFollowed) q.advance(want.time);
     ++ops;
     ASSERT_EQ(q.size(), pending.size());
     int pushes = static_cast<int>(rng.uniform() * 4);
@@ -418,13 +425,14 @@ void matches_sorted_order_in_the_engine_pattern(TimePs gap,
   expect_drains_in_order(q, pending);
 }
 
-TEST(BinaryHeapEventQueue, MatchesSortedOrderInTheEnginePattern) {
-  matches_sorted_order_in_the_engine_pattern<BinaryHeapEventQueue>(
-      microseconds(100), 120'000);
-}
 TEST(TimingWheelEventQueue, MatchesSortedOrderInTheEnginePattern) {
-  matches_sorted_order_in_the_engine_pattern<Wheel>(microseconds(100),
-                                                    120'000);
+  matches_sorted_order_in_the_engine_pattern(microseconds(100), 120'000,
+                                             Clock::kFollowed);
+}
+
+TEST(BinaryHeapEventQueue, MatchesSortedOrderInTheEnginePattern) {
+  matches_sorted_order_in_the_engine_pattern(microseconds(100), 120'000,
+                                             Clock::kNeverStarted);
 }
 
 TEST(TimingWheelEventQueue, InterleavesNearAndOverflowKeys) {
