@@ -5,7 +5,8 @@ Each test writes two synthetic perfbench_driver outputs to a temp dir
 and asserts the exit code: identical behaviour passes (0) whatever the
 wall-clock fields say; a changed digest, event, packet or pending-peak
 count, or a missing input, fails (1); empty, malformed or
-self-contradictory files are rejected (2).
+self-contradictory files are rejected (2). The committed seed-1
+baselines under bench/baselines/ must load and pin all 32 inputs.
 """
 
 import importlib.util
@@ -77,6 +78,14 @@ class CompareTest(unittest.TestCase):
                     [point(0), point(0, events=1)]):
             code, _ = self.run_main([point(0)], bad)
             self.assertEqual(code, 2, bad)
+
+    def test_committed_baselines_pin_every_input(self):
+        # CI compares a fresh seed-1 driver run of each workload against
+        # these trimmed points; the driver runs inputs 0-31.
+        root = os.path.join(os.path.dirname(_HERE), "bench", "baselines")
+        for wl in ("dumbbell", "fattree", "incast"):
+            path = os.path.join(root, f"perfbench_{wl}_seed1.jsonl")
+            self.assertEqual(sorted(compare.load(path)), list(range(32)), wl)
 
     def test_wrong_argument_count_is_a_usage_error(self):
         with redirect_stderr(io.StringIO()):

@@ -502,6 +502,16 @@ void HomaOcKindConfig::declare(KeyTable& k) {
 
 void HomaOcKindConfig::bind(const ScenarioContext& ctx, const KeyTable& k) {
   check_schemes(ctx, k, HomaOcScenario::unmet);
+  // The sweep sets each point's overcommit from [workload] overcommit,
+  // so a [cc.<label>] value would be overwritten at every level.
+  for (const SchemeRun& run : ctx.schemes) {
+    const auto oc = run.params.find("overcommit");
+    if (oc != run.params.end()) {
+      k.reject(&oc->second,
+               "is set per point by [workload] overcommit under kind "
+               "homa_oc");
+    }
+  }
   check_fat_tree_size(k, homa_oc.incast.topo);
   check_fan_in_hosts(k, &homa_oc.fan_in, homa_oc.incast.topo);
   // Each level and fan-in names its tables (<slug>_<scheme>_oc2,

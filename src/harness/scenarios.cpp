@@ -297,6 +297,11 @@ std::vector<ResultTable> homa_oc_tables(const SweepRunner& runner,
       throw std::invalid_argument("HomaOcScenario: scheme '" + s.scheme +
                                   "', " + why);
     }
+    if (s.params.contains("overcommit")) {
+      throw std::invalid_argument(
+          "HomaOcScenario: scheme '" + s.display() +
+          "' sets overcommit, which the sweep sets per level");
+    }
   }
   if (cfg.overcommit.empty()) {
     throw std::invalid_argument("HomaOcScenario: needs overcommit levels");

@@ -186,7 +186,9 @@ struct HomaOcScenario {
 
 /// Per scheme: one fairness table per overcommitment level, then one
 /// summary table per fan-in with a row per level. Throws
-/// std::invalid_argument for schemes that are not message transports.
+/// std::invalid_argument for schemes that are not message transports
+/// and for a scheme whose params set `overcommit`, which the sweep
+/// sets per level.
 std::vector<ResultTable> homa_oc_tables(const SweepRunner& runner,
                                         const HomaOcScenario& cfg,
                                         const std::vector<SchemeRun>& schemes,

@@ -73,7 +73,7 @@ void FlowSender::send_one() {
   const std::int32_t payload = next_payload();
   const net::PacketPool::Handle h = host_.slab().acquire();
   net::Packet& pkt = host_.slab().ref(h);
-  pkt = net::Packet{};
+  net::reset_for_send(pkt);
   pkt.flow = flow_;
   pkt.dst = dst_;
   pkt.type = net::PacketType::kData;

@@ -82,7 +82,7 @@ void HomaTransport::pump_out(net::FlowId id, OutMessage& m) {
         std::min<std::int64_t>(cfg_.mss, m.granted - m.sent));
     const net::PacketPool::Handle h = host_.slab().acquire();
     net::Packet& pkt = host_.slab().ref(h);
-    pkt = net::Packet{};
+    net::reset_for_send(pkt);
     pkt.flow = id;
     pkt.dst = m.dst;
     pkt.type = net::PacketType::kHomaData;
@@ -199,7 +199,7 @@ void HomaTransport::send_grant(net::FlowId id, InMessage& m,
                                std::int64_t resend_from) {
   const net::PacketPool::Handle h = host_.slab().acquire();
   net::Packet& g = host_.slab().ref(h);
-  g = net::Packet{};
+  net::reset_for_send(g);
   g.flow = id;
   g.dst = m.src;
   g.type = net::PacketType::kHomaGrant;

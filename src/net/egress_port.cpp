@@ -162,15 +162,4 @@ void EgressPort::sample_queue() {
   }
 }
 
-BasicPort::BasicPort(sim::Simulator& simulator, PacketPool& slab,
-                     sim::Bandwidth bw, sim::TimePs propagation_delay,
-                     std::unique_ptr<QueueDiscipline> queue)
-    : EgressPort(simulator, slab, bw, propagation_delay),
-      queue_(std::move(queue)) {}
-
-bool BasicPort::select_next(PacketPool::Handle& out,
-                            sim::TimePs& /*retry_at*/) {
-  return queue_->pop(out);
-}
-
 }  // namespace powertcp::net

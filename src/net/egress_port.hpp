@@ -160,23 +160,34 @@ class EgressPort {
   std::function<void(sim::TimePs)> sojourn_cb_;
 };
 
-/// Port with a self-contained queueing discipline (FIFO or priority).
-class BasicPort final : public EgressPort {
+/// Port that owns its backlog by value: a FifoQueue (FifoPort) or, on
+/// HOMA's strict-priority fabrics, a PriorityQueue (PriorityPort). The
+/// queue's own constructor arguments, after the slab, follow the
+/// port's (e.g. PriorityPort's band count).
+template <class Queue>
+class QueuePort final : public EgressPort {
  public:
-  BasicPort(sim::Simulator& simulator, PacketPool& slab, sim::Bandwidth bw,
-            sim::TimePs propagation_delay,
-            std::unique_ptr<QueueDiscipline> queue);
+  template <class... QueueArgs>
+  QueuePort(sim::Simulator& simulator, PacketPool& slab, sim::Bandwidth bw,
+            sim::TimePs propagation_delay, QueueArgs... queue_args)
+      : EgressPort(simulator, slab, bw, propagation_delay),
+        queue_(slab, queue_args...) {}
 
-  std::int64_t queue_bytes() const override { return queue_->bytes(); }
-  const QueueDiscipline& queue() const { return *queue_; }
+  std::int64_t queue_bytes() const override { return queue_.bytes(); }
 
  protected:
-  void push_to_queue(PacketPool::Handle h) override { queue_->push(h); }
-  bool select_next(PacketPool::Handle& out, sim::TimePs& retry_at) override;
-  bool finish_is_idle() const override { return queue_->empty(); }
+  void push_to_queue(PacketPool::Handle h) override { queue_.push(h); }
+  bool select_next(PacketPool::Handle& out,
+                   sim::TimePs& /*retry_at*/) override {
+    return queue_.pop(out);
+  }
+  bool finish_is_idle() const override { return queue_.empty(); }
 
  private:
-  std::unique_ptr<QueueDiscipline> queue_;
+  Queue queue_;
 };
+
+using FifoPort = QueuePort<FifoQueue>;
+using PriorityPort = QueuePort<PriorityQueue>;
 
 }  // namespace powertcp::net

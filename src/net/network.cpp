@@ -6,7 +6,6 @@
 #include <stdexcept>
 
 #include "net/egress_port.hpp"
-#include "net/queue.hpp"
 
 namespace powertcp::net {
 
@@ -25,9 +24,7 @@ int Network::make_port_on(Node& n, sim::Bandwidth bw, sim::TimePs prop) {
   if (auto* sw = dynamic_cast<Switch*>(&n)) {
     return sw->add_port(bw, prop);
   }
-  auto q = std::make_unique<FifoQueue>(slab_);
-  auto port = std::make_unique<BasicPort>(sim_, slab_, bw, prop, std::move(q));
-  return n.attach_port(std::move(port));
+  return n.attach_port(std::make_unique<FifoPort>(sim_, slab_, bw, prop));
 }
 
 Network::LinkPorts Network::connect(Node& a, sim::Bandwidth bw_ab, Node& b,

@@ -57,8 +57,20 @@ struct IntHopRecord {
 /// longest fat-tree path.
 inline constexpr int kMaxIntHops = 8;
 
+/// Copies and assignments carry only the size() used records: a reader
+/// never looks past size(), so the records beyond it may hold stale
+/// values from an earlier packet and are never copied or zeroed on the
+/// packet path.
 class IntHeader {
  public:
+  IntHeader() = default;
+  IntHeader(const IntHeader& other) { *this = other; }
+  IntHeader& operator=(const IntHeader& other) {
+    n_hops_ = other.n_hops_;
+    for (int i = 0; i < n_hops_; ++i) hop(i) = other.hop(i);
+    return *this;
+  }
+
   void push(const IntHopRecord& rec) {
     if (n_hops_ >= kMaxIntHops) {
       throw std::length_error("IntHeader: hop budget exceeded");
@@ -117,6 +129,30 @@ struct Packet {
 
   std::int64_t wire_bytes() const { return payload_bytes + header_bytes; }
 };
+
+/// Rewrites a recycled slab slot into a fresh packet: every field takes
+/// a default-constructed Packet's value and the INT stack is emptied.
+/// Each host send site calls it on the slot it acquired; storing a whole
+/// `Packet{}` instead would zero all kMaxIntHops INT records per send.
+inline void reset_for_send(Packet& pkt) {
+  pkt.flow = 0;
+  pkt.src = kInvalidNode;
+  pkt.dst = kInvalidNode;
+  pkt.type = PacketType::kData;
+  pkt.seq = 0;
+  pkt.payload_bytes = 0;
+  pkt.header_bytes = kHeaderBytes;
+  pkt.ecn_capable = true;
+  pkt.ecn_marked = false;
+  pkt.ecn_echo = false;
+  pkt.ack_seq = 0;
+  pkt.int_hdr.clear();
+  pkt.priority = 0;
+  pkt.grant_offset = 0;
+  pkt.message_bytes = 0;
+  pkt.sent_time = 0;
+  pkt.enqueue_time = 0;
+}
 
 /// Rewrites a received data packet, in place, into its canonical ack:
 /// swaps endpoints, echoes the ECN mark, and resets every other field

@@ -4,28 +4,13 @@
 
 namespace powertcp::net {
 
-void FifoQueue::push(PacketPool::Handle h) {
-  if (count_ == ring_.size()) {
-    // Unroll the full ring into twice the room, oldest first.
-    std::vector<PacketPool::Handle> grown(ring_.empty() ? 8 : 2 * ring_.size());
-    for (std::size_t i = 0; i < count_; ++i) {
-      grown[i] = ring_[(head_ + i) & (ring_.size() - 1)];
-    }
-    ring_.swap(grown);
-    head_ = 0;
+void FifoQueue::grow() {
+  std::vector<Item> grown(ring_.empty() ? 8 : 2 * ring_.size());
+  for (std::size_t i = 0; i < count_; ++i) {
+    grown[i] = ring_[(head_ + i) & (ring_.size() - 1)];
   }
-  bytes_ += slab_->get(h).wire_bytes();
-  ring_[(head_ + count_) & (ring_.size() - 1)] = h;
-  ++count_;
-}
-
-bool FifoQueue::pop(PacketPool::Handle& out) {
-  if (count_ == 0) return false;
-  out = ring_[head_];
-  head_ = (head_ + 1) & (ring_.size() - 1);
-  --count_;
-  bytes_ -= slab_->get(out).wire_bytes();
-  return true;
+  ring_.swap(grown);
+  head_ = 0;
 }
 
 PriorityQueue::PriorityQueue(const PacketPool& slab, int bands) : slab_(&slab) {

@@ -8,65 +8,79 @@
 #include "net/packet_pool.hpp"
 
 /// \file queue.hpp
-/// Egress queueing disciplines: FIFO, strict priority (HOMA), and
-/// per-destination virtual output queues (reconfigurable DCN ToRs).
-/// They queue 8-byte PacketPool handles; the packets stay in the
-/// network's slab, which each queue reads for byte accounting and
-/// peek_next.
+/// Egress queues: FIFO, strict priority (HOMA), and per-destination
+/// virtual output queues (reconfigurable DCN ToRs). They queue 8-byte
+/// PacketPool handles; the packets stay in the network's slab, which a
+/// queue reads at push (size, priority, destination) and for
+/// peek_next. Each is a concrete class that its port owns by value
+/// (net/egress_port.hpp): no virtual layer sits between a port and its
+/// backlog.
 
 namespace powertcp::net {
 
-/// Interface for an egress buffer of slab handles. `pop` hands the
-/// oldest eligible handle to the caller and returns true, or returns
-/// false and leaves `out` untouched when the buffer is empty.
-/// `peek_next` must agree with the packet `pop` would produce (used to
-/// compute serialization time before committing).
-class QueueDiscipline {
- public:
-  virtual ~QueueDiscipline() = default;
-
-  virtual void push(PacketPool::Handle h) = 0;
-  virtual bool pop(PacketPool::Handle& out) = 0;
-  virtual const Packet* peek_next() const = 0;
-  virtual std::int64_t bytes() const = 0;
-  virtual std::size_t packets() const = 0;
-  bool empty() const { return packets() == 0; }
-};
-
 /// Plain FIFO: a ring of handles that doubles when full, so it grows
-/// to the backlog high-water mark once and then never allocates.
-class FifoQueue final : public QueueDiscipline {
+/// to the backlog high-water mark once and then never allocates. Each
+/// item keeps the wire bytes its packet was admitted with, so pop reads
+/// no slab slot. `pop` hands the oldest handle to the caller and
+/// returns true, or returns false and leaves `out` untouched when the
+/// queue is empty; `peek_next` is the packet `pop` would produce.
+class FifoQueue {
  public:
   explicit FifoQueue(const PacketPool& slab) : slab_(&slab) {}
 
-  void push(PacketPool::Handle h) override;
-  bool pop(PacketPool::Handle& out) override;
-  const Packet* peek_next() const override {
-    return count_ == 0 ? nullptr : &slab_->get(ring_[head_]);
+  void push(PacketPool::Handle h) {
+    if (count_ == ring_.size()) grow();
+    const std::int64_t wire = slab_->get(h).wire_bytes();
+    ring_[(head_ + count_) & (ring_.size() - 1)] = Item{h, wire};
+    ++count_;
+    bytes_ += wire;
   }
-  std::int64_t bytes() const override { return bytes_; }
-  std::size_t packets() const override { return count_; }
+  bool pop(PacketPool::Handle& out) {
+    if (count_ == 0) return false;
+    const Item& item = ring_[head_];
+    out = item.handle;
+    bytes_ -= item.wire_bytes;
+    head_ = (head_ + 1) & (ring_.size() - 1);
+    --count_;
+    return true;
+  }
+  const Packet* peek_next() const {
+    return count_ == 0 ? nullptr : &slab_->get(ring_[head_].handle);
+  }
+  std::int64_t bytes() const { return bytes_; }
+  std::size_t packets() const { return count_; }
+  bool empty() const { return count_ == 0; }
 
  private:
+  struct Item {
+    PacketPool::Handle handle;
+    std::int64_t wire_bytes;
+  };
+
+  /// Unrolls the full ring into twice the room, oldest first.
+  void grow();
+
   const PacketPool* slab_;
-  std::vector<PacketPool::Handle> ring_;  ///< size is 0 or a power of two
+  std::vector<Item> ring_;  ///< size is 0 or a power of two
   std::size_t head_ = 0;
   std::size_t count_ = 0;
   std::int64_t bytes_ = 0;
 };
 
-/// Strict-priority bands (0 = highest), one FIFO each. HOMA maps
+/// Strict-priority bands (0 = highest), one FIFO each, with the same
+/// push/pop/peek_next contract as FifoQueue. HOMA maps
 /// unscheduled/scheduled traffic onto these; acks and grants ride
 /// band 0.
-class PriorityQueue final : public QueueDiscipline {
+class PriorityQueue {
  public:
   PriorityQueue(const PacketPool& slab, int bands = 8);
 
-  void push(PacketPool::Handle h) override;
-  bool pop(PacketPool::Handle& out) override;
-  const Packet* peek_next() const override;
-  std::int64_t bytes() const override { return bytes_; }
-  std::size_t packets() const override { return packets_; }
+  void push(PacketPool::Handle h);
+  bool pop(PacketPool::Handle& out);
+  const Packet* peek_next() const;
+  std::int64_t bytes() const { return bytes_; }
+  std::size_t packets() const { return packets_; }
+  bool empty() const { return packets_ == 0; }
 
   /// Backlog of one band.
   std::int64_t band_bytes(int band) const {

@@ -43,14 +43,13 @@ Switch::Switch(sim::Simulator& simulator, PacketPool& slab, NodeId id,
       buffer_(cfg.buffer_bytes, cfg.dt_alpha) {}
 
 int Switch::add_port(sim::Bandwidth bw, sim::TimePs propagation) {
-  std::unique_ptr<QueueDiscipline> q;
+  std::unique_ptr<EgressPort> port;
   if (cfg_.priority_bands > 0) {
-    q = std::make_unique<PriorityQueue>(slab(), cfg_.priority_bands);
+    port = std::make_unique<PriorityPort>(sim_, slab(), bw, propagation,
+                                          cfg_.priority_bands);
   } else {
-    q = std::make_unique<FifoQueue>(slab());
+    port = std::make_unique<FifoPort>(sim_, slab(), bw, propagation);
   }
-  auto port = std::make_unique<BasicPort>(sim_, slab(), bw, propagation,
-                                          std::move(q));
   port->set_shared_buffer(&buffer_);
   port->set_int_enabled(cfg_.int_enabled);
   // The default "red" policy is the scheme's ECN marking profile:

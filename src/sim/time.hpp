@@ -32,9 +32,24 @@ constexpr TimePs microseconds(std::int64_t v) { return v * kPsPerUs; }
 constexpr TimePs milliseconds(std::int64_t v) { return v * kPsPerMs; }
 constexpr TimePs seconds(std::int64_t v) { return v * kPsPerSec; }
 
+/// std::llround (nearest, halves away from zero) without the libm call
+/// the packet path would otherwise pay per serialization and per paced
+/// send. For finite |x| < 2^62 the fraction `x - trunc(x)` is exact, so
+/// adjusting the truncation by it is exactly llround; every other input
+/// (NaN, infinities, |x| >= 2^62) goes to std::llround itself. The
+/// result is bit-identical over the whole domain.
+inline std::int64_t fast_llround(double x) {
+  if (!(std::fabs(x) < 0x1p62)) return std::llround(x);
+  const auto t = static_cast<std::int64_t>(x);
+  const double frac = x - static_cast<double>(t);
+  if (frac >= 0.5) return t + 1;
+  if (frac <= -0.5) return t - 1;
+  return t;
+}
+
 /// Converts a (possibly fractional) duration in seconds to picoseconds.
 inline TimePs from_seconds(double s) {
-  return static_cast<TimePs>(std::llround(s * static_cast<double>(kPsPerSec)));
+  return static_cast<TimePs>(fast_llround(s * static_cast<double>(kPsPerSec)));
 }
 
 constexpr double to_seconds(TimePs t) {
@@ -67,7 +82,7 @@ class Bandwidth {
 
   /// Wire time of `bytes` at this rate, rounded to the nearest picosecond.
   TimePs tx_time(std::int64_t bytes) const {
-    return static_cast<TimePs>(std::llround(
+    return static_cast<TimePs>(fast_llround(
         static_cast<double>(bytes) * 8.0 * static_cast<double>(kPsPerSec) /
         bits_per_sec_));
   }
@@ -80,7 +95,7 @@ class Bandwidth {
   /// Bandwidth-delay product in bytes for base RTT `rtt`.
   std::int64_t bdp_bytes(TimePs rtt) const {
     return static_cast<std::int64_t>(
-        std::llround(to_seconds(rtt) * bytes_per_sec()));
+        fast_llround(to_seconds(rtt) * bytes_per_sec()));
   }
 
   constexpr bool operator==(const Bandwidth&) const = default;

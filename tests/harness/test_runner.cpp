@@ -779,6 +779,45 @@ fan_in = 2
   }
 }
 
+TEST(Runner, HomaOcKindRejectsACcSectionOvercommit) {
+  // [workload] overcommit sets every point's level, so a [cc.<label>]
+  // overcommit would be overwritten at each level: it fails at its own
+  // line instead of being silently ignored.
+  try {
+    load_runner_config(ConfigFile::parse(R"([experiment]
+kind = homa_oc
+schemes = homa
+
+[workload]
+overcommit = 1, 2
+fan_in = 2
+
+[cc.homa]
+overcommit = 3
+)",
+                                         "bad.toml"));
+    ADD_FAILURE() << "loaded a [cc.homa] overcommit";
+  } catch (const ConfigError& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "bad.toml:10: [cc.homa] overcommit = '3' is set per point "
+                  "by [workload] overcommit under kind homa_oc"),
+              std::string::npos)
+        << e.what();
+  }
+  // The library entry point throws on the same rule.
+  try {
+    homa_oc_tables(SweepRunner(1), HomaOcScenario{},
+                   {SchemeRun{"", "homa", {{"overcommit", "3"}}}}, "oc");
+    FAIL() << "ran a scheme that sets its own overcommit";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "scheme 'homa' sets overcommit, which the sweep sets per "
+                  "level"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(Runner, LoaderRejectsSchemesTheKindCannotRun) {
   // The RDCN fabric has no priority bands (Homa), marks no packets
   // (DCQCN, DCTCP) and runs no AQM, and reTCP needs the circuit

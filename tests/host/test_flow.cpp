@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "cc/registry.hpp"
 #include "host/host.hpp"
 #include "net/network.hpp"
@@ -195,6 +197,85 @@ TEST_F(FlowFixture, DataPacketAndItsAckShareOneSlabSlot) {
   EXPECT_EQ(peak_live, 1u);
   EXPECT_EQ(slab.capacity(), 1u);
   EXPECT_EQ(slab.live(), 0u);
+}
+
+/// Keeps a copy of every packet it receives, with its slab slot.
+class CaptureNode : public net::Node {
+ public:
+  CaptureNode(sim::Simulator&, net::PacketPool& slab, net::NodeId id)
+      : Node(slab, id, "capture") {}
+
+  void receive(net::PacketPool::Handle h, int /*in_port*/) override {
+    slots.push_back(h.index);
+    packets.push_back(slab().get(h));
+    slab().release(h);
+  }
+
+  std::vector<std::uint32_t> slots;
+  std::vector<net::Packet> packets;
+};
+
+TEST_F(FlowFixture, SendOneResetsARecycledAckSlot) {
+  // The sender's first packet reuses the slot a 5-hop ECN-echo ACK
+  // just left: every field send_one does not write reads as in a fresh
+  // Packet, and the INT stack is empty.
+  Host* host = network.add_node<Host>("host");
+  auto* sink = network.add_node<CaptureNode>();
+  network.connect(*host, *sink, cfg.host_bw, sim::microseconds(1));
+  net::PacketPool& slab = network.slab();
+  net::Packet stale;
+  stale.flow = 99;
+  stale.src = 5;
+  stale.dst = 6;
+  stale.seq = 4000;
+  stale.payload_bytes = 1000;
+  stale.header_bytes = 77;
+  stale.ecn_capable = false;
+  stale.ecn_marked = true;
+  for (int i = 0; i < 5; ++i) {
+    net::IntHopRecord rec;
+    rec.qlen_bytes = 1000 * (i + 1);
+    stale.int_hdr.push(rec);
+  }
+  stale.grant_offset = 12;
+  stale.message_bytes = 50'000;
+  stale.sent_time = sim::microseconds(3);
+  stale.enqueue_time = sim::microseconds(4);
+  net::turn_into_ack(stale, 5000);
+  stale.priority = 4;
+  ASSERT_TRUE(stale.ecn_echo);
+  const net::PacketPool::Handle old = slab.put(std::move(stale));
+  slab.release(old);
+
+  const cc::CcFactory f = cc::make_factory("powertcp");
+  params.host_bw = cfg.host_bw;
+  params.base_rtt = sim::microseconds(10);
+  host->start_flow(1, sink->id(), 3000, f(params), params,
+                   sim::microseconds(1));
+  simulator.run_until(sim::microseconds(5));
+  ASSERT_FALSE(sink->packets.empty());
+  EXPECT_EQ(sink->slots.front(), old.index);
+  const net::Packet& pkt = sink->packets.front();
+  const net::Packet fresh;
+  // What the send path writes.
+  EXPECT_EQ(pkt.flow, 1u);
+  EXPECT_EQ(pkt.src, host->id());
+  EXPECT_EQ(pkt.dst, sink->id());
+  EXPECT_EQ(pkt.type, net::PacketType::kData);
+  EXPECT_EQ(pkt.seq, 0);
+  EXPECT_EQ(pkt.payload_bytes, params.mss);
+  EXPECT_EQ(pkt.message_bytes, 3000);
+  EXPECT_EQ(pkt.ack_seq, 0);
+  EXPECT_EQ(pkt.sent_time, sim::microseconds(1));
+  EXPECT_EQ(pkt.enqueue_time, sim::microseconds(1));
+  // Everything else is a fresh packet's.
+  EXPECT_EQ(pkt.header_bytes, fresh.header_bytes);
+  EXPECT_EQ(pkt.ecn_capable, fresh.ecn_capable);
+  EXPECT_EQ(pkt.ecn_marked, fresh.ecn_marked);
+  EXPECT_EQ(pkt.ecn_echo, fresh.ecn_echo);
+  EXPECT_EQ(pkt.int_hdr.size(), 0);
+  EXPECT_EQ(pkt.priority, fresh.priority);
+  EXPECT_EQ(pkt.grant_offset, fresh.grant_offset);
 }
 
 TEST_F(FlowFixture, SendWithoutNicFreesItsSlot) {

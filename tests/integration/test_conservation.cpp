@@ -102,9 +102,8 @@ TEST(Conservation, PortWithoutPeerFreesItsSlotAtSerializationEnd) {
   // ends instead of leaking it.
   sim::Simulator simulator;
   net::PacketPool slab;
-  net::BasicPort port(simulator, slab, sim::Bandwidth::gbps(10),
-                      sim::microseconds(1),
-                      std::make_unique<net::FifoQueue>(slab));
+  net::FifoPort port(simulator, slab, sim::Bandwidth::gbps(10),
+                     sim::microseconds(1));
   net::Packet pkt;
   pkt.payload_bytes = 952;
   port.enqueue(slab.put(std::move(pkt)));

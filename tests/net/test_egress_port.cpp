@@ -45,10 +45,8 @@ struct PortFixture : ::testing::Test {
   PacketPool slab;
   SinkNode sink{simulator, slab, 0};
 
-  std::unique_ptr<BasicPort> make_port(sim::Bandwidth bw,
-                                       sim::TimePs prop) {
-    auto port = std::make_unique<BasicPort>(
-        simulator, slab, bw, prop, std::make_unique<FifoQueue>(slab));
+  std::unique_ptr<FifoPort> make_port(sim::Bandwidth bw, sim::TimePs prop) {
+    auto port = std::make_unique<FifoPort>(simulator, slab, bw, prop);
     port->set_peer(&sink, 3);
     return port;
   }
@@ -249,8 +247,7 @@ std::int64_t second_packet_backlog(bool before_finish) {
   sim::Simulator simulator;
   PacketPool slab;
   SinkNode sink(simulator, slab, 0);
-  BasicPort port(simulator, slab, sim::Bandwidth::gbps(10), 0,
-                 std::make_unique<FifoQueue>(slab));
+  FifoPort port(simulator, slab, sim::Bandwidth::gbps(10), 0);
   port.set_peer(&sink, 0);
   port.set_int_enabled(true);
   const sim::TimePs finish = sim::Bandwidth::gbps(10).tx_time(1000);
@@ -290,10 +287,8 @@ bool sibling_admitted(bool before_release) {
   PacketPool slab;
   SinkNode sink(simulator, slab, 0);
   DtSharedBuffer buf(1'500, 10.0);
-  BasicPort a(simulator, slab, sim::Bandwidth::gbps(10), 0,
-              std::make_unique<FifoQueue>(slab));
-  BasicPort b(simulator, slab, sim::Bandwidth::gbps(10), 0,
-              std::make_unique<FifoQueue>(slab));
+  FifoPort a(simulator, slab, sim::Bandwidth::gbps(10), 0);
+  FifoPort b(simulator, slab, sim::Bandwidth::gbps(10), 0);
   a.set_peer(&sink, 0);
   b.set_peer(&sink, 1);
   a.set_shared_buffer(&buf);

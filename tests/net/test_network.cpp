@@ -107,9 +107,8 @@ TEST_F(NetworkFixture, RegisterLinkFeedsRouteComputation) {
   auto* leaf = network.add_node<LeafNode>("leaf");
   // Wire manually instead of via connect().
   const int sp = sw->add_port(sim::Bandwidth::gbps(10), 0);
-  auto port = std::make_unique<BasicPort>(
-      simulator, leaf->slab(), sim::Bandwidth::gbps(10), 0,
-      std::make_unique<FifoQueue>(leaf->slab()));
+  auto port = std::make_unique<FifoPort>(simulator, leaf->slab(),
+                                         sim::Bandwidth::gbps(10), 0);
   const int lp = leaf->attach_port(std::move(port));
   sw->port(sp).set_peer(leaf, lp);
   leaf->port(lp).set_peer(sw, sp);

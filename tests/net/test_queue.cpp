@@ -16,7 +16,8 @@ PacketPool::Handle pkt(PacketPool& slab, FlowId flow, std::int32_t payload,
 }
 
 /// Pops the next handle and returns its packet's flow (0 when empty).
-FlowId pop_flow(const PacketPool& slab, QueueDiscipline& q) {
+template <class Queue>
+FlowId pop_flow(const PacketPool& slab, Queue& q) {
   PacketPool::Handle h;
   return q.pop(h) ? slab.get(h).flow : 0;
 }
@@ -69,6 +70,29 @@ TEST(FifoQueue, TracksBytesIncludingHeaders) {
   EXPECT_EQ(q.bytes(), 1500 + 2 * kHeaderBytes);
   pop_flow(slab, q);
   EXPECT_EQ(q.bytes(), 500 + kHeaderBytes);
+}
+
+TEST(FifoQueue, PopSubtractsTheSizeAdmittedAtPush) {
+  // The backlog a pop frees is what the push admitted, whatever the
+  // slot holds by then.
+  PacketPool slab;
+  FifoQueue q(slab);
+  PriorityQueue pq(slab, 2);
+  const PacketPool::Handle h = pkt(slab, 1, 1000);
+  const PacketPool::Handle g = pkt(slab, 2, 700, 1);
+  q.push(h);
+  q.push(pkt(slab, 3, 100));
+  pq.push(g);
+  slab.ref(h).payload_bytes = 10;
+  slab.ref(g).payload_bytes = 10;
+  PacketPool::Handle out;
+  ASSERT_TRUE(q.pop(out));
+  EXPECT_TRUE(same(out, h));
+  EXPECT_EQ(q.bytes(), 100 + kHeaderBytes);
+  ASSERT_TRUE(pq.pop(out));
+  EXPECT_TRUE(same(out, g));
+  EXPECT_EQ(pq.bytes(), 0);
+  EXPECT_EQ(pq.band_bytes(1), 0);
 }
 
 TEST(FifoQueue, PeekMatchesPop) {

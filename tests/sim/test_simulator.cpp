@@ -580,39 +580,5 @@ TEST(Simulator, ClosureThatThrowsWhileBuiltInItsSlotSchedulesNothing) {
   EXPECT_LE(s.slot_count(), 1u);
 }
 
-TEST(TimeHelpers, UnitConversionsAreExact) {
-  EXPECT_EQ(nanoseconds(1), 1'000);
-  EXPECT_EQ(microseconds(1), 1'000'000);
-  EXPECT_EQ(milliseconds(1), 1'000'000'000);
-  EXPECT_EQ(seconds(1), 1'000'000'000'000);
-  EXPECT_EQ(from_seconds(1e-6), microseconds(1));
-  EXPECT_DOUBLE_EQ(to_seconds(seconds(2)), 2.0);
-  EXPECT_DOUBLE_EQ(to_microseconds(microseconds(3)), 3.0);
-}
-
-TEST(TimeHelpers, FormatPicksUnits) {
-  EXPECT_EQ(format_time(picoseconds(500)), "500ps");
-  EXPECT_EQ(format_time(microseconds(12) + nanoseconds(500)), "12.500us");
-  EXPECT_EQ(format_time(milliseconds(3)), "3.000ms");
-  EXPECT_EQ(format_time(kTimeInfinity), "inf");
-}
-
-TEST(Bandwidth, TxTimeIsExactAtCommonRates) {
-  // 1 byte at 100 Gbps = 80 ps; a 1048-byte frame = 83.84 ns.
-  EXPECT_EQ(Bandwidth::gbps(100).tx_time(1), 80);
-  EXPECT_EQ(Bandwidth::gbps(100).tx_time(1048), 83'840);
-  // 25 Gbps: 320 ps per byte.
-  EXPECT_EQ(Bandwidth::gbps(25).tx_time(1000), 320'000);
-}
-
-TEST(Bandwidth, BdpMatchesHandComputation) {
-  // 25 Gbps x 20 us = 62.5 KB.
-  EXPECT_EQ(Bandwidth::gbps(25).bdp_bytes(microseconds(20)), 62'500);
-}
-
-TEST(Bandwidth, BytesInWindow) {
-  EXPECT_EQ(Bandwidth::gbps(8).bytes_in(microseconds(1)), 1'000);
-}
-
 }  // namespace
 }  // namespace powertcp::sim
